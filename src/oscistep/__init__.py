@@ -11,13 +11,13 @@ arithmetic, so no hand-coded derivative tables are needed.
 from .errors import (ConfigError, DegenerateOscillatorError, DomainError,
                      JetMismatchError, JetOrderError, NumericStepError,
                      OscistepError, QuadratureError, RegimeError, ResolutionError)
-from .jets import (BUILTIN_FIELDS, CoefficientField, Jet, apply_operator_word,
-                   builtin_field, make_field)
-from .oscillator import (BasisPoly, OscillatorSpec, absorb_mean, antiderivative,
-                         big_v, integration_call_count, make_oscillator,
+from .jets import (BUILTIN_FIELDS, CoefficientField, Jet, builtin_field,
+                   make_field, operator_values)
+from .oscillator import (BasisPoly, OscillatorSpec, absorb_mean, big_v,
+                         integration_call_count, make_oscillator,
                          oscillating_monomial, phase_average, v_norm, v_poly)
-from .terms import (IteratedIntegralValue, TruncationPolicy, Word,
-                    enumerate_words, expected_local_order, iterated_integral,
+from .terms import (TruncationPolicy, Word, enumerate_words,
+                    expected_local_order, iterated_integral,
                     policy_matches_scheme, stochastic_scheme_words, term_count,
                     word_primitive)
 from .stepping import (BoundInputs, SchemeEntry, SchemeTable, StepResult,

@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields, replace
 
 import numpy as np
 
@@ -108,7 +108,9 @@ def build_problem(cfg: RunConfig) -> Problem:
         osc = make_oscillator("cos", om, phi, cfg.nu)
         exact = lambda t: exact_exp_macro(lambda s: s, 1, cfg.mu, osc, t, cfg.u0,
                                           alpha_antideriv=lambda s: s * s / 2.0)
-    elif cfg.problem == "nonlinear":
+    elif cfg.problem in ("nonlinear", "freqdep"):
+        # freqdep is the nonlinear pair with an amplitude exponent nu
+        # (default -1/2, see _validate)
         field = builtin_field("nonlinear", alpha=cfg.alpha, mu=cfg.mu)
         osc = make_oscillator("exp", om, phi, cfg.nu)
         exact = lambda t: exact_exp_macro(cfg.alpha, -1, cfg.mu, osc, t, cfg.u0)
@@ -120,10 +122,6 @@ def build_problem(cfg: RunConfig) -> Problem:
             dv = adaptive_quadrature(osc.value, 0.0, t, 1e-12,
                                      half_period=math.pi / om).value
             return exact_pure_oscillatory(cfg.gamma, cfg.u0, dv)
-    elif cfg.problem == "freqdep":
-        field = builtin_field("freqdep", alpha=cfg.alpha, mu=cfg.mu)
-        osc = make_oscillator("exp", om, phi, cfg.nu)
-        exact = lambda t: exact_exp_macro(cfg.alpha, -1, cfg.mu, osc, t, cfg.u0)
     else:  # custom-fourier
         if not cfg.fourier:
             raise ConfigError("problem 'custom-fourier' requires a 'fourier' "
@@ -200,14 +198,14 @@ def cmd_converge(cfg: RunConfig, h_list: list[float],
     lines = ["h,omega,abs_error"]
     pts = []
     for h in h_list:
-        sub = _replace(cfg, h=h)
+        sub = replace(cfg, h=h)
         if couple_c is not None:
             rho = cfg.rho if cfg.rho is not None else 2.0
             sub.omega = 1.0 / (couple_c * h ** rho)
         prob = build_problem(sub)
         scheme = build_scheme(prob.osc, sub.policy())
         res = step(scheme, prob.field, sub.t0, np.array([sub.u0]), h)
-        ref = oracle_value(_replace(sub, oracle="exact" if cfg.oracle == "none" else cfg.oracle),
+        ref = oracle_value(replace(sub, oracle="exact" if cfg.oracle == "none" else cfg.oracle),
                            prob, sub.t0 + h)
         err = abs(res.u_next[0] - ref)
         pts.append((h, err))
@@ -228,7 +226,7 @@ def cmd_bounds(cfg: RunConfig, h_list: list[float], omega_list: list[float],
     all_ok = True
     for h in h_list:
         for om in omega_list:
-            sub = _replace(cfg, h=h, omega=om)
+            sub = replace(cfg, h=h, omega=om)
             prob = build_problem(sub)
             if K is None:
                 t_hi = box_t if box_t is not None else sub.t0 + max(h_list)
@@ -269,12 +267,6 @@ def cmd_stochastic_check(kappa: float, rho_prime: float,
 
 
 # -- argument plumbing --------------------------------------------------------
-
-def _replace(cfg: RunConfig, **kw) -> RunConfig:
-    d = {f.name: getattr(cfg, f.name) for f in dc_fields(RunConfig)}
-    d.update(kw)
-    return RunConfig(**d)
-
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON file with flat RunConfig keys")
@@ -326,7 +318,10 @@ def _load_config(ns: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _validate(cfg: RunConfig):
+def _validate(cfg: RunConfig, command: str):
+    if command != "step" and (cfg.phase_averaged or cfg.emit_contributions):
+        raise ConfigError("phase_averaged and emit_contributions apply to "
+                          f"'step' only, not {command!r}")
     # the frequency-dependent problem defaults to amplitude exponent -1/2,
     # applied here so the truncation policy sees the same nu
     if cfg.problem == "freqdep" and cfg.nu == 0.0:
@@ -383,7 +378,7 @@ def main(argv=None) -> int:
             code, lines = cmd_stochastic_check(ns.kappa, ns.rho_prime, ns.scheme)
         else:
             cfg = _load_config(ns)
-            _validate(cfg)
+            _validate(cfg, ns.command)
             if ns.command == "step":
                 code, lines = cmd_step(cfg)
             elif ns.command == "solve":

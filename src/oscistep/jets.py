@@ -19,9 +19,8 @@ series; each application costs one order of the jet.  Words over
 
 from __future__ import annotations
 
-from itertools import product
 from math import factorial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -30,18 +29,11 @@ from .errors import JetMismatchError, JetOrderError
 __all__ = [
     "Jet",
     "CoefficientField",
-    "apply_operator_word",
+    "operator_values",
     "make_field",
     "builtin_field",
     "BUILTIN_FIELDS",
 ]
-
-
-def _multi_indices(nvars: int, max_total: int):
-    """All exponent tuples over `nvars` variables with total degree <= max_total."""
-    for alpha in product(range(max_total + 1), repeat=nvars):
-        if sum(alpha) <= max_total:
-            yield alpha
 
 
 class Jet:
@@ -215,38 +207,41 @@ class CoefficientField:
         self.max_order = max_order
         self.name = name
 
-    def _eval_jets(self, fn, t, u, order: int) -> list[Jet]:
-        if self.max_order is not None and order > self.max_order:
+    def _eval(self, fn, t, u, order: int | None = None) -> list:
+        """`fn` at (t, u): on complex numbers when `order` is None, else on
+        jets of that order.  Checks the state shape and the number of
+        components returned."""
+        if order is not None and self.max_order is not None and order > self.max_order:
             raise JetOrderError(
                 f"field '{self.name}' supports jet order <= {self.max_order}, "
                 f"requested {order}")
         u = np.asarray(u, dtype=complex)
         if u.shape != (self.m,):
             raise ValueError(f"state must have shape ({self.m},), got {u.shape}")
-        base = (complex(t),) + tuple(u)
-        tj = Jet.variable(0, base, order)
-        uj = [Jet.variable(1 + j, base, order) for j in range(self.m)]
-        vals = fn(tj, uj)
-        out = []
-        for v in vals:
-            out.append(v if isinstance(v, Jet) else Jet.constant(v, base, order))
+        if order is None:
+            out = [x.value if isinstance(x, Jet) else complex(x)
+                   for x in fn(complex(t), list(u))]
+        else:
+            base = (complex(t),) + tuple(u)
+            tj = Jet.variable(0, base, order)
+            uj = [Jet.variable(1 + j, base, order) for j in range(self.m)]
+            out = [v if isinstance(v, Jet) else Jet.constant(v, base, order)
+                   for v in fn(tj, uj)]
         if len(out) != self.m:
             raise ValueError("coefficient function returned wrong dimension")
         return out
 
     def a_jets(self, t, u, order: int) -> list[Jet]:
-        return self._eval_jets(self._a, t, u, order)
+        return self._eval(self._a, t, u, order)
 
     def b_jets(self, t, u, order: int) -> list[Jet]:
-        return self._eval_jets(self._b, t, u, order)
+        return self._eval(self._b, t, u, order)
 
     def a_values(self, t, u) -> np.ndarray:
-        return np.array([complex(x) if not isinstance(x, Jet) else x.value
-                         for x in self._a(complex(t), list(np.asarray(u, dtype=complex)))])
+        return np.array(self._eval(self._a, t, u))
 
     def b_values(self, t, u) -> np.ndarray:
-        return np.array([complex(x) if not isinstance(x, Jet) else x.value
-                         for x in self._b(complex(t), list(np.asarray(u, dtype=complex)))])
+        return np.array(self._eval(self._b, t, u))
 
 
 def _apply_single(letter: str, f: list[Jet], a_jets: list[Jet], b_jets: list[Jet]) -> list[Jet]:
@@ -265,28 +260,40 @@ def _apply_single(letter: str, f: list[Jet], a_jets: list[Jet], b_jets: list[Jet
     return out
 
 
-def apply_operator_word(field: CoefficientField, target: str,
-                        word: Sequence[str], t, u) -> np.ndarray:
-    """Evaluate ``L^{w_1} ... L^{w_n}`` applied to `a` or `b` at ``(t, u)``.
+def operator_values(field: CoefficientField,
+                    pairs: Iterable[tuple[str, Sequence[str]]], t, u) -> dict:
+    """Evaluate ``L^{w_1} ... L^{w_n}`` applied to `a` or `b` at ``(t, u)``
+    for every ``(target, op_word)`` pair.
 
-    The word is written operator-first: ``["L1", "L0"]`` computes
-    ``L1(L0(target))``.  An empty word returns the target itself.
+    Words are written operator-first: ``("L1", "L0")`` computes
+    ``L1(L0(target))``, and an empty word gives the target itself.  All
+    pairs share one set of base jets (of the longest word's order) and the
+    jets of common sub-words.  Returns ``{(target, op_word): values}`` with
+    `op_word` as a tuple.
     """
-    word = list(word)
-    for w in word:
-        if w not in ("L0", "L1"):
-            raise ValueError(f"unknown operator letter {w!r}")
-    if target not in ("a", "b"):
-        raise ValueError("target must be 'a' or 'b'")
-    n = len(word)
-    if n == 0:
-        return field.a_values(t, u) if target == "a" else field.b_values(t, u)
-    a_jets = field.a_jets(t, u, n)
-    b_jets = field.b_jets(t, u, n)
-    f = a_jets if target == "a" else b_jets
-    for letter in reversed(word):
-        f = _apply_single(letter, f, a_jets, b_jets)
-    return np.array([fi.value for fi in f])
+    pairs = list(dict.fromkeys((target, tuple(word)) for target, word in pairs))
+    for target, word in pairs:
+        if target not in ("a", "b"):
+            raise ValueError("target must be 'a' or 'b'")
+        for w in word:
+            if w not in ("L0", "L1"):
+                raise ValueError(f"unknown operator letter {w!r}")
+    order = max((len(word) for _, word in pairs), default=0)
+    if order == 0:
+        return {(target, ()): field.a_values(t, u) if target == "a" else field.b_values(t, u)
+                for target, _ in pairs}
+    a_jets = field.a_jets(t, u, order)
+    b_jets = field.b_jets(t, u, order)
+    memo: dict[tuple, list[Jet]] = {("a", ()): a_jets, ("b", ()): b_jets}
+
+    def jets_for(target: str, word: tuple[str, ...]) -> list[Jet]:
+        key = (target, word)
+        if key not in memo:
+            memo[key] = _apply_single(word[0], jets_for(target, word[1:]), a_jets, b_jets)
+        return memo[key]
+
+    return {(target, word): np.array([j.value for j in jets_for(target, word)])
+            for target, word in pairs}
 
 
 # -- built-in example fields -------------------------------------------------
@@ -316,19 +323,10 @@ def _power_field(gamma=0):
                       name="power")
 
 
-def _freqdep_field(alpha=1.0, mu=1.0):
-    # same coefficients as the nonlinear field; the frequency-dependent
-    # amplitude lives in the oscillator
-    f = _nonlinear_field(alpha=alpha, mu=mu)
-    f.name = "freqdep"
-    return f
-
-
 BUILTIN_FIELDS = {
     "linear": _linear_field,
     "nonlinear": _nonlinear_field,
     "power": _power_field,
-    "freqdep": _freqdep_field,
 }
 
 

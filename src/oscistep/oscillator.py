@@ -9,11 +9,12 @@ class of "basis polynomials": finite sums of terms
 
     coef * (t - t_ref)^p * exp(i k omega (t - t_ref)) * Z^q * omega^(-(n + m nu))
 
-with Z = exp(i (omega t_ref + phi)).  Powers of tau = t - t_ref, the
-oscillatory index k, the phase index q and the omega exponent (split into
-the integer part n and the count m of amplitude factors) are all tracked
-structurally, so antidifferentiation, products, phase averages and
-order-by-order truncation are exact operations on the term list.
+with Z = exp(i (omega t_ref + phi)) and t_ref given at evaluation.  Powers
+of tau = t - t_ref, the oscillatory index k, the phase index q and the
+omega exponent (split into the integer part n and the count m of
+amplitude factors) are all tracked structurally, so antidifferentiation,
+products, phase averages and order-by-order truncation are exact
+operations on the term list.
 
 Antidifferentiation uses the elementary reductions
 
@@ -43,7 +44,6 @@ __all__ = [
     "make_oscillator",
     "absorb_mean",
     "v_poly",
-    "antiderivative",
     "big_v",
     "v_norm",
     "phase_average",
@@ -160,20 +160,15 @@ class BasisPoly:
     """Canonical term list; immutable, closed under +, *, d/dtau and int dtau."""
 
     terms: tuple[tuple[Key, complex], ...] = ()
-    t_ref: float | None = None
 
     @staticmethod
-    def from_dict(d: Mapping[Key, complex], t_ref: float | None = None) -> "BasisPoly":
+    def from_dict(d: Mapping[Key, complex]) -> "BasisPoly":
         items = tuple(sorted((k, complex(c)) for k, c in d.items() if complex(c) != 0))
-        return BasisPoly(items, t_ref)
+        return BasisPoly(items)
 
     @staticmethod
-    def zero(t_ref: float | None = None) -> "BasisPoly":
-        return BasisPoly((), t_ref)
-
-    @staticmethod
-    def one(t_ref: float | None = None) -> "BasisPoly":
-        return BasisPoly.from_dict({(0, 0, 0, 0, 0): 1.0 + 0.0j}, t_ref)
+    def one() -> "BasisPoly":
+        return BasisPoly.from_dict({(0, 0, 0, 0, 0): 1.0 + 0.0j})
 
     @property
     def term_dict(self) -> dict[Key, complex]:
@@ -186,7 +181,7 @@ class BasisPoly:
         out = self.term_dict
         for key, c in other.terms:
             out[key] = out.get(key, 0j) + c
-        return BasisPoly.from_dict(out, self.t_ref)
+        return BasisPoly.from_dict(out)
 
     def __sub__(self, other: "BasisPoly") -> "BasisPoly":
         return self + (other * -1.0)
@@ -198,8 +193,8 @@ class BasisPoly:
                 for (p2, k2, q2, n2, m2), c2 in other.terms:
                     key = (p1 + p2, k1 + k2, q1 + q2, n1 + n2, m1 + m2)
                     out[key] = out.get(key, 0j) + c1 * c2
-            return BasisPoly.from_dict(out, self.t_ref)
-        return BasisPoly.from_dict({k: c * other for k, c in self.terms}, self.t_ref)
+            return BasisPoly.from_dict(out)
+        return BasisPoly.from_dict({k: c * other for k, c in self.terms})
 
     __rmul__ = __mul__
 
@@ -222,7 +217,7 @@ class BasisPoly:
                     fac *= -1j / k          # one factor 1/(ik) per level
                     coef = c * fac * math.perm(p, j) * (-1.0) ** j
                     add((p - j, k, q, n + j + 1, m), coef)
-        return BasisPoly.from_dict(out, self.t_ref)
+        return BasisPoly.from_dict(out)
 
     def derivative(self) -> "BasisPoly":
         out: dict[Key, complex] = {}
@@ -233,7 +228,7 @@ class BasisPoly:
             if k != 0:
                 key = (p, k, q, n - 1, m)
                 out[key] = out.get(key, 0j) + c * 1j * k
-        return BasisPoly.from_dict(out, self.t_ref)
+        return BasisPoly.from_dict(out)
 
     def value_at_ref(self) -> "BasisPoly":
         """The tau=0 value, kept symbolic in Z and omega (a tau-constant poly)."""
@@ -242,7 +237,7 @@ class BasisPoly:
             if p == 0:
                 key = (0, 0, q, n, m)
                 out[key] = out.get(key, 0j) + c
-        return BasisPoly.from_dict(out, self.t_ref)
+        return BasisPoly.from_dict(out)
 
     def definite_from_ref(self) -> "BasisPoly":
         """Antiderivative vanishing at tau = 0."""
@@ -250,10 +245,7 @@ class BasisPoly:
         return prim - prim.value_at_ref()
 
     def filtered(self, keep: Callable[[Key], bool]) -> "BasisPoly":
-        return BasisPoly.from_dict({k: c for k, c in self.terms if keep(k)}, self.t_ref)
-
-    def phase_free(self) -> "BasisPoly":
-        return self.filtered(lambda key: key[2] == 0)
+        return BasisPoly.from_dict({k: c for k, c in self.terms if keep(k)})
 
     # -- evaluation ----------------------------------------------------------
 
@@ -275,19 +267,10 @@ class BasisPoly:
             out += val
         return out
 
-    def eval(self, osc: OscillatorSpec, t: float) -> complex:
-        """Evaluate at absolute time t, using the stored reference time."""
-        ref = self.t_ref if self.t_ref is not None else 0.0
-        return self.eval_shifted(osc, t - ref, ref)
-
 
 def v_poly(osc: OscillatorSpec) -> BasisPoly:
     """The oscillator itself as a basis polynomial (one amplitude factor)."""
     return BasisPoly.from_dict({(0, k, k, 0, 1): c for k, c in osc.coeffs})
-
-
-def antiderivative(f: BasisPoly) -> BasisPoly:
-    return f.antiderivative()
 
 
 def big_v(osc: OscillatorSpec) -> BasisPoly:
@@ -348,7 +331,7 @@ def phase_average(f: BasisPoly) -> BasisPoly:
     Exact: a term carrying Z^q integrates to zero over a full phase circle
     unless q = 0.  Idempotent and linear by construction.
     """
-    return f.phase_free()
+    return f.filtered(lambda key: key[2] == 0)
 
 
 def _poly_power(base: BasisPoly, m: int) -> BasisPoly:
@@ -370,19 +353,18 @@ def oscillating_monomial(kind: str, p: int, m: int = 0) -> BasisPoly:
     used when the integral reductions step out of range.
     """
     if p < 0 or m < 0:
-        return BasisPoly.zero(0.0)
-    tp = BasisPoly.from_dict({(p, 0, 0, 0, 0): 1.0}, 0.0)
-    cosp = BasisPoly.from_dict({(0, 1, 1, 0, 0): 0.5, (0, -1, -1, 0, 0): 0.5}, 0.0)
-    sinp = BasisPoly.from_dict({(0, 1, 1, 0, 0): -0.5j, (0, -1, -1, 0, 0): 0.5j}, 0.0)
+        return BasisPoly()
+    tp = BasisPoly.from_dict({(p, 0, 0, 0, 0): 1.0})
+    cosp = BasisPoly.from_dict({(0, 1, 1, 0, 0): 0.5, (0, -1, -1, 0, 0): 0.5})
+    sinp = BasisPoly.from_dict({(0, 1, 1, 0, 0): -0.5j, (0, -1, -1, 0, 0): 0.5j})
     if kind == "I":
-        osc_part = BasisPoly.from_dict({(0, m, m, 0, 0): 1.0}, 0.0)
+        osc_part = BasisPoly.from_dict({(0, m, m, 0, 0): 1.0})
     elif kind == "J":
-        osc_part = BasisPoly.one(0.0)
+        osc_part = BasisPoly.one()
     elif kind == "K":
         osc_part = _poly_power(cosp, m)
     elif kind == "L":
         osc_part = _poly_power(cosp, m) * sinp
     else:
         raise ValueError(f"unknown monomial kind {kind!r}")
-    out = tp * osc_part
-    return BasisPoly(out.terms, 0.0)
+    return tp * osc_part

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericStepError
-from .jets import CoefficientField, Jet, _apply_single, _multi_indices
+from .jets import CoefficientField, operator_values
 from .oscillator import BasisPoly, OscillatorSpec, phase_average
 from .terms import RETENTION_TOL, TruncationPolicy, Word, enumerate_words, word_primitive
 
@@ -64,9 +64,6 @@ class SchemeTable:
     def jet_order(self) -> int:
         """Jet order a field must supply: longest word length minus one."""
         return max((len(e.word.letters) for e in self.entries), default=1) - 1
-
-    def words(self) -> list[Word]:
-        return [e.word for e in self.entries]
 
 
 @lru_cache(maxsize=None)
@@ -146,49 +143,21 @@ def bound_R22(inp: BoundInputs) -> float:
             + 2 * K ** 3 * vn ** 3 / om ** 3)
 
 
-def _operator_values(scheme: SchemeTable, field: CoefficientField,
-                     t_n: float, u_n: np.ndarray) -> dict:
-    """Evaluate every entry's operator word at (t_n, u_n), sharing jets
-    and common sub-words."""
-    order = max((len(e.op_word) for e in scheme.entries), default=0)
-    if order == 0:
-        a0 = field.a_values(t_n, u_n)
-        b0 = field.b_values(t_n, u_n)
-        return {("a", ()): a0, ("b", ()): b0}
-    a_jets = field.a_jets(t_n, u_n, order)
-    b_jets = field.b_jets(t_n, u_n, order)
-    jet_memo: dict[tuple, list[Jet]] = {("a", ()): a_jets, ("b", ()): b_jets}
-
-    def jets_for(target: str, op_word: tuple[str, ...]) -> list[Jet]:
-        key = (target, op_word)
-        if key not in jet_memo:
-            inner = jets_for(target, op_word[1:])
-            jet_memo[key] = _apply_single(op_word[0], inner, a_jets, b_jets)
-        return jet_memo[key]
-
-    values = {}
-    for e in scheme.entries:
-        key = (e.target, e.op_word)
-        if key not in values:
-            values[key] = np.array([j.value for j in jets_for(e.target, e.op_word)])
-    return values
-
-
-def _step_impl(scheme: SchemeTable, field: CoefficientField, t_n: float,
-               u_n, h: float, averaged: bool,
-               bound_inputs: BoundInputs | None) -> StepResult:
+def step(scheme: SchemeTable, field: CoefficientField, t_n: float, u_n,
+         h: float, bound_inputs: BoundInputs | None = None) -> StepResult:
+    """One macro step from (t_n, u_n) over [t_n, t_n + h]."""
     if h < 0:
         raise ValueError("step size must be non-negative")
     u_n = np.asarray(u_n, dtype=complex)
     if u_n.shape != (field.m,):
         raise ValueError(f"state must have shape ({field.m},)")
     osc = scheme.oscillator
-    values = _operator_values(scheme, field, t_n, u_n)
+    values = operator_values(field, [(e.target, e.op_word) for e in scheme.entries],
+                             t_n, u_n)
     contributions = []
     u_next = u_n.copy()
     for e in scheme.entries:
-        coeff_poly = phase_average(e.coeff) if averaged else e.coeff
-        c = coeff_poly.eval_shifted(osc, h, t_n)
+        c = e.coeff.eval_shifted(osc, h, t_n)
         with np.errstate(over="ignore", invalid="ignore"):
             contrib = c * values[(e.target, e.op_word)]
         if not np.all(np.isfinite(contrib.view(float))):
@@ -209,17 +178,12 @@ def _step_impl(scheme: SchemeTable, field: CoefficientField, t_n: float,
                       contributions=tuple(contributions), bound_R=bound)
 
 
-def step(scheme: SchemeTable, field: CoefficientField, t_n: float, u_n,
-         h: float, bound_inputs: BoundInputs | None = None) -> StepResult:
-    """One macro step from (t_n, u_n) over [t_n, t_n + h]."""
-    return _step_impl(scheme, field, t_n, u_n, h, False, bound_inputs)
-
-
 def step_phase_averaged(scheme: SchemeTable, field: CoefficientField, t_n: float,
                         u_n, h: float) -> StepResult:
     """One macro step with every coefficient averaged over the oscillator
     phase; terms whose integral carries no phase-free part drop out."""
-    return _step_impl(scheme, field, t_n, u_n, h, True, None)
+    entries = tuple(replace(e, coeff=phase_average(e.coeff)) for e in scheme.entries)
+    return step(replace(scheme, entries=entries), field, t_n, u_n, h)
 
 
 def solve(scheme: SchemeTable, field: CoefficientField, t0: float, u0,
@@ -270,12 +234,12 @@ def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,
             u = u_center.copy()
             u[j] += u_radius * np.exp(1j * ang)
             states.append(u)
-    alphas = [a for a in _multi_indices(m + 1, order)]
     best = 0.0
     for t in ts:
         for u in states:
             for jets in (field.a_jets(t, u, order), field.b_jets(t, u, order)):
-                for alpha in alphas:
+                # partials absent from every jet are zero and cannot raise the max
+                for alpha in set().union(*(j.coeffs for j in jets)):
                     vec = np.array([j.derivative(alpha) for j in jets])
                     best = max(best, float(np.linalg.norm(vec, ord=p)))
     return best

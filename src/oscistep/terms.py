@@ -22,12 +22,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .oscillator import BasisPoly, OscillatorSpec
+from .oscillator import BasisPoly, OscillatorSpec, v_poly
 
 __all__ = [
     "Word",
     "TruncationPolicy",
-    "IteratedIntegralValue",
     "enumerate_words",
     "term_count",
     "iterated_integral",
@@ -152,18 +151,10 @@ def term_count(kappa: int, rho: int) -> int:
     return total - 1  # drop the empty word
 
 
-@dataclass(frozen=True)
-class IteratedIntegralValue:
-    value: complex
-    word: Word
-    t_n: float
-    h: float
-
-
 @lru_cache(maxsize=None)
 def _primitive_cached(letters: tuple[str, ...],
                       coeffs: tuple[tuple[int, complex], ...]) -> BasisPoly:
-    vp = BasisPoly.from_dict({(0, k, k, 0, 1): c for k, c in coeffs})
+    vp = v_poly(OscillatorSpec(omega=1.0, coeffs=coeffs))
     poly = BasisPoly.one()
     for letter in letters:
         if letter == "V":
@@ -184,12 +175,11 @@ def word_primitive(word: Word, osc: OscillatorSpec) -> BasisPoly:
 
 
 def iterated_integral(word: Word, osc: OscillatorSpec, t_n: float,
-                      h: float) -> IteratedIntegralValue:
+                      h: float) -> complex:
     """Exact value of the word's nested integral over [t_n, t_n + h]."""
     if h < 0:
         raise ValueError("step size must be non-negative")
-    val = word_primitive(word, osc).eval_shifted(osc, h, t_n)
-    return IteratedIntegralValue(value=val, word=word, t_n=t_n, h=h)
+    return word_primitive(word, osc).eval_shifted(osc, h, t_n)
 
 
 _SCHEME_WORDS = {

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +117,21 @@ class TestConfigHandling:
                            "--kappa", "2", "--rho", "1", "--h", "0.1")
         assert code == 2
         assert "fourier" in err
+
+
+    @pytest.mark.parametrize("command", [["solve"], ["bounds"],
+                                         ["converge", "--h-list", "0.2,0.1,0.05"]],
+                             ids=["solve", "bounds", "converge"])
+    def test_step_only_options_rejected(self, capsys, tmp_path, command):
+        args = command + ["--problem", "linear", "--kappa", "4", "--rho", "2"]
+        for flag in ("--phase-averaged", "--emit-contributions"):
+            code, out, err = run(capsys, *args, flag)
+            assert code == 2 and out == ""
+            assert "'step' only" in err
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"phase_averaged": True}))
+        code, _, err = run(capsys, *args, "--config", str(cfg))
+        assert code == 2 and "'step' only" in err
 
 
 class TestSolveCommand:
@@ -264,3 +280,33 @@ class TestOtherProblems:
         header, row = out.strip().splitlines()
         cols = dict(zip(header.split(","), row.split(",")))
         assert float(cols["abs_error"]) < 1e-4
+
+
+class TestReadmeGolden:
+    """The README's command-line examples print exactly the bytes recorded
+    in ``readme_cli_golden.txt``; refactors must keep stdout identical."""
+
+    COMMANDS = (
+        "step --problem linear --kappa 4 --rho 2 --omega 100 --mu 10 "
+        "--u0 1 --h 0.1 --oracle exact --emit-contributions",
+        "solve --problem nonlinear --alpha 0,2 --mu 10 --kappa 4 --rho 2 "
+        "--omega 100 --u0 1 --h 0.02 --tend 1 --oracle exact",
+        "converge --problem linear --kappa 4 --rho 2 --mu 10 --u0 1 "
+        "--h-list 0.2,0.14,0.1,0.07,0.05 --couple-c 1.0",
+        "termcount --kappa 3 --rho 2",
+        "bounds --problem linear --kappa 4 --rho 2 --mu 10 --u0 1 "
+        "--box-t 0.2 --box-radius 0.5",
+        "stochastic-check --kappa 1.2 --rho-prime 0.75 --scheme euler",
+    )
+    GOLDEN = Path(__file__).with_name("readme_cli_golden.txt")
+
+    @classmethod
+    def transcript(cls, capsys) -> str:
+        parts = []
+        for command in cls.COMMANDS:
+            code, out, _ = run(capsys, *command.split())
+            parts.append(f"$ oscistep {command}\n# exit {code}\n{out}")
+        return "".join(parts)
+
+    def test_readme_commands_byte_identical(self, capsys):
+        assert self.transcript(capsys) == self.GOLDEN.read_text()

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from oscistep import (Jet, JetMismatchError, JetOrderError, apply_operator_word,
-                      builtin_field, make_field)
+from oscistep import (Jet, JetMismatchError, JetOrderError, builtin_field,
+                      make_field, operator_values)
 
 
 def var(index, base, order):
     return Jet.variable(index, base, order)
+
+
+def word_value(field, target, word, t, u):
+    return operator_values(field, [(target, word)], t, u)[(target, tuple(word))]
 
 
 class TestJetArithmetic:
@@ -63,7 +67,7 @@ class TestJetArithmetic:
 class TestOperatorWords:
     def test_empty_word_is_target(self):
         f = builtin_field("nonlinear", alpha=0.3, mu=1.5)
-        out = apply_operator_word(f, "b", [], 0.2, np.array([1.1 + 0.2j]))
+        out = word_value(f, "b", [], 0.2, np.array([1.1 + 0.2j]))
         assert out[0] == pytest.approx(1.5 * (1.1 + 0.2j) ** 2, rel=1e-15)
 
     @pytest.mark.parametrize("t,u", [(0.0, 1.0), (0.7, 0.4 - 0.3j), (-0.2, 2.0 + 1j)])
@@ -74,7 +78,7 @@ class TestOperatorWords:
         uv = np.array([u], dtype=complex)
 
         def word(target, letters):
-            return apply_operator_word(f, target, letters, t, uv)[0]
+            return word_value(f, target, letters, t, uv)[0]
 
         assert word("a", ["L0"]) == pytest.approx((1 + t * t) * u, rel=1e-14)
         assert word("a", ["L0", "L0"]) == pytest.approx((3 + t * t) * t * u, rel=1e-14)
@@ -101,10 +105,10 @@ class TestOperatorWords:
         for n in range(4):
             for m in range(4 - n):
                 letters = ["L1"] * m + ["L0"] * n
-                got_a = apply_operator_word(f, "a", letters, 0.0, uv)[0]
+                got_a = word_value(f, "a", letters, 0.0, uv)[0]
                 want_a = alpha ** (n + 1) * mu ** m * fact(m) * u0 ** (m + 1)
                 assert got_a == pytest.approx(want_a, rel=1e-13)
-                got_b = apply_operator_word(f, "b", letters, 0.0, uv)[0]
+                got_b = word_value(f, "b", letters, 0.0, uv)[0]
                 want_b = 2 ** n * alpha ** n * mu ** (m + 1) * fact(m + 1) * u0 ** (m + 2)
                 assert got_b == pytest.approx(want_b, rel=1e-13)
 
@@ -113,13 +117,31 @@ class TestOperatorWords:
         f = make_field(1, lambda t, u: [u[0]], lambda t, u: [0.0 * t])
         uv = np.array([1.7 - 0.4j])
         for n in range(6):
-            got = apply_operator_word(f, "a", ["L0"] * n, 0.33, uv)[0]
+            got = word_value(f, "a", ["L0"] * n, 0.33, uv)[0]
             assert got == pytest.approx(uv[0], rel=1e-13)
+
+    def test_shared_evaluation_matches_single_words(self):
+        f = builtin_field("nonlinear", alpha=0.3 - 0.2j, mu=1.1)
+        uv = np.array([0.9 + 0.1j])
+        pairs = [("a", ()), ("b", ("L1",)), ("a", ("L0", "L1")), ("b", ("L1", "L0", "L0")),
+                 ("a", ("L0", "L1"))]
+        got = operator_values(f, pairs, 0.4, uv)
+        assert len(got) == 4
+        for target, word in pairs:
+            alone = word_value(f, target, word, 0.4, uv)
+            assert got[(target, word)][0] == pytest.approx(alone[0], rel=1e-14)
+
+    def test_unknown_letter_or_target(self):
+        f = builtin_field("linear")
+        with pytest.raises(ValueError, match="operator letter"):
+            word_value(f, "a", ["L2"], 0.0, np.array([1.0]))
+        with pytest.raises(ValueError, match="target"):
+            word_value(f, "c", [], 0.0, np.array([1.0]))
 
     def test_jet_order_capability_error(self):
         f = make_field(1, lambda t, u: [u[0]], lambda t, u: [u[0]], max_order=2)
         with pytest.raises(JetOrderError):
-            apply_operator_word(f, "a", ["L0"] * 3, 0.0, np.array([1.0]))
+            word_value(f, "a", ["L0"] * 3, 0.0, np.array([1.0]))
 
 
 class TestBuiltinFieldDerivatives:
@@ -127,7 +149,8 @@ class TestBuiltinFieldDerivatives:
         ("linear", dict(mu=3.7)),
         ("nonlinear", dict(alpha=0.3 + 0.2j, mu=1.1)),
         ("power", dict(gamma=2)),
-        ("freqdep", dict(alpha=1.2, mu=0.8)),
+        # the field of the CLI problem freqdep, which is the nonlinear field
+        pytest.param("nonlinear", dict(alpha=1.2, mu=0.8), id="freqdep-params3"),
     ]
 
     @pytest.mark.parametrize("name,params", FIELDS)

@@ -113,6 +113,13 @@ class TestRK4:
         with pytest.raises(ResolutionError):
             rk4_micro_solve(f, o, 0.0, np.array([1.0 + 0j]), 1.0, 0.01)
 
+    def test_state_dimension_checked(self):
+        f = builtin_field("linear", mu=1.0)
+        o = make_oscillator("cos", 100.0)
+        with pytest.raises(ValueError, match="state must have shape"):
+            rk4_micro_solve(f, o, 0.0, np.array([1.0, 2.0], dtype=complex), 0.1,
+                            o.period / 200)
+
     def test_oscillatory_benchmark_configuration(self):
         # gamma = 0 family: du/dt = t u + mu u cos(omega t)
         mu, om = 10.0, 100.0
@@ -201,7 +208,7 @@ class TestComparisonFixtures:
         u0, mu, alpha, om, h = 1.0 + 0j, 1.0, 0.7 + 0j, 100.0, 0.1
         o = make_oscillator("exp", om, nu=-0.5)
         sch = build_scheme(o, TruncationPolicy.from_order(4, 2, nu=-0.5))
-        got = step(sch, builtin_field("freqdep", alpha=alpha, mu=mu), 0.0,
+        got = step(sch, builtin_field("nonlinear", alpha=alpha, mu=mu), 0.0,
                    np.array([u0]), h).u_next[0]
         assert got == pytest.approx(freqdep_reference(u0, mu, alpha, om, h), rel=1e-12)
 

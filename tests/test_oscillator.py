@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oscistep import (BasisPoly, DegenerateOscillatorError, RegimeError,
-                      absorb_mean, adaptive_quadrature, antiderivative, big_v,
+                      absorb_mean, adaptive_quadrature, big_v,
                       builtin_field, make_oscillator, oscillating_monomial,
                       phase_average, v_norm, v_poly)
 
@@ -103,31 +103,31 @@ def _random_poly(rng, nterms=4):
                int(rng.integers(-3, 4)), int(rng.integers(0, 3)),
                int(rng.integers(0, 3)))
         d[key] = complex(rng.normal(), rng.normal())
-    return BasisPoly.from_dict(d, 0.0)
+    return BasisPoly.from_dict(d)
 
 
 class TestAntiderivative:
     def test_plain_power(self):
-        f = BasisPoly.from_dict({(2, 0, 0, 0, 0): 1.0}, 0.0)
-        assert antiderivative(f).term_dict == {(3, 0, 0, 0, 0): pytest.approx(1 / 3)}
+        f = BasisPoly.from_dict({(2, 0, 0, 0, 0): 1.0})
+        assert f.antiderivative().term_dict == {(3, 0, 0, 0, 0): pytest.approx(1 / 3)}
 
     def test_plain_exponential(self):
-        f = BasisPoly.from_dict({(0, 1, 0, 0, 0): 1.0}, 0.0)
+        f = BasisPoly.from_dict({(0, 1, 0, 0, 0): 1.0})
         # e^(i omega t) / (i omega) = -i e^(i omega t) omega^-1
-        assert antiderivative(f).term_dict == {(0, 1, 0, 1, 0): pytest.approx(-1j)}
+        assert f.antiderivative().term_dict == {(0, 1, 0, 1, 0): pytest.approx(-1j)}
 
     def test_t_times_exponential(self):
-        f = BasisPoly.from_dict({(1, 1, 0, 0, 0): 1.0}, 0.0)
-        got = antiderivative(f).term_dict
+        f = BasisPoly.from_dict({(1, 1, 0, 0, 0): 1.0})
+        got = f.antiderivative().term_dict
         # (-i t / omega + omega^-2) e^(i omega t)
         assert got == {(1, 1, 0, 1, 0): pytest.approx(-1j),
                        (0, 1, 0, 2, 0): pytest.approx(1.0 + 0j)}
 
     def test_t_times_exponential_definite_matches_quadrature(self):
         osc = make_oscillator("exp", 37.0)
-        f = BasisPoly.from_dict({(1, 1, 0, 0, 0): 1.0}, 0.0)
-        prim = antiderivative(f)
-        sym = prim.eval(osc, 0.9) - prim.eval(osc, 0.1)
+        f = BasisPoly.from_dict({(1, 1, 0, 0, 0): 1.0})
+        prim = f.antiderivative()
+        sym = prim.eval_shifted(osc, 0.9, 0.0) - prim.eval_shifted(osc, 0.1, 0.0)
         q = adaptive_quadrature(lambda t: t * np.exp(1j * 37.0 * t), 0.1, 0.9,
                                 1e-13, half_period=math.pi / 37.0)
         assert sym == pytest.approx(q.value, abs=1e-12)
@@ -139,7 +139,7 @@ class TestAntiderivative:
         rng = np.random.default_rng(3)
         for _ in range(25):
             f = _random_poly(rng)
-            back = antiderivative(f).derivative()
+            back = f.antiderivative().derivative()
             fd, bd = f.term_dict, back.term_dict
             scale = max(abs(c) for c in fd.values())
             for key, c in fd.items():
@@ -155,10 +155,10 @@ class TestAntiderivative:
             for _ in range(3):
                 f = _random_poly(rng)
                 t0, t1 = sorted(rng.uniform(-0.5, 1.2, size=2))
-                prim = antiderivative(f)
-                sym = prim.eval(osc, t1) - prim.eval(osc, t0)
+                prim = f.antiderivative()
+                sym = prim.eval_shifted(osc, t1, 0.0) - prim.eval_shifted(osc, t0, 0.0)
                 q = adaptive_quadrature(
-                    np.vectorize(lambda t: f.eval(osc, t)), t0, t1, 1e-12,
+                    np.vectorize(lambda t: f.eval_shifted(osc, t, 0.0)), t0, t1, 1e-12,
                     half_period=math.pi / (5 * omega))
                 assert sym == pytest.approx(q.value, abs=1e-10)
 
@@ -168,21 +168,21 @@ class TestBigV:
         o = make_oscillator("cos", 25.0)
         V = big_v(o)
         for t in (0.0, 0.1, 0.73):
-            assert V.eval(o, t) == pytest.approx(math.sin(25.0 * t) / 25.0, abs=1e-15)
+            assert V.eval_shifted(o, t, 0.0) == pytest.approx(math.sin(25.0 * t) / 25.0, abs=1e-15)
 
     def test_exp_antiderivative(self):
         o = make_oscillator("exp", 25.0)
         V = big_v(o)
         for t in (0.0, 0.4):
             want = np.exp(1j * 25 * t) / 25j
-            assert V.eval(o, t) == pytest.approx(want, abs=1e-15)
+            assert V.eval_shifted(o, t, 0.0) == pytest.approx(want, abs=1e-15)
 
     def test_phase_shifted_cos(self):
         for phi in (0.0, 0.3, 2.2):
             o = make_oscillator("cos", 25.0, phi=phi)
             V = big_v(o)
             for t in (0.0, 0.17, 0.9):
-                assert V.eval(o, t) == pytest.approx(
+                assert V.eval_shifted(o, t, 0.0) == pytest.approx(
                     math.sin(25.0 * t + phi) / 25.0, abs=1e-15)
 
     def test_increment_bound(self):
@@ -197,7 +197,7 @@ class TestBigV:
             bound = v_norm(o) / o.omega
             for _ in range(40):
                 t0, t1 = rng.uniform(-2, 2, size=2)
-                dv = abs(V.eval(o, t1) - V.eval(o, t0))
+                dv = abs(V.eval_shifted(o, t1, 0.0) - V.eval_shifted(o, t0, 0.0))
                 assert dv <= bound * (1 + 1e-12)
 
 
@@ -228,7 +228,7 @@ class TestPhaseAverage:
         f = BasisPoly.from_dict({(0, 0, 1, 0, 0): 1.0})
         assert phase_average(f).is_zero()
 
-    def test_phase_free_unchanged(self):
+    def test_phase_independent_terms_unchanged(self):
         f = BasisPoly.from_dict({(2, 1, 0, 1, 0): 0.3 - 1j, (0, 0, 0, 0, 0): 2.0})
         assert phase_average(f).term_dict == f.term_dict
 
@@ -250,13 +250,13 @@ class TestOscillatingMonomials:
     def test_zero_mode_reduces_to_plain_power(self):
         # I with m = 0 is the plain power, whose integral is t^(p+1)/(p+1)
         f = oscillating_monomial("I", 3, 0)
-        assert antiderivative(f).term_dict == {(4, 0, 0, 0, 0): pytest.approx(0.25)}
+        assert f.antiderivative().term_dict == {(4, 0, 0, 0, 0): pytest.approx(0.25)}
 
     @pytest.mark.parametrize("kind,p,m", [("I", 2, 3), ("K", 3, 2), ("L", 2, 2)])
     def test_matches_quadrature(self, kind, p, m):
         o = make_oscillator("cos", 10.0, phi=0.4)
-        prim = antiderivative(oscillating_monomial(kind, p, m))
-        sym = prim.eval(o, 1.3) - prim.eval(o, 0.2)
+        prim = oscillating_monomial(kind, p, m).antiderivative()
+        sym = prim.eval_shifted(o, 1.3, 0.0) - prim.eval_shifted(o, 0.2, 0.0)
 
         def integrand(t):
             w1 = np.exp(1j * (o.omega * t + o.phi))

@@ -30,7 +30,8 @@ class TestBuildScheme:
         # V coefficient evaluates to the increment of the antiderivative
         V = big_v(o)
         got = sch.entries[1].coeff.eval_shifted(o, 0.07, 0.3)
-        assert got == pytest.approx(V.eval(o, 0.37) - V.eval(o, 0.3), abs=1e-15)
+        assert got == pytest.approx(V.eval_shifted(o, 0.37, 0.0) - V.eval_shifted(o, 0.3, 0.0),
+                                    abs=1e-15)
 
     def test_second_order_table_has_six_entries(self):
         sch = build_scheme(make_oscillator("exp", 50.0), TruncationPolicy(2, 2))
@@ -75,7 +76,7 @@ class TestBuildScheme:
         sch = build_scheme(o, pol(4, 2), truncate_coefficients=False)
         for e in sch.entries:
             got = e.coeff.eval_shifted(o, 0.13, 0.4)
-            want = iterated_integral(e.word, o, 0.4, 0.13).value
+            want = iterated_integral(e.word, o, 0.4, 0.13)
             assert got == pytest.approx(want, abs=1e-15)
 
     def test_table_reused_across_fields_without_new_integration(self):
@@ -111,7 +112,7 @@ class TestStep:
             h = float(rng.uniform(0.01, 0.3))
             u0 = complex(rng.normal(1, 0.2), rng.normal(0, 0.2))
             res = step(sch, f, tn, u1(u0), h)
-            dv = V.eval(o, tn + h) - V.eval(o, tn)
+            dv = V.eval_shifted(o, tn + h, 0.0) - V.eval_shifted(o, tn, 0.0)
             want = (u0 + f.a_values(tn, u1(u0))[0] * h
                     + f.b_values(tn, u1(u0))[0] * dv)
             assert res.u_next[0] == pytest.approx(want, rel=1e-14)
@@ -161,6 +162,15 @@ class TestStep:
         sch = build_scheme(make_oscillator("cos", 50.0), pol(2, 1))
         with pytest.raises(ValueError):
             step(sch, builtin_field("linear", mu=1.0), 0.0, u1(1.0), -0.1)
+
+    def test_order_zero_step_checks_field_dimension(self):
+        # a (1,1) step needs no jets, only plain values of a and b
+        f = make_field(2, lambda t, u: [u[0]], lambda t, u: [u[0], u[1]])
+        o = make_oscillator("cos", 50.0)
+        u = np.array([1.0, 2.0], dtype=complex)
+        for policy in (TruncationPolicy(1, 1), TruncationPolicy(2, 2)):
+            with pytest.raises(ValueError, match="wrong dimension"):
+                step(build_scheme(o, policy), f, 0.0, u, 0.1)
 
     def test_non_finite_contribution_identifies_term(self):
         f = make_field(1, lambda t, u: [u[0] * 1e308], lambda t, u: [0.0 * t])

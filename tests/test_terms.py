@@ -92,13 +92,13 @@ class TestIteratedIntegral:
                 make_oscillator("sin", 3.0, nu=0.5)]
         for n in range(1, 5):
             w = Word.of("T" * n)
-            vals = [iterated_integral(w, o, 0.3, 0.25).value for o in oscs]
+            vals = [iterated_integral(w, o, 0.3, 0.25) for o in oscs]
             assert vals[0] == vals[1] == vals[2]
             assert vals[0] == pytest.approx(0.25 ** n / math.factorial(n), rel=1e-15)
 
     def test_single_V_is_big_v_increment(self):
         o = make_oscillator("cos", 100.0)
-        got = iterated_integral(Word.of("V"), o, 0.0, 0.1).value
+        got = iterated_integral(Word.of("V"), o, 0.0, 0.1)
         assert got == pytest.approx(math.sin(100 * 0.1) / 100.0, abs=1e-15)
 
     def test_double_V_is_half_square_increment(self):
@@ -106,14 +106,14 @@ class TestIteratedIntegral:
                             coeffs={1: 0.4 - 0.1j, -1: 0.4 + 0.1j, 2: 0.1, -2: 0.1})
         V = big_v(o)
         tn, h = 0.21, 0.37
-        dv = V.eval(o, tn + h) - V.eval(o, tn)
-        got = iterated_integral(Word.of("VV"), o, tn, h).value
+        dv = V.eval_shifted(o, tn + h, 0.0) - V.eval_shifted(o, tn, 0.0)
+        got = iterated_integral(Word.of("VV"), o, tn, h)
         assert got == pytest.approx(dv * dv / 2, rel=1e-13)
 
     def test_TV_matches_nested_quadrature(self):
         # inner integral of ds gives s; outer integral against dV
         o = make_oscillator("cos", 100.0)
-        got = iterated_integral(Word.of("TV"), o, 0.0, 0.1).value
+        got = iterated_integral(Word.of("TV"), o, 0.0, 0.1)
         q = adaptive_quadrature(lambda s: s * np.cos(100.0 * s) + 0j, 0.0, 0.1,
                                 1e-13, half_period=math.pi / 100.0)
         assert got == pytest.approx(q.value, abs=1e-10)
@@ -123,9 +123,9 @@ class TestIteratedIntegral:
         o = make_oscillator("exp", 40.0, phi=0.3)
         tn, h = 0.5, 0.2
         V = big_v(o)
-        got = iterated_integral(Word.of("VT"), o, tn, h).value
+        got = iterated_integral(Word.of("VT"), o, tn, h)
         q = adaptive_quadrature(
-            np.vectorize(lambda s: V.eval(o, s) - V.eval(o, tn)),
+            np.vectorize(lambda s: V.eval_shifted(o, s, 0.0) - V.eval_shifted(o, tn, 0.0)),
             tn, tn + h, 1e-13, half_period=math.pi / 40.0)
         assert got == pytest.approx(q.value, abs=1e-10)
 
@@ -134,11 +134,11 @@ class TestIteratedIntegral:
                             coeffs={1: 0.3 + 0.2j, -2: 1.1 - 0.5j})
         V = big_v(o)
         tn, h = 0.63, 0.21
-        dv = V.eval(o, tn + h) - V.eval(o, tn)
+        dv = V.eval_shifted(o, tn + h, 0.0) - V.eval_shifted(o, tn, 0.0)
         for q0, q1 in [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (0, 4)]:
             total = 0j
             for combo in sorted(set(itertools.permutations("T" * q0 + "V" * q1))):
-                total += iterated_integral(Word(tuple(combo)), o, tn, h).value
+                total += iterated_integral(Word(tuple(combo)), o, tn, h)
             want = h ** q0 * dv ** q1 / (math.factorial(q0) * math.factorial(q1))
             assert total == pytest.approx(want, abs=1e-12)
 
@@ -154,13 +154,13 @@ class TestIteratedIntegral:
                 w = Word(letters)
                 tn = float(rng.uniform(-1, 1))
                 h = float(rng.uniform(0.05, 0.5))
-                val = abs(iterated_integral(w, o, tn, h).value)
+                val = abs(iterated_integral(w, o, tn, h))
                 cap = h ** w.q0 * vb ** w.q1 / math.factorial(w.q0)
                 assert val <= cap * (1 + 1e-9)
 
     def test_h_zero_gives_zero(self):
         o = make_oscillator("cos", 10.0)
-        assert iterated_integral(Word.of("TV"), o, 0.4, 0.0).value == 0
+        assert iterated_integral(Word.of("TV"), o, 0.4, 0.0) == 0
 
 
 class TestSchemeCorrespondence:
