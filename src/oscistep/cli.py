@@ -138,7 +138,10 @@ def build_problem(cfg: RunConfig) -> Problem:
     return Problem(field, osc, exact)
 
 
-def oracle_value(cfg: RunConfig, prob: Problem, t: float):
+def oracle_values(cfg: RunConfig, prob: Problem, times) -> list[complex] | None:
+    """The reference solution at each of the increasing `times` (none
+    before t0; t0 itself gives u0), or None without an oracle.  RK4 runs
+    once across the times, each segment starting from the previous value."""
     if cfg.oracle == "none":
         return None
     if cfg.oracle == "exact":
@@ -146,12 +149,16 @@ def oracle_value(cfg: RunConfig, prob: Problem, t: float):
             raise ConfigError(f"no exact oracle for problem {cfg.problem!r}")
         if cfg.t0 != 0.0:
             raise ConfigError("the exact oracle's closed forms anchor at t0 = 0")
-        return prob.exact(t)
+        return [prob.exact(t) if t > cfg.t0 else complex(cfg.u0) for t in times]
     if cfg.oracle == "rk4":
         dt = prob.osc.period / 200.0
-        traj = rk4_micro_solve(prob.field, prob.osc, cfg.t0,
-                               np.array([cfg.u0]), t, dt)
-        return traj[-1][1][0]
+        t, u, out = cfg.t0, np.array([cfg.u0]), []
+        for t_next in times:
+            if t_next > t:
+                u = rk4_micro_solve(prob.field, prob.osc, t, u, t_next, dt)[-1][1]
+                t = t_next
+            out.append(complex(u[0]))
+        return out
     raise ConfigError(f"unknown oracle {cfg.oracle!r}; choices: exact, rk4, none")
 
 
@@ -168,10 +175,10 @@ def cmd_step(cfg: RunConfig) -> tuple[int, list[str]]:
         for entry, contrib in zip(scheme.entries, res.contributions):
             header.append(f"term_{entry.word}")
             row.append(fmt_complex(contrib[0]))
-    ref = oracle_value(cfg, prob, cfg.t0 + cfg.h)
-    if ref is not None:
+    refs = oracle_values(cfg, prob, [res.t_next])
+    if refs is not None:
         header += ["oracle", "abs_error"]
-        row += [fmt_complex(ref), fmt_float(abs(res.u_next[0] - ref))]
+        row += [fmt_complex(refs[0]), fmt_float(abs(res.u_next[0] - refs[0]))]
     return 0, [",".join(header), ",".join(row)]
 
 
@@ -179,14 +186,12 @@ def cmd_solve(cfg: RunConfig) -> tuple[int, list[str]]:
     prob = build_problem(cfg)
     scheme = build_scheme(prob.osc, cfg.policy())
     traj = solve(scheme, prob.field, cfg.t0, np.array([cfg.u0]), cfg.tend, cfg.h)
-    with_oracle = cfg.oracle != "none"
-    header = "t,u" + (",oracle,abs_error" if with_oracle else "")
-    lines = [header]
-    for t, u in traj:
+    refs = oracle_values(cfg, prob, [t for t, _ in traj])
+    lines = ["t,u" + (",oracle,abs_error" if refs is not None else "")]
+    for i, (t, u) in enumerate(traj):
         row = [fmt_float(t), fmt_complex(u[0])]
-        if with_oracle:
-            ref = oracle_value(cfg, prob, t) if t > cfg.t0 else complex(cfg.u0)
-            row += [fmt_complex(ref), fmt_float(abs(u[0] - ref))]
+        if refs is not None:
+            row += [fmt_complex(refs[i]), fmt_float(abs(u[0] - refs[i]))]
         lines.append(",".join(row))
     return 0, lines
 
@@ -205,9 +210,7 @@ def cmd_converge(cfg: RunConfig, h_list: list[float],
         prob = build_problem(sub)
         scheme = build_scheme(prob.osc, sub.policy())
         res = step(scheme, prob.field, sub.t0, np.array([sub.u0]), h)
-        ref = oracle_value(replace(sub, oracle="exact" if cfg.oracle == "none" else cfg.oracle),
-                           prob, sub.t0 + h)
-        err = abs(res.u_next[0] - ref)
+        err = abs(res.u_next[0] - oracle_values(sub, prob, [res.t_next])[0])
         pts.append((h, err))
         lines.append(",".join([fmt_float(h), fmt_float(sub.omega), fmt_float(err)]))
     lines.append("slope,%s," % fmt_float(fit_slope(pts)))
@@ -222,28 +225,28 @@ def cmd_termcount(kappa: int, rho: int) -> tuple[int, list[str]]:
 def cmd_bounds(cfg: RunConfig, h_list: list[float], omega_list: list[float],
                K: float | None, box_t: float | None,
                box_radius: float) -> tuple[int, list[str]]:
+    # the problem, K and vnorm depend on omega but not on h (the field
+    # only through custom-fourier's absorbed mean)
+    per_omega = {}
+    t_hi = box_t if box_t is not None else cfg.t0 + max(h_list)
+    u0 = np.array([cfg.u0])
+    for om in omega_list:
+        prob = build_problem(replace(cfg, omega=om))
+        if K is None:
+            K1, K2 = (estimate_coefficient_bound(prob.field, (cfg.t0, t_hi), u0,
+                                                 box_radius, order) for order in (1, 2))
+        else:
+            K1 = K2 = K
+        per_omega[om] = prob, K1, K2, v_norm(prob.osc)
     lines = ["h,omega,error_first,bound_first,error_second,bound_second,satisfied"]
     all_ok = True
     for h in h_list:
         for om in omega_list:
-            sub = replace(cfg, h=h, omega=om)
-            prob = build_problem(sub)
-            if K is None:
-                t_hi = box_t if box_t is not None else sub.t0 + max(h_list)
-                K1 = estimate_coefficient_bound(prob.field, (sub.t0, t_hi),
-                                                np.array([sub.u0]), box_radius, 1)
-                K2 = estimate_coefficient_bound(prob.field, (sub.t0, t_hi),
-                                                np.array([sub.u0]), box_radius, 2)
-            else:
-                K1 = K2 = K
-            vn = v_norm(prob.osc)
-            ref = prob.exact(sub.t0 + h)
-            s1 = step(build_scheme(prob.osc, TruncationPolicy(1, 1)), prob.field,
-                      sub.t0, np.array([sub.u0]), h)
-            s2 = step(build_scheme(prob.osc, TruncationPolicy(2, 2)), prob.field,
-                      sub.t0, np.array([sub.u0]), h)
-            e1 = abs(s1.u_next[0] - ref)
-            e2 = abs(s2.u_next[0] - ref)
+            prob, K1, K2, vn = per_omega[om]
+            ref = oracle_values(cfg, prob, [cfg.t0 + h])[0]
+            e1, e2 = (abs(step(build_scheme(prob.osc, TruncationPolicy(k, k)),
+                               prob.field, cfg.t0, u0, h).u_next[0] - ref)
+                      for k in (1, 2))
             b1 = bound_R11(BoundInputs(K1, vn, h, om))
             b2 = bound_R22(BoundInputs(K2, vn, h, om))
             ok = e1 <= b1 and e2 <= b2
@@ -326,6 +329,9 @@ def _validate(cfg: RunConfig, command: str):
     # applied here so the truncation policy sees the same nu
     if cfg.problem == "freqdep" and cfg.nu == 0.0:
         cfg.nu = -0.5
+    # converge and bounds report errors, so they always have a reference
+    if command in ("converge", "bounds") and cfg.oracle == "none":
+        cfg.oracle = "exact"
     if cfg.tend <= cfg.t0:
         raise ConfigError("tend must exceed t0")
     if cfg.h <= 0:

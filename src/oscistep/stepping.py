@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 
+# estimate_coefficient_bound's grid: times, and points per state component
+BOUND_T_SAMPLES, BOUND_U_SAMPLES = 9, 12
+
+
 @dataclass(frozen=True)
 class SchemeEntry:
     word: Word
@@ -58,7 +62,6 @@ class SchemeTable:
     oscillator: OscillatorSpec
     policy: TruncationPolicy
     entries: tuple[SchemeEntry, ...]
-    truncated: bool = True
 
     @property
     def jet_order(self) -> int:
@@ -95,8 +98,7 @@ def build_scheme(osc: OscillatorSpec, policy: TruncationPolicy,
                               truncate_coefficients)
     if not entries:
         warnings.warn("truncation policy retains no terms; steps reduce to the identity")
-    return SchemeTable(oscillator=osc, policy=policy, entries=entries,
-                       truncated=truncate_coefficients)
+    return SchemeTable(oscillator=osc, policy=policy, entries=entries)
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,6 @@ class StepResult:
     u_next: np.ndarray
     t_next: float
     contributions: tuple[np.ndarray, ...]
-    bound_R: float | None = None
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ class BoundInputs:
     """Inputs to the closed-form remainder bounds.
 
     K bounds the coefficient functions and their partials (in the vector
-    p-norm) on a domain containing the step's trajectory; vnorm is
+    2-norm) on a domain containing the step's trajectory; vnorm is
     2 pi max|v| over a period.
     """
 
@@ -144,7 +145,7 @@ def bound_R22(inp: BoundInputs) -> float:
 
 
 def step(scheme: SchemeTable, field: CoefficientField, t_n: float, u_n,
-         h: float, bound_inputs: BoundInputs | None = None) -> StepResult:
+         h: float) -> StepResult:
     """One macro step from (t_n, u_n) over [t_n, t_n + h]."""
     if h < 0:
         raise ValueError("step size must be non-negative")
@@ -164,18 +165,8 @@ def step(scheme: SchemeTable, field: CoefficientField, t_n: float, u_n,
             raise NumericStepError(f"non-finite contribution from term {e.word}")
         contributions.append(contrib)
         u_next = u_next + contrib
-    bound = None
-    if bound_inputs is not None:
-        k0, k1 = scheme.policy.kappa0, scheme.policy.kappa1
-        if abs(k0 - 1) < 1e-12 and abs(k1 - 1) < 1e-12:
-            bound = bound_R11(bound_inputs)
-        elif abs(k0 - 2) < 1e-12 and abs(k1 - 2) < 1e-12:
-            bound = bound_R22(bound_inputs)
-        else:
-            raise ValueError("closed-form remainder bounds exist for the "
-                             "(1,1) and (2,2) policies only")
     return StepResult(u_next=u_next, t_next=t_n + h,
-                      contributions=tuple(contributions), bound_R=bound)
+                      contributions=tuple(contributions))
 
 
 def step_phase_averaged(scheme: SchemeTable, field: CoefficientField, t_n: float,
@@ -215,9 +206,8 @@ def solve(scheme: SchemeTable, field: CoefficientField, t0: float, u0,
 
 
 def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,
-                               u_radius: float, order: int, p: float = 2.0,
-                               t_samples: int = 9, u_samples: int = 12) -> float:
-    """Sampling estimate of K = sup over a box of the p-norm of a, b and
+                               u_radius: float, order: int) -> float:
+    """Sampling estimate of K = sup over a box of the 2-norm of a, b and
     their mixed partials up to `order`.
 
     The box is [t_min, t_max] times a polydisc of the given radius about
@@ -227,10 +217,10 @@ def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,
     t_min, t_max = t_range
     u_center = np.asarray(u_center, dtype=complex)
     m = field.m
-    ts = np.linspace(t_min, t_max, t_samples)
+    ts = np.linspace(t_min, t_max, BOUND_T_SAMPLES)
     states = [u_center]
     for j in range(m):
-        for ang in np.linspace(0.0, 2.0 * math.pi, u_samples, endpoint=False):
+        for ang in np.linspace(0.0, 2.0 * math.pi, BOUND_U_SAMPLES, endpoint=False):
             u = u_center.copy()
             u[j] += u_radius * np.exp(1j * ang)
             states.append(u)
@@ -241,5 +231,5 @@ def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,
                 # partials absent from every jet are zero and cannot raise the max
                 for alpha in set().union(*(j.coeffs for j in jets)):
                     vec = np.array([j.derivative(alpha) for j in jets])
-                    best = max(best, float(np.linalg.norm(vec, ord=p)))
+                    best = max(best, float(np.linalg.norm(vec)))
     return best

@@ -41,6 +41,8 @@ __all__ = [
 # words that sit exactly on the boundary
 RETENTION_TOL = 1e-9
 
+MAX_WORD_LEN = 20  # enumerate_words is exponential; longer policies are refused
+
 
 @dataclass(frozen=True)
 class Word:
@@ -119,13 +121,13 @@ class TruncationPolicy:
         return p / self.kappa0 + sigma / (self.kappa1 * (1.0 + nu))
 
 
-def enumerate_words(policy: TruncationPolicy, max_len: int = 20) -> list[Word]:
+def enumerate_words(policy: TruncationPolicy) -> list[Word]:
     """All retained words, ordered by length then lexicographically (T < V)."""
     longest = math.floor(max(policy.kappa0, policy.kappa1) + RETENTION_TOL)
-    if longest > max_len:
+    if longest > MAX_WORD_LEN:
         raise ValueError(
             f"policy retains words up to length {longest}; enumeration is "
-            f"exponential and capped at {max_len}")
+            f"exponential and capped at {MAX_WORD_LEN}")
     out: list[Word] = []
     for length in range(1, longest + 1):
         for letters in product("TV", repeat=length):
@@ -154,13 +156,13 @@ def term_count(kappa: int, rho: int) -> int:
 @lru_cache(maxsize=None)
 def _primitive_cached(letters: tuple[str, ...],
                       coeffs: tuple[tuple[int, complex], ...]) -> BasisPoly:
-    vp = v_poly(OscillatorSpec(omega=1.0, coeffs=coeffs))
-    poly = BasisPoly.one()
-    for letter in letters:
-        if letter == "V":
-            poly = poly * vp
-        poly = poly.definite_from_ref()
-    return poly
+    if not letters:
+        return BasisPoly.one()
+    # extend the cached integral of the prefix by the outermost letter
+    poly = _primitive_cached(letters[:-1], coeffs)
+    if letters[-1] == "V":
+        poly = poly * v_poly(OscillatorSpec(omega=1.0, coeffs=coeffs))
+    return poly.definite_from_ref()
 
 
 def word_primitive(word: Word, osc: OscillatorSpec) -> BasisPoly:

@@ -148,6 +148,34 @@ class TestSolveCommand:
         assert final_err < 2e-3
 
 
+    def test_rk4_oracle_integrates_the_interval_once(self, capsys, monkeypatch):
+        import numpy as np
+        import oscistep.cli
+        from oscistep import builtin_field, make_oscillator, rk4_micro_solve
+        spans = []
+
+        def recording(field, osc, t0, u0, t_end, dt):
+            spans.append((t0, t_end))
+            return rk4_micro_solve(field, osc, t0, u0, t_end, dt)
+
+        monkeypatch.setattr(oscistep.cli, "rk4_micro_solve", recording)
+        code, out, _ = run(capsys, "solve", "--problem", "linear", "--kappa", "4",
+                           "--rho", "2", "--omega", "100", "--mu", "10", "--u0", "1",
+                           "--h", "0.02", "--t0", "0.1", "--tend", "0.3",
+                           "--oracle", "rk4")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 11
+        assert sum(b - a for a, b in spans) == pytest.approx(0.2, rel=1e-12)
+        # each row's reference matches one RK4 run from t0 to that row
+        field, osc = builtin_field("linear", mu=10.0), make_oscillator("cos", 100.0)
+        assert parse_c(rows[0][2]) == 1
+        for t, _u, oracle, _err in rows[1:]:
+            want = rk4_micro_solve(field, osc, 0.1, np.array([1 + 0j]), float(t),
+                                   osc.period / 200.0)[-1][1][0]
+            assert parse_c(oracle) == pytest.approx(want, rel=1e-10)
+
+
 class TestConvergeCommand:
     def test_slope_footer_drift_only(self, capsys):
         # kappa0 = 2 truncated Taylor on du/dt = u-ish linear problem with
@@ -225,6 +253,29 @@ class TestBoundsCommand:
                            "--h-list", "0.2", "--omega-list", "50", "--K", "1e-6")
         assert code == 1
         assert out.strip().splitlines()[1].endswith("false")
+
+    BOUNDS_OFF_ORIGIN = ("bounds", "--problem", "linear", "--kappa", "4", "--rho", "2",
+                         "--mu", "10", "--u0", "1", "--t0", "0.5",
+                         "--h-list", "0.1", "--omega-list", "50")
+
+    def test_exact_oracle_rejects_nonzero_t0(self, capsys):
+        code, out, err = run(capsys, *self.BOUNDS_OFF_ORIGIN)
+        assert code == 2 and out == ""
+        assert "closed forms anchor at t0 = 0" in err
+
+    def test_rk4_oracle_used_off_origin(self, capsys):
+        import numpy as np
+        from oscistep import (TruncationPolicy, build_scheme, builtin_field,
+                              make_oscillator, rk4_micro_solve, step)
+        code, out, _ = run(capsys, *self.BOUNDS_OFF_ORIGIN, "--oracle", "rk4")
+        assert code == 0
+        cols = dict(zip(*[line.split(",") for line in out.strip().splitlines()]))
+        field, osc = builtin_field("linear", mu=10.0), make_oscillator("cos", 50.0)
+        u0 = np.array([1 + 0j])
+        ref = rk4_micro_solve(field, osc, 0.5, u0, 0.6, osc.period / 200.0)[-1][1][0]
+        for k, name in ((1, "error_first"), (2, "error_second")):
+            s = step(build_scheme(osc, TruncationPolicy(k, k)), field, 0.5, u0, 0.1)
+            assert float(cols[name]) == pytest.approx(abs(s.u_next[0] - ref), rel=1e-9)
 
 
 class TestOtherProblems:
@@ -307,6 +358,14 @@ class TestReadmeGolden:
             code, out, _ = run(capsys, *command.split())
             parts.append(f"$ oscistep {command}\n# exit {code}\n{out}")
         return "".join(parts)
+
+    def test_commands_match_readme(self):
+        # the README's examples, continuation lines joined, prefix dropped
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        lines = readme.replace("\\\n", " ").splitlines()
+        documented = tuple(" ".join(line.split()[1:]) for line in lines
+                           if line.startswith("oscistep "))
+        assert documented == self.COMMANDS
 
     def test_readme_commands_byte_identical(self, capsys):
         assert self.transcript(capsys) == self.GOLDEN.read_text()

@@ -90,6 +90,15 @@ class TestBuildScheme:
         step(sch, f2, 0.2, u1(0.9 + 0.1j), 0.05)
         assert integration_call_count() == before
 
+    def test_cold_build_integrates_each_word_once(self):
+        # each word's integral extends its (retained, cached) prefix's by
+        # one antiderivative; the k = 5 structure is cold in this process
+        o = make_oscillator("fourier", 40.0,
+                            coeffs={1: 0.25, -1: 0.25, 5: 0.05j, -5: -0.05j})
+        before = integration_call_count()
+        sch = build_scheme(o, pol(4, 2))
+        assert integration_call_count() - before == len(sch.entries)
+
 
 class TestStep:
     def test_linear_case_closed_form(self):
@@ -308,17 +317,6 @@ class TestBounds:
     def test_positive_inputs_required(self):
         with pytest.raises(ValueError):
             BoundInputs(0.0, 1.0, 0.1, 10.0)
-
-    def test_step_reports_bound_for_supported_policies(self):
-        f = builtin_field("linear", mu=2.0)
-        o = make_oscillator("cos", 50.0)
-        inp = BoundInputs(2.0, 2 * math.pi, 0.1, 50.0)
-        r1 = step(build_scheme(o, TruncationPolicy(1, 1)), f, 0.0, u1(1.0), 0.1, inp)
-        assert r1.bound_R == pytest.approx(bound_R11(inp))
-        r2 = step(build_scheme(o, TruncationPolicy(2, 2)), f, 0.0, u1(1.0), 0.1, inp)
-        assert r2.bound_R == pytest.approx(bound_R22(inp))
-        with pytest.raises(ValueError):
-            step(build_scheme(o, pol(4, 2)), f, 0.0, u1(1.0), 0.1, inp)
 
     def test_estimated_coefficient_bound_linear_case(self):
         # b = mu dominates a = u t and all derivatives on a small box
