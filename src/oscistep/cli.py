@@ -1,23 +1,28 @@
 """Command-line front end.
 
 Subcommands: step, solve, converge, termcount, bounds, stochastic-check.
-Configuration comes from an optional JSON file (flat keys named like the
-flags) with every key overridable on the command line.  Output is CSV on
-stdout, or to a file with --out; complex values are serialized as
-"re+imj" with 17 significant digits so runs are byte-reproducible.
+The fields of RunConfig are the input of the first four: each is a flag
+and a key of an optional JSON file (--config) that flags override, and
+both are checked by the field's type.  Output is CSV on stdout, or to a
+file with --out; complex values are serialized as "re+imj" with 17
+significant digits so runs are byte-reproducible.  Exit codes: 0 success,
+1 bound check violated, 2 rejected input (any ValueError), 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass, fields as dc_fields, replace
+from collections import namedtuple
+from dataclasses import dataclass, replace
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, NumericStepError, OscistepError
+from .errors import ConfigError, OscistepError
 from .jets import CoefficientField, builtin_field, make_field
 from .oscillator import OscillatorSpec, absorb_mean, make_oscillator, v_norm
 from .oracles import (adaptive_quadrature, exact_exp_macro,
@@ -30,12 +35,13 @@ from .terms import (TruncationPolicy, enumerate_words, policy_matches_scheme,
 
 __all__ = ["RunConfig", "main"]
 
-PROBLEMS = ("linear", "nonlinear", "power", "freqdep", "custom-fourier")
-
 
 @dataclass
 class RunConfig:
-    problem: str = "linear"
+    """One flag and JSON key per field (`fourier`, a table, is JSON only);
+    values are converted and checked by the declared type."""
+
+    problem: Literal["linear", "nonlinear", "power", "freqdep", "custom-fourier"] = "linear"
     omega: float = 100.0
     phi: float = 0.0
     nu: float = 0.0
@@ -52,9 +58,13 @@ class RunConfig:
     kappa1: float | None = None
     phase_averaged: bool = False
     emit_contributions: bool = False
-    oracle: str = "none"
+    oracle: Literal["exact", "rk4", "none"] = "none"
     fourier: dict | None = None
     out: str | None = None
+
+    def __post_init__(self):
+        for name in _SCHEMA:
+            setattr(self, name, _convert(name, getattr(self, name)))
 
     def policy(self) -> TruncationPolicy:
         if self.kappa0 is not None and self.kappa1 is not None:
@@ -64,19 +74,49 @@ class RunConfig:
         raise ConfigError("supply either (kappa0, kappa1) or (kappa, rho)")
 
 
+def _schema(hint) -> tuple:
+    """(value type, choices, None allowed) of a RunConfig annotation."""
+    args = get_args(hint)
+    if get_origin(hint) is Literal:
+        return str, args, False
+    return next((a for a in args if a is not type(None)), hint), None, type(None) in args
+
+
+_SCHEMA = {name: _schema(hint) for name, hint in get_type_hints(RunConfig).items()}
+
+
+def _convert(name: str, value):
+    """`value`, a flag string or a JSON value, as the RunConfig field `name`;
+    raises ConfigError when it does not fit the field's annotation."""
+    kind, choices, nullable = _SCHEMA[name]
+    if value is None and nullable:
+        return None
+    if choices:
+        if value in choices:
+            return value
+        raise ConfigError(f"{name} must be one of {', '.join(choices)}; got {value!r}")
+    if kind in (bool, str, dict):
+        if type(value) is kind:
+            return value
+    elif not isinstance(value, bool):
+        try:
+            x = parse_complex(value) if kind is complex else float(value)
+        except (TypeError, ValueError, OverflowError):
+            x = None
+        if x is not None and cmath.isfinite(x) and (kind is not int or x.is_integer()):
+            return kind(x)
+    raise ConfigError(f"{name} must be {kind.__name__}; got {value!r}")
+
+
 def parse_complex(text) -> complex:
     """Parse 're', 're,im' or a [re, im] pair."""
     if isinstance(text, (int, float, complex)):
         return complex(text)
-    if isinstance(text, (list, tuple)) and len(text) == 2:
-        return complex(float(text[0]), float(text[1]))
-    parts = str(text).split(",")
+    parts = text if isinstance(text, (list, tuple)) else str(text).split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
+        if len(parts) in (1, 2):
+            return complex(*map(float, parts))
+    except (TypeError, ValueError):
         pass
     raise ConfigError(f"cannot parse complex value {text!r}; use 're' or 're,im'")
 
@@ -90,18 +130,11 @@ def fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-class Problem:
-    """A named ODE setup: coefficient field, oscillator, exact oracle."""
-
-    def __init__(self, field: CoefficientField, osc: OscillatorSpec, exact=None):
-        self.field = field
-        self.osc = osc
-        self.exact = exact  # callable t -> complex, or None
+# a named ODE setup: coefficient field, oscillator, closed form t -> u(t)
+Problem = namedtuple("Problem", "field osc exact")
 
 
 def build_problem(cfg: RunConfig) -> Problem:
-    if cfg.problem not in PROBLEMS:
-        raise ConfigError(f"unknown problem {cfg.problem!r}; choices: {PROBLEMS}")
     om, phi = cfg.omega, cfg.phi
     if cfg.problem == "linear":
         field = builtin_field("linear", mu=cfg.mu)
@@ -145,21 +178,17 @@ def oracle_values(cfg: RunConfig, prob: Problem, times) -> list[complex] | None:
     if cfg.oracle == "none":
         return None
     if cfg.oracle == "exact":
-        if prob.exact is None:
-            raise ConfigError(f"no exact oracle for problem {cfg.problem!r}")
         if cfg.t0 != 0.0:
             raise ConfigError("the exact oracle's closed forms anchor at t0 = 0")
         return [prob.exact(t) if t > cfg.t0 else complex(cfg.u0) for t in times]
-    if cfg.oracle == "rk4":
-        dt = prob.osc.period / 200.0
-        t, u, out = cfg.t0, np.array([cfg.u0]), []
-        for t_next in times:
-            if t_next > t:
-                u = rk4_micro_solve(prob.field, prob.osc, t, u, t_next, dt)[-1][1]
-                t = t_next
-            out.append(complex(u[0]))
-        return out
-    raise ConfigError(f"unknown oracle {cfg.oracle!r}; choices: exact, rk4, none")
+    dt = prob.osc.period / 200.0  # the rk4 oracle
+    t, u, out = cfg.t0, np.array([cfg.u0]), []
+    for t_next in times:
+        if t_next > t:
+            u = rk4_micro_solve(prob.field, prob.osc, t, u, t_next, dt)[-1][1]
+            t = t_next
+        out.append(complex(u[0]))
+    return out
 
 
 # -- commands -----------------------------------------------------------------
@@ -259,9 +288,8 @@ def cmd_bounds(cfg: RunConfig, h_list: list[float], omega_list: list[float],
 
 def cmd_stochastic_check(kappa: float, rho_prime: float,
                          scheme: str) -> tuple[int, list[str]]:
-    policy = TruncationPolicy(kappa, kappa / rho_prime)
-    retained = enumerate_words(policy)
-    match = policy_matches_scheme(kappa, rho_prime, scheme)
+    match = policy_matches_scheme(kappa, rho_prime, scheme)  # checks rho' > 0
+    retained = enumerate_words(TruncationPolicy(kappa, kappa / rho_prime))
     want = ";".join(sorted(str(w) for w in stochastic_scheme_words(scheme)))
     got = ";".join(str(w) for w in retained)
     return 0, ["kappa,rho_prime,scheme,scheme_words,retained_words,match",
@@ -273,25 +301,13 @@ def cmd_stochastic_check(kappa: float, rho_prime: float,
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON file with flat RunConfig keys")
-    p.add_argument("--problem", choices=PROBLEMS)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--phi", type=float)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--mu")
-    p.add_argument("--alpha")
-    p.add_argument("--gamma", type=int)
-    p.add_argument("--u0", help="complex as 're,im'")
-    p.add_argument("--t0", type=float)
-    p.add_argument("--tend", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--kappa0", type=float)
-    p.add_argument("--kappa1", type=float)
-    p.add_argument("--phase-averaged", action="store_true", default=None)
-    p.add_argument("--emit-contributions", action="store_true", default=None)
-    p.add_argument("--oracle", choices=("exact", "rk4", "none"))
-    p.add_argument("--out", help="write CSV here instead of stdout")
+    for name, (kind, choices, _) in _SCHEMA.items():
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
+            p.add_argument(flag, action="store_true", default=None)
+        elif kind is not dict:  # a table (fourier) comes from JSON only
+            p.add_argument(flag, metavar="{%s}" % ",".join(choices) if choices
+                           else kind.__name__.upper())
 
 
 def _load_config(ns: argparse.Namespace) -> RunConfig:
@@ -302,23 +318,15 @@ def _load_config(ns: argparse.Namespace) -> RunConfig:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {ns.config!r}: {exc}") from exc
-        unknown = set(data) - {f.name for f in dc_fields(RunConfig)}
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {ns.config!r} must hold a JSON object")
+        unknown = set(data) - _SCHEMA.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for f in dc_fields(RunConfig):
-        v = getattr(ns, f.name, None)
-        if v is not None:
-            data[f.name] = v
-    for key in ("mu", "alpha", "u0"):
-        if key in data:
-            data[key] = parse_complex(data[key])
-    for key in ("omega", "phi", "nu", "t0", "tend", "h"):
-        if key in data:
-            data[key] = float(data[key])
-    try:
-        return RunConfig(**data)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    data.update({k: v for k in _SCHEMA if (v := getattr(ns, k, None)) is not None})
+    cfg = RunConfig(**data)
+    _validate(cfg, ns.command)
+    return cfg
 
 
 def _validate(cfg: RunConfig, command: str):
@@ -332,7 +340,7 @@ def _validate(cfg: RunConfig, command: str):
     # converge and bounds report errors, so they always have a reference
     if command in ("converge", "bounds") and cfg.oracle == "none":
         cfg.oracle = "exact"
-    if cfg.tend <= cfg.t0:
+    if command == "solve" and cfg.tend <= cfg.t0:
         raise ConfigError("tend must exceed t0")
     if cfg.h <= 0:
         raise ConfigError("h must be positive")
@@ -340,9 +348,27 @@ def _validate(cfg: RunConfig, command: str):
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise ConfigError(f"cannot parse float list {text!r}") from None
+        values = []
+    if not values:
+        raise ConfigError(f"cannot parse float list {text!r}")
+    return values
+
+
+# command -> runner(cfg, ns); cfg is the RunConfig, or None for the two
+# commands without one
+COMMANDS = {
+    "step": lambda cfg, ns: cmd_step(cfg),
+    "solve": lambda cfg, ns: cmd_solve(cfg),
+    "converge": lambda cfg, ns: cmd_converge(cfg, _float_list(ns.h_list), ns.couple_c),
+    "bounds": lambda cfg, ns: cmd_bounds(cfg, _float_list(ns.h_list),
+                                         _float_list(ns.omega_list), ns.K,
+                                         ns.box_t, ns.box_radius),
+    "termcount": lambda cfg, ns: cmd_termcount(ns.kappa, ns.rho),
+    "stochastic-check": lambda cfg, ns: cmd_stochastic_check(ns.kappa, ns.rho_prime,
+                                                             ns.scheme),
+}
 
 
 def main(argv=None) -> int:
@@ -376,39 +402,19 @@ def main(argv=None) -> int:
     ps.add_argument("--scheme", choices=("euler", "milstein"), required=True)
     ps.add_argument("--out")
 
+    ns = parser.parse_args(argv)
     try:
-        ns = parser.parse_args(argv)
-        if ns.command == "termcount":
-            code, lines = cmd_termcount(ns.kappa, ns.rho)
-        elif ns.command == "stochastic-check":
-            code, lines = cmd_stochastic_check(ns.kappa, ns.rho_prime, ns.scheme)
-        else:
-            cfg = _load_config(ns)
-            _validate(cfg, ns.command)
-            if ns.command == "step":
-                code, lines = cmd_step(cfg)
-            elif ns.command == "solve":
-                code, lines = cmd_solve(cfg)
-            elif ns.command == "converge":
-                code, lines = cmd_converge(cfg, _float_list(ns.h_list), ns.couple_c)
-            elif ns.command == "bounds":
-                code, lines = cmd_bounds(cfg, _float_list(ns.h_list),
-                                         _float_list(ns.omega_list), ns.K,
-                                         ns.box_t, ns.box_radius)
-            else:  # pragma: no cover
-                raise ConfigError(f"unhandled command {ns.command}")
-    except ConfigError as exc:
+        cfg = _load_config(ns) if "config" in ns else None
+        code, lines = COMMANDS[ns.command](cfg, ns)
+    except ValueError as exc:  # ConfigError, RegimeError and library argument checks
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericStepError as exc:
+    except (OscistepError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    except OscistepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
 
     text = "\n".join(lines) + "\n"
-    out_path = getattr(ns, "out", None)
+    out_path = ns.out if cfg is None else cfg.out
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Those that reject an input
+are also ValueErrors, like the plain argument checks (CLI exit code 2)."""
 
 
 class OscistepError(Exception):
@@ -10,14 +11,14 @@ class JetMismatchError(OscistepError):
 
 
 class JetOrderError(OscistepError):
-    """A derivative order was requested that the field cannot supply."""
+    """A derivative was requested beyond a jet's truncation order."""
 
 
-class RegimeError(OscistepError):
+class RegimeError(OscistepError, ValueError):
     """Oscillator parameters outside the supported regime (omega <= 0 or nu <= -1)."""
 
 
-class DegenerateOscillatorError(OscistepError):
+class DegenerateOscillatorError(OscistepError, ValueError):
     """All Fourier coefficients vanish after mean removal."""
 
 
@@ -37,5 +38,5 @@ class QuadratureError(OscistepError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-class ConfigError(OscistepError):
+class ConfigError(OscistepError, ValueError):
     """Invalid run configuration."""

@@ -193,28 +193,21 @@ class CoefficientField:
 
     `a` and `b` are callables ``(t, u) -> sequence of m scalars`` written
     over abstract arithmetic, so the same definition evaluates on plain
-    complex numbers and on jets.  `max_order`, when set, caps the jet order
-    the field is willing to provide.
+    complex numbers and on jets.
     """
 
-    def __init__(self, m: int, a: Callable, b: Callable, max_order: int | None = None,
-                 name: str = "custom"):
+    def __init__(self, m: int, a: Callable, b: Callable, name: str = "custom"):
         if m < 1:
             raise ValueError("field dimension must be positive")
         self.m = int(m)
         self._a = a
         self._b = b
-        self.max_order = max_order
         self.name = name
 
     def _eval(self, fn, t, u, order: int | None = None) -> list:
         """`fn` at (t, u): on complex numbers when `order` is None, else on
         jets of that order.  Checks the state shape and the number of
         components returned."""
-        if order is not None and self.max_order is not None and order > self.max_order:
-            raise JetOrderError(
-                f"field '{self.name}' supports jet order <= {self.max_order}, "
-                f"requested {order}")
         u = np.asarray(u, dtype=complex)
         if u.shape != (self.m,):
             raise ValueError(f"state must have shape ({self.m},), got {u.shape}")
@@ -298,9 +291,8 @@ def operator_values(field: CoefficientField,
 
 # -- built-in example fields -------------------------------------------------
 
-def make_field(m: int, a: Callable, b: Callable, max_order: int | None = None,
-               name: str = "custom") -> CoefficientField:
-    return CoefficientField(m, a, b, max_order=max_order, name=name)
+def make_field(m: int, a: Callable, b: Callable, name: str = "custom") -> CoefficientField:
+    return CoefficientField(m, a, b, name=name)
 
 
 def _linear_field(mu=1.0):

@@ -141,8 +141,7 @@ def absorb_mean(fld: CoefficientField, meanv: complex) -> CoefficientField:
     def a_new(t, u):
         return [ai + meanv * bi for ai, bi in zip(a_fn(t, u), b_fn(t, u))]
 
-    return CoefficientField(fld.m, a_new, b_fn, max_order=fld.max_order,
-                            name=fld.name + "+mean")
+    return CoefficientField(fld.m, a_new, b_fn, name=fld.name + "+mean")
 
 
 # -- basis polynomials --------------------------------------------------------

@@ -134,6 +134,62 @@ class TestConfigHandling:
         assert code == 2 and "'step' only" in err
 
 
+class TestErrorBoundary:
+    """Every rejected input exits 2 and a numeric failure exits 3, each with
+    one stderr line, no traceback and nothing on stdout."""
+
+    POLICY = ("--kappa", "4", "--rho", "2")
+    REJECTED = {
+        "step-kappa-zero": (("step", "--kappa", "0", "--rho", "2"), None),
+        "step-words-too-long": (("step", "--kappa", "30", "--rho", "1"), None),
+        "termcount-kappa-zero": (("termcount", "--kappa", "0", "--rho", "1"), None),
+        "solve-h-not-dividing": (("solve", *POLICY, "--h", "0.3", "--tend", "1"), None),
+        "converge-negative-h": (("converge", *POLICY, "--h-list", "0.1,0.05,-0.02"),
+                                None),
+        "bounds-empty-h-list": (("bounds", *POLICY, "--h-list", ""), None),
+        "stochastic-rho-prime-zero": (("stochastic-check", "--kappa", "1",
+                                       "--rho-prime", "0", "--scheme", "euler"), None),
+        "step-omega-zero": (("step", *POLICY, "--omega", "0"), None),
+        "fourier-mean-only": (("step",), {"problem": "custom-fourier", "kappa": 2,
+                                          "rho": 1, "fourier": {"0": 1}}),
+        "json-bool-as-string": (("step", *POLICY), {"phase_averaged": "no"}),
+        "gamma-flag-not-integer": (("step", *POLICY, "--gamma", "1.5"), None),
+        "gamma-json-not-integer": (("step", *POLICY), {"gamma": 1.5}),
+        "h-not-finite": (("step", *POLICY, "--h", "nan"), None),
+        "json-number-overflows": (("step", *POLICY), {"h": 10 ** 400}),
+        "config-not-an-object": (("step", *POLICY), ["h"]),
+    }
+
+    @staticmethod
+    def assert_one_line_error(code, out, err, want_code):
+        assert code == want_code and out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,config", REJECTED.values(), ids=REJECTED.keys())
+    def test_rejected_input_exits_2(self, capsys, tmp_path, argv, config):
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            argv += ("--config", str(path))
+        self.assert_one_line_error(*run(capsys, *argv), 2)
+
+    def test_numeric_failure_exits_3(self, capsys):
+        # b = u^-1 has no jet at u0 = 0
+        self.assert_one_line_error(*run(capsys, "step", "--problem", "power", "--gamma",
+                                        "2", "--u0", "0", *self.POLICY), 3)
+
+    def test_step_ignores_tend(self, capsys):
+        code, out, _ = run(capsys, "step", *self.POLICY, "--t0", "2", "--oracle", "rk4")
+        assert code == 0 and out.startswith("t_next,u_next")
+
+    def test_json_out_writes_file(self, capsys, tmp_path):
+        path, cfg = tmp_path / "row.csv", tmp_path / "run.json"
+        cfg.write_text(json.dumps({"kappa": 4, "rho": 2, "out": str(path)}))
+        code, out, _ = run(capsys, "step", "--config", str(cfg))
+        assert code == 0 and out == ""
+        assert path.read_text().startswith("t_next,u_next")
+
+
 class TestSolveCommand:
     def test_trajectory_row_count(self, capsys):
         code, out, _ = run(capsys, "solve", "--problem", "linear", "--kappa", "4",

@@ -63,6 +63,12 @@ class TestJetArithmetic:
         with pytest.raises(TypeError):
             u ** 0.5
 
+    def test_partial_of_order_zero_jet_raises(self):
+        x = var(0, (1.0, 2.0), 1)
+        assert x.partial(0).order == 0
+        with pytest.raises(JetOrderError):
+            x.partial(0).partial(1)
+
 
 class TestOperatorWords:
     def test_empty_word_is_target(self):
@@ -137,11 +143,6 @@ class TestOperatorWords:
             word_value(f, "a", ["L2"], 0.0, np.array([1.0]))
         with pytest.raises(ValueError, match="target"):
             word_value(f, "c", [], 0.0, np.array([1.0]))
-
-    def test_jet_order_capability_error(self):
-        f = make_field(1, lambda t, u: [u[0]], lambda t, u: [u[0]], max_order=2)
-        with pytest.raises(JetOrderError):
-            word_value(f, "a", ["L0"] * 3, 0.0, np.array([1.0]))
 
 
 class TestBuiltinFieldDerivatives:

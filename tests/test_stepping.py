@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oscistep import (BoundInputs, JetOrderError, NumericStepError,
+from oscistep import (BoundInputs, NumericStepError,
                       TruncationPolicy, bound_R11, bound_R22, build_scheme,
                       builtin_field, estimate_coefficient_bound, big_v,
                       exact_exp_macro, integration_call_count, make_field,
@@ -186,12 +186,6 @@ class TestStep:
         sch = build_scheme(make_oscillator("cos", 5.0), TruncationPolicy(2, 2))
         with pytest.raises(NumericStepError, match="term T"):
             step(sch, f, 0.0, u1(1e30), 10.0)
-
-    def test_jet_order_capability(self):
-        f = make_field(1, lambda t, u: [u[0]], lambda t, u: [u[0]], max_order=2)
-        sch = build_scheme(make_oscillator("cos", 5.0), pol(4, 1))
-        with pytest.raises(JetOrderError):
-            step(sch, f, 0.0, u1(1.0), 0.1)
 
 
 class TestHigherCorrections:
