@@ -342,7 +342,8 @@ def _validate(cfg: RunConfig, command: str):
         cfg.oracle = "exact"
     if command == "solve" and cfg.tend <= cfg.t0:
         raise ConfigError("tend must exceed t0")
-    if cfg.h <= 0:
+    # converge and bounds step by their h lists and never read h
+    if command in ("step", "solve") and cfg.h <= 0:
         raise ConfigError("h must be positive")
 
 
@@ -356,70 +357,88 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-# command -> runner(cfg, ns); cfg is the RunConfig, or None for the two
-# commands without one
+def _add_converge(p: argparse.ArgumentParser):
+    _add_common(p)
+    p.add_argument("--h-list", required=True, help="comma-separated step sizes")
+    p.add_argument("--couple-c", type=float,
+                   help="couple omega^-1 = c h^rho along the study")
+
+
+def _add_termcount(p: argparse.ArgumentParser):
+    p.add_argument("--kappa", type=int, required=True)
+    p.add_argument("--rho", type=int, required=True)
+    p.add_argument("--out")
+
+
+def _add_bounds(p: argparse.ArgumentParser):
+    _add_common(p)
+    p.add_argument("--h-list", default="0.2,0.1,0.05")
+    p.add_argument("--omega-list", default="50,100,200")
+    p.add_argument("--K", type=float, help="explicit coefficient bound")
+    p.add_argument("--box-t", type=float, help="upper end of the K-sampling box in t")
+    p.add_argument("--box-radius", type=float, default=0.5,
+                   help="radius of the K-sampling box around u0")
+
+
+def _add_stochastic_check(p: argparse.ArgumentParser):
+    p.add_argument("--kappa", type=float, required=True)
+    p.add_argument("--rho-prime", type=float, required=True)
+    p.add_argument("--scheme", choices=("euler", "milstein"), required=True)
+    p.add_argument("--out")
+
+
+# command -> (adds its arguments to a parser, runner(cfg, ns)); cfg is the
+# RunConfig, or None for the two commands without one
 COMMANDS = {
-    "step": lambda cfg, ns: cmd_step(cfg),
-    "solve": lambda cfg, ns: cmd_solve(cfg),
-    "converge": lambda cfg, ns: cmd_converge(cfg, _float_list(ns.h_list), ns.couple_c),
-    "bounds": lambda cfg, ns: cmd_bounds(cfg, _float_list(ns.h_list),
-                                         _float_list(ns.omega_list), ns.K,
-                                         ns.box_t, ns.box_radius),
-    "termcount": lambda cfg, ns: cmd_termcount(ns.kappa, ns.rho),
-    "stochastic-check": lambda cfg, ns: cmd_stochastic_check(ns.kappa, ns.rho_prime,
-                                                             ns.scheme),
+    "step": (_add_common, lambda cfg, ns: cmd_step(cfg)),
+    "solve": (_add_common, lambda cfg, ns: cmd_solve(cfg)),
+    "converge": (_add_converge,
+                 lambda cfg, ns: cmd_converge(cfg, _float_list(ns.h_list), ns.couple_c)),
+    "termcount": (_add_termcount, lambda cfg, ns: cmd_termcount(ns.kappa, ns.rho)),
+    "bounds": (_add_bounds,
+               lambda cfg, ns: cmd_bounds(cfg, _float_list(ns.h_list),
+                                          _float_list(ns.omega_list), ns.K,
+                                          ns.box_t, ns.box_radius)),
+    "stochastic-check": (_add_stochastic_check,
+                         lambda cfg, ns: cmd_stochastic_check(ns.kappa, ns.rho_prime,
+                                                              ns.scheme)),
 }
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = argparse.ArgumentParser(
         prog="oscistep",
         description="Macro-step integration of du/dt = a(t,u) + b(t,u) v(t) "
                     "with a rapidly oscillating factor v")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("step", "solve"):
-        _add_common(sub.add_parser(name))
-    pc = sub.add_parser("converge")
-    _add_common(pc)
-    pc.add_argument("--h-list", required=True, help="comma-separated step sizes")
-    pc.add_argument("--couple-c", type=float,
-                    help="couple omega^-1 = c h^rho along the study")
-    pt = sub.add_parser("termcount")
-    pt.add_argument("--kappa", type=int, required=True)
-    pt.add_argument("--rho", type=int, required=True)
-    pt.add_argument("--out")
-    pb = sub.add_parser("bounds")
-    _add_common(pb)
-    pb.add_argument("--h-list", default="0.2,0.1,0.05")
-    pb.add_argument("--omega-list", default="50,100,200")
-    pb.add_argument("--K", type=float, help="explicit coefficient bound")
-    pb.add_argument("--box-t", type=float, help="upper end of the K-sampling box in t")
-    pb.add_argument("--box-radius", type=float, default=0.5,
-                    help="radius of the K-sampling box around u0")
-    ps = sub.add_parser("stochastic-check")
-    ps.add_argument("--kappa", type=float, required=True)
-    ps.add_argument("--rho-prime", type=float, required=True)
-    ps.add_argument("--scheme", choices=("euler", "milstein"), required=True)
-    ps.add_argument("--out")
+    subparsers = {name: sub.add_parser(name) for name in COMMANDS}
+    # the top level takes no options but --help, so the first other word
+    # names the command; only that command's arguments are built
+    chosen = next((a for a in argv if not a.startswith("-")), None)
+    if chosen in COMMANDS:
+        COMMANDS[chosen][0](subparsers[chosen])
 
     ns = parser.parse_args(argv)
     try:
         cfg = _load_config(ns) if "config" in ns else None
-        code, lines = COMMANDS[ns.command](cfg, ns)
+        code, lines = COMMANDS[ns.command][1](cfg, ns)
+        text = "\n".join(lines) + "\n"
+        out_path = ns.out if cfg is None else cfg.out
+        if out_path:
+            try:
+                with open(out_path, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {out_path!r}: {exc}") from exc
+        else:
+            sys.stdout.write(text)
     except ValueError as exc:  # ConfigError, RegimeError and library argument checks
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OscistepError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-
-    text = "\n".join(lines) + "\n"
-    out_path = ns.out if cfg is None else cfg.out
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -15,10 +15,26 @@ act on jets by shifting coefficient indices and multiplying truncated
 series; each application costs one order of the jet.  Words over
 ``{"L0", "L1"}`` are applied right to left, so ``["L1", "L0"]`` means
 ``L1(L0(f))``.
+
+Inside a jet each multi-index is one packed integer: component i in bits
+[16 i, 16 i + 16) and the total degree above all components.  Adding two
+keys adds the multi-indices and their degrees, the truncation test of a
+product is one integer comparison, and ``partial`` subtracts a unit key.
+The public ``coeffs``, ``coefficient`` and ``derivative`` still take and
+give tuples.
+
+The packing changes no arithmetic.  Every operation visits coefficients
+in the same order as the plain tuple-keyed definition (dicts keep their
+insertion order), starts each sum from 0.0 and adds products left to
+right, so results match that definition bit for bit, signs of zero
+included.  The CLI prints 17 significant digits and its README output is
+locked byte for byte (``tests/readme_cli_golden.txt``); a reordered sum
+would change those bytes.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
@@ -36,6 +52,36 @@ __all__ = [
 ]
 
 
+# Bits per multi-index component.  Components of two keys of degree at most
+# _MAX_ORDER sum to at most 2 * _MAX_ORDER < 2**_BITS, so adding keys never
+# carries from one component into the next.
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+_MAX_ORDER = (1 << (_BITS - 1)) - 1
+
+
+def _pack(alpha, nvars: int) -> int | None:
+    """The packed key of a multi-index, or None if no jet can store it."""
+    alpha = tuple(alpha)
+    if len(alpha) != nvars or not all(a == int(a) and 0 <= a <= _MASK for a in alpha):
+        return None
+    key = int(sum(alpha)) << (_BITS * nvars)
+    for i, a in enumerate(alpha):
+        key |= int(a) << (_BITS * i)
+    return key
+
+
+def _unpack(key: int, nvars: int) -> tuple[int, ...]:
+    return tuple((key >> (_BITS * i)) & _MASK for i in range(nvars))
+
+
+def _nonzero(terms: dict) -> dict:
+    """`terms` without exact zeros, which the constructor drops too."""
+    if 0 in terms.values():
+        return {k: c for k, c in terms.items() if c}
+    return terms
+
+
 class Jet:
     """Taylor coefficients of one scalar quantity about a base point.
 
@@ -43,20 +89,39 @@ class Jet:
     derivative itself is recovered by :meth:`derivative`.  Addition and
     multiplication require matching base point, order and variable count;
     multiplication truncates products beyond the stored total degree.
+    Orders are limited to 32767.
     """
 
-    __slots__ = ("base", "order", "nvars", "coeffs")
+    __slots__ = ("base", "order", "nvars", "_terms")
 
     def __init__(self, base, order, coeffs):
-        self.base = tuple(complex(x) for x in base)
-        self.nvars = len(self.base)
+        if not (type(base) is tuple and all(type(x) is complex for x in base)):
+            base = tuple(complex(x) for x in base)
+        self.base = base
+        self.nvars = len(base)
         self.order = int(order)
-        self.coeffs = {a: complex(c) for a, c in coeffs.items() if c != 0}
+        if self.order > _MAX_ORDER:
+            raise ValueError(f"jet order {self.order} exceeds {_MAX_ORDER}")
+        terms = {}
+        for alpha, c in coeffs.items():
+            key = _pack(alpha, self.nvars)
+            if key is None:
+                raise ValueError(f"multi-index {alpha!r} does not fit {self.nvars} variables")
+            if c != 0:
+                terms[key] = complex(c)
+        self._terms = terms
+
+    def _like(self, terms: dict, order: int | None = None) -> "Jet":
+        """A jet on this one's base point from already packed, complex,
+        nonzero `terms` (see `_nonzero`)."""
+        out = object.__new__(Jet)
+        out.base, out.nvars, out._terms = self.base, self.nvars, terms
+        out.order = self.order if order is None else order
+        return out
 
     @classmethod
     def constant(cls, value, base, order):
-        zero = tuple(0 for _ in base)
-        return cls(base, order, {zero: complex(value)})
+        return cls(base, order, {tuple(0 for _ in base): complex(value)})
 
     @classmethod
     def variable(cls, index, base, order):
@@ -69,11 +134,17 @@ class Jet:
         return cls(base, order, coeffs)
 
     @property
+    def coeffs(self) -> dict[tuple[int, ...], complex]:
+        """The Taylor coefficients keyed by multi-index tuples."""
+        return {_unpack(k, self.nvars): c for k, c in self._terms.items()}
+
+    @property
     def value(self) -> complex:
-        return self.coeffs.get(tuple(0 for _ in range(self.nvars)), 0.0 + 0.0j)
+        return self._terms.get(0, 0.0 + 0.0j)
 
     def coefficient(self, alpha) -> complex:
-        return self.coeffs.get(tuple(alpha), 0.0 + 0.0j)
+        key = _pack(alpha, self.nvars)
+        return 0.0 + 0.0j if key is None else self._terms.get(key, 0.0 + 0.0j)
 
     def derivative(self, alpha) -> complex:
         """The mixed partial derivative D^alpha f at the base point."""
@@ -85,27 +156,27 @@ class Jet:
     def truncate(self, order: int) -> "Jet":
         if order >= self.order:
             return self
-        kept = {a: c for a, c in self.coeffs.items() if sum(a) <= order}
-        return Jet(self.base, order, kept)
+        cap = (order + 1) << (_BITS * self.nvars)
+        return self._like({k: c for k, c in self._terms.items() if k < cap}, order)
 
     def partial(self, index: int) -> "Jet":
         """d/dx_index as a jet of one order lower."""
         if self.order < 1:
             raise JetOrderError("cannot differentiate an order-0 jet")
+        shift, top = _BITS * index, _BITS * self.nvars
+        unit = (1 << top) | (1 << shift)
+        cap = (self.order + 1) << top
         out = {}
-        for a, c in self.coeffs.items():
-            if a[index] == 0:
-                continue
-            b = list(a)
-            b[index] -= 1
-            if sum(b) <= self.order - 1:
-                out[tuple(b)] = c * a[index]
-        return Jet(self.base, self.order - 1, out)
+        for k, c in self._terms.items():
+            n = (k >> shift) & _MASK
+            if n and k < cap:
+                out[k - unit] = c * n
+        return self._like(out, self.order - 1)
 
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "Jet"):
-        if self.base != other.base or self.order != other.order:
+        if self.order != other.order or self.base != other.base:
             raise JetMismatchError(
                 "jets disagree in base point or order: "
                 f"{self.base}/{self.order} vs {other.base}/{other.order}"
@@ -113,21 +184,23 @@ class Jet:
 
     def _coerce(self, other):
         if isinstance(other, Jet):
+            self._check(other)
             return other
-        return Jet.constant(other, self.base, self.order)
+        value = complex(other)
+        return self._like({0: value} if value != 0 else {})
 
     def __add__(self, other):
         other = self._coerce(other)
-        self._check(other)
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = out.get(a, 0.0) + c
-        return Jet(self.base, self.order, out)
+        out = dict(self._terms)
+        get = out.get
+        for k, c in other._terms.items():
+            out[k] = get(k, 0.0) + c
+        return self._like(_nonzero(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.base, self.order, {a: -c for a, c in self.coeffs.items()})
+        return self._like({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -137,18 +210,20 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.base, self.order,
-                       {a: c * other for a, c in self.coeffs.items()})
+            return self._like({k: complex(v) for k, c in self._terms.items()
+                               if (v := c * other) != 0})
         self._check(other)
         out = {}
-        for a, ca in self.coeffs.items():
-            da = sum(a)
-            for b, cb in other.coeffs.items():
-                if da + sum(b) > self.order:
-                    continue
-                key = tuple(x + y for x, y in zip(a, b))
-                out[key] = out.get(key, 0.0) + ca * cb
-        return Jet(self.base, self.order, out)
+        get = out.get
+        cap = (self.order + 1) << (_BITS * self.nvars)
+        theirs = other._terms.items()
+        for ka, ca in self._terms.items():
+            room = cap - ka
+            for kb, cb in theirs:
+                if kb < room:
+                    key = ka + kb
+                    out[key] = get(key, 0.0) + ca * cb
+        return self._like(_nonzero(out))
 
     __rmul__ = __mul__
 
@@ -157,9 +232,9 @@ class Jet:
         if f0 == 0:
             raise ZeroDivisionError("jet with zero value has no reciprocal")
         # 1/f = (1/f0) * sum_k (1 - f/f0)^k; the bracket is nilpotent.
-        rest = Jet.constant(1.0, self.base, self.order) - self * (1.0 / f0)
-        out = Jet.constant(1.0, self.base, self.order)
-        power = Jet.constant(1.0, self.base, self.order)
+        one = self._like({0: 1.0 + 0.0j})
+        rest = one - self * (1.0 / f0)
+        out = power = one
         for _ in range(self.order):
             power = power * rest
             out = out + power
@@ -179,13 +254,13 @@ class Jet:
             raise TypeError("jet powers must use integer exponents")
         if exponent < 0:
             return self.reciprocal() ** (-exponent)
-        out = Jet.constant(1.0, self.base, self.order)
+        out = self._like({0: 1.0 + 0.0j})
         for _ in range(exponent):
             out = out * self
         return out
 
     def __repr__(self):
-        return f"Jet(base={self.base}, order={self.order}, terms={len(self.coeffs)})"
+        return f"Jet(base={self.base}, order={self.order}, terms={len(self._terms)})"
 
 
 class CoefficientField:
@@ -215,7 +290,7 @@ class CoefficientField:
             out = [x.value if isinstance(x, Jet) else complex(x)
                    for x in fn(complex(t), list(u))]
         else:
-            base = (complex(t),) + tuple(u)
+            base = (complex(t),) + tuple(complex(x) for x in u)
             tj = Jet.variable(0, base, order)
             uj = [Jet.variable(1 + j, base, order) for j in range(self.m)]
             out = [v if isinstance(v, Jet) else Jet.constant(v, base, order)
@@ -237,12 +312,9 @@ class CoefficientField:
         return np.array(self._eval(self._b, t, u))
 
 
-def _apply_single(letter: str, f: list[Jet], a_jets: list[Jet], b_jets: list[Jet]) -> list[Jet]:
-    order = f[0].order - 1
-    if order < 0:
-        raise JetOrderError("operator application exhausted the jet order")
-    coeff = a_jets if letter == "L0" else b_jets
-    coeff = [c.truncate(order) for c in coeff]
+def _apply_single(letter: str, f: list[Jet], coeff: list[Jet]) -> list[Jet]:
+    """One letter applied to the jets `f`, with the field's `a` (L0) or `b`
+    (L1) jets already truncated to the result's order as `coeff`."""
     out = []
     for fi in f:
         g = fi.partial(0) if letter == "L0" else None
@@ -253,6 +325,25 @@ def _apply_single(letter: str, f: list[Jet], a_jets: list[Jet], b_jets: list[Jet
     return out
 
 
+@lru_cache(maxsize=64)
+def _word_plan(pairs: tuple) -> tuple[tuple[str, tuple[str, ...], int], ...]:
+    """Every sub-word jet that `pairs` needs, as ``(target, word, order)``
+    with shorter words first.  A jet keeps only the order that the longest
+    requested word built on it still consumes."""
+    need: dict[tuple, int] = {}
+    for target, word in pairs:
+        if target not in ("a", "b"):
+            raise ValueError("target must be 'a' or 'b'")
+        for w in word:
+            if w not in ("L0", "L1"):
+                raise ValueError(f"unknown operator letter {w!r}")
+        for i in range(len(word) + 1):
+            key = (target, word[i:])
+            need[key] = max(need.get(key, 0), i)
+    return tuple(sorted(((target, word, r) for (target, word), r in need.items()),
+                        key=lambda s: len(s[1])))
+
+
 def operator_values(field: CoefficientField,
                     pairs: Iterable[tuple[str, Sequence[str]]], t, u) -> dict:
     """Evaluate ``L^{w_1} ... L^{w_n}`` applied to `a` or `b` at ``(t, u)``
@@ -261,32 +352,35 @@ def operator_values(field: CoefficientField,
     Words are written operator-first: ``("L1", "L0")`` computes
     ``L1(L0(target))``, and an empty word gives the target itself.  All
     pairs share one set of base jets (of the longest word's order) and the
-    jets of common sub-words.  Returns ``{(target, op_word): values}`` with
-    `op_word` as a tuple.
+    jets of common sub-words, each truncated to the order still needed on
+    top of it; truncation commutes with every jet operation, so the values
+    are those of a full-order evaluation, bit for bit.  Returns
+    ``{(target, op_word): values}`` with `op_word` as a tuple.
     """
-    pairs = list(dict.fromkeys((target, tuple(word)) for target, word in pairs))
-    for target, word in pairs:
-        if target not in ("a", "b"):
-            raise ValueError("target must be 'a' or 'b'")
-        for w in word:
-            if w not in ("L0", "L1"):
-                raise ValueError(f"unknown operator letter {w!r}")
+    pairs = tuple(dict.fromkeys((target, tuple(word)) for target, word in pairs))
+    plan = _word_plan(pairs)
     order = max((len(word) for _, word in pairs), default=0)
     if order == 0:
         return {(target, ()): field.a_values(t, u) if target == "a" else field.b_values(t, u)
                 for target, _ in pairs}
-    a_jets = field.a_jets(t, u, order)
-    b_jets = field.b_jets(t, u, order)
-    memo: dict[tuple, list[Jet]] = {("a", ()): a_jets, ("b", ()): b_jets}
+    full = {"a": field.a_jets(t, u, order), "b": field.b_jets(t, u, order)}
+    truncated: dict[tuple, list[Jet]] = {}
 
-    def jets_for(target: str, word: tuple[str, ...]) -> list[Jet]:
-        key = (target, word)
-        if key not in memo:
-            memo[key] = _apply_single(word[0], jets_for(target, word[1:]), a_jets, b_jets)
-        return memo[key]
+    def base(target: str, r: int) -> list[Jet]:
+        if (target, r) not in truncated:
+            truncated[target, r] = [j.truncate(r) for j in full[target]]
+        return truncated[target, r]
 
-    return {(target, word): np.array([j.value for j in jets_for(target, word)])
-            for target, word in pairs}
+    jets: dict[tuple, list[Jet]] = {}
+    for target, word, r in plan:
+        if word:
+            f = [fi.truncate(r + 1) for fi in jets[target, word[1:]]]
+            jets[target, word] = _apply_single(word[0], f,
+                                               base("a" if word[0] == "L0" else "b", r))
+        else:
+            jets[target, word] = base(target, r)
+    values = np.array([[j.value for j in jets[key]] for key in pairs], dtype=complex)
+    return dict(zip(pairs, values))
 
 
 # -- built-in example fields -------------------------------------------------

@@ -47,6 +47,7 @@ __all__ = [
     "big_v",
     "v_norm",
     "phase_average",
+    "eval_shifted_all",
     "oscillating_monomial",
     "integration_call_count",
 ]
@@ -250,21 +251,50 @@ class BasisPoly:
 
     def eval_shifted(self, osc: OscillatorSpec, dt: float, t_ref: float) -> complex:
         """Evaluate at t = t_ref + dt with the phase anchored at t_ref."""
-        z = cmath.exp(1j * (osc.omega * t_ref + osc.phi))
-        out = 0.0 + 0.0j
-        for (p, k, q, n, m), c in self.terms:
-            val = c
+        return eval_shifted_all((self,), osc, dt, t_ref)[0]
+
+
+def eval_shifted_all(polys, osc: OscillatorSpec, dt: float, t_ref: float) -> list[complex]:
+    """Every basis polynomial of `polys` at t = t_ref + dt, the phase
+    anchored at t_ref.
+
+    The factors dt^p, exp(i k omega dt), Z^q and omega^-(n + m nu) are
+    computed once per exponent and shared by all terms; each term is still
+    the product c * dt^p * e^(ik omega dt) * Z^q * omega^-(..) taken left to
+    right, skipping unit factors, and each polynomial sums its terms in
+    order, so the result does not depend on which polynomials share a call.
+    """
+    omega, nu = osc.omega, osc.nu
+    z = cmath.exp(1j * (omega * t_ref + osc.phi))
+    dt_pow, wave, z_pow, scale = {}, {}, {}, {}
+    out = []
+    for poly in polys:
+        total = 0.0 + 0.0j
+        for (p, k, q, n, m), val in poly.terms:
             if p:
-                val *= dt ** p
+                f = dt_pow.get(p)
+                if f is None:
+                    f = dt_pow[p] = dt ** p
+                val *= f
             if k:
-                val *= cmath.exp(1j * k * osc.omega * dt)
+                f = wave.get(k)
+                if f is None:
+                    f = wave[k] = cmath.exp(1j * k * omega * dt)
+                val *= f
             if q:
-                val *= z ** q
-            expo = n + m * osc.nu
+                f = z_pow.get(q)
+                if f is None:
+                    f = z_pow[q] = z ** q
+                val *= f
+            expo = n + m * nu
             if expo:
-                val *= osc.omega ** (-expo)
-            out += val
-        return out
+                f = scale.get(expo)
+                if f is None:
+                    f = scale[expo] = omega ** (-expo)
+                val *= f
+            total += val
+        out.append(total)
+    return out
 
 
 def v_poly(osc: OscillatorSpec) -> BasisPoly:

@@ -19,13 +19,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import NumericStepError
 from .jets import CoefficientField, operator_values
-from .oscillator import BasisPoly, OscillatorSpec, phase_average
+from .oscillator import BasisPoly, OscillatorSpec, eval_shifted_all, phase_average
 from .terms import RETENTION_TOL, TruncationPolicy, Word, enumerate_words, word_primitive
 
 __all__ = [
@@ -53,6 +53,12 @@ class SchemeEntry:
     op_word: tuple[str, ...]
     target: str
     coeff: BasisPoly
+
+    @cached_property
+    def _phase_averaged(self) -> "SchemeEntry":
+        """This entry with its coefficient phase-averaged, built on first
+        use; every table rebuilt from the same cache shares it."""
+        return replace(self, coeff=phase_average(self.coeff))
 
 
 @dataclass(frozen=True)
@@ -146,25 +152,28 @@ def bound_R22(inp: BoundInputs) -> float:
 
 def step(scheme: SchemeTable, field: CoefficientField, t_n: float, u_n,
          h: float) -> StepResult:
-    """One macro step from (t_n, u_n) over [t_n, t_n + h]."""
+    """One macro step from (t_n, u_n) over [t_n, t_n + h].
+
+    Each entry contributes its coefficient times its operator value; the
+    contributions are added to u_n one at a time in table order.
+    """
     if h < 0:
         raise ValueError("step size must be non-negative")
     u_n = np.asarray(u_n, dtype=complex)
     if u_n.shape != (field.m,):
         raise ValueError(f"state must have shape ({field.m},)")
-    osc = scheme.oscillator
-    values = operator_values(field, [(e.target, e.op_word) for e in scheme.entries],
-                             t_n, u_n)
-    contributions = []
-    u_next = u_n.copy()
-    for e in scheme.entries:
-        c = e.coeff.eval_shifted(osc, h, t_n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            contrib = c * values[(e.target, e.op_word)]
-        if not np.all(np.isfinite(contrib.view(float))):
-            raise NumericStepError(f"non-finite contribution from term {e.word}")
-        contributions.append(contrib)
-        u_next = u_next + contrib
+    entries = scheme.entries
+    keys = [(e.target, e.op_word) for e in entries]
+    values = operator_values(field, keys, t_n, u_n)
+    coeffs = eval_shifted_all([e.coeff for e in entries], scheme.oscillator, h, t_n)
+    stacked = np.array([values[key] for key in keys], dtype=complex).reshape(-1, field.m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        contributions = np.array(coeffs, dtype=complex)[:, None] * stacked
+    finite = np.isfinite(contributions.view(float)).all(axis=1)
+    if not finite.all():
+        bad = entries[int(np.argmin(finite))]
+        raise NumericStepError(f"non-finite contribution from term {bad.word}")
+    u_next = np.add.accumulate(np.vstack([u_n, contributions]))[-1]
     return StepResult(u_next=u_next, t_next=t_n + h,
                       contributions=tuple(contributions))
 
@@ -173,7 +182,7 @@ def step_phase_averaged(scheme: SchemeTable, field: CoefficientField, t_n: float
                         u_n, h: float) -> StepResult:
     """One macro step with every coefficient averaged over the oscillator
     phase; terms whose integral carries no phase-free part drop out."""
-    entries = tuple(replace(e, coeff=phase_average(e.coeff)) for e in scheme.entries)
+    entries = tuple(e._phase_averaged for e in scheme.entries)
     return step(replace(scheme, entries=entries), field, t_n, u_n, h)
 
 

@@ -182,12 +182,53 @@ class TestErrorBoundary:
         code, out, _ = run(capsys, "step", *self.POLICY, "--t0", "2", "--oracle", "rk4")
         assert code == 0 and out.startswith("t_next,u_next")
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "row.csv"
+        self.assert_one_line_error(*run(capsys, "step", *self.POLICY, "--out", str(target)), 2)
+        assert not target.exists()
+
+    @pytest.mark.parametrize("argv", [("converge", "--h-list", "0.2,0.1,0.05"),
+                                      ("bounds", "--h-list", "0.2,0.1", "--omega-list", "50")],
+                             ids=["converge", "bounds"])
+    def test_h_unused_by_list_commands(self, capsys, argv):
+        # converge and bounds step by --h-list, so --h 0 is not an error there
+        code, out, err = run(capsys, argv[0], *self.POLICY, "--h", "0", *argv[1:])
+        assert code == 0 and err == "" and out
+
     def test_json_out_writes_file(self, capsys, tmp_path):
         path, cfg = tmp_path / "row.csv", tmp_path / "run.json"
         cfg.write_text(json.dumps({"kappa": 4, "rho": 2, "out": str(path)}))
         code, out, _ = run(capsys, "step", "--config", str(cfg))
         assert code == 0 and out == ""
         assert path.read_text().startswith("t_next,u_next")
+
+
+class TestParser:
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{step,solve,converge,termcount,bounds,stochastic-check}" in out
+
+    def test_only_the_chosen_command_is_built(self, capsys, monkeypatch):
+        import oscistep.cli as cli
+
+        def refuse(parser):
+            raise AssertionError("arguments of an unused command were built")
+
+        for name, (_, runner) in list(cli.COMMANDS.items()):
+            if name != "termcount":
+                monkeypatch.setitem(cli.COMMANDS, name, (refuse, runner))
+        code, out, _ = run(capsys, "termcount", "--kappa", "4", "--rho", "2")
+        assert code == 0 and out.startswith("kappa,rho")
+
+    def test_usage_errors_exit_2(self, capsys):
+        for argv in ([], ["no-such-command"], ["termcount", "--kappa", "4"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert "usage: oscistep" in capsys.readouterr().err
 
 
 class TestSolveCommand:

@@ -63,6 +63,24 @@ class TestJetArithmetic:
         with pytest.raises(TypeError):
             u ** 0.5
 
+    def test_multi_indices_are_tuples_at_the_boundary(self):
+        base = (0.5, 2.0, -1.0)
+        f = var(0, base, 3) * var(1, base, 3) ** 2 + var(2, base, 3)
+        assert all(isinstance(a, tuple) and len(a) == 3 for a in f.coeffs)
+        assert f.coefficient((1, 1, 0)) == 4.0 and f.derivative((1, 2, 0)) == 2.0
+        # indices no jet of three variables holds read as zero
+        assert f.coefficient((1, 1)) == 0 and f.coefficient((-1, 2, 0)) == 0
+        g = Jet(base, 3, f.coeffs)
+        assert g.coeffs == f.coeffs and list(g.coeffs) == list(f.coeffs)
+
+    def test_constructor_rejects_what_it_cannot_store(self):
+        with pytest.raises(ValueError, match="multi-index"):
+            Jet((0.0, 1.0), 2, {(1,): 1.0})
+        with pytest.raises(ValueError, match="multi-index"):
+            Jet((0.0,), 2, {(-1,): 1.0})
+        with pytest.raises(ValueError, match="order"):
+            Jet((0.0,), 10 ** 6, {})
+
     def test_partial_of_order_zero_jet_raises(self):
         x = var(0, (1.0, 2.0), 1)
         assert x.partial(0).order == 0

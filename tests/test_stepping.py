@@ -9,7 +9,8 @@ from oscistep import (BoundInputs, NumericStepError,
                       TruncationPolicy, bound_R11, bound_R22, build_scheme,
                       builtin_field, estimate_coefficient_bound, big_v,
                       exact_exp_macro, integration_call_count, make_field,
-                      make_oscillator, solve, step, step_phase_averaged)
+                      make_oscillator, phase_average, solve, step,
+                      step_phase_averaged)
 
 
 def pol(kappa, rho, nu=0.0):
@@ -223,6 +224,29 @@ class TestPhaseAveraging:
                 + alpha ** 3 * u0 * h ** 3 / 6 + alpha ** 4 * u0 * h ** 4 / 24
                 + 2 * mu * mu * u0 ** 3 * (1 - math.cos(om * h)) / (2 * om * om))
         assert got == pytest.approx(want, rel=1e-14)
+
+    def test_averaged_coefficients_built_once_per_cached_table(self, monkeypatch):
+        import oscistep.stepping as stepping
+        calls = []
+
+        def counting(poly):
+            calls.append(poly)
+            return phase_average(poly)
+
+        monkeypatch.setattr(stepping, "phase_average", counting)
+        f = builtin_field("nonlinear", alpha=0.3, mu=2.0)
+        # a Fourier structure no other test builds, so its entries start cold
+        o = make_oscillator("fourier", 70.0, phi=0.4, coeffs={1: 0.5, -1: 0.5, 3: 0.1j})
+        sch = build_scheme(o, pol(4, 2))
+        first = step_phase_averaged(sch, f, 0.3, u1(0.9), 0.1)
+        assert len(calls) == len(sch.entries)
+        again = step_phase_averaged(sch, f, 0.3, u1(0.9), 0.1)
+        # a rebuild at another phase hits the scheme cache and its entries
+        rebuilt = build_scheme(make_oscillator("fourier", 70.0, phi=1.3,
+                                               coeffs={1: 0.5, -1: 0.5, 3: 0.1j}), pol(4, 2))
+        step_phase_averaged(rebuilt, f, 0.3, u1(0.9), 0.1)
+        assert len(calls) == len(sch.entries)
+        assert again.u_next.tolist() == first.u_next.tolist()
 
     def test_monte_carlo_phase_mean(self):
         rng = np.random.default_rng(101)
