@@ -60,9 +60,9 @@ _MASK = (1 << _BITS) - 1
 _MAX_ORDER = (1 << (_BITS - 1)) - 1
 
 
-def _pack(alpha, nvars: int) -> int | None:
+@lru_cache(maxsize=4096)
+def _pack(alpha: tuple, nvars: int) -> int | None:
     """The packed key of a multi-index, or None if no jet can store it."""
-    alpha = tuple(alpha)
     if len(alpha) != nvars or not all(a == int(a) and 0 <= a <= _MASK for a in alpha):
         return None
     key = int(sum(alpha)) << (_BITS * nvars)
@@ -71,6 +71,7 @@ def _pack(alpha, nvars: int) -> int | None:
     return key
 
 
+@lru_cache(maxsize=4096)
 def _unpack(key: int, nvars: int) -> tuple[int, ...]:
     return tuple((key >> (_BITS * i)) & _MASK for i in range(nvars))
 
@@ -104,7 +105,7 @@ class Jet:
             raise ValueError(f"jet order {self.order} exceeds {_MAX_ORDER}")
         terms = {}
         for alpha, c in coeffs.items():
-            key = _pack(alpha, self.nvars)
+            key = _pack(tuple(alpha), self.nvars)
             if key is None:
                 raise ValueError(f"multi-index {alpha!r} does not fit {self.nvars} variables")
             if c != 0:
@@ -121,17 +122,17 @@ class Jet:
 
     @classmethod
     def constant(cls, value, base, order):
-        return cls(base, order, {tuple(0 for _ in base): complex(value)})
+        value = complex(value)
+        return cls(base, order, {})._like({0: value} if value != 0 else {})
 
     @classmethod
     def variable(cls, index, base, order):
         """The jet of the coordinate ``x_index`` itself."""
-        zero = tuple(0 for _ in base)
-        unit = tuple(1 if i == index else 0 for i in range(len(base)))
-        coeffs = {zero: complex(base[index])}
+        jet = cls(base, order, {})
+        terms = {0: complex(jet.base[index])}
         if order >= 1:
-            coeffs[unit] = 1.0 + 0.0j
-        return cls(base, order, coeffs)
+            terms[(1 << (_BITS * jet.nvars)) | (1 << (_BITS * index))] = 1.0 + 0.0j
+        return jet._like(_nonzero(terms))
 
     @property
     def coeffs(self) -> dict[tuple[int, ...], complex]:
@@ -143,7 +144,7 @@ class Jet:
         return self._terms.get(0, 0.0 + 0.0j)
 
     def coefficient(self, alpha) -> complex:
-        key = _pack(alpha, self.nvars)
+        key = _pack(tuple(alpha), self.nvars)
         return 0.0 + 0.0j if key is None else self._terms.get(key, 0.0 + 0.0j)
 
     def derivative(self, alpha) -> complex:
@@ -163,6 +164,8 @@ class Jet:
         """d/dx_index as a jet of one order lower."""
         if self.order < 1:
             raise JetOrderError("cannot differentiate an order-0 jet")
+        if not 0 <= index < self.nvars:
+            raise IndexError(f"jet has no variable {index}")
         shift, top = _BITS * index, _BITS * self.nvars
         unit = (1 << top) | (1 << shift)
         cap = (self.order + 1) << top
@@ -186,8 +189,7 @@ class Jet:
         if isinstance(other, Jet):
             self._check(other)
             return other
-        value = complex(other)
-        return self._like({0: value} if value != 0 else {})
+        return Jet.constant(other, self.base, self.order)
 
     def __add__(self, other):
         other = self._coerce(other)
