@@ -1,8 +1,9 @@
 """The fast step reproduces the plain reference step bit for bit.
 
-``seed_reference`` evaluates the same tables with tuple-keyed jets,
+``reference_step`` evaluates the same tables with tuple-keyed jets,
 one coefficient at a time and one contribution at a time.  Outputs are
-compared by ``repr``, so a changed rounding or sign of zero fails.
+compared by the ``repr`` of their Python values, so a changed rounding or
+sign of zero fails.
 """
 
 import warnings
@@ -10,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-import seed_reference as ref
+import reference_step as ref
 from oscistep import (Jet, TruncationPolicy, build_scheme, builtin_field, enumerate_words,
                       make_field, make_oscillator, operator_values, step,
                       step_phase_averaged)
