@@ -19,9 +19,16 @@ series; each application costs one order of the jet.  Words over
 Inside a jet each multi-index is one packed integer: component i in bits
 [16 i, 16 i + 16) and the total degree above all components.  Adding two
 keys adds the multi-indices and their degrees, the truncation test of a
-product is one integer comparison, and ``partial`` subtracts a unit key.
-The public ``coeffs``, ``coefficient`` and ``derivative`` still take and
-give tuples.
+product is one integer comparison, and a partial derivative subtracts a
+unit key.  The public ``coeffs``, ``coefficient`` and ``derivative`` still
+take and give tuples.
+
+The arithmetic is one set of kernels on packed-key dicts: ``_mul``,
+``_partial`` and ``_add``.  :class:`Jet` is a thin wrapper that checks
+base points and orders and calls them.  :class:`WordPlan` compiles a list
+of ``(target, op_word)`` pairs once into a flat instruction list, and each
+evaluation runs that list on the field's jets with no intermediate
+``Jet`` objects.
 
 The packing changes no arithmetic.  Every operation visits coefficients
 in the same order as the plain tuple-keyed definition (dicts keep their
@@ -46,6 +53,7 @@ __all__ = [
     "Jet",
     "CoefficientField",
     "operator_values",
+    "WordPlan",
     "make_field",
     "builtin_field",
     "BUILTIN_FIELDS",
@@ -81,6 +89,49 @@ def _nonzero(terms: dict) -> dict:
     if 0 in terms.values():
         return {k: c for k, c in terms.items() if c}
     return terms
+
+
+# -- kernels on packed-key dicts ----------------------------------------------
+
+def _mul(x: dict, y: dict, cap: int) -> dict:
+    """The product of two series, without keys at or above `cap`."""
+    out = {}
+    get = out.get
+    theirs = y.items()
+    for ka, ca in x.items():
+        room = cap - ka
+        for kb, cb in theirs:
+            if kb < room:
+                key = ka + kb
+                out[key] = get(key, 0.0) + ca * cb
+    return _nonzero(out)
+
+
+def _partial(x: dict, shift: int, unit: int, cap: int) -> dict:
+    """d/dx of a series, where x sits at bit `shift` and has the unit key
+    `unit`; only keys below `cap` are differentiated, so the result is that
+    of the series truncated there first."""
+    out = {}
+    for k, c in x.items():
+        n = (k >> shift) & _MASK
+        if n and k < cap:
+            out[k - unit] = c * n
+    return out
+
+
+def _add(x: dict, y: dict) -> dict:
+    """The sum of two series; `x` is updated in place and may be returned."""
+    get = x.get
+    for k, c in y.items():
+        x[k] = get(k, 0.0) + c
+    return _nonzero(x)
+
+
+@lru_cache(maxsize=64)
+def _units(nvars: int) -> tuple[tuple[int, int], ...]:
+    """``(shift, unit key)`` of each variable, as `_partial` takes them."""
+    top = _BITS * nvars
+    return tuple((_BITS * i, (1 << top) | (1 << (_BITS * i))) for i in range(nvars))
 
 
 class Jet:
@@ -166,15 +217,9 @@ class Jet:
             raise JetOrderError("cannot differentiate an order-0 jet")
         if not 0 <= index < self.nvars:
             raise IndexError(f"jet has no variable {index}")
-        shift, top = _BITS * index, _BITS * self.nvars
-        unit = (1 << top) | (1 << shift)
-        cap = (self.order + 1) << top
-        out = {}
-        for k, c in self._terms.items():
-            n = (k >> shift) & _MASK
-            if n and k < cap:
-                out[k - unit] = c * n
-        return self._like(out, self.order - 1)
+        cap = (self.order + 1) << (_BITS * self.nvars)
+        return self._like(_partial(self._terms, *_units(self.nvars)[index], cap),
+                          self.order - 1)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -192,12 +237,7 @@ class Jet:
         return Jet.constant(other, self.base, self.order)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self._terms)
-        get = out.get
-        for k, c in other._terms.items():
-            out[k] = get(k, 0.0) + c
-        return self._like(_nonzero(out))
+        return self._like(_add(dict(self._terms), self._coerce(other)._terms))
 
     __radd__ = __add__
 
@@ -215,17 +255,8 @@ class Jet:
             return self._like({k: complex(v) for k, c in self._terms.items()
                                if (v := c * other) != 0})
         self._check(other)
-        out = {}
-        get = out.get
-        cap = (self.order + 1) << (_BITS * self.nvars)
-        theirs = other._terms.items()
-        for ka, ca in self._terms.items():
-            room = cap - ka
-            for kb, cb in theirs:
-                if kb < room:
-                    key = ka + kb
-                    out[key] = get(key, 0.0) + ca * cb
-        return self._like(_nonzero(out))
+        return self._like(_mul(self._terms, other._terms,
+                               (self.order + 1) << (_BITS * self.nvars)))
 
     __rmul__ = __mul__
 
@@ -314,36 +345,87 @@ class CoefficientField:
         return np.array(self._eval(self._b, t, u))
 
 
-def _apply_single(letter: str, f: list[Jet], coeff: list[Jet]) -> list[Jet]:
-    """One letter applied to the jets `f`, with the field's `a` (L0) or `b`
-    (L1) jets already truncated to the result's order as `coeff`."""
-    out = []
-    for fi in f:
-        g = fi.partial(0) if letter == "L0" else None
-        for j, cj in enumerate(coeff):
-            term = cj * fi.partial(1 + j)
-            g = term if g is None else g + term
-        out.append(g)
-    return out
+class WordPlan:
+    """Compiled evaluation of ``L^{w_1} ... L^{w_n}`` applied to `a` or `b`
+    for every ``(target, op_word)`` of `pairs` (see :func:`operator_values`).
+
+    Compiling finds every sub-word jet the pairs need and the order it
+    keeps: only what the longest word built on it still consumes.  The
+    result is a flat list of instructions ``(parent slot, letter is L0,
+    order, coefficient base)``, shorter words first; slots 0 and 1 hold the
+    field's `a` and `b` jets.  Each coefficient base is `a` or `b`
+    truncated to one order.  The derivative of the parent is capped one
+    order above the result, which does what truncating the parent would.
+    """
+
+    def __init__(self, pairs):
+        pairs = tuple((target, tuple(word)) for target, word in pairs)
+        need: dict[tuple, int] = {}
+        for target, word in pairs:
+            if target not in ("a", "b"):
+                raise ValueError("target must be 'a' or 'b'")
+            for w in word:
+                if w not in ("L0", "L1"):
+                    raise ValueError(f"unknown operator letter {w!r}")
+            for i in range(len(word) + 1):
+                key = (target, word[i:])
+                need[key] = max(need.get(key, 0), i)
+        self.order = max((len(word) for _, word in pairs), default=0)
+        slots = {("a", ()): 0, ("b", ()): 1}
+        bases: list[tuple[str, int]] = []
+        program = []
+        for target, word in sorted(need, key=lambda s: len(s[1])):
+            if not word:
+                continue
+            r = need[target, word]
+            base = ("a" if word[0] == "L0" else "b", r)
+            if base not in bases:
+                bases.append(base)
+            program.append((slots[target, word[1:]], word[0] == "L0", r, bases.index(base)))
+            slots[target, word] = 1 + len(program)
+        self.bases = tuple(bases)
+        self.program = tuple(program)
+        self.outputs = tuple(slots[pair] for pair in pairs)
+
+    def __call__(self, field: CoefficientField, t, u) -> np.ndarray:
+        """The values at ``(t, u)``: one row of `field.m` per pair."""
+        if self.order == 0:
+            # no derivatives: the field itself, on plain numbers
+            slots = {}
+            for i in dict.fromkeys(self.outputs):
+                slots[i] = field.a_values(t, u) if i == 0 else field.b_values(t, u)
+            rows = [slots[i] for i in self.outputs]
+        else:
+            slots = self._jets(field, t, u)
+            rows = [[x.get(0, 0.0 + 0.0j) for x in slots[i]] for i in self.outputs]
+        return np.array(rows, dtype=complex).reshape(-1, field.m)
+
+    def _jets(self, field: CoefficientField, t, u) -> list[list[dict]]:
+        """Every slot's jets, as packed-key dicts, one per component."""
+        a = [j._terms for j in field.a_jets(t, u, self.order)]
+        b = [j._terms for j in field.b_jets(t, u, self.order)]
+        units = _units(field.m + 1)
+        top = _BITS * (field.m + 1)
+        caps = [(r + 1) << top for r in range(self.order + 1)]
+        bases = [[{k: c for k, c in x.items() if k < caps[r]} for x in (a if target == "a" else b)]
+                 for target, r in self.bases]
+        slots = [a, b]
+        for parent, l0, r, base in self.program:
+            cap, below = caps[r + 1], caps[r]
+            out = []
+            for f in slots[parent]:
+                g = _partial(f, *units[0], cap) if l0 else None
+                for j, cj in enumerate(bases[base], 1):
+                    term = _mul(cj, _partial(f, *units[j], cap), below)
+                    g = term if g is None else _add(g, term)
+                out.append(g)
+            slots.append(out)
+        return slots
 
 
 @lru_cache(maxsize=64)
-def _word_plan(pairs: tuple) -> tuple[tuple[str, tuple[str, ...], int], ...]:
-    """Every sub-word jet that `pairs` needs, as ``(target, word, order)``
-    with shorter words first.  A jet keeps only the order that the longest
-    requested word built on it still consumes."""
-    need: dict[tuple, int] = {}
-    for target, word in pairs:
-        if target not in ("a", "b"):
-            raise ValueError("target must be 'a' or 'b'")
-        for w in word:
-            if w not in ("L0", "L1"):
-                raise ValueError(f"unknown operator letter {w!r}")
-        for i in range(len(word) + 1):
-            key = (target, word[i:])
-            need[key] = max(need.get(key, 0), i)
-    return tuple(sorted(((target, word, r) for (target, word), r in need.items()),
-                        key=lambda s: len(s[1])))
+def _word_plan(pairs: tuple) -> WordPlan:
+    return WordPlan(pairs)
 
 
 def operator_values(field: CoefficientField,
@@ -360,29 +442,7 @@ def operator_values(field: CoefficientField,
     ``{(target, op_word): values}`` with `op_word` as a tuple.
     """
     pairs = tuple(dict.fromkeys((target, tuple(word)) for target, word in pairs))
-    plan = _word_plan(pairs)
-    order = max((len(word) for _, word in pairs), default=0)
-    if order == 0:
-        return {(target, ()): field.a_values(t, u) if target == "a" else field.b_values(t, u)
-                for target, _ in pairs}
-    full = {"a": field.a_jets(t, u, order), "b": field.b_jets(t, u, order)}
-    truncated: dict[tuple, list[Jet]] = {}
-
-    def base(target: str, r: int) -> list[Jet]:
-        if (target, r) not in truncated:
-            truncated[target, r] = [j.truncate(r) for j in full[target]]
-        return truncated[target, r]
-
-    jets: dict[tuple, list[Jet]] = {}
-    for target, word, r in plan:
-        if word:
-            f = [fi.truncate(r + 1) for fi in jets[target, word[1:]]]
-            jets[target, word] = _apply_single(word[0], f,
-                                               base("a" if word[0] == "L0" else "b", r))
-        else:
-            jets[target, word] = base(target, r)
-    values = np.array([[j.value for j in jets[key]] for key in pairs], dtype=complex)
-    return dict(zip(pairs, values))
+    return dict(zip(pairs, _word_plan(pairs)(field, t, u)))
 
 
 # -- built-in example fields -------------------------------------------------

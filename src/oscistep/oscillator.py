@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -47,7 +48,7 @@ __all__ = [
     "big_v",
     "v_norm",
     "phase_average",
-    "eval_shifted_all",
+    "TermPlan",
     "oscillating_monomial",
     "integration_call_count",
 ]
@@ -163,8 +164,8 @@ class BasisPoly:
 
     @staticmethod
     def from_dict(d: Mapping[Key, complex]) -> "BasisPoly":
-        items = tuple(sorted((k, complex(c)) for k, c in d.items() if complex(c) != 0))
-        return BasisPoly(items)
+        items = [(k, c) for k, c in zip(d, map(complex, d.values())) if c != 0]
+        return BasisPoly(tuple(sorted(items)))
 
     @staticmethod
     def one() -> "BasisPoly":
@@ -200,6 +201,10 @@ class BasisPoly:
 
     def antiderivative(self) -> "BasisPoly":
         """Termwise antiderivative in tau with integration constant zero."""
+        return BasisPoly.from_dict(self._antiderivative_terms())
+
+    def _antiderivative_terms(self) -> dict[Key, complex]:
+        """The antiderivative's coefficients, unsorted and zeros kept."""
         global _INTEGRATION_CALLS
         _INTEGRATION_CALLS += 1
         out: dict[Key, complex] = {}
@@ -217,7 +222,7 @@ class BasisPoly:
                     fac *= -1j / k          # one factor 1/(ik) per level
                     coef = c * fac * math.perm(p, j) * (-1.0) ** j
                     add((p - j, k, q, n + j + 1, m), coef)
-        return BasisPoly.from_dict(out)
+        return out
 
     def derivative(self) -> "BasisPoly":
         out: dict[Key, complex] = {}
@@ -240,9 +245,23 @@ class BasisPoly:
         return BasisPoly.from_dict(out)
 
     def definite_from_ref(self) -> "BasisPoly":
-        """Antiderivative vanishing at tau = 0."""
-        prim = self.antiderivative()
-        return prim - prim.value_at_ref()
+        """Antiderivative vanishing at tau = 0.
+
+        Bit for bit ``prim - prim.value_at_ref()`` with ``prim =
+        self.antiderivative()``, in one dict and one final sort: the tau = 0
+        value is summed over prim's terms in sorted order and subtracted as
+        ``+ c * -1.0``, as those methods do.  Exact zeros, which prim drops,
+        change neither: a sum started from 0j ignores them, and an
+        antiderivative has no k = 0 term at tau^0 for the anchor to meet.
+        """
+        out = self._antiderivative_terms()
+        anchor: dict[Key, complex] = {}
+        for (_, _, q, n, m), c in sorted(item for item in out.items() if item[0][0] == 0):
+            key = (0, 0, q, n, m)
+            anchor[key] = anchor.get(key, 0j) + c
+        for key, c in anchor.items():
+            out[key] = out.get(key, 0j) + c * -1.0
+        return BasisPoly.from_dict(out)
 
     def filtered(self, keep: Callable[[Key], bool]) -> "BasisPoly":
         return BasisPoly.from_dict({k: c for k, c in self.terms if keep(k)})
@@ -251,50 +270,95 @@ class BasisPoly:
 
     def eval_shifted(self, osc: OscillatorSpec, dt: float, t_ref: float) -> complex:
         """Evaluate at t = t_ref + dt with the phase anchored at t_ref."""
-        return eval_shifted_all((self,), osc, dt, t_ref)[0]
+        return self._plan(osc, dt, t_ref)[0]
+
+    @cached_property
+    def _plan(self) -> "TermPlan":
+        return TermPlan((self,))
 
 
-def eval_shifted_all(polys, osc: OscillatorSpec, dt: float, t_ref: float) -> list[complex]:
-    """Every basis polynomial of `polys` at t = t_ref + dt, the phase
-    anchored at t_ref.
+class TermPlan:
+    """Basis polynomials compiled for evaluation at t = t_ref + dt, the
+    phase anchored at t_ref.
 
-    The factors dt^p, exp(i k omega dt), Z^q and omega^-(n + m nu) are
-    computed once per exponent and shared by all terms; each term is still
+    Compiling lists the distinct p, k, q and omega exponents n + m nu (the
+    last per nu, on first use) and gives each term its coefficient and the
+    indices of its factors.  An evaluation computes each factor dt^p,
+    exp(i k omega dt), Z^q and omega^-(n + m nu) once; each term is still
     the product c * dt^p * e^(ik omega dt) * Z^q * omega^-(..) taken left to
     right, skipping unit factors, and each polynomial sums its terms in
-    order, so the result does not depend on which polynomials share a call.
+    order, so the result does not depend on which polynomials share a plan.
     """
-    omega, nu = osc.omega, osc.nu
-    z = cmath.exp(1j * (omega * t_ref + osc.phi))
-    dt_pow, wave, z_pow, scale = {}, {}, {}, {}
-    out = []
-    for poly in polys:
-        total = 0.0 + 0.0j
-        for (p, k, q, n, m), val in poly.terms:
-            if p:
-                f = dt_pow.get(p)
-                if f is None:
-                    f = dt_pow[p] = dt ** p
-                val *= f
-            if k:
-                f = wave.get(k)
-                if f is None:
-                    f = wave[k] = cmath.exp(1j * k * omega * dt)
-                val *= f
-            if q:
-                f = z_pow.get(q)
-                if f is None:
-                    f = z_pow[q] = z ** q
-                val *= f
-            expo = n + m * nu
-            if expo:
-                f = scale.get(expo)
-                if f is None:
-                    f = scale[expo] = omega ** (-expo)
-                val *= f
-            total += val
-        out.append(total)
-    return out
+
+    def __init__(self, polys):
+        self._polys = tuple(poly.terms for poly in polys)
+        # the distinct p, k and q, each with its place among its kind
+        self._ps: dict[int, int] = {}
+        self._ks: dict[int, int] = {}
+        self._qs: dict[int, int] = {}
+        for terms in self._polys:
+            for (p, k, q, _, _), _ in terms:
+                if p:
+                    self._ps.setdefault(p, len(self._ps))
+                if k:
+                    self._ks.setdefault(k, len(self._ks))
+                if q:
+                    self._qs.setdefault(q, len(self._qs))
+        self._by_nu: dict[float, tuple] = {}
+
+    def _compile(self, nu: float) -> tuple:
+        """The omega exponents at `nu` and every polynomial's terms as
+        ``(coefficient, factor indices)``; the factors are listed by kind in
+        the order dt^p, e^(ik omega dt), Z^q, omega^-(n + m nu)."""
+        ps, ks, qs = self._ps, self._ks, self._qs
+        k0 = len(ps)
+        q0 = k0 + len(ks)
+        e0 = q0 + len(qs)
+        expos: dict[float, int] = {}
+        polys = []
+        for terms in self._polys:
+            compiled = []
+            for (p, k, q, n, m), c in terms:
+                idx = []
+                if p:
+                    idx.append(ps[p])
+                if k:
+                    idx.append(k0 + ks[k])
+                if q:
+                    idx.append(q0 + qs[q])
+                expo = n + m * nu
+                if expo:
+                    idx.append(e0 + expos.setdefault(expo, len(expos)))
+                compiled.append((c, tuple(idx)))
+            polys.append(tuple(compiled))
+        self._by_nu[nu] = out = (tuple(expos), tuple(polys))
+        return out
+
+    def __call__(self, osc: OscillatorSpec, dt: float, t_ref: float) -> list[complex]:
+        """Every polynomial's value, in order."""
+        omega, nu = osc.omega, osc.nu
+        expos, polys = self._by_nu.get(nu) or self._compile(nu)
+        z = cmath.exp(1j * (omega * t_ref + osc.phi))
+        # plain loops: each comprehension would cost a call frame, which
+        # shows on the one- and two-term polynomials of eval_shifted
+        factors = []
+        for p in self._ps:
+            factors.append(dt ** p)
+        for k in self._ks:
+            factors.append(cmath.exp(1j * k * omega * dt))
+        for q in self._qs:
+            factors.append(z ** q)
+        for expo in expos:
+            factors.append(omega ** (-expo))
+        out = []
+        for terms in polys:
+            total = 0.0 + 0.0j
+            for val, idx in terms:
+                for i in idx:
+                    val *= factors[i]
+                total += val
+            out.append(total)
+        return out
 
 
 def v_poly(osc: OscillatorSpec) -> BasisPoly:

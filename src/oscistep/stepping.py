@@ -12,6 +12,12 @@ the retention rule for whole words at monomial granularity and is what
 makes a scheme of order kappa agree with the classical closed-form step
 rules term for term; pass ``truncate_coefficients=False`` to keep the raw
 integrals instead.
+
+On its first step a table's entries compile into a step plan: a
+:class:`~oscistep.jets.WordPlan` for the operator values and a
+:class:`~oscistep.oscillator.TermPlan` for the coefficients.  The plan
+lives on the cached entries, so every table rebuilt from the cache (at
+another frequency or phase) steps with the same plan.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import NumericStepError
-from .jets import CoefficientField, operator_values
-from .oscillator import BasisPoly, OscillatorSpec, eval_shifted_all, phase_average
+from .jets import CoefficientField, WordPlan
+from .oscillator import BasisPoly, OscillatorSpec, TermPlan, phase_average
 from .terms import RETENTION_TOL, TruncationPolicy, Word, enumerate_words, word_primitive
 
 __all__ = [
@@ -46,6 +52,10 @@ __all__ = [
 # estimate_coefficient_bound's grid: times, and points per state component
 BOUND_T_SAMPLES, BOUND_U_SAMPLES = 9, 12
 
+# scheme tables kept by (Fourier structure, nu, policy, truncation); their
+# step plans and phase-averaged entries go with them
+SCHEME_CACHE_SIZE = 32
+
 
 @dataclass(frozen=True)
 class SchemeEntry:
@@ -54,11 +64,22 @@ class SchemeEntry:
     target: str
     coeff: BasisPoly
 
+
+class _Entries(tuple):
+    """A table's entries with what stepping them needs, built on first use.
+    Every table rebuilt from the scheme cache holds the same tuple and so
+    shares its plans and its phase-averaged entries."""
+
     @cached_property
-    def _phase_averaged(self) -> "SchemeEntry":
-        """This entry with its coefficient phase-averaged, built on first
-        use; every table rebuilt from the same cache shares it."""
-        return replace(self, coeff=phase_average(self.coeff))
+    def plan(self) -> tuple[WordPlan, TermPlan]:
+        """The operator values and the coefficients, compiled."""
+        return (WordPlan([(e.target, e.op_word) for e in self]),
+                TermPlan([e.coeff for e in self]))
+
+    @cached_property
+    def averaged(self) -> "_Entries":
+        """These entries with every coefficient phase-averaged."""
+        return _Entries(replace(e, coeff=phase_average(e.coeff)) for e in self)
 
 
 @dataclass(frozen=True)
@@ -69,15 +90,20 @@ class SchemeTable:
     policy: TruncationPolicy
     entries: tuple[SchemeEntry, ...]
 
+    def __post_init__(self):
+        # entries given by hand compile their own plans, once per table
+        if type(self.entries) is not _Entries:
+            object.__setattr__(self, "entries", _Entries(self.entries))
+
     @property
     def jet_order(self) -> int:
         """Jet order a field must supply: longest word length minus one."""
         return max((len(e.word.letters) for e in self.entries), default=1) - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SCHEME_CACHE_SIZE)
 def _scheme_entries(coeffs: tuple, nu: float, kappa0: float, kappa1: float,
-                    truncate: bool) -> tuple[SchemeEntry, ...]:
+                    truncate: bool) -> _Entries:
     policy = TruncationPolicy(kappa0, kappa1)
     osc_like = OscillatorSpec(omega=1.0, nu=nu, coeffs=coeffs)
     out = []
@@ -89,7 +115,7 @@ def _scheme_entries(coeffs: tuple, nu: float, kappa0: float, kappa1: float,
                 <= 1.0 + RETENTION_TOL)
         out.append(SchemeEntry(word=word, op_word=word.operator_word,
                                target=word.target, coeff=prim))
-    return tuple(out)
+    return _Entries(out)
 
 
 def build_scheme(osc: OscillatorSpec, policy: TruncationPolicy,
@@ -157,18 +183,28 @@ def step(scheme: SchemeTable, field: CoefficientField, t_n: float, u_n,
     Each entry contributes its coefficient times its operator value; the
     contributions are added to u_n one at a time in table order.
     """
+    return _step(scheme.entries, scheme.oscillator, field, t_n, u_n, h)
+
+
+def step_phase_averaged(scheme: SchemeTable, field: CoefficientField, t_n: float,
+                        u_n, h: float) -> StepResult:
+    """One macro step with every coefficient averaged over the oscillator
+    phase; terms whose integral carries no phase-free part drop out."""
+    return _step(scheme.entries.averaged, scheme.oscillator, field, t_n, u_n, h)
+
+
+def _step(entries: _Entries, osc: OscillatorSpec, field: CoefficientField, t_n: float,
+          u_n, h: float) -> StepResult:
     if h < 0:
         raise ValueError("step size must be non-negative")
     u_n = np.asarray(u_n, dtype=complex)
     if u_n.shape != (field.m,):
         raise ValueError(f"state must have shape ({field.m},)")
-    entries = scheme.entries
-    keys = [(e.target, e.op_word) for e in entries]
-    values = operator_values(field, keys, t_n, u_n)
-    coeffs = eval_shifted_all([e.coeff for e in entries], scheme.oscillator, h, t_n)
-    stacked = np.array([values[key] for key in keys], dtype=complex).reshape(-1, field.m)
+    operators, coefficients = entries.plan
+    values = operators(field, t_n, u_n)
+    coeffs = coefficients(osc, h, t_n)
     with np.errstate(over="ignore", invalid="ignore"):
-        contributions = np.array(coeffs, dtype=complex)[:, None] * stacked
+        contributions = np.array(coeffs, dtype=complex)[:, None] * values
     finite = np.isfinite(contributions.view(float)).all(axis=1)
     if not finite.all():
         bad = entries[int(np.argmin(finite))]
@@ -176,14 +212,6 @@ def step(scheme: SchemeTable, field: CoefficientField, t_n: float, u_n,
     u_next = np.add.accumulate(np.vstack([u_n, contributions]))[-1]
     return StepResult(u_next=u_next, t_next=t_n + h,
                       contributions=tuple(contributions))
-
-
-def step_phase_averaged(scheme: SchemeTable, field: CoefficientField, t_n: float,
-                        u_n, h: float) -> StepResult:
-    """One macro step with every coefficient averaged over the oscillator
-    phase; terms whose integral carries no phase-free part drop out."""
-    entries = tuple(e._phase_averaged for e in scheme.entries)
-    return step(replace(scheme, entries=entries), field, t_n, u_n, h)
 
 
 def solve(scheme: SchemeTable, field: CoefficientField, t0: float, u0,

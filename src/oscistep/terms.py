@@ -43,6 +43,11 @@ RETENTION_TOL = 1e-9
 
 MAX_WORD_LEN = 20  # enumerate_words is exponential; longer policies are refused
 
+# word integrals kept by (letters, Fourier structure): twice the 511 that
+# one build of the largest policy in use needs (510 words at (8,2) with
+# nu = -1/2, and the empty word), so a build never evicts its own prefixes
+PRIMITIVE_CACHE_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class Word:
@@ -153,7 +158,7 @@ def term_count(kappa: int, rho: int) -> int:
     return total - 1  # drop the empty word
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PRIMITIVE_CACHE_SIZE)
 def _primitive_cached(letters: tuple[str, ...],
                       coeffs: tuple[tuple[int, complex], ...]) -> BasisPoly:
     if not letters:

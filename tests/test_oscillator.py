@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from oscistep import (BasisPoly, DegenerateOscillatorError, RegimeError,
-                      absorb_mean, adaptive_quadrature, big_v,
-                      builtin_field, make_oscillator, oscillating_monomial,
-                      phase_average, v_norm, v_poly)
+                      TruncationPolicy, Word, absorb_mean, adaptive_quadrature,
+                      big_v, builtin_field, enumerate_words, make_oscillator,
+                      oscillating_monomial, phase_average, v_norm, v_poly,
+                      word_primitive)
 
 
 class TestMakeOscillator:
@@ -161,6 +162,23 @@ class TestAntiderivative:
                     np.vectorize(lambda t: f.eval_shifted(osc, t, 0.0)), t0, t1, 1e-12,
                     half_period=math.pi / (5 * omega))
                 assert sym == pytest.approx(q.value, abs=1e-10)
+
+    # nu = -1/2 at (8,2) keeps 510 words; four modes there take seconds
+    @pytest.mark.parametrize("nu, modes", [(0.0, 2), (0.0, 3), (0.0, 4), (-0.5, 2), (-0.5, 3)])
+    def test_definite_from_ref_is_primitive_minus_its_anchor(self, nu, modes):
+        # the one-pass integral against the two-step definition, bit for
+        # bit, on the integrand of every (8,2) word
+        rng = np.random.default_rng([modes, int(-2 * nu)])
+        ks = rng.choice([k for k in range(-4, 5) if k], size=modes, replace=False)
+        osc = make_oscillator("fourier", 1.0, nu=nu,
+                              coeffs={int(k): complex(rng.normal(), rng.normal()) for k in ks})
+        for word in enumerate_words(TruncationPolicy.from_order(8, 2, nu)):
+            prefix = word.letters[:-1]
+            f = word_primitive(Word(prefix), osc) if prefix else BasisPoly.one()
+            if word.letters[-1] == "V":
+                f = f * v_poly(osc)
+            prim = f.antiderivative()
+            assert repr(f.definite_from_ref().terms) == repr((prim - prim.value_at_ref()).terms)
 
 
 class TestBigV:

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import reference_step as ref
-from oscistep import (Jet, TruncationPolicy, build_scheme, builtin_field, enumerate_words,
-                      make_field, make_oscillator, operator_values, step,
-                      step_phase_averaged)
+import oscistep.stepping as stepping
+from oscistep import (Jet, SchemeTable, TruncationPolicy, build_scheme, builtin_field,
+                      enumerate_words, make_field, make_oscillator, operator_values, solve,
+                      step, step_phase_averaged)
 
 COUPLING = [[0.3, -0.1, 0.2, 0.05], [0.0, 0.4, -0.3, 0.1],
             [0.2, 0.1, -0.2, 0.3], [-0.1, 0.2, 0.1, 0.1]]
@@ -113,3 +114,80 @@ def test_empty_table_matches_reference():
         got = fn(scheme, field, 0.1, u, 0.1)
         assert got.contributions == ()
         assert_same(got, ref.step(scheme, field, 0.1, u, 0.1, averaged=averaged))
+
+
+@pytest.mark.parametrize("policy", [(4, 2), (8, 2)], ids=["4-2", "8-2"])
+@pytest.mark.parametrize("name", FIELDS)
+def test_solve_matches_reference_step_by_step(name, policy):
+    # a real start at t = 0 gives sparser jets than later steps, all run
+    # through the one plan the table compiled on its first step
+    field = FIELDS[name]()
+    scheme = build_scheme(OSCILLATORS[0], TruncationPolicy.from_order(*policy))
+    u = np.full(field.m, 0.9 + 0.0j)
+    h = 0.05
+    traj = solve(scheme, field, 0.0, u, 5 * h, h)
+    assert len(traj) == 6
+    for i, (t, got) in enumerate(traj[1:]):
+        want = ref.step(scheme, field, i * h, u, h)
+        assert repr(t) == repr(want.t_next)
+        assert exact(got) == exact(want.u_next)
+        u = want.u_next
+
+
+def test_jets_cancelling_to_zero_match_reference():
+    # u*u - u*u leaves exact zeros that the jets drop mid-word, so L1 b
+    # and every word built on it are empty jets
+    field = make_field(1, lambda t, u: [u[0] * u[0] * t - t * u[0] * u[0] + 0.5 * u[0]],
+                       lambda t, u: [u[0] * u[0] - u[0] * u[0] + 1])
+    rng = np.random.default_rng(5)
+    for osc in OSCILLATORS:
+        scheme = build_scheme(osc, table_policy((8, 2), osc.nu))
+        for t, u in start_points(1, rng):
+            assert_same(step(scheme, field, t, u, 0.1), ref.step(scheme, field, t, u, 0.1))
+            assert_same(step_phase_averaged(scheme, field, t, u, 0.1),
+                        ref.step(scheme, field, t, u, 0.1, averaged=True))
+
+
+def test_plain_and_averaged_steps_alternate_on_one_table():
+    field = FIELDS["nonlinear"]()
+    scheme = build_scheme(OSCILLATORS[1], TruncationPolicy.from_order(4, 2))
+    u = np.array([1.1 + 0.1j])
+    for i in range(6):
+        averaged = i % 2 == 1
+        fn = step_phase_averaged if averaged else step
+        got = fn(scheme, field, 0.1 * i, u, 0.1)
+        assert_same(got, ref.step(scheme, field, 0.1 * i, u, 0.1, averaged=averaged))
+        u = got.u_next
+
+
+def test_cache_hits_step_with_one_plan(monkeypatch):
+    compiled = []
+
+    def counting(pairs):
+        compiled.append(pairs)
+        return plan_class(pairs)
+
+    plan_class = stepping.WordPlan
+    monkeypatch.setattr(stepping, "WordPlan", counting)
+    field = FIELDS["linear"]()
+    # a Fourier structure no other test builds, so its entries start cold
+    coeffs = {1: 0.4, -1: 0.4, 2: 0.05 - 0.1j}
+    first = build_scheme(make_oscillator("fourier", 90.0, 0.3, coeffs=coeffs),
+                         TruncationPolicy.from_order(4, 2))
+    second = build_scheme(make_oscillator("fourier", 60.0, 2.1, coeffs=coeffs),
+                          TruncationPolicy.from_order(4, 2))
+    u = np.array([0.8 + 0.2j])
+    for scheme in (first, second):
+        assert_same(step(scheme, field, 0.2, u, 0.1), ref.step(scheme, field, 0.2, u, 0.1))
+    assert first.entries.plan is second.entries.plan
+    assert len(compiled) == 1
+
+
+def test_hand_built_table_matches_reference():
+    built = build_scheme(OSCILLATORS[2], TruncationPolicy.from_order(4, 2))
+    scheme = SchemeTable(built.oscillator, built.policy, list(reversed(built.entries[2:])))
+    field = FIELDS["m2-division"]()
+    u = np.array([0.9 + 0.2j, 1.1 - 0.1j])
+    assert_same(step(scheme, field, 0.3, u, 0.1), ref.step(scheme, field, 0.3, u, 0.1))
+    assert_same(step_phase_averaged(scheme, field, 0.3, u, 0.1),
+                ref.step(scheme, field, 0.3, u, 0.1, averaged=True))

@@ -100,6 +100,17 @@ class TestBuildScheme:
         sch = build_scheme(o, pol(4, 2))
         assert integration_call_count() - before == len(sch.entries)
 
+    def test_symbolic_caches_are_bounded(self):
+        from oscistep.stepping import SCHEME_CACHE_SIZE, _scheme_entries
+        from oscistep.terms import PRIMITIVE_CACHE_SIZE, _primitive_cached
+        # each (4,1) structure caches 31 word integrals (with the empty word)
+        count = max(SCHEME_CACHE_SIZE, PRIMITIVE_CACHE_SIZE // 31) + 1
+        for i in range(count):
+            build_scheme(make_oscillator("fourier", 20.0, coeffs={1: 1.0, -1: 0.3 + 1e-3 * i}),
+                         pol(4, 1))
+        assert _scheme_entries.cache_info().currsize == SCHEME_CACHE_SIZE
+        assert _primitive_cached.cache_info().currsize == PRIMITIVE_CACHE_SIZE
+
 
 class TestStep:
     def test_linear_case_closed_form(self):
