@@ -23,8 +23,8 @@ from typing import Literal, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import ConfigError, OscistepError
-from .jets import CoefficientField, builtin_field, make_field
-from .oscillator import OscillatorSpec, absorb_mean, make_oscillator, v_norm
+from .jets import builtin_field, make_field
+from .oscillator import absorb_mean, make_oscillator, v_norm
 from .oracles import (adaptive_quadrature, exact_exp_macro,
                       exact_pure_oscillatory, fit_slope, rk4_micro_solve)
 from .stepping import (BoundInputs, bound_R11, bound_R22, build_scheme,
@@ -98,7 +98,14 @@ def _convert(name: str, value):
     if kind in (bool, str, dict):
         if type(value) is kind:
             return value
-    elif not isinstance(value, bool):
+        raise ConfigError(f"{name} must be {kind.__name__}; got {value!r}")
+    return _number(name, value, kind)
+
+
+def _number(name: str, value, kind=float):
+    """`value`, a flag string or a JSON number, as a finite `kind` (float,
+    complex or int); raises ConfigError naming `name` otherwise."""
+    if not isinstance(value, bool):
         try:
             x = parse_complex(value) if kind is complex else float(value)
         except (TypeError, ValueError, OverflowError):
@@ -352,15 +359,20 @@ def _float_list(text: str) -> list[float]:
         values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
         values = []
-    if not values:
-        raise ConfigError(f"cannot parse float list {text!r}")
+    if not values or not all(map(math.isfinite, values)):
+        raise ConfigError(f"cannot parse {text!r} as a list of finite floats")
     return values
+
+
+def _optional_number(name: str, value) -> float | None:
+    """An optional float flag, None when not given."""
+    return None if value is None else _number(name, value)
 
 
 def _add_converge(p: argparse.ArgumentParser):
     _add_common(p)
     p.add_argument("--h-list", required=True, help="comma-separated step sizes")
-    p.add_argument("--couple-c", type=float,
+    p.add_argument("--couple-c",
                    help="couple omega^-1 = c h^rho along the study")
 
 
@@ -374,9 +386,9 @@ def _add_bounds(p: argparse.ArgumentParser):
     _add_common(p)
     p.add_argument("--h-list", default="0.2,0.1,0.05")
     p.add_argument("--omega-list", default="50,100,200")
-    p.add_argument("--K", type=float, help="explicit coefficient bound")
-    p.add_argument("--box-t", type=float, help="upper end of the K-sampling box in t")
-    p.add_argument("--box-radius", type=float, default=0.5,
+    p.add_argument("--K", help="explicit coefficient bound")
+    p.add_argument("--box-t", help="upper end of the K-sampling box in t")
+    p.add_argument("--box-radius", default="0.5",
                    help="radius of the K-sampling box around u0")
 
 
@@ -393,12 +405,15 @@ COMMANDS = {
     "step": (_add_common, lambda cfg, ns: cmd_step(cfg)),
     "solve": (_add_common, lambda cfg, ns: cmd_solve(cfg)),
     "converge": (_add_converge,
-                 lambda cfg, ns: cmd_converge(cfg, _float_list(ns.h_list), ns.couple_c)),
+                 lambda cfg, ns: cmd_converge(cfg, _float_list(ns.h_list),
+                                              _optional_number("couple_c", ns.couple_c))),
     "termcount": (_add_termcount, lambda cfg, ns: cmd_termcount(ns.kappa, ns.rho)),
     "bounds": (_add_bounds,
                lambda cfg, ns: cmd_bounds(cfg, _float_list(ns.h_list),
-                                          _float_list(ns.omega_list), ns.K,
-                                          ns.box_t, ns.box_radius)),
+                                          _float_list(ns.omega_list),
+                                          _optional_number("K", ns.K),
+                                          _optional_number("box_t", ns.box_t),
+                                          _number("box_radius", ns.box_radius))),
     "stochastic-check": (_add_stochastic_check,
                          lambda cfg, ns: cmd_stochastic_check(ns.kappa, ns.rho_prime,
                                                               ns.scheme)),

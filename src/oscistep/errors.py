@@ -15,7 +15,8 @@ class JetOrderError(OscistepError):
 
 
 class RegimeError(OscistepError, ValueError):
-    """Oscillator parameters outside the supported regime (omega <= 0 or nu <= -1)."""
+    """Oscillator parameters outside the supported regime (omega <= 0,
+    nu <= -1, or either not finite)."""
 
 
 class DegenerateOscillatorError(OscistepError, ValueError):
@@ -23,7 +24,7 @@ class DegenerateOscillatorError(OscistepError, ValueError):
 
 
 class NumericStepError(OscistepError):
-    """Non-finite arithmetic encountered while stepping."""
+    """Non-finite arithmetic encountered while stepping or bounding."""
 
 
 class DomainError(OscistepError):

@@ -205,12 +205,6 @@ class Jet:
             scale *= factorial(a)
         return self.coefficient(alpha) * scale
 
-    def truncate(self, order: int) -> "Jet":
-        if order >= self.order:
-            return self
-        cap = (order + 1) << (_BITS * self.nvars)
-        return self._like({k: c for k, c in self._terms.items() if k < cap}, order)
-
     def partial(self, index: int) -> "Jet":
         """d/dx_index as a jet of one order lower."""
         if self.order < 1:
@@ -423,11 +417,6 @@ class WordPlan:
         return slots
 
 
-@lru_cache(maxsize=64)
-def _word_plan(pairs: tuple) -> WordPlan:
-    return WordPlan(pairs)
-
-
 def operator_values(field: CoefficientField,
                     pairs: Iterable[tuple[str, Sequence[str]]], t, u) -> dict:
     """Evaluate ``L^{w_1} ... L^{w_n}`` applied to `a` or `b` at ``(t, u)``
@@ -442,7 +431,7 @@ def operator_values(field: CoefficientField,
     ``{(target, op_word): values}`` with `op_word` as a tuple.
     """
     pairs = tuple(dict.fromkeys((target, tuple(word)) for target, word in pairs))
-    return dict(zip(pairs, _word_plan(pairs)(field, t, u)))
+    return dict(zip(pairs, WordPlan(pairs)(field, t, u)))
 
 
 # -- built-in example fields -------------------------------------------------

@@ -4,8 +4,8 @@ Everything here is deliberately separate from the symbolic machinery, so
 it can serve as an oracle for it: integrals are done by adaptive
 Gauss-Kronrod quadrature (with an initial subinterval per half period for
 oscillatory integrands), trajectories by a classical fixed-step RK4 on the
-raw right-hand side, and the comparison step rules are hard-coded closed
-forms.
+raw right-hand side, and the worked problems' exact solutions by their
+closed forms.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ __all__ = [
     "exact_pure_oscillatory",
     "exact_exp_macro",
     "rk4_micro_solve",
-    "cdi_linear_reference",
-    "cdi_nonlinear_reference",
-    "freqdep_reference",
-    "taylor_partial_sum",
     "fit_slope",
 ]
 
@@ -82,8 +78,11 @@ def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: floa
 
     When `half_period` is given the initial partition uses one panel per
     half period so oscillatory integrands start out resolved; panels are
-    then bisected worst-first until the error estimate meets `tol`.
+    then bisected worst-first until the error estimate meets `tol`.  An
+    integrand that is not finite on the interval raises QuadratureError.
     """
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(tol)):
+        raise ValueError(f"quadrature needs finite a, b and tol; got {a}, {b}, {tol}")
     if b < a:
         res = adaptive_quadrature(f, b, a, tol, half_period, max_panels)
         return QuadratureResult(-res.value, res.error, res.evaluations)
@@ -112,6 +111,10 @@ def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: floa
         heapq.heappush(heap, (-float(errs[1]), m, wr, iks[1]))
         total_err += float(errs.sum())
     value = complex(sum(p[3] for p in heap))
+    # a NaN error ends the loop as if converged, and an infinite one turns
+    # NaN once its panel is bisected
+    if not (math.isfinite(total_err) and cmath.isfinite(value)):
+        raise QuadratureError(f"non-finite quadrature: value {value}, error {total_err}")
     return QuadratureResult(value, total_err, evals)
 
 
@@ -214,55 +217,6 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
     return traj
 
 
-def cdi_linear_reference(u0: complex, mu: complex, omega: float, h: float) -> complex:
-    """Comparison step rule for du/dt = t u + mu cos(omega t), through
-    second order in 1/omega."""
-    return (u0 * cmath.exp(h * h / 2.0)
-            + mu * math.sin(omega * h) / omega
-            - h * mu * math.cos(omega * h) / omega ** 2)
-
-
-def cdi_nonlinear_reference(u0: complex, mu: complex, alpha: complex,
-                            omega: float, h: float) -> complex:
-    """Comparison step rule for du/dt = alpha u + mu u^2 e^(i omega t),
-    through second order in 1/omega."""
-    vh = cmath.exp(1j * omega * h)
-    e = cmath.exp(alpha * h)
-    return (u0 * e
-            + (1.0 / omega) * (1.0 - vh * e) * 1j * mu * u0 ** 2 * e
-            + (1.0 / omega ** 2) * (-(alpha + mu * u0) + (alpha + 2 * mu * u0) * vh * e
-                                    - mu * u0 * vh * vh * e * e) * mu * u0 ** 2 * e)
-
-
-def taylor_partial_sum(n: int, x: complex) -> complex:
-    """S_n(x) = sum_{j<=n} x^j / j!"""
-    out = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for j in range(1, n + 1):
-        term = term * x / j
-        out += term
-    return out
-
-
-def freqdep_reference(u0: complex, mu: complex, alpha: complex,
-                      omega: float, h: float) -> complex:
-    """Order-(4,4) step rule for du/dt = alpha u + omega^(1/2) mu u^2
-    e^(i omega t) (amplitude exponent nu = -1/2), in terms of the partial
-    exponential sums S_n."""
-    S = taylor_partial_sum
-    hp = h * alpha
-    vh = cmath.exp(1j * omega * h)
-    return (S(4, hp) * u0
-            + omega ** -0.5 * (S(3, hp) - vh * S(3, 2 * hp)) * 1j * mu * u0 ** 2
-            - omega ** -1.0 * (S(2, hp) - 2 * vh * S(2, 2 * hp)
-                               + vh ** 2 * S(2, 3 * hp)) * mu ** 2 * u0 ** 3
-            - omega ** -1.5 * (S(1, hp) - vh * S(1, 2 * hp)) * alpha * mu * u0 ** 2
-            - omega ** -1.5 * (S(1, hp) - 3 * vh * S(1, 2 * hp) + 3 * vh ** 2 * S(1, 3 * hp)
-                               - vh ** 3 * S(1, 4 * hp)) * 1j * mu ** 3 * u0 ** 4
-            - omega ** -2.0 * (1 - vh) ** 2 * 2j * alpha * mu ** 2 * u0 ** 3
-            + omega ** -2.0 * (1 - vh) ** 4 * mu ** 4 * u0 ** 5)
-
-
 def fit_slope(points) -> float:
     """Least-squares slope of log(error) against log(h)."""
     pts = list(points)
@@ -270,8 +224,9 @@ def fit_slope(points) -> float:
         raise ValueError("need at least three points to fit a slope")
     hs = np.array([p[0] for p in pts], dtype=float)
     errs = np.array([p[1] for p in pts], dtype=float)
-    if np.any(hs <= 0) or np.any(errs <= 0):
-        raise ValueError("slope fit requires positive step sizes and errors")
+    if not (np.isfinite(hs).all() and np.isfinite(errs).all()
+            and (hs > 0).all() and (errs > 0).all()):
+        raise ValueError("slope fit requires finite positive step sizes and errors")
     A = np.vstack([np.log(hs), np.ones_like(hs)]).T
     sol, *_ = np.linalg.lstsq(A, np.log(errs), rcond=None)
     return float(sol[0])

@@ -49,7 +49,6 @@ __all__ = [
     "v_norm",
     "phase_average",
     "TermPlan",
-    "oscillating_monomial",
     "integration_call_count",
 ]
 
@@ -82,10 +81,6 @@ class OscillatorSpec:
     def period(self) -> float:
         return 2.0 * math.pi / self.omega
 
-    @property
-    def coeff_map(self) -> dict[int, complex]:
-        return dict(self.coeffs)
-
     def value(self, t):
         """v(t); accepts scalars or numpy arrays."""
         t = np.asarray(t, dtype=float)
@@ -94,10 +89,6 @@ class OscillatorSpec:
             out += c * np.exp(1j * k * (self.omega * t + self.phi))
         out *= self.omega ** (-self.nu)
         return out if out.shape else complex(out)
-
-    def is_real(self) -> bool:
-        cm = self.coeff_map
-        return all(abs(cm.get(-k, 0j) - c.conjugate()) < 1e-15 for k, c in self.coeffs)
 
 
 def make_oscillator(kind: str, omega: float, phi: float = 0.0, nu: float = 0.0,
@@ -109,10 +100,12 @@ def make_oscillator(kind: str, omega: float, phi: float = 0.0, nu: float = 0.0,
     is removed and reported on `removed_mean` for absorption into the slow
     part of the field.  The overall amplitude is omega^(-nu).
     """
-    if omega <= 0:
-        raise RegimeError(f"frequency must be positive, got {omega}")
-    if nu <= -1:
-        raise RegimeError(f"amplitude exponent must satisfy nu > -1, got {nu}")
+    if not (math.isfinite(omega) and omega > 0):
+        raise RegimeError(f"frequency must be finite and positive, got {omega}")
+    if not (math.isfinite(nu) and nu > -1):
+        raise RegimeError(f"amplitude exponent must be finite and satisfy nu > -1, got {nu}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {phi}")
     if kind == "exp":
         cm = {1: 1.0 + 0.0j}
     elif kind == "cos":
@@ -122,6 +115,8 @@ def make_oscillator(kind: str, omega: float, phi: float = 0.0, nu: float = 0.0,
     elif kind == "fourier":
         if coeffs is None:
             raise ValueError("kind 'fourier' requires coefficients")
+        if not all(float(k).is_integer() for k in coeffs):
+            raise ValueError(f"Fourier mode indices must be integers, got {list(coeffs)}")
         cm = {int(k): complex(c) for k, c in coeffs.items() if complex(c) != 0}
     else:
         raise ValueError(f"unknown oscillator kind {kind!r}")
@@ -158,7 +153,7 @@ Key = tuple[int, int, int, int, int]
 
 @dataclass(frozen=True)
 class BasisPoly:
-    """Canonical term list; immutable, closed under +, *, d/dtau and int dtau."""
+    """Canonical term list; immutable, closed under +, * and int dtau."""
 
     terms: tuple[tuple[Key, complex], ...] = ()
 
@@ -174,9 +169,6 @@ class BasisPoly:
     @property
     def term_dict(self) -> dict[Key, complex]:
         return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __add__(self, other: "BasisPoly") -> "BasisPoly":
         out = self.term_dict
@@ -224,35 +216,16 @@ class BasisPoly:
                     add((p - j, k, q, n + j + 1, m), coef)
         return out
 
-    def derivative(self) -> "BasisPoly":
-        out: dict[Key, complex] = {}
-        for (p, k, q, n, m), c in self.terms:
-            if p > 0:
-                key = (p - 1, k, q, n, m)
-                out[key] = out.get(key, 0j) + c * p
-            if k != 0:
-                key = (p, k, q, n - 1, m)
-                out[key] = out.get(key, 0j) + c * 1j * k
-        return BasisPoly.from_dict(out)
-
-    def value_at_ref(self) -> "BasisPoly":
-        """The tau=0 value, kept symbolic in Z and omega (a tau-constant poly)."""
-        out: dict[Key, complex] = {}
-        for (p, k, q, n, m), c in self.terms:
-            if p == 0:
-                key = (0, 0, q, n, m)
-                out[key] = out.get(key, 0j) + c
-        return BasisPoly.from_dict(out)
-
     def definite_from_ref(self) -> "BasisPoly":
         """Antiderivative vanishing at tau = 0.
 
-        Bit for bit ``prim - prim.value_at_ref()`` with ``prim =
-        self.antiderivative()``, in one dict and one final sort: the tau = 0
-        value is summed over prim's terms in sorted order and subtracted as
-        ``+ c * -1.0``, as those methods do.  Exact zeros, which prim drops,
-        change neither: a sum started from 0j ignores them, and an
-        antiderivative has no k = 0 term at tau^0 for the anchor to meet.
+        Bit for bit ``prim - anchor`` with ``prim = self.antiderivative()``
+        and ``anchor`` its tau = 0 value kept symbolic in Z and omega, in
+        one dict and one final sort: the anchor is summed over prim's
+        tau^0 terms in sorted order and subtracted as ``+ c * -1.0``, as
+        ``BasisPoly.__sub__`` does.  Exact zeros, which prim drops, change
+        neither: a sum started from 0j ignores them, and an antiderivative
+        has no k = 0 term at tau^0 for the anchor to meet.
         """
         out = self._antiderivative_terms()
         anchor: dict[Key, complex] = {}
@@ -425,39 +398,3 @@ def phase_average(f: BasisPoly) -> BasisPoly:
     unless q = 0.  Idempotent and linear by construction.
     """
     return f.filtered(lambda key: key[2] == 0)
-
-
-def _poly_power(base: BasisPoly, m: int) -> BasisPoly:
-    out = BasisPoly.one()
-    for _ in range(m):
-        out = out * base
-    return out
-
-
-def oscillating_monomial(kind: str, p: int, m: int = 0) -> BasisPoly:
-    """Classical oscillatory monomial integrands, rewritten exponentially.
-
-    With w1 = e^(i(omega t + phi)), w2 = cos(omega t + phi),
-    w3 = sin(omega t + phi) and reference time 0:
-
-        'I': t^p w1^m      'J': t^p      'K': t^p w2^m      'L': t^p w2^m w3
-
-    Negative p or m yields the zero polynomial, matching the convention
-    used when the integral reductions step out of range.
-    """
-    if p < 0 or m < 0:
-        return BasisPoly()
-    tp = BasisPoly.from_dict({(p, 0, 0, 0, 0): 1.0})
-    cosp = BasisPoly.from_dict({(0, 1, 1, 0, 0): 0.5, (0, -1, -1, 0, 0): 0.5})
-    sinp = BasisPoly.from_dict({(0, 1, 1, 0, 0): -0.5j, (0, -1, -1, 0, 0): 0.5j})
-    if kind == "I":
-        osc_part = BasisPoly.from_dict({(0, m, m, 0, 0): 1.0})
-    elif kind == "J":
-        osc_part = BasisPoly.one()
-    elif kind == "K":
-        osc_part = _poly_power(cosp, m)
-    elif kind == "L":
-        osc_part = _poly_power(cosp, m) * sinp
-    else:
-        raise ValueError(f"unknown monomial kind {kind!r}")
-    return tp * osc_part

@@ -1,7 +1,8 @@
 """Scheme tables, macro stepping and closed-form remainder bounds.
 
-A scheme table pairs every retained word with its operator word, its
-target coefficient and its iterated integral in closed symbolic form.
+A scheme table pairs every retained word with its iterated integral in
+closed symbolic form; an entry reads its target coefficient and its
+operator word from the word (``word.target``, ``word.operator_word``).
 The integrals are computed once per (oscillator family, policy) and then
 reused for every coefficient field, start time and step size.
 
@@ -60,8 +61,6 @@ SCHEME_CACHE_SIZE = 32
 @dataclass(frozen=True)
 class SchemeEntry:
     word: Word
-    op_word: tuple[str, ...]
-    target: str
     coeff: BasisPoly
 
 
@@ -73,7 +72,7 @@ class _Entries(tuple):
     @cached_property
     def plan(self) -> tuple[WordPlan, TermPlan]:
         """The operator values and the coefficients, compiled."""
-        return (WordPlan([(e.target, e.op_word) for e in self]),
+        return (WordPlan([(e.word.target, e.word.operator_word) for e in self]),
                 TermPlan([e.coeff for e in self]))
 
     @cached_property
@@ -113,8 +112,7 @@ def _scheme_entries(coeffs: tuple, nu: float, kappa0: float, kappa1: float,
             prim = prim.filtered(
                 lambda key: policy.monomial_weight(key[0], key[3] + key[4] * nu, nu)
                 <= 1.0 + RETENTION_TOL)
-        out.append(SchemeEntry(word=word, op_word=word.operator_word,
-                               target=word.target, coeff=prim))
+        out.append(SchemeEntry(word=word, coeff=prim))
     return _Entries(out)
 
 
@@ -155,8 +153,8 @@ class BoundInputs:
     omega: float
 
     def __post_init__(self):
-        if min(self.K, self.vnorm, self.h, self.omega) <= 0:
-            raise ValueError("bound inputs must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.K, self.vnorm, self.h, self.omega)):
+            raise ValueError("bound inputs must be finite and positive")
 
 
 def bound_R11(inp: BoundInputs) -> float:
@@ -249,10 +247,15 @@ def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,
 
     The box is [t_min, t_max] times a polydisc of the given radius about
     u_center; sampling is on a deterministic grid (not rigorous: the
-    caller declares the box and accepts the sampling resolution).
+    caller declares the box and accepts the sampling resolution).  A box
+    that is not finite raises ValueError, and a partial that is not finite
+    at a sample raises NumericStepError.
     """
     t_min, t_max = t_range
     u_center = np.asarray(u_center, dtype=complex)
+    if not (math.isfinite(t_min) and math.isfinite(t_max) and math.isfinite(u_radius)
+            and np.isfinite(u_center).all()):
+        raise ValueError("the sampling box must be finite")
     m = field.m
     ts = np.linspace(t_min, t_max, BOUND_T_SAMPLES)
     states = [u_center]
@@ -268,5 +271,9 @@ def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,
                 # partials absent from every jet are zero and cannot raise the max
                 for alpha in set().union(*(j.coeffs for j in jets)):
                     vec = np.array([j.derivative(alpha) for j in jets])
-                    best = max(best, float(np.linalg.norm(vec)))
+                    norm = float(np.linalg.norm(vec))
+                    if not math.isfinite(norm):
+                        raise NumericStepError(
+                            f"non-finite coefficient partial at t = {t}, u = {u}")
+                    best = max(best, norm)
     return best

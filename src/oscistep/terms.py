@@ -33,7 +33,6 @@ __all__ = [
     "word_primitive",
     "stochastic_scheme_words",
     "policy_matches_scheme",
-    "expected_local_order",
     "RETENTION_TOL",
 ]
 
@@ -98,17 +97,17 @@ class TruncationPolicy:
     kappa1: float
 
     def __post_init__(self):
-        if self.kappa0 <= 0 or self.kappa1 <= 0:
-            raise ValueError("retention orders must be positive")
+        if not all(math.isfinite(k) and k > 0 for k in (self.kappa0, self.kappa1)):
+            raise ValueError("retention orders must be finite and positive")
 
     @staticmethod
     def from_order(kappa: float, rho: float, nu: float = 0.0) -> "TruncationPolicy":
         """Policy for accuracy order kappa in the regime omega^(-1) ~ h^rho
         with oscillator amplitude scaling omega^(-nu)."""
-        if kappa <= 0 or rho <= 0:
-            raise ValueError("kappa and rho must be positive")
-        if nu <= -1:
-            raise ValueError("amplitude exponent must satisfy nu > -1")
+        if not (math.isfinite(kappa) and kappa > 0 and math.isfinite(rho) and rho > 0):
+            raise ValueError("kappa and rho must be finite and positive")
+        if not (math.isfinite(nu) and nu > -1):
+            raise ValueError("amplitude exponent must be finite and satisfy nu > -1")
         return TruncationPolicy(kappa0=float(kappa), kappa1=kappa / (rho * (nu + 1.0)))
 
     def weight(self, q0: float, q1: float) -> float:
@@ -184,8 +183,8 @@ def word_primitive(word: Word, osc: OscillatorSpec) -> BasisPoly:
 def iterated_integral(word: Word, osc: OscillatorSpec, t_n: float,
                       h: float) -> complex:
     """Exact value of the word's nested integral over [t_n, t_n + h]."""
-    if h < 0:
-        raise ValueError("step size must be non-negative")
+    if not (math.isfinite(t_n) and math.isfinite(h) and h >= 0):
+        raise ValueError(f"t_n must be finite and h finite and non-negative; got {t_n}, {h}")
     return word_primitive(word, osc).eval_shifted(osc, h, t_n)
 
 
@@ -222,20 +221,3 @@ def policy_matches_scheme(kappa: float, rho_prime: float, scheme: str) -> bool:
             if policy.retains(w) != (w in target):
                 return False
     return True
-
-
-def expected_local_order(policy: TruncationPolicy) -> float:
-    """Diagnostic: h-order of the smallest excluded term class, i.e. the
-    minimum of p0 + (kappa0/kappa1) p1 over excluded (p0, p1).  Not a
-    guarantee; the true remainder is o(h^kappa0 + omega^-kappa1)."""
-    ratio = policy.kappa0 / policy.kappa1
-    limit0 = math.floor(policy.kappa0) + 2
-    limit1 = math.floor(policy.kappa1) + 2
-    best = math.inf
-    for p0 in range(0, limit0 + 1):
-        for p1 in range(0, limit1 + 1):
-            if p0 == 0 and p1 == 0:
-                continue
-            if policy.weight(p0, p1) > 1.0 + RETENTION_TOL:
-                best = min(best, p0 + ratio * p1)
-    return best

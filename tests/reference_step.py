@@ -14,7 +14,8 @@ import cmath
 
 import numpy as np
 
-from oscistep import NumericStepError, StepResult, phase_average
+from oscistep import NumericStepError, phase_average
+from oscistep.stepping import StepResult
 
 
 class RefJet:
@@ -197,15 +198,15 @@ def step(scheme, field, t_n, u_n, h, averaged=False):
     """One macro step, one entry at a time, accumulated from u_n."""
     u_n = np.asarray(u_n, dtype=complex)
     osc = scheme.oscillator
-    values = operator_values(field, [(e.target, e.op_word) for e in scheme.entries],
-                             t_n, u_n)
+    values = operator_values(field, [(e.word.target, e.word.operator_word)
+                                     for e in scheme.entries], t_n, u_n)
     contributions = []
     u_next = u_n.copy()
     for e in scheme.entries:
         poly = phase_average(e.coeff) if averaged else e.coeff
         c = eval_shifted(poly, osc, h, t_n)
         with np.errstate(over="ignore", invalid="ignore"):
-            contrib = c * values[(e.target, e.op_word)]
+            contrib = c * values[(e.word.target, e.word.operator_word)]
         if not np.all(np.isfinite(contrib.view(float))):
             raise NumericStepError(f"non-finite contribution from term {e.word}")
         contributions.append(contrib)

@@ -158,6 +158,12 @@ class TestErrorBoundary:
         "h-not-finite": (("step", *POLICY, "--h", "nan"), None),
         "json-number-overflows": (("step", *POLICY), {"h": 10 ** 400}),
         "config-not-an-object": (("step", *POLICY), ["h"]),
+        "bounds-K-not-finite": (("bounds", *POLICY, "--K", "nan"), None),
+        "bounds-h-list-not-finite": (("bounds", *POLICY, "--h-list", "0.1,nan"), None),
+        "bounds-box-t-not-finite": (("bounds", *POLICY, "--box-t", "nan"), None),
+        "bounds-box-radius-not-finite": (("bounds", *POLICY, "--box-radius", "nan"), None),
+        "converge-couple-c-not-finite": (("converge", *POLICY, "--h-list", "0.2,0.1,0.05",
+                                          "--couple-c", "nan"), None),
     }
 
     @staticmethod
@@ -394,7 +400,7 @@ class TestOtherProblems:
         assert got == pytest.approx(want, rel=1e-15)
 
     def test_freqdep_step_matches_reference(self, capsys):
-        from oscistep import freqdep_reference
+        from references import freqdep_reference
         code, out, _ = run(capsys, "step", "--problem", "freqdep",
                            "--alpha", "0.7", "--mu", "1", "--u0", "1",
                            "--omega", "100", "--h", "0.1",

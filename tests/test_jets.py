@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from oscistep import (Jet, JetMismatchError, JetOrderError, builtin_field,
-                      make_field, operator_values)
+from oscistep import (JetMismatchError, JetOrderError, builtin_field, make_field,
+                      operator_values)
+from oscistep.jets import Jet
 
 
 def var(index, base, order):

@@ -8,11 +8,11 @@ import pytest
 
 from oscistep import (DomainError, QuadratureError, ResolutionError,
                       TruncationPolicy, adaptive_quadrature, build_scheme,
-                      builtin_field, cdi_linear_reference,
-                      cdi_nonlinear_reference, exact_exp_macro,
-                      exact_pure_oscillatory, fit_slope, freqdep_reference,
-                      make_field, make_oscillator, rk4_micro_solve, step,
-                      taylor_partial_sum)
+                      builtin_field, exact_exp_macro, exact_pure_oscillatory,
+                      fit_slope, make_field, make_oscillator, rk4_micro_solve,
+                      step)
+from references import (cdi_linear_reference, cdi_nonlinear_reference,
+                        freqdep_reference, taylor_partial_sum)
 
 
 class TestQuadrature:
@@ -35,6 +35,18 @@ class TestQuadrature:
         with pytest.raises(QuadratureError):
             adaptive_quadrature(lambda t: np.cos(1e6 * t) + 0j, 0.0, 1.0,
                                 1e-14, max_panels=16)
+
+    @pytest.mark.parametrize("f", [lambda t: 1 / (t - 0.5) + 0j, lambda t: t * math.nan + 0j],
+                             ids=["pole", "nan"])
+    def test_non_finite_integrand_raises(self, f):
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(QuadratureError):
+            adaptive_quadrature(f, 0.0, 1.0, 1e-12)
+
+    @pytest.mark.parametrize("a,b,tol", [(0.0, math.nan, 1e-12), (-math.inf, 1.0, 1e-12),
+                                         (0.0, 1.0, math.nan)], ids=["b", "a", "tol"])
+    def test_non_finite_arguments_rejected(self, a, b, tol):
+        with pytest.raises(ValueError):
+            adaptive_quadrature(lambda t: t + 0j, a, b, tol)
 
 
 class TestPureOscillatory:
@@ -227,3 +239,7 @@ class TestFitSlope:
             fit_slope([(0.1, 1.0), (0.2, 2.0)])
         with pytest.raises(ValueError):
             fit_slope([(0.1, 1.0), (0.2, 0.0), (0.3, 1.0)])
+
+    def test_nan_error_rejected(self):
+        with pytest.raises(ValueError):
+            fit_slope([(0.1, 1.0), (0.2, math.nan), (0.3, 3.0)])

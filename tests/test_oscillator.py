@@ -5,34 +5,35 @@ import math
 import numpy as np
 import pytest
 
-from oscistep import (BasisPoly, DegenerateOscillatorError, RegimeError,
-                      TruncationPolicy, Word, absorb_mean, adaptive_quadrature,
-                      big_v, builtin_field, enumerate_words, make_oscillator,
-                      oscillating_monomial, phase_average, v_norm, v_poly,
+from oscistep import (DegenerateOscillatorError, RegimeError, TruncationPolicy,
+                      Word, adaptive_quadrature, big_v, builtin_field,
+                      enumerate_words, make_oscillator, phase_average, v_norm,
                       word_primitive)
+from oscistep.oscillator import BasisPoly, absorb_mean, v_poly
+from references import derivative, oscillating_monomial, value_at_ref
 
 
 class TestMakeOscillator:
     def test_cos_coefficients(self):
         o = make_oscillator("cos", 10.0)
-        assert o.coeff_map == {1: 0.5, -1: 0.5}
+        assert dict(o.coeffs) == {1: 0.5, -1: 0.5}
         assert o.removed_mean == 0
 
     def test_exp_coefficient(self):
         o = make_oscillator("exp", 10.0)
-        assert o.coeff_map == {1: 1.0}
+        assert dict(o.coeffs) == {1: 1.0}
 
     def test_sin_coefficients(self):
         o = make_oscillator("sin", 10.0)
-        assert o.coeff_map == {1: -0.5j, -1: 0.5j}
+        assert dict(o.coeffs) == {1: -0.5j, -1: 0.5j}
         ts = np.linspace(0, 1, 7)
         assert np.allclose(o.value(ts), np.sin(10 * ts))
 
     def test_fourier_mean_removal(self):
         o = make_oscillator("fourier", 10.0, coeffs={0: 1.0, 1: 0.5, -1: 0.5})
         assert o.removed_mean == 1.0
-        assert 0 not in o.coeff_map
-        assert o.coeff_map == {1: 0.5, -1: 0.5}
+        assert 0 not in dict(o.coeffs)
+        assert dict(o.coeffs) == {1: 0.5, -1: 0.5}
 
     def test_regime_errors(self):
         with pytest.raises(RegimeError):
@@ -40,14 +41,14 @@ class TestMakeOscillator:
         with pytest.raises(RegimeError):
             make_oscillator("cos", -5.0)
 
+    @pytest.mark.parametrize("coeffs", [{1.5: 1.0, -1: 0.5}, {1: 1.0, 1.2: 0.5}])
+    def test_fourier_mode_indices_must_be_integers(self, coeffs):
+        with pytest.raises(ValueError, match="integers"):
+            make_oscillator("fourier", 10.0, coeffs=coeffs)
+
     def test_degenerate_oscillator(self):
         with pytest.raises(DegenerateOscillatorError):
             make_oscillator("fourier", 10.0, coeffs={0: 2.0})
-
-    def test_real_valued_detection(self):
-        assert make_oscillator("cos", 3.0).is_real()
-        assert make_oscillator("sin", 3.0).is_real()
-        assert not make_oscillator("exp", 3.0).is_real()
 
 
 def _rk4(rhs, t0, u0, t1, n):
@@ -140,7 +141,7 @@ class TestAntiderivative:
         rng = np.random.default_rng(3)
         for _ in range(25):
             f = _random_poly(rng)
-            back = f.antiderivative().derivative()
+            back = derivative(f.antiderivative())
             fd, bd = f.term_dict, back.term_dict
             scale = max(abs(c) for c in fd.values())
             for key, c in fd.items():
@@ -178,7 +179,7 @@ class TestAntiderivative:
             if word.letters[-1] == "V":
                 f = f * v_poly(osc)
             prim = f.antiderivative()
-            assert repr(f.definite_from_ref().terms) == repr((prim - prim.value_at_ref()).terms)
+            assert repr(f.definite_from_ref().terms) == repr((prim - value_at_ref(prim)).terms)
 
 
 class TestBigV:
@@ -244,7 +245,7 @@ class TestVNorm:
 class TestPhaseAverage:
     def test_pure_phase_term_vanishes(self):
         f = BasisPoly.from_dict({(0, 0, 1, 0, 0): 1.0})
-        assert phase_average(f).is_zero()
+        assert not phase_average(f).terms
 
     def test_phase_independent_terms_unchanged(self):
         f = BasisPoly.from_dict({(2, 1, 0, 1, 0): 0.3 - 1j, (0, 0, 0, 0, 0): 2.0})
@@ -262,8 +263,8 @@ class TestPhaseAverage:
 
 class TestOscillatingMonomials:
     def test_negative_orders_vanish(self):
-        assert oscillating_monomial("I", -1, 2).is_zero()
-        assert oscillating_monomial("K", 2, -1).is_zero()
+        assert not oscillating_monomial("I", -1, 2).terms
+        assert not oscillating_monomial("K", 2, -1).terms
 
     def test_zero_mode_reduces_to_plain_power(self):
         # I with m = 0 is the plain power, whose integral is t^(p+1)/(p+1)

@@ -13,9 +13,11 @@ import pytest
 
 import reference_step as ref
 import oscistep.stepping as stepping
-from oscistep import (Jet, SchemeTable, TruncationPolicy, build_scheme, builtin_field,
-                      enumerate_words, make_field, make_oscillator, operator_values, solve,
-                      step, step_phase_averaged)
+from oscistep import (TruncationPolicy, build_scheme, builtin_field, enumerate_words,
+                      make_field, make_oscillator, operator_values, solve, step,
+                      step_phase_averaged)
+from oscistep.jets import Jet
+from oscistep.stepping import SchemeTable
 
 COUPLING = [[0.3, -0.1, 0.2, 0.05], [0.0, 0.4, -0.3, 0.1],
             [0.2, 0.1, -0.2, 0.3], [-0.1, 0.2, 0.1, 0.1]]
@@ -85,7 +87,7 @@ def jet_expressions(cls):
     base = (0.3, 1.2 - 0.1j, -0.4 + 0.2j)
     x, y, z = (cls.variable(i, base, 5) for i in range(3))
     exprs = [x * y + z, (x - y) / (1 + z * z), y ** -3, 2.5 - x * 0.0,
-             (x * y * z) ** 2, (y / z).partial(1).partial(2), (3 - x * z).truncate(2)]
+             (x * y * z) ** 2, (y / z).partial(1).partial(2)]
     return [list(e.coeffs.items()) for e in exprs]
 
 
@@ -96,7 +98,7 @@ def test_jet_arithmetic_matches_reference():
 def test_operator_values_match_reference():
     field = FIELDS["m2-division"]()
     scheme = build_scheme(OSCILLATORS[0], TruncationPolicy.from_order(4, 1))
-    pairs = [(e.target, e.op_word) for e in scheme.entries]
+    pairs = [(e.word.target, e.word.operator_word) for e in scheme.entries]
     u = np.array([0.9 + 0.2j, 1.1 - 0.1j])
     got = operator_values(field, pairs, 0.4, u)
     want = ref.operator_values(field, pairs, 0.4, u)

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from oscistep import (BoundInputs, NumericStepError,
-                      TruncationPolicy, bound_R11, bound_R22, build_scheme,
-                      builtin_field, estimate_coefficient_bound, big_v,
-                      exact_exp_macro, integration_call_count, make_field,
+from oscistep import (BoundInputs, NumericStepError, TruncationPolicy, Word,
+                      bound_R11, bound_R22, build_scheme, builtin_field,
+                      estimate_coefficient_bound, big_v, exact_exp_macro,
+                      integration_call_count, iterated_integral, make_field,
                       make_oscillator, phase_average, solve, step,
                       step_phase_averaged)
 
@@ -26,7 +26,7 @@ class TestBuildScheme:
         o = make_oscillator("cos", 50.0)
         sch = build_scheme(o, TruncationPolicy(1, 1))
         assert [str(e.word) for e in sch.entries] == ["T", "V"]
-        assert sch.entries[0].target == "a"
+        assert sch.entries[0].word.target == "a"
         assert sch.entries[0].coeff.term_dict == {(1, 0, 0, 0, 0): 1.0}
         # V coefficient evaluates to the increment of the antiderivative
         V = big_v(o)
@@ -72,7 +72,6 @@ class TestBuildScheme:
                 assert et.coeff.term_dict == ex.coeff.term_dict
 
     def test_raw_table_matches_iterated_integrals(self):
-        from oscistep import iterated_integral
         o = make_oscillator("exp", 55.0, phi=0.2)
         sch = build_scheme(o, pol(4, 2), truncate_coefficients=False)
         for e in sch.entries:
@@ -347,6 +346,24 @@ class TestBounds:
         with pytest.raises(ValueError):
             BoundInputs(0.0, 1.0, 0.1, 10.0)
 
+    @pytest.mark.parametrize("t_range,center,radius",
+                             [((0.0, math.nan), 1.0, 0.5), ((0.0, 0.2), 1.0, math.nan),
+                              ((0.0, 0.2), complex(math.nan, 0.0), 0.5),
+                              ((-math.inf, 0.2), 1.0, 0.5)],
+                             ids=["t", "radius", "center", "t-inf"])
+    def test_non_finite_box_rejected(self, t_range, center, radius):
+        f = builtin_field("nonlinear", alpha=4.0, mu=1.0)
+        with pytest.raises(ValueError):
+            estimate_coefficient_bound(f, t_range, np.array([center]), radius, 1)
+
+    @pytest.mark.parametrize("big", [lambda u: u * 1e308 * 10,
+                                     lambda u: u * 1e308 * 10 - u * 1e308 * 10],
+                             ids=["inf", "nan"])
+    def test_non_finite_sampled_partial_raises(self, big):
+        f = make_field(1, lambda t, u: [big(u[0])], lambda t, u: [u[0]])
+        with pytest.raises(NumericStepError):
+            estimate_coefficient_bound(f, (0.0, 0.2), np.array([1.0 + 0j]), 0.5, 1)
+
     def test_estimated_coefficient_bound_linear_case(self):
         # b = mu dominates a = u t and all derivatives on a small box
         f = builtin_field("linear", mu=10.0)
@@ -354,3 +371,29 @@ class TestBounds:
         assert K == pytest.approx(10.0, rel=1e-12)
         K2 = estimate_coefficient_bound(f, (0.0, 0.25), np.array([1.0 + 0j]), 0.3, 2)
         assert K2 == pytest.approx(10.0, rel=1e-12)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_oscillator("exp", 50.0, nu=NAN),
+    lambda: make_oscillator("exp", 50.0, nu=INF),
+    lambda: make_oscillator("exp", NAN),
+    lambda: make_oscillator("exp", INF),
+    lambda: make_oscillator("exp", 50.0, phi=NAN),
+    lambda: TruncationPolicy(NAN, 1),
+    lambda: TruncationPolicy(4, INF),
+    lambda: TruncationPolicy.from_order(4, 2, nu=NAN),
+    lambda: TruncationPolicy.from_order(NAN, 2),
+    lambda: BoundInputs(NAN, 1.0, 0.1, 50.0),
+    lambda: BoundInputs(1.0, 1.0, 0.1, INF),
+    lambda: iterated_integral(Word.of("TV"), make_oscillator("cos", 50.0), 0.0, NAN),
+    lambda: iterated_integral(Word.of("TV"), make_oscillator("cos", 50.0), NAN, 0.1),
+], ids=["osc-nu-nan", "osc-nu-inf", "osc-omega-nan", "osc-omega-inf", "osc-phi-nan",
+        "policy-nan", "policy-inf", "from-order-nu-nan", "from-order-kappa-nan",
+        "bound-K-nan", "bound-omega-inf", "integral-h-nan", "integral-t-nan"])
+def test_non_finite_arguments_rejected(build):
+    # a comparison with NaN is false, so each check must test finiteness
+    with pytest.raises(ValueError):
+        build()

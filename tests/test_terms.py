@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from oscistep import (TruncationPolicy, Word, adaptive_quadrature, big_v,
-                      enumerate_words, expected_local_order, iterated_integral,
+                      enumerate_words, iterated_integral,
                       make_oscillator, policy_matches_scheme,
-                      stochastic_scheme_words, term_count, v_norm)
+                      term_count, v_norm)
+from oscistep.terms import stochastic_scheme_words
 
 
 def words(*texts):
@@ -188,13 +189,3 @@ class TestSchemeCorrespondence:
             mil_in = rp > 1 / 3 and max(1.0, 2 * rp) <= k < min(1 + rp, 3 * rp)
             assert policy_matches_scheme(k, rp, "euler") == euler_in
             assert policy_matches_scheme(k, rp, "milstein") == mil_in
-
-
-class TestExpectedLocalOrder:
-    def test_order4_regime2(self):
-        # first excluded classes are (3 dt, 1 dV) and (1 dt, 2 dV): order 5
-        pol = TruncationPolicy.from_order(4, 2)
-        assert expected_local_order(pol) == pytest.approx(5.0)
-
-    def test_equal_orders(self):
-        assert expected_local_order(TruncationPolicy(1, 1)) == pytest.approx(2.0)
