@@ -26,9 +26,8 @@ take and give tuples.
 The arithmetic is one set of kernels on packed-key dicts: ``_mul``,
 ``_partial`` and ``_add``.  :class:`Jet` is a thin wrapper that checks
 base points and orders and calls them.  :class:`WordPlan` compiles a list
-of ``(target, op_word)`` pairs once into a flat instruction list, and each
-evaluation runs that list on the field's jets with no intermediate
-``Jet`` objects.
+of ``(target, op_word)`` pairs once into a flat instruction list that
+runs the kernels on the field's jets with no intermediate ``Jet`` objects.
 
 The packing changes no arithmetic.  Every operation visits coefficients
 in the same order as the plain tuple-keyed definition (dicts keep their
@@ -37,6 +36,26 @@ right, so results match that definition bit for bit, signs of zero
 included.  The CLI prints 17 significant digits and its README output is
 locked byte for byte (``tests/readme_cli_golden.txt``); a reordered sum
 would change those bytes.
+
+A word plan does not run the kernels on every call; it replays a tape of
+them.  The kernels drop a key only where a product sum or a sum is exactly
+zero, and otherwise which keys they make, in which order, and so which
+products they add in which order, follow from the key order of the base
+jets `a` and `b` alone.  That key order is the tape's signature.  For each
+signature the plan runs the kernels once on registers instead of numbers
+and records a tape: a flat list of scalar operations, each a partial
+``c * n``, a product sum's first term ``0.0 + x * y`` or a later one
+``s + x * y``, or a sum ``x + y`` or ``0.0 + y``.  A replay on the next
+call's base values does the same floating-point operations on the same
+operands in the same order, so it gives the kernels' values bit for bit,
+provided the kernels would have dropped no key.  A replay that leaves an
+exact zero in a register is therefore thrown away and that call runs the
+kernels: the zero is where they drop a key, and a kept zero can change a
+later result (``1e-200 * 1e-200`` underflows to zero, and adding it turns
+a coefficient of ``-0.7 - 0j`` into ``-0.7 + 0j``).  Plans of order 0 take
+no derivatives and evaluate `a` and `b` on plain numbers, with numpy's
+scalar arithmetic; jets of order 0 would differ from it in the last bits
+(``u ** -2`` of the power field, for one).
 """
 
 from __future__ import annotations
@@ -66,6 +85,9 @@ __all__ = [
 _BITS = 16
 _MASK = (1 << _BITS) - 1
 _MAX_ORDER = (1 << (_BITS - 1)) - 1
+
+# tapes kept on one WordPlan, one per key order of the base jets
+TAPE_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=4096)
@@ -173,17 +195,25 @@ class Jet:
 
     @classmethod
     def constant(cls, value, base, order):
+        return cls(base, order, {})._constant(value)
+
+    def _constant(self, value) -> "Jet":
+        """The jet of `value` on this one's base point and order."""
         value = complex(value)
-        return cls(base, order, {})._like({0: value} if value != 0 else {})
+        return self._like({0: value} if value != 0 else {})
 
     @classmethod
     def variable(cls, index, base, order):
         """The jet of the coordinate ``x_index`` itself."""
-        jet = cls(base, order, {})
-        terms = {0: complex(jet.base[index])}
-        if order >= 1:
-            terms[(1 << (_BITS * jet.nvars)) | (1 << (_BITS * index))] = 1.0 + 0.0j
-        return jet._like(_nonzero(terms))
+        return cls(base, order, {})._variable(index)
+
+    def _variable(self, index: int) -> "Jet":
+        """The jet of ``x_index`` on this one's base point and order."""
+        x = self.base[index]
+        terms = {0: x} if x else {}
+        if self.order >= 1:
+            terms[(1 << (_BITS * self.nvars)) | (1 << (_BITS * index))] = 1.0 + 0.0j
+        return self._like(terms)
 
     @property
     def coeffs(self) -> dict[tuple[int, ...], complex]:
@@ -228,7 +258,7 @@ class Jet:
         if isinstance(other, Jet):
             self._check(other)
             return other
-        return Jet.constant(other, self.base, self.order)
+        return self._constant(other)
 
     def __add__(self, other):
         return self._like(_add(dict(self._terms), self._coerce(other)._terms))
@@ -317,11 +347,10 @@ class CoefficientField:
             out = [x.value if isinstance(x, Jet) else complex(x)
                    for x in fn(complex(t), list(u))]
         else:
-            base = (complex(t),) + tuple(complex(x) for x in u)
-            tj = Jet.variable(0, base, order)
-            uj = [Jet.variable(1 + j, base, order) for j in range(self.m)]
-            out = [v if isinstance(v, Jet) else Jet.constant(v, base, order)
-                   for v in fn(tj, uj)]
+            # base point and order checked once, for every variable
+            origin = Jet((complex(t), *u.tolist()), order, {})
+            tj, *uj = (origin._variable(i) for i in range(self.m + 1))
+            out = [v if isinstance(v, Jet) else origin._constant(v) for v in fn(tj, uj)]
         if len(out) != self.m:
             raise ValueError("coefficient function returned wrong dimension")
         return out
@@ -350,6 +379,12 @@ class WordPlan:
     field's `a` and `b` jets.  Each coefficient base is `a` or `b`
     truncated to one order.  The derivative of the parent is capped one
     order above the result, which does what truncating the parent would.
+
+    A call replays a :class:`_Tape` of that instruction list, recorded for
+    the key order of the call's base jets; the plan keeps the last
+    ``TAPE_CACHE_SIZE`` of them.  If a replay finds an exact zero, the call
+    runs the instruction list itself.  Plans of order 0 evaluate `a` and `b`
+    on plain numbers (see the module docstring).
     """
 
     def __init__(self, pairs):
@@ -380,6 +415,7 @@ class WordPlan:
         self.bases = tuple(bases)
         self.program = tuple(program)
         self.outputs = tuple(slots[pair] for pair in pairs)
+        self.tapes: dict[tuple, _Tape] = {}
 
     def __call__(self, field: CoefficientField, t, u) -> np.ndarray:
         """The values at ``(t, u)``: one row of `field.m` per pair."""
@@ -389,17 +425,26 @@ class WordPlan:
             for i in dict.fromkeys(self.outputs):
                 slots[i] = field.a_values(t, u) if i == 0 else field.b_values(t, u)
             rows = [slots[i] for i in self.outputs]
-        else:
-            slots = self._jets(field, t, u)
-            rows = [[x.get(0, 0.0 + 0.0j) for x in slots[i]] for i in self.outputs]
-        return np.array(rows, dtype=complex).reshape(-1, field.m)
-
-    def _jets(self, field: CoefficientField, t, u) -> list[list[dict]]:
-        """Every slot's jets, as packed-key dicts, one per component."""
+            return np.array(rows, dtype=complex).reshape(-1, field.m)
         a = [j._terms for j in field.a_jets(t, u, self.order)]
         b = [j._terms for j in field.b_jets(t, u, self.order)]
-        units = _units(field.m + 1)
-        top = _BITS * (field.m + 1)
+        signature = (field.m, *map(tuple, a), *map(tuple, b))
+        tape = self.tapes.get(signature)
+        if tape is None:
+            if len(self.tapes) >= TAPE_CACHE_SIZE:
+                del self.tapes[next(iter(self.tapes))]
+            tape = self.tapes[signature] = _Tape(self, field.m, a, b)
+        values = tape(a, b)
+        if values is None:
+            slots = self._jets(field.m, a, b)
+            values = [x.get(0, 0.0 + 0.0j) for i in self.outputs for x in slots[i]]
+        return np.array(values, dtype=complex).reshape(-1, field.m)
+
+    def _jets(self, m: int, a: list[dict], b: list[dict]) -> list[list[dict]]:
+        """Every slot's jets from the base jets `a` and `b`, as packed-key
+        dicts, one per component."""
+        units = _units(m + 1)
+        top = _BITS * (m + 1)
         caps = [(r + 1) << top for r in range(self.order + 1)]
         bases = [[{k: c for k, c in x.items() if k < caps[r]} for x in (a if target == "a" else b)]
                  for target, r in self.bases]
@@ -415,6 +460,126 @@ class WordPlan:
                 out.append(g)
             slots.append(out)
         return slots
+
+
+# -- tapes ----------------------------------------------------------------------
+
+# tape operations (op, d, x, y) on the register list r
+_PARTIAL = 0   # r[d] = r[x] * y, y an int
+_FIRST = 1     # r[d] = 0.0 + r[x] * r[y]
+_NEXT = 2      # r[d] = r[d] + r[x] * r[y]
+_SUM = 3       # r[d] = r[x] + r[y]
+_COPY = 4      # r[d] = 0.0 + r[x]
+
+
+class _Register:
+    """A register while a tape is recorded: the dict kernels compute on
+    these as they do on numbers, and each operation goes on the tape."""
+
+    __slots__ = ("tape", "index")
+
+    def __init__(self, tape: "_Tape"):
+        self.tape = tape
+        self.index = tape.size
+        tape.size += 1
+
+    def __mul__(self, other):
+        if type(other) is _Register:
+            return _Product(self.tape, self.index, other.index)
+        return self.tape.emit(_PARTIAL, self.index, other)
+
+    def __add__(self, other):
+        if type(other) is _Product:
+            # `_mul` adds each product to its own running sum, which
+            # nothing else reads, so the sum is updated in place
+            self.tape.ops.append((_NEXT, self.index, other.x, other.y))
+            return self
+        return self.tape.emit(_SUM, self.index, other.index)
+
+    def __radd__(self, zero):
+        return self.tape.emit(_COPY, self.index, 0)
+
+    def __eq__(self, other):
+        # recorded as if no sum were exactly zero; a replay checks that
+        return False
+
+    __hash__ = None
+
+
+class _Product:
+    """``r[x] * r[y]`` while a tape is recorded, until a sum takes it."""
+
+    __slots__ = ("tape", "x", "y")
+
+    def __init__(self, tape: "_Tape", x: int, y: int):
+        self.tape, self.x, self.y = tape, x, y
+
+    def __radd__(self, zero):
+        return self.tape.emit(_FIRST, self.x, self.y)
+
+
+class _Tape:
+    """A word plan's dict kernels recorded for one key order of the base
+    jets: a flat list of scalar operations on a list of registers.
+
+    Registers 0, 1, ... hold the base jets' coefficients: `a`'s components
+    first, then `b`'s, each in its keys' order.  The kernels' keys and
+    their order follow from those of the base jets alone, as long as the
+    kernels drop no key.  Replaying the tape then repeats every
+    multiplication and addition of the kernels on the same operands in the
+    same order, so each register gets its coefficient's value bit for bit.
+    The kernels drop a key only where a product sum or a sum is exactly
+    zero, so a replay that leaves a zero in a register returns None and the
+    caller runs the kernels instead.  Partial derivatives ``c * n`` of a
+    nonzero `c` are never zero, and NaN and infinity are kept by both.
+    """
+
+    __slots__ = ("ops", "size", "blank", "outputs")
+
+    def __init__(self, plan: WordPlan, m: int, a: list[dict], b: list[dict]):
+        self.ops = []
+        self.size = 0
+        a = [{k: _Register(self) for k in x} for x in a]
+        b = [{k: _Register(self) for k in x} for x in b]
+        base = self.size
+        slots = plan._jets(m, a, b)
+        self.ops = tuple(self.ops)
+        self.blank = [None] * (self.size - base)
+        # a value missing from a jet is zero, in the register after the last
+        values = [x.get(0) for i in plan.outputs for x in slots[i]]
+        self.outputs = tuple(self.size if v is None else v.index for v in values)
+
+    def emit(self, op: int, x: int, y) -> _Register:
+        out = _Register(self)
+        self.ops.append((op, out.index, x, y))
+        return out
+
+    def __call__(self, a: list[dict], b: list[dict]) -> list[complex] | None:
+        """The output values from base jets of the recorded key order, or
+        None if the kernels would have dropped a key."""
+        r = []
+        for x in a:
+            r += x.values()
+        for x in b:
+            r += x.values()
+        r += self.blank
+        # local names, which are faster to read than globals
+        first, partial, following, total = _FIRST, _PARTIAL, _NEXT, _SUM
+        for op, d, x, y in self.ops:
+            if op == first:
+                r[d] = 0.0 + r[x] * r[y]
+            elif op == partial:
+                r[d] = r[x] * y
+            elif op == following:
+                r[d] += r[x] * r[y]
+            elif op == total:
+                r[d] = r[x] + r[y]
+            else:
+                r[d] = 0.0 + r[x]
+        if not all(r):
+            return None
+        r.append(0.0 + 0.0j)
+        return [r[i] for i in self.outputs]
 
 
 def operator_values(field: CoefficientField,

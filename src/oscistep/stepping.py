@@ -18,7 +18,9 @@ On its first step a table's entries compile into a step plan: a
 :class:`~oscistep.jets.WordPlan` for the operator values and a
 :class:`~oscistep.oscillator.TermPlan` for the coefficients.  The plan
 lives on the cached entries, so every table rebuilt from the cache (at
-another frequency or phase) steps with the same plan.
+another frequency or phase) steps with the same plan.  The phase-averaged
+entries have the same words and share the word plan, with the tapes it
+records; only their coefficients get a plan of their own.
 """
 
 from __future__ import annotations
@@ -77,8 +79,12 @@ class _Entries(tuple):
 
     @cached_property
     def averaged(self) -> "_Entries":
-        """These entries with every coefficient phase-averaged."""
-        return _Entries(replace(e, coeff=phase_average(e.coeff)) for e in self)
+        """These entries with every coefficient phase-averaged; they have
+        the same words in the same order, so they share the word plan."""
+        out = _Entries(replace(e, coeff=phase_average(e.coeff)) for e in self)
+        # set before first use, in place of the plan it would compile
+        out.plan = (self.plan[0], TermPlan([e.coeff for e in out]))
+        return out
 
 
 @dataclass(frozen=True)
@@ -193,6 +199,8 @@ def step_phase_averaged(scheme: SchemeTable, field: CoefficientField, t_n: float
 
 def _step(entries: _Entries, osc: OscillatorSpec, field: CoefficientField, t_n: float,
           u_n, h: float) -> StepResult:
+    if not (math.isfinite(t_n) and math.isfinite(h)):
+        raise ValueError("t_n and h must be finite")
     if h < 0:
         raise ValueError("step size must be non-negative")
     u_n = np.asarray(u_n, dtype=complex)
@@ -219,6 +227,8 @@ def solve(scheme: SchemeTable, field: CoefficientField, t0: float, u0,
     Returns the trajectory as a list of (t, u) pairs including both
     endpoints.
     """
+    if not all(math.isfinite(x) for x in (t0, t_end, h)):
+        raise ValueError("t0, t_end and h must be finite")
     if h <= 0:
         raise ValueError("step size must be positive")
     span = t_end - t0

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import reference_step as ref
+import oscistep.jets as jets
 import oscistep.stepping as stepping
 from oscistep import (TruncationPolicy, build_scheme, builtin_field, enumerate_words,
                       make_field, make_oscillator, operator_values, solve, step,
@@ -193,3 +194,127 @@ def test_hand_built_table_matches_reference():
     assert_same(step(scheme, field, 0.3, u, 0.1), ref.step(scheme, field, 0.3, u, 0.1))
     assert_same(step_phase_averaged(scheme, field, 0.3, u, 0.1),
                 ref.step(scheme, field, 0.3, u, 0.1, averaged=True))
+
+
+# -- the operator tape ----------------------------------------------------------
+
+def fresh_table(policy=(4, 2)):
+    """A hand-built table, whose word plan starts with no tapes."""
+    built = build_scheme(OSCILLATORS[0], TruncationPolicy.from_order(*policy))
+    return SchemeTable(built.oscillator, built.policy, list(built.entries))
+
+
+def tapes(scheme):
+    return scheme.entries.plan[0].tapes
+
+
+@pytest.fixture
+def tripped(monkeypatch):
+    """One entry per tape replay: whether it found a zero and left the
+    step to the dict kernels."""
+    out = []
+    replay = jets._Tape.__call__
+
+    def spying(tape, a, b):
+        values = replay(tape, a, b)
+        out.append(values is None)
+        return values
+
+    monkeypatch.setattr(jets._Tape, "__call__", spying)
+    return out
+
+
+ZERO_WORD_FIELDS = {
+    # L0 b = -c + c * 1 cancels to an exact zero, whose key the kernels drop
+    "cancelling": lambda: make_field(1, lambda t, u: [0.7], lambda t, u: [u[0] - 0.7 * t]),
+    # a * db/du = 1e-200 * 1e-200 underflows to zero, so the kernels leave
+    # L0 b = db/dt = -0.7 - 0j, and a replay that kept the zero would add
+    # it and print -0.7 + 0j
+    "underflowing": lambda: make_field(1, lambda t, u: [1e-200],
+                                       lambda t, u: [-t * 0.7 + u[0] * 1e-200]),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_WORD_FIELDS)
+def test_word_zero_on_every_step_runs_the_kernels(name, tripped):
+    field = ZERO_WORD_FIELDS[name]()
+    scheme = fresh_table()
+    u = np.array([0.9 + 0.0j])
+    h = 0.05
+    traj = solve(scheme, field, 0.0, u, 5 * h, h)
+    assert tripped == [True] * 5
+    for i, (t, got) in enumerate(traj[1:]):
+        want = ref.step(scheme, field, i * h, u, h)
+        assert repr(t) == repr(want.t_next)
+        assert exact(got) == exact(want.u_next)
+        u = want.u_next
+    pairs = [(e.word.target, e.word.operator_word) for e in scheme.entries]
+    got = operator_values(field, pairs, 0.3, u)
+    want = ref.operator_values(field, pairs, 0.3, u)
+    assert all(exact(got[k]) == exact(want[k]) for k in want)
+
+
+def test_replay_resumes_after_a_zero_state(tripped):
+    # L0 b = -1 + 0.5 * 2u is exactly zero at u = 1 only
+    field = make_field(1, lambda t, u: [0.5], lambda t, u: [u[0] * u[0] - t])
+    scheme = fresh_table()
+    for t, u in ((0.1, 1.2), (0.2, 1.0), (0.3, 0.8 + 0.1j)):
+        u = np.array([u], dtype=complex)
+        assert_same(step(scheme, field, t, u, 0.1), ref.step(scheme, field, t, u, 0.1))
+    assert tripped == [False, True, False]
+    assert len(tapes(scheme)) == 1
+
+
+def test_fields_of_two_dimensions_get_their_own_tapes(tripped):
+    scheme = fresh_table((8, 2))
+    rng = np.random.default_rng(9)
+    fields = [FIELDS["nonlinear"](),
+              make_field(2, lambda t, u: [u[1] * t, -u[0]], lambda t, u: [u[0] * u[1], 0.3])]
+    for field in (fields[0], fields[1], fields[0]):
+        t, u = start_points(field.m, rng)[0]
+        assert_same(step(scheme, field, t, u, 0.1), ref.step(scheme, field, t, u, 0.1))
+    assert tripped == [False] * 3
+    assert len(tapes(scheme)) == 2
+
+
+def pattern_field(i):
+    """A field whose base jets have keys of their own for each i < 28:
+    a = t^p + u and b = u^q keep p + 2 and q + 1 keys at order 7."""
+    p, q = i % 4 + 1, i // 4 + 1
+    return make_field(1, lambda t, u: [t ** p + u[0]], lambda t, u: [0.5 * u[0] ** q])
+
+
+def test_tapes_per_plan_are_bounded():
+    scheme = fresh_table((8, 2))
+    u = np.array([0.9 + 0.1j])
+    # the first field again at the end, after its tape was dropped
+    for n, i in enumerate([*range(jets.TAPE_CACHE_SIZE + 3), 0], 1):
+        field = pattern_field(i)
+        assert_same(step(scheme, field, 0.2, u, 0.1), ref.step(scheme, field, 0.2, u, 0.1))
+        assert len(tapes(scheme)) == min(n, jets.TAPE_CACHE_SIZE)
+
+
+def test_averaged_entries_share_the_word_plan():
+    scheme = fresh_table()
+    field = FIELDS["nonlinear"]()
+    u = np.array([1.1 + 0.1j])
+    for fn, averaged in ((step, False), (step_phase_averaged, True)):
+        assert_same(fn(scheme, field, 0.1, u, 0.1),
+                    ref.step(scheme, field, 0.1, u, 0.1, averaged=averaged))
+    words, coefficients = scheme.entries.plan
+    assert scheme.entries.averaged.plan[0] is words
+    assert scheme.entries.averaged.plan[1] is not coefficients
+    assert len(words.tapes) == 1
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_field_jets_match_reference(order):
+    # the field builds its variable jets from packed keys, dropping a zero
+    # value as the constructor does; t = 0, u_j = 0 and b_2 = 0 give such zeros
+    field = make_field(2, lambda t, u: [t, u[1]], lambda t, u: [u[0] - 1.0, 0.0])
+    for t, u in [(0.0, [0.0, 1.0 - 0.5j]), (0.3, [0.5j, 0.0])]:
+        u = np.array(u)
+        for got, fn in ((field.a_jets, field._a), (field.b_jets, field._b)):
+            want = ref._field_jets(fn, 2, t, u, order)
+            assert repr([list(j.coeffs.items()) for j in got(t, u, order)]) == \
+                   repr([list(j.coeffs.items()) for j in want])

@@ -397,3 +397,22 @@ def test_non_finite_arguments_rejected(build):
     # a comparison with NaN is false, so each check must test finiteness
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("call", [
+    lambda sch, f: step(sch, f, 0.0, u1(1.0), NAN),
+    lambda sch, f: step(sch, f, NAN, u1(1.0), 0.1),
+    lambda sch, f: step(sch, f, 0.0, u1(1.0), INF),
+    lambda sch, f: step_phase_averaged(sch, f, -INF, u1(1.0), 0.1),
+    lambda sch, f: solve(sch, f, 0.0, u1(1.0), INF, 0.1),
+    lambda sch, f: solve(sch, f, NAN, u1(1.0), 1.0, 0.1),
+    lambda sch, f: solve(sch, f, 0.0, u1(1.0), NAN, 0.1),
+    lambda sch, f: solve(sch, f, 0.0, u1(1.0), 1.0, NAN),
+    lambda sch, f: solve(sch, f, 0.0, u1(1.0), 1.0, INF),
+], ids=["step-h-nan", "step-t-nan", "step-h-inf", "averaged-t-inf", "solve-t_end-inf",
+        "solve-t0-nan", "solve-t_end-nan", "solve-h-nan", "solve-h-inf"])
+def test_non_finite_times_rejected(call):
+    # rejected as arguments, not blamed on a term or left to round()
+    sch = build_scheme(make_oscillator("cos", 50.0), pol(4, 2))
+    with pytest.raises(ValueError, match="must be finite"):
+        call(sch, builtin_field("linear", mu=1.0))
