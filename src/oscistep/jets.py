@@ -381,10 +381,10 @@ class WordPlan:
     order above the result, which does what truncating the parent would.
 
     A call replays a :class:`_Tape` of that instruction list, recorded for
-    the key order of the call's base jets; the plan keeps the last
-    ``TAPE_CACHE_SIZE`` of them.  If a replay finds an exact zero, the call
-    runs the instruction list itself.  Plans of order 0 evaluate `a` and `b`
-    on plain numbers (see the module docstring).
+    the key order of the call's base jets; the plan keeps the
+    ``TAPE_CACHE_SIZE`` it recorded last.  If a replay finds an exact zero,
+    the call runs the instruction list itself.  Plans of order 0 evaluate
+    `a` and `b` on plain numbers (see the module docstring).
     """
 
     def __init__(self, pairs):
@@ -503,8 +503,6 @@ class _Register:
         # recorded as if no sum were exactly zero; a replay checks that
         return False
 
-    __hash__ = None
-
 
 class _Product:
     """``r[x] * r[y]`` while a tape is recorded, until a sum takes it."""
@@ -520,19 +518,11 @@ class _Product:
 
 class _Tape:
     """A word plan's dict kernels recorded for one key order of the base
-    jets: a flat list of scalar operations on a list of registers.
-
-    Registers 0, 1, ... hold the base jets' coefficients: `a`'s components
-    first, then `b`'s, each in its keys' order.  The kernels' keys and
-    their order follow from those of the base jets alone, as long as the
-    kernels drop no key.  Replaying the tape then repeats every
-    multiplication and addition of the kernels on the same operands in the
-    same order, so each register gets its coefficient's value bit for bit.
-    The kernels drop a key only where a product sum or a sum is exactly
-    zero, so a replay that leaves a zero in a register returns None and the
-    caller runs the kernels instead.  Partial derivatives ``c * n`` of a
-    nonzero `c` are never zero, and NaN and infinity are kept by both.
-    """
+    jets (see the module docstring): a flat list of scalar operations on a
+    list of registers.  Registers 0, 1, ... hold the base jets'
+    coefficients, `a`'s components first, then `b`'s, each in its keys'
+    order.  Base coefficients and partials ``c * n`` of them are never
+    zero, so any zero a replay leaves is a product sum or a sum."""
 
     __slots__ = ("ops", "size", "blank", "outputs")
 
