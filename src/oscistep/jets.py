@@ -60,8 +60,9 @@ scalar arithmetic; jets of order 0 would differ from it in the last bits
 
 from __future__ import annotations
 
+import numbers
 from functools import lru_cache
-from math import factorial
+from math import factorial, isfinite
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -329,8 +330,9 @@ class CoefficientField:
     """
 
     def __init__(self, m: int, a: Callable, b: Callable, name: str = "custom"):
-        if m < 1:
-            raise ValueError("field dimension must be positive")
+        if not (isinstance(m, numbers.Real) and not isinstance(m, bool)
+                and isfinite(m) and m == int(m) and m >= 1):
+            raise ValueError(f"field dimension must be an integer >= 1, got {m!r}")
         self.m = int(m)
         self._a = a
         self._b = b

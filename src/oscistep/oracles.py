@@ -185,10 +185,14 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
                     u0, t_end: float, dt: float):
     """Classical fixed-step RK4 on the raw right-hand side a + b v.
 
-    `dt` must resolve the oscillation: dt <= period / 20.  The step is
-    shrunk slightly if needed so an integer number of steps spans the
-    interval.  Returns a list of (t, u) pairs.
+    `dt` must be positive and resolve the oscillation: dt <= period / 20.
+    The step is shrunk slightly if needed so an integer number of steps
+    spans the interval.  Returns a list of (t, u) pairs.
     """
+    if not all(math.isfinite(x) for x in (t0, t_end, dt)):
+        raise ValueError("t0, t_end and dt must be finite")
+    if dt <= 0:
+        raise ValueError(f"micro step must be positive, got {dt}")
     span = t_end - t0
     if span <= 0:
         raise ValueError("t_end must exceed t0")

@@ -61,6 +61,10 @@ def integration_call_count() -> int:
     return _INTEGRATION_CALLS
 
 
+# bindings kept on one TermPlan, one per (omega, nu, dt)
+BINDING_CACHE_SIZE = 8
+
+
 @dataclass(frozen=True)
 class OscillatorSpec:
     """Finite-Fourier oscillator with frequency, phase and amplitude exponent.
@@ -254,13 +258,20 @@ class TermPlan:
     """Basis polynomials compiled for evaluation at t = t_ref + dt, the
     phase anchored at t_ref.
 
-    Compiling lists the distinct p, k, q and omega exponents n + m nu (the
-    last per nu, on first use) and gives each term its coefficient and the
-    indices of its factors.  An evaluation computes each factor dt^p,
-    exp(i k omega dt), Z^q and omega^-(n + m nu) once; each term is still
-    the product c * dt^p * e^(ik omega dt) * Z^q * omega^-(..) taken left to
-    right, skipping unit factors, and each polynomial sums its terms in
-    order, so the result does not depend on which polynomials share a plan.
+    Each term is the product c * dt^p * e^(ik omega dt) * Z^q *
+    omega^-(n + m nu) taken left to right, skipping unit factors, and each
+    polynomial sums its terms in order from 0.0 + 0.0j, so the result does
+    not depend on which polynomials share a plan.
+
+    Only Z^q changes from one step to the next.  A call therefore looks up
+    a *binding* for its ``(omega, nu, dt)``; the plan keeps the
+    ``BINDING_CACHE_SIZE`` it built last.  A binding holds each term's
+    prefix c * dt^p * e^(ik omega dt), the left part of the same product,
+    so multiplying it by Z^q and then by omega^-(..) repeats the term's
+    operations one for one.  A term without Z^q is a constant, its omega
+    factor already applied, and the constants that open a polynomial are
+    summed once: that is the running total the sum reaches at that point.
+    Tables without Z^q terms (the phase-averaged ones) bind to constants.
     """
 
     def __init__(self, polys):
@@ -277,58 +288,80 @@ class TermPlan:
                     self._ks.setdefault(k, len(self._ks))
                 if q:
                     self._qs.setdefault(q, len(self._qs))
-        self._by_nu: dict[float, tuple] = {}
+        self.bindings: dict[tuple, tuple] = {}
 
-    def _compile(self, nu: float) -> tuple:
-        """The omega exponents at `nu` and every polynomial's terms as
-        ``(coefficient, factor indices)``; the factors are listed by kind in
-        the order dt^p, e^(ik omega dt), Z^q, omega^-(n + m nu)."""
-        ps, ks, qs = self._ps, self._ks, self._qs
-        k0 = len(ps)
-        q0 = k0 + len(ks)
-        e0 = q0 + len(qs)
-        expos: dict[float, int] = {}
-        polys = []
+    def _bind(self, omega: float, nu: float, dt: float) -> tuple:
+        """Every polynomial at `omega`, `nu` and `dt` as ``(start, rest)``:
+        the sum of its leading constants, then its other terms in order as
+        ``(value, q index, omega factor)``, the last two None where the
+        term has no such factor."""
+        # every dt^p before any exponential, so that a dt which breaks both
+        # raises OverflowError from the power
+        powers = []
+        for p in self._ps:
+            powers.append(dt ** p)
+        waves = []
+        for k in self._ks:
+            waves.append(cmath.exp(1j * k * omega * dt))
+        scales: dict[float, float] = {}
+        out = []
         for terms in self._polys:
-            compiled = []
-            for (p, k, q, n, m), c in terms:
-                idx = []
+            start = 0.0 + 0.0j
+            rest = []
+            for (p, k, q, n, m), val in terms:
                 if p:
-                    idx.append(ps[p])
+                    val *= powers[self._ps[p]]
                 if k:
-                    idx.append(k0 + ks[k])
-                if q:
-                    idx.append(q0 + qs[q])
+                    val *= waves[self._ks[k]]
+                w = None
                 expo = n + m * nu
                 if expo:
-                    idx.append(e0 + expos.setdefault(expo, len(expos)))
-                compiled.append((c, tuple(idx)))
-            polys.append(tuple(compiled))
-        self._by_nu[nu] = out = (tuple(expos), tuple(polys))
-        return out
+                    if expo not in scales:
+                        scales[expo] = omega ** (-expo)
+                    w = scales[expo]
+                if q:
+                    rest.append((val, self._qs[q], w))
+                    continue
+                if w is not None:
+                    val *= w
+                if rest:
+                    rest.append((val, None, None))
+                else:
+                    start += val
+            out.append((start, tuple(rest)))
+        return tuple(out)
 
     def __call__(self, osc: OscillatorSpec, dt: float, t_ref: float) -> list[complex]:
         """Every polynomial's value, in order."""
-        omega, nu = osc.omega, osc.nu
-        expos, polys = self._by_nu.get(nu) or self._compile(nu)
+        omega = osc.omega
         z = cmath.exp(1j * (omega * t_ref + osc.phi))
+        try:
+            # -0.0 and 0.0, or 2 and 2.0, are equal keys whose powers differ
+            # in sign or type
+            key = (omega, type(omega), osc.nu, dt, math.copysign(1.0, dt), type(dt))
+            binding = self.bindings.get(key)
+        except TypeError:
+            # a dt with no sign or hash, such as a numpy array, binds for
+            # this call only
+            key = binding = None
+        if binding is None:
+            binding = self._bind(omega, osc.nu, dt)
+            if key is not None:
+                if len(self.bindings) >= BINDING_CACHE_SIZE:
+                    del self.bindings[next(iter(self.bindings))]
+                self.bindings[key] = binding
         # plain loops: each comprehension would cost a call frame, which
         # shows on the one- and two-term polynomials of eval_shifted
-        factors = []
-        for p in self._ps:
-            factors.append(dt ** p)
-        for k in self._ks:
-            factors.append(cmath.exp(1j * k * omega * dt))
+        zs = []
         for q in self._qs:
-            factors.append(z ** q)
-        for expo in expos:
-            factors.append(omega ** (-expo))
+            zs.append(z ** q)
         out = []
-        for terms in polys:
-            total = 0.0 + 0.0j
-            for val, idx in terms:
-                for i in idx:
-                    val *= factors[i]
+        for total, rest in binding:
+            for val, qi, w in rest:
+                if qi is not None:
+                    val *= zs[qi]
+                    if w is not None:
+                        val *= w
                 total += val
             out.append(total)
         return out

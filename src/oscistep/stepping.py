@@ -20,7 +20,9 @@ On its first step a table's entries compile into a step plan: a
 lives on the cached entries, so every table rebuilt from the cache (at
 another frequency or phase) steps with the same plan.  The phase-averaged
 entries have the same words and share the word plan, with the tapes it
-records; only their coefficients get a plan of their own.
+records; only their coefficients get a plan of their own.  A coefficient
+plan binds its step-invariant factors once per (omega, nu, h), so steps
+of one size at any start time or phase share one binding.
 """
 
 from __future__ import annotations
@@ -185,7 +187,9 @@ def step(scheme: SchemeTable, field: CoefficientField, t_n: float, u_n,
     """One macro step from (t_n, u_n) over [t_n, t_n + h].
 
     Each entry contributes its coefficient times its operator value; the
-    contributions are added to u_n one at a time in table order.
+    contributions are added to u_n one at a time in table order.  A
+    non-finite t_n, h or u_n raises ValueError, and a non-finite
+    contribution NumericStepError.
     """
     return _step(scheme.entries, scheme.oscillator, field, t_n, u_n, h)
 
@@ -209,13 +213,24 @@ def _step(entries: _Entries, osc: OscillatorSpec, field: CoefficientField, t_n: 
     operators, coefficients = entries.plan
     values = operators(field, t_n, u_n)
     coeffs = coefficients(osc, h, t_n)
+    # row 0 is u_n, row i the i-th contribution; the running sum ends in u_next
+    rows = np.empty((len(values) + 1, field.m), dtype=complex)
+    rows[0] = u_n
+    contributions = rows[1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        contributions = np.array(coeffs, dtype=complex)[:, None] * values
-    finite = np.isfinite(contributions.view(float)).all(axis=1)
-    if not finite.all():
-        bad = entries[int(np.argmin(finite))]
-        raise NumericStepError(f"non-finite contribution from term {bad.word}")
-    u_next = np.add.accumulate(np.vstack([u_n, contributions]))[-1]
+        np.multiply(np.array(coeffs, dtype=complex)[:, None], values, out=contributions)
+        u_next = np.add.accumulate(rows)[-1]
+    # inf and NaN survive addition, so a finite sum had finite terms
+    if not np.isfinite(u_next).all():
+        if not np.isfinite(u_n).all():
+            raise ValueError("u_n must be finite")
+        finite = np.isfinite(contributions.view(float)).all(axis=1)
+        if not finite.all():
+            bad = entries[int(np.argmin(finite))]
+            raise NumericStepError(f"non-finite contribution from term {bad.word}")
+        # finite terms whose sum overflowed: summed again for numpy to
+        # report the overflow under the caller's error settings
+        u_next = np.add.accumulate(rows)[-1]
     return StepResult(u_next=u_next, t_next=t_n + h,
                       contributions=tuple(contributions))
 

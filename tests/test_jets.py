@@ -195,3 +195,14 @@ class TestBuiltinFieldDerivatives:
     def test_unknown_field_name(self):
         with pytest.raises(ValueError):
             builtin_field("no-such-field")
+
+
+@pytest.mark.parametrize("m", [1.5, 2.9, math.nan, math.inf, "2", 0, True])
+def test_field_dimension_must_be_a_positive_integer(m):
+    # not truncated to an integer, and one error for every bad kind
+    with pytest.raises(ValueError, match="integer >= 1"):
+        make_field(m, lambda t, u: [u[0]], lambda t, u: [u[0]])
+
+
+def test_integral_float_dimension_accepted():
+    assert make_field(2.0, lambda t, u: [u[0], u[1]], lambda t, u: [u[1], u[0]]).m == 2

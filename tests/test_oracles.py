@@ -125,6 +125,21 @@ class TestRK4:
         with pytest.raises(ResolutionError):
             rk4_micro_solve(f, o, 0.0, np.array([1.0 + 0j]), 1.0, 0.01)
 
+    @pytest.mark.parametrize("t0,t_end,dt,match", [
+        (0.0, 1.0, -0.001, "positive"),
+        (0.0, 1.0, 0.0, "positive"),
+        (math.nan, 1.0, 1e-3, "finite"),
+        (0.0, math.nan, 1e-3, "finite"),
+        (0.0, 1.0, math.nan, "finite"),
+        (0.0, math.inf, 1e-3, "finite"),
+    ], ids=["dt-negative", "dt-zero", "t0-nan", "t_end-nan", "dt-nan", "t_end-inf"])
+    def test_bad_times_rejected(self, t0, t_end, dt, match):
+        # a negative dt would pass the resolution check and step backwards
+        f = builtin_field("linear", mu=1.0)
+        o = make_oscillator("cos", 100.0)
+        with pytest.raises(ValueError, match=match):
+            rk4_micro_solve(f, o, t0, np.array([1.0 + 0j]), t_end, dt)
+
     def test_state_dimension_checked(self):
         f = builtin_field("linear", mu=1.0)
         o = make_oscillator("cos", 100.0)

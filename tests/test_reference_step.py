@@ -13,6 +13,7 @@ import pytest
 
 import reference_step as ref
 import oscistep.jets as jets
+import oscistep.oscillator as oscillator
 import oscistep.stepping as stepping
 from oscistep import (TruncationPolicy, build_scheme, builtin_field, enumerate_words,
                       make_field, make_oscillator, operator_values, solve, step,
@@ -318,3 +319,51 @@ def test_field_jets_match_reference(order):
             want = ref._field_jets(fn, 2, t, u, order)
             assert repr([list(j.coeffs.items()) for j in got(t, u, order)]) == \
                    repr([list(j.coeffs.items()) for j in want])
+
+
+# -- the coefficient bindings ---------------------------------------------------
+
+def bindings(scheme, averaged=False):
+    entries = scheme.entries.averaged if averaged else scheme.entries
+    return entries.plan[1].bindings
+
+
+def test_step_sizes_bind_by_value_sign_and_type():
+    # 0.0, -0.0 and 0, or 0.05 and np.float64(0.05), are equal keys whose
+    # powers differ in sign or type; the -0.0 components let zero signs
+    # show in u_next.  A 0-d array has no hash and binds for one call.
+    scheme = fresh_table()
+    u = np.array([complex(0.9, -0.0), complex(-0.0, 0.4)])
+    field = FIELDS["m2-division"]()
+    for h in (0.02, 0.05, 0.02, 0.0, -0.0, 0, np.float64(0.05), np.array(0.05)):
+        for fn, averaged in ((step, False), (step_phase_averaged, True)):
+            for t in (0.0, 0.3):
+                assert_same(fn(scheme, field, t, u, h),
+                            ref.step(scheme, field, t, u, h, averaged=averaged))
+    assert len(bindings(scheme)) == len(bindings(scheme, averaged=True)) == 6
+
+
+def test_phases_share_one_binding_per_frequency_and_step_size():
+    base = fresh_table()
+    field = FIELDS["nonlinear"]()
+    u = np.array([1.1 + 0.1j])
+    for omega in (100.0, 57.0):
+        for phi in np.linspace(0.0, 6.0, 7):
+            scheme = SchemeTable(make_oscillator("cos", omega, float(phi)), base.policy,
+                                 base.entries)
+            for fn, averaged in ((step, False), (step_phase_averaged, True)):
+                for t in (0.0, 0.3):
+                    assert_same(fn(scheme, field, t, u, 0.1),
+                                ref.step(scheme, field, t, u, 0.1, averaged=averaged))
+    assert len(bindings(base)) == len(bindings(base, averaged=True)) == 2
+
+
+def test_bindings_per_plan_are_bounded():
+    scheme = fresh_table()
+    field = FIELDS["linear"]()
+    u = np.array([0.9 + 0.1j])
+    # the first step size again at the end, after its binding was dropped
+    hs = [0.01 * (i + 1) for i in range(oscillator.BINDING_CACHE_SIZE + 3)]
+    for n, h in enumerate([*hs, hs[0]], 1):
+        assert_same(step(scheme, field, 0.2, u, h), ref.step(scheme, field, 0.2, u, h))
+        assert len(bindings(scheme)) == min(n, oscillator.BINDING_CACHE_SIZE)

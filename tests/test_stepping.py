@@ -11,6 +11,7 @@ from oscistep import (BoundInputs, NumericStepError, TruncationPolicy, Word,
                       integration_call_count, iterated_integral, make_field,
                       make_oscillator, phase_average, solve, step,
                       step_phase_averaged)
+from oscistep.stepping import SchemeTable
 
 
 def pol(kappa, rho, nu=0.0):
@@ -191,6 +192,15 @@ class TestStep:
         for policy in (TruncationPolicy(1, 1), TruncationPolicy(2, 2)):
             with pytest.raises(ValueError, match="wrong dimension"):
                 step(build_scheme(o, policy), f, 0.0, u, 0.1)
+
+    def test_overflowing_sum_of_finite_contributions_returns_inf(self):
+        # only a non-finite term or state is an error; the sum may overflow
+        f = make_field(1, lambda t, u: [1e308 + 0.0 * u[0]], lambda t, u: [0.0 * t])
+        sch = build_scheme(make_oscillator("cos", 5.0), TruncationPolicy(1, 1))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            res = step(sch, f, 0.0, u1(1e308), 1.0)
+        assert res.u_next[0] == complex(math.inf, 0.0)
+        assert all(np.isfinite(c).all() for c in res.contributions)
 
     def test_non_finite_contribution_identifies_term(self):
         f = make_field(1, lambda t, u: [u[0] * 1e308], lambda t, u: [0.0 * t])
@@ -416,3 +426,36 @@ def test_non_finite_times_rejected(call):
     sch = build_scheme(make_oscillator("cos", 50.0), pol(4, 2))
     with pytest.raises(ValueError, match="must be finite"):
         call(sch, builtin_field("linear", mu=1.0))
+
+
+U_INDEPENDENT = (1, lambda t, u: [t], lambda t, u: [1.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda sch: solve(sch, make_field(*U_INDEPENDENT), 0.0, u1(NAN), 1.0, 0.1),
+    lambda sch: step(sch, make_field(*U_INDEPENDENT), 0.0, u1(INF), 0.1),
+    lambda sch: step(sch, builtin_field("linear", mu=1.0), 0.0, u1(NAN), 0.1),
+    lambda sch: step_phase_averaged(sch, builtin_field("linear", mu=1.0), 0.3,
+                                    u1(complex(1.0, -INF)), 0.1),
+    lambda sch: step(sch, make_field(2, lambda t, u: [u[1], t], lambda t, u: [0.5, u[0]]),
+                     0.2, np.array([1.0, NAN]), 0.1),
+], ids=["solve-u-independent-nan", "step-u-independent-inf", "step-linear-nan",
+        "averaged-imag-inf", "step-m2-one-nan"])
+def test_non_finite_states_rejected(call):
+    # rejected as an argument, not returned or blamed on a term
+    sch = build_scheme(make_oscillator("cos", 50.0), pol(4, 2))
+    with pytest.raises(ValueError, match="u_n must be finite"):
+        call(sch)
+
+
+def test_overflowing_step_size_binds_nothing():
+    # h^4 overflows a float: each call raises, and no binding is left behind
+    built = build_scheme(make_oscillator("cos", 50.0), pol(4, 2))
+    sch = SchemeTable(built.oscillator, built.policy, list(built.entries))
+    bindings = sch.entries.plan[1].bindings
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            step(sch, builtin_field("linear", mu=1.0), 0.0, u1(1.0), 1e100)
+        assert bindings == {}
+    step(sch, builtin_field("linear", mu=1.0), 0.0, u1(1.0), 0.1)
+    assert len(bindings) == 1
