@@ -37,25 +37,52 @@ included.  The CLI prints 17 significant digits and its README output is
 locked byte for byte (``tests/readme_cli_golden.txt``); a reordered sum
 would change those bytes.
 
-A word plan does not run the kernels on every call; it replays a tape of
-them.  The kernels drop a key only where a product sum or a sum is exactly
-zero, and otherwise which keys they make, in which order, and so which
-products they add in which order, follow from the key order of the base
-jets `a` and `b` alone.  That key order is the tape's signature.  For each
-signature the plan runs the kernels once on registers instead of numbers
-and records a tape: a flat list of scalar operations, each a partial
-``c * n``, a product sum's first term ``0.0 + x * y`` or a later one
-``s + x * y``, or a sum ``x + y`` or ``0.0 + y``.  A replay on the next
-call's base values does the same floating-point operations on the same
-operands in the same order, so it gives the kernels' values bit for bit,
-provided the kernels would have dropped no key.  A replay that leaves an
-exact zero in a register is therefore thrown away and that call runs the
-kernels: the zero is where they drop a key, and a kept zero can change a
-later result (``1e-200 * 1e-200`` underflows to zero, and adding it turns
-a coefficient of ``-0.7 - 0j`` into ``-0.7 + 0j``).  Plans of order 0 take
-no derivatives and evaluate `a` and `b` on plain numbers, with numpy's
-scalar arithmetic; jets of order 0 would differ from it in the last bits
-(``u ** -2`` of the power field, for one).
+A step's operator values are one taped path from ``(t, u)``.  The
+kernels drop a key only where a product sum or a sum is exactly zero, and
+otherwise which keys they make, in which order, and so which products
+they add in which order, follow from the key order of their inputs alone.
+So their work can be recorded once on registers instead of numbers, as
+scalar operations, and replayed on later calls: the same floating-point
+operations on the same operands in the same order give the same values,
+bit for bit.  This is operator-overloading taping, as in ADOL-C
+(Griewank & Walther, *Evaluating Derivatives*, ch. 6).  Two tapes make
+the path:
+
+* A field tape runs `a` and `b` once on jets whose coefficients are
+  registers, for each jet order and pattern of exact zeros in ``(t, u)``
+  (a variable's jet drops a zero value).  The field keeps the
+  ``TAPE_CACHE_SIZE`` it recorded last.  Constants the lambdas use or
+  return enter the replay as arguments, never as source text (``repr``
+  loses the sign of -0.0 and is not a literal for nan or inf).
+* A word tape runs a word plan's kernels once on registers for the base
+  jets' coefficients, for each key order of those jets (its signature).
+  The plan keeps the ``TAPE_CACHE_SIZE`` it recorded last, and every field
+  whose base jets have that key order shares them.
+
+Each recording becomes one straight-line Python function, compiled once
+as ``dataclasses`` builds ``__init__``: registers are locals, and it does
+the recorded operations in order.  Fields that differ only in their
+constants share one compiled function.
+
+A recording answers each zero test of the jets and kernels with
+"nonzero", and a replay that finds one of those registers exactly zero
+returns None; that call runs the jets or the kernels instead.  The zero
+is where they drop a key, and a kept zero can change a later result
+(``1e-200 * 1e-200`` underflows to zero, and adding it turns a
+coefficient of ``-0.7 - 0j`` into ``-0.7 + 0j``).  The one drop a field
+tape records is ``Jet * n`` by an exact zero, and its replay checks that
+the product is zero.
+
+A field's recording follows jet arithmetic only: ``+``, ``-``, ``*``,
+``/`` and integer powers of jets and of ``int``, ``float`` or ``complex``
+numbers.  For lambdas that read a jet's value, coefficients or base point,
+multiply a jet by another kind of number, or raise while recorded, that
+jet order and pattern stay untaped, and their calls run on jets, which
+give what they always gave, exceptions included.
+
+Plans of order 0 take no derivatives and evaluate `a` and `b` on plain
+numbers, with numpy's scalar arithmetic; jets of order 0 would differ
+from it in the last bits (``u ** -2`` of the power field, for one).
 """
 
 from __future__ import annotations
@@ -87,7 +114,8 @@ _BITS = 16
 _MASK = (1 << _BITS) - 1
 _MAX_ORDER = (1 << (_BITS - 1)) - 1
 
-# tapes kept on one WordPlan, one per key order of the base jets
+# tapes kept on one WordPlan, one per key order of the base jets, and on
+# one field, one per jet order and pattern of zeros in (t, u)
 TAPE_CACHE_SIZE = 8
 
 
@@ -110,7 +138,7 @@ def _unpack(key: int, nvars: int) -> tuple[int, ...]:
 def _nonzero(terms: dict) -> dict:
     """`terms` without exact zeros, which the constructor drops too."""
     if 0 in terms.values():
-        return {k: c for k, c in terms.items() if c}
+        return {k: c for k, c in terms.items() if c != 0}
     return terms
 
 
@@ -206,26 +234,36 @@ class Jet:
     @classmethod
     def variable(cls, index, base, order):
         """The jet of the coordinate ``x_index`` itself."""
-        return cls(base, order, {})._variable(index)
+        origin = cls(base, order, {})
+        return origin._variable(index, origin.base[index])
 
-    def _variable(self, index: int) -> "Jet":
-        """The jet of ``x_index`` on this one's base point and order."""
-        x = self.base[index]
-        terms = {0: x} if x else {}
+    def _variable(self, index: int, x) -> "Jet":
+        """The jet of ``x_index``, whose value is `x`, on this one's base
+        point and order."""
+        terms = {0: x} if x != 0 else {}
         if self.order >= 1:
             terms[(1 << (_BITS * self.nvars)) | (1 << (_BITS * index))] = 1.0 + 0.0j
         return self._like(terms)
 
+    def _read(self):
+        """Stops a field's recording, which cannot follow code that reads
+        coefficients."""
+        if type(self.base) is _Recorder:
+            self.base.refuse()
+
     @property
     def coeffs(self) -> dict[tuple[int, ...], complex]:
         """The Taylor coefficients keyed by multi-index tuples."""
+        self._read()
         return {_unpack(k, self.nvars): c for k, c in self._terms.items()}
 
     @property
     def value(self) -> complex:
+        self._read()
         return self._terms.get(0, 0.0 + 0.0j)
 
     def coefficient(self, alpha) -> complex:
+        self._read()
         key = _pack(tuple(alpha), self.nvars)
         return 0.0 + 0.0j if key is None else self._terms.get(key, 0.0 + 0.0j)
 
@@ -277,6 +315,8 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
+            if type(self.base) is _Recorder:
+                return self._like(self.base.scale(self._terms, other))
             return self._like({k: complex(v) for k, c in self._terms.items()
                                if (v := c * other) != 0})
         self._check(other)
@@ -286,7 +326,7 @@ class Jet:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Jet":
-        f0 = self.value
+        f0 = self._terms.get(0, 0.0 + 0.0j)
         if f0 == 0:
             raise ZeroDivisionError("jet with zero value has no reciprocal")
         # 1/f = (1/f0) * sum_k (1 - f/f0)^k; the bracket is nilpotent.
@@ -327,6 +367,12 @@ class CoefficientField:
     `a` and `b` are callables ``(t, u) -> sequence of m scalars`` written
     over abstract arithmetic, so the same definition evaluates on plain
     complex numbers and on jets.
+
+    They must be functions of ``(t, u)`` alone.  A word plan records them
+    once per jet order and pattern of exact zeros in ``(t, u)`` as a tape
+    (see the module docstring), with every constant they capture baked in,
+    and replays that tape on later calls without calling them.  A caller
+    whose parameters change builds a new field.
     """
 
     def __init__(self, m: int, a: Callable, b: Callable, name: str = "custom"):
@@ -337,25 +383,39 @@ class CoefficientField:
         self._a = a
         self._b = b
         self.name = name
+        # field tapes by (jet order, which of t, u_1, ..., u_m are nonzero);
+        # None where the recording failed
+        self._tapes: dict[tuple, _FieldTape | None] = {}
+
+    def _state(self, u) -> np.ndarray:
+        u = np.asarray(u, dtype=complex)
+        if u.shape != (self.m,):
+            raise ValueError(f"state must have shape ({self.m},), got {u.shape}")
+        return u
+
+    def _checked(self, out: list) -> list:
+        if len(out) != self.m:
+            raise ValueError("coefficient function returned wrong dimension")
+        return out
 
     def _eval(self, fn, t, u, order: int | None = None) -> list:
         """`fn` at (t, u): on complex numbers when `order` is None, else on
         jets of that order.  Checks the state shape and the number of
         components returned."""
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (self.m,):
-            raise ValueError(f"state must have shape ({self.m},), got {u.shape}")
+        u = self._state(u)
         if order is None:
-            out = [x.value if isinstance(x, Jet) else complex(x)
-                   for x in fn(complex(t), list(u))]
-        else:
-            # base point and order checked once, for every variable
-            origin = Jet((complex(t), *u.tolist()), order, {})
-            tj, *uj = (origin._variable(i) for i in range(self.m + 1))
-            out = [v if isinstance(v, Jet) else origin._constant(v) for v in fn(tj, uj)]
-        if len(out) != self.m:
-            raise ValueError("coefficient function returned wrong dimension")
-        return out
+            return self._checked([x.value if isinstance(x, Jet) else complex(x)
+                                  for x in fn(complex(t), list(u))])
+        # base point and order checked once, for every variable
+        origin = Jet((complex(t), *u.tolist()), order, {})
+        return self._on_jets(fn, origin, origin.base)
+
+    def _on_jets(self, fn, origin: Jet, values) -> list[Jet]:
+        """`fn` on the jets of ``(t, u)`` on `origin`'s base point and
+        order, whose values are `values`; every component made a jet."""
+        tj, *uj = (origin._variable(i, x) for i, x in enumerate(values))
+        return self._checked([v if isinstance(v, Jet) else origin._constant(v)
+                              for v in fn(tj, uj)])
 
     def a_jets(self, t, u, order: int) -> list[Jet]:
         return self._eval(self._a, t, u, order)
@@ -368,6 +428,41 @@ class CoefficientField:
 
     def b_values(self, t, u) -> np.ndarray:
         return np.array(self._eval(self._b, t, u))
+
+    def _taped(self, t, u, order: int):
+        """The coefficients of the base jets at ``(t, u)`` from this field's
+        tape for `order` and the call's pattern of zeros, as ``(tape, a's
+        coefficients, b's coefficients)``; None where no tape serves the
+        call, which then takes ``a_jets`` and ``b_jets``."""
+        u = self._state(u)
+        base = (complex(t), *u.tolist())
+        # `_variable` drops a zero value, so the pattern fixes the keys
+        key = (order, *map(bool, base))
+        try:
+            tape = self._tapes[key]
+        except KeyError:
+            tape = self._record(key)
+        if tape is None:
+            return None
+        try:
+            values = tape(base)
+        except ArithmeticError:
+            # a division by a register taken as nonzero, or an int too big
+            # for a float: the jets find the zero, or raise
+            return None
+        return None if values is None else (tape, *values)
+
+    def _record(self, key: tuple) -> _FieldTape | None:
+        if len(self._tapes) >= TAPE_CACHE_SIZE:
+            del self._tapes[next(iter(self._tapes))]
+        try:
+            tape = _FieldTape(self, key[0], key[1:])
+        except Exception:
+            # the lambdas raised, or did what a tape cannot follow: calls
+            # with this key take the jets, which raise what they raise
+            tape = None
+        self._tapes[key] = tape
+        return tape
 
 
 class WordPlan:
@@ -382,11 +477,13 @@ class WordPlan:
     truncated to one order.  The derivative of the parent is capped one
     order above the result, which does what truncating the parent would.
 
-    A call replays a :class:`_Tape` of that instruction list, recorded for
-    the key order of the call's base jets; the plan keeps the
-    ``TAPE_CACHE_SIZE`` it recorded last.  If a replay finds an exact zero,
-    the call runs the instruction list itself.  Plans of order 0 evaluate
-    `a` and `b` on plain numbers (see the module docstring).
+    A call replays the field's tape for the base jets, then a
+    :class:`_Tape` of that instruction list, recorded for the key order of
+    those jets; the plan keeps the ``TAPE_CACHE_SIZE`` it recorded last,
+    and every field whose base jets have that key order shares them.  If a
+    replay finds an exact zero, the call runs the instruction list itself.
+    Plans of order 0 evaluate `a` and `b` on plain numbers (see the module
+    docstring).
     """
 
     def __init__(self, pairs):
@@ -421,26 +518,41 @@ class WordPlan:
 
     def __call__(self, field: CoefficientField, t, u) -> np.ndarray:
         """The values at ``(t, u)``: one row of `field.m` per pair."""
+        m = field.m
         if self.order == 0:
             # no derivatives: the field itself, on plain numbers
             slots = {}
             for i in dict.fromkeys(self.outputs):
                 slots[i] = field.a_values(t, u) if i == 0 else field.b_values(t, u)
             rows = [slots[i] for i in self.outputs]
-            return np.array(rows, dtype=complex).reshape(-1, field.m)
-        a = [j._terms for j in field.a_jets(t, u, self.order)]
-        b = [j._terms for j in field.b_jets(t, u, self.order)]
-        signature = (field.m, *map(tuple, a), *map(tuple, b))
+            return np.array(rows, dtype=complex).reshape(-1, m)
+        found = field._taped(t, u, self.order)
+        if found is None:
+            a = [j._terms for j in field.a_jets(t, u, self.order)]
+            b = [j._terms for j in field.b_jets(t, u, self.order)]
+            tape = self._tape((m, *map(tuple, a), *map(tuple, b)))
+            values = tape([c for x in a for c in x.values()],
+                          [c for x in b for c in x.values()])
+        else:
+            source, a, b = found
+            if source.plan is not self:
+                source.plan, source.words = self, self._tape(source.signature)
+            values = source.words(a, b)
+            if values is None:
+                a, b = source.jets(a, b)
+        if values is None:
+            slots = self._jets(m, a, b)
+            values = [x.get(0, 0.0 + 0.0j) for i in self.outputs for x in slots[i]]
+        return np.array(values, dtype=complex).reshape(-1, m)
+
+    def _tape(self, signature: tuple) -> _Tape:
+        """The tape for base jets of the key order `signature`."""
         tape = self.tapes.get(signature)
         if tape is None:
             if len(self.tapes) >= TAPE_CACHE_SIZE:
                 del self.tapes[next(iter(self.tapes))]
-            tape = self.tapes[signature] = _Tape(self, field.m, a, b)
-        values = tape(a, b)
-        if values is None:
-            slots = self._jets(field.m, a, b)
-            values = [x.get(0, 0.0 + 0.0j) for i in self.outputs for x in slots[i]]
-        return np.array(values, dtype=complex).reshape(-1, field.m)
+            tape = self.tapes[signature] = _Tape(self, signature)
+        return tape
 
     def _jets(self, m: int, a: list[dict], b: list[dict]) -> list[list[dict]]:
         """Every slot's jets from the base jets `a` and `b`, as packed-key
@@ -466,112 +578,260 @@ class WordPlan:
 
 # -- tapes ----------------------------------------------------------------------
 
-# tape operations (op, d, x, y) on the register list r
-_PARTIAL = 0   # r[d] = r[x] * y, y an int
-_FIRST = 1     # r[d] = 0.0 + r[x] * r[y]
-_NEXT = 2      # r[d] = r[d] + r[x] * r[y]
-_SUM = 3       # r[d] = r[x] + r[y]
-_COPY = 4      # r[d] = 0.0 + r[x]
+_NUMBERS = (int, float, complex)
+
+
+class _Untraceable(Exception):
+    """A recording met a use of a jet that a tape cannot repeat."""
+
+
+class _Recorder:
+    """Records scalar operations on registers as lines of Python source,
+    and compiles them into one straight-line function (see the module
+    docstring).  While a field is recorded it is also its jets' base point,
+    which refuses to be read."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.count = 0
+        # float, int and complex operands by id, with their local names
+        self.constants: dict[int, tuple[str, object]] = {}
+        # registers that were compared with zero and answered "nonzero"
+        self.checked: dict[str, None] = {}
+        # registers whose product with an exact zero was dropped
+        self.zeros: list[str] = []
+        self.failed = False
+
+    def refuse(self):
+        self.failed = True
+        raise _Untraceable("a tape cannot follow code that reads a jet's "
+                           "coefficients or base point")
+
+    __getitem__ = __len__ = lambda self, *_: self.refuse()
+
+    def register(self) -> "_Register":
+        out = _Register(self, f"r{self.count}")
+        self.count += 1
+        return out
+
+    def emit(self, expression: str) -> "_Register":
+        out = self.register()
+        self.lines.append(f"{out.name} = {expression}")
+        return out
+
+    def operand(self, x) -> str:
+        """`x` in a line: a register's name, or the local by which an int,
+        float or complex enters the replay (``repr`` loses the sign of
+        -0.0 and is not a literal for nan or inf)."""
+        if type(x) is _Register:
+            return x.name
+        if type(x) not in _NUMBERS:
+            self.refuse()
+        entry = self.constants.get(id(x))
+        if entry is None:
+            entry = self.constants[id(x)] = (f"k{len(self.constants)}", x)
+        return entry[0]
+
+    def scale(self, terms: dict, n) -> dict:
+        """``Jet * n`` on recorded coefficients, for an int, float or
+        complex `n` or a register (the reciprocal's ``1.0 / f0``).  The
+        product of a register is kept as nonzero, which the replay checks;
+        its product with an exact zero is zero unless the register is not
+        finite, so it is dropped, and the replay checks that it is zero."""
+        if type(n) is not _Register and type(n) not in _NUMBERS:
+            self.refuse()
+        out = {}
+        for k, c in terms.items():
+            if type(c) is not _Register and type(n) is not _Register:
+                if (v := c * n) != 0:
+                    out[k] = complex(v)
+                continue
+            v = self.emit(f"{self.operand(c)} * {self.operand(n)}")
+            if type(n) is not _Register and n == 0:
+                self.zeros.append(v.name)
+            else:
+                self.checked[v.name] = None
+                out[k] = v
+        return out
+
+    def compile(self, params: str, unpack: list[str], result: str):
+        """The recorded lines as ``(replay, constants)``: ``replay(params,
+        constants)`` unpacks its arguments by the lines `unpack`, runs the
+        lines, and returns None if a checked register is zero or a dropped
+        product is not, else `result`."""
+        names = [name for name, _ in self.constants.values()]
+        checks = ([f"not all(({', '.join(self.checked)},))"] if self.checked else []) + self.zeros
+        source = "\n".join([
+            f"def replay({params}, K):",
+            *(f"    {line}" for line in unpack),
+            *([f"    {', '.join(names)}, = K"] if names else []),
+            *(f"    {line}" for line in self.lines),
+            *([f"    if {' or '.join(checks)}:", "        return None"] if checks else []),
+            f"    return {result}"])
+        return _function(source), tuple(x for _, x in self.constants.values())
+
+
+# compiled tapes kept by source; each field and plan holds its own too
+@lru_cache(maxsize=8 * TAPE_CACHE_SIZE)
+def _function(source: str):
+    """The function that `source` defines.  Constants are arguments, so
+    fields that differ only in their constants share one compilation."""
+    namespace: dict = {}
+    exec(compile(source, "<tape>", "exec"), namespace)
+    return namespace["replay"]
+
+
+def _unpacking(registers: list, sequence: str) -> list[str]:
+    """The line that unpacks `sequence` into `registers` (anything else
+    for a value not used), if there are any."""
+    if not registers:
+        return []
+    names = ", ".join(r.name if type(r) is _Register else "_" for r in registers)
+    return [f"{names}, = {sequence}"]
 
 
 class _Register:
-    """A register while a tape is recorded: the dict kernels compute on
-    these as they do on numbers, and each operation goes on the tape."""
+    """A register while a tape is recorded: jets and the dict kernels
+    compute on these as they do on numbers, and each operation becomes a
+    line of the replay.  A comparison with zero, by which the kernels drop
+    keys, is answered "nonzero" and checked by the replay; any other use
+    of the value stops the recording."""
 
-    __slots__ = ("tape", "index")
+    __slots__ = ("rec", "name")
 
-    def __init__(self, tape: "_Tape"):
-        self.tape = tape
-        self.index = tape.size
-        tape.size += 1
+    def __init__(self, rec: _Recorder, name: str):
+        self.rec, self.name = rec, name
 
     def __mul__(self, other):
         if type(other) is _Register:
-            return _Product(self.tape, self.index, other.index)
-        return self.tape.emit(_PARTIAL, self.index, other)
+            return _Product(self, other)
+        return self.rec.emit(f"{self.name} * {self.rec.operand(other)}")
+
+    def __rmul__(self, other):
+        return self.rec.emit(f"{self.rec.operand(other)} * {self.name}")
 
     def __add__(self, other):
         if type(other) is _Product:
             # `_mul` adds each product to its own running sum, which
             # nothing else reads, so the sum is updated in place
-            self.tape.ops.append((_NEXT, self.index, other.x, other.y))
+            self.rec.lines.append(f"{self.name} += {other.x.name} * {other.y.name}")
             return self
-        return self.tape.emit(_SUM, self.index, other.index)
+        return self.rec.emit(f"{self.name} + {self.rec.operand(other)}")
 
-    def __radd__(self, zero):
-        return self.tape.emit(_COPY, self.index, 0)
+    def __radd__(self, other):
+        return self.rec.emit(f"{self.rec.operand(other)} + {self.name}")
+
+    def __neg__(self):
+        return self.rec.emit(f"-{self.name}")
+
+    def __rtruediv__(self, other):
+        return self.rec.emit(f"{self.rec.operand(other)} / {self.name}")
 
     def __eq__(self, other):
-        # recorded as if no sum were exactly zero; a replay checks that
-        return False
+        if type(other) in _NUMBERS and other == 0:
+            self.rec.checked[self.name] = None
+            return False
+        self.rec.refuse()
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __bool__(self):
+        self.rec.refuse()
 
 
 class _Product:
-    """``r[x] * r[y]`` while a tape is recorded, until a sum takes it."""
+    """``x * y`` of two registers while a tape is recorded, until a sum
+    takes it."""
 
-    __slots__ = ("tape", "x", "y")
+    __slots__ = ("x", "y")
 
-    def __init__(self, tape: "_Tape", x: int, y: int):
-        self.tape, self.x, self.y = tape, x, y
+    def __init__(self, x: _Register, y: _Register):
+        self.x, self.y = x, y
 
-    def __radd__(self, zero):
-        return self.tape.emit(_FIRST, self.x, self.y)
+    def __radd__(self, other):
+        # a product sum's first term, after 0.0 or a constant
+        rec = self.x.rec
+        return rec.emit(f"{rec.operand(other)} + {self.x.name} * {self.y.name}")
+
+
+class _FieldTape:
+    """A field's `a` and `b` recorded on jets whose coefficients are
+    registers, for one jet order and one pattern of exact zeros in
+    ``(t, u)``, and compiled to one function from the base point ``(t,
+    u_1, ..., u_m)`` to the coefficients of the base jets (see the module
+    docstring).  ``signature`` is the key order of those jets, by which
+    word plans keep their tapes; `plan` and `words` are the last plan that
+    replayed this tape and that plan's word tape."""
+
+    __slots__ = ("replay", "constants", "signature", "plan", "words")
+
+    def __init__(self, field: CoefficientField, order: int, nonzero: tuple):
+        rec = _Recorder()
+        origin = Jet((), order, {})
+        origin.base, origin.nvars = rec, field.m + 1
+        inputs = [rec.register() if x else 0 for x in nonzero]
+        a = field._on_jets(field._a, origin, inputs)
+        b = field._on_jets(field._b, origin, inputs)
+        if rec.failed:
+            # the lambdas caught the refusal
+            raise _Untraceable("the recording was refused")
+        self.signature = (field.m, *(tuple(j._terms) for j in a),
+                          *(tuple(j._terms) for j in b))
+        a, b = ("".join(f"{rec.operand(c)}, " for j in x for c in j._terms.values())
+                for x in (a, b))
+        self.replay, self.constants = rec.compile("x", _unpacking(inputs, "x"), f"({a}), ({b})")
+        self.plan = self.words = None
+
+    def __call__(self, base: tuple):
+        """The coefficients of `a`'s jets and of `b`'s, each in key order,
+        at the base point `base`, or None if the jets would drop a key that
+        the recording kept, or keep one it dropped."""
+        return self.replay(base, self.constants)
+
+    def jets(self, a, b) -> tuple[list[dict], list[dict]]:
+        """The base jets, as packed-key dicts, from a replay's values."""
+        m = self.signature[0]
+        a, b = iter(a), iter(b)
+        return ([dict(zip(keys, a)) for keys in self.signature[1:1 + m]],
+                [dict(zip(keys, b)) for keys in self.signature[1 + m:]])
 
 
 class _Tape:
     """A word plan's dict kernels recorded for one key order of the base
-    jets (see the module docstring): a flat list of scalar operations on a
-    list of registers.  Registers 0, 1, ... hold the base jets'
-    coefficients, `a`'s components first, then `b`'s, each in its keys'
-    order.  Base coefficients and partials ``c * n`` of them are never
-    zero, so any zero a replay leaves is a product sum or a sum."""
+    jets (see the module docstring), compiled to one function.  A replay
+    takes the base jets' coefficients, `a`'s components first, then `b`'s,
+    each in its keys' order."""
 
-    __slots__ = ("ops", "size", "blank", "outputs")
+    __slots__ = ("replay", "constants")
 
-    def __init__(self, plan: WordPlan, m: int, a: list[dict], b: list[dict]):
-        self.ops = []
-        self.size = 0
-        a = [{k: _Register(self) for k in x} for x in a]
-        b = [{k: _Register(self) for k in x} for x in b]
-        base = self.size
+    def __init__(self, plan: WordPlan, signature: tuple):
+        m = signature[0]
+        rec = _Recorder()
+        a = [{k: rec.register() for k in keys} for keys in signature[1:1 + m]]
+        b = [{k: rec.register() for k in keys} for keys in signature[1 + m:]]
         slots = plan._jets(m, a, b)
-        self.ops = tuple(self.ops)
-        self.blank = [None] * (self.size - base)
-        # a value missing from a jet is zero, in the register after the last
-        values = [x.get(0) for i in plan.outputs for x in slots[i]]
-        self.outputs = tuple(self.size if v is None else v.index for v in values)
+        # a value missing from a jet is zero
+        out = [rec.operand(x.get(0, 0.0 + 0.0j)) for i in plan.outputs for x in slots[i]]
+        self.replay, self.constants = rec.compile(
+            "a, b",
+            [*_unpacking([r for x in a for r in x.values()], "a"),
+             *_unpacking([r for x in b for r in x.values()], "b")],
+            f"[{', '.join(out)}]")
 
-    def emit(self, op: int, x: int, y) -> _Register:
-        out = _Register(self)
-        self.ops.append((op, out.index, x, y))
-        return out
-
-    def __call__(self, a: list[dict], b: list[dict]) -> list[complex] | None:
+    def __call__(self, a, b) -> list[complex] | None:
         """The output values from base jets of the recorded key order, or
         None if the kernels would have dropped a key."""
-        r = []
-        for x in a:
-            r += x.values()
-        for x in b:
-            r += x.values()
-        r += self.blank
-        # local names, which are faster to read than globals
-        first, partial, following, total = _FIRST, _PARTIAL, _NEXT, _SUM
-        for op, d, x, y in self.ops:
-            if op == first:
-                r[d] = 0.0 + r[x] * r[y]
-            elif op == partial:
-                r[d] = r[x] * y
-            elif op == following:
-                r[d] += r[x] * r[y]
-            elif op == total:
-                r[d] = r[x] + r[y]
-            else:
-                r[d] = 0.0 + r[x]
-        if not all(r):
-            return None
-        r.append(0.0 + 0.0j)
-        return [r[i] for i in self.outputs]
+        return self.replay(a, b, self.constants)
+
+
+# word plans kept for operator_values, by their pairs
+PLAN_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(pairs: tuple) -> WordPlan:
+    return WordPlan(pairs)
 
 
 def operator_values(field: CoefficientField,
@@ -584,11 +844,12 @@ def operator_values(field: CoefficientField,
     pairs share one set of base jets (of the longest word's order) and the
     jets of common sub-words, each truncated to the order still needed on
     top of it; truncation commutes with every jet operation, so the values
-    are those of a full-order evaluation, bit for bit.  Returns
+    are those of a full-order evaluation, bit for bit.  Calls with the same
+    pairs share one word plan and its tapes.  Returns
     ``{(target, op_word): values}`` with `op_word` as a tuple.
     """
     pairs = tuple(dict.fromkeys((target, tuple(word)) for target, word in pairs))
-    return dict(zip(pairs, WordPlan(pairs)(field, t, u)))
+    return dict(zip(pairs, _plan(pairs)(field, t, u)))
 
 
 # -- built-in example fields -------------------------------------------------

@@ -139,11 +139,22 @@ def build_scheme(osc: OscillatorSpec, policy: TruncationPolicy,
     return SchemeTable(oscillator=osc, policy=policy, entries=entries)
 
 
-@dataclass(frozen=True)
 class StepResult:
-    u_next: np.ndarray
-    t_next: float
-    contributions: tuple[np.ndarray, ...]
+    """A step's end state `u_next` at `t_next`, and `contributions`: each
+    entry's coefficient times its operator value, in table order."""
+
+    __slots__ = ("u_next", "t_next", "_contributions")
+
+    def __init__(self, u_next: np.ndarray, t_next: float, contributions):
+        self.u_next, self.t_next, self._contributions = u_next, t_next, contributions
+
+    @property
+    def contributions(self) -> tuple[np.ndarray, ...]:
+        """One row per entry; a step gives its ``(n, m)`` array of rows,
+        which becomes a tuple on first read."""
+        if type(self._contributions) is not tuple:
+            self._contributions = tuple(self._contributions)
+        return self._contributions
 
 
 @dataclass(frozen=True)
@@ -231,8 +242,7 @@ def _step(entries: _Entries, osc: OscillatorSpec, field: CoefficientField, t_n: 
         # finite terms whose sum overflowed: summed again for numpy to
         # report the overflow under the caller's error settings
         u_next = np.add.accumulate(rows)[-1]
-    return StepResult(u_next=u_next, t_next=t_n + h,
-                      contributions=tuple(contributions))
+    return StepResult(u_next=u_next, t_next=t_n + h, contributions=contributions)
 
 
 def solve(scheme: SchemeTable, field: CoefficientField, t0: float, u0,
