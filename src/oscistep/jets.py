@@ -89,7 +89,7 @@ from __future__ import annotations
 
 import numbers
 from functools import lru_cache
-from math import factorial, isfinite
+from math import copysign, factorial, isfinite
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -117,6 +117,17 @@ _MAX_ORDER = (1 << (_BITS - 1)) - 1
 # tapes kept on one WordPlan, one per key order of the base jets, and on
 # one field, one per jet order and pattern of zeros in (t, u)
 TAPE_CACHE_SIZE = 8
+
+
+def _jet_order(order) -> int:
+    """`order` as an int, if it is an integer (integral floats included)
+    from 0 to ``_MAX_ORDER``."""
+    if not (isinstance(order, numbers.Real) and not isinstance(order, bool)
+            and isfinite(order) and order == int(order) and order >= 0):
+        raise ValueError(f"jet order must be an integer >= 0, got {order!r}")
+    if order > _MAX_ORDER:
+        raise ValueError(f"jet order {order} exceeds {_MAX_ORDER}")
+    return int(order)
 
 
 @lru_cache(maxsize=4096)
@@ -192,7 +203,7 @@ class Jet:
     derivative itself is recovered by :meth:`derivative`.  Addition and
     multiplication require matching base point, order and variable count;
     multiplication truncates products beyond the stored total degree.
-    Orders are limited to 32767.
+    Orders are integers from 0 to 32767; any other raises ValueError.
     """
 
     __slots__ = ("base", "order", "nvars", "_terms")
@@ -202,9 +213,7 @@ class Jet:
             base = tuple(complex(x) for x in base)
         self.base = base
         self.nvars = len(base)
-        self.order = int(order)
-        if self.order > _MAX_ORDER:
-            raise ValueError(f"jet order {self.order} exceeds {_MAX_ORDER}")
+        self.order = _jet_order(order)
         terms = {}
         for alpha, c in coeffs.items():
             key = _pack(tuple(alpha), self.nvars)
@@ -371,8 +380,11 @@ class CoefficientField:
     They must be functions of ``(t, u)`` alone.  A word plan records them
     once per jet order and pattern of exact zeros in ``(t, u)`` as a tape
     (see the module docstring), with every constant they capture baked in,
-    and replays that tape on later calls without calling them.  A caller
-    whose parameters change builds a new field.
+    and replays that tape on later calls without calling them.  A word
+    plan also keeps the values of its last call, by this field object, so
+    a repeated ``(t, u)`` runs neither the tape nor, for a field that no
+    tape serves, the lambdas themselves.  A caller whose parameters change
+    builds a new field.
     """
 
     def __init__(self, m: int, a: Callable, b: Callable, name: str = "custom"):
@@ -418,10 +430,10 @@ class CoefficientField:
                               for v in fn(tj, uj)])
 
     def a_jets(self, t, u, order: int) -> list[Jet]:
-        return self._eval(self._a, t, u, order)
+        return self._eval(self._a, t, u, _jet_order(order))
 
     def b_jets(self, t, u, order: int) -> list[Jet]:
-        return self._eval(self._b, t, u, order)
+        return self._eval(self._b, t, u, _jet_order(order))
 
     def a_values(self, t, u) -> np.ndarray:
         return np.array(self._eval(self._a, t, u))
@@ -429,12 +441,12 @@ class CoefficientField:
     def b_values(self, t, u) -> np.ndarray:
         return np.array(self._eval(self._b, t, u))
 
-    def _taped(self, t, u, order: int):
-        """The coefficients of the base jets at ``(t, u)`` from this field's
-        tape for `order` and the call's pattern of zeros, as ``(tape, a's
-        coefficients, b's coefficients)``; None where no tape serves the
-        call, which then takes ``a_jets`` and ``b_jets``."""
-        u = self._state(u)
+    def _taped(self, t, u: np.ndarray, order: int):
+        """The coefficients of the base jets at ``(t, u)``, for a state `u`
+        that `_state` has checked, from this field's tape for `order` and
+        the call's pattern of zeros, as ``(tape, a's coefficients, b's
+        coefficients)``; None where no tape serves the call, which then
+        takes ``a_jets`` and ``b_jets``."""
         base = (complex(t), *u.tolist())
         # `_variable` drops a zero value, so the pattern fixes the keys
         key = (order, *map(bool, base))
@@ -484,6 +496,16 @@ class WordPlan:
     replay finds an exact zero, the call runs the instruction list itself.
     Plans of order 0 evaluate `a` and `b` on plain numbers (see the module
     docstring).
+
+    A plan keeps its last call's values.  A call with the same field
+    object, the same time, of the same type and sign (-0.0 and 0.0, or 0
+    and 0.0, differ), and a state of the same bytes gets them without
+    evaluating the field: the K phases of an ensemble and the
+    phase-averaged step share the plan, so they evaluate once.  This rests
+    on the purity rule of :class:`CoefficientField`, and it holds the last
+    field alive.  A time with no hash or no float sign, such as a complex
+    number or a numpy array, and a call that raises leave the memo as it
+    was.
     """
 
     def __init__(self, pairs):
@@ -515,9 +537,35 @@ class WordPlan:
         self.program = tuple(program)
         self.outputs = tuple(slots[pair] for pair in pairs)
         self.tapes: dict[tuple, _Tape] = {}
+        # the last call: (field, t, type of t, sign of t, state bytes, values)
+        self._last: tuple = (None,) * 6
 
     def __call__(self, field: CoefficientField, t, u) -> np.ndarray:
-        """The values at ``(t, u)``: one row of `field.m` per pair."""
+        """The values at ``(t, u)``: one row of `field.m` per pair, in an
+        array of the caller's own."""
+        return self._values(field, t, field._state(u)).copy()
+
+    def _values(self, field: CoefficientField, t, u: np.ndarray) -> np.ndarray:
+        """A call's values, for a state `u` that `field._state` has checked,
+        in the memo's own array, which the caller must not write to."""
+        last_field, last_t, last_type, sign, state, values = self._last
+        # -0.0 and 0.0, or 0 and 0.0, are equal times whose jets differ in
+        # sign or type; the type is compared first, since a t of another
+        # type may compare elementwise
+        if (last_field is field and type(t) is last_type and t == last_t
+                and copysign(1.0, t) == sign and u.tobytes() == state):
+            return values
+        values = self._evaluate(field, t, u)
+        try:
+            hash(t)
+            self._last = (field, t, type(t), copysign(1.0, t), u.tobytes(), values)
+        except TypeError:
+            # a t with no hash or no float sign, such as a numpy array or a
+            # complex number, is evaluated for this call only
+            pass
+        return values
+
+    def _evaluate(self, field: CoefficientField, t, u: np.ndarray) -> np.ndarray:
         m = field.m
         if self.order == 0:
             # no derivatives: the field itself, on plain numbers

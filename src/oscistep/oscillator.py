@@ -121,7 +121,10 @@ def make_oscillator(kind: str, omega: float, phi: float = 0.0, nu: float = 0.0,
             raise ValueError("kind 'fourier' requires coefficients")
         if not all(float(k).is_integer() for k in coeffs):
             raise ValueError(f"Fourier mode indices must be integers, got {list(coeffs)}")
-        cm = {int(k): complex(c) for k, c in coeffs.items() if complex(c) != 0}
+        cm = {int(k): complex(c) for k, c in coeffs.items()}
+        if not all(cmath.isfinite(c) for c in cm.values()):
+            raise ValueError(f"Fourier coefficients must be finite, got {coeffs!r}")
+        cm = {k: c for k, c in cm.items() if c != 0}
     else:
         raise ValueError(f"unknown oscillator kind {kind!r}")
     mean = cm.pop(0, 0.0 + 0.0j) * omega ** (-nu)

@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import NumericStepError
-from .jets import CoefficientField, WordPlan
+from .jets import CoefficientField, WordPlan, _jet_order
 from .oscillator import BasisPoly, OscillatorSpec, TermPlan, phase_average
 from .terms import RETENTION_TOL, TruncationPolicy, Word, enumerate_words, word_primitive
 
@@ -218,11 +218,9 @@ def _step(entries: _Entries, osc: OscillatorSpec, field: CoefficientField, t_n: 
         raise ValueError("t_n and h must be finite")
     if h < 0:
         raise ValueError("step size must be non-negative")
-    u_n = np.asarray(u_n, dtype=complex)
-    if u_n.shape != (field.m,):
-        raise ValueError(f"state must have shape ({field.m},)")
+    u_n = field._state(u_n)
     operators, coefficients = entries.plan
-    values = operators(field, t_n, u_n)
+    values = operators._values(field, t_n, u_n)
     coeffs = coefficients(osc, h, t_n)
     # row 0 is u_n, row i the i-th contribution; the running sum ends in u_next
     rows = np.empty((len(values) + 1, field.m), dtype=complex)
@@ -283,9 +281,11 @@ def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,
     The box is [t_min, t_max] times a polydisc of the given radius about
     u_center; sampling is on a deterministic grid (not rigorous: the
     caller declares the box and accepts the sampling resolution).  A box
-    that is not finite raises ValueError, and a partial that is not finite
-    at a sample raises NumericStepError.
+    that is not finite, or an order that is not an integer >= 0, raises
+    ValueError, and a partial that is not finite at a sample raises
+    NumericStepError.
     """
+    order = _jet_order(order)
     t_min, t_max = t_range
     u_center = np.asarray(u_center, dtype=complex)
     if not (math.isfinite(t_min) and math.isfinite(t_max) and math.isfinite(u_radius)

@@ -18,6 +18,7 @@ time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -148,8 +149,10 @@ def term_count(kappa: int, rho: int) -> int:
     Equals 2 (2^kappa - 1) when rho = 1 and always matches the live
     enumeration under the policy (kappa0, kappa1) = (kappa, kappa/rho).
     """
-    if kappa < 1 or rho < 1 or kappa != int(kappa) or rho != int(rho):
+    if not all(isinstance(x, numbers.Real) and math.isfinite(x) and x == int(x) and x >= 1
+               for x in (kappa, rho)):
         raise ValueError("term_count is defined on the integer grid kappa, rho >= 1")
+    kappa, rho = int(kappa), int(rho)
     total = 0
     for i in range(0, kappa + 1):
         for j in range(0, (kappa - i) // rho + 1):

@@ -82,6 +82,21 @@ class TestJetArithmetic:
         with pytest.raises(ValueError, match="order"):
             Jet((0.0,), 10 ** 6, {})
 
+    @pytest.mark.parametrize("order", [-1, 1.5, math.nan, math.inf, None, True])
+    def test_order_must_be_an_integer_at_least_zero(self, order):
+        field = builtin_field("nonlinear")
+        for make in (lambda: Jet((0.0,), order, {}), lambda: var(0, (1.0,), order),
+                     lambda: field.a_jets(0.1, [1.0], order),
+                     lambda: field.b_jets(0.1, [1.0], order)):
+            with pytest.raises(ValueError, match="jet order"):
+                make()
+
+    def test_integral_float_order_is_that_order(self):
+        field = builtin_field("nonlinear")
+        got, want = field.b_jets(0.1, [1.0], 2.0), field.b_jets(0.1, [1.0], 2)
+        assert type(got[0].order) is int
+        assert [j.coeffs for j in got] == [j.coeffs for j in want]
+
     def test_partial_of_order_zero_jet_raises(self):
         x = var(0, (1.0, 2.0), 1)
         assert x.partial(0).order == 0

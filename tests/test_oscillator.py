@@ -46,6 +46,13 @@ class TestMakeOscillator:
         with pytest.raises(ValueError, match="integers"):
             make_oscillator("fourier", 10.0, coeffs=coeffs)
 
+    @pytest.mark.parametrize("coeffs", [{1: math.nan}, {1: complex(0.0, math.inf)},
+                                        {1: 1.0, -1: complex(math.nan, 0.0)},
+                                        {0: math.inf, 1: 1.0}])
+    def test_fourier_coefficients_must_be_finite(self, coeffs):
+        with pytest.raises(ValueError, match="finite"):
+            make_oscillator("fourier", 10.0, coeffs=coeffs)
+
     def test_degenerate_oscillator(self):
         with pytest.raises(DegenerateOscillatorError):
             make_oscillator("fourier", 10.0, coeffs={0: 2.0})

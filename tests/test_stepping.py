@@ -374,6 +374,19 @@ class TestBounds:
         with pytest.raises(NumericStepError):
             estimate_coefficient_bound(f, (0.0, 0.2), np.array([1.0 + 0j]), 0.5, 1)
 
+    @pytest.mark.parametrize("order", [-1, 1.5, math.nan, None, True])
+    def test_order_must_be_an_integer_at_least_zero(self, order):
+        # order -1 used to sample nothing but the values and return 0.75,
+        # below the order-0 bound of 4.5
+        f = builtin_field("nonlinear", alpha=4.0, mu=1.0)
+        with pytest.raises(ValueError, match="jet order"):
+            estimate_coefficient_bound(f, (0.0, 0.2), np.array([1.0 + 0j]), 0.5, order)
+
+    def test_integral_float_order_is_that_order(self):
+        f = builtin_field("nonlinear", alpha=4.0, mu=1.0)
+        args = (f, (0.0, 0.2), np.array([1.0 + 0j]), 0.5)
+        assert estimate_coefficient_bound(*args, 2.0) == estimate_coefficient_bound(*args, 2)
+
     def test_estimated_coefficient_bound_linear_case(self):
         # b = mu dominates a = u t and all derivatives on a small box
         f = builtin_field("linear", mu=10.0)

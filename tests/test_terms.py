@@ -86,6 +86,15 @@ class TestTermCount:
         with pytest.raises(ValueError):
             term_count(0, 1)
 
+    @pytest.mark.parametrize("kappa,rho", [(1.5, 1), (3, 0.5), (math.nan, 1),
+                                           (math.inf, 1), (3, math.inf), ("3", 1)])
+    def test_off_grid_values_rejected(self, kappa, rho):
+        with pytest.raises(ValueError, match="integer grid"):
+            term_count(kappa, rho)
+
+    def test_integral_floats_are_on_the_grid(self):
+        assert term_count(3.0, 2) == term_count(3, 2.0) == term_count(3, 2) == 6
+
 
 class TestIteratedIntegral:
     def test_all_T_words_are_oscillator_independent(self):
