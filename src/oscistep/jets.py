@@ -37,47 +37,46 @@ included.  The CLI prints 17 significant digits and its README output is
 locked byte for byte (``tests/readme_cli_golden.txt``); a reordered sum
 would change those bytes.
 
-A step's operator values are one taped path from ``(t, u)``.  The
-kernels drop a key only where a product sum or a sum is exactly zero, and
-otherwise which keys they make, in which order, and so which products
-they add in which order, follow from the key order of their inputs alone.
-So their work can be recorded once on registers instead of numbers, as
-scalar operations, and replayed on later calls: the same floating-point
-operations on the same operands in the same order give the same values,
-bit for bit.  This is operator-overloading taping, as in ADOL-C
-(Griewank & Walther, *Evaluating Derivatives*, ch. 6).  Two tapes make
-the path:
+A step's operator values are one taped function of ``(t, u)``.  A
+variable's jet drops a zero value, so the pattern of exact zeros in
+``(t, u)`` fixes the keys of the jets of ``t`` and ``u``.  Jet arithmetic
+and the kernels drop a key only where a product sum or a sum is exactly
+zero, and otherwise which keys they make, in which order, and so which
+products they add in which order, follow from the keys of their inputs
+alone.  So the work of `a`, `b` and a word plan's kernels can be recorded
+once on registers instead of numbers, as scalar operations, and replayed
+on later calls: the same floating-point operations on the same operands
+in the same order give the same values, bit for bit.  This is
+operator-overloading taping, as in ADOL-C (Griewank & Walther,
+*Evaluating Derivatives*, ch. 6).
 
-* A field tape runs `a` and `b` once on jets whose coefficients are
-  registers, for each jet order and pattern of exact zeros in ``(t, u)``
-  (a variable's jet drops a zero value).  The field keeps the
-  ``TAPE_CACHE_SIZE`` it recorded last.  Constants the lambdas use or
-  return enter the replay as arguments, never as source text (``repr``
-  loses the sign of -0.0 and is not a literal for nan or inf).
-* A word tape runs a word plan's kernels once on registers for the base
-  jets' coefficients, for each key order of those jets (its signature).
-  The plan keeps the ``TAPE_CACHE_SIZE`` it recorded last, and every field
-  whose base jets have that key order shares them.
+A tape runs `a` and `b` on jets whose coefficients are registers for the
+nonzero entries of ``(t, u)``, then the plan's kernels on those jets, and
+becomes one straight-line Python function from ``(t, u_1, ..., u_m)`` to
+the plan's values, compiled once as ``dataclasses`` builds ``__init__``:
+registers are locals, and it does the recorded operations in order.  An
+operation on constants alone is done while recording, as the jets do it,
+so a key that constants cancel is dropped then, on every call.  Constants
+that meet a register enter the replay as arguments, never as source text
+(``repr`` loses the sign of -0.0 and is not a literal for nan or inf), so
+fields that differ only in their constants share one compiled function.
+A field keeps the ``TAPE_CACHE_SIZE`` tapes it recorded last, one per
+word plan and pattern of zeros.
 
-Each recording becomes one straight-line Python function, compiled once
-as ``dataclasses`` builds ``__init__``: registers are locals, and it does
-the recorded operations in order.  Fields that differ only in their
-constants share one compiled function.
+A recording answers each zero test of a register with "nonzero", and a
+replay that finds one of those registers exactly zero returns None; that
+call runs the jets and the kernels instead.  The zero is where they drop a
+key, and a kept zero can change a later result (``1e-200 * 1e-200``
+underflows to zero, and adding it turns a coefficient of ``-0.7 - 0j``
+into ``-0.7 + 0j``).  The one drop of a register a recording makes is
+``Jet * n`` by an exact zero, and its replay checks that the product is
+zero.
 
-A recording answers each zero test of the jets and kernels with
-"nonzero", and a replay that finds one of those registers exactly zero
-returns None; that call runs the jets or the kernels instead.  The zero
-is where they drop a key, and a kept zero can change a later result
-(``1e-200 * 1e-200`` underflows to zero, and adding it turns a
-coefficient of ``-0.7 - 0j`` into ``-0.7 + 0j``).  The one drop a field
-tape records is ``Jet * n`` by an exact zero, and its replay checks that
-the product is zero.
-
-A field's recording follows jet arithmetic only: ``+``, ``-``, ``*``,
-``/`` and integer powers of jets and of ``int``, ``float`` or ``complex``
-numbers.  For lambdas that read a jet's value, coefficients or base point,
-multiply a jet by another kind of number, or raise while recorded, that
-jet order and pattern stay untaped, and their calls run on jets, which
+A recording follows jet arithmetic only: ``+``, ``-``, ``*``, ``/`` and
+integer powers of jets and of ``int``, ``float`` or ``complex`` numbers.
+For lambdas that read a jet's value, coefficients or base point, multiply
+a jet by another kind of number, or raise while recorded, that plan and
+pattern stay untaped, and their calls run on jets and the kernels, which
 give what they always gave, exceptions included.
 
 Plans of order 0 take no derivatives and evaluate `a` and `b` on plain
@@ -114,8 +113,7 @@ _BITS = 16
 _MASK = (1 << _BITS) - 1
 _MAX_ORDER = (1 << (_BITS - 1)) - 1
 
-# tapes kept on one WordPlan, one per key order of the base jets, and on
-# one field, one per jet order and pattern of zeros in (t, u)
+# tapes kept on one field, one per word plan and pattern of zeros in (t, u)
 TAPE_CACHE_SIZE = 8
 
 
@@ -377,14 +375,14 @@ class CoefficientField:
     over abstract arithmetic, so the same definition evaluates on plain
     complex numbers and on jets.
 
-    They must be functions of ``(t, u)`` alone.  A word plan records them
-    once per jet order and pattern of exact zeros in ``(t, u)`` as a tape
-    (see the module docstring), with every constant they capture baked in,
-    and replays that tape on later calls without calling them.  A word
-    plan also keeps the values of its last call, by this field object, so
-    a repeated ``(t, u)`` runs neither the tape nor, for a field that no
-    tape serves, the lambdas themselves.  A caller whose parameters change
-    builds a new field.
+    They must be functions of ``(t, u)`` alone.  The field records them,
+    with a word plan's kernels, once per plan and pattern of exact zeros in
+    ``(t, u)`` as a tape (see the module docstring), with every constant
+    they capture baked in, and replays that tape on later calls without
+    calling them.  A word plan also keeps the values of its last call, by
+    this field object, so a repeated ``(t, u)`` runs neither the tape nor,
+    for a field that no tape serves, the lambdas themselves.  A caller
+    whose parameters change builds a new field.
     """
 
     def __init__(self, m: int, a: Callable, b: Callable, name: str = "custom"):
@@ -395,9 +393,9 @@ class CoefficientField:
         self._a = a
         self._b = b
         self.name = name
-        # field tapes by (jet order, which of t, u_1, ..., u_m are nonzero);
-        # None where the recording failed
-        self._tapes: dict[tuple, _FieldTape | None] = {}
+        # tapes by (word plan, which of t, u_1, ..., u_m are nonzero); None
+        # where the recording failed
+        self._tapes: dict[tuple, _Tape | None] = {}
 
     def _state(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=complex)
@@ -441,15 +439,13 @@ class CoefficientField:
     def b_values(self, t, u) -> np.ndarray:
         return np.array(self._eval(self._b, t, u))
 
-    def _taped(self, t, u: np.ndarray, order: int):
-        """The coefficients of the base jets at ``(t, u)``, for a state `u`
-        that `_state` has checked, from this field's tape for `order` and
-        the call's pattern of zeros, as ``(tape, a's coefficients, b's
-        coefficients)``; None where no tape serves the call, which then
-        takes ``a_jets`` and ``b_jets``."""
+    def _taped(self, plan: WordPlan, t, u: np.ndarray) -> list | None:
+        """`plan`'s values at ``(t, u)``, for a state `u` that `_state` has
+        checked, from this field's tape for `plan` and the call's pattern
+        of zeros; None where no tape serves the call, which then takes the
+        jets and the kernels."""
         base = (complex(t), *u.tolist())
-        # `_variable` drops a zero value, so the pattern fixes the keys
-        key = (order, *map(bool, base))
+        key = (plan, *map(bool, base))
         try:
             tape = self._tapes[key]
         except KeyError:
@@ -457,18 +453,17 @@ class CoefficientField:
         if tape is None:
             return None
         try:
-            values = tape(base)
+            return tape(base)
         except ArithmeticError:
             # a division by a register taken as nonzero, or an int too big
             # for a float: the jets find the zero, or raise
             return None
-        return None if values is None else (tape, *values)
 
-    def _record(self, key: tuple) -> _FieldTape | None:
+    def _record(self, key: tuple) -> _Tape | None:
         if len(self._tapes) >= TAPE_CACHE_SIZE:
             del self._tapes[next(iter(self._tapes))]
         try:
-            tape = _FieldTape(self, key[0], key[1:])
+            tape = _Tape(self, key[0], key[1:])
         except Exception:
             # the lambdas raised, or did what a tape cannot follow: calls
             # with this key take the jets, which raise what they raise
@@ -489,13 +484,12 @@ class WordPlan:
     truncated to one order.  The derivative of the parent is capped one
     order above the result, which does what truncating the parent would.
 
-    A call replays the field's tape for the base jets, then a
-    :class:`_Tape` of that instruction list, recorded for the key order of
-    those jets; the plan keeps the ``TAPE_CACHE_SIZE`` it recorded last,
-    and every field whose base jets have that key order shares them.  If a
-    replay finds an exact zero, the call runs the instruction list itself.
-    Plans of order 0 evaluate `a` and `b` on plain numbers (see the module
-    docstring).
+    A call replays the field's :class:`_Tape` for this plan and the
+    call's pattern of zeros in ``(t, u)``, which records `a`, `b` and this
+    instruction list together (see the module docstring).  Where no tape
+    serves the call, or a replay finds an exact zero, the call runs the
+    field's jets and the instruction list itself.  Plans of order 0
+    evaluate `a` and `b` on plain numbers.
 
     A plan keeps its last call's values.  A call with the same field
     object, the same time, of the same type and sign (-0.0 and 0.0, or 0
@@ -536,7 +530,6 @@ class WordPlan:
         self.bases = tuple(bases)
         self.program = tuple(program)
         self.outputs = tuple(slots[pair] for pair in pairs)
-        self.tapes: dict[tuple, _Tape] = {}
         # the last call: (field, t, type of t, sign of t, state bytes, values)
         self._last: tuple = (None,) * 6
 
@@ -574,33 +567,12 @@ class WordPlan:
                 slots[i] = field.a_values(t, u) if i == 0 else field.b_values(t, u)
             rows = [slots[i] for i in self.outputs]
             return np.array(rows, dtype=complex).reshape(-1, m)
-        found = field._taped(t, u, self.order)
-        if found is None:
-            a = [j._terms for j in field.a_jets(t, u, self.order)]
-            b = [j._terms for j in field.b_jets(t, u, self.order)]
-            tape = self._tape((m, *map(tuple, a), *map(tuple, b)))
-            values = tape([c for x in a for c in x.values()],
-                          [c for x in b for c in x.values()])
-        else:
-            source, a, b = found
-            if source.plan is not self:
-                source.plan, source.words = self, self._tape(source.signature)
-            values = source.words(a, b)
-            if values is None:
-                a, b = source.jets(a, b)
+        values = field._taped(self, t, u)
         if values is None:
-            slots = self._jets(m, a, b)
+            slots = self._jets(m, [j._terms for j in field.a_jets(t, u, self.order)],
+                               [j._terms for j in field.b_jets(t, u, self.order)])
             values = [x.get(0, 0.0 + 0.0j) for i in self.outputs for x in slots[i]]
         return np.array(values, dtype=complex).reshape(-1, m)
-
-    def _tape(self, signature: tuple) -> _Tape:
-        """The tape for base jets of the key order `signature`."""
-        tape = self.tapes.get(signature)
-        if tape is None:
-            if len(self.tapes) >= TAPE_CACHE_SIZE:
-                del self.tapes[next(iter(self.tapes))]
-            tape = self.tapes[signature] = _Tape(self, signature)
-        return tape
 
     def _jets(self, m: int, a: list[dict], b: list[dict]) -> list[list[dict]]:
         """Every slot's jets from the base jets `a` and `b`, as packed-key
@@ -702,16 +674,17 @@ class _Recorder:
                 out[k] = v
         return out
 
-    def compile(self, params: str, unpack: list[str], result: str):
-        """The recorded lines as ``(replay, constants)``: ``replay(params,
-        constants)`` unpacks its arguments by the lines `unpack`, runs the
-        lines, and returns None if a checked register is zero or a dropped
-        product is not, else `result`."""
+    def compile(self, inputs: list, result: str):
+        """The recorded lines as ``(replay, constants)``: ``replay(x,
+        constants)`` unpacks `x` into the registers `inputs` (anything else
+        for a value not used), runs the lines, and returns None if a
+        checked register is zero or a dropped product is not, else
+        `result`."""
         names = [name for name, _ in self.constants.values()]
         checks = ([f"not all(({', '.join(self.checked)},))"] if self.checked else []) + self.zeros
         source = "\n".join([
-            f"def replay({params}, K):",
-            *(f"    {line}" for line in unpack),
+            "def replay(x, K):",
+            f"    {', '.join(r.name if type(r) is _Register else '_' for r in inputs)}, = x",
             *([f"    {', '.join(names)}, = K"] if names else []),
             *(f"    {line}" for line in self.lines),
             *([f"    if {' or '.join(checks)}:", "        return None"] if checks else []),
@@ -719,7 +692,7 @@ class _Recorder:
         return _function(source), tuple(x for _, x in self.constants.values())
 
 
-# compiled tapes kept by source; each field and plan holds its own too
+# compiled tapes kept by source; each field holds its own too
 @lru_cache(maxsize=8 * TAPE_CACHE_SIZE)
 def _function(source: str):
     """The function that `source` defines.  Constants are arguments, so
@@ -727,15 +700,6 @@ def _function(source: str):
     namespace: dict = {}
     exec(compile(source, "<tape>", "exec"), namespace)
     return namespace["replay"]
-
-
-def _unpacking(registers: list, sequence: str) -> list[str]:
-    """The line that unpacks `sequence` into `registers` (anything else
-    for a value not used), if there are any."""
-    if not registers:
-        return []
-    names = ", ".join(r.name if type(r) is _Register else "_" for r in registers)
-    return [f"{names}, = {sequence}"]
 
 
 class _Register:
@@ -803,20 +767,17 @@ class _Product:
         return rec.emit(f"{rec.operand(other)} + {self.x.name} * {self.y.name}")
 
 
-class _FieldTape:
-    """A field's `a` and `b` recorded on jets whose coefficients are
-    registers, for one jet order and one pattern of exact zeros in
-    ``(t, u)``, and compiled to one function from the base point ``(t,
-    u_1, ..., u_m)`` to the coefficients of the base jets (see the module
-    docstring).  ``signature`` is the key order of those jets, by which
-    word plans keep their tapes; `plan` and `words` are the last plan that
-    replayed this tape and that plan's word tape."""
+class _Tape:
+    """A field's `a` and `b` and a word plan's kernels, recorded on jets
+    whose coefficients are registers for one pattern of exact zeros in
+    ``(t, u)`` and compiled to one function from the base point ``(t, u_1,
+    ..., u_m)`` to the plan's values (see the module docstring)."""
 
-    __slots__ = ("replay", "constants", "signature", "plan", "words")
+    __slots__ = ("replay", "constants")
 
-    def __init__(self, field: CoefficientField, order: int, nonzero: tuple):
+    def __init__(self, field: CoefficientField, plan: WordPlan, nonzero: tuple):
         rec = _Recorder()
-        origin = Jet((), order, {})
+        origin = Jet((), plan.order, {})
         origin.base, origin.nvars = rec, field.m + 1
         inputs = [rec.register() if x else 0 for x in nonzero]
         a = field._on_jets(field._a, origin, inputs)
@@ -824,53 +785,16 @@ class _FieldTape:
         if rec.failed:
             # the lambdas caught the refusal
             raise _Untraceable("the recording was refused")
-        self.signature = (field.m, *(tuple(j._terms) for j in a),
-                          *(tuple(j._terms) for j in b))
-        a, b = ("".join(f"{rec.operand(c)}, " for j in x for c in j._terms.values())
-                for x in (a, b))
-        self.replay, self.constants = rec.compile("x", _unpacking(inputs, "x"), f"({a}), ({b})")
-        self.plan = self.words = None
-
-    def __call__(self, base: tuple):
-        """The coefficients of `a`'s jets and of `b`'s, each in key order,
-        at the base point `base`, or None if the jets would drop a key that
-        the recording kept, or keep one it dropped."""
-        return self.replay(base, self.constants)
-
-    def jets(self, a, b) -> tuple[list[dict], list[dict]]:
-        """The base jets, as packed-key dicts, from a replay's values."""
-        m = self.signature[0]
-        a, b = iter(a), iter(b)
-        return ([dict(zip(keys, a)) for keys in self.signature[1:1 + m]],
-                [dict(zip(keys, b)) for keys in self.signature[1 + m:]])
-
-
-class _Tape:
-    """A word plan's dict kernels recorded for one key order of the base
-    jets (see the module docstring), compiled to one function.  A replay
-    takes the base jets' coefficients, `a`'s components first, then `b`'s,
-    each in its keys' order."""
-
-    __slots__ = ("replay", "constants")
-
-    def __init__(self, plan: WordPlan, signature: tuple):
-        m = signature[0]
-        rec = _Recorder()
-        a = [{k: rec.register() for k in keys} for keys in signature[1:1 + m]]
-        b = [{k: rec.register() for k in keys} for keys in signature[1 + m:]]
-        slots = plan._jets(m, a, b)
+        slots = plan._jets(field.m, [j._terms for j in a], [j._terms for j in b])
         # a value missing from a jet is zero
         out = [rec.operand(x.get(0, 0.0 + 0.0j)) for i in plan.outputs for x in slots[i]]
-        self.replay, self.constants = rec.compile(
-            "a, b",
-            [*_unpacking([r for x in a for r in x.values()], "a"),
-             *_unpacking([r for x in b for r in x.values()], "b")],
-            f"[{', '.join(out)}]")
+        self.replay, self.constants = rec.compile(inputs, f"[{', '.join(out)}]")
 
-    def __call__(self, a, b) -> list[complex] | None:
-        """The output values from base jets of the recorded key order, or
-        None if the kernels would have dropped a key."""
-        return self.replay(a, b, self.constants)
+    def __call__(self, base: tuple) -> list[complex] | None:
+        """The plan's values at the base point `base`, or None if the jets
+        or the kernels would drop a key that the recording kept, or keep one
+        it dropped."""
+        return self.replay(base, self.constants)
 
 
 # word plans kept for operator_values, by their pairs

@@ -249,8 +249,12 @@ class BasisPoly:
     # -- evaluation ----------------------------------------------------------
 
     def eval_shifted(self, osc: OscillatorSpec, dt: float, t_ref: float) -> complex:
-        """Evaluate at t = t_ref + dt with the phase anchored at t_ref."""
-        return self._plan(osc, dt, t_ref)[0]
+        """Evaluate at t = t_ref + dt with the phase anchored at t_ref.
+        The binding serves this call only: callers such as quadrature pass
+        a new `dt` on every call."""
+        z = cmath.exp(1j * (osc.omega * t_ref + osc.phi))
+        plan = self._plan
+        return plan._apply(plan._bind(osc.omega, osc.nu, dt), z)[0]
 
     @cached_property
     def _plan(self) -> "TermPlan":
@@ -275,6 +279,7 @@ class TermPlan:
     factor already applied, and the constants that open a polynomial are
     summed once: that is the running total the sum reaches at that point.
     Tables without Z^q terms (the phase-averaged ones) bind to constants.
+    :meth:`BasisPoly.eval_shifted` binds for its one call and keeps nothing.
     """
 
     def __init__(self, polys):
@@ -336,23 +341,31 @@ class TermPlan:
 
     def __call__(self, osc: OscillatorSpec, dt: float, t_ref: float) -> list[complex]:
         """Every polynomial's value, in order."""
-        omega = osc.omega
-        z = cmath.exp(1j * (omega * t_ref + osc.phi))
+        z = cmath.exp(1j * (osc.omega * t_ref + osc.phi))
+        return self._apply(self._binding(osc.omega, osc.nu, dt), z)
+
+    def _binding(self, omega: float, nu: float, dt: float) -> tuple:
+        """The kept binding for ``(omega, nu, dt)``, bound and kept first if
+        there is none."""
         try:
             # -0.0 and 0.0, or 2 and 2.0, are equal keys whose powers differ
             # in sign or type
-            key = (omega, type(omega), osc.nu, dt, math.copysign(1.0, dt), type(dt))
+            key = (omega, type(omega), nu, dt, math.copysign(1.0, dt), type(dt))
             binding = self.bindings.get(key)
         except TypeError:
             # a dt with no sign or hash, such as a numpy array, binds for
             # this call only
             key = binding = None
         if binding is None:
-            binding = self._bind(omega, osc.nu, dt)
+            binding = self._bind(omega, nu, dt)
             if key is not None:
                 if len(self.bindings) >= BINDING_CACHE_SIZE:
                     del self.bindings[next(iter(self.bindings))]
                 self.bindings[key] = binding
+        return binding
+
+    def _apply(self, binding: tuple, z: complex) -> list[complex]:
+        """Every polynomial's value from `binding`, at ``Z = z``."""
         # plain loops: each comprehension would cost a call frame, which
         # shows on the one- and two-term polynomials of eval_shifted
         zs = []

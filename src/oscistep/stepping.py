@@ -19,10 +19,11 @@ On its first step a table's entries compile into a step plan: a
 :class:`~oscistep.oscillator.TermPlan` for the coefficients.  The plan
 lives on the cached entries, so every table rebuilt from the cache (at
 another frequency or phase) steps with the same plan.  The phase-averaged
-entries have the same words and share the word plan, with the tapes it
-records; only their coefficients get a plan of their own.  A coefficient
-plan binds its step-invariant factors once per (omega, nu, h), so steps
-of one size at any start time or phase share one binding.
+entries have the same words and share the word plan, and so the tapes
+each field records for it; only their coefficients get a plan of their
+own.  A coefficient plan binds its step-invariant factors once per
+(omega, nu, h), so steps of one size at any start time or phase share one
+binding.
 """
 
 from __future__ import annotations

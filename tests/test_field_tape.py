@@ -1,10 +1,10 @@
-"""The field tape reproduces the jets of `a` and `b` bit for bit.
+"""The operator tape reproduces the jets and kernels bit for bit.
 
-A word plan records a field's lambdas once per jet order and pattern of
-exact zeros in ``(t, u)`` and replays the recording on later calls.  Every
-result is compared with ``reference_step``, which runs the lambdas on
-tuple-keyed jets, by the ``repr`` of its Python values; an exception must
-be of the same type.
+A field records its lambdas and a word plan's kernels once per plan and
+pattern of exact zeros in ``(t, u)`` and replays the recording on later
+calls.  Every result is compared with ``reference_step``, which runs the
+lambdas on tuple-keyed jets, by the ``repr`` of its Python values; an
+exception must be of the same type.
 """
 
 import operator
@@ -77,6 +77,14 @@ def cases(draw):
     u = np.array(draw(st.lists(values, min_size=m, max_size=m)), dtype=complex)
     t = draw(st.sampled_from([0.0, 0.3, -0.2]))
     policy = (2, 2) if m == 3 else draw(st.sampled_from([(2, 2), (4, 2)]))
+    if draw(st.booleans()):
+        # a_i = c and b_i = u_i - c t: L0 b_i = -c + c * 1 cancels among
+        # constants, so the recording drops its key
+        i = draw(st.integers(0, m - 1))
+        c = draw(st.one_of(st.sampled_from(CONSTANTS),
+                           st.complex_numbers(max_magnitude=4, allow_nan=False,
+                                              allow_infinity=False)))
+        a[i], b[i] = ("c", c), ("-", ("u", i), ("*", ("c", c), ("t",)))
     return m, rational, a, b, t, u, policy
 
 
@@ -113,7 +121,7 @@ def test_random_fields_match_reference(case):
 
 
 def fresh_table(policy=(4, 2)):
-    """A hand-built table, whose word plan starts with no tapes."""
+    """A hand-built table, with a word plan of its own."""
     built = build_scheme(OSC, TruncationPolicy.from_order(*policy))
     return SchemeTable(built.oscillator, built.policy, list(built.entries))
 
@@ -153,9 +161,10 @@ def test_lambdas_a_tape_cannot_follow_run_on_jets(name):
 
 @pytest.fixture
 def field_misses(monkeypatch):
-    """One entry per field replay: whether it left the call to the jets."""
+    """One entry per tape replay: whether it left the call to the jets and
+    the kernels."""
     out = []
-    replay = jets._FieldTape.__call__
+    replay = jets._Tape.__call__
 
     def spying(tape, base):
         try:
@@ -166,7 +175,7 @@ def field_misses(monkeypatch):
         out.append(values is None)
         return values
 
-    monkeypatch.setattr(jets._FieldTape, "__call__", spying)
+    monkeypatch.setattr(jets._Tape, "__call__", spying)
     return out
 
 
@@ -228,7 +237,7 @@ def scaled_field(c):
     return make_field(1, lambda t, u: [c * u[0] * t + c], lambda t, u: [u[0] * c])
 
 
-def test_fields_differing_in_constants_share_the_word_tape():
+def test_fields_differing_in_constants_share_the_compiled_replay():
     scheme = fresh_table()
     u = np.array([0.9 + 0.1j])
     fields = [scaled_field(0.5), scaled_field(-2.0)]
@@ -239,4 +248,16 @@ def test_fields_differing_in_constants_share_the_word_tape():
     assert first is not second and first.constants != second.constants
     # constants are arguments, so the two share one compiled function
     assert first.replay is second.replay
-    assert len(scheme.entries.plan[0].tapes) == 1
+    assert [len(f._tapes) for f in fields] == [1, 1]
+
+
+def test_two_plans_on_one_field_get_separate_tapes(field_misses):
+    field = scaled_field(0.5)
+    schemes = [fresh_table((4, 2)), fresh_table((8, 2))]
+    u = np.array([0.9 + 0.1j])
+    # the first plan again at a new time replays the tape it recorded
+    for scheme, t in ((schemes[0], 0.2), (schemes[1], 0.2), (schemes[0], 0.3)):
+        assert outcome(lambda: step(scheme, field, t, u, 0.1)) == \
+               outcome(lambda: ref.step(scheme, field, t, u, 0.1))
+    assert [key[0] for key in field._tapes] == [s.entries.plan[0] for s in schemes]
+    assert field_misses == [False] * 3

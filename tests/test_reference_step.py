@@ -200,24 +200,26 @@ def test_hand_built_table_matches_reference():
 # -- the operator tape ----------------------------------------------------------
 
 def fresh_table(policy=(4, 2)):
-    """A hand-built table, whose word plan starts with no tapes."""
+    """A hand-built table, with a word plan of its own."""
     built = build_scheme(OSCILLATORS[0], TruncationPolicy.from_order(*policy))
     return SchemeTable(built.oscillator, built.policy, list(built.entries))
 
 
-def tapes(scheme):
-    return scheme.entries.plan[0].tapes
+def tapes(field, scheme):
+    """The tapes `field` keeps for the word plan of `scheme`."""
+    plan = scheme.entries.plan[0]
+    return [tape for key, tape in field._tapes.items() if key[0] is plan]
 
 
 @pytest.fixture
 def tripped(monkeypatch):
     """One entry per tape replay: whether it found a zero and left the
-    step to the dict kernels."""
+    step to the jets and the dict kernels."""
     out = []
     replay = jets._Tape.__call__
 
-    def spying(tape, a, b):
-        values = replay(tape, a, b)
+    def spying(tape, base):
+        values = replay(tape, base)
         out.append(values is None)
         return values
 
@@ -235,6 +237,13 @@ ZERO_WORD_FIELDS = {
                                        lambda t, u: [-t * 0.7 + u[0] * 1e-200]),
 }
 
+# Operations on constants alone are done while recording: the cancelling
+# field's L0 b is made of constants and drops its key there, so its replays
+# never trip.  The underflowing field's a * db/du is constant too, but at
+# t = 0, where b = u * 1e-200, its replay finds L1 b = b * 1e-200
+# underflowed to zero.
+TRIPS = {"cancelling": [False] * 5, "underflowing": [True, False, False, False, False]}
+
 
 @pytest.mark.parametrize("name", ZERO_WORD_FIELDS)
 def test_word_zero_on_every_step_runs_the_kernels(name, tripped):
@@ -243,7 +252,7 @@ def test_word_zero_on_every_step_runs_the_kernels(name, tripped):
     u = np.array([0.9 + 0.0j])
     h = 0.05
     traj = solve(scheme, field, 0.0, u, 5 * h, h)
-    assert tripped == [True] * 5
+    assert tripped == TRIPS[name]
     for i, (t, got) in enumerate(traj[1:]):
         want = ref.step(scheme, field, i * h, u, h)
         assert repr(t) == repr(want.t_next)
@@ -263,7 +272,7 @@ def test_replay_resumes_after_a_zero_state(tripped):
         u = np.array([u], dtype=complex)
         assert_same(step(scheme, field, t, u, 0.1), ref.step(scheme, field, t, u, 0.1))
     assert tripped == [False, True, False]
-    assert len(tapes(scheme)) == 1
+    assert len(tapes(field, scheme)) == 1
 
 
 def test_fields_of_two_dimensions_get_their_own_tapes(tripped):
@@ -275,24 +284,34 @@ def test_fields_of_two_dimensions_get_their_own_tapes(tripped):
         t, u = start_points(field.m, rng)[0]
         assert_same(step(scheme, field, t, u, 0.1), ref.step(scheme, field, t, u, 0.1))
     assert tripped == [False] * 3
-    assert len(tapes(scheme)) == 2
+    assert [len(tapes(field, scheme)) for field in fields] == [1, 1]
 
 
-def pattern_field(i):
-    """A field whose base jets have keys of their own for each i < 28:
-    a = t^p + u and b = u^q keep p + 2 and q + 1 keys at order 7."""
-    p, q = i % 4 + 1, i // 4 + 1
-    return make_field(1, lambda t, u: [t ** p + u[0]], lambda t, u: [0.5 * u[0] ** q])
+def test_a_field_whose_sums_cancel_among_constants_never_trips(tripped):
+    # the coupling constants build two terms of 0.020000000000000004 that
+    # cancel in a sum; the recording folds them, so every step replays
+    field = FIELDS["m4-coupled"]()
+    scheme = fresh_table()
+    t, u = start_points(field.m, np.random.default_rng(4))[0]
+    h = 0.05
+    traj = solve(scheme, field, t, u, t + 5 * h, h)
+    assert tripped == [False] * 5
+    for i, (_, got) in enumerate(traj[1:]):
+        want = ref.step(scheme, field, t + i * h, u, h)
+        assert exact(got) == exact(want.u_next)
+        u = want.u_next
 
 
-def test_tapes_per_plan_are_bounded():
-    scheme = fresh_table((8, 2))
-    u = np.array([0.9 + 0.1j])
-    # the first field again at the end, after its tape was dropped
-    for n, i in enumerate([*range(jets.TAPE_CACHE_SIZE + 3), 0], 1):
-        field = pattern_field(i)
-        assert_same(step(scheme, field, 0.2, u, 0.1), ref.step(scheme, field, 0.2, u, 0.1))
-        assert len(tapes(scheme)) == min(n, jets.TAPE_CACHE_SIZE)
+def test_tapes_per_field_are_bounded():
+    field = make_field(1, lambda t, u: [t + u[0]], lambda t, u: [0.5 * u[0] * u[0] + 1.0])
+    # one tape per plan and pattern of zeros in (t, u)
+    calls = [(scheme, t, u) for scheme in (fresh_table(p) for p in [(2, 2), (4, 2), (8, 2)])
+             for t, u in ((0.2, 0.9 + 0.1j), (0.0, 0.9), (0.2, 0.0), (0.0, 0.0))]
+    # the first again at the end, after its tape was dropped
+    for n, (scheme, t, u) in enumerate([*calls, calls[0]], 1):
+        u = np.array([u], dtype=complex)
+        assert_same(step(scheme, field, t, u, 0.1), ref.step(scheme, field, t, u, 0.1))
+        assert len(field._tapes) == min(n, jets.TAPE_CACHE_SIZE)
 
 
 def test_averaged_entries_share_the_word_plan():
@@ -305,7 +324,7 @@ def test_averaged_entries_share_the_word_plan():
     words, coefficients = scheme.entries.plan
     assert scheme.entries.averaged.plan[0] is words
     assert scheme.entries.averaged.plan[1] is not coefficients
-    assert len(words.tapes) == 1
+    assert len(tapes(field, scheme)) == 1
 
 
 @pytest.mark.parametrize("order", [0, 2])
@@ -356,6 +375,15 @@ def test_phases_share_one_binding_per_frequency_and_step_size():
                     assert_same(fn(scheme, field, t, u, 0.1),
                                 ref.step(scheme, field, t, u, 0.1, averaged=averaged))
     assert len(bindings(base)) == len(bindings(base, averaged=True)) == 2
+
+
+def test_eval_shifted_keeps_no_binding():
+    # quadrature calls eval_shifted with a new dt every time
+    for osc in OSCILLATORS:
+        V = oscillator.big_v(osc)
+        for dt in (0.01, 0.37, -0.0, 0, np.float64(0.2), 1.5, 0.01):
+            assert repr(V.eval_shifted(osc, dt, 0.3)) == repr(ref.eval_shifted(V, osc, dt, 0.3))
+        assert V._plan.bindings == {}
 
 
 def test_bindings_per_plan_are_bounded():
