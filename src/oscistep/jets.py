@@ -466,7 +466,8 @@ class CoefficientField:
             tape = _Tape(self, key[0], key[1:])
         except Exception:
             # the lambdas raised, or did what a tape cannot follow: calls
-            # with this key take the jets, which raise what they raise
+            # with this key take the jets and the kernels, which raise what
+            # they raise
             tape = None
         self._tapes[key] = tape
         return tape
