@@ -27,7 +27,8 @@ The arithmetic is one set of kernels on packed-key dicts: ``_mul``,
 ``_partial`` and ``_add``.  :class:`Jet` is a thin wrapper that checks
 base points and orders and calls them.  :class:`WordPlan` compiles a list
 of ``(target, op_word)`` pairs once into a flat instruction list that
-runs the kernels on the field's jets with no intermediate ``Jet`` objects.
+runs the kernels on the field's jets with no intermediate ``Jet`` objects;
+every caller with the same list shares one plan.
 
 The packing changes no arithmetic.  Every operation visits coefficients
 in the same order as the plain tuple-keyed definition (dicts keep their
@@ -87,6 +88,7 @@ from it in the last bits (``u ** -2`` of the power field, for one).
 from __future__ import annotations
 
 import numbers
+import weakref
 from functools import lru_cache
 from math import copysign, factorial, isfinite
 from typing import Callable, Iterable, Sequence
@@ -117,11 +119,16 @@ _MAX_ORDER = (1 << (_BITS - 1)) - 1
 TAPE_CACHE_SIZE = 8
 
 
+def _integral(x) -> bool:
+    """Whether `x` is an integer: a real number, not a bool, finite and
+    whole (integral floats included)."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and isfinite(x) and x == int(x))
+
+
 def _jet_order(order) -> int:
-    """`order` as an int, if it is an integer (integral floats included)
-    from 0 to ``_MAX_ORDER``."""
-    if not (isinstance(order, numbers.Real) and not isinstance(order, bool)
-            and isfinite(order) and order == int(order) and order >= 0):
+    """`order` as an int, if it is an integer from 0 to ``_MAX_ORDER``."""
+    if not (_integral(order) and order >= 0):
         raise ValueError(f"jet order must be an integer >= 0, got {order!r}")
     if order > _MAX_ORDER:
         raise ValueError(f"jet order {order} exceeds {_MAX_ORDER}")
@@ -379,15 +386,19 @@ class CoefficientField:
     with a word plan's kernels, once per plan and pattern of exact zeros in
     ``(t, u)`` as a tape (see the module docstring), with every constant
     they capture baked in, and replays that tape on later calls without
-    calling them.  A word plan also keeps the values of its last call, by
-    this field object, so a repeated ``(t, u)`` runs neither the tape nor,
-    for a field that no tape serves, the lambdas themselves.  A caller
+    calling them.  The field also keeps its last call's values.  A call
+    with the same word plan, the same time, of the same type and sign
+    (-0.0 and 0.0, or 0 and 0.0, differ), and a state of the same bytes
+    gets them without running the tape nor, for a field that no tape
+    serves, the lambdas themselves: the K phases of an ensemble and the
+    phase-averaged step share one plan, so they evaluate once.  A time
+    with no hash or no float sign, such as a complex number or a numpy
+    array, and a call that raises leave the memo as it was.  A caller
     whose parameters change builds a new field.
     """
 
     def __init__(self, m: int, a: Callable, b: Callable, name: str = "custom"):
-        if not (isinstance(m, numbers.Real) and not isinstance(m, bool)
-                and isfinite(m) and m == int(m) and m >= 1):
+        if not (_integral(m) and m >= 1):
             raise ValueError(f"field dimension must be an integer >= 1, got {m!r}")
         self.m = int(m)
         self._a = a
@@ -396,6 +407,8 @@ class CoefficientField:
         # tapes by (word plan, which of t, u_1, ..., u_m are nonzero); None
         # where the recording failed
         self._tapes: dict[tuple, _Tape | None] = {}
+        # the last call: (plan, t, type of t, sign of t, state bytes, values)
+        self._last: tuple = (None,) * 6
 
     def _state(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=complex)
@@ -439,25 +452,51 @@ class CoefficientField:
     def b_values(self, t, u) -> np.ndarray:
         return np.array(self._eval(self._b, t, u))
 
-    def _taped(self, plan: WordPlan, t, u: np.ndarray) -> list | None:
-        """`plan`'s values at ``(t, u)``, for a state `u` that `_state` has
-        checked, from this field's tape for `plan` and the call's pattern
-        of zeros; None where no tape serves the call, which then takes the
-        jets and the kernels."""
-        base = (complex(t), *u.tolist())
-        key = (plan, *map(bool, base))
+    def _values(self, plan: WordPlan, t, u: np.ndarray) -> np.ndarray:
+        """`plan`'s values at ``(t, u)``, one row of `m` per pair, for a
+        state `u` that `_state` has checked, in the memo's own array, which
+        the caller must not write to.  They come from the memo, the plain
+        numbers (order 0), this field's tape for `plan` and the call's
+        pattern of zeros, or else the jets and the kernels."""
+        last_plan, last_t, last_type, sign, state, kept = self._last
+        # -0.0 and 0.0, or 0 and 0.0, are equal times whose jets differ in
+        # sign or type; the type is compared first, since a t of another
+        # type may compare elementwise
+        if (last_plan is plan and type(t) is last_type and t == last_t
+                and copysign(1.0, t) == sign and u.tobytes() == state):
+            return kept
+        if plan.order == 0:
+            # no derivatives: the field itself, on plain numbers
+            slots = {}
+            for i in dict.fromkeys(plan.outputs):
+                slots[i] = self.a_values(t, u) if i == 0 else self.b_values(t, u)
+            values = [slots[i] for i in plan.outputs]
+        else:
+            base = (complex(t), *u.tolist())
+            key = (plan, *map(bool, base))
+            try:
+                tape = self._tapes[key]
+            except KeyError:
+                tape = self._record(key)
+            try:
+                values = None if tape is None else tape(base)
+            except ArithmeticError:
+                # a division by a register taken as nonzero, or an int too
+                # big for a float: the jets find the zero, or raise
+                values = None
+            if values is None:
+                slots = plan._jets(self.m, [j._terms for j in self.a_jets(t, u, plan.order)],
+                                   [j._terms for j in self.b_jets(t, u, plan.order)])
+                values = [x.get(0, 0.0 + 0.0j) for i in plan.outputs for x in slots[i]]
+        values = np.array(values, dtype=complex).reshape(-1, self.m)
         try:
-            tape = self._tapes[key]
-        except KeyError:
-            tape = self._record(key)
-        if tape is None:
-            return None
-        try:
-            return tape(base)
-        except ArithmeticError:
-            # a division by a register taken as nonzero, or an int too big
-            # for a float: the jets find the zero, or raise
-            return None
+            hash(t)
+            self._last = (plan, t, type(t), copysign(1.0, t), u.tobytes(), values)
+        except TypeError:
+            # a t with no hash or no float sign, such as a numpy array or a
+            # complex number, is evaluated for this call only
+            pass
+        return values
 
     def _record(self, key: tuple) -> _Tape | None:
         if len(self._tapes) >= TAPE_CACHE_SIZE:
@@ -485,23 +524,14 @@ class WordPlan:
     truncated to one order.  The derivative of the parent is capped one
     order above the result, which does what truncating the parent would.
 
-    A call replays the field's :class:`_Tape` for this plan and the
-    call's pattern of zeros in ``(t, u)``, which records `a`, `b` and this
-    instruction list together (see the module docstring).  Where no tape
-    serves the call, or a replay finds an exact zero, the call runs the
-    field's jets and the instruction list itself.  Plans of order 0
-    evaluate `a` and `b` on plain numbers.
-
-    A plan keeps its last call's values.  A call with the same field
-    object, the same time, of the same type and sign (-0.0 and 0.0, or 0
-    and 0.0, differ), and a state of the same bytes gets them without
-    evaluating the field: the K phases of an ensemble and the
-    phase-averaged step share the plan, so they evaluate once.  This rests
-    on the purity rule of :class:`CoefficientField`, and it holds the last
-    field alive.  A time with no hash or no float sign, such as a complex
-    number or a numpy array, and a call that raises leave the memo as it
-    was.
+    A plan is a value of its pairs alone: it keeps no field and no call.
+    :func:`_plan` gives every table and every :func:`operator_values` call
+    with the same pairs one plan while any of them holds it, so a field
+    records one tape for all of them.  A field evaluates a plan with
+    :meth:`CoefficientField._values`.
     """
+
+    __slots__ = ("order", "bases", "program", "outputs", "__weakref__")
 
     def __init__(self, pairs):
         pairs = tuple((target, tuple(word)) for target, word in pairs)
@@ -531,49 +561,6 @@ class WordPlan:
         self.bases = tuple(bases)
         self.program = tuple(program)
         self.outputs = tuple(slots[pair] for pair in pairs)
-        # the last call: (field, t, type of t, sign of t, state bytes, values)
-        self._last: tuple = (None,) * 6
-
-    def __call__(self, field: CoefficientField, t, u) -> np.ndarray:
-        """The values at ``(t, u)``: one row of `field.m` per pair, in an
-        array of the caller's own."""
-        return self._values(field, t, field._state(u)).copy()
-
-    def _values(self, field: CoefficientField, t, u: np.ndarray) -> np.ndarray:
-        """A call's values, for a state `u` that `field._state` has checked,
-        in the memo's own array, which the caller must not write to."""
-        last_field, last_t, last_type, sign, state, values = self._last
-        # -0.0 and 0.0, or 0 and 0.0, are equal times whose jets differ in
-        # sign or type; the type is compared first, since a t of another
-        # type may compare elementwise
-        if (last_field is field and type(t) is last_type and t == last_t
-                and copysign(1.0, t) == sign and u.tobytes() == state):
-            return values
-        values = self._evaluate(field, t, u)
-        try:
-            hash(t)
-            self._last = (field, t, type(t), copysign(1.0, t), u.tobytes(), values)
-        except TypeError:
-            # a t with no hash or no float sign, such as a numpy array or a
-            # complex number, is evaluated for this call only
-            pass
-        return values
-
-    def _evaluate(self, field: CoefficientField, t, u: np.ndarray) -> np.ndarray:
-        m = field.m
-        if self.order == 0:
-            # no derivatives: the field itself, on plain numbers
-            slots = {}
-            for i in dict.fromkeys(self.outputs):
-                slots[i] = field.a_values(t, u) if i == 0 else field.b_values(t, u)
-            rows = [slots[i] for i in self.outputs]
-            return np.array(rows, dtype=complex).reshape(-1, m)
-        values = field._taped(self, t, u)
-        if values is None:
-            slots = self._jets(m, [j._terms for j in field.a_jets(t, u, self.order)],
-                               [j._terms for j in field.b_jets(t, u, self.order)])
-            values = [x.get(0, 0.0 + 0.0j) for i in self.outputs for x in slots[i]]
-        return np.array(values, dtype=complex).reshape(-1, m)
 
     def _jets(self, m: int, a: list[dict], b: list[dict]) -> list[list[dict]]:
         """Every slot's jets from the base jets `a` and `b`, as packed-key
@@ -798,13 +785,18 @@ class _Tape:
         return self.replay(base, self.constants)
 
 
-# word plans kept for operator_values, by their pairs
-PLAN_CACHE_SIZE = 32
+# word plans in use, by their pairs
+_PLANS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan(pairs: tuple) -> WordPlan:
-    return WordPlan(pairs)
+def _plan(pairs) -> WordPlan:
+    """The word plan of ``(target, op_word)`` `pairs`, one per list of
+    pairs while it is in use."""
+    pairs = tuple((target, tuple(word)) for target, word in pairs)
+    plan = _PLANS.get(pairs)
+    if plan is None:
+        plan = _PLANS[pairs] = WordPlan(pairs)
+    return plan
 
 
 def operator_values(field: CoefficientField,
@@ -822,7 +814,7 @@ def operator_values(field: CoefficientField,
     ``{(target, op_word): values}`` with `op_word` as a tuple.
     """
     pairs = tuple(dict.fromkeys((target, tuple(word)) for target, word in pairs))
-    return dict(zip(pairs, _plan(pairs)(field, t, u)))
+    return dict(zip(pairs, field._values(_plan(pairs), t, field._state(u)).copy()))
 
 
 # -- built-in example fields -------------------------------------------------

@@ -18,12 +18,13 @@ On its first step a table's entries compile into a step plan: a
 :class:`~oscistep.jets.WordPlan` for the operator values and a
 :class:`~oscistep.oscillator.TermPlan` for the coefficients.  The plan
 lives on the cached entries, so every table rebuilt from the cache (at
-another frequency or phase) steps with the same plan.  The phase-averaged
-entries have the same words and share the word plan, and so the tapes
-each field records for it; only their coefficients get a plan of their
-own.  A coefficient plan binds its step-invariant factors once per
-(omega, nu, h), so steps of one size at any start time or phase share one
-binding.
+another frequency or phase) steps with the same plan.  The word plan
+depends on the words alone, so every table with the same words in the
+same order shares it, and so the tapes each field records for it: the
+tables of one policy for every oscillator, the phase-averaged entries,
+and a copy given by hand.  A coefficient plan binds its step-invariant
+factors once per (omega, nu, h), so steps of one size at any start time
+or phase share one binding.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import NumericStepError
-from .jets import CoefficientField, WordPlan, _jet_order
+from .jets import CoefficientField, WordPlan, _jet_order, _plan
 from .oscillator import BasisPoly, OscillatorSpec, TermPlan, phase_average
 from .terms import RETENTION_TOL, TruncationPolicy, Word, enumerate_words, word_primitive
 
@@ -77,17 +78,14 @@ class _Entries(tuple):
     @cached_property
     def plan(self) -> tuple[WordPlan, TermPlan]:
         """The operator values and the coefficients, compiled."""
-        return (WordPlan([(e.word.target, e.word.operator_word) for e in self]),
+        return (_plan([(e.word.target, e.word.operator_word) for e in self]),
                 TermPlan([e.coeff for e in self]))
 
     @cached_property
     def averaged(self) -> "_Entries":
         """These entries with every coefficient phase-averaged; they have
         the same words in the same order, so they share the word plan."""
-        out = _Entries(replace(e, coeff=phase_average(e.coeff)) for e in self)
-        # set before first use, in place of the plan it would compile
-        out.plan = (self.plan[0], TermPlan([e.coeff for e in out]))
-        return out
+        return _Entries(replace(e, coeff=phase_average(e.coeff)) for e in self)
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,8 @@ class SchemeTable:
     entries: tuple[SchemeEntry, ...]
 
     def __post_init__(self):
-        # entries given by hand compile their own plans, once per table
+        # entries given by hand compile their own coefficient plan, once
+        # per table, and share the word plan of any table with their words
         if type(self.entries) is not _Entries:
             object.__setattr__(self, "entries", _Entries(self.entries))
 
@@ -221,7 +220,7 @@ def _step(entries: _Entries, osc: OscillatorSpec, field: CoefficientField, t_n: 
         raise ValueError("step size must be non-negative")
     u_n = field._state(u_n)
     operators, coefficients = entries.plan
-    values = operators._values(field, t_n, u_n)
+    values = field._values(operators, t_n, u_n)
     coeffs = coefficients(osc, h, t_n)
     # row 0 is u_n, row i the i-th contribution; the running sum ends in u_next
     rows = np.empty((len(values) + 1, field.m), dtype=complex)

@@ -18,11 +18,11 @@ time.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+from .jets import _integral
 from .oscillator import BasisPoly, OscillatorSpec, v_poly
 
 __all__ = [
@@ -149,8 +149,7 @@ def term_count(kappa: int, rho: int) -> int:
     Equals 2 (2^kappa - 1) when rho = 1 and always matches the live
     enumeration under the policy (kappa0, kappa1) = (kappa, kappa/rho).
     """
-    if not all(isinstance(x, numbers.Real) and math.isfinite(x) and x == int(x) and x >= 1
-               for x in (kappa, rho)):
+    if not all(_integral(x) and x >= 1 for x in (kappa, rho)):
         raise ValueError("term_count is defined on the integer grid kappa, rho >= 1")
     kappa, rho = int(kappa), int(rho)
     total = 0

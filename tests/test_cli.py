@@ -164,6 +164,10 @@ class TestErrorBoundary:
         "bounds-box-radius-not-finite": (("bounds", *POLICY, "--box-radius", "nan"), None),
         "converge-couple-c-not-finite": (("converge", *POLICY, "--h-list", "0.2,0.1,0.05",
                                           "--couple-c", "nan"), None),
+        "problem-unknown": (("step", *POLICY, "--problem", "bogus"), None),
+        "converge-two-h": (("converge", *POLICY, "--h-list", "0.2,0.1"), None),
+        "step-h-zero": (("step", *POLICY, "--h", "0"), None),
+        "h-list-not-a-number": (("converge", *POLICY, "--h-list", "0.2,abc,0.1"), None),
     }
 
     @staticmethod
@@ -187,6 +191,15 @@ class TestErrorBoundary:
     def test_step_ignores_tend(self, capsys):
         code, out, _ = run(capsys, "step", *self.POLICY, "--t0", "2", "--oracle", "rk4")
         assert code == 0 and out.startswith("t_next,u_next")
+
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not-json"])
+    def test_unreadable_config_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "run.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run(capsys, "step", *self.POLICY, "--config", str(path))
+        self.assert_one_line_error(code, out, err, 2)
+        assert "cannot read config" in err
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "row.csv"
@@ -420,6 +433,19 @@ class TestOtherProblems:
         header, row = out.strip().splitlines()
         cols = dict(zip(header.split(","), row.split(",")))
         assert float(cols["abs_error"]) < 1e-3
+
+    def test_custom_fourier_exact_oracle_matches_rk4(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "problem": "custom-fourier", "fourier": {"1": 0.5, "-1": [0.2, 0.3], "0": 0.2},
+            "nu": -0.5, "kappa": 4, "rho": 2, "omega": 100, "u0": 1, "h": 0.1}))
+        oracle = {}
+        for name in ("exact", "rk4"):
+            code, out, _ = run(capsys, "step", "--config", str(cfg), "--oracle", name)
+            assert code == 0
+            header, row = out.strip().splitlines()
+            oracle[name] = parse_c(dict(zip(header.split(","), row.split(",")))["oracle"])
+        assert abs(oracle["exact"] - oracle["rk4"]) < 1e-8
 
     def test_custom_fourier_with_mean_absorption(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

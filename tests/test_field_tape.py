@@ -121,7 +121,7 @@ def test_random_fields_match_reference(case):
 
 
 def fresh_table(policy=(4, 2)):
-    """A hand-built table, with a word plan of its own."""
+    """A hand-built table, with a coefficient plan of its own."""
     built = build_scheme(OSC, TruncationPolicy.from_order(*policy))
     return SchemeTable(built.oscillator, built.policy, list(built.entries))
 

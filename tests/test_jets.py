@@ -103,6 +103,11 @@ class TestJetArithmetic:
         with pytest.raises(JetOrderError):
             x.partial(0).partial(1)
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_partial_needs_a_variable_of_the_jet(self, index):
+        with pytest.raises(IndexError, match=f"no variable {index}"):
+            var(0, (1.0, 2.0), 1).partial(index)
+
 
 class TestOperatorWords:
     def test_empty_word_is_target(self):

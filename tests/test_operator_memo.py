@@ -1,12 +1,14 @@
 """Steps at the same ``(field, t, u)`` share their operator values.
 
-A word plan keeps its last call's values, keyed by the field object, the
-time with its type and sign, and the bytes of the state.  Every result is
+A field keeps its last call's values, keyed by the word plan, the time
+with its type and sign, and the bytes of the state.  Every result is
 compared with ``reference_step``, which evaluates each call afresh, by the
 ``repr`` of its Python values.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -27,16 +29,23 @@ def assert_same_values(got, want):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """One entry per call that a word plan evaluated, not served from its
+    """One entry per call that a field evaluated, not served from its
     memo: the time it was evaluated at."""
     out = []
-    evaluate = jets.WordPlan._evaluate
+    values = jets.CoefficientField._values
 
-    def counting(plan, field, t, u):
-        out.append(t)
-        return evaluate(plan, field, t, u)
+    def counting(field, plan, t, u):
+        kept = field._last[-1]
+        try:
+            got = values(field, plan, t, u)
+        except Exception:
+            out.append(t)
+            raise
+        if got is not kept:
+            out.append(t)
+        return got
 
-    monkeypatch.setattr(jets.WordPlan, "_evaluate", counting)
+    monkeypatch.setattr(jets.CoefficientField, "_values", counting)
     return out
 
 
@@ -104,16 +113,18 @@ def test_fields_are_told_apart_by_identity(evaluations):
     # two objects with the same lambdas: both evaluated
     first = FIELDS["linear"]()
     second = make_field(1, first._a, first._b)
-    for field in (first, second, first):
+    # each field keeps its own last call, so the first is not evaluated again
+    for field, count in ((first, 1), (second, 2), (first, 2)):
         assert_same(step(scheme, field, 0.2, u, 0.1), ref.step(scheme, field, 0.2, u, 0.1))
-    assert len(evaluations) == 3
+        assert len(evaluations) == count
     # the same lambda with other constants, each field dropped before the
     # next is made, so that a new field may take a dropped one's address
-    for mu in (1.0, 2.0, -3.0, 1.0):
+    for count, mu in enumerate((1.0, 2.0, -3.0, 1.0), 3):
         field = builtin_field("linear", mu=mu)
         assert_same(step(scheme, field, 0.2, u, 0.1), ref.step(scheme, field, 0.2, u, 0.1))
+        assert len(evaluations) == count
         del field
-    assert len(evaluations) == 7
+    assert len(evaluations) == 6
 
 
 def test_times_without_a_float_sign_are_evaluated_each_call(evaluations):
@@ -178,11 +189,6 @@ def test_returned_arrays_are_the_callers_own():
         assert_same_values(got, want)
         for values in got.values():
             values[:] = 99.0
-    plan = scheme.entries.plan[0]
-    for _ in range(2):
-        values = plan(field, 0.3, u)
-        assert values.flags.writeable
-        values[:] = 99.0
     for _ in range(2):
         res = step(scheme, field, 0.3, u, 0.1)
         assert_same(res, ref.step(scheme, field, 0.3, u, 0.1))
@@ -191,6 +197,26 @@ def test_returned_arrays_are_the_callers_own():
     # the state may change in place between calls
     u[0] = 0.7
     assert_same(step(scheme, field, 0.3, u, 0.1), ref.step(scheme, field, 0.3, u, 0.1))
+
+
+@pytest.mark.parametrize("calls", [("step",), ("operator_values",), ("step", "operator_values")])
+def test_nothing_but_the_caller_holds_a_field(calls):
+    scheme = build_scheme(make_oscillator("cos", 100.0, 0.3), TruncationPolicy.from_order(4, 2))
+    pairs = [(e.word.target, e.word.operator_word) for e in scheme.entries]
+    captured = {"mu": 0.5}
+    field = make_field(1, lambda t, u: [u[0] * t], lambda t, u: [captured["mu"] * u[0]])
+    u = np.array([0.8 + 0.2j])
+    for call in calls:
+        if call == "step":
+            assert_same(step(scheme, field, 0.2, u, 0.1), ref.step(scheme, field, 0.2, u, 0.1))
+        else:
+            assert_same_values(operator_values(field, pairs, 0.2, u),
+                               ref.operator_values(field, pairs, 0.2, u))
+    assert field._tapes and None not in field._tapes.values()
+    alive = weakref.ref(field)
+    del field
+    gc.collect()
+    assert alive() is None
 
 
 def test_an_untaped_field_runs_once_for_a_phase_group():

@@ -31,6 +31,10 @@ class TestQuadrature:
         q = adaptive_quadrature(lambda t: t + 0j, 1.0, 0.0, 1e-13)
         assert q.value == pytest.approx(-0.5, abs=1e-13)
 
+    def test_empty_interval(self):
+        q = adaptive_quadrature(lambda t: t + 0j, 0.7, 0.7, 1e-13)
+        assert (q.value, q.error, q.evaluations) == (0j, 0.0, 0)
+
     def test_panel_budget_exhaustion(self):
         with pytest.raises(QuadratureError):
             adaptive_quadrature(lambda t: np.cos(1e6 * t) + 0j, 0.0, 1.0,
@@ -76,6 +80,18 @@ class TestExpMacro:
         got2 = exact_exp_macro(lambda s: s, 1, 0.0, o, 0.8, 1.0,
                                alpha_antideriv=lambda s: s * s / 2.0)
         assert got2 == pytest.approx(cmath.exp(0.32), rel=1e-12)
+
+    def test_start_time_returns_u0(self):
+        o = make_oscillator("cos", 50.0)
+        assert exact_exp_macro(0.7, 2, 1.5, o, 0.0, 2.0 + 1j) == 2.0 + 1j
+
+    @pytest.mark.parametrize("u0,match", [(0.0, "bracket vanished"), (1j, "negative bracket")],
+                             ids=["separatrix", "negative-bracket"])
+    def test_domain_errors(self, u0, match):
+        # mu = 0 leaves the bracket u0^gamma: 0, or (1j)^2 = -1
+        o = make_oscillator("cos", 50.0)
+        with pytest.raises(DomainError, match=match):
+            exact_exp_macro(0.7, 2, 0.0, o, 0.3, u0)
 
     def test_callable_alpha_requires_antiderivative(self):
         o = make_oscillator("cos", 50.0)
@@ -132,7 +148,10 @@ class TestRK4:
         (0.0, math.nan, 1e-3, "finite"),
         (0.0, 1.0, math.nan, "finite"),
         (0.0, math.inf, 1e-3, "finite"),
-    ], ids=["dt-negative", "dt-zero", "t0-nan", "t_end-nan", "dt-nan", "t_end-inf"])
+        (1.0, 1.0, 1e-3, "t_end must exceed t0"),
+        (1.0, 0.5, 1e-3, "t_end must exceed t0"),
+    ], ids=["dt-negative", "dt-zero", "t0-nan", "t_end-nan", "dt-nan", "t_end-inf",
+            "empty", "reversed"])
     def test_bad_times_rejected(self, t0, t_end, dt, match):
         # a negative dt would pass the resolution check and step backwards
         f = builtin_field("linear", mu=1.0)

@@ -1,6 +1,7 @@
 """Oscillator specs, basis-polynomial algebra and phase handling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,6 +57,20 @@ class TestMakeOscillator:
     def test_degenerate_oscillator(self):
         with pytest.raises(DegenerateOscillatorError):
             make_oscillator("fourier", 10.0, coeffs={0: 2.0})
+
+    @pytest.mark.parametrize("kind,coeffs,match", [
+        ("fourier", None, "requires coefficients"),
+        ("square", None, "unknown oscillator kind"),
+    ], ids=["fourier-without-coefficients", "unknown-kind"])
+    def test_kind_rejected(self, kind, coeffs, match):
+        with pytest.raises(ValueError, match=match):
+            make_oscillator(kind, 10.0, coeffs=coeffs)
+
+    def test_big_v_needs_a_mean_free_spec(self):
+        # make_oscillator removes the mean; a spec built by hand may keep it
+        o = make_oscillator("cos", 10.0)
+        with pytest.raises(DegenerateOscillatorError, match="mean-normalized"):
+            big_v(replace(o, coeffs=((0, 0.5 + 0j), *o.coeffs)))
 
 
 def _rk4(rhs, t0, u0, t1, n):

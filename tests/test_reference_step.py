@@ -7,6 +7,7 @@ sign of zero fails.
 """
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ import pytest
 import reference_step as ref
 import oscistep.jets as jets
 import oscistep.oscillator as oscillator
-import oscistep.stepping as stepping
 from oscistep import (TruncationPolicy, build_scheme, builtin_field, enumerate_words,
                       make_field, make_oscillator, operator_values, solve, step,
                       step_phase_averaged)
@@ -171,8 +171,9 @@ def test_cache_hits_step_with_one_plan(monkeypatch):
         compiled.append(pairs)
         return plan_class(pairs)
 
-    plan_class = stepping.WordPlan
-    monkeypatch.setattr(stepping, "WordPlan", counting)
+    plan_class = jets.WordPlan
+    monkeypatch.setattr(jets, "WordPlan", counting)
+    monkeypatch.setattr(jets, "_PLANS", weakref.WeakValueDictionary())
     field = FIELDS["linear"]()
     # a Fourier structure no other test builds, so its entries start cold
     coeffs = {1: 0.4, -1: 0.4, 2: 0.05 - 0.1j}
@@ -200,7 +201,7 @@ def test_hand_built_table_matches_reference():
 # -- the operator tape ----------------------------------------------------------
 
 def fresh_table(policy=(4, 2)):
-    """A hand-built table, with a word plan of its own."""
+    """A hand-built table, with a coefficient plan of its own."""
     built = build_scheme(OSCILLATORS[0], TruncationPolicy.from_order(*policy))
     return SchemeTable(built.oscillator, built.policy, list(built.entries))
 
@@ -325,6 +326,20 @@ def test_averaged_entries_share_the_word_plan():
     assert scheme.entries.averaged.plan[0] is words
     assert scheme.entries.averaged.plan[1] is not coefficients
     assert len(tapes(field, scheme)) == 1
+
+
+def test_tables_with_the_same_words_share_one_plan_and_tape():
+    policy = TruncationPolicy.from_order(4, 2)
+    cos, exp = (build_scheme(make_oscillator(kind, 100.0, 0.3), policy) for kind in ("cos", "exp"))
+    assert cos.entries is not exp.entries
+    assert [e.word for e in cos.entries] == [e.word for e in exp.entries]
+    assert cos.entries.plan[0] is exp.entries.plan[0]
+    field = FIELDS["nonlinear"]()
+    u = np.array([1.1 + 0.1j])
+    # other times, so that the second step does not take the first's values
+    for scheme, t in ((cos, 0.2), (exp, 0.3)):
+        assert_same(step(scheme, field, t, u, 0.1), ref.step(scheme, field, t, u, 0.1))
+    assert len(field._tapes) == 1
 
 
 @pytest.mark.parametrize("order", [0, 2])

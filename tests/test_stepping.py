@@ -309,6 +309,25 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(sch, f, 0.0, u1(1.0), 1.0, 0.3)
 
+    @pytest.mark.parametrize("t0,t_end,h,match", [
+        (0.0, 1.0, 0.0, "step size must be positive"),
+        (0.0, 1.0, -0.1, "step size must be positive"),
+        (0.5, 0.5, 0.1, "t_end must exceed t0"),
+        (0.5, 0.2, 0.1, "t_end must exceed t0"),
+    ], ids=["h-zero", "h-negative", "empty", "reversed"])
+    def test_empty_steps_and_intervals_rejected(self, t0, t_end, h, match):
+        f = builtin_field("linear", mu=1.0)
+        sch = build_scheme(make_oscillator("cos", 100.0), pol(2, 2))
+        with pytest.raises(ValueError, match=match):
+            solve(sch, f, t0, u1(1.0), t_end, h)
+
+    def test_numeric_failure_names_the_step(self):
+        # b = 1e308 u^2 overflows at u = 1e10 on the first step
+        f = make_field(1, lambda t, u: [0.0 * u[0]], lambda t, u: [1e308 * u[0] * u[0]])
+        sch = build_scheme(make_oscillator("cos", 100.0), pol(2, 2))
+        with pytest.raises(NumericStepError, match=r"^step 0 \(t = 0\.0\): non-finite"):
+            solve(sch, f, 0.0, u1(1e10), 1.0, 0.1)
+
     def test_macro_endpoint_against_exact_oracle(self):
         mu, om = 10.0, 100.0
         f = builtin_field("linear", mu=mu)

@@ -87,7 +87,8 @@ class TestTermCount:
             term_count(0, 1)
 
     @pytest.mark.parametrize("kappa,rho", [(1.5, 1), (3, 0.5), (math.nan, 1),
-                                           (math.inf, 1), (3, math.inf), ("3", 1)])
+                                           (math.inf, 1), (3, math.inf), ("3", 1),
+                                           (True, 2), (2, True)])
     def test_off_grid_values_rejected(self, kappa, rho):
         with pytest.raises(ValueError, match="integer grid"):
             term_count(kappa, rho)
