@@ -236,6 +236,8 @@ def cmd_converge(cfg: RunConfig, h_list: list[float],
                  couple_c: float | None) -> tuple[int, list[str]]:
     if len(h_list) < 3:
         raise ConfigError("converge needs at least three step sizes")
+    if min(h_list) <= 0 or (couple_c is not None and couple_c <= 0):
+        raise ConfigError("converge step sizes and couple_c must be positive")
     lines = ["h,omega,abs_error"]
     pts = []
     for h in h_list:

@@ -51,34 +51,39 @@ in the same order give the same values, bit for bit.  This is
 operator-overloading taping, as in ADOL-C (Griewank & Walther,
 *Evaluating Derivatives*, ch. 6).
 
-A tape runs `a` and `b` on jets whose coefficients are registers for the
-nonzero entries of ``(t, u)``, then the plan's kernels on those jets, and
-becomes one straight-line Python function from ``(t, u_1, ..., u_m)`` to
-the plan's values, compiled once as ``dataclasses`` builds ``__init__``:
-registers are locals, and it does the recorded operations in order.  An
-operation on constants alone is done while recording, as the jets do it,
-so a key that constants cancel is dropped then, on every call.  Constants
-that meet a register enter the replay as arguments, never as source text
+A tape runs ``CoefficientField._run``, which is `a` and `b` on jets and
+then the plan's kernels on those jets, with registers for the nonzero
+entries of ``(t, u)`` as the jets' coefficients.  It becomes one
+straight-line Python function from ``(t, u_1, ..., u_m)`` to the plan's
+values, compiled once as ``dataclasses`` builds ``__init__``: registers
+are locals, and it does the recorded operations in order.  An operation
+on constants alone is done while recording, as the jets do it, so a key
+that constants cancel is dropped then, on every call.  Constants that
+meet a register enter the replay as arguments, never as source text
 (``repr`` loses the sign of -0.0 and is not a literal for nan or inf), so
 fields that differ only in their constants share one compiled function.
 A field keeps the ``TAPE_CACHE_SIZE`` tapes it recorded last, one per
 word plan and pattern of zeros.
 
-A recording answers each zero test of a register with "nonzero", and a
-replay that finds one of those registers exactly zero returns None; that
-call runs the jets and the kernels instead.  The zero is where they drop a
-key, and a kept zero can change a later result (``1e-200 * 1e-200``
-underflows to zero, and adding it turns a coefficient of ``-0.7 - 0j``
-into ``-0.7 + 0j``).  The one drop of a register a recording makes is
-``Jet * n`` by an exact zero, and its replay checks that the product is
-zero.
+A call that no replay serves runs ``_run`` on numbers: the code the
+recording followed, so a replay and its fallback are the same work, once
+on registers and once on numbers.  A recording answers each zero test of
+a register with "nonzero", and a replay that finds one of those
+registers exactly zero returns None; that call takes the fallback, as
+does one whose replay raises ArithmeticError (a division by such a
+register, or an int too big for a float).  The zero is where the jets
+and the kernels drop a key, and a kept zero can change a later result
+(``1e-200 * 1e-200`` underflows to zero, and adding it turns a
+coefficient of ``-0.7 - 0j`` into ``-0.7 + 0j``).  The one drop of a
+register a recording makes is ``Jet * n`` by an exact zero, and its
+replay checks that the product is zero.
 
 A recording follows jet arithmetic only: ``+``, ``-``, ``*``, ``/`` and
 integer powers of jets and of ``int``, ``float`` or ``complex`` numbers.
 For lambdas that read a jet's value, coefficients or base point, multiply
 a jet by another kind of number, or raise while recorded, that plan and
-pattern stay untaped, and their calls run on jets and the kernels, which
-give what they always gave, exceptions included.
+pattern stay untaped, and every call with them takes the fallback, which
+gives what the jets and kernels always gave, exceptions included.
 
 Plans of order 0 take no derivatives and evaluate `a` and `b` on plain
 numbers, with numpy's scalar arithmetic; jets of order 0 would differ
@@ -236,10 +241,6 @@ class Jet:
         out.order = self.order if order is None else order
         return out
 
-    @classmethod
-    def constant(cls, value, base, order):
-        return cls(base, order, {})._constant(value)
-
     def _constant(self, value) -> "Jet":
         """The jet of `value` on this one's base point and order."""
         value = complex(value)
@@ -386,12 +387,14 @@ class CoefficientField:
     with a word plan's kernels, once per plan and pattern of exact zeros in
     ``(t, u)`` as a tape (see the module docstring), with every constant
     they capture baked in, and replays that tape on later calls without
-    calling them.  The field also keeps its last call's values.  A call
-    with the same word plan, the same time, of the same type and sign
-    (-0.0 and 0.0, or 0 and 0.0, differ), and a state of the same bytes
-    gets them without running the tape nor, for a field that no tape
-    serves, the lambdas themselves: the K phases of an ensemble and the
-    phase-averaged step share one plan, so they evaluate once.  A time
+    calling them.  Recording runs :meth:`_run` on registers, and a call
+    that no tape serves runs it on numbers.  The field also keeps its last
+    call's values.  A call with the same word plan, the same time, of the
+    same type and sign (-0.0 and 0.0, or 0 and 0.0, differ), and a state of
+    the same bytes gets them without running the tape nor, for a field
+    that no tape serves, the lambdas themselves: the K phases of an
+    ensemble and the phase-averaged step share one plan, so they evaluate
+    once.  A time
     with no hash or no float sign, such as a complex number or a numpy
     array, and a call that raises leave the memo as it was.  A caller
     whose parameters change builds a new field.
@@ -440,6 +443,17 @@ class CoefficientField:
         return self._checked([v if isinstance(v, Jet) else origin._constant(v)
                               for v in fn(tj, uj)])
 
+    def _run(self, plan: WordPlan, origin: Jet, values) -> list:
+        """`a`, `b` and then `plan`'s kernels on the jets of ``(t, u)`` on
+        `origin`'s base point and order, whose values are `values`: the
+        plan's values, one per pair and component.  A tape runs this on
+        registers, and a call that no tape serves on numbers."""
+        a = self._on_jets(self._a, origin, values)
+        b = self._on_jets(self._b, origin, values)
+        slots = plan._jets(self.m, [j._terms for j in a], [j._terms for j in b])
+        # a value missing from a jet is zero
+        return [x.get(0, 0.0 + 0.0j) for i in plan.outputs for x in slots[i]]
+
     def a_jets(self, t, u, order: int) -> list[Jet]:
         return self._eval(self._a, t, u, _jet_order(order))
 
@@ -457,7 +471,7 @@ class CoefficientField:
         state `u` that `_state` has checked, in the memo's own array, which
         the caller must not write to.  They come from the memo, the plain
         numbers (order 0), this field's tape for `plan` and the call's
-        pattern of zeros, or else the jets and the kernels."""
+        pattern of zeros, or else `_run` on numbers."""
         last_plan, last_t, last_type, sign, state, kept = self._last
         # -0.0 and 0.0, or 0 and 0.0, are equal times whose jets differ in
         # sign or type; the type is compared first, since a t of another
@@ -485,9 +499,9 @@ class CoefficientField:
                 # big for a float: the jets find the zero, or raise
                 values = None
             if values is None:
-                slots = plan._jets(self.m, [j._terms for j in self.a_jets(t, u, plan.order)],
-                                   [j._terms for j in self.b_jets(t, u, plan.order)])
-                values = [x.get(0, 0.0 + 0.0j) for i in plan.outputs for x in slots[i]]
+                # untaped, or the replay tripped: what the tape recorded,
+                # on numbers
+                values = self._run(plan, Jet(base, plan.order, {}), base)
         values = np.array(values, dtype=complex).reshape(-1, self.m)
         try:
             hash(t)
@@ -756,10 +770,12 @@ class _Product:
 
 
 class _Tape:
-    """A field's `a` and `b` and a word plan's kernels, recorded on jets
-    whose coefficients are registers for one pattern of exact zeros in
-    ``(t, u)`` and compiled to one function from the base point ``(t, u_1,
-    ..., u_m)`` to the plan's values (see the module docstring)."""
+    """A field's `a` and `b` and a word plan's kernels, recorded by running
+    :meth:`CoefficientField._run` on jets whose coefficients are registers
+    for one pattern of exact zeros in ``(t, u)``, and compiled to one
+    function from the base point ``(t, u_1, ..., u_m)`` to the plan's
+    values (see the module docstring).  A call the replay cannot serve
+    runs that method on numbers."""
 
     __slots__ = ("replay", "constants")
 
@@ -768,15 +784,12 @@ class _Tape:
         origin = Jet((), plan.order, {})
         origin.base, origin.nvars = rec, field.m + 1
         inputs = [rec.register() if x else 0 for x in nonzero]
-        a = field._on_jets(field._a, origin, inputs)
-        b = field._on_jets(field._b, origin, inputs)
+        values = field._run(plan, origin, inputs)
         if rec.failed:
             # the lambdas caught the refusal
             raise _Untraceable("the recording was refused")
-        slots = plan._jets(field.m, [j._terms for j in a], [j._terms for j in b])
-        # a value missing from a jet is zero
-        out = [rec.operand(x.get(0, 0.0 + 0.0j)) for i in plan.outputs for x in slots[i]]
-        self.replay, self.constants = rec.compile(inputs, f"[{', '.join(out)}]")
+        self.replay, self.constants = rec.compile(
+            inputs, f"[{', '.join(map(rec.operand, values))}]")
 
     def __call__(self, base: tuple) -> list[complex] | None:
         """The plan's values at the base point `base`, or None if the jets

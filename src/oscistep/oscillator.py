@@ -61,10 +61,6 @@ def integration_call_count() -> int:
     return _INTEGRATION_CALLS
 
 
-# bindings kept on one TermPlan, one per (omega, nu, dt)
-BINDING_CACHE_SIZE = 8
-
-
 @dataclass(frozen=True)
 class OscillatorSpec:
     """Finite-Fourier oscillator with frequency, phase and amplitude exponent.
@@ -270,15 +266,15 @@ class TermPlan:
     polynomial sums its terms in order from 0.0 + 0.0j, so the result does
     not depend on which polynomials share a plan.
 
-    Only Z^q changes from one step to the next.  A call therefore looks up
-    a *binding* for its ``(omega, nu, dt)``; the plan keeps the
-    ``BINDING_CACHE_SIZE`` it built last.  A binding holds each term's
-    prefix c * dt^p * e^(ik omega dt), the left part of the same product,
-    so multiplying it by Z^q and then by omega^-(..) repeats the term's
-    operations one for one.  A term without Z^q is a constant, its omega
-    factor already applied, and the constants that open a polynomial are
-    summed once: that is the running total the sum reaches at that point.
-    Tables without Z^q terms (the phase-averaged ones) bind to constants.
+    Only Z^q changes from one step to the next.  A call therefore uses a
+    *binding* for its ``(omega, nu, dt)``, and the plan keeps the last one
+    it built.  A binding holds each term's prefix c * dt^p *
+    e^(ik omega dt), the left part of the same product, so multiplying it
+    by Z^q and then by omega^-(..) repeats the term's operations one for
+    one.  A term without Z^q is a constant, its omega factor already
+    applied, and the constants that open a polynomial are summed once:
+    that is the running total the sum reaches at that point.  Tables
+    without Z^q terms (the phase-averaged ones) bind to constants.
     :meth:`BasisPoly.eval_shifted` binds for its one call and keeps nothing.
     """
 
@@ -296,7 +292,9 @@ class TermPlan:
                     self._ks.setdefault(k, len(self._ks))
                 if q:
                     self._qs.setdefault(q, len(self._qs))
-        self.bindings: dict[tuple, tuple] = {}
+        # the last binding: (omega, type of omega, nu, dt, type of dt, sign
+        # of dt, binding)
+        self._last: tuple = (None,) * 7
 
     def _bind(self, omega: float, nu: float, dt: float) -> tuple:
         """Every polynomial at `omega`, `nu` and `dt` as ``(start, rest)``:
@@ -342,27 +340,23 @@ class TermPlan:
     def __call__(self, osc: OscillatorSpec, dt: float, t_ref: float) -> list[complex]:
         """Every polynomial's value, in order."""
         z = cmath.exp(1j * (osc.omega * t_ref + osc.phi))
-        return self._apply(self._binding(osc.omega, osc.nu, dt), z)
-
-    def _binding(self, omega: float, nu: float, dt: float) -> tuple:
-        """The kept binding for ``(omega, nu, dt)``, bound and kept first if
-        there is none."""
-        try:
-            # -0.0 and 0.0, or 2 and 2.0, are equal keys whose powers differ
-            # in sign or type
-            key = (omega, type(omega), nu, dt, math.copysign(1.0, dt), type(dt))
-            binding = self.bindings.get(key)
-        except TypeError:
-            # a dt with no sign or hash, such as a numpy array, binds for
-            # this call only
-            key = binding = None
-        if binding is None:
+        omega, nu = osc.omega, osc.nu
+        last_omega, omega_type, last_nu, last_dt, dt_type, sign, binding = self._last
+        # -0.0 and 0.0, or 2 and 2.0, are equal step sizes whose powers
+        # differ in sign or type; the type is compared first, since a dt of
+        # another type may compare elementwise
+        if not (type(omega) is omega_type and omega == last_omega and nu == last_nu
+                and type(dt) is dt_type and dt == last_dt and math.copysign(1.0, dt) == sign):
             binding = self._bind(omega, nu, dt)
-            if key is not None:
-                if len(self.bindings) >= BINDING_CACHE_SIZE:
-                    del self.bindings[next(iter(self.bindings))]
-                self.bindings[key] = binding
-        return binding
+            try:
+                hash((omega, nu, dt))
+                self._last = (omega, type(omega), nu, dt, type(dt), math.copysign(1.0, dt),
+                              binding)
+            except TypeError:
+                # a key with no hash or a dt with no float sign, such as a
+                # numpy array or a complex number, binds for this call only
+                pass
+        return self._apply(binding, z)
 
     def _apply(self, binding: tuple, z: complex) -> list[complex]:
         """Every polynomial's value from `binding`, at ``Z = z``."""

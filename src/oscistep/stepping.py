@@ -23,8 +23,8 @@ depends on the words alone, so every table with the same words in the
 same order shares it, and so the tapes each field records for it: the
 tables of one policy for every oscillator, the phase-averaged entries,
 and a copy given by hand.  A coefficient plan binds its step-invariant
-factors once per (omega, nu, h), so steps of one size at any start time
-or phase share one binding.
+factors to an (omega, nu, h) and keeps the last binding, so a run of steps
+of one size, at any start time or phase, binds once.
 """
 
 from __future__ import annotations
@@ -300,15 +300,18 @@ def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,
             u[j] += u_radius * np.exp(1j * ang)
             states.append(u)
     best = 0.0
-    for t in ts:
-        for u in states:
-            for jets in (field.a_jets(t, u, order), field.b_jets(t, u, order)):
-                # partials absent from every jet are zero and cannot raise the max
-                for alpha in set().union(*(j.coeffs for j in jets)):
-                    vec = np.array([j.derivative(alpha) for j in jets])
-                    norm = float(np.linalg.norm(vec))
-                    if not math.isfinite(norm):
-                        raise NumericStepError(
-                            f"non-finite coefficient partial at t = {t}, u = {u}")
-                    best = max(best, norm)
+    # a norm that overflows is reported below, not as a numpy warning; one
+    # errstate for the whole grid, since entering one costs as much as a norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in ts:
+            for u in states:
+                for jets in (field.a_jets(t, u, order), field.b_jets(t, u, order)):
+                    # partials absent from every jet are zero and cannot raise the max
+                    for alpha in set().union(*(j.coeffs for j in jets)):
+                        vec = np.array([j.derivative(alpha) for j in jets])
+                        norm = float(np.linalg.norm(vec))
+                        if not math.isfinite(norm):
+                            raise NumericStepError(
+                                f"non-finite coefficient partial at t = {t}, u = {u}")
+                        best = max(best, norm)
     return best

@@ -164,6 +164,10 @@ class TestErrorBoundary:
         "bounds-box-radius-not-finite": (("bounds", *POLICY, "--box-radius", "nan"), None),
         "converge-couple-c-not-finite": (("converge", *POLICY, "--h-list", "0.2,0.1,0.05",
                                           "--couple-c", "nan"), None),
+        "converge-couple-c-zero": (("converge", *POLICY, "--h-list", "0.2,0.1,0.05",
+                                    "--couple-c", "0"), None),
+        "converge-coupled-zero-h": (("converge", *POLICY, "--h-list", "0.2,0,0.05",
+                                     "--couple-c", "1"), None),
         "problem-unknown": (("step", *POLICY, "--problem", "bogus"), None),
         "converge-two-h": (("converge", *POLICY, "--h-list", "0.2,0.1"), None),
         "step-h-zero": (("step", *POLICY, "--h", "0"), None),
@@ -187,6 +191,11 @@ class TestErrorBoundary:
         # b = u^-1 has no jet at u0 = 0
         self.assert_one_line_error(*run(capsys, "step", "--problem", "power", "--gamma",
                                         "2", "--u0", "0", *self.POLICY), 3)
+
+    def test_overflowing_bound_estimate_exits_3(self, capsys):
+        # the norm of the partial t of a = u t overflows at t = 1.25e307
+        self.assert_one_line_error(*run(capsys, "bounds", "--problem", "linear", *self.POLICY,
+                                        "--box-t", "1e308"), 3)
 
     def test_step_ignores_tend(self, capsys):
         code, out, _ = run(capsys, "step", *self.POLICY, "--t0", "2", "--oracle", "rk4")

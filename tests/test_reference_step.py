@@ -6,11 +6,14 @@ compared by the ``repr`` of their Python values, so a changed rounding or
 sign of zero fails.
 """
 
+import collections
 import warnings
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import reference_step as ref
 import oscistep.jets as jets
@@ -357,27 +360,45 @@ def test_field_jets_match_reference(order):
 
 # -- the coefficient bindings ---------------------------------------------------
 
-def bindings(scheme, averaged=False):
-    entries = scheme.entries.averaged if averaged else scheme.entries
-    return entries.plan[1].bindings
+@pytest.fixture
+def bindings(monkeypatch):
+    """``bindings(scheme, averaged)``: how many bindings the coefficient
+    plan of `scheme`'s entries, or of their phase-averaged form, has built
+    so far."""
+    built = collections.Counter()
+    bind = oscillator.TermPlan._bind
+
+    def counting(plan, omega, nu, dt):
+        built[plan] += 1
+        return bind(plan, omega, nu, dt)
+
+    monkeypatch.setattr(oscillator.TermPlan, "_bind", counting)
+
+    def count(scheme, averaged=False):
+        entries = scheme.entries.averaged if averaged else scheme.entries
+        return built[entries.plan[1]]
+
+    return count
 
 
-def test_step_sizes_bind_by_value_sign_and_type():
+def test_step_sizes_bind_by_value_sign_and_type(bindings):
     # 0.0, -0.0 and 0, or 0.05 and np.float64(0.05), are equal keys whose
     # powers differ in sign or type; the -0.0 components let zero signs
     # show in u_next.  A 0-d array has no hash and binds for one call.
     scheme = fresh_table()
     u = np.array([complex(0.9, -0.0), complex(-0.0, 0.4)])
     field = FIELDS["m2-division"]()
-    for h in (0.02, 0.05, 0.02, 0.0, -0.0, 0, np.float64(0.05), np.array(0.05)):
+    for h in (0.02, 0.05, np.float64(0.05), 0.02, 0.0, -0.0, 0, np.float64(0.05),
+              np.array(0.05)):
         for fn, averaged in ((step, False), (step_phase_averaged, True)):
             for t in (0.0, 0.3):
                 assert_same(fn(scheme, field, t, u, h),
                             ref.step(scheme, field, t, u, h, averaged=averaged))
-    assert len(bindings(scheme)) == len(bindings(scheme, averaged=True)) == 6
+    # one binding per change of step size, and one per call for the 0-d array
+    assert bindings(scheme) == bindings(scheme, averaged=True) == 10
 
 
-def test_phases_share_one_binding_per_frequency_and_step_size():
+def test_phases_share_one_binding_per_frequency_and_step_size(bindings):
     base = fresh_table()
     field = FIELDS["nonlinear"]()
     u = np.array([1.1 + 0.1j])
@@ -389,7 +410,7 @@ def test_phases_share_one_binding_per_frequency_and_step_size():
                 for t in (0.0, 0.3):
                     assert_same(fn(scheme, field, t, u, 0.1),
                                 ref.step(scheme, field, t, u, 0.1, averaged=averaged))
-    assert len(bindings(base)) == len(bindings(base, averaged=True)) == 2
+    assert bindings(base) == bindings(base, averaged=True) == 2
 
 
 def test_eval_shifted_keeps_no_binding():
@@ -398,15 +419,37 @@ def test_eval_shifted_keeps_no_binding():
         V = oscillator.big_v(osc)
         for dt in (0.01, 0.37, -0.0, 0, np.float64(0.2), 1.5, 0.01):
             assert repr(V.eval_shifted(osc, dt, 0.3)) == repr(ref.eval_shifted(V, osc, dt, 0.3))
-        assert V._plan.bindings == {}
+        assert V._plan._last == (None,) * 7
 
 
-def test_bindings_per_plan_are_bounded():
+def test_step_size_rebinds_after_another(bindings):
     scheme = fresh_table()
     field = FIELDS["linear"]()
     u = np.array([0.9 + 0.1j])
-    # the first step size again at the end, after its binding was dropped
-    hs = [0.01 * (i + 1) for i in range(oscillator.BINDING_CACHE_SIZE + 3)]
+    # the first step size again at the end, after another was bound
+    hs = [0.01 * (i + 1) for i in range(11)]
     for n, h in enumerate([*hs, hs[0]], 1):
         assert_same(step(scheme, field, 0.2, u, h), ref.step(scheme, field, 0.2, u, h))
-        assert len(bindings(scheme)) == min(n, oscillator.BINDING_CACHE_SIZE)
+        assert bindings(scheme) == n
+
+
+TIMES = [0.0, -0.0, 0, 0.3, np.float64(0.3)]
+STEP_SIZES = [0.02, np.float64(0.02), 0.05, 0.0, -0.0, 0]
+
+
+@pytest.mark.parametrize("policy", [(1, 1), (4, 2)], ids=["1-1", "4-2"])
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(st.booleans(), st.sampled_from(TIMES), st.sampled_from(STEP_SIZES)),
+                min_size=1, max_size=8))
+def test_interleaved_steps_match_reference(policy, calls):
+    # equal times and step sizes of other signs or types, plain and
+    # phase-averaged, in any order: a kept binding or kept operator
+    # values used for the wrong call would show.  At (1,1) the field runs
+    # on plain numbers, where the sign of a zero t shows in `a`.
+    scheme = fresh_table(policy)
+    field = FIELDS["m2-division"]()
+    u = np.array([complex(0.9, -0.0), complex(-0.0, 0.4)])
+    for averaged, t, h in calls:
+        fn = step_phase_averaged if averaged else step
+        assert_same(fn(scheme, field, t, u, h),
+                    ref.step(scheme, field, t, u, h, averaged=averaged))

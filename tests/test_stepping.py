@@ -484,10 +484,10 @@ def test_overflowing_step_size_binds_nothing():
     # h^4 overflows a float: each call raises, and no binding is left behind
     built = build_scheme(make_oscillator("cos", 50.0), pol(4, 2))
     sch = SchemeTable(built.oscillator, built.policy, list(built.entries))
-    bindings = sch.entries.plan[1].bindings
+    plan = sch.entries.plan[1]
     for _ in range(2):
         with pytest.raises(OverflowError):
             step(sch, builtin_field("linear", mu=1.0), 0.0, u1(1.0), 1e100)
-        assert bindings == {}
+        assert plan._last == (None,) * 7
     step(sch, builtin_field("linear", mu=1.0), 0.0, u1(1.0), 0.1)
-    assert len(bindings) == 1
+    assert plan._last[3] == 0.1 and plan._last[-1] is not None
