@@ -263,16 +263,19 @@ def cmd_termcount(kappa: int, rho: int) -> tuple[int, list[str]]:
 def cmd_bounds(cfg: RunConfig, h_list: list[float], omega_list: list[float],
                K: float | None, box_t: float | None,
                box_radius: float) -> tuple[int, list[str]]:
-    # the problem, K and vnorm depend on omega but not on h (the field
-    # only through custom-fourier's absorbed mean)
-    per_omega = {}
+    # the problem and vnorm depend on omega but not on h; the field, and so
+    # K, only through custom-fourier's absorbed mean
+    per_omega, per_mean = {}, {}
     t_hi = box_t if box_t is not None else cfg.t0 + max(h_list)
     u0 = np.array([cfg.u0])
     for om in omega_list:
         prob = build_problem(replace(cfg, omega=om))
         if K is None:
-            K1, K2 = (estimate_coefficient_bound(prob.field, (cfg.t0, t_hi), u0,
-                                                 box_radius, order) for order in (1, 2))
+            mean = prob.osc.removed_mean
+            if mean not in per_mean:
+                per_mean[mean] = [estimate_coefficient_bound(prob.field, (cfg.t0, t_hi), u0,
+                                                             box_radius, order) for order in (1, 2)]
+            K1, K2 = per_mean[mean]
         else:
             K1 = K2 = K
         per_omega[om] = prob, K1, K2, v_norm(prob.osc)

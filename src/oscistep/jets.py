@@ -85,9 +85,14 @@ a jet by another kind of number, or raise while recorded, that plan and
 pattern stay untaped, and every call with them takes the fallback, which
 gives what the jets and kernels always gave, exceptions included.
 
-Plans of order 0 take no derivatives and evaluate `a` and `b` on plain
-numbers, with numpy's scalar arithmetic; jets of order 0 would differ
-from it in the last bits (``u ** -2`` of the power field, for one).
+A field evaluates `a` and `b` in two ways only.
+``CoefficientField._on_numbers`` calls them on plain numbers, with numpy's
+scalar arithmetic: plans of order 0, which take no derivatives, and the
+right-hand side of ``rk4_micro_solve``.  ``CoefficientField._on_jets``
+calls them on jets: ``_run`` for every plan of higher order, and
+``estimate_coefficient_bound`` for the partials it bounds.  Jets of
+order 0 would differ from the plain numbers in the last bits (``u ** -2``
+of the power field, for one).  Each caller checks the state's shape once.
 """
 
 from __future__ import annotations
@@ -383,6 +388,11 @@ class CoefficientField:
     over abstract arithmetic, so the same definition evaluates on plain
     complex numbers and on jets.
 
+    They are called in two ways only: :meth:`_on_numbers` on numbers, for
+    plans of order 0 and the RK4 oracle, and :meth:`_on_jets` on jets, for
+    :meth:`_run` and the coefficient bound.  Each caller checks the state
+    with :meth:`_state` first.
+
     They must be functions of ``(t, u)`` alone.  The field records them,
     with a word plan's kernels, once per plan and pattern of exact zeros in
     ``(t, u)`` as a tape (see the module docstring), with every constant
@@ -424,17 +434,11 @@ class CoefficientField:
             raise ValueError("coefficient function returned wrong dimension")
         return out
 
-    def _eval(self, fn, t, u, order: int | None = None) -> list:
-        """`fn` at (t, u): on complex numbers when `order` is None, else on
-        jets of that order.  Checks the state shape and the number of
-        components returned."""
-        u = self._state(u)
-        if order is None:
-            return self._checked([x.value if isinstance(x, Jet) else complex(x)
-                                  for x in fn(complex(t), list(u))])
-        # base point and order checked once, for every variable
-        origin = Jet((complex(t), *u.tolist()), order, {})
-        return self._on_jets(fn, origin, origin.base)
+    def _on_numbers(self, fn, t, u) -> list:
+        """`fn` on plain numbers at ``(t, u)``, for a state `u` that
+        `_state` has checked; every component made a complex number."""
+        return self._checked([x.value if isinstance(x, Jet) else complex(x)
+                              for x in fn(complex(t), list(u))])
 
     def _on_jets(self, fn, origin: Jet, values) -> list[Jet]:
         """`fn` on the jets of ``(t, u)`` on `origin`'s base point and
@@ -454,18 +458,6 @@ class CoefficientField:
         # a value missing from a jet is zero
         return [x.get(0, 0.0 + 0.0j) for i in plan.outputs for x in slots[i]]
 
-    def a_jets(self, t, u, order: int) -> list[Jet]:
-        return self._eval(self._a, t, u, _jet_order(order))
-
-    def b_jets(self, t, u, order: int) -> list[Jet]:
-        return self._eval(self._b, t, u, _jet_order(order))
-
-    def a_values(self, t, u) -> np.ndarray:
-        return np.array(self._eval(self._a, t, u))
-
-    def b_values(self, t, u) -> np.ndarray:
-        return np.array(self._eval(self._b, t, u))
-
     def _values(self, plan: WordPlan, t, u: np.ndarray) -> np.ndarray:
         """`plan`'s values at ``(t, u)``, one row of `m` per pair, for a
         state `u` that `_state` has checked, in the memo's own array, which
@@ -481,9 +473,8 @@ class CoefficientField:
             return kept
         if plan.order == 0:
             # no derivatives: the field itself, on plain numbers
-            slots = {}
-            for i in dict.fromkeys(plan.outputs):
-                slots[i] = self.a_values(t, u) if i == 0 else self.b_values(t, u)
+            slots = {i: self._on_numbers(self._a if i == 0 else self._b, t, u)
+                     for i in dict.fromkeys(plan.outputs)}
             values = [slots[i] for i in plan.outputs]
         else:
             base = (complex(t), *u.tolist())

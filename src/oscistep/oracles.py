@@ -205,9 +205,10 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
     dt = span / n
 
     def rhs(t: float, u: np.ndarray) -> np.ndarray:
-        return field.a_values(t, u) + field.b_values(t, u) * complex(osc.value(t))
+        return (np.array(field._on_numbers(field._a, t, u))
+                + np.array(field._on_numbers(field._b, t, u)) * complex(osc.value(t)))
 
-    u = np.asarray(u0, dtype=complex)
+    u = field._state(u0)
     traj = [(t0, u.copy())]
     t = t0
     for i in range(n):

@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import NumericStepError
-from .jets import CoefficientField, WordPlan, _jet_order, _plan
+from .jets import CoefficientField, Jet, WordPlan, _jet_order, _plan
 from .oscillator import BasisPoly, OscillatorSpec, TermPlan, phase_average
 from .terms import RETENTION_TOL, TruncationPolicy, Word, enumerate_words, word_primitive
 
@@ -281,13 +281,13 @@ def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,
     The box is [t_min, t_max] times a polydisc of the given radius about
     u_center; sampling is on a deterministic grid (not rigorous: the
     caller declares the box and accepts the sampling resolution).  A box
-    that is not finite, or an order that is not an integer >= 0, raises
-    ValueError, and a partial that is not finite at a sample raises
-    NumericStepError.
+    that is not finite, a centre whose shape is not the field's, or an
+    order that is not an integer >= 0, raises ValueError, and a partial
+    that is not finite at a sample raises NumericStepError.
     """
     order = _jet_order(order)
     t_min, t_max = t_range
-    u_center = np.asarray(u_center, dtype=complex)
+    u_center = field._state(u_center)
     if not (math.isfinite(t_min) and math.isfinite(t_max) and math.isfinite(u_radius)
             and np.isfinite(u_center).all()):
         raise ValueError("the sampling box must be finite")
@@ -305,7 +305,9 @@ def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,
     with np.errstate(over="ignore", invalid="ignore"):
         for t in ts:
             for u in states:
-                for jets in (field.a_jets(t, u, order), field.b_jets(t, u, order)):
+                origin = Jet((complex(t), *u.tolist()), order, {})
+                for jets in [field._on_jets(fn, origin, origin.base)
+                             for fn in (field._a, field._b)]:
                     # partials absent from every jet are zero and cannot raise the max
                     for alpha in set().union(*(j.coeffs for j in jets)):
                         vec = np.array([j.derivative(alpha) for j in jets])

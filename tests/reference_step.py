@@ -140,9 +140,9 @@ def _field_jets(fn, m, t, u, order):
             for v in fn(tj, uj)]
 
 
-def _apply_single(letter, f, a_jets, b_jets):
+def _apply_single(letter, f, jets_a, jets_b):
     order = f[0].order - 1
-    coeff = [c.truncate(order) for c in (a_jets if letter == "L0" else b_jets)]
+    coeff = [c.truncate(order) for c in (jets_a if letter == "L0" else jets_b)]
     out = []
     for fi in f:
         g = fi.partial(0) if letter == "L0" else None
@@ -161,14 +161,14 @@ def operator_values(field, pairs, t, u):
     if order == 0:
         return {(target, ()): _field_values(field._a if target == "a" else field._b, t, u)
                 for target, _ in pairs}
-    a_jets = _field_jets(field._a, field.m, t, u, order)
-    b_jets = _field_jets(field._b, field.m, t, u, order)
-    memo = {("a", ()): a_jets, ("b", ()): b_jets}
+    jets_a = _field_jets(field._a, field.m, t, u, order)
+    jets_b = _field_jets(field._b, field.m, t, u, order)
+    memo = {("a", ()): jets_a, ("b", ()): jets_b}
 
     def jets_for(target, word):
         if (target, word) not in memo:
             memo[(target, word)] = _apply_single(word[0], jets_for(target, word[1:]),
-                                                 a_jets, b_jets)
+                                                 jets_a, jets_b)
         return memo[(target, word)]
 
     return {(target, word): np.array([j.value for j in jets_for(target, word)])

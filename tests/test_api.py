@@ -5,6 +5,7 @@ import types
 from pathlib import Path
 
 import oscistep
+from oscistep import CoefficientField
 
 
 def test_exports_match_readme_api_list():
@@ -17,3 +18,10 @@ def test_exports_match_readme_api_list():
     exported = [name for name, value in vars(oscistep).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)]
     assert sorted(documented) == sorted(exported)
+
+
+def test_coefficient_field_has_no_public_methods():
+    # a field's a and b are evaluated through its private routes alone
+    public = [name for name in dir(CoefficientField)
+              if not name.startswith("_") and callable(getattr(CoefficientField, name))]
+    assert public == []

@@ -379,6 +379,33 @@ class TestBoundsCommand:
         assert code == 1
         assert out.strip().splitlines()[1].endswith("false")
 
+    @pytest.mark.parametrize("nu,calls", [(None, 2), (0.0, 2), (-0.5, 6)],
+                             ids=["readme", "custom-fourier-nu0", "custom-fourier-nu-half"])
+    def test_bound_estimated_once_per_field(self, capsys, monkeypatch, tmp_path, nu, calls):
+        # three omegas; the field depends on omega only through
+        # custom-fourier's absorbed mean, c_0 omega^-nu, and each field
+        # takes one estimate per order
+        import oscistep.cli
+        estimate, seen = oscistep.cli.estimate_coefficient_bound, []
+
+        def counting(*args):
+            seen.append(args)
+            return estimate(*args)
+
+        monkeypatch.setattr(oscistep.cli, "estimate_coefficient_bound", counting)
+        if nu is None:
+            argv = ("--problem", "linear", "--mu", "10", "--u0", "1")
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({
+                "problem": "custom-fourier", "fourier": {"1": 0.5, "-1": [0.2, 0.3], "0": 0.2},
+                "nu": nu, "u0": 1}))
+            argv = ("--config", str(cfg))
+        code, _, _ = run(capsys, "bounds", *argv, "--kappa", "4", "--rho", "2",
+                         "--box-t", "0.2", "--box-radius", "0.5")
+        assert code == 0
+        assert len(seen) == calls
+
     BOUNDS_OFF_ORIGIN = ("bounds", "--problem", "linear", "--kappa", "4", "--rho", "2",
                          "--mu", "10", "--u0", "1", "--t0", "0.5",
                          "--h-list", "0.1", "--omega-list", "50")

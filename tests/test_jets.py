@@ -18,6 +18,12 @@ def word_value(field, target, word, t, u):
     return operator_values(field, [(target, word)], t, u)[(target, tuple(word))]
 
 
+def field_jets(field, fn, t, u, order):
+    """`fn`, the field's `a` or `b`, on the jets of order `order` at (t, u)."""
+    origin = Jet((t, *u), order, {})
+    return field._on_jets(fn, origin, origin.base)
+
+
 class TestJetArithmetic:
     def test_truncated_product_order1(self):
         base = (0.0,)
@@ -84,16 +90,13 @@ class TestJetArithmetic:
 
     @pytest.mark.parametrize("order", [-1, 1.5, math.nan, math.inf, None, True])
     def test_order_must_be_an_integer_at_least_zero(self, order):
-        field = builtin_field("nonlinear")
-        for make in (lambda: Jet((0.0,), order, {}), lambda: var(0, (1.0,), order),
-                     lambda: field.a_jets(0.1, [1.0], order),
-                     lambda: field.b_jets(0.1, [1.0], order)):
+        for make in (lambda: Jet((0.0,), order, {}), lambda: var(0, (1.0,), order)):
             with pytest.raises(ValueError, match="jet order"):
                 make()
 
     def test_integral_float_order_is_that_order(self):
         field = builtin_field("nonlinear")
-        got, want = field.b_jets(0.1, [1.0], 2.0), field.b_jets(0.1, [1.0], 2)
+        got, want = (field_jets(field, field._b, 0.1, [1.0], order) for order in (2.0, 2))
         assert type(got[0].order) is int
         assert [j.coeffs for j in got] == [j.coeffs for j in want]
 
@@ -201,10 +204,12 @@ class TestBuiltinFieldDerivatives:
         for _ in range(5):
             t = float(rng.uniform(0.1, 1.0))
             u = np.array([rng.uniform(0.5, 1.5) + 1j * rng.uniform(-0.4, 0.4)])
-            for fn_jets, fn_vals in ((f.a_jets, f.a_values), (f.b_jets, f.b_values)):
-                jet = fn_jets(t, u, 1)[0]
-                fd_t = (fn_vals(t + eps, u)[0] - fn_vals(t - eps, u)[0]) / (2 * eps)
-                fd_u = (fn_vals(t, u + eps)[0] - fn_vals(t, u - eps)[0]) / (2 * eps)
+            for target, fn in (("a", f._a), ("b", f._b)):
+                jet = field_jets(f, fn, t, u, 1)[0]
+                fd_t = (word_value(f, target, (), t + eps, u)[0]
+                        - word_value(f, target, (), t - eps, u)[0]) / (2 * eps)
+                fd_u = (word_value(f, target, (), t, u + eps)[0]
+                        - word_value(f, target, (), t, u - eps)[0]) / (2 * eps)
                 assert jet.derivative((1, 0)) == pytest.approx(fd_t, rel=1e-6, abs=1e-9)
                 assert jet.derivative((0, 1)) == pytest.approx(fd_u, rel=1e-6, abs=1e-9)
 

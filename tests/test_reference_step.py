@@ -19,8 +19,8 @@ import reference_step as ref
 import oscistep.jets as jets
 import oscistep.oscillator as oscillator
 from oscistep import (TruncationPolicy, build_scheme, builtin_field, enumerate_words,
-                      make_field, make_oscillator, operator_values, solve, step,
-                      step_phase_averaged)
+                      make_field, make_oscillator, operator_values, rk4_micro_solve, solve,
+                      step, step_phase_averaged)
 from oscistep.jets import Jet
 from oscistep.stepping import SchemeTable
 
@@ -352,10 +352,52 @@ def test_field_jets_match_reference(order):
     field = make_field(2, lambda t, u: [t, u[1]], lambda t, u: [u[0] - 1.0, 0.0])
     for t, u in [(0.0, [0.0, 1.0 - 0.5j]), (0.3, [0.5j, 0.0])]:
         u = np.array(u)
-        for got, fn in ((field.a_jets, field._a), (field.b_jets, field._b)):
+        origin = Jet((t, *u), order, {})
+        for fn in (field._a, field._b):
+            got = field._on_jets(fn, origin, origin.base)
             want = ref._field_jets(fn, 2, t, u, order)
-            assert repr([list(j.coeffs.items()) for j in got(t, u, order)]) == \
+            assert repr([list(j.coeffs.items()) for j in got]) == \
                    repr([list(j.coeffs.items()) for j in want])
+
+
+def reference_rk4(field, osc, t0, u0, t_end, dt):
+    """``rk4_micro_solve``'s arithmetic, with the field's `a` and `b`
+    called on numbers as the reference step calls them."""
+    span = t_end - t0
+    n = max(1, round(span / dt))
+    if n * dt < span - 1e-12 * span:
+        n += 1
+    dt = span / n
+
+    def rhs(t, u):
+        return (ref._field_values(field._a, t, u)
+                + ref._field_values(field._b, t, u) * complex(osc.value(t)))
+
+    u = np.asarray(u0, dtype=complex)
+    traj = [(t0, u.copy())]
+    t = t0
+    for i in range(n):
+        k1 = rhs(t, u)
+        k2 = rhs(t + dt / 2, u + dt / 2 * k1)
+        k3 = rhs(t + dt / 2, u + dt / 2 * k2)
+        k4 = rhs(t + dt, u + dt * k3)
+        u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = t0 + (i + 1) * dt
+        traj.append((t, u.copy()))
+    return traj
+
+
+@pytest.mark.parametrize("name", ["linear", "power", "m2-division"])
+def test_rk4_oracle_matches_reference(name):
+    # a slow oscillator allows steps long enough that a right-hand side off
+    # in its last bit (order-0 jets, for one) shows in the trajectory;
+    # 1.0 / 0.031 rounds down to 32 steps, too few, so the step shrinks to
+    # 1.0 / 33
+    field, osc = FIELDS[name](), make_oscillator("cos", 2.0, 0.3)
+    u0 = np.array([0.6 + 0.1j] * field.m)
+    got = rk4_micro_solve(field, osc, 0.2, u0, 1.2, 0.031)
+    want = reference_rk4(field, osc, 0.2, u0, 1.2, 0.031)
+    assert repr([(t, exact(u)) for t, u in got]) == repr([(t, exact(u)) for t, u in want])
 
 
 # -- the coefficient bindings ---------------------------------------------------

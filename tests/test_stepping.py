@@ -9,7 +9,7 @@ from oscistep import (BoundInputs, NumericStepError, TruncationPolicy, Word,
                       bound_R11, bound_R22, build_scheme, builtin_field,
                       estimate_coefficient_bound, big_v, exact_exp_macro,
                       integration_call_count, iterated_integral, make_field,
-                      make_oscillator, phase_average, solve, step,
+                      make_oscillator, operator_values, phase_average, solve, step,
                       step_phase_averaged)
 from oscistep.stepping import SchemeTable
 
@@ -134,8 +134,8 @@ class TestStep:
             u0 = complex(rng.normal(1, 0.2), rng.normal(0, 0.2))
             res = step(sch, f, tn, u1(u0), h)
             dv = V.eval_shifted(o, tn + h, 0.0) - V.eval_shifted(o, tn, 0.0)
-            want = (u0 + f.a_values(tn, u1(u0))[0] * h
-                    + f.b_values(tn, u1(u0))[0] * dv)
+            values = operator_values(f, [("a", ()), ("b", ())], tn, u1(u0))
+            want = u0 + values["a", ()][0] * h + values["b", ()][0] * dv
             assert res.u_next[0] == pytest.approx(want, rel=1e-14)
 
     def test_drift_only_truncated_exponential(self):
@@ -384,6 +384,12 @@ class TestBounds:
         f = builtin_field("nonlinear", alpha=4.0, mu=1.0)
         with pytest.raises(ValueError):
             estimate_coefficient_bound(f, t_range, np.array([center]), radius, 1)
+
+    @pytest.mark.parametrize("center", [[], [1.0, 2.0], [[1.0]]])
+    def test_center_must_have_the_field_shape(self, center):
+        f = builtin_field("nonlinear", alpha=4.0, mu=1.0)
+        with pytest.raises(ValueError, match="state must have shape"):
+            estimate_coefficient_bound(f, (0.0, 0.2), np.array(center), 0.5, 1)
 
     @pytest.mark.parametrize("big", [lambda u: u * 1e308 * 10,
                                      lambda u: u * 1e308 * 10 - u * 1e308 * 10],
