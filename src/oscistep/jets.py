@@ -38,52 +38,58 @@ included.  The CLI prints 17 significant digits and its README output is
 locked byte for byte (``tests/readme_cli_golden.txt``); a reordered sum
 would change those bytes.
 
-A step's operator values are one taped function of ``(t, u)``.  A
-variable's jet drops a zero value, so the pattern of exact zeros in
-``(t, u)`` fixes the keys of the jets of ``t`` and ``u``.  Jet arithmetic
-and the kernels drop a key only where a product sum or a sum is exactly
-zero, and otherwise which keys they make, in which order, and so which
-products they add in which order, follow from the keys of their inputs
-alone.  So the work of `a`, `b` and a word plan's kernels can be recorded
-once on registers instead of numbers, as scalar operations, and replayed
-on later calls: the same floating-point operations on the same operands
-in the same order give the same values, bit for bit.  This is
+A step's operator values are one taped function of ``(t, u)``.  Jet
+arithmetic and the kernels drop a key only where a value, a product sum
+or a sum is exactly zero, and otherwise which keys they make, in which
+order, and so which products they add in which order, follow from the
+keys of their inputs alone.  So the work of `a`, `b` and a word plan's
+kernels can be recorded once on registers instead of numbers, as scalar
+operations, and replayed on later calls whose zero tests come out the
+same: the same floating-point operations on the same operands in the
+same order give the same values, bit for bit (Python has no fused
+multiply-add, so ``r += x * y`` rounds as ``r = r + (x * y)``).  This is
 operator-overloading taping, as in ADOL-C (Griewank & Walther,
 *Evaluating Derivatives*, ch. 6).
 
 A tape runs ``CoefficientField._run``, which is `a` and `b` on jets and
-then the plan's kernels on those jets, with registers for the nonzero
-entries of ``(t, u)`` as the jets' coefficients.  It becomes one
-straight-line Python function from ``(t, u_1, ..., u_m)`` to the plan's
-values, compiled once as ``dataclasses`` builds ``__init__``: registers
-are locals, and it does the recorded operations in order.  An operation
-on constants alone is done while recording, as the jets do it, so a key
-that constants cancel is dropped then, on every call.  Constants that
-meet a register enter the replay as arguments, never as source text
-(``repr`` loses the sign of -0.0 and is not a literal for nan or inf), so
-fields that differ only in their constants share one compiled function.
-A field keeps the ``TAPE_CACHE_SIZE`` tapes it recorded last, one per
-word plan and pattern of zeros.
+then the plan's kernels on those jets, with a register for each entry of
+``(t, u)`` as the jets' coefficients.  Each register carries its value
+at the call being recorded, computed by the operation it records, so a
+recording does what ``_run`` does on numbers, raises what it raises, and
+answers each test for an exact zero truthfully.  Each answer becomes a
+guard: the replay returns None unless every register found nonzero is
+nonzero again and every one found zero is zero again.  The zero is where
+the jets and the kernels drop a key, and a kept zero can change a later
+result (``1e-200 * 1e-200`` underflows to zero, and adding it turns a
+coefficient of ``-0.7 - 0j`` into ``-0.7 + 0j``); a zero in ``(t, u)``
+is one such test.  The recording becomes one straight-line Python
+function from ``(t, u_1, ..., u_m)`` to the plan's values, compiled once
+as ``dataclasses`` builds ``__init__``: registers are locals, and it
+checks the guards on ``(t, u)``, does the recorded operations in order,
+then checks the other guards.  An
+operation on constants alone is done while recording, as the jets do
+it, so a key that constants cancel is dropped then, on every call.
+Constants that meet a register enter the replay as arguments, never as
+source text (``repr`` loses the sign of -0.0 and is not a literal for
+nan or inf), so fields that differ only in their constants share one
+compiled function.
 
-A call that no replay serves runs ``_run`` on numbers: the code the
-recording followed, so a replay and its fallback are the same work, once
-on registers and once on numbers.  A recording answers each zero test of
-a register with "nonzero", and a replay that finds one of those
-registers exactly zero returns None; that call takes the fallback, as
-does one whose replay raises ArithmeticError (a division by such a
-register, or an int too big for a float).  The zero is where the jets
-and the kernels drop a key, and a kept zero can change a later result
-(``1e-200 * 1e-200`` underflows to zero, and adding it turns a
-coefficient of ``-0.7 - 0j`` into ``-0.7 + 0j``).  The one drop of a
-register a recording makes is ``Jet * n`` by an exact zero, and its
-replay checks that the product is zero.
+A call replays the field's tapes for its plan, the one used last first,
+until the guards of one hold; a replay that divides by a register that
+is zero here, before its guards, fails too.  If none holds, the call
+records a new tape at its own ``(t, u)``, so a plan has one tape per
+outcome of its zero tests that calls meet: a dividing field, for one,
+meets both outcomes of each reciprocal's bracket ``1 - f0 * (1/f0)``,
+which is exactly zero for most ``f0`` but not all.  A field keeps the
+``TAPE_CACHE_SIZE`` tapes it used last, over all its plans.
 
 A recording follows jet arithmetic only: ``+``, ``-``, ``*``, ``/`` and
 integer powers of jets and of ``int``, ``float`` or ``complex`` numbers.
-For lambdas that read a jet's value, coefficients or base point, multiply
-a jet by another kind of number, or raise while recorded, that plan and
-pattern stay untaped, and every call with them takes the fallback, which
-gives what the jets and kernels always gave, exceptions included.
+For lambdas that read a jet's value, coefficients or base point, or
+multiply a jet by another kind of number, the recording is refused: the
+field keeps None for that plan, and its calls run ``_run`` on numbers,
+which gives what the jets and kernels always gave.  Lambdas that raise
+raise while recorded, and every call records them again.
 
 A field evaluates `a` and `b` in two ways only.
 ``CoefficientField._on_numbers`` calls them on plain numbers, with numpy's
@@ -125,7 +131,8 @@ _BITS = 16
 _MASK = (1 << _BITS) - 1
 _MAX_ORDER = (1 << (_BITS - 1)) - 1
 
-# tapes kept on one field, one per word plan and pattern of zeros in (t, u)
+# tapes kept on one field, over its word plans and the outcomes of their
+# zero tests
 TAPE_CACHE_SIZE = 8
 
 
@@ -394,20 +401,19 @@ class CoefficientField:
     with :meth:`_state` first.
 
     They must be functions of ``(t, u)`` alone.  The field records them,
-    with a word plan's kernels, once per plan and pattern of exact zeros in
-    ``(t, u)`` as a tape (see the module docstring), with every constant
-    they capture baked in, and replays that tape on later calls without
-    calling them.  Recording runs :meth:`_run` on registers, and a call
-    that no tape serves runs it on numbers.  The field also keeps its last
-    call's values.  A call with the same word plan, the same time, of the
-    same type and sign (-0.0 and 0.0, or 0 and 0.0, differ), and a state of
-    the same bytes gets them without running the tape nor, for a field
-    that no tape serves, the lambdas themselves: the K phases of an
-    ensemble and the phase-averaged step share one plan, so they evaluate
-    once.  A time
-    with no hash or no float sign, such as a complex number or a numpy
-    array, and a call that raises leave the memo as it was.  A caller
-    whose parameters change builds a new field.
+    with a word plan's kernels, as a tape per plan and outcome of the zero
+    tests that calls meet (see the module docstring), with every constant
+    they capture baked in, and replays a tape on later calls without
+    calling them.  Recording runs :meth:`_run` on registers, and only a
+    plan whose recording was refused runs it on numbers.  The field also
+    keeps its last call's values.  A call with the same word plan, the
+    same time, of the same type and sign (-0.0 and 0.0, or 0 and 0.0,
+    differ), and a state of the same bytes gets them without running the
+    tape nor, for a refused plan, the lambdas themselves: the K phases of
+    an ensemble and the phase-averaged step share one plan, so they
+    evaluate once.  A time with no hash or no float sign, such as a
+    complex number or a numpy array, and a call that raises leave the memo
+    as it was.  A caller whose parameters change builds a new field.
     """
 
     def __init__(self, m: int, a: Callable, b: Callable, name: str = "custom"):
@@ -417,9 +423,9 @@ class CoefficientField:
         self._a = a
         self._b = b
         self.name = name
-        # tapes by (word plan, which of t, u_1, ..., u_m are nonzero); None
-        # where the recording failed
-        self._tapes: dict[tuple, _Tape | None] = {}
+        # (word plan, tape) pairs, the one used last first; None for a plan
+        # whose recording was refused
+        self._tapes: list[tuple[WordPlan, _Tape | None]] = []
         # the last call: (plan, t, type of t, sign of t, state bytes, values)
         self._last: tuple = (None,) * 6
 
@@ -450,8 +456,8 @@ class CoefficientField:
     def _run(self, plan: WordPlan, origin: Jet, values) -> list:
         """`a`, `b` and then `plan`'s kernels on the jets of ``(t, u)`` on
         `origin`'s base point and order, whose values are `values`: the
-        plan's values, one per pair and component.  A tape runs this on
-        registers, and a call that no tape serves on numbers."""
+        plan's values, one per pair and component.  A recording runs this
+        on registers, and a plan whose recording was refused on numbers."""
         a = self._on_jets(self._a, origin, values)
         b = self._on_jets(self._b, origin, values)
         slots = plan._jets(self.m, [j._terms for j in a], [j._terms for j in b])
@@ -462,8 +468,8 @@ class CoefficientField:
         """`plan`'s values at ``(t, u)``, one row of `m` per pair, for a
         state `u` that `_state` has checked, in the memo's own array, which
         the caller must not write to.  They come from the memo, the plain
-        numbers (order 0), this field's tape for `plan` and the call's
-        pattern of zeros, or else `_run` on numbers."""
+        numbers (order 0), a tape of this field's for `plan`, or else `_run`
+        on numbers for a plan that no tape can follow."""
         last_plan, last_t, last_type, sign, state, kept = self._last
         # -0.0 and 0.0, or 0 and 0.0, are equal times whose jets differ in
         # sign or type; the type is compared first, since a t of another
@@ -477,22 +483,7 @@ class CoefficientField:
                      for i in dict.fromkeys(plan.outputs)}
             values = [slots[i] for i in plan.outputs]
         else:
-            base = (complex(t), *u.tolist())
-            key = (plan, *map(bool, base))
-            try:
-                tape = self._tapes[key]
-            except KeyError:
-                tape = self._record(key)
-            try:
-                values = None if tape is None else tape(base)
-            except ArithmeticError:
-                # a division by a register taken as nonzero, or an int too
-                # big for a float: the jets find the zero, or raise
-                values = None
-            if values is None:
-                # untaped, or the replay tripped: what the tape recorded,
-                # on numbers
-                values = self._run(plan, Jet(base, plan.order, {}), base)
+            values = self._taped(plan, (complex(t), *u.tolist()))
         values = np.array(values, dtype=complex).reshape(-1, self.m)
         try:
             hash(t)
@@ -503,18 +494,45 @@ class CoefficientField:
             pass
         return values
 
-    def _record(self, key: tuple) -> _Tape | None:
-        if len(self._tapes) >= TAPE_CACHE_SIZE:
-            del self._tapes[next(iter(self._tapes))]
+    def _taped(self, plan: WordPlan, base: tuple) -> list:
+        """`plan`'s values at the base point `base` from the first of this
+        field's tapes for `plan` whose guards hold there, or else from a
+        tape recorded at `base`; that tape goes first in `_tapes`, and the
+        last of `TAPE_CACHE_SIZE` goes.  A plan whose recording was refused
+        runs `_run` on numbers."""
+        tapes = self._tapes
+        for i, (p, tape) in enumerate(tapes):
+            # a refused plan, or a tape whose guards hold
+            if p is plan and (tape is None or (values := tape(base)) is not None):
+                tapes.insert(0, tapes.pop(i))
+                break
+        else:
+            tape, values = self._record(plan, base)
+            tapes.insert(0, (plan, tape))
+            del tapes[TAPE_CACHE_SIZE:]
+        # a refused plan: what its recording would have followed, on numbers
+        return values if tape is not None else self._run(plan, Jet(base, plan.order, {}), base)
+
+    def _record(self, plan: WordPlan, base: tuple) -> tuple:
+        """A tape of `plan` and its values at `base`, recorded by `_run` on
+        registers that carry ``(t, u)``; None and None if the recording was
+        refused.  Anything else the lambdas or the jets raise propagates:
+        the recording does what `_run` does on numbers."""
+        rec = _Recorder()
+        origin = Jet((), plan.order, {})
+        origin.base, origin.nvars = rec, self.m + 1
+        # the registers of (t, u) are named x..., so that the replay can
+        # check their zero tests first; the others are r...
+        inputs = [_Register(rec, f"x{i}", x) for i, x in enumerate(base)]
         try:
-            tape = _Tape(self, key[0], key[1:])
-        except Exception:
-            # the lambdas raised, or did what a tape cannot follow: calls
-            # with this key take the jets and the kernels, which raise what
-            # they raise
-            tape = None
-        self._tapes[key] = tape
-        return tape
+            values = self._run(plan, origin, inputs)
+            if rec.failed:
+                # the lambdas caught the refusal
+                raise _Untraceable("the recording was refused")
+        except _Untraceable:
+            return None, None
+        return (_Tape(*rec.compile(inputs, values)),
+                [x.value if type(x) is _Register else x for x in values])
 
 
 class WordPlan:
@@ -606,13 +624,11 @@ class _Recorder:
 
     def __init__(self):
         self.lines: list[str] = []
-        self.count = 0
         # float, int and complex operands by id, with their local names
         self.constants: dict[int, tuple[str, object]] = {}
-        # registers that were compared with zero and answered "nonzero"
+        # registers that were compared with zero: nonzero, and zero
         self.checked: dict[str, None] = {}
-        # registers whose product with an exact zero was dropped
-        self.zeros: list[str] = []
+        self.zeros: dict[str, None] = {}
         self.failed = False
 
     def refuse(self):
@@ -622,13 +638,10 @@ class _Recorder:
 
     __getitem__ = __len__ = lambda self, *_: self.refuse()
 
-    def register(self) -> "_Register":
-        out = _Register(self, f"r{self.count}")
-        self.count += 1
-        return out
-
-    def emit(self, expression: str) -> "_Register":
-        out = self.register()
+    def emit(self, expression: str, value) -> "_Register":
+        """A register for `expression`, whose value is `value`: the same
+        operation on the operands' values."""
+        out = _Register(self, f"r{len(self.lines)}", value)
         self.lines.append(f"{out.name} = {expression}")
         return out
 
@@ -647,42 +660,43 @@ class _Recorder:
 
     def scale(self, terms: dict, n) -> dict:
         """``Jet * n`` on recorded coefficients, for an int, float or
-        complex `n` or a register (the reciprocal's ``1.0 / f0``).  The
-        product of a register is kept as nonzero, which the replay checks;
-        its product with an exact zero is zero unless the register is not
-        finite, so it is dropped, and the replay checks that it is zero."""
+        complex `n` or a register (the reciprocal's ``1.0 / f0``), with
+        the products' zero tests of jet arithmetic."""
         if type(n) is not _Register and type(n) not in _NUMBERS:
             self.refuse()
         out = {}
         for k, c in terms.items():
-            if type(c) is not _Register and type(n) is not _Register:
-                if (v := c * n) != 0:
-                    out[k] = complex(v)
-                continue
-            v = self.emit(f"{self.operand(c)} * {self.operand(n)}")
-            if type(n) is not _Register and n == 0:
-                self.zeros.append(v.name)
-            else:
-                self.checked[v.name] = None
+            v = c * n
+            if type(v) is _Product:
+                v = self.emit(f"{c.name} * {n.name}", v.value)
+            if v != 0:
                 out[k] = v
         return out
 
-    def compile(self, inputs: list, result: str):
+    def compile(self, inputs: list, values: list):
         """The recorded lines as ``(replay, constants)``: ``replay(x,
-        constants)`` unpacks `x` into the registers `inputs` (anything else
-        for a value not used), runs the lines, and returns None if a
-        checked register is zero or a dropped product is not, else
-        `result`."""
-        names = [name for name, _ in self.constants.values()]
-        checks = ([f"not all(({', '.join(self.checked)},))"] if self.checked else []) + self.zeros
+        constants)`` unpacks `x` into the registers `inputs`, runs the
+        lines, and returns None if a register compared with zero does not
+        compare as it did, else `values`.  The registers of `inputs` are
+        checked first, so a call that fails their tests does no work."""
+        result = f"[{', '.join(map(self.operand, values))}]"
         source = "\n".join([
             "def replay(x, K):",
-            f"    {', '.join(r.name if type(r) is _Register else '_' for r in inputs)}, = x",
-            *([f"    {', '.join(names)}, = K"] if names else []),
+            f"    [{', '.join(r.name for r in inputs)}] = x",
+            *self.guard("x"),
+            f"    [{', '.join(name for name, _ in self.constants.values())}] = K",
             *(f"    {line}" for line in self.lines),
-            *([f"    if {' or '.join(checks)}:", "        return None"] if checks else []),
+            *self.guard("r"),
             f"    return {result}"])
         return _function(source), tuple(x for _, x in self.constants.values())
+
+    def guard(self, prefix: str) -> list[str]:
+        """Lines of the replay that return None unless each register named
+        with `prefix` that was compared with zero compares as it did."""
+        nonzero = [name for name in self.checked if name[0] == prefix]
+        tests = [f"not all(({', '.join(nonzero)},))"] if nonzero else []
+        tests += [name for name in self.zeros if name[0] == prefix]
+        return [f"    if {' or '.join(tests)}:", "        return None"] if tests else []
 
 
 # compiled tapes kept by source; each field holds its own too
@@ -698,45 +712,48 @@ def _function(source: str):
 class _Register:
     """A register while a tape is recorded: jets and the dict kernels
     compute on these as they do on numbers, and each operation becomes a
-    line of the replay.  A comparison with zero, by which the kernels drop
-    keys, is answered "nonzero" and checked by the replay; any other use
-    of the value stops the recording."""
+    line of the replay and computes the register's value as that line
+    does.  A comparison with zero, by which the kernels drop keys, is
+    answered from the value and becomes a guard of the replay; any other
+    use of the value stops the recording."""
 
-    __slots__ = ("rec", "name")
+    __slots__ = ("rec", "name", "value")
 
-    def __init__(self, rec: _Recorder, name: str):
-        self.rec, self.name = rec, name
+    def __init__(self, rec: _Recorder, name: str, value):
+        self.rec, self.name, self.value = rec, name, value
 
     def __mul__(self, other):
         if type(other) is _Register:
             return _Product(self, other)
-        return self.rec.emit(f"{self.name} * {self.rec.operand(other)}")
+        return self.rec.emit(f"{self.name} * {self.rec.operand(other)}", self.value * other)
 
     def __rmul__(self, other):
-        return self.rec.emit(f"{self.rec.operand(other)} * {self.name}")
+        return self.rec.emit(f"{self.rec.operand(other)} * {self.name}", other * self.value)
 
     def __add__(self, other):
         if type(other) is _Product:
             # `_mul` adds each product to its own running sum, which
             # nothing else reads, so the sum is updated in place
             self.rec.lines.append(f"{self.name} += {other.x.name} * {other.y.name}")
+            self.value = self.value + other.value
             return self
-        return self.rec.emit(f"{self.name} + {self.rec.operand(other)}")
+        return self.rec.emit(f"{self.name} + {self.rec.operand(other)}",
+                             self.value + (other.value if type(other) is _Register else other))
 
     def __radd__(self, other):
-        return self.rec.emit(f"{self.rec.operand(other)} + {self.name}")
+        return self.rec.emit(f"{self.rec.operand(other)} + {self.name}", other + self.value)
 
     def __neg__(self):
-        return self.rec.emit(f"-{self.name}")
+        return self.rec.emit(f"-{self.name}", -self.value)
 
     def __rtruediv__(self, other):
-        return self.rec.emit(f"{self.rec.operand(other)} / {self.name}")
+        return self.rec.emit(f"{self.rec.operand(other)} / {self.name}", other / self.value)
 
     def __eq__(self, other):
-        if type(other) in _NUMBERS and other == 0:
-            self.rec.checked[self.name] = None
-            return False
-        self.rec.refuse()
+        if type(other) not in _NUMBERS or other != 0:
+            self.rec.refuse()
+        (self.rec.zeros if self.value == 0 else self.rec.checked)[self.name] = None
+        return self.value == 0
 
     def __ne__(self, other):
         return not self == other
@@ -746,47 +763,43 @@ class _Register:
 
 
 class _Product:
-    """``x * y`` of two registers while a tape is recorded, until a sum
-    takes it."""
+    """``x * y`` of two registers while a tape is recorded, with its value,
+    until a sum takes it."""
 
-    __slots__ = ("x", "y")
+    __slots__ = ("x", "y", "value")
 
     def __init__(self, x: _Register, y: _Register):
-        self.x, self.y = x, y
+        self.x, self.y, self.value = x, y, x.value * y.value
 
     def __radd__(self, other):
         # a product sum's first term, after 0.0 or a constant
         rec = self.x.rec
-        return rec.emit(f"{rec.operand(other)} + {self.x.name} * {self.y.name}")
+        return rec.emit(f"{rec.operand(other)} + {self.x.name} * {self.y.name}", other + self.value)
 
 
 class _Tape:
     """A field's `a` and `b` and a word plan's kernels, recorded by running
     :meth:`CoefficientField._run` on jets whose coefficients are registers
-    for one pattern of exact zeros in ``(t, u)``, and compiled to one
-    function from the base point ``(t, u_1, ..., u_m)`` to the plan's
-    values (see the module docstring).  A call the replay cannot serve
-    runs that method on numbers."""
+    that carry one call's ``(t, u)``, and compiled to one function from the
+    base point ``(t, u_1, ..., u_m)`` to the plan's values, guarded by that
+    call's outcome of every zero test (see the module docstring)."""
 
     __slots__ = ("replay", "constants")
 
-    def __init__(self, field: CoefficientField, plan: WordPlan, nonzero: tuple):
-        rec = _Recorder()
-        origin = Jet((), plan.order, {})
-        origin.base, origin.nvars = rec, field.m + 1
-        inputs = [rec.register() if x else 0 for x in nonzero]
-        values = field._run(plan, origin, inputs)
-        if rec.failed:
-            # the lambdas caught the refusal
-            raise _Untraceable("the recording was refused")
-        self.replay, self.constants = rec.compile(
-            inputs, f"[{', '.join(map(rec.operand, values))}]")
+    def __init__(self, replay, constants: tuple):
+        self.replay, self.constants = replay, constants
 
     def __call__(self, base: tuple) -> list[complex] | None:
         """The plan's values at the base point `base`, or None if the jets
         or the kernels would drop a key that the recording kept, or keep one
         it dropped."""
-        return self.replay(base, self.constants)
+        try:
+            return self.replay(base, self.constants)
+        except ArithmeticError:
+            # a division, before the guards, by a register that is zero
+            # here; the jets divide by it too, so a recording raises their
+            # error
+            return None
 
 
 # word plans in use, by their pairs

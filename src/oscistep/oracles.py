@@ -5,7 +5,8 @@ it can serve as an oracle for it: integrals are done by adaptive
 Gauss-Kronrod quadrature (with an initial subinterval per half period for
 oscillatory integrands), trajectories by a classical fixed-step RK4 on the
 raw right-hand side, and the worked problems' exact solutions by their
-closed forms.
+closed forms.  Each is right or loud: a quadrature that does not converge
+or is not finite, and an RK4 trajectory that turns non-finite, raise.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, ResolutionError
+from .errors import DomainError, NumericStepError, QuadratureError, ResolutionError
 from .jets import CoefficientField
 from .oscillator import OscillatorSpec
 
@@ -187,10 +188,13 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
 
     `dt` must be positive and resolve the oscillation: dt <= period / 20.
     The step is shrunk slightly if needed so an integer number of steps
-    spans the interval.  Returns a list of (t, u) pairs.
+    spans the interval.  Returns a list of (t, u) pairs.  A non-finite
+    `u0` raises ValueError, and a trajectory that turns non-finite
+    NumericStepError, which names the first time it is.
     """
-    if not all(math.isfinite(x) for x in (t0, t_end, dt)):
-        raise ValueError("t0, t_end and dt must be finite")
+    u = field._state(u0)
+    if not (all(math.isfinite(x) for x in (t0, t_end, dt)) and np.isfinite(u).all()):
+        raise ValueError("t0, t_end, dt and u0 must be finite")
     if dt <= 0:
         raise ValueError(f"micro step must be positive, got {dt}")
     span = t_end - t0
@@ -208,17 +212,23 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
         return (np.array(field._on_numbers(field._a, t, u))
                 + np.array(field._on_numbers(field._b, t, u)) * complex(osc.value(t)))
 
-    u = field._state(u0)
     traj = [(t0, u.copy())]
     t = t0
-    for i in range(n):
-        k1 = rhs(t, u)
-        k2 = rhs(t + dt / 2, u + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, u + dt / 2 * k2)
-        k4 = rhs(t + dt, u + dt * k3)
-        u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t0 + (i + 1) * dt
-        traj.append((t, u.copy()))
+    # a non-finite state is reported below, not as a numpy warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(n):
+            k1 = rhs(t, u)
+            k2 = rhs(t + dt / 2, u + dt / 2 * k1)
+            k3 = rhs(t + dt / 2, u + dt / 2 * k2)
+            k4 = rhs(t + dt, u + dt * k3)
+            u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t = t0 + (i + 1) * dt
+            traj.append((t, u.copy()))
+    # inf and nan survive an RK4 update, so the last state is finite only
+    # if every state is
+    if not np.isfinite(u).all():
+        first = next(t for t, x in traj if not np.isfinite(x).all())
+        raise NumericStepError(f"RK4 state not finite at t = {first}")
     return traj
 
 

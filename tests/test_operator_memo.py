@@ -159,8 +159,8 @@ def test_a_field_that_raises_raises_on_every_call(evaluations):
         with pytest.raises(ValueError, match="no b here"):
             fn(scheme, field, 0.2, u, 0.1)
     assert len(evaluations) == 3
-    # the recording, then the jets of every call
-    assert len(calls) == 4
+    # every call records, and raises what the jets raise
+    assert len(calls) == 3
     with pytest.raises(ValueError, match="no b here"):
         ref.step(scheme, field, 0.2, u, 0.1)
 
@@ -212,7 +212,7 @@ def test_nothing_but_the_caller_holds_a_field(calls):
         else:
             assert_same_values(operator_values(field, pairs, 0.2, u),
                                ref.operator_values(field, pairs, 0.2, u))
-    assert field._tapes and None not in field._tapes.values()
+    assert field._tapes and None not in [tape for _, tape in field._tapes]
     alive = weakref.ref(field)
     del field
     gc.collect()
@@ -230,7 +230,7 @@ def test_an_untaped_field_runs_once_for_a_phase_group():
     field = make_field(1, a, lambda t, u: [0.5 * u[0] * u[0]])
     schemes = phase_group("exp", (4, 2))
     step(schemes[0], field, 0.1, np.array([1.2 + 0.1j]), 0.1)
-    assert list(field._tapes.values()) == [None]
+    assert [tape for _, tape in field._tapes] == [None]
     before = len(calls)
     step(schemes[0], field, 0.2, np.array([1.1 + 0.1j]), 0.1)
     one_step = len(calls) - before

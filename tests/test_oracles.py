@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oscistep import (DomainError, QuadratureError, ResolutionError,
+from oscistep import (DomainError, NumericStepError, QuadratureError, ResolutionError,
                       TruncationPolicy, adaptive_quadrature, build_scheme,
                       builtin_field, exact_exp_macro, exact_pure_oscillatory,
                       fit_slope, make_field, make_oscillator, rk4_micro_solve,
@@ -165,6 +165,26 @@ class TestRK4:
         with pytest.raises(ValueError, match="state must have shape"):
             rk4_micro_solve(f, o, 0.0, np.array([1.0, 2.0], dtype=complex), 0.1,
                             o.period / 200)
+
+    @pytest.mark.parametrize("u0", [math.nan, math.inf, complex(1.0, -math.inf)])
+    def test_non_finite_start_rejected(self, u0):
+        f = builtin_field("linear", mu=1.0)
+        o = make_oscillator("cos", 100.0)
+        with pytest.raises(ValueError, match="u0 must be finite"):
+            rk4_micro_solve(f, o, 0.0, np.array([u0], dtype=complex), 0.1, o.period / 200)
+
+    @pytest.mark.parametrize("field,u0,first", [
+        # b = 1/u divides by zero at once
+        (builtin_field("power", gamma=2), 0.0, "0.01"),
+        # b = u^2 overflows at once
+        (builtin_field("nonlinear"), 1e200, "0.01"),
+        # a = 5000 u t grows past the largest float before t = 1
+        (make_field(1, lambda t, u: [u[0] * 5e3 * t], lambda t, u: [0.0 * t]), 1.0, "0.85")],
+        ids=["power-from-zero", "nonlinear-from-1e200", "linear-blow-up"])
+    def test_non_finite_trajectory_raises(self, field, u0, first):
+        o = make_oscillator("cos", 2 * math.pi)
+        with pytest.raises(NumericStepError, match=f"not finite at t = {first}$"):
+            rk4_micro_solve(field, o, 0.0, np.array([u0], dtype=complex), 1.0, 0.01)
 
     def test_oscillatory_benchmark_configuration(self):
         # gamma = 0 family: du/dt = t u + mu u cos(omega t)

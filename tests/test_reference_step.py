@@ -212,13 +212,14 @@ def fresh_table(policy=(4, 2)):
 def tapes(field, scheme):
     """The tapes `field` keeps for the word plan of `scheme`."""
     plan = scheme.entries.plan[0]
-    return [tape for key, tape in field._tapes.items() if key[0] is plan]
+    return [tape for p, tape in field._tapes if p is plan]
 
 
 @pytest.fixture
 def tripped(monkeypatch):
-    """One entry per tape replay: whether it found a zero and left the
-    step to the jets and the dict kernels."""
+    """One entry per tape replay: whether a zero test came out otherwise
+    than in its recording, so that the step went on to the field's next
+    tape for the plan or recorded one."""
     out = []
     replay = jets._Tape.__call__
 
@@ -241,13 +242,6 @@ ZERO_WORD_FIELDS = {
                                        lambda t, u: [-t * 0.7 + u[0] * 1e-200]),
 }
 
-# Operations on constants alone are done while recording: the cancelling
-# field's L0 b is made of constants and drops its key there, so its replays
-# never trip.  The underflowing field's a * db/du is constant too, but at
-# t = 0, where b = u * 1e-200, its replay finds L1 b = b * 1e-200
-# underflowed to zero.
-TRIPS = {"cancelling": [False] * 5, "underflowing": [True, False, False, False, False]}
-
 
 @pytest.mark.parametrize("name", ZERO_WORD_FIELDS)
 def test_word_zero_on_every_step_runs_the_kernels(name, tripped):
@@ -256,7 +250,15 @@ def test_word_zero_on_every_step_runs_the_kernels(name, tripped):
     u = np.array([0.9 + 0.0j])
     h = 0.05
     traj = solve(scheme, field, 0.0, u, 5 * h, h)
-    assert tripped == TRIPS[name]
+    # Operations on constants alone are done while recording: the
+    # cancelling field's L0 b is made of constants and drops its key there.
+    # The underflowing field's a * db/du is constant too, and at t = 0,
+    # where b = u * 1e-200, the recording finds L1 b = b * 1e-200
+    # underflowed to zero.  The tape of t = 0 keeps t's zero as a guard,
+    # which fails at the second step; that step records the tape the rest
+    # replay.
+    assert tripped == [True, False, False, False]
+    assert len(field._tapes) == 2
     for i, (t, got) in enumerate(traj[1:]):
         want = ref.step(scheme, field, i * h, u, h)
         assert repr(t) == repr(want.t_next)
@@ -275,8 +277,10 @@ def test_replay_resumes_after_a_zero_state(tripped):
     for t, u in ((0.1, 1.2), (0.2, 1.0), (0.3, 0.8 + 0.1j)):
         u = np.array([u], dtype=complex)
         assert_same(step(scheme, field, t, u, 0.1), ref.step(scheme, field, t, u, 0.1))
-    assert tripped == [False, True, False]
-    assert len(tapes(field, scheme)) == 1
+    # u = 1 records a second tape; the last step tries it first, then
+    # replays the first
+    assert tripped == [True, True, False]
+    assert len(tapes(field, scheme)) == 2
 
 
 def test_fields_of_two_dimensions_get_their_own_tapes(tripped):
@@ -287,7 +291,8 @@ def test_fields_of_two_dimensions_get_their_own_tapes(tripped):
     for field in (fields[0], fields[1], fields[0]):
         t, u = start_points(field.m, rng)[0]
         assert_same(step(scheme, field, t, u, 0.1), ref.step(scheme, field, t, u, 0.1))
-    assert tripped == [False] * 3
+    # two recordings, then one replay
+    assert tripped == [False]
     assert [len(tapes(field, scheme)) for field in fields] == [1, 1]
 
 
@@ -299,7 +304,8 @@ def test_a_field_whose_sums_cancel_among_constants_never_trips(tripped):
     t, u = start_points(field.m, np.random.default_rng(4))[0]
     h = 0.05
     traj = solve(scheme, field, t, u, t + 5 * h, h)
-    assert tripped == [False] * 5
+    # the first step records, the rest replay
+    assert tripped == [False] * 4
     for i, (_, got) in enumerate(traj[1:]):
         want = ref.step(scheme, field, t + i * h, u, h)
         assert exact(got) == exact(want.u_next)
@@ -308,7 +314,8 @@ def test_a_field_whose_sums_cancel_among_constants_never_trips(tripped):
 
 def test_tapes_per_field_are_bounded():
     field = make_field(1, lambda t, u: [t + u[0]], lambda t, u: [0.5 * u[0] * u[0] + 1.0])
-    # one tape per plan and pattern of zeros in (t, u)
+    # one tape per plan and pattern of zeros in (t, u), which the field's
+    # other tapes for the plan fail to serve
     calls = [(scheme, t, u) for scheme in (fresh_table(p) for p in [(2, 2), (4, 2), (8, 2)])
              for t, u in ((0.2, 0.9 + 0.1j), (0.0, 0.9), (0.2, 0.0), (0.0, 0.0))]
     # the first again at the end, after its tape was dropped
@@ -316,6 +323,54 @@ def test_tapes_per_field_are_bounded():
         u = np.array([u], dtype=complex)
         assert_same(step(scheme, field, t, u, 0.1), ref.step(scheme, field, t, u, 0.1))
         assert len(field._tapes) == min(n, jets.TAPE_CACHE_SIZE)
+
+
+@pytest.mark.parametrize("name", ["power", "m2-division"])
+def test_dividing_fields_replay_their_tapes(name, monkeypatch):
+    # a reciprocal's bracket 1 - f0 * (1/f0) is exactly zero for most f0
+    # but not all, so a dividing field keeps a tape for each outcome; no
+    # step runs the jets on numbers
+    on_numbers = []
+    run = jets.CoefficientField._run
+
+    def counting(field, plan, origin, values):
+        on_numbers.append(type(origin.base) is tuple)
+        return run(field, plan, origin, values)
+
+    monkeypatch.setattr(jets.CoefficientField, "_run", counting)
+    field = builtin_field("power", gamma=2) if name == "power" else FIELDS[name]()
+    scheme = fresh_table()
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        t = float(rng.uniform(-0.5, 1.0))
+        u = rng.uniform(0.5, 1.5, field.m) + 1j * rng.uniform(-0.3, 0.3, field.m)
+        assert_same(step(scheme, field, t, u, 0.1), ref.step(scheme, field, t, u, 0.1))
+    # every call of _run was a recording
+    assert on_numbers and not any(on_numbers)
+    assert 2 <= len(field._tapes) <= jets.TAPE_CACHE_SIZE
+
+
+def test_alternating_zero_outcomes_reuse_their_tapes(tripped, monkeypatch):
+    # b = u^2 - t is exactly zero at u = 0.5, t = 0.25 and nowhere else here
+    recorded = []
+    record = jets.CoefficientField._record
+
+    def counting(field, plan, base):
+        recorded.append(base)
+        return record(field, plan, base)
+
+    monkeypatch.setattr(jets.CoefficientField, "_record", counting)
+    field = make_field(1, lambda t, u: [0.5 * u[0]], lambda t, u: [u[0] * u[0] - t])
+    scheme = fresh_table()
+    for i in range(10):
+        t, u = (0.25, 0.5) if i % 2 else (0.1 + 0.01 * i, 1.2)
+        u = np.array([u], dtype=complex)
+        assert_same(step(scheme, field, t, u, 0.1), ref.step(scheme, field, t, u, 0.1))
+    # one recording per outcome: the second call misses the first tape and
+    # records; each later call misses the tape of the other outcome, used
+    # last, and replays its own
+    assert len(recorded) == len(field._tapes) == 2
+    assert tripped == [True] + [True, False] * 8
 
 
 def test_averaged_entries_share_the_word_plan():
