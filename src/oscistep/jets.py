@@ -57,30 +57,33 @@ then the plan's kernels on those jets, with a register for each entry of
 at the call being recorded, computed by the operation it records, so a
 recording does what ``_run`` does on numbers, raises what it raises, and
 answers each test for an exact zero truthfully.  Each answer becomes a
-guard: the replay returns None unless every register found nonzero is
-nonzero again and every one found zero is zero again.  The zero is where
-the jets and the kernels drop a key, and a kept zero can change a later
-result (``1e-200 * 1e-200`` underflows to zero, and adding it turns a
-coefficient of ``-0.7 - 0j`` into ``-0.7 + 0j``); a zero in ``(t, u)``
-is one such test.  The recording becomes one straight-line Python
-function from ``(t, u_1, ..., u_m)`` to the plan's values, compiled once
-as ``dataclasses`` builds ``__init__``: registers are locals, and it
-checks the guards on ``(t, u)``, does the recorded operations in order,
-then checks the other guards.  An
-operation on constants alone is done while recording, as the jets do
-it, so a key that constants cancel is dropped then, on every call.
+guard, one line of the replay at the point where the test is made, which
+returns None unless the register compares with zero as it did.  The
+zero is where the jets and the kernels drop a key, and a kept zero can
+change a later result (``1e-200 * 1e-200`` underflows to zero, and
+adding it turns a coefficient of ``-0.7 - 0j`` into ``-0.7 + 0j``); a
+zero in ``(t, u)`` is one such test.  The recording becomes one
+straight-line Python function from ``(t, u_1, ..., u_m)`` to the plan's
+values, compiled once as ``dataclasses`` builds ``__init__``: registers
+are locals, and it does the recorded operations and guards in order.
+So each guard checks the value its test saw, a replay stops at the first
+guard that fails, and the guards on ``(t, u)``, whose jets are made
+first, come first.  A division by a register comes only from
+``Jet.reciprocal``, after its test of that register for zero, so no
+replay divides by zero.  An operation on constants alone is done while
+recording, as the jets do it, so a key that constants cancel is dropped
+then, on every call.
 Constants that meet a register enter the replay as arguments, never as
 source text (``repr`` loses the sign of -0.0 and is not a literal for
 nan or inf), so fields that differ only in their constants share one
 compiled function.
 
 A call replays the field's tapes for its plan, the one used last first,
-until the guards of one hold; a replay that divides by a register that
-is zero here, before its guards, fails too.  If none holds, the call
-records a new tape at its own ``(t, u)``, so a plan has one tape per
-outcome of its zero tests that calls meet: a dividing field, for one,
-meets both outcomes of each reciprocal's bracket ``1 - f0 * (1/f0)``,
-which is exactly zero for most ``f0`` but not all.  A field keeps the
+until the guards of one hold.  If none holds, the call records a new
+tape at its own ``(t, u)``, so a plan has one tape per outcome of its
+zero tests that calls meet: a dividing field, for one, meets both
+outcomes of each reciprocal's bracket ``1 - f0 * (1/f0)``, which is
+exactly zero for most ``f0`` but not all.  A field keeps the
 ``TAPE_CACHE_SIZE`` tapes it used last, over all its plans.
 
 A recording follows jet arithmetic only: ``+``, ``-``, ``*``, ``/`` and
@@ -521,8 +524,6 @@ class CoefficientField:
         rec = _Recorder()
         origin = Jet((), plan.order, {})
         origin.base, origin.nvars = rec, self.m + 1
-        # the registers of (t, u) are named x..., so that the replay can
-        # check their zero tests first; the others are r...
         inputs = [_Register(rec, f"x{i}", x) for i, x in enumerate(base)]
         try:
             values = self._run(plan, origin, inputs)
@@ -617,18 +618,15 @@ class _Untraceable(Exception):
 
 
 class _Recorder:
-    """Records scalar operations on registers as lines of Python source,
-    and compiles them into one straight-line function (see the module
-    docstring).  While a field is recorded it is also its jets' base point,
-    which refuses to be read."""
+    """Records scalar operations and zero tests on registers as lines of
+    Python source, and compiles them into one straight-line function (see
+    the module docstring).  While a field is recorded it is also its jets'
+    base point, which refuses to be read."""
 
     def __init__(self):
         self.lines: list[str] = []
         # float, int and complex operands by id, with their local names
         self.constants: dict[int, tuple[str, object]] = {}
-        # registers that were compared with zero: nonzero, and zero
-        self.checked: dict[str, None] = {}
-        self.zeros: dict[str, None] = {}
         self.failed = False
 
     def refuse(self):
@@ -675,28 +673,16 @@ class _Recorder:
 
     def compile(self, inputs: list, values: list):
         """The recorded lines as ``(replay, constants)``: ``replay(x,
-        constants)`` unpacks `x` into the registers `inputs`, runs the
-        lines, and returns None if a register compared with zero does not
-        compare as it did, else `values`.  The registers of `inputs` are
-        checked first, so a call that fails their tests does no work."""
+        constants)`` unpacks `x` into the registers `inputs` and runs the
+        lines, guards included, then returns `values`."""
         result = f"[{', '.join(map(self.operand, values))}]"
         source = "\n".join([
             "def replay(x, K):",
             f"    [{', '.join(r.name for r in inputs)}] = x",
-            *self.guard("x"),
             f"    [{', '.join(name for name, _ in self.constants.values())}] = K",
             *(f"    {line}" for line in self.lines),
-            *self.guard("r"),
             f"    return {result}"])
         return _function(source), tuple(x for _, x in self.constants.values())
-
-    def guard(self, prefix: str) -> list[str]:
-        """Lines of the replay that return None unless each register named
-        with `prefix` that was compared with zero compares as it did."""
-        nonzero = [name for name in self.checked if name[0] == prefix]
-        tests = [f"not all(({', '.join(nonzero)},))"] if nonzero else []
-        tests += [name for name in self.zeros if name[0] == prefix]
-        return [f"    if {' or '.join(tests)}:", "        return None"] if tests else []
 
 
 # compiled tapes kept by source; each field holds its own too
@@ -714,7 +700,8 @@ class _Register:
     compute on these as they do on numbers, and each operation becomes a
     line of the replay and computes the register's value as that line
     does.  A comparison with zero, by which the kernels drop keys, is
-    answered from the value and becomes a guard of the replay; any other
+    answered from the value and becomes a guard line of the replay, which
+    returns None there unless the register compares as it did; any other
     use of the value stops the recording."""
 
     __slots__ = ("rec", "name", "value")
@@ -752,8 +739,10 @@ class _Register:
     def __eq__(self, other):
         if type(other) not in _NUMBERS or other != 0:
             self.rec.refuse()
-        (self.rec.zeros if self.value == 0 else self.rec.checked)[self.name] = None
-        return self.value == 0
+        zero = self.value == 0
+        # registers hold complex numbers, for which `not r` is `r == 0`
+        self.rec.lines.append(f"if {'' if zero else 'not '}{self.name}: return None")
+        return zero
 
     def __ne__(self, other):
         return not self == other
@@ -782,7 +771,8 @@ class _Tape:
     :meth:`CoefficientField._run` on jets whose coefficients are registers
     that carry one call's ``(t, u)``, and compiled to one function from the
     base point ``(t, u_1, ..., u_m)`` to the plan's values, guarded by that
-    call's outcome of every zero test (see the module docstring)."""
+    call's outcome of every zero test where the test was made (see the
+    module docstring)."""
 
     __slots__ = ("replay", "constants")
 
@@ -793,13 +783,7 @@ class _Tape:
         """The plan's values at the base point `base`, or None if the jets
         or the kernels would drop a key that the recording kept, or keep one
         it dropped."""
-        try:
-            return self.replay(base, self.constants)
-        except ArithmeticError:
-            # a division, before the guards, by a register that is zero
-            # here; the jets divide by it too, so a recording raises their
-            # error
-            return None
+        return self.replay(base, self.constants)
 
 
 # word plans in use, by their pairs

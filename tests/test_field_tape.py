@@ -9,6 +9,8 @@ must be of the same type.
 """
 
 import operator
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from hypothesis import strategies as st
 
 import reference_step as ref
 import oscistep.jets as jets
-from oscistep import (NumericStepError, TruncationPolicy, build_scheme, make_field,
-                      make_oscillator, operator_values, solve, step)
+from oscistep import (NumericStepError, TruncationPolicy, build_scheme, builtin_field,
+                      make_field, make_oscillator, operator_values, solve, step)
 from oscistep.stepping import SchemeTable
 
 OSC = make_oscillator("exp", 57.0, 1.1)
@@ -205,8 +207,9 @@ def test_a_zero_the_recording_did_not_have_falls_back_once(field_misses):
 
 
 def test_a_division_by_zero_in_a_replay_falls_back_once(field_misses):
-    # 1 / (u - t) divides by zero at u = t, in the replay before its
-    # guards; the recording there raises as the jets do, and keeps no tape
+    # 1 / (u - t) divides by zero at u = t; the replay's guard on u - t
+    # stops it before the division, and the recording there raises as the
+    # jets do and keeps no tape
     field = make_field(1, lambda t, u: [1 / (u[0] - t)], lambda t, u: [u[0]])
     scheme = fresh_table()
     for t, u in ((0.25, 49.25), (0.5, 0.5), (0.5, 49.5)):
@@ -220,6 +223,91 @@ def test_a_division_by_zero_in_a_replay_falls_back_once(field_misses):
     # the jets' own error, not the replay's
     with pytest.raises(ZeroDivisionError, match="jet with zero value has no reciprocal"):
         step(scheme, field, 0.5, np.array([0.5 + 0j]), 0.1)
+
+
+# fields whose jets divide by a register
+DIVIDING = {
+    "power": lambda: builtin_field("power", gamma=2),
+    "1/(1+u^2)": lambda: make_field(1, lambda t, u: [0.5 * u[0]],
+                                    lambda t, u: [1 / (1 + u[0] * u[0])]),
+    "1/(u-t)": lambda: make_field(1, lambda t, u: [1 / (u[0] - t)], lambda t, u: [u[0]]),
+    "m2-division": lambda: make_field(
+        2, lambda t, u: [u[1] / (1 + u[0] * u[0]), -u[0] * t],
+        lambda t, u: [0.5 * u[0] * u[1], 1.0 / u[1]]),
+}
+
+
+@pytest.fixture
+def sources(monkeypatch):
+    """The source of every tape compiled."""
+    out = []
+    compiled = jets._function
+
+    def spying(source):
+        out.append(source)
+        return compiled(source)
+
+    monkeypatch.setattr(jets, "_function", spying)
+    return out
+
+
+@pytest.mark.parametrize("policy", [(4, 2), (8, 2)], ids=["4-2", "8-2"])
+@pytest.mark.parametrize("name", DIVIDING)
+def test_a_replay_checks_each_divisor_before_dividing(name, policy, sources):
+    field = DIVIDING[name]()
+    scheme = fresh_table(policy)
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        t = float(rng.uniform(-0.5, 1.0))
+        u = rng.uniform(0.5, 1.5, field.m) + 1j * rng.uniform(-0.3, 0.3, field.m)
+        step(scheme, field, t, u, 0.1)
+    assert sources
+    for source in sources:
+        lines = [line.strip() for line in source.splitlines()]
+        divisions = [(i, m[1]) for i, line in enumerate(lines)
+                     if (m := re.fullmatch(r"\w+ = \w+ / (\w+)", line))]
+        assert divisions
+        for i, divisor in divisions:
+            assert f"if not {divisor}: return None" in lines[:i]
+
+
+def test_a_failing_replay_stops_at_its_guard(sources):
+    # power at gamma = 2 takes the reciprocal of u, whose bracket
+    # 1 - u * (1/u) is exactly zero for some u and not for others
+    def bracket(u):
+        return (1 + 0j) + -(u * (1.0 / u))
+
+    rng = np.random.default_rng(3)
+    us = (rng.uniform(0.5, 1.5, 50) + 1j * rng.uniform(-0.3, 0.3, 50)).tolist()
+    zero = next(u for u in us if bracket(u) == 0)
+    nonzero = next(u for u in us if bracket(u) != 0)
+    field = builtin_field("power", gamma=2)
+    step(fresh_table(), field, 0.3, np.array([zero]), 0.1)
+    [source] = sources
+    [(_, tape)] = field._tapes
+    # the replay's line events, with its locals at each
+    events = []
+
+    def local(frame, event, arg):
+        if event == "line":
+            events.append((frame.f_lineno, dict(frame.f_locals)))
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename == "<tape>" else None)
+    try:
+        assert tape((0.3 + 0j, nonzero)) is None
+    finally:
+        sys.settrace(old)
+    numbers = [n for n, _ in events]
+    last = numbers[-1]
+    lines = source.splitlines()
+    # straight-line code, run up to the bracket's guard and no further
+    assert numbers == list(range(2, last + 1))
+    guard = re.fullmatch(r"\s*if (r\d+): return None", lines[last - 1])
+    assert guard and events[-1][1][guard[1]] == bracket(nonzero)
+    # operations after the guard did not run
+    assert any(re.match(r"\s*r\d+ \+?= ", line) for line in lines[last:])
 
 
 def test_a_key_that_cancels_is_dropped_while_recording(field_misses):
