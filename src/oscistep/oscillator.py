@@ -82,7 +82,29 @@ class OscillatorSpec:
         return 2.0 * math.pi / self.omega
 
     def value(self, t):
-        """v(t); accepts scalars or numpy arrays."""
+        """v(t); accepts scalars or numpy arrays.
+
+        A finite `t` of type `float` or `int` is evaluated with `cmath`,
+        in the numpy path's order of operations, and gives the same bits
+        as that path at a tenth of the cost.  Every other `t` (arrays,
+        numpy scalars, bools, non-finite times), and a plain `t` whose
+        value comes out non-finite, takes the numpy path, which warns as
+        it always has.  For complex Fourier coefficients an array result
+        can differ from the scalar result in the last bit, because numpy's
+        array loops may fuse a complex product's multiply and add.
+        """
+        if type(t) in (float, int) and math.isfinite(t):
+            w = self.omega * float(t) + self.phi
+            s = 0j
+            try:
+                for k, c in self.coeffs:
+                    s += c * cmath.exp(1j * k * w)
+            except ValueError:      # k w overflowed, where numpy gives nan and warns
+                pass
+            else:
+                s *= self.omega ** (-self.nu)
+                if cmath.isfinite(s):
+                    return s
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape, dtype=complex)
         for k, c in self.coeffs:

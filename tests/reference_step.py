@@ -175,6 +175,17 @@ def operator_values(field, pairs, t, u):
             for target, word in pairs}
 
 
+def oscillator_value(osc, t):
+    """v(t) at one time, by numpy's 0-d arrays: the formula that
+    ``OscillatorSpec.value`` must reproduce bit for bit on plain numbers."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape, dtype=complex)
+    for k, c in osc.coeffs:
+        out += c * np.exp(1j * k * (osc.omega * t + osc.phi))
+    out *= osc.omega ** (-osc.nu)
+    return complex(out)
+
+
 def eval_shifted(poly, osc, dt, t_ref):
     """One basis polynomial at t_ref + dt, term by term."""
     z = cmath.exp(1j * (osc.omega * t_ref + osc.phi))

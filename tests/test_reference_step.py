@@ -415,6 +415,50 @@ def test_field_jets_match_reference(order):
                    repr([list(j.coeffs.items()) for j in want])
 
 
+# -- the oscillator at one time -------------------------------------------------
+
+@pytest.mark.parametrize("nu", [0.0, -0.5, 0.3])
+@pytest.mark.parametrize("kind", ["cos", "sin", "exp", "fourier"])
+def test_value_at_one_time_matches_reference(kind, nu):
+    # plain numbers take cmath, numpy scalars, bools and 0-d arrays numpy;
+    # both must give the numpy formula's bits.  "fourier" is a seeded
+    # four-mode complex series with a mean to remove.
+    rng = np.random.default_rng(7)
+    coeffs = {k: complex(*rng.uniform(-1.0, 1.0, 2)) for k in (-3, -1, 0, 2, 4)}
+    times = [0, 0.0, -0.0, 1, 3e-9, -7e-7, True, np.float64(0.37), np.array(-1.3)]
+    times += [float(t) for t in rng.uniform(-100.0, 100.0, 40)]
+    for omega in (2.0, 100.0, 1e4):
+        for phi in (0.0, 0.7):
+            osc = make_oscillator(kind, omega, phi, nu, coeffs if kind == "fourier" else None)
+            for t in times:
+                assert repr(osc.value(t)) == repr(ref.oscillator_value(osc, t))
+
+
+def test_value_is_complex_at_a_number_and_an_array_at_an_array():
+    osc = make_oscillator("cos", 100.0, 0.3)
+    assert type(osc.value(0.25)) is complex
+    assert type(osc.value(np.float64(0.25))) is complex
+    assert type(osc.value(np.array([0.25, 0.5]))) is np.ndarray
+
+
+def test_value_at_nan_is_nan_without_a_warning():
+    assert repr(make_oscillator("cos", 2.0).value(float("nan"))) == "(nan+nanj)"
+
+
+@pytest.mark.parametrize("osc, t, want", [
+    (make_oscillator("cos", 2.0), float("inf"), "(nan+nanj)"),
+    (make_oscillator("cos", 2.0), float("-inf"), "(nan+nanj)"),
+    # a finite time whose phase 2 omega t overflows
+    (make_oscillator("fourier", 10.0, coeffs={2: 1.0, -1: 0.5j}), 1e307, "(nan+nanj)"),
+    # a finite phase whose value overflows
+    (make_oscillator("fourier", 1e10, nu=-0.9, coeffs={1: 1e300}), 0.0, "(inf+0j)"),
+], ids=["inf", "-inf", "phase-overflow", "value-overflow"])
+def test_value_not_finite_warns_as_numpy_does(osc, t, want):
+    with pytest.warns(RuntimeWarning):
+        got = osc.value(t)
+    assert repr(got) == want
+
+
 def reference_rk4(field, osc, t0, u0, t_end, dt):
     """``rk4_micro_solve``'s arithmetic, with the field's `a` and `b`
     called on numbers as the reference step calls them."""
@@ -426,7 +470,7 @@ def reference_rk4(field, osc, t0, u0, t_end, dt):
 
     def rhs(t, u):
         return (ref._field_values(field._a, t, u)
-                + ref._field_values(field._b, t, u) * complex(osc.value(t)))
+                + ref._field_values(field._b, t, u) * ref.oscillator_value(osc, t))
 
     u = np.asarray(u0, dtype=complex)
     traj = [(t0, u.copy())]
