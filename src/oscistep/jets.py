@@ -39,10 +39,15 @@ locked byte for byte (``tests/readme_cli_golden.txt``); a reordered sum
 would change those bytes.
 
 A step's operator values are one taped function of ``(t, u)``.  Jet
-arithmetic and the kernels drop a key only where a value, a product sum
-or a sum is exactly zero, and otherwise which keys they make, in which
-order, and so which products they add in which order, follow from the
-keys of their inputs alone.  So the work of `a`, `b` and a word plan's
+arithmetic and the kernels hold no exact zero in a series, and test each
+coefficient that can come out zero once, where it is formed: a
+coordinate of ``(t, u)``, a product sum, the sum of a key that both
+addends hold, and a product by a number; such a zero drops its key.
+Values that are nonzero whenever their operand is go untested: a
+negation, a product by a positive integer (``_partial``), and ``0.0 + c``
+for a key new to a sum.  Otherwise which keys they make, in which order,
+and so which products they add in which order, follow from the keys of
+their inputs alone.  So the work of `a`, `b` and a word plan's
 kernels can be recorded once on registers instead of numbers, as scalar
 operations, and replayed on later calls whose zero tests come out the
 same: the same floating-point operations on the same operands in the
@@ -69,10 +74,11 @@ are locals, and it does the recorded operations and guards in order.
 So each guard checks the value its test saw, a replay stops at the first
 guard that fails, and the guards on ``(t, u)``, whose jets are made
 first, come first.  A division by a register comes only from
-``Jet.reciprocal``, after its test of that register for zero, so no
-replay divides by zero.  An operation on constants alone is done while
-recording, as the jets do it, so a key that constants cancel is dropped
-then, on every call.
+``Jet.reciprocal``, right after its test of that register for zero, so
+no replay divides by zero; it is the one test made again on a value
+already tested where it was formed.  An operation on constants alone is
+done while recording, as the jets do it, so a key that constants cancel
+is dropped then, on every call.
 Constants that meet a register enter the replay as arguments, never as
 source text (``repr`` loses the sign of -0.0 and is not a literal for
 nan or inf), so fields that differ only in their constants share one
@@ -98,10 +104,11 @@ A field evaluates `a` and `b` in two ways only.
 ``CoefficientField._on_numbers`` calls them on plain numbers, with numpy's
 scalar arithmetic: plans of order 0, which take no derivatives, and the
 right-hand side of ``rk4_micro_solve``.  ``CoefficientField._on_jets``
-calls them on jets: ``_run`` for every plan of higher order, and
-``estimate_coefficient_bound`` for the partials it bounds.  Jets of
-order 0 would differ from the plain numbers in the last bits (``u ** -2``
-of the power field, for one).  Each caller checks the state's shape once.
+calls both on one set of jets of ``(t, u)``: ``_run`` for every plan of
+higher order, and ``estimate_coefficient_bound`` for the partials it
+bounds.  Jets of order 0 would differ from the plain numbers in the last
+bits (``u ** -2`` of the power field, for one).  Each caller checks the
+state's shape once.
 """
 
 from __future__ import annotations
@@ -171,13 +178,6 @@ def _unpack(key: int, nvars: int) -> tuple[int, ...]:
     return tuple((key >> (_BITS * i)) & _MASK for i in range(nvars))
 
 
-def _nonzero(terms: dict) -> dict:
-    """`terms` without exact zeros, which the constructor drops too."""
-    if 0 in terms.values():
-        return {k: c for k, c in terms.items() if c != 0}
-    return terms
-
-
 # -- kernels on packed-key dicts ----------------------------------------------
 
 def _mul(x: dict, y: dict, cap: int) -> dict:
@@ -191,7 +191,7 @@ def _mul(x: dict, y: dict, cap: int) -> dict:
             if kb < room:
                 key = ka + kb
                 out[key] = get(key, 0.0) + ca * cb
-    return _nonzero(out)
+    return {k: c for k, c in out.items() if c != 0}
 
 
 def _partial(x: dict, shift: int, unit: int, cap: int) -> dict:
@@ -207,11 +207,17 @@ def _partial(x: dict, shift: int, unit: int, cap: int) -> dict:
 
 
 def _add(x: dict, y: dict) -> dict:
-    """The sum of two series; `x` is updated in place and may be returned."""
-    get = x.get
+    """The sum of two series, made in `x` and returned.  Only the sum of a
+    key that both hold is tested for zero; a key new to `x` gets
+    ``0.0 + c``, which is nonzero since `c` is."""
     for k, c in y.items():
-        x[k] = get(k, 0.0) + c
-    return _nonzero(x)
+        if k not in x:
+            x[k] = 0.0 + c
+        elif (s := x[k] + c) != 0:
+            x[k] = s
+        else:
+            del x[k]
+    return x
 
 
 @lru_cache(maxsize=64)
@@ -250,7 +256,7 @@ class Jet:
 
     def _like(self, terms: dict, order: int | None = None) -> "Jet":
         """A jet on this one's base point from already packed, complex,
-        nonzero `terms` (see `_nonzero`)."""
+        nonzero `terms`, as the kernels make them."""
         out = object.__new__(Jet)
         out.base, out.nvars, out._terms = self.base, self.nvars, terms
         out.order = self.order if order is None else order
@@ -398,8 +404,9 @@ class CoefficientField:
     over abstract arithmetic, so the same definition evaluates on plain
     complex numbers and on jets.
 
-    They are called in two ways only: :meth:`_on_numbers` on numbers, for
-    plans of order 0 and the RK4 oracle, and :meth:`_on_jets` on jets, for
+    They are called in two ways only: :meth:`_on_numbers` on numbers, one
+    function at a time, for plans of order 0 and the RK4 oracle, and
+    :meth:`_on_jets` on jets, both on one set of jets of ``(t, u)``, for
     :meth:`_run` and the coefficient bound.  Each caller checks the state
     with :meth:`_state` first.
 
@@ -449,20 +456,22 @@ class CoefficientField:
         return self._checked([x.value if isinstance(x, Jet) else complex(x)
                               for x in fn(complex(t), list(u))])
 
-    def _on_jets(self, fn, origin: Jet, values) -> list[Jet]:
-        """`fn` on the jets of ``(t, u)`` on `origin`'s base point and
-        order, whose values are `values`; every component made a jet."""
+    def _on_jets(self, origin: Jet, values) -> tuple[list[Jet], list[Jet]]:
+        """`a` and `b` on the jets of ``(t, u)`` on `origin`'s base point and
+        order, whose values are `values`; every component made a jet.  The
+        jets are made once, so each coordinate is tested for zero once, and
+        each function gets its own list of them."""
         tj, *uj = (origin._variable(i, x) for i, x in enumerate(values))
-        return self._checked([v if isinstance(v, Jet) else origin._constant(v)
-                              for v in fn(tj, uj)])
+        return tuple(self._checked([v if isinstance(v, Jet) else origin._constant(v)
+                                    for v in fn(tj, list(uj))])
+                     for fn in (self._a, self._b))
 
     def _run(self, plan: WordPlan, origin: Jet, values) -> list:
         """`a`, `b` and then `plan`'s kernels on the jets of ``(t, u)`` on
         `origin`'s base point and order, whose values are `values`: the
         plan's values, one per pair and component.  A recording runs this
         on registers, and a plan whose recording was refused on numbers."""
-        a = self._on_jets(self._a, origin, values)
-        b = self._on_jets(self._b, origin, values)
+        a, b = self._on_jets(origin, values)
         slots = plan._jets(self.m, [j._terms for j in a], [j._terms for j in b])
         # a value missing from a jet is zero
         return [x.get(0, 0.0 + 0.0j) for i in plan.outputs for x in slots[i]]

@@ -306,8 +306,7 @@ def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,
         for t in ts:
             for u in states:
                 origin = Jet((complex(t), *u.tolist()), order, {})
-                for jets in [field._on_jets(fn, origin, origin.base)
-                             for fn in (field._a, field._b)]:
+                for jets in field._on_jets(origin, origin.base):
                     # partials absent from every jet are zero and cannot raise the max
                     for alpha in set().union(*(j.coeffs for j in jets)):
                         vec = np.array([j.derivative(alpha) for j in jets])

@@ -251,24 +251,98 @@ def sources(monkeypatch):
     return out
 
 
-@pytest.mark.parametrize("policy", [(4, 2), (8, 2)], ids=["4-2", "8-2"])
-@pytest.mark.parametrize("name", DIVIDING)
-def test_a_replay_checks_each_divisor_before_dividing(name, policy, sources):
-    field = DIVIDING[name]()
+def tape_lines(source: str) -> list[tuple[str | None, str | None]]:
+    """Each line of a tape's source as ``(kind, register)``: "zero" for a
+    guard ``if rN: return None`` (the recording found rN zero), "nonzero"
+    for ``if not rN: return None``, "division" for a line that divides by
+    rN, "update" for ``rN += ...``, and ``(None, None)`` for any other."""
+    out = []
+    for line in source.splitlines():
+        line = line.strip()
+        if m := re.fullmatch(r"if (not )?(\w+): return None", line):
+            out.append(("nonzero" if m[1] else "zero", m[2]))
+        elif m := re.fullmatch(r"\w+ = \w+ / (\w+)", line):
+            out.append(("division", m[1]))
+        elif m := re.fullmatch(r"(\w+) \+= .*", line):
+            out.append(("update", m[1]))
+        else:
+            out.append((None, None))
+    return out
+
+
+def seeded_steps(field, policy, n=8):
     scheme = fresh_table(policy)
     rng = np.random.default_rng(7)
-    for _ in range(8):
+    for _ in range(n):
         t = float(rng.uniform(-0.5, 1.0))
         u = rng.uniform(0.5, 1.5, field.m) + 1j * rng.uniform(-0.3, 0.3, field.m)
         step(scheme, field, t, u, 0.1)
+
+
+@pytest.mark.parametrize("policy", [(4, 2), (8, 2)], ids=["4-2", "8-2"])
+@pytest.mark.parametrize("name", DIVIDING)
+def test_a_replay_checks_each_divisor_before_dividing(name, policy, sources):
+    seeded_steps(DIVIDING[name](), policy)
     assert sources
     for source in sources:
-        lines = [line.strip() for line in source.splitlines()]
-        divisions = [(i, m[1]) for i, line in enumerate(lines)
-                     if (m := re.fullmatch(r"\w+ = \w+ / (\w+)", line))]
+        lines = tape_lines(source)
+        divisions = [(i, r) for i, (kind, r) in enumerate(lines) if kind == "division"]
         assert divisions
         for i, divisor in divisions:
-            assert f"if not {divisor}: return None" in lines[:i]
+            assert ("nonzero", divisor) in lines[:i]
+
+
+COUPLING = [[0.3, -0.1, 0.2, 0.05], [0.0, 0.4, -0.3, 0.1],
+            [0.2, 0.1, -0.2, 0.3], [-0.1, 0.2, 0.1, 0.1]]
+
+POLYNOMIAL = {
+    "linear": lambda: builtin_field("linear", mu=10.0),
+    "nonlinear": lambda: builtin_field("nonlinear", alpha=0.3 - 0.2j, mu=1.1),
+    "m4-coupled": lambda: make_field(
+        4, lambda t, u: [sum(COUPLING[i][j] * u[j] for j in range(4)) for i in range(4)],
+        lambda t, u: [0.7 * u[i] * u[(i + 1) % 4] for i in range(4)]),
+}
+
+
+@pytest.mark.parametrize("name,policy", [
+    pytest.param(name, policy, id=f"{name}-{policy[0]}-{policy[1]}")
+    for name, policy in [*((n, p) for n in POLYNOMIAL for p in ((4, 2), (8, 2))),
+                         *((n, (4, 2)) for n in DIVIDING)]])
+def test_a_tape_tests_each_value_for_zero_once(name, policy, sources):
+    # a register is tested where it is formed and again only after a
+    # product sum adds to it; the one exception is a reciprocal's divisor,
+    # tested again right before the division
+    seeded_steps({**POLYNOMIAL, **DIVIDING}[name](), policy)
+    assert sources
+    for source in sources:
+        lines = tape_lines(source)
+        tested = set()
+        for i, (kind, r) in enumerate(lines):
+            if kind == "update":
+                tested.discard(r)
+            elif kind in ("zero", "nonzero"):
+                assert r not in tested or lines[i + 1] == ("division", r), \
+                    source.splitlines()[i]
+                tested.add(r)
+
+
+def test_each_function_gets_its_own_state_list():
+    # `a` overwrites the list it is given; `b` must still see (t, u)
+    def a(t, u):
+        u[0], u[1] = t, u[0] * u[1]
+        return [u[1], u[0] * 0.5]
+
+    def b(t, u):
+        u.reverse()
+        return [u[0] * u[1] + t, u[1]]
+
+    field = make_field(2, a, b)
+    scheme = fresh_table()
+    for t, u in ((0.2, [0.9 + 0.1j, 1.1]), (0.3, [0.7, 1.2 - 0.2j])):
+        u = np.array(u, dtype=complex)
+        assert outcome(lambda: step(scheme, field, t, u, 0.1)) == \
+               outcome(lambda: ref.step(scheme, field, t, u, 0.1))
+    assert len(field._tapes) == 1
 
 
 def test_a_failing_replay_stops_at_its_guard(sources):

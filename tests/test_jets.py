@@ -7,7 +7,7 @@ import pytest
 
 from oscistep import (JetMismatchError, JetOrderError, builtin_field, make_field,
                       operator_values)
-from oscistep.jets import Jet
+from oscistep.jets import Jet, _add, _mul
 
 
 def var(index, base, order):
@@ -21,7 +21,8 @@ def word_value(field, target, word, t, u):
 def field_jets(field, fn, t, u, order):
     """`fn`, the field's `a` or `b`, on the jets of order `order` at (t, u)."""
     origin = Jet((t, *u), order, {})
-    return field._on_jets(fn, origin, origin.base)
+    a, b = field._on_jets(origin, origin.base)
+    return b if fn is field._b else a
 
 
 class TestJetArithmetic:
@@ -110,6 +111,26 @@ class TestJetArithmetic:
     def test_partial_needs_a_variable_of_the_jet(self, index):
         with pytest.raises(IndexError, match=f"no variable {index}"):
             var(0, (1.0, 2.0), 1).partial(index)
+
+
+class TestKernels:
+    # the kernels take series with no exact zero and keep none; `repr`
+    # compares every key in order and the sign of every zero
+    def test_a_product_sum_that_cancels_is_dropped(self):
+        x = {0: 1.0 + 0j, 1: 1.0 + 0j}
+        y = {0: 1.0 + 0j, 1: -1.0 + 0j}
+        # (1 + x)(1 - x) = 1 - x^2, and below 2 only the 1 is left
+        assert repr(_mul(x, y, 3)) == repr({0: 1.0 + 0j, 2: -1.0 + 0j})
+        assert repr(_mul(x, y, 2)) == repr({0: 1.0 + 0j})
+
+    def test_a_sum_is_made_in_place_without_a_key_that_cancels(self):
+        x = {1: 2.0 + 0j, 2: 1.0 + 0j, 3: -0.5 + 0j}
+        y = {2: -1.0 + 0j, 4: complex(-0.0, 3.0), 3: 0.25 + 0j}
+        out = _add(x, y)
+        assert out is x
+        # key 3 keeps its place; the new key 4 is 0.0 + c, whose real
+        # part is +0.0
+        assert repr(out) == repr({1: 2.0 + 0j, 3: -0.25 + 0j, 4: 3j})
 
 
 class TestOperatorWords:

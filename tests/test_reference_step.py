@@ -408,8 +408,7 @@ def test_field_jets_match_reference(order):
     for t, u in [(0.0, [0.0, 1.0 - 0.5j]), (0.3, [0.5j, 0.0])]:
         u = np.array(u)
         origin = Jet((t, *u), order, {})
-        for fn in (field._a, field._b):
-            got = field._on_jets(fn, origin, origin.base)
+        for fn, got in zip((field._a, field._b), field._on_jets(origin, origin.base)):
             want = ref._field_jets(fn, 2, t, u, order)
             assert repr([list(j.coeffs.items()) for j in got]) == \
                    repr([list(j.coeffs.items()) for j in want])
