@@ -31,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -271,8 +271,8 @@ class BasisPoly:
         The binding serves this call only: callers such as quadrature pass
         a new `dt` on every call."""
         z = cmath.exp(1j * (osc.omega * t_ref + osc.phi))
-        plan = self._plan
-        return plan._apply(plan._bind(osc.omega, osc.nu, dt), z)[0]
+        function, constants = self._plan._bind(osc.omega, osc.nu, dt)
+        return function(constants, z)[0]
 
     @cached_property
     def _plan(self) -> "TermPlan":
@@ -290,13 +290,29 @@ class TermPlan:
 
     Only Z^q changes from one step to the next.  A call therefore uses a
     *binding* for its ``(omega, nu, dt)``, and the plan keeps the last one
-    it built.  A binding holds each term's prefix c * dt^p *
-    e^(ik omega dt), the left part of the same product, so multiplying it
-    by Z^q and then by omega^-(..) repeats the term's operations one for
-    one.  A term without Z^q is a constant, its omega factor already
-    applied, and the constants that open a polynomial are summed once:
-    that is the running total the sum reaches at that point.  Tables
-    without Z^q terms (the phase-averaged ones) bind to constants.
+    it built.  A binding is a flat tuple ``K`` of constants and the plan's
+    function for `nu`.  ``K`` holds each term's prefix c * dt^p *
+    e^(ik omega dt), the left part of the same product, and after it the
+    term's omega factor, so multiplying the prefix by Z^q and then by the
+    factor repeats the term's operations one for one.  A term without Z^q
+    is a constant, its omega factor already applied, and the constants
+    that open a polynomial are summed once: that is the running total the
+    sum reaches at that point.  Tables without Z^q terms (the
+    phase-averaged ones) bind to constants.
+
+    The function is straight-line Python, compiled once per plan and `nu`
+    and kept on the plan: it computes each Z^q once, then each polynomial
+    as ``K[0] + K[1] * z0 * K[2] + K[3] * z1 + ...``, the same operands and
+    operations in the same left-to-right order as the product and the sum
+    above, so its values are those bit for bit.  Its source depends only on
+    which terms carry which power of Z and an omega factor, and so only on
+    the plan's structure and `nu`; a new `dt` or `omega` binds new
+    constants to the same function.  Constants are read as ``K[i]``, never
+    unpacked into locals: a frame's size is its locals plus its stack, and
+    a table of thousands of constants would push a fresh chunk of the
+    interpreter's frame stack on every call.  A polynomial of more than
+    ``_SUM_TERMS`` terms is summed in statements of that many, since
+    CPython's compiler recurses once per operator of an expression.
     :meth:`BasisPoly.eval_shifted` binds for its one call and keeps nothing.
     """
 
@@ -314,15 +330,70 @@ class TermPlan:
                     self._ks.setdefault(k, len(self._ks))
                 if q:
                     self._qs.setdefault(q, len(self._qs))
+        # the compiled function for each nu
+        self._functions: dict[float, Callable] = {}
         # the last binding: (omega, type of omega, nu, dt, type of dt, sign
         # of dt, binding)
         self._last: tuple = (None,) * 7
 
+    def _function(self, nu: float) -> Callable:
+        """The function from ``(K, z)`` to every polynomial's value, for
+        bindings at `nu`."""
+        function = self._functions.get(nu)
+        if function is None:
+            function = self._functions[nu] = _compile(self._source(nu))
+        return function
+
+    def _source(self, nu: float) -> str:
+        """The source of :meth:`_function`, which reads ``K`` as
+        :meth:`_bind` lays it out."""
+        lines = [f"z{i} = z ** {q}" for q, i in self._qs.items()]
+        items = []          # values not yet in `out`
+        started = False     # whether `out` exists
+        i = 0               # the next index into K
+        for terms in self._polys:
+            parts = []
+            lead = True
+            for (_, _, q, n, m), _ in terms:
+                if q:
+                    if lead:
+                        parts.append(f"K[{i}]")
+                        i += 1
+                        lead = False
+                    part = f"K[{i}] * z{self._qs[q]}"
+                    i += 1
+                    if n + m * nu:
+                        part += f" * K[{i}]"
+                        i += 1
+                    parts.append(part)
+                elif not lead:
+                    parts.append(f"K[{i}]")
+                    i += 1
+            if lead:
+                parts.append(f"K[{i}]")
+                i += 1
+            if len(parts) <= _SUM_TERMS:
+                items.append(" + ".join(parts))
+                continue
+            for j in range(0, len(parts), _SUM_TERMS):
+                lines.append(("c = " if j == 0 else "c = c + ")
+                             + " + ".join(parts[j:j + _SUM_TERMS]))
+            items.append("c")
+            lines.append(f"out {'+=' if started else '='} [{', '.join(items)}]")
+            items, started = [], True
+        if started:
+            lines += [f"out += [{', '.join(items)}]", "return out"]
+        else:
+            lines.append(f"return [{', '.join(items)}]")
+        return "\n".join(["def plan(K, z):", *(f"    {line}" for line in lines)])
+
     def _bind(self, omega: float, nu: float, dt: float) -> tuple:
-        """Every polynomial at `omega`, `nu` and `dt` as ``(start, rest)``:
-        the sum of its leading constants, then its other terms in order as
-        ``(value, q index, omega factor)``, the last two None where the
-        term has no such factor."""
+        """Every polynomial at `omega`, `nu` and `dt` as ``(function, K)``:
+        the function for `nu` and the constants it reads.  For each
+        polynomial ``K`` holds the sum of its leading constants, then its
+        other terms in order, each followed by its omega factor if it has
+        Z^q and such a factor."""
+        function = self._function(nu)
         # every dt^p before any exponential, so that a dt which breaks both
         # raises OverflowError from the power
         powers = []
@@ -333,9 +404,10 @@ class TermPlan:
             waves.append(cmath.exp(1j * k * omega * dt))
         scales: dict[float, float] = {}
         out = []
+        append = out.append
         for terms in self._polys:
             start = 0.0 + 0.0j
-            rest = []
+            lead = True
             for (p, k, q, n, m), val in terms:
                 if p:
                     val *= powers[self._ps[p]]
@@ -348,16 +420,22 @@ class TermPlan:
                         scales[expo] = omega ** (-expo)
                     w = scales[expo]
                 if q:
-                    rest.append((val, self._qs[q], w))
+                    if lead:
+                        append(start)
+                        lead = False
+                    append(val)
+                    if w is not None:
+                        append(w)
                     continue
                 if w is not None:
                     val *= w
-                if rest:
-                    rest.append((val, None, None))
-                else:
+                if lead:
                     start += val
-            out.append((start, tuple(rest)))
-        return tuple(out)
+                else:
+                    append(val)
+            if lead:
+                append(start)
+        return function, tuple(out)
 
     def __call__(self, osc: OscillatorSpec, dt: float, t_ref: float) -> list[complex]:
         """Every polynomial's value, in order."""
@@ -378,25 +456,22 @@ class TermPlan:
                 # a key with no hash or a dt with no float sign, such as a
                 # numpy array or a complex number, binds for this call only
                 pass
-        return self._apply(binding, z)
+        function, constants = binding
+        return function(constants, z)
 
-    def _apply(self, binding: tuple, z: complex) -> list[complex]:
-        """Every polynomial's value from `binding`, at ``Z = z``."""
-        # plain loops: each comprehension would cost a call frame, which
-        # shows on the one- and two-term polynomials of eval_shifted
-        zs = []
-        for q in self._qs:
-            zs.append(z ** q)
-        out = []
-        for total, rest in binding:
-            for val, qi, w in rest:
-                if qi is not None:
-                    val *= zs[qi]
-                    if w is not None:
-                        val *= w
-                total += val
-            out.append(total)
-        return out
+
+# terms per statement of a compiled sum, well below the few thousand at
+# which CPython's compiler overflows its recursion limit
+_SUM_TERMS = 200
+
+
+# compiled coefficient plans by source; tape functions have their own cache
+@lru_cache(maxsize=64)
+def _compile(source: str) -> Callable:
+    """The function ``plan`` that `source` defines."""
+    namespace: dict = {}
+    exec(compile(source, "<coefficient plan>", "exec"), namespace)
+    return namespace["plan"]
 
 
 def v_poly(osc: OscillatorSpec) -> BasisPoly:

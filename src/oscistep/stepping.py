@@ -22,9 +22,12 @@ another frequency or phase) steps with the same plan.  The word plan
 depends on the words alone, so every table with the same words in the
 same order shares it, and so the tapes each field records for it: the
 tables of one policy for every oscillator, the phase-averaged entries,
-and a copy given by hand.  A coefficient plan binds its step-invariant
-factors to an (omega, nu, h) and keeps the last binding, so a run of steps
-of one size, at any start time or phase, binds once.
+and a copy given by hand.  A coefficient plan is one straight-line
+function per nu, compiled on the first step and kept on the plan.  It
+binds its step-invariant factors to an (omega, nu, h) as a flat tuple of
+constants, which the function reads by index, and keeps the last
+binding, so a run of steps of one size, at any start time or phase,
+binds once, and a new step size binds again without compiling.
 """
 
 from __future__ import annotations

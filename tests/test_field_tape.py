@@ -443,3 +443,47 @@ def test_two_plans_on_one_field_get_separate_tapes(field_misses):
     # the tape used last comes first
     assert [plan for plan, _ in field._tapes] == [s.entries.plan[0] for s in schemes]
     assert field_misses == [False]
+
+
+def on_the_value_register(use):
+    """`a` that applies `use` to the register holding its state's value
+    while it is recorded, reached through the jet's private terms, the one
+    way a lambda meets a register; on numbers `use` gets a plain number,
+    and reference jets have no such terms."""
+    def a(t, u):
+        terms = getattr(u[0], "_terms", None)
+        if terms is not None:
+            use(terms[0])
+        return [0.5 * u[0]]
+    return a
+
+
+# uses of a register that jet arithmetic never makes, by the method that
+# refuses each
+REGISTER_USES = {
+    "operand": lambda r: r * np.float64(0.5),
+    "__eq__": lambda r: r == 1.5,
+    "__bool__": lambda r: bool(r),
+}
+
+
+@pytest.mark.parametrize("name", REGISTER_USES)
+def test_a_register_used_otherwise_refuses_the_recording(name, monkeypatch):
+    refused_in = []
+    refuse = jets._Recorder.refuse
+
+    def spying(rec):
+        refused_in.append(sys._getframe(1).f_code.co_name)
+        refuse(rec)
+
+    monkeypatch.setattr(jets._Recorder, "refuse", spying)
+    field = make_field(1, on_the_value_register(REGISTER_USES[name]),
+                       lambda t, u: [u[0] * u[0]])
+    scheme = fresh_table()
+    for t, u in ((0.3, 1.2 + 0.1j), (0.0, 0.9)):
+        u = np.array([u], dtype=complex)
+        assert outcome(lambda: step(scheme, field, t, u, 0.1)) == \
+               outcome(lambda: ref.step(scheme, field, t, u, 0.1))
+    # refused once, where the register was used; the plan then runs on numbers
+    assert refused_in == [name]
+    assert field._tapes == [(scheme.entries.plan[0], None)]
