@@ -100,15 +100,18 @@ field keeps None for that plan, and its calls run ``_run`` on numbers,
 which gives what the jets and kernels always gave.  Lambdas that raise
 raise while recorded, and every call records them again.
 
-A field evaluates `a` and `b` in two ways only.
-``CoefficientField._on_numbers`` calls them on plain numbers, with numpy's
-scalar arithmetic: plans of order 0, which take no derivatives, and the
-right-hand side of ``rk4_micro_solve``.  ``CoefficientField._on_jets``
-calls both on one set of jets of ``(t, u)``: ``_run`` for every plan of
-higher order, and ``estimate_coefficient_bound`` for the partials it
-bounds.  Jets of order 0 would differ from the plain numbers in the last
-bits (``u ** -2`` of the power field, for one).  Each caller checks the
-state's shape once.
+A field calls `a` and `b` in one place, ``CoefficientField._pair``: each
+once per point, on its own list of the state, with its length checked
+right after its call.  An oscillator mean that ``absorb_mean`` folded into
+the field is added there as ``a + mean * b``, from the `b` just computed.
+Two routes lead to it.  ``CoefficientField._on_numbers`` gives both on
+plain numbers, with numpy's scalar arithmetic: plans of order 0, which
+take no derivatives, and each stage of ``rk4_micro_solve``.
+``CoefficientField._on_jets`` gives both on one set of jets of ``(t, u)``:
+``_run`` for every plan of higher order, and ``estimate_coefficient_bound``
+for the partials it bounds.  Jets of order 0 would differ from the plain
+numbers in the last bits (``u ** -2`` of the power field, for one).  Each
+caller checks the state's shape once.
 """
 
 from __future__ import annotations
@@ -404,11 +407,13 @@ class CoefficientField:
     over abstract arithmetic, so the same definition evaluates on plain
     complex numbers and on jets.
 
-    They are called in two ways only: :meth:`_on_numbers` on numbers, one
-    function at a time, for plans of order 0 and the RK4 oracle, and
-    :meth:`_on_jets` on jets, both on one set of jets of ``(t, u)``, for
-    :meth:`_run` and the coefficient bound.  Each caller checks the state
-    with :meth:`_state` first.
+    They are called in one place, :meth:`_pair`, each once per point, and
+    reached two ways: :meth:`_on_numbers` on numbers, for plans of order 0
+    and the RK4 oracle, and :meth:`_on_jets` on one set of jets of
+    ``(t, u)``, for :meth:`_run` and the coefficient bound.  Each caller
+    checks the state with :meth:`_state` first.  The oscillator means that
+    :func:`absorb_mean` folded in are added to `a` there, as
+    ``a + mean * b`` in the order they were absorbed.
 
     They must be functions of ``(t, u)`` alone.  The field records them,
     with a word plan's kernels, as a tape per plan and outcome of the zero
@@ -432,6 +437,8 @@ class CoefficientField:
         self.m = int(m)
         self._a = a
         self._b = b
+        # oscillator means folded into a, as a + mean * b, in order
+        self._means: tuple[complex, ...] = ()
         self.name = name
         # (word plan, tape) pairs, the one used last first; None for a plan
         # whose recording was refused
@@ -445,26 +452,32 @@ class CoefficientField:
             raise ValueError(f"state must have shape ({self.m},), got {u.shape}")
         return u
 
-    def _checked(self, out: list) -> list:
-        if len(out) != self.m:
-            raise ValueError("coefficient function returned wrong dimension")
-        return out
+    def _pair(self, t, u: list, convert) -> tuple[list, list]:
+        """`a` and `b` at ``(t, u)``: each called once, on its own copy of
+        the list `u`, and its length checked, then each absorbed mean added
+        to `a` as ``a + mean * b``, and every component made what `convert`
+        makes of it."""
+        out = []
+        for fn in (self._a, self._b):
+            out.append(list(fn(t, list(u))))
+            if len(out[-1]) != self.m:
+                raise ValueError("coefficient function returned wrong dimension")
+        for mean in self._means:
+            out[0] = [ai + mean * bi for ai, bi in zip(*out)]
+        return list(map(convert, out[0])), list(map(convert, out[1]))
 
-    def _on_numbers(self, fn, t, u) -> list:
-        """`fn` on plain numbers at ``(t, u)``, for a state `u` that
-        `_state` has checked; every component made a complex number."""
-        return self._checked([x.value if isinstance(x, Jet) else complex(x)
-                              for x in fn(complex(t), list(u))])
+    def _on_numbers(self, t, u) -> tuple[list[complex], list[complex]]:
+        """`a` and `b` on plain numbers at ``(t, u)``, for a state `u` that
+        `_state` has checked; every component made a complex number.  The
+        state's numpy scalars are made once, for both functions."""
+        return self._pair(complex(t), [*u], lambda x: x.value if isinstance(x, Jet) else complex(x))
 
     def _on_jets(self, origin: Jet, values) -> tuple[list[Jet], list[Jet]]:
         """`a` and `b` on the jets of ``(t, u)`` on `origin`'s base point and
         order, whose values are `values`; every component made a jet.  The
-        jets are made once, so each coordinate is tested for zero once, and
-        each function gets its own list of them."""
+        jets are made once, so each coordinate is tested for zero once."""
         tj, *uj = (origin._variable(i, x) for i, x in enumerate(values))
-        return tuple(self._checked([v if isinstance(v, Jet) else origin._constant(v)
-                                    for v in fn(tj, list(uj))])
-                     for fn in (self._a, self._b))
+        return self._pair(tj, uj, lambda v: v if isinstance(v, Jet) else origin._constant(v))
 
     def _run(self, plan: WordPlan, origin: Jet, values) -> list:
         """`a`, `b` and then `plan`'s kernels on the jets of ``(t, u)`` on
@@ -491,9 +504,8 @@ class CoefficientField:
             return kept
         if plan.order == 0:
             # no derivatives: the field itself, on plain numbers
-            slots = {i: self._on_numbers(self._a if i == 0 else self._b, t, u)
-                     for i in dict.fromkeys(plan.outputs)}
-            values = [slots[i] for i in plan.outputs]
+            pair = self._on_numbers(t, u)
+            values = [pair[i] for i in plan.outputs]
         else:
             values = self._taped(plan, (complex(t), *u.tolist()))
         values = np.array(values, dtype=complex).reshape(-1, self.m)
@@ -543,6 +555,20 @@ class CoefficientField:
             return None, None
         return (_Tape(*rec.compile(inputs, values)),
                 [x.value if type(x) is _Register else x for x in values])
+
+
+def absorb_mean(fld: CoefficientField, meanv: complex) -> CoefficientField:
+    """Fold a removed oscillator mean into the drift: a -> a + <v> b.
+
+    The result is a fresh field with the same `a` and `b` that adds
+    ``<v> b`` to `a` from the `b` it computes anyway (see
+    :meth:`CoefficientField._pair`), after any mean `fld` already
+    absorbed.  A zero mean returns `fld` itself."""
+    if complex(meanv) == 0:
+        return fld
+    out = CoefficientField(fld.m, fld._a, fld._b, name=fld.name + "+mean")
+    out._means = (*fld._means, complex(meanv))
+    return out
 
 
 class WordPlan:

@@ -209,8 +209,8 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
     dt = span / n
 
     def rhs(t: float, u: np.ndarray) -> np.ndarray:
-        return (np.array(field._on_numbers(field._a, t, u))
-                + np.array(field._on_numbers(field._b, t, u)) * complex(osc.value(t)))
+        a, b = field._on_numbers(t, u)
+        return np.array(a) + np.array(b) * complex(osc.value(t))
 
     traj = [(t0, u.copy())]
     t = t0

@@ -37,7 +37,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import DegenerateOscillatorError, RegimeError
-from .jets import CoefficientField
+from .jets import absorb_mean
 
 __all__ = [
     "OscillatorSpec",
@@ -151,19 +151,6 @@ def make_oscillator(kind: str, omega: float, phi: float = 0.0, nu: float = 0.0,
     ordered = tuple(sorted(cm.items()))
     return OscillatorSpec(omega=float(omega), phi=float(phi), nu=float(nu),
                           coeffs=ordered, removed_mean=mean)
-
-
-def absorb_mean(fld: CoefficientField, meanv: complex) -> CoefficientField:
-    """Fold a removed oscillator mean into the drift: a -> a + <v> b."""
-    meanv = complex(meanv)
-    if meanv == 0:
-        return fld
-    a_fn, b_fn = fld._a, fld._b
-
-    def a_new(t, u):
-        return [ai + meanv * bi for ai, bi in zip(a_fn(t, u), b_fn(t, u))]
-
-    return CoefficientField(fld.m, a_new, b_fn, name=fld.name + "+mean")
 
 
 # -- basis polynomials --------------------------------------------------------

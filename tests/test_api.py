@@ -1,4 +1,5 @@
-"""The package exports exactly the names README's API list documents."""
+"""The package exports exactly the names README's API list documents, and
+a field's functions are reached through the field alone."""
 
 import re
 import types
@@ -25,3 +26,12 @@ def test_coefficient_field_has_no_public_methods():
     public = [name for name in dir(CoefficientField)
               if not name.startswith("_") and callable(getattr(CoefficientField, name))]
     assert public == []
+
+
+def test_only_the_field_calls_its_functions():
+    # `a` and `b` are called in one place, CoefficientField._pair, where an
+    # absorbed mean is added; no other module may reach them around it
+    src = Path(oscistep.__file__).parent
+    naming = sorted(path.name for path in src.glob("*.py")
+                    if re.search(r"\._[ab]\b", path.read_text()))
+    assert naming == ["jets.py"]

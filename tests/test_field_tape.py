@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 import reference_step as ref
 import oscistep.jets as jets
 from oscistep import (NumericStepError, TruncationPolicy, build_scheme, builtin_field,
-                      make_field, make_oscillator, operator_values, solve, step)
+                      make_field, make_oscillator, operator_values, rk4_micro_solve, solve,
+                      step)
+from oscistep.oscillator import absorb_mean
 from oscistep.stepping import SchemeTable
 
 OSC = make_oscillator("exp", 57.0, 1.1)
@@ -327,7 +329,8 @@ def test_a_tape_tests_each_value_for_zero_once(name, policy, sources):
 
 
 def test_each_function_gets_its_own_state_list():
-    # `a` overwrites the list it is given; `b` must still see (t, u)
+    # `a` overwrites the list it is given; `b` must still see (t, u), and
+    # so must the `b` of an absorbed mean, whose step is its pure twin's
     def a(t, u):
         u[0], u[1] = t, u[0] * u[1]
         return [u[1], u[0] * 0.5]
@@ -337,12 +340,37 @@ def test_each_function_gets_its_own_state_list():
         return [u[0] * u[1] + t, u[1]]
 
     field = make_field(2, a, b)
+    with_mean = absorb_mean(field, 0.3 - 0.1j)
+    twin = absorb_mean(make_field(2, lambda t, u: [u[0] * u[1], t * 0.5],
+                                  lambda t, u: [u[1] * u[0] + t, u[0]]), 0.3 - 0.1j)
     scheme = fresh_table()
     for t, u in ((0.2, [0.9 + 0.1j, 1.1]), (0.3, [0.7, 1.2 - 0.2j])):
         u = np.array(u, dtype=complex)
         assert outcome(lambda: step(scheme, field, t, u, 0.1)) == \
                outcome(lambda: ref.step(scheme, field, t, u, 0.1))
+        assert outcome(lambda: step(scheme, with_mean, t, u, 0.1)) == \
+               outcome(lambda: step(scheme, twin, t, u, 0.1))
     assert len(field._tapes) == 1
+
+
+def test_a_mean_field_calls_b_once_per_point(sources):
+    # the absorbed a + mean * b takes the `b` its field call computed
+    calls = []
+
+    def b(t, u):
+        calls.append(t)
+        return [1.3 * u[0] ** -1]
+
+    field = absorb_mean(make_field(1, lambda t, u: [0.7 * u[0]], b), 0.3)
+    u = np.array([0.9 + 0.1j])
+    step(fresh_table(), field, 0.2, u, 0.1)
+    # one recording, so one call on jets, and `b`'s jets recorded once
+    assert len(calls) == 1 and [len(s.splitlines()) for s in sources] == [130]
+    step(build_scheme(OSC, TruncationPolicy(1, 1)), field, 0.3, u, 0.1)
+    assert len(calls) == 2
+    dt = OSC.period / 40
+    traj = rk4_micro_solve(field, OSC, 0.0, u, 5 * dt, dt)
+    assert len(calls) == 2 + 4 * (len(traj) - 1)
 
 
 def test_a_failing_replay_stops_at_its_guard(sources):

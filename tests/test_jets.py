@@ -80,6 +80,7 @@ class TestJetArithmetic:
         assert f.coefficient((1, 1)) == 0 and f.coefficient((-1, 2, 0)) == 0
         g = Jet(base, 3, f.coeffs)
         assert g.coeffs == f.coeffs and list(g.coeffs) == list(f.coeffs)
+        assert repr(g) == "Jet(base=((0.5+0j), (2+0j), (-1+0j)), order=3, terms=7)"
 
     def test_constructor_rejects_what_it_cannot_store(self):
         with pytest.raises(ValueError, match="multi-index"):

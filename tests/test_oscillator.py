@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oscistep import (DegenerateOscillatorError, RegimeError, TruncationPolicy,
-                      Word, adaptive_quadrature, big_v, builtin_field,
-                      enumerate_words, make_oscillator, operator_values, phase_average,
-                      v_norm, word_primitive)
+from oscistep import (DegenerateOscillatorError, OscistepError, RegimeError,
+                      TruncationPolicy, Word, adaptive_quadrature, big_v, build_scheme,
+                      builtin_field, enumerate_words, estimate_coefficient_bound,
+                      make_field, make_oscillator, operator_values, phase_average,
+                      rk4_micro_solve, step, step_phase_averaged, v_norm, word_primitive)
 from oscistep.oscillator import BasisPoly, absorb_mean, v_poly
 from references import derivative, oscillating_monomial, value_at_ref
 
@@ -92,6 +93,42 @@ def field_values(fld, t, u):
     return values["a", ()], values["b", ()]
 
 
+def wrapped_mean(a, b, mean):
+    """`a` with `mean` folded in as ``a + mean * b`` by a second call of `b`."""
+    mean = complex(mean)
+    return lambda t, u: [ai + mean * bi for ai, bi in zip(a(t, u), b(t, u))]
+
+
+def mean_field_twins():
+    """Fields with one mean and with two absorbed, each with a twin whose
+    `a` is wrapped to add each mean in turn."""
+    pairs = [(lambda t, u: [0.5 * u[0]], lambda t, u: [1.3 * u[0] * u[0]]),
+             (lambda t, u: [0.7 * u[0]], lambda t, u: [1.3 * u[0] ** -1]),
+             (lambda t, u: [0.0 * t], lambda t, u: [u[0] ** -2])]
+    for a, b in pairs:
+        for means in ((0.3,), (0.5 - 0.2j, -0.7 + 0.1j)):
+            field, wrapped = make_field(1, a, b), a
+            for mean in means:
+                field, wrapped = absorb_mean(field, mean), wrapped_mean(wrapped, b, mean)
+            yield field, make_field(1, wrapped, b)
+
+
+def exact_outcome(fn):
+    """``repr`` of a step's, a trajectory's or a bound's values, or the
+    exception's type and message; numpy's scalar 0 ** -1 is NaN here."""
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = fn()
+    except (ArithmeticError, OscistepError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(got, float):
+        return repr(got)
+    if isinstance(got, list):
+        return [(repr(t), repr(u.tolist())) for t, u in got]
+    return (repr(got.u_next.tolist()), repr(got.t_next),
+            [repr(c.tolist()) for c in got.contributions])
+
+
 class TestAbsorbMean:
     def test_zero_mean_is_noop(self):
         f = builtin_field("linear", mu=2.0)
@@ -125,6 +162,33 @@ class TestAbsorbMean:
 
         got = _rk4(rhs_normalized, 0.0, 1.0 + 0j, 0.1, n)
         assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("policy", [(1, 1), (4, 2), (8, 2)])
+    def test_steps_bit_for_bit_as_a_wrapped_a(self, policy):
+        scheme = build_scheme(make_oscillator("cos", 57.0, 0.4),
+                              TruncationPolicy.from_order(*policy))
+        rng = np.random.default_rng(22)
+        for field, twin in mean_field_twins():
+            for t in (0.0, -0.0, 0, rng.uniform(-1.0, 1.0)):
+                for u in (rng.uniform(0.5, 1.5, 1) + 0.3j * rng.uniform(-1.0, 1.0, 1),
+                          np.zeros(1)):
+                    for fn in (step, step_phase_averaged):
+                        assert exact_outcome(lambda: fn(scheme, field, t, u, 0.1)) == \
+                               exact_outcome(lambda: fn(scheme, twin, t, u, 0.1))
+
+    def test_oracle_and_bound_bit_for_bit_as_a_wrapped_a(self):
+        osc = make_oscillator("cos", 57.0, 0.4)
+        u0 = np.array([0.9 + 0.1j])
+        for field, twin in mean_field_twins():
+            assert exact_outcome(lambda: rk4_micro_solve(field, osc, 0.1, u0, 0.2,
+                                                         osc.period / 40)) == \
+                   exact_outcome(lambda: rk4_micro_solve(twin, osc, 0.1, u0, 0.2,
+                                                         osc.period / 40))
+            for order in (0, 1, 2):
+                assert exact_outcome(lambda: estimate_coefficient_bound(
+                    field, (0.0, 0.1), u0, 0.2, order)) == \
+                       exact_outcome(lambda: estimate_coefficient_bound(
+                           twin, (0.0, 0.1), u0, 0.2, order))
 
 
 def _random_poly(rng, nterms=4):

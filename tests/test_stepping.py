@@ -11,6 +11,7 @@ from oscistep import (BoundInputs, NumericStepError, TruncationPolicy, Word,
                       integration_call_count, iterated_integral, make_field,
                       make_oscillator, operator_values, phase_average, solve, step,
                       step_phase_averaged)
+from oscistep.oscillator import absorb_mean
 from oscistep.stepping import SchemeTable
 
 
@@ -192,6 +193,16 @@ class TestStep:
         for policy in (TruncationPolicy(1, 1), TruncationPolicy(2, 2)):
             with pytest.raises(ValueError, match="wrong dimension"):
                 step(build_scheme(o, policy), f, 0.0, u, 0.1)
+
+    @pytest.mark.parametrize("policy", [TruncationPolicy(1, 1), pol(4, 2)])
+    def test_mean_field_checks_field_dimension(self, policy):
+        # `a` returns m + 1 components: an absorbed mean must not cut them to m
+        f = make_field(1, lambda t, u: [u[0], t], lambda t, u: [u[0] * u[0]])
+        sch = build_scheme(make_oscillator("cos", 50.0), policy)
+        for field in (f, absorb_mean(f, 0.3)):
+            with pytest.raises(ValueError) as err:
+                step(sch, field, 0.0, u1(1.0), 0.1)
+            assert str(err.value) == "coefficient function returned wrong dimension"
 
     def test_overflowing_sum_of_finite_contributions_returns_inf(self):
         # only a non-finite term or state is an error; the sum may overflow

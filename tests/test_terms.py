@@ -25,6 +25,7 @@ class TestWord:
         assert Word.of("TV").target == "b"
         assert Word.of("V").operator_word == ()
         assert (Word.of("TVV").q0, Word.of("TVV").q1) == (1, 2)
+        assert len(Word.of("TVV")) == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
