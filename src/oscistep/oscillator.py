@@ -32,7 +32,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Mapping
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -301,6 +302,15 @@ class TermPlan:
     ``_SUM_TERMS`` terms is summed in statements of that many, since
     CPython's compiler recurses once per operator of an expression.
     :meth:`BasisPoly.eval_shifted` binds for its one call and keeps nothing.
+
+    `solve` knows its start times in advance and takes its coefficients
+    from :meth:`_rows`, which evaluates a block of times in one numpy pass
+    over a batch layout of the binding, built once per binding and kept
+    with it.  The pass forms every operation the compiled function does,
+    in its order, with separate float64 operations (:meth:`_summands` has
+    the rules), so each row equals the function's value bit for bit.  A
+    lone call keeps the compiled function: the pass costs two dozen numpy
+    calls however few times it serves, more than a (4,2) table's call.
     """
 
     def __init__(self, polys):
@@ -322,6 +332,8 @@ class TermPlan:
         # the last binding: (omega, type of omega, nu, dt, type of dt, sign
         # of dt, binding)
         self._last: tuple = (None,) * 7
+        # the binding _rows used last, and its batch layout
+        self._batch: tuple = (None, None)
 
     def _function(self, nu: float) -> Callable:
         """The function from ``(K, z)`` to every polynomial's value, for
@@ -331,34 +343,42 @@ class TermPlan:
             function = self._functions[nu] = _compile(self._source(nu))
         return function
 
-    def _source(self, nu: float) -> str:
-        """The source of :meth:`_function`, which reads ``K`` as
-        :meth:`_bind` lays it out."""
-        lines = [f"z{i} = z ** {q}" for q, i in self._qs.items()]
-        items = []          # values not yet in `out`
-        started = False     # whether `out` exists
+    def _shape(self, nu: float) -> list[list[tuple]]:
+        """Each polynomial's summands in order, for bindings at `nu`, as
+        ``(i, z, w)``: the constant ``K[i]``, times ``z ** q`` for the
+        plan's `z`-th q unless `z` is None, then times ``K[w]`` unless `w`
+        is None.  :meth:`_bind` lays ``K`` out in this order."""
+        shape = []
         i = 0               # the next index into K
         for terms in self._polys:
-            parts = []
+            summands = []
             lead = True
             for (_, _, q, n, m), _ in terms:
                 if q:
                     if lead:
-                        parts.append(f"K[{i}]")
+                        summands.append((i, None, None))
                         i += 1
                         lead = False
-                    part = f"K[{i}] * z{self._qs[q]}"
-                    i += 1
-                    if n + m * nu:
-                        part += f" * K[{i}]"
-                        i += 1
-                    parts.append(part)
+                    w = i + 1 if n + m * nu else None
+                    summands.append((i, self._qs[q], w))
+                    i += 1 if w is None else 2
                 elif not lead:
-                    parts.append(f"K[{i}]")
+                    summands.append((i, None, None))
                     i += 1
             if lead:
-                parts.append(f"K[{i}]")
+                summands.append((i, None, None))
                 i += 1
+            shape.append(summands)
+        return shape
+
+    def _source(self, nu: float) -> str:
+        """The source of :meth:`_function`, summing :meth:`_shape`."""
+        lines = [f"z{i} = z ** {q}" for q, i in self._qs.items()]
+        items = []          # values not yet in `out`
+        started = False     # whether `out` exists
+        for summands in self._shape(nu):
+            parts = [f"K[{i}]" + ("" if z is None else f" * z{z}")
+                     + ("" if w is None else f" * K[{w}]") for i, z, w in summands]
             if len(parts) <= _SUM_TERMS:
                 items.append(" + ".join(parts))
                 continue
@@ -424,10 +444,9 @@ class TermPlan:
                 append(start)
         return function, tuple(out)
 
-    def __call__(self, osc: OscillatorSpec, dt: float, t_ref: float) -> list[complex]:
-        """Every polynomial's value, in order."""
-        z = cmath.exp(1j * (osc.omega * t_ref + osc.phi))
-        omega, nu = osc.omega, osc.nu
+    def _binding(self, omega: float, nu: float, dt: float) -> tuple:
+        """The binding at `omega`, `nu` and `dt`: the kept one if it was
+        built for them, else a new one, kept if its key can be."""
         last_omega, omega_type, last_nu, last_dt, dt_type, sign, binding = self._last
         # -0.0 and 0.0, or 2 and 2.0, are equal step sizes whose powers
         # differ in sign or type; the type is compared first, since a dt of
@@ -443,13 +462,145 @@ class TermPlan:
                 # a key with no hash or a dt with no float sign, such as a
                 # numpy array or a complex number, binds for this call only
                 pass
-        function, constants = binding
+        return binding
+
+    def __call__(self, osc: OscillatorSpec, dt: float, t_ref: float) -> list[complex]:
+        """Every polynomial's value, in order."""
+        z = cmath.exp(1j * (osc.omega * t_ref + osc.phi))
+        function, constants = self._binding(osc.omega, osc.nu, dt)
         return function(constants, z)
+
+    def _rows(self, osc: OscillatorSpec, dt: float, times: Iterable) -> Iterator[np.ndarray]:
+        """Every polynomial's value at each start time in `times`, one
+        complex row per time, each equal bit for bit to ``self(osc, dt,
+        t)``.
+
+        The rows are computed a block of times at a time, in one numpy pass
+        over the batch layout of the binding, built once per binding and
+        kept with it.  A block holds at most ``_BLOCK_VALUES`` summands,
+        so the pass's transient arrays stay within a fixed size whatever
+        the table.
+        """
+        binding = self._binding(osc.omega, osc.nu, dt)
+        kept, layout = self._batch
+        if kept is not binding:
+            layout = self._layout(osc.nu, binding[1])
+            self._batch = (binding, layout)
+        size = max(1, _BLOCK_VALUES // max(1, len(layout[0])))
+        times = iter(times)
+        while block := list(islice(times, size)):
+            yield from self._block(osc, layout, block)
+
+    def _layout(self, nu: float, constants: tuple) -> tuple:
+        """The batch layout of a binding whose constants are `constants`.
+
+        The polynomials are ranked longest first, and their summands are
+        laid out column by column: the first summand of every polynomial,
+        then the second of every polynomial that has one, and so on, so
+        each column's polynomials are a prefix of the ranking.  The pass
+        computes the summands in another order, those with Z^q and an
+        omega factor first, then those with Z^q alone, then the constants,
+        and gathers them into the column order.
+
+        Returns ``(gather, columns, ranks, powers, prefix, omegas,
+        fixed)``: the computed summand in each place of the column order;
+        ``(start, count)`` of each column after the first; each
+        polynomial's place in the ranking; for the summands with Z^q, the
+        index of their power among the plan's, their constant's real and
+        imaginary parts and the omega factors of those that have one; and
+        the constant summands' real and imaginary parts.  Each array of
+        the summands is a column, to broadcast over the times.
+        """
+        shape = self._shape(nu)
+        ranking = sorted(range(len(shape)), key=lambda r: -len(shape[r]))
+        flat, columns = [], []
+        for j in range(len(shape[ranking[0]]) if shape else 0):
+            count = sum(len(shape[r]) > j for r in ranking)
+            if j:
+                columns.append((len(flat), count))
+            flat += [shape[r][j] for r in ranking[:count]]
+        order = sorted(range(len(flat)), key=lambda f: (flat[f][1] is None, flat[f][2] is None))
+        summands = [flat[f] for f in order]
+        varying = [s for s in summands if s[1] is not None]
+        K = np.array(constants, dtype=complex)
+        prefix = K[[i for i, _, _ in varying]]
+        fixed = K[[i for i, z, _ in summands if z is None]]
+        return (np.argsort(order), columns, np.argsort(ranking),
+                np.array([z for _, z, _ in varying], dtype=np.intp),
+                (prefix.real[:, None].copy(), prefix.imag[:, None].copy()),
+                K.real[[w for _, _, w in varying if w is not None]][:, None],
+                (fixed.real[:, None].copy(), fixed.imag[:, None].copy()))
+
+    def _block(self, osc: OscillatorSpec, layout: tuple, times: list) -> np.ndarray:
+        """The rows at `times`, as an array of (time, polynomial).  Each
+        polynomial is summed left to right from its lead constant, one
+        column at a time, never by a pairwise reduction."""
+        gather, columns, ranks = layout[:3]
+        sums = self._summands(osc, layout, times).transpose(1, 0, 2)[gather]
+        with np.errstate(all="ignore"):
+            for start, count in columns:
+                sums[:count] += sums[start:start + count]
+        return sums[ranks].transpose(2, 0, 1).copy().view(complex)[:, :, 0]
+
+    def _summands(self, osc: OscillatorSpec, layout: tuple, times: list) -> np.ndarray:
+        """Every summand at `times`, in the layout's computing order, as an
+        array of (real or imaginary part, summand, time).
+
+        Z and its powers are taken per time with the scalar call's
+        expressions.  Each complex product is formed as Python forms it,
+        with separate float64 operations: ``re = ar*br - ai*bi`` and
+        ``im = ar*bi + ai*br``, never numpy's complex product, which may
+        fuse a multiply and an add.  Python widens a float omega factor
+        `w` to ``complex(w, 0.0)``, so ``x * w`` is ``(re*w - im*0.0,
+        re*0.0 + im*w)``: numpy's float times complex array drops those
+        zero products and differs in the sign of a zero where a part of
+        the product is zero or underflows.  Python's arithmetic never
+        warns, and neither does this.
+        """
+        powers, (pr, pi), omegas, (fr, fi) = layout[3:]
+        qs = list(self._qs)
+        zs = []
+        for t in times:
+            z = cmath.exp(1j * (osc.omega * t + osc.phi))
+            zs += [z ** q for q in qs]
+        n, varying, weighted = len(times), len(powers), len(omegas)
+        out = np.empty((2, len(layout[0]), n))
+        re, im = out[0, :varying], out[1, :varying]
+        # numpy runs an operand broadcast from a column through buffers, at
+        # a third of the speed, so the constants are copied out to the times
+        a, b = np.empty((varying, n)), np.empty((varying, n))
+        np.copyto(a, pr)
+        np.copyto(b, pi)
+        with np.errstate(all="ignore"):
+            z = np.array(zs, dtype=complex).reshape(n, len(qs)).T
+            zr, zi = z.real[powers], z.imag[powers]
+            np.multiply(a, zr, out=re)
+            a *= zi
+            zi *= b
+            zr *= b
+            re -= zi
+            np.add(a, zr, out=im)
+            re, im, w, re_0, im_0 = (re[:weighted], im[:weighted], b[:weighted],
+                                     a[:weighted], zr[:weighted])
+            np.copyto(w, omegas)
+            np.multiply(re, 0.0, out=re_0)
+            np.multiply(im, 0.0, out=im_0)
+            re *= w
+            re -= im_0
+            im *= w
+            im += re_0
+        out[0, varying:] = fr
+        out[1, varying:] = fi
+        return out
 
 
 # terms per statement of a compiled sum, well below the few thousand at
 # which CPython's compiler overflows its recursion limit
 _SUM_TERMS = 200
+
+# summands per block of TermPlan._rows; its transient arrays hold at most
+# six floats per summand, 384 KB in all
+_BLOCK_VALUES = 2 ** 13
 
 
 # compiled coefficient plans by source; tape functions have their own cache

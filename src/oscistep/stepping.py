@@ -28,6 +28,16 @@ binds its step-invariant factors to an (omega, nu, h) as a flat tuple of
 constants, which the function reads by index, and keeps the last
 binding, so a run of steps of one size, at any start time or phase,
 binds once, and a new step size binds again without compiling.
+
+`solve` knows every start time in advance, and only Z = e^(i(omega t_n +
+phi)) changes from one of its steps to the next, so it takes the
+coefficients of a block of steps at a time from one numpy pass over the
+binding's batch layout (``TermPlan._rows``), each row equal bit for bit
+to the compiled function's value.  Its step 0 takes the compiled function,
+which binds and fails where a lone step fails.  `step` and
+`step_phase_averaged` keep the compiled function: the pass costs two
+dozen numpy calls however few steps it serves, more than a (4,2) table's
+compiled call.
 """
 
 from __future__ import annotations
@@ -216,7 +226,9 @@ def step_phase_averaged(scheme: SchemeTable, field: CoefficientField, t_n: float
 
 
 def _step(entries: _Entries, osc: OscillatorSpec, field: CoefficientField, t_n: float,
-          u_n, h: float) -> StepResult:
+          u_n, h: float, coeffs: np.ndarray | None = None) -> StepResult:
+    """The step; `coeffs`, if given, is the row of the entries'
+    coefficients at (t_n, h) that their plan's batch gave."""
     if not (math.isfinite(t_n) and math.isfinite(h)):
         raise ValueError("t_n and h must be finite")
     if h < 0:
@@ -224,13 +236,14 @@ def _step(entries: _Entries, osc: OscillatorSpec, field: CoefficientField, t_n: 
     u_n = field._state(u_n)
     operators, coefficients = entries.plan
     values = field._values(operators, t_n, u_n)
-    coeffs = coefficients(osc, h, t_n)
+    if coeffs is None:
+        coeffs = np.array(coefficients(osc, h, t_n), dtype=complex)
     # row 0 is u_n, row i the i-th contribution; the running sum ends in u_next
     rows = np.empty((len(values) + 1, field.m), dtype=complex)
     rows[0] = u_n
     contributions = rows[1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(np.array(coeffs, dtype=complex)[:, None], values, out=contributions)
+        np.multiply(coeffs[:, None], values, out=contributions)
         u_next = np.add.accumulate(rows)[-1]
     # inf and NaN survive addition, so a finite sum had finite terms
     if not np.isfinite(u_next).all():
@@ -265,15 +278,26 @@ def solve(scheme: SchemeTable, field: CoefficientField, t0: float, u0,
         raise ValueError(f"step {h} does not divide the interval length {span}")
     u = np.asarray(u0, dtype=complex)
     traj = [(t0, u.copy())]
-    for i in range(n):
+    for i, coeffs in enumerate(_coefficient_rows(scheme, t0, h, n)):
         t_n = t0 + i * h
         try:
-            res = step(scheme, field, t_n, u, h)
+            res = _step(scheme.entries, scheme.oscillator, field, t_n, u, h, coeffs)
         except NumericStepError as exc:
             raise NumericStepError(f"step {i} (t = {t_n}): {exc}") from exc
         u = res.u_next
         traj.append((t0 + (i + 1) * h, u.copy()))
     return traj
+
+
+def _coefficient_rows(scheme: SchemeTable, t0: float, h: float, n: int):
+    """The coefficients of `n` steps of size `h` from `t0`, for `solve`.
+    Step 0 gets None and takes the scalar call, which binds the plan and
+    raises where a lone step raises, after the step's own checks; the
+    other steps, if any, get their rows from the plan's batch."""
+    yield None
+    if n > 1:
+        plan = scheme.entries.plan[1]
+        yield from plan._rows(scheme.oscillator, h, (t0 + i * h for i in range(1, n)))
 
 
 def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,

@@ -6,11 +6,14 @@ function of the binding's constants and Z.  Every value is compared with
 by term, by its ``repr``, so a changed rounding or sign of zero fails.
 """
 
+import cmath
+import warnings
+
 import numpy as np
 import pytest
 
 import reference_step as ref
-from oscistep import TruncationPolicy, build_scheme, make_oscillator
+from oscistep import TruncationPolicy, build_scheme, make_oscillator, oscillator
 from oscistep.oscillator import BasisPoly, TermPlan
 
 TABLES = {
@@ -108,3 +111,84 @@ def test_frame_size_does_not_grow_with_the_table():
     # four times the entries and terms: the same frame
     assert frame_slots(TermPlan([e.coeff for e in scheme.entries] * 4), osc.nu) \
         == frame_slots(plans[0], osc.nu)
+
+
+# -- the batch layout that solve uses ------------------------------------------
+
+FOURIER = {-2: 0.3 - 0.1j, 1: 0.7}
+
+# a start time of each sign of zero and of type int, a large one and phases
+START_TIMES = [0.0, -0.0, 0, 1e6, *PHASES[:11]]
+
+# a float, an int and a numpy float
+STEP_SIZES = [0.02, 2, np.float64(0.05)]
+
+
+def batch_table(name):
+    if name == "fourier-2-mode":
+        osc = make_oscillator("fourier", 80.0, 0.2, 0.0, FOURIER)
+        return osc, build_scheme(osc, TruncationPolicy.from_order(4, 2))
+    return table(name)
+
+
+def summands(plan: TermPlan, nu: float) -> int:
+    return sum(map(len, plan._shape(nu)))
+
+
+def rows(plan, osc, dt, times):
+    out = list(plan._rows(osc, dt, times))
+    assert all(row.dtype == complex and row.shape == (len(plan._polys),) for row in out)
+    return [exact(row) for row in out]
+
+
+@pytest.mark.parametrize("averaged", [False, True], ids=["plain", "averaged"])
+@pytest.mark.parametrize("name", [*TABLES, "fourier-2-mode"])
+def test_batch_rows_match_the_compiled_function(name, averaged, monkeypatch):
+    osc, scheme = batch_table(name)
+    entries = scheme.entries.averaged if averaged else scheme.entries
+    plan = entries.plan[1]
+    polys = [e.coeff for e in entries]
+    size = summands(plan, osc.nu)
+    full = oscillator._BLOCK_VALUES // size
+    times = (START_TIMES * (full // len(START_TIMES) + 1))[:max(full, len(START_TIMES))]
+    for dt in STEP_SIZES:
+        want = [exact(ref.eval_shifted(c, osc, dt, t) for c in polys) for t in times]
+        assert [exact(plan(osc, dt, t)) for t in times] == want
+        # full blocks, then blocks of 1, 2 and 7 times
+        assert rows(plan, osc, dt, times) == want
+        for block in (1, 2, 7):
+            monkeypatch.setattr(oscillator, "_BLOCK_VALUES", block * size)
+            assert rows(plan, osc, dt, START_TIMES) == want[:len(START_TIMES)]
+            monkeypatch.undo()
+    # one layout for the binding the plan keeps, built again only for a new one
+    binding, layout = plan._batch
+    assert binding is plan._last[-1]
+    list(plan._rows(osc, STEP_SIZES[-1], START_TIMES[:1]))
+    assert plan._batch[1] is layout
+    list(plan._rows(osc, 0.03, START_TIMES[:1]))
+    assert plan._batch[1] is not layout
+
+
+def test_the_batch_never_warns_on_infinite_constants():
+    # prefixes that overflow at this step size, times Z^q and an omega
+    # factor, so that inf and nan meet zeros, and a plain constant too
+    osc = make_oscillator("exp", 57.0, 1.1, -0.5)
+    polys = [BasisPoly.from_dict({(1, 0, 1, 0, 1): 1e308, (0, 1, 2, 1, 0): 1.0 + 1.0j}),
+             BasisPoly.from_dict({(0, 0, 0, 0, 0): 1.0, (2, 0, -1, 2, 0): 1e300j,
+                                  (1, 2, 0, 0, 0): 1e308}),
+             BasisPoly.from_dict({(1, -1, 0, 0, 0): -1e308, (0, 1, 1, 0, 0): 0.5})]
+    plan = TermPlan(polys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rows(plan, osc, 10.0, START_TIMES)
+    assert not all(cmath.isfinite(v) for v in plan._last[-1][1])
+    assert got == [exact(plan(osc, 10.0, t)) for t in START_TIMES]
+    assert got == [exact(ref.eval_shifted(c, osc, 10.0, t) for c in polys) for t in START_TIMES]
+
+
+def test_empty_plans_give_empty_rows():
+    osc = make_oscillator("exp", 57.0, 1.1, -0.5)
+    assert rows(TermPlan([]), osc, 0.02, START_TIMES) == ["[]"] * len(START_TIMES)
+    polys = [BasisPoly(), BasisPoly.from_dict({(0, 1, 1, 0, 1): 1.0 + 0j}), BasisPoly()]
+    assert rows(TermPlan(polys), osc, -0.0, START_TIMES) \
+        == [exact(ref.eval_shifted(c, osc, -0.0, t) for c in polys) for t in START_TIMES]

@@ -9,6 +9,7 @@ sign of zero fails.
 import collections
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from hypothesis import strategies as st
 import reference_step as ref
 import oscistep.jets as jets
 import oscistep.oscillator as oscillator
-from oscistep import (TruncationPolicy, build_scheme, builtin_field, enumerate_words,
-                      make_field, make_oscillator, operator_values, rk4_micro_solve, solve,
-                      step, step_phase_averaged)
+from oscistep import (NumericStepError, TruncationPolicy, build_scheme, builtin_field,
+                      enumerate_words, make_field, make_oscillator, operator_values,
+                      rk4_micro_solve, solve, step, step_phase_averaged)
 from oscistep.jets import Jet
 from oscistep.stepping import SchemeTable
 
@@ -139,6 +140,99 @@ def test_solve_matches_reference_step_by_step(name, policy):
         assert repr(t) == repr(want.t_next)
         assert exact(got) == exact(want.u_next)
         u = want.u_next
+
+
+def solve_outcome(call):
+    """The trajectory, by ``repr``, or the exception's type and message."""
+    try:
+        return repr([(t, exact(u)) for t, u in call()])
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def stepped(fn, scheme, field, t0, u0, h, n):
+    """``solve`` as a loop of `fn` steps, raising as solve does."""
+    u = np.asarray(u0, dtype=complex)
+    traj = [(t0, u.copy())]
+    for i in range(n):
+        t_n = t0 + i * h
+        try:
+            u = fn(scheme, field, t_n, u, h).u_next
+        except NumericStepError as exc:
+            raise NumericStepError(f"step {i} (t = {t_n}): {exc}") from exc
+        traj.append((t0 + (i + 1) * h, u.copy()))
+    return traj
+
+
+SOLVE_POLICIES = [(1, 1), (4, 2), (8, 2)]
+
+
+@pytest.mark.parametrize("policy", SOLVE_POLICIES, ids=[f"{k}-{r}" for k, r in SOLVE_POLICIES])
+@pytest.mark.parametrize("name", FIELDS)
+def test_solve_matches_a_loop_of_steps(name, policy, monkeypatch):
+    # solve takes its coefficients a block of steps at a time: one full
+    # block, then blocks of one step each, against steps taken one by one
+    field = FIELDS[name]()
+    rng = np.random.default_rng([len(name), *policy, 24])
+    osc = OSCILLATORS[SOLVE_POLICIES.index(policy)]
+    scheme = build_scheme(osc, table_policy(policy, osc.nu))
+    t0, u0, h, n = float(rng.uniform(-0.5, 1.0)), start_points(field.m, rng)[0][1], 0.05, 6
+    want = solve_outcome(lambda: stepped(step, scheme, field, t0, u0, h, n))
+    assert want == solve_outcome(lambda: stepped(ref.step, scheme, field, t0, u0, h, n))
+    assert solve_outcome(lambda: solve(scheme, field, t0, u0, t0 + n * h, h)) == want
+    monkeypatch.setattr(oscillator, "_BLOCK_VALUES", 1)
+    assert solve_outcome(lambda: solve(scheme, field, t0, u0, t0 + n * h, h)) == want
+
+
+@pytest.mark.parametrize("policy", [(4, 2), (8, 2)], ids=["4-2", "8-2"])
+def test_long_solves_span_blocks(policy):
+    # 400 steps are more than one block of either table, at each type of h
+    field = FIELDS["nonlinear"]()
+    scheme = build_scheme(OSCILLATORS[1], TruncationPolicy.from_order(*policy))
+    plan = scheme.entries.plan[1]
+    u0 = np.array([0.4 + 0.1j])
+    for h in (0.0025, np.float64(0.0025)):
+        got = solve_outcome(lambda: solve(scheme, field, 0.0, u0, 1.0, h))
+        assert oscillator._BLOCK_VALUES // len(plan._batch[1][0]) < 399
+        assert got == solve_outcome(lambda: stepped(step, scheme, field, 0.0, u0, h, 400))
+    # an int step size from an int start: every start time is an int
+    got = solve_outcome(lambda: solve(scheme, field, 0, u0, 400, 1))
+    assert got == solve_outcome(lambda: stepped(step, scheme, field, 0, u0, 1, 400))
+
+
+def test_a_solve_turning_non_finite_within_a_block_fails_as_its_steps_do():
+    # a = 30 u^2 blows up: step 4 of the first block has a non-finite term
+    field = make_field(1, lambda t, u: [30.0 * u[0] * u[0]], lambda t, u: [u[0]])
+    scheme = build_scheme(OSCILLATORS[0], TruncationPolicy.from_order(4, 2))
+    u0 = np.array([1.0 + 0.0j])
+    want = solve_outcome(lambda: stepped(ref.step, scheme, field, 0.0, u0, 0.05, 40))
+    assert want == "NumericStepError: step 4 (t = 0.2): non-finite contribution from term T"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve_outcome(lambda: solve(scheme, field, 0.0, u0, 2.0, 0.05)) == want
+
+
+def test_a_binding_with_an_infinite_constant_fails_as_a_step_does():
+    # a term whose prefix c h^p overflows at h = 10: step 0, which binds,
+    # fails as a lone step does, and no warning comes from anywhere
+    built = build_scheme(OSCILLATORS[2], TruncationPolicy.from_order(4, 2))
+    huge = oscillator.BasisPoly.from_dict({(1, 0, 1, 0, 1): 1e308})
+    entries = [replace(e, coeff=e.coeff + huge) if i == 3 else e
+               for i, e in enumerate(built.entries)]
+    scheme = SchemeTable(built.oscillator, built.policy, entries)
+    field = FIELDS["linear"]()
+    u0 = np.array([0.9 + 0.1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = solve_outcome(lambda: stepped(step, scheme, field, 0.0, u0, 10.0, 3))
+        assert want.startswith("NumericStepError: step 0 (t = 0.0): non-finite contribution")
+        assert solve_outcome(lambda: solve(scheme, field, 0.0, u0, 30.0, 10.0)) == want
+        # the batch's rows of the same binding, which solve never reached
+        plan = scheme.entries.plan[1]
+        assert not all(map(np.isfinite, plan._last[-1][1]))
+        times = [10.0 * i for i in range(1, 3)]
+        assert [exact(row) for row in plan._rows(scheme.oscillator, 10.0, times)] \
+            == [exact(plan(scheme.oscillator, 10.0, t)) for t in times]
 
 
 def test_jets_cancelling_to_zero_match_reference():

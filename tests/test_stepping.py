@@ -1,6 +1,7 @@
 """Scheme tables, stepping, phase averaging and remainder bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,6 +339,43 @@ class TestSolve:
         sch = build_scheme(make_oscillator("cos", 100.0), pol(2, 2))
         with pytest.raises(NumericStepError, match=r"^step 0 \(t = 0\.0\): non-finite"):
             solve(sch, f, 0.0, u1(1e10), 1.0, 0.1)
+
+    def test_one_step_builds_no_batch_layout(self):
+        # a solve of one step takes the scalar call alone
+        f = builtin_field("linear", mu=1.0)
+        built = build_scheme(make_oscillator("cos", 50.0), pol(4, 2))
+        sch = SchemeTable(built.oscillator, built.policy, list(built.entries))
+        solve(sch, f, 0.0, u1(1.0), 0.1, 0.1)
+        assert sch.entries.plan[1]._batch == (None, None)
+        solve(sch, f, 0.0, u1(1.0), 0.2, 0.1)
+        assert sch.entries.plan[1]._batch[0] is sch.entries.plan[1]._last[-1]
+
+    def test_step_zero_checks_the_state_before_binding(self):
+        # step 0 takes the scalar call after the step's own checks, so a
+        # state of the wrong shape is named before an h whose powers overflow
+        f = builtin_field("linear", mu=1.0)
+        sch = build_scheme(make_oscillator("cos", 50.0), pol(4, 2))
+        with pytest.raises(ValueError, match=r"state must have shape \(1,\), got \(2,\)"):
+            solve(sch, f, 0.0, np.ones(2, dtype=complex), 3e100, 1e100)
+        with pytest.raises(OverflowError):
+            solve(sch, f, 0.0, u1(1.0), 3e100, 1e100)
+
+    def test_memory_stays_within_the_block_budget(self):
+        # besides its trajectory, a solve holds one block's transient
+        # arrays at a time: at most 8 192 summands of six floats each, and
+        # slack for the block of rows its step reads and the step's arrays
+        f = builtin_field("linear", mu=1.0)
+        sch = build_scheme(make_oscillator("cos", 100.0, 0.3), pol(8, 2))
+        h = 0.001
+        solve(sch, f, 0.0, u1(0.9 + 0.1j), 20 * h, h)     # records, compiles, binds
+        tracemalloc.start()
+        try:
+            traj = solve(sch, f, 0.0, u1(0.9 + 0.1j), 2000 * h, h)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 2001
+        assert peak - held <= 6 * 8 * 8192 + 64 * 1024
 
     def test_macro_endpoint_against_exact_oracle(self):
         mu, om = 10.0, 100.0
