@@ -105,8 +105,12 @@ once per point, on its own list of the state, with its length checked
 right after its call.  An oscillator mean that ``absorb_mean`` folded into
 the field is added there as ``a + mean * b``, from the `b` just computed.
 Two routes lead to it.  ``CoefficientField._on_numbers`` gives both on
-plain numbers, with numpy's scalar arithmetic: plans of order 0, which
-take no derivatives, and each stage of ``rk4_micro_solve``.
+plain numbers, a complex `t` and the state's numpy complex128 scalars, so
+the lambdas do numpy's scalar arithmetic, where a division by zero gives
+inf or NaN: plans of order 0, which take no derivatives and run it with
+numpy's warnings off so that the step reports the non-finite value, and
+each stage of ``rk4_micro_solve``, which does the rest of its arithmetic
+on Python numbers.
 ``CoefficientField._on_jets`` gives both on one set of jets of ``(t, u)``:
 ``_run`` for every plan of higher order, and ``estimate_coefficient_bound``
 for the partials it bounds.  Jets of order 0 would differ from the plain
@@ -408,9 +412,10 @@ class CoefficientField:
     complex numbers and on jets.
 
     They are called in one place, :meth:`_pair`, each once per point, and
-    reached two ways: :meth:`_on_numbers` on numbers, for plans of order 0
-    and the RK4 oracle, and :meth:`_on_jets` on one set of jets of
-    ``(t, u)``, for :meth:`_run` and the coefficient bound.  Each caller
+    reached two ways: :meth:`_on_numbers` on numbers (numpy scalars of the
+    state), for plans of order 0 and each stage of the RK4 oracle, and
+    :meth:`_on_jets` on one set of jets of ``(t, u)``, for :meth:`_run`
+    and the coefficient bound.  Each caller
     checks the state with :meth:`_state` first.  The oscillator means that
     :func:`absorb_mean` folded in are added to `a` there, as
     ``a + mean * b`` in the order they were absorbed.
@@ -503,8 +508,11 @@ class CoefficientField:
                 and copysign(1.0, t) == sign and u.tobytes() == state):
             return kept
         if plan.order == 0:
-            # no derivatives: the field itself, on plain numbers
-            pair = self._on_numbers(t, u)
+            # no derivatives: the field itself, on plain numbers, where a
+            # division by zero gives a non-finite value that the step
+            # reports, as the RK4 oracle does, and no numpy warning
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                pair = self._on_numbers(t, u)
             values = [pair[i] for i in plan.outputs]
         else:
             values = self._taped(plan, (complex(t), *u.tolist()))

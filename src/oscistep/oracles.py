@@ -188,9 +188,18 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
 
     `dt` must be positive and resolve the oscillation: dt <= period / 20.
     The step is shrunk slightly if needed so an integer number of steps
-    spans the interval.  Returns a list of (t, u) pairs.  A non-finite
-    `u0` raises ValueError, and a trajectory that turns non-finite
-    NumericStepError, which names the first time it is.
+    spans the interval.  Returns a list of (t, u) pairs, each `u` an array
+    of the state.  A non-finite `u0` raises ValueError, and a trajectory
+    that turns non-finite NumericStepError, which names the first time it
+    is.
+
+    The state is a list of Python complex numbers, and every stage, stage
+    sum and update is Python's scalar arithmetic, with each product a
+    complex product: the same operations as numpy's arrays under baseline
+    dispatch, where no product is fused, so the bits do not depend on
+    numpy's SIMD dispatch.  `a` and `b` see a complex `t` and the stage's
+    state as numpy complex128 scalars, as on a plan of order 0, so a
+    division by zero there gives inf or nan rather than an exception.
     """
     u = field._state(u0)
     if not (all(math.isfinite(x) for x in (t0, t_end, dt)) and np.isfinite(u).all()):
@@ -207,29 +216,36 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
     if n * dt < span - 1e-12 * span:
         n += 1
     dt = span / n
+    # complex factors, so each product is the complex product numpy forms
+    # for a number times a complex array
+    h, h2, h6, two = complex(dt), complex(dt / 2), complex(dt / 6), complex(2)
+    value, on_numbers, scalar = osc.value, field._on_numbers, np.complex128
 
-    def rhs(t: float, u: np.ndarray) -> np.ndarray:
-        a, b = field._on_numbers(t, u)
-        return np.array(a) + np.array(b) * complex(osc.value(t))
+    def rhs(t, v, x: list) -> list:
+        a, b = on_numbers(t, map(scalar, x))
+        return [ai + bi * v for ai, bi in zip(a, b)]
 
-    traj = [(t0, u.copy())]
+    x = u.tolist()
+    times, states = [t0], [x]
     t = t0
     # a non-finite state is reported below, not as a numpy warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i in range(n):
-            k1 = rhs(t, u)
-            k2 = rhs(t + dt / 2, u + dt / 2 * k1)
-            k3 = rhs(t + dt / 2, u + dt / 2 * k2)
-            k4 = rhs(t + dt, u + dt * k3)
-            u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            k1 = rhs(t, value(t), x)
+            vh = value(t + dt / 2)
+            k2 = rhs(t + dt / 2, vh, [xi + h2 * ki for xi, ki in zip(x, k1)])
+            k3 = rhs(t + dt / 2, vh, [xi + h2 * ki for xi, ki in zip(x, k2)])
+            k4 = rhs(t + dt, value(t + dt), [xi + h * ki for xi, ki in zip(x, k3)])
+            x = [xi + h6 * (k1i + two * k2i + two * k3i + k4i)
+                 for xi, k1i, k2i, k3i, k4i in zip(x, k1, k2, k3, k4)]
             t = t0 + (i + 1) * dt
-            traj.append((t, u.copy()))
-    # inf and nan survive an RK4 update, so the last state is finite only
-    # if every state is
-    if not np.isfinite(u).all():
-        first = next(t for t, x in traj if not np.isfinite(x).all())
-        raise NumericStepError(f"RK4 state not finite at t = {first}")
-    return traj
+            times.append(t)
+            states.append(x)
+    states = np.array(states, dtype=complex)
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        raise NumericStepError(f"RK4 state not finite at t = {times[np.argmin(finite)]}")
+    return list(zip(times, states))
 
 
 def fit_slope(points) -> float:

@@ -11,6 +11,7 @@ must be of the same type.
 import operator
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ import reference_step as ref
 import oscistep.jets as jets
 from oscistep import (NumericStepError, TruncationPolicy, build_scheme, builtin_field,
                       make_field, make_oscillator, operator_values, rk4_micro_solve, solve,
-                      step)
+                      step, step_phase_averaged)
 from oscistep.oscillator import absorb_mean
 from oscistep.stepping import SchemeTable
 
@@ -292,6 +293,21 @@ def test_a_replay_checks_each_divisor_before_dividing(name, policy, sources):
         assert divisions
         for i, divisor in divisions:
             assert ("nonzero", divisor) in lines[:i]
+
+
+@pytest.mark.parametrize("fn", [step, step_phase_averaged], ids=["plain", "averaged"])
+@pytest.mark.parametrize("name, u", [("power", [0j]), ("m2-division", [0.5, 0j])],
+                         ids=["power", "m2-division"])
+def test_an_order_0_plan_dividing_by_zero_fails_as_a_non_finite_step(name, u, fn):
+    # an order-0 plan runs the lambdas on numpy scalars, where a division
+    # by zero gives NaN or inf: the step reports the non-finite term, and
+    # numpy warns of nothing before it.  Plans of higher order raise the
+    # jets' ZeroDivisionError (see above).
+    scheme = build_scheme(make_oscillator("cos", 57.0), TruncationPolicy(1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericStepError, match="^non-finite contribution from term V$"):
+            fn(scheme, DIVIDING[name](), 0.1, np.array(u, dtype=complex), 0.1)
 
 
 COUPLING = [[0.3, -0.1, 0.2, 0.05], [0.0, 0.4, -0.3, 0.1],

@@ -553,39 +553,53 @@ def test_value_not_finite_warns_as_numpy_does(osc, t, want):
 
 
 def reference_rk4(field, osc, t0, u0, t_end, dt):
-    """``rk4_micro_solve``'s arithmetic, with the field's `a` and `b`
-    called on numbers as the reference step calls them."""
+    """``rk4_micro_solve``'s arithmetic, written out on Python numbers: the
+    state a list of complex numbers, every product a complex product, and
+    the field's `a` and `b` called on the state's numpy scalars as the
+    reference step calls them."""
     span = t_end - t0
     n = max(1, round(span / dt))
     if n * dt < span - 1e-12 * span:
         n += 1
     dt = span / n
+    h, h2, h6, two = complex(dt), complex(dt / 2), complex(dt / 6), complex(2)
 
     def rhs(t, u):
-        return (ref._field_values(field._a, t, u)
-                + ref._field_values(field._b, t, u) * ref.oscillator_value(osc, t))
+        x, v = np.array(u), ref.oscillator_value(osc, t)
+        a = ref._field_values(field._a, t, x).tolist()
+        b = ref._field_values(field._b, t, x).tolist()
+        return [ai + bi * v for ai, bi in zip(a, b)]
 
-    u = np.asarray(u0, dtype=complex)
-    traj = [(t0, u.copy())]
+    u = [complex(x) for x in u0]
+    traj = [(t0, u)]
     t = t0
     for i in range(n):
         k1 = rhs(t, u)
-        k2 = rhs(t + dt / 2, u + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, u + dt / 2 * k2)
-        k4 = rhs(t + dt, u + dt * k3)
-        u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = rhs(t + dt / 2, [x + h2 * k for x, k in zip(u, k1)])
+        k3 = rhs(t + dt / 2, [x + h2 * k for x, k in zip(u, k2)])
+        k4 = rhs(t + dt, [x + h * k for x, k in zip(u, k3)])
+        u = [x + h6 * (p + two * q + two * r + s) for x, p, q, r, s in zip(u, k1, k2, k3, k4)]
         t = t0 + (i + 1) * dt
-        traj.append((t, u.copy()))
+        traj.append((t, u))
     return traj
 
 
-@pytest.mark.parametrize("name", ["linear", "power", "m2-division"])
-def test_rk4_oracle_matches_reference(name):
+# the cos cases keep their plain ids; at exp and Fourier, b v is a product
+# of two complex numbers, which numpy's dispatched array loops may fuse
+@pytest.mark.parametrize("name, osc", [
+    pytest.param(name, osc, id=name + suffix)
+    for suffix, osc in (
+        ("", make_oscillator("cos", 2.0, 0.3)),
+        ("-exp", make_oscillator("exp", 2.0, 0.3)),
+        ("-fourier-nu-half",
+         make_oscillator("fourier", 2.0, 0.3, -0.5, coeffs={1: 0.6 - 0.2j, -2: 0.3 + 0.4j})))
+    for name in ("linear", "power", "m2-division")])
+def test_rk4_oracle_matches_reference(name, osc):
     # a slow oscillator allows steps long enough that a right-hand side off
     # in its last bit (order-0 jets, for one) shows in the trajectory;
     # 1.0 / 0.031 rounds down to 32 steps, too few, so the step shrinks to
     # 1.0 / 33
-    field, osc = FIELDS[name](), make_oscillator("cos", 2.0, 0.3)
+    field = FIELDS[name]()
     u0 = np.array([0.6 + 0.1j] * field.m)
     got = rk4_micro_solve(field, osc, 0.2, u0, 1.2, 0.031)
     want = reference_rk4(field, osc, 0.2, u0, 1.2, 0.031)
