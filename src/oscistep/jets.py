@@ -426,14 +426,17 @@ class CoefficientField:
     they capture baked in, and replays a tape on later calls without
     calling them.  Recording runs :meth:`_run` on registers, and only a
     plan whose recording was refused runs it on numbers.  The field also
-    keeps its last call's values.  A call with the same word plan, the
-    same time, of the same type and sign (-0.0 and 0.0, or 0 and 0.0,
-    differ), and a state of the same bytes gets them without running the
-    tape nor, for a refused plan, the lambdas themselves: the K phases of
-    an ensemble and the phase-averaged step share one plan, so they
-    evaluate once.  A time with no hash or no float sign, such as a
+    keeps the values of its last call through :meth:`_values`: a step,
+    `operator_values`, and step 0 of a solve.  A call with the same word
+    plan, the same time, of the same type and sign (-0.0 and 0.0, or 0
+    and 0.0, differ), and a state of the same bytes gets them without
+    running the tape nor, for a refused plan, the lambdas themselves: the
+    K phases of an ensemble and the phase-averaged step share one plan, so
+    they evaluate once.  A time with no hash or no float sign, such as a
     complex number or a numpy array, and a call that raises leave the memo
-    as it was.  A caller whose parameters change builds a new field.
+    as it was.  The later steps of a solve, whose time moves on every
+    step, call :meth:`_evaluate` and neither read nor fill the memo.  A
+    caller whose parameters change builds a new field.
     """
 
     def __init__(self, m: int, a: Callable, b: Callable, name: str = "custom"):
@@ -494,12 +497,11 @@ class CoefficientField:
         # a value missing from a jet is zero
         return [x.get(0, 0.0 + 0.0j) for i in plan.outputs for x in slots[i]]
 
-    def _values(self, plan: WordPlan, t, u: np.ndarray) -> np.ndarray:
-        """`plan`'s values at ``(t, u)``, one row of `m` per pair, for a
-        state `u` that `_state` has checked, in the memo's own array, which
-        the caller must not write to.  They come from the memo, the plain
-        numbers (order 0), a tape of this field's for `plan`, or else `_run`
-        on numbers for a plan that no tape can follow."""
+    def _values(self, plan: WordPlan, t, u: np.ndarray) -> list[complex]:
+        """`plan`'s values at ``(t, u)``, one per pair and component, for a
+        state `u` that `_state` has checked, in the memo's own list, which
+        the caller must not change.  They come from the memo, or else from
+        `_evaluate`."""
         last_plan, last_t, last_type, sign, state, kept = self._last
         # -0.0 and 0.0, or 0 and 0.0, are equal times whose jets differ in
         # sign or type; the type is compared first, since a t of another
@@ -507,16 +509,7 @@ class CoefficientField:
         if (last_plan is plan and type(t) is last_type and t == last_t
                 and copysign(1.0, t) == sign and u.tobytes() == state):
             return kept
-        if plan.order == 0:
-            # no derivatives: the field itself, on plain numbers, where a
-            # division by zero gives a non-finite value that the step
-            # reports, as the RK4 oracle does, and no numpy warning
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                pair = self._on_numbers(t, u)
-            values = [pair[i] for i in plan.outputs]
-        else:
-            values = self._taped(plan, (complex(t), *u.tolist()))
-        values = np.array(values, dtype=complex).reshape(-1, self.m)
+        values = self._evaluate(plan, t, u.tolist())
         try:
             hash(t)
             self._last = (plan, t, type(t), copysign(1.0, t), u.tobytes(), values)
@@ -525,6 +518,21 @@ class CoefficientField:
             # complex number, is evaluated for this call only
             pass
         return values
+
+    def _evaluate(self, plan: WordPlan, t, u: list) -> list[complex]:
+        """`plan`'s values at ``(t, u)``, one complex number per pair and
+        component, for a state given as a list of complex numbers, with no
+        memo: the plain numbers (order 0), a tape of this field's for
+        `plan`, or else `_run` on numbers for a plan that no tape can
+        follow."""
+        if plan.order == 0:
+            # no derivatives: the field itself, on plain numbers, where a
+            # division by zero gives a non-finite value that the step
+            # reports, as the RK4 oracle does, and no numpy warning
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                pair = self._on_numbers(t, map(np.complex128, u))
+            return [x for i in plan.outputs for x in pair[i]]
+        return self._taped(plan, (complex(t), *u))
 
     def _taped(self, plan: WordPlan, base: tuple) -> list:
         """`plan`'s values at the base point `base` from the first of this
@@ -595,7 +603,8 @@ class WordPlan:
     :func:`_plan` gives every table and every :func:`operator_values` call
     with the same pairs one plan while any of them holds it, so a field
     records one tape for all of them.  A field evaluates a plan with
-    :meth:`CoefficientField._values`.
+    :meth:`CoefficientField._values`, or :meth:`CoefficientField._evaluate`
+    where no memo is kept.
     """
 
     __slots__ = ("order", "bases", "program", "outputs", "__weakref__")
@@ -858,7 +867,8 @@ def operator_values(field: CoefficientField,
     ``{(target, op_word): values}`` with `op_word` as a tuple.
     """
     pairs = tuple(dict.fromkeys((target, tuple(word)) for target, word in pairs))
-    return dict(zip(pairs, field._values(_plan(pairs), t, field._state(u)).copy()))
+    values = field._values(_plan(pairs), t, field._state(u))
+    return dict(zip(pairs, np.array(values, dtype=complex).reshape(-1, field.m)))
 
 
 # -- built-in example fields -------------------------------------------------

@@ -304,7 +304,7 @@ class TermPlan:
     :meth:`BasisPoly.eval_shifted` binds for its one call and keeps nothing.
 
     `solve` knows its start times in advance and takes its coefficients
-    from :meth:`_rows`, which evaluates a block of times in one numpy pass
+    from :meth:`_blocks`, which evaluates a block of times in one numpy pass
     over a batch layout of the binding, built once per binding and kept
     with it.  The pass forms every operation the compiled function does,
     in its order, with separate float64 operations (:meth:`_summands` has
@@ -332,7 +332,7 @@ class TermPlan:
         # the last binding: (omega, type of omega, nu, dt, type of dt, sign
         # of dt, binding)
         self._last: tuple = (None,) * 7
-        # the binding _rows used last, and its batch layout
+        # the binding _blocks used last, and its batch layout
         self._batch: tuple = (None, None)
 
     def _function(self, nu: float) -> Callable:
@@ -470,16 +470,15 @@ class TermPlan:
         function, constants = self._binding(osc.omega, osc.nu, dt)
         return function(constants, z)
 
-    def _rows(self, osc: OscillatorSpec, dt: float, times: Iterable) -> Iterator[np.ndarray]:
+    def _blocks(self, osc: OscillatorSpec, dt: float, times: Iterable) -> Iterator[np.ndarray]:
         """Every polynomial's value at each start time in `times`, one
         complex row per time, each equal bit for bit to ``self(osc, dt,
-        t)``.
+        t)``, a block of times at a time, as arrays of (time, polynomial).
 
-        The rows are computed a block of times at a time, in one numpy pass
-        over the batch layout of the binding, built once per binding and
-        kept with it.  A block holds at most ``_BLOCK_VALUES`` summands,
-        so the pass's transient arrays stay within a fixed size whatever
-        the table.
+        Each block is computed in one numpy pass over the batch layout of
+        the binding, built once per binding and kept with it.  A block
+        holds at most ``_BLOCK_VALUES`` summands, so the pass's transient
+        arrays stay within a fixed size whatever the table.
         """
         binding = self._binding(osc.omega, osc.nu, dt)
         kept, layout = self._batch
@@ -489,7 +488,7 @@ class TermPlan:
         size = max(1, _BLOCK_VALUES // max(1, len(layout[0])))
         times = iter(times)
         while block := list(islice(times, size)):
-            yield from self._block(osc, layout, block)
+            yield self._block(osc, layout, block)
 
     def _layout(self, nu: float, constants: tuple) -> tuple:
         """The batch layout of a binding whose constants are `constants`.
@@ -598,7 +597,7 @@ class TermPlan:
 # which CPython's compiler overflows its recursion limit
 _SUM_TERMS = 200
 
-# summands per block of TermPlan._rows; its transient arrays hold at most
+# summands per block of TermPlan._blocks; its transient arrays hold at most
 # six floats per summand, 384 KB in all
 _BLOCK_VALUES = 2 ** 13
 

@@ -32,26 +32,43 @@ binds once, and a new step size binds again without compiling.
 `solve` knows every start time in advance, and only Z = e^(i(omega t_n +
 phi)) changes from one of its steps to the next, so it takes the
 coefficients of a block of steps at a time from one numpy pass over the
-binding's batch layout (``TermPlan._rows``), each row equal bit for bit
+binding's batch layout (``TermPlan._blocks``), each row equal bit for bit
 to the compiled function's value.  Its step 0 takes the compiled function,
 which binds and fails where a lone step fails.  `step` and
 `step_phase_averaged` keep the compiled function: the pass costs two
 dozen numpy calls however few steps it serves, more than a (4,2) table's
 compiled call.
+
+A step's sum is Python's complex arithmetic on Python numbers.  Each
+contribution is one complex product of an entry's coefficient and a
+component of its operator value, both complex numbers, and the
+contributions are added to u_n one at a time in table order by a
+straight-line function compiled once per entry count and dimension
+(``_assembly``).  So a step's bits are those of Python's float
+operations, the same under every SIMD dispatch of numpy, whose complex
+product may fuse a multiply and an add.  Only a sum that is not finite
+goes to numpy, which names the first non-finite term or reports an
+overflow as a step always has.  From step 1 on, `solve` keeps its state
+as a list of complex numbers: it replays the field's tape on it directly,
+since t moves on every step and the field's memo of its last call could
+not hit, converts each block of coefficient rows with one ``tolist``,
+and builds the trajectory's array once at the end.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
 from .errors import NumericStepError
 from .jets import CoefficientField, Jet, WordPlan, _jet_order, _plan
-from .oscillator import BasisPoly, OscillatorSpec, TermPlan, phase_average
+from .oscillator import _SUM_TERMS, BasisPoly, OscillatorSpec, TermPlan, phase_average
 from .terms import RETENTION_TOL, TruncationPolicy, Word, enumerate_words, word_primitive
 
 __all__ = [
@@ -154,7 +171,9 @@ def build_scheme(osc: OscillatorSpec, policy: TruncationPolicy,
 
 class StepResult:
     """A step's end state `u_next` at `t_next`, and `contributions`: each
-    entry's coefficient times its operator value, in table order."""
+    entry's coefficient times its operator value, in table order.  A step
+    forms the contributions from the products its sum added when they are
+    first read, so a caller that reads only `u_next` never forms them."""
 
     __slots__ = ("u_next", "t_next", "_contributions")
 
@@ -163,8 +182,8 @@ class StepResult:
 
     @property
     def contributions(self) -> tuple[np.ndarray, ...]:
-        """One row per entry; a step gives its ``(n, m)`` array of rows,
-        which becomes a tuple on first read."""
+        """One row per entry; a step gives a generator of the rows, which
+        becomes a tuple on first read."""
         if type(self._contributions) is not tuple:
             self._contributions = tuple(self._contributions)
         return self._contributions
@@ -210,10 +229,10 @@ def step(scheme: SchemeTable, field: CoefficientField, t_n: float, u_n,
          h: float) -> StepResult:
     """One macro step from (t_n, u_n) over [t_n, t_n + h].
 
-    Each entry contributes its coefficient times its operator value; the
-    contributions are added to u_n one at a time in table order.  A
-    non-finite t_n, h or u_n raises ValueError, and a non-finite
-    contribution NumericStepError.
+    Each entry contributes its coefficient times its operator value, a
+    complex product; the contributions are added to u_n one at a time in
+    table order, in Python's complex arithmetic.  A non-finite t_n, h or
+    u_n raises ValueError, and a non-finite contribution NumericStepError.
     """
     return _step(scheme.entries, scheme.oscillator, field, t_n, u_n, h)
 
@@ -226,9 +245,9 @@ def step_phase_averaged(scheme: SchemeTable, field: CoefficientField, t_n: float
 
 
 def _step(entries: _Entries, osc: OscillatorSpec, field: CoefficientField, t_n: float,
-          u_n, h: float, coeffs: np.ndarray | None = None) -> StepResult:
-    """The step; `coeffs`, if given, is the row of the entries'
-    coefficients at (t_n, h) that their plan's batch gave."""
+          u_n, h: float) -> StepResult:
+    """A step over `entries`: `step`, `step_phase_averaged`, and step 0
+    of `solve`."""
     if not (math.isfinite(t_n) and math.isfinite(h)):
         raise ValueError("t_n and h must be finite")
     if h < 0:
@@ -236,27 +255,66 @@ def _step(entries: _Entries, osc: OscillatorSpec, field: CoefficientField, t_n: 
     u_n = field._state(u_n)
     operators, coefficients = entries.plan
     values = field._values(operators, t_n, u_n)
-    if coeffs is None:
-        coeffs = np.array(coefficients(osc, h, t_n), dtype=complex)
-    # row 0 is u_n, row i the i-th contribution; the running sum ends in u_next
-    rows = np.empty((len(values) + 1, field.m), dtype=complex)
-    rows[0] = u_n
-    contributions = rows[1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(coeffs[:, None], values, out=contributions)
-        u_next = np.add.accumulate(rows)[-1]
-    # inf and NaN survive addition, so a finite sum had finite terms
-    if not np.isfinite(u_next).all():
-        if not np.isfinite(u_n).all():
-            raise ValueError("u_n must be finite")
-        finite = np.isfinite(contributions.view(float)).all(axis=1)
-        if not finite.all():
-            bad = entries[int(np.argmin(finite))]
-            raise NumericStepError(f"non-finite contribution from term {bad.word}")
-        # finite terms whose sum overflowed: summed again for numpy to
-        # report the overflow under the caller's error settings
-        u_next = np.add.accumulate(rows)[-1]
-    return StepResult(u_next=u_next, t_next=t_n + h, contributions=contributions)
+    coeffs = coefficients(osc, h, t_n)
+    u, m = u_n.tolist(), field.m
+    u_next = _assembly(len(coeffs), m)(u, coeffs, values)
+    if u_next is None:
+        u_next = _non_finite(entries, u, coeffs, values, m)
+    return StepResult(np.array(u_next, dtype=complex), t_n + h,
+                      _contributions(coeffs, values, m))
+
+
+def _products(coeffs: list, values: list, m: int) -> list[complex]:
+    """Each entry's coefficient times each component of its operator value,
+    in table order: the products that the assembly adds."""
+    return [coeffs[k // m] * v for k, v in enumerate(values)]
+
+
+def _contributions(coeffs: list, values: list, m: int):
+    """The rows of a step's `StepResult.contributions`, formed when first
+    read."""
+    yield from np.array(_products(coeffs, values, m), dtype=complex).reshape(-1, m)
+
+
+def _non_finite(entries: _Entries, u: list, coeffs: list, values: list, m: int) -> list:
+    """A step whose sum is not finite, from its state `u` and its operands:
+    ValueError if the state is not finite, NumericStepError naming the
+    first entry whose contribution is not, or else, for finite terms whose
+    sum overflowed, the same sum in numpy, which reports the overflow under
+    the caller's error settings."""
+    rows = np.array(u + _products(coeffs, values, m), dtype=complex).reshape(-1, m)
+    # inf and NaN survive addition, so a non-finite sum has a non-finite term
+    if not np.isfinite(rows[0]).all():
+        raise ValueError("u_n must be finite")
+    finite = np.isfinite(rows[1:].view(float)).all(axis=1)
+    if not finite.all():
+        bad = entries[int(np.argmin(finite))]
+        raise NumericStepError(f"non-finite contribution from term {bad.word}")
+    return np.add.accumulate(rows)[-1].tolist()
+
+
+@lru_cache(maxsize=64)
+def _assembly(n: int, m: int) -> Callable:
+    """The sum of a step of `n` entries in `m` dimensions, compiled: a
+    function of the state `u`, the coefficients `c` and the operator values
+    `v`, lists of complex numbers with `v` entry by entry, that gives
+    ``u_next`` as a list, or None if a component is not finite.
+
+    Each component is ``u[j] + c[0] * v[j] + c[1] * v[m + j] + ...``: one
+    complex product per entry, added one at a time in table order, in
+    statements of ``_SUM_TERMS`` terms, as a coefficient plan sums."""
+    lines = []
+    for j in range(m):
+        parts = [f"u[{j}]", *(f"c[{i}] * v[{i * m + j}]" for i in range(n))]
+        for k in range(0, len(parts), _SUM_TERMS):
+            lines.append(f"s{j} = {f's{j} + ' if k else ''}" + " + ".join(parts[k:k + _SUM_TERMS]))
+    names = [f"s{j}" for j in range(m)]
+    source = "\n".join(["def assemble(u, c, v):", *(f"    {line}" for line in lines),
+                        f"    if {' and '.join(f'isfinite({s})' for s in names)}:",
+                        f"        return [{', '.join(names)}]"])
+    namespace = {"isfinite": cmath.isfinite}
+    exec(compile(source, "<step assembly>", "exec"), namespace)
+    return namespace["assemble"]
 
 
 def solve(scheme: SchemeTable, field: CoefficientField, t0: float, u0,
@@ -264,7 +322,9 @@ def solve(scheme: SchemeTable, field: CoefficientField, t0: float, u0,
     """Repeated macro steps from t0 to t_end; h must divide the interval.
 
     Returns the trajectory as a list of (t, u) pairs including both
-    endpoints.
+    endpoints.  Each step is the one `step` takes from the state before
+    it, bit for bit, and fails as that step fails, with its index and
+    start time named in a NumericStepError.
     """
     if not all(math.isfinite(x) for x in (t0, t_end, h)):
         raise ValueError("t0, t_end and h must be finite")
@@ -276,28 +336,35 @@ def solve(scheme: SchemeTable, field: CoefficientField, t0: float, u0,
     n = round(span / h)
     if n < 1 or abs(n * h - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError(f"step {h} does not divide the interval length {span}")
-    u = np.asarray(u0, dtype=complex)
-    traj = [(t0, u.copy())]
-    for i, coeffs in enumerate(_coefficient_rows(scheme, t0, h, n)):
-        t_n = t0 + i * h
-        try:
-            res = _step(scheme.entries, scheme.oscillator, field, t_n, u, h, coeffs)
-        except NumericStepError as exc:
-            raise NumericStepError(f"step {i} (t = {t_n}): {exc}") from exc
-        u = res.u_next
-        traj.append((t0 + (i + 1) * h, u.copy()))
-    return traj
+    entries, osc, m = scheme.entries, scheme.oscillator, field.m
+    operators = entries.plan[0]
+    assemble, evaluate = _assembly(len(entries), m), field._evaluate
+    states = field._state(u0).tolist()
+    i = 0
+    try:
+        # step 0 is a lone step: it binds the coefficient plan and raises
+        # where a lone step raises
+        u = _step(entries, osc, field, t0, states, h).u_next.tolist()
+        states += u
+        for i, coeffs in enumerate(_coefficient_rows(scheme, t0, h, n), 1):
+            values = evaluate(operators, t0 + i * h, u)
+            u_next = assemble(u, coeffs, values)
+            u = u_next if u_next is not None else _non_finite(entries, u, coeffs, values, m)
+            states += u
+    except NumericStepError as exc:
+        raise NumericStepError(f"step {i} (t = {t0 + i * h}): {exc}") from exc
+    times = [t0, *(t0 + (i + 1) * h for i in range(n))]
+    return list(zip(times, np.array(states, dtype=complex).reshape(n + 1, m)))
 
 
 def _coefficient_rows(scheme: SchemeTable, t0: float, h: float, n: int):
-    """The coefficients of `n` steps of size `h` from `t0`, for `solve`.
-    Step 0 gets None and takes the scalar call, which binds the plan and
-    raises where a lone step raises, after the step's own checks; the
-    other steps, if any, get their rows from the plan's batch."""
-    yield None
+    """The coefficients of steps 1 to n - 1 of size `h` from `t0`, for
+    `solve`, each a list: the plan's batch rows, one block at a time."""
     if n > 1:
         plan = scheme.entries.plan[1]
-        yield from plan._rows(scheme.oscillator, h, (t0 + i * h for i in range(1, n)))
+        times = (t0 + i * h for i in range(1, n))
+        for block in plan._blocks(scheme.oscillator, h, times):
+            yield from block.tolist()
 
 
 def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,

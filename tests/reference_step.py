@@ -215,9 +215,9 @@ def step(scheme, field, t_n, u_n, h, averaged=False):
     u_next = u_n.copy()
     for e in scheme.entries:
         poly = phase_average(e.coeff) if averaged else e.coeff
-        c = eval_shifted(poly, osc, h, t_n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            contrib = c * values[(e.word.target, e.word.operator_word)]
+        c = complex(eval_shifted(poly, osc, h, t_n))
+        # Python's complex product, component by component
+        contrib = np.array([c * complex(v) for v in values[(e.word.target, e.word.operator_word)]])
         if not np.all(np.isfinite(contrib.view(float))):
             raise NumericStepError(f"non-finite contribution from term {e.word}")
         contributions.append(contrib)

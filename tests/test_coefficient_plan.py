@@ -136,7 +136,7 @@ def summands(plan: TermPlan, nu: float) -> int:
 
 
 def rows(plan, osc, dt, times):
-    out = list(plan._rows(osc, dt, times))
+    out = [row for block in plan._blocks(osc, dt, times) for row in block]
     assert all(row.dtype == complex and row.shape == (len(plan._polys),) for row in out)
     return [exact(row) for row in out]
 
@@ -163,9 +163,9 @@ def test_batch_rows_match_the_compiled_function(name, averaged, monkeypatch):
     # one layout for the binding the plan keeps, built again only for a new one
     binding, layout = plan._batch
     assert binding is plan._last[-1]
-    list(plan._rows(osc, STEP_SIZES[-1], START_TIMES[:1]))
+    list(plan._blocks(osc, STEP_SIZES[-1], START_TIMES[:1]))
     assert plan._batch[1] is layout
-    list(plan._rows(osc, 0.03, START_TIMES[:1]))
+    list(plan._blocks(osc, 0.03, START_TIMES[:1]))
     assert plan._batch[1] is not layout
 
 

@@ -1,10 +1,12 @@
-"""The RK4 oracle's bits do not depend on numpy's SIMD dispatch.
+"""The macro step's and the RK4 oracle's bits do not depend on numpy's
+SIMD dispatch.
 
 numpy picks, per CPU, among loops built for several instruction sets, and
-some of them fuse a complex product's multiply and add.  The oracle does
-its arithmetic on Python numbers, so its trajectories, and the output of
-a command that measures against it, are the same bytes in a child process
-with every dispatched instruction set this CPU has disabled.  The
+some of them fuse a complex product's multiply and add.  A step adds its
+contributions, and the oracle does all its arithmetic, on Python numbers,
+so their trajectories, a step's contributions, and the output of a
+command that measures against the oracle, are the same bytes in a child
+process with every dispatched instruction set this CPU has disabled.  The
 variable that disables them, ``NPY_DISABLE_CPU_FEATURES``, is set for the
 child only.
 """
@@ -19,7 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscistep import builtin_field, make_field, make_oscillator, rk4_micro_solve
+from oscistep import (TruncationPolicy, build_scheme, builtin_field, make_field,
+                      make_oscillator, rk4_micro_solve, solve, step)
 from oscistep.cli import main
 
 try:
@@ -34,13 +37,38 @@ SOLVE = ("solve --problem nonlinear --alpha 0,2 --mu 10 --kappa 4 --rho 2 --omeg
          "--u0 1 --h 0.02 --tend 0.2 --oracle rk4")
 
 
-def transcript() -> str:
-    """Seeded RK4 trajectories by ``repr``, then the stdout of `SOLVE`."""
-    rng = np.random.default_rng(25)
-    fields = [builtin_field("nonlinear", alpha=0.3 - 0.2j, mu=1.1),
-              make_field(2, lambda t, u: [0.3 * u[0] - 0.1 * u[1], 0.2 * u[0] * u[1]],
-                         lambda t, u: [0.7 * u[1], -0.4 * u[0] * u[0] / (1 + t)])]
+def m2_field():
+    return make_field(2, lambda t, u: [0.3 * u[0] - 0.1 * u[1], 0.2 * u[0] * u[1]],
+                      lambda t, u: [0.7 * u[1], -0.4 * u[0] * u[0] / (1 + t)])
+
+
+def macro_lines() -> list[str]:
+    """Seeded 50-step solves, and one step's contributions, by ``repr``.
+    Where numpy fuses a complex product's multiply and add, a step that
+    takes numpy's product moves 18, 46, 22 and 48 of the solves' 51 rows,
+    and the step's contributions."""
+    rng = np.random.default_rng(48)
+    cases = [(builtin_field("nonlinear", alpha=2j, mu=10.0), "cos", 0.0, 4),
+             (builtin_field("nonlinear", alpha=0.3 - 0.2j, mu=1.1), "exp", -0.5, 4),
+             (builtin_field("nonlinear", alpha=2j, mu=10.0), "exp", 0.0, 8),
+             (m2_field(), "exp", 0.0, 4)]
     lines = []
+    for field, kind, nu, kappa in cases:
+        osc = make_oscillator(kind, 100.0, float(rng.uniform(0.0, 6.0)), nu)
+        scheme = build_scheme(osc, TruncationPolicy.from_order(kappa, 2, nu))
+        u0 = rng.uniform(0.5, 1.0, field.m) + 1j * rng.uniform(-0.25, 0.25, field.m)
+        lines += [repr((t, u.tolist())) for t, u in solve(scheme, field, 0.0, u0, 1.0, 0.02)]
+    res = step(scheme, field, 0.3, u0, 0.1)
+    lines += [repr(res.u_next.tolist()), repr([c.tolist() for c in res.contributions])]
+    return lines
+
+
+def transcript() -> str:
+    """Seeded macro solves and a step, RK4 trajectories, by ``repr``, then
+    the stdout of `SOLVE`."""
+    rng = np.random.default_rng(25)
+    fields = [builtin_field("nonlinear", alpha=0.3 - 0.2j, mu=1.1), m2_field()]
+    lines = macro_lines()
     for field in fields:
         phi = float(rng.uniform(0.0, 6.0))
         for osc in (make_oscillator("exp", 100.0, phi),
@@ -56,7 +84,7 @@ def transcript() -> str:
 
 
 @pytest.mark.skipif(not DISPATCHED, reason="numpy dispatches nothing beyond its baseline here")
-def test_rk4_bytes_do_not_depend_on_simd_dispatch():
+def test_step_and_rk4_bytes_do_not_depend_on_simd_dispatch():
     here = Path(__file__).parent
     path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(DISPATCHED),

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import reference_step as ref
 import oscistep.jets as jets
 import oscistep.oscillator as oscillator
+import oscistep.stepping as stepping
 from oscistep import (NumericStepError, TruncationPolicy, build_scheme, builtin_field,
                       enumerate_words, make_field, make_oscillator, operator_values,
                       rk4_micro_solve, solve, step, step_phase_averaged)
@@ -231,8 +232,81 @@ def test_a_binding_with_an_infinite_constant_fails_as_a_step_does():
         plan = scheme.entries.plan[1]
         assert not all(map(np.isfinite, plan._last[-1][1]))
         times = [10.0 * i for i in range(1, 3)]
-        assert [exact(row) for row in plan._rows(scheme.oscillator, 10.0, times)] \
+        blocks = plan._blocks(scheme.oscillator, 10.0, times)
+        assert [exact(row) for block in blocks for row in block] \
             == [exact(plan(scheme.oscillator, 10.0, t)) for t in times]
+
+
+def test_an_order_0_solve_reaching_zero_fails_as_a_non_finite_step():
+    # h a = -u exactly, so step 0 lands on u = 0 and step 1, the first of
+    # solve's own loop, divides by it: numpy's scalars give NaN, which the
+    # step reports, where Python's complex numbers would raise
+    # ZeroDivisionError
+    field = make_field(1, lambda t, u: [-8.0 * u[0]], lambda t, u: [0.0 / u[0]])
+    scheme = build_scheme(OSCILLATORS[0], TruncationPolicy(1, 1))
+    u0 = np.array([1.0 + 0.5j])
+    want = solve_outcome(lambda: stepped(step, scheme, field, 0.0, u0, 0.125, 4))
+    assert want == "NumericStepError: step 1 (t = 0.125): non-finite contribution from term V"
+    assert solve_outcome(lambda: solve(scheme, field, 0.0, u0, 0.5, 0.125)) == want
+
+
+def test_a_sum_of_finite_terms_overflowing_within_a_block_fails_as_its_steps_do():
+    # a = u grows by e each step from 1e300: at step 19 of the first block
+    # every term is finite and their sum is not.  numpy reports the overflow
+    # under the caller's settings; left at a warning, the next step rejects
+    # the infinite state
+    field = make_field(1, lambda t, u: [u[0]], lambda t, u: [0.0 * t])
+    scheme = build_scheme(OSCILLATORS[0], TruncationPolicy.from_order(4, 2))
+    u0 = np.array([1e300 + 1e299j])
+    loop = lambda: stepped(step, scheme, field, 0.0, u0, 1.0, 30)
+    whole = lambda: solve(scheme, field, 0.0, u0, 30.0, 1.0)
+    with np.errstate(over="raise"):
+        want = solve_outcome(loop)
+        assert want == "FloatingPointError: overflow encountered in accumulate"
+        assert solve_outcome(whole) == want
+    outcomes = []
+    for call in (loop, whole):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcomes.append((solve_outcome(call), [str(w.message) for w in caught]))
+    assert outcomes[0] == ("ValueError: u_n must be finite",
+                           ["overflow encountered in accumulate"])
+    assert outcomes[1] == outcomes[0]
+
+
+def test_a_constant_operator_value_multiplies_as_a_complex_number():
+    # b = 10.0 is a constant output of the tape; it and every coefficient
+    # reach the sum as complex numbers, so each product is the complex
+    # product, on any Python version's rules for float times complex
+    field = FIELDS["linear"]()
+    scheme = build_scheme(OSCILLATORS[1], TruncationPolicy.from_order(4, 2))
+    operators, coefficients = scheme.entries.plan
+    u0 = np.array([0.9 - 0.3j])
+    values = field._evaluate(operators, 0.4, u0.tolist())
+    assert complex(10.0) in values
+    assert {type(v) for v in values} == {complex}
+    assert {type(c) for c in coefficients(scheme.oscillator, 0.05, 0.4)} == {complex}
+    rows = list(stepping._coefficient_rows(scheme, 0.0, 0.05, 20))
+    assert {type(c) for row in rows for c in row} == {complex}
+    want = solve_outcome(lambda: stepped(step, scheme, field, 0.0, u0, 0.05, 20))
+    assert solve_outcome(lambda: stepped(ref.step, scheme, field, 0.0, u0, 0.05, 20)) == want
+    assert solve_outcome(lambda: solve(scheme, field, 0.0, u0, 1.0, 0.05)) == want
+
+
+def test_sums_split_into_statements_match_reference(monkeypatch):
+    # the step's sum is compiled in statements of _SUM_TERMS terms; at 2, a
+    # (4,2) table's u_n and 11 terms take six statements per component
+    monkeypatch.setattr(stepping, "_SUM_TERMS", 2)
+    stepping._assembly.cache_clear()
+    try:
+        field = FIELDS["m4-coupled"]()
+        scheme = build_scheme(OSCILLATORS[1], TruncationPolicy.from_order(4, 2))
+        t, u = start_points(field.m, np.random.default_rng(26))[0]
+        assert_same(step(scheme, field, t, u, 0.05), ref.step(scheme, field, t, u, 0.05))
+        want = solve_outcome(lambda: stepped(ref.step, scheme, field, t, u, 0.05, 6))
+        assert solve_outcome(lambda: solve(scheme, field, t, u, t + 0.3, 0.05)) == want
+    finally:
+        stepping._assembly.cache_clear()
 
 
 def test_jets_cancelling_to_zero_match_reference():
