@@ -38,20 +38,16 @@ included.  The CLI prints 17 significant digits and its README output is
 locked byte for byte (``tests/readme_cli_golden.txt``); a reordered sum
 would change those bytes.
 
-A step's operator values are one taped function of ``(t, u)``.  Jet
-arithmetic and the kernels hold no exact zero in a series, and test each
-coefficient that can come out zero once, where it is formed: a
-coordinate of ``(t, u)``, a product sum, the sum of a key that both
-addends hold, and a product by a number; such a zero drops its key.
-Values that are nonzero whenever their operand is go untested: a
-negation, a product by a positive integer (``_partial``), and ``0.0 + c``
-for a key new to a sum.  Otherwise which keys they make, in which order,
-and so which products they add in which order, follow from the keys of
-their inputs alone.  So the work of `a`, `b` and a word plan's
-kernels can be recorded once on registers instead of numbers, as scalar
-operations, and replayed on later calls whose zero tests come out the
-same: the same floating-point operations on the same operands in the
-same order give the same values, bit for bit (Python has no fused
+A step's operator values are one taped function of ``(t, u)``.  A key of
+a series is present when an operation formed it, whatever its value:
+jet arithmetic and the kernels keep exact zeros as values, and only a
+number that is zero makes no key, as ``Jet``'s input or as a constant.  So
+which keys an operation makes, in which order, and so which products it
+adds in which order, follow from the keys of its inputs alone.  The work
+of `a`, `b` and a word plan's kernels can therefore be recorded once on
+registers instead of numbers, as scalar operations, and replayed on every
+later call: the same floating-point operations on the same operands in
+the same order give the same values, bit for bit (Python has no fused
 multiply-add, so ``r += x * y`` rounds as ``r = r + (x * y)``).  This is
 operator-overloading taping, as in ADOL-C (Griewank & Walther,
 *Evaluating Derivatives*, ch. 6).
@@ -60,45 +56,34 @@ A tape runs ``CoefficientField._run``, which is `a` and `b` on jets and
 then the plan's kernels on those jets, with a register for each entry of
 ``(t, u)`` as the jets' coefficients.  Each register carries its value
 at the call being recorded, computed by the operation it records, so a
-recording does what ``_run`` does on numbers, raises what it raises, and
-answers each test for an exact zero truthfully.  Each answer becomes a
-guard, one line of the replay at the point where the test is made, which
-returns None unless the register compares with zero as it did.  The
-zero is where the jets and the kernels drop a key, and a kept zero can
-change a later result (``1e-200 * 1e-200`` underflows to zero, and
-adding it turns a coefficient of ``-0.7 - 0j`` into ``-0.7 + 0j``); a
-zero in ``(t, u)`` is one such test.  The recording becomes one
+recording does what ``_run`` does on numbers and raises what it raises.
+The one test of a value is ``Jet.reciprocal``'s test of its divisor for
+zero.  A divisor found nonzero becomes the tape's one kind of guard: a
+line right before the division that stops the replay where the divisor
+is zero, and the call then runs ``_run`` on numbers, which raises the
+jets' ``ZeroDivisionError`` or gives what the lambdas make of it if they
+catch it.  A divisor found zero while recording raises that error too;
+if the lambdas catch it, the recording is refused (see below), since a
+tape follows one branch only.  The recording becomes one
 straight-line Python function from ``(t, u_1, ..., u_m)`` to the plan's
 values, compiled once as ``dataclasses`` builds ``__init__``: registers
-are locals, and it does the recorded operations and guards in order.
-So each guard checks the value its test saw, a replay stops at the first
-guard that fails, and the guards on ``(t, u)``, whose jets are made
-first, come first.  A division by a register comes only from
-``Jet.reciprocal``, right after its test of that register for zero, so
-no replay divides by zero; it is the one test made again on a value
-already tested where it was formed.  An operation on constants alone is
-done while recording, as the jets do it, so a key that constants cancel
-is dropped then, on every call.
+are locals, and it does the recorded operations in order.  An operation
+on constants alone is done while recording, as the jets do it.
 Constants that meet a register enter the replay as arguments, never as
 source text (``repr`` loses the sign of -0.0 and is not a literal for
 nan or inf), so fields that differ only in their constants share one
-compiled function.
-
-A call replays the field's tapes for its plan, the one used last first,
-until the guards of one hold.  If none holds, the call records a new
-tape at its own ``(t, u)``, so a plan has one tape per outcome of its
-zero tests that calls meet: a dividing field, for one, meets both
-outcomes of each reciprocal's bracket ``1 - f0 * (1/f0)``, which is
-exactly zero for most ``f0`` but not all.  A field keeps the
-``TAPE_CACHE_SIZE`` tapes it used last, over all its plans.
+compiled function.  A field records a plan at its first call and
+replays that tape on every later one; it keeps the tapes of the
+``TAPE_CACHE_SIZE`` plans it used last.
 
 A recording follows jet arithmetic only: ``+``, ``-``, ``*``, ``/`` and
 integer powers of jets and of ``int``, ``float`` or ``complex`` numbers.
 For lambdas that read a jet's value, coefficients or base point, or
-multiply a jet by another kind of number, the recording is refused: the
-field keeps None for that plan, and its calls run ``_run`` on numbers,
-which gives what the jets and kernels always gave.  Lambdas that raise
-raise while recorded, and every call records them again.
+multiply a jet by another kind of number, or catch the error of a zero
+divisor, the recording is refused: the field keeps None for that plan,
+and its calls run ``_run`` on numbers, which gives what the jets and
+kernels always gave.  Lambdas that raise raise while recorded, and every
+call records them again.
 
 A field calls `a` and `b` in one place, ``CoefficientField._pair``: each
 once per point, on its own list of the state, with its length checked
@@ -122,7 +107,7 @@ from __future__ import annotations
 
 import numbers
 import weakref
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import copysign, factorial, isfinite
 from typing import Callable, Iterable, Sequence
 
@@ -148,8 +133,7 @@ _BITS = 16
 _MASK = (1 << _BITS) - 1
 _MAX_ORDER = (1 << (_BITS - 1)) - 1
 
-# tapes kept on one field, over its word plans and the outcomes of their
-# zero tests
+# tapes kept on one field, one per word plan
 TAPE_CACHE_SIZE = 8
 
 
@@ -188,7 +172,8 @@ def _unpack(key: int, nvars: int) -> tuple[int, ...]:
 # -- kernels on packed-key dicts ----------------------------------------------
 
 def _mul(x: dict, y: dict, cap: int) -> dict:
-    """The product of two series, without keys at or above `cap`."""
+    """The product of two series, without keys at or above `cap`; each key
+    that a product formed is kept, whatever its value."""
     out = {}
     get = out.get
     theirs = y.items()
@@ -198,7 +183,7 @@ def _mul(x: dict, y: dict, cap: int) -> dict:
             if kb < room:
                 key = ka + kb
                 out[key] = get(key, 0.0) + ca * cb
-    return {k: c for k, c in out.items() if c != 0}
+    return out
 
 
 def _partial(x: dict, shift: int, unit: int, cap: int) -> dict:
@@ -214,16 +199,11 @@ def _partial(x: dict, shift: int, unit: int, cap: int) -> dict:
 
 
 def _add(x: dict, y: dict) -> dict:
-    """The sum of two series, made in `x` and returned.  Only the sum of a
-    key that both hold is tested for zero; a key new to `x` gets
-    ``0.0 + c``, which is nonzero since `c` is."""
+    """The sum of two series, made in `x` and returned; a key new to `x`
+    gets ``0.0 + c``, as a sum started from 0.0 would."""
+    get = x.get
     for k, c in y.items():
-        if k not in x:
-            x[k] = 0.0 + c
-        elif (s := x[k] + c) != 0:
-            x[k] = s
-        else:
-            del x[k]
+        x[k] = get(k, 0.0) + c
     return x
 
 
@@ -262,8 +242,8 @@ class Jet:
         self._terms = terms
 
     def _like(self, terms: dict, order: int | None = None) -> "Jet":
-        """A jet on this one's base point from already packed, complex,
-        nonzero `terms`, as the kernels make them."""
+        """A jet on this one's base point from already packed, complex
+        `terms`, as the kernels make them."""
         out = object.__new__(Jet)
         out.base, out.nvars, out._terms = self.base, self.nvars, terms
         out.order = self.order if order is None else order
@@ -283,7 +263,7 @@ class Jet:
     def _variable(self, index: int, x) -> "Jet":
         """The jet of ``x_index``, whose value is `x`, on this one's base
         point and order."""
-        terms = {0: x} if x != 0 else {}
+        terms = {0: x}
         if self.order >= 1:
             terms[(1 << (_BITS * self.nvars)) | (1 << (_BITS * index))] = 1.0 + 0.0j
         return self._like(terms)
@@ -296,7 +276,10 @@ class Jet:
 
     @property
     def coeffs(self) -> dict[tuple[int, ...], complex]:
-        """The Taylor coefficients keyed by multi-index tuples."""
+        """The Taylor coefficients keyed by multi-index tuples: every key
+        that an operation formed, exact zeros included, so ``(1 + x) *
+        (1 - x)`` at order 1 has ``{(0,): 1, (1,): 0j}``.  Only a zero
+        number, given to the constructor or as a constant, makes no key."""
         self._read()
         return {_unpack(k, self.nvars): c for k, c in self._terms.items()}
 
@@ -360,8 +343,7 @@ class Jet:
         if not isinstance(other, Jet):
             if type(self.base) is _Recorder:
                 return self._like(self.base.scale(self._terms, other))
-            return self._like({k: complex(v) for k, c in self._terms.items()
-                               if (v := c * other) != 0})
+            return self._like({k: complex(c * other) for k, c in self._terms.items()})
         self._check(other)
         return self._like(_mul(self._terms, other._terms,
                                (self.order + 1) << (_BITS * self.nvars)))
@@ -421,22 +403,21 @@ class CoefficientField:
     ``a + mean * b`` in the order they were absorbed.
 
     They must be functions of ``(t, u)`` alone.  The field records them,
-    with a word plan's kernels, as a tape per plan and outcome of the zero
-    tests that calls meet (see the module docstring), with every constant
-    they capture baked in, and replays a tape on later calls without
-    calling them.  Recording runs :meth:`_run` on registers, and only a
-    plan whose recording was refused runs it on numbers.  The field also
-    keeps the values of its last call through :meth:`_values`: a step,
-    `operator_values`, and step 0 of a solve.  A call with the same word
-    plan, the same time, of the same type and sign (-0.0 and 0.0, or 0
-    and 0.0, differ), and a state of the same bytes gets them without
-    running the tape nor, for a refused plan, the lambdas themselves: the
-    K phases of an ensemble and the phase-averaged step share one plan, so
-    they evaluate once.  A time with no hash or no float sign, such as a
-    complex number or a numpy array, and a call that raises leave the memo
-    as it was.  The later steps of a solve, whose time moves on every
-    step, call :meth:`_evaluate` and neither read nor fill the memo.  A
-    caller whose parameters change builds a new field.
+    with a word plan's kernels, as one tape per plan (see the module
+    docstring), with every constant they capture baked in, and replays it
+    on later calls without calling them.  Recording runs :meth:`_run` on
+    registers, and only a plan whose recording was refused runs it on
+    numbers.  The field also keeps the values of its last call through
+    :meth:`_values`: a step, `operator_values`, and step 0 of a solve.  A
+    call with the same word plan, the same time, of the same type and sign
+    (-0.0 and 0.0, or 0 and 0.0, differ), and a state of the same bytes
+    gets them without running the tape nor, for a refused plan, the
+    lambdas themselves: the K phases of an ensemble and the phase-averaged
+    step share one plan, so they evaluate once.  A time with no hash or no
+    float sign, such as a complex number or a numpy array, and a call that
+    raises leave the memo as it was.  The later steps of a solve, whose
+    time moves on every step, call :meth:`_evaluate` and neither read nor
+    fill the memo.  A caller whose parameters change builds a new field.
     """
 
     def __init__(self, m: int, a: Callable, b: Callable, name: str = "custom"):
@@ -448,9 +429,9 @@ class CoefficientField:
         # oscillator means folded into a, as a + mean * b, in order
         self._means: tuple[complex, ...] = ()
         self.name = name
-        # (word plan, tape) pairs, the one used last first; None for a plan
-        # whose recording was refused
-        self._tapes: list[tuple[WordPlan, _Tape | None]] = []
+        # the tape of each word plan, the one used last last; None for a
+        # plan whose recording was refused
+        self._tapes: dict[WordPlan, Callable | None] = {}
         # the last call: (plan, t, type of t, sign of t, state bytes, values)
         self._last: tuple = (None,) * 6
 
@@ -483,7 +464,7 @@ class CoefficientField:
     def _on_jets(self, origin: Jet, values) -> tuple[list[Jet], list[Jet]]:
         """`a` and `b` on the jets of ``(t, u)`` on `origin`'s base point and
         order, whose values are `values`; every component made a jet.  The
-        jets are made once, so each coordinate is tested for zero once."""
+        jets are made once, for both functions."""
         tj, *uj = (origin._variable(i, x) for i, x in enumerate(values))
         return self._pair(tj, uj, lambda v: v if isinstance(v, Jet) else origin._constant(v))
 
@@ -535,29 +516,31 @@ class CoefficientField:
         return self._taped(plan, (complex(t), *u))
 
     def _taped(self, plan: WordPlan, base: tuple) -> list:
-        """`plan`'s values at the base point `base` from the first of this
-        field's tapes for `plan` whose guards hold there, or else from a
-        tape recorded at `base`; that tape goes first in `_tapes`, and the
-        last of `TAPE_CACHE_SIZE` goes.  A plan whose recording was refused
-        runs `_run` on numbers."""
+        """`plan`'s values at the base point `base` from this field's tape
+        for `plan`, recorded at the plan's first call; the field keeps the
+        tapes of the `TAPE_CACHE_SIZE` plans it used last.  A plan whose
+        recording was refused, and a replay stopped by a zero divisor, run
+        `_run` on numbers."""
         tapes = self._tapes
-        for i, (p, tape) in enumerate(tapes):
-            # a refused plan, or a tape whose guards hold
-            if p is plan and (tape is None or (values := tape(base)) is not None):
-                tapes.insert(0, tapes.pop(i))
-                break
-        else:
-            tape, values = self._record(plan, base)
-            tapes.insert(0, (plan, tape))
-            del tapes[TAPE_CACHE_SIZE:]
-        # a refused plan: what its recording would have followed, on numbers
-        return values if tape is not None else self._run(plan, Jet(base, plan.order, {}), base)
+        tape = tapes.pop(plan) if plan in tapes else self._record(plan, base)
+        tapes[plan] = tape
+        if len(tapes) > TAPE_CACHE_SIZE:
+            del tapes[next(iter(tapes))]
+        if tape is not None:
+            try:
+                return tape(base)
+            except ZeroDivisionError:
+                # a guard found its divisor zero: the jets raise there, or
+                # the lambdas catch it
+                pass
+        # a refused plan or a zero divisor: what the recording followed, on numbers
+        return self._run(plan, Jet(base, plan.order, {}), base)
 
-    def _record(self, plan: WordPlan, base: tuple) -> tuple:
-        """A tape of `plan` and its values at `base`, recorded by `_run` on
-        registers that carry ``(t, u)``; None and None if the recording was
-        refused.  Anything else the lambdas or the jets raise propagates:
-        the recording does what `_run` does on numbers."""
+    def _record(self, plan: WordPlan, base: tuple):
+        """A tape of `plan`, recorded by `_run` on registers that carry the
+        base point `base`, or None if the recording was refused.  Anything
+        else the lambdas or the jets raise propagates: the recording does
+        what `_run` does on numbers."""
         rec = _Recorder()
         origin = Jet((), plan.order, {})
         origin.base, origin.nvars = rec, self.m + 1
@@ -565,12 +548,11 @@ class CoefficientField:
         try:
             values = self._run(plan, origin, inputs)
             if rec.failed:
-                # the lambdas caught the refusal
+                # the lambdas caught a refusal or a zero divisor
                 raise _Untraceable("the recording was refused")
         except _Untraceable:
-            return None, None
-        return (_Tape(*rec.compile(inputs, values)),
-                [x.value if type(x) is _Register else x for x in values])
+            return None
+        return rec.compile(inputs, values)
 
 
 def absorb_mean(fld: CoefficientField, meanv: complex) -> CoefficientField:
@@ -670,10 +652,10 @@ class _Untraceable(Exception):
 
 
 class _Recorder:
-    """Records scalar operations and zero tests on registers as lines of
-    Python source, and compiles them into one straight-line function (see
-    the module docstring).  While a field is recorded it is also its jets'
-    base point, which refuses to be read."""
+    """Records scalar operations on registers, and the tests of divisors
+    for zero, as lines of Python source, and compiles them into one
+    straight-line function (see the module docstring).  While a field is
+    recorded it is also its jets' base point, which refuses to be read."""
 
     def __init__(self):
         self.lines: list[str] = []
@@ -710,31 +692,28 @@ class _Recorder:
 
     def scale(self, terms: dict, n) -> dict:
         """``Jet * n`` on recorded coefficients, for an int, float or
-        complex `n` or a register (the reciprocal's ``1.0 / f0``), with
-        the products' zero tests of jet arithmetic."""
+        complex `n` or a register (the reciprocal's ``1.0 / f0``)."""
         if type(n) is not _Register and type(n) not in _NUMBERS:
             self.refuse()
         out = {}
         for k, c in terms.items():
             v = c * n
-            if type(v) is _Product:
-                v = self.emit(f"{c.name} * {n.name}", v.value)
-            if v != 0:
-                out[k] = v
+            out[k] = self.emit(f"{c.name} * {n.name}", v.value) if type(v) is _Product else v
         return out
 
     def compile(self, inputs: list, values: list):
-        """The recorded lines as ``(replay, constants)``: ``replay(x,
-        constants)`` unpacks `x` into the registers `inputs` and runs the
-        lines, guards included, then returns `values`."""
+        """The tape: the recorded lines compiled as ``replay(K, x)``, which
+        unpacks the constants `K` and the base point `x` into the registers
+        `inputs` and runs the lines, guards included, then returns `values`;
+        bound to this recording's constants, so that it takes `x` alone."""
         result = f"[{', '.join(map(self.operand, values))}]"
         source = "\n".join([
-            "def replay(x, K):",
+            "def replay(K, x):",
             f"    [{', '.join(r.name for r in inputs)}] = x",
             f"    [{', '.join(name for name, _ in self.constants.values())}] = K",
             *(f"    {line}" for line in self.lines),
             f"    return {result}"])
-        return _function(source), tuple(x for _, x in self.constants.values())
+        return partial(_function(source), tuple(x for _, x in self.constants.values()))
 
 
 # compiled tapes kept by source; each field holds its own too
@@ -751,10 +730,12 @@ class _Register:
     """A register while a tape is recorded: jets and the dict kernels
     compute on these as they do on numbers, and each operation becomes a
     line of the replay and computes the register's value as that line
-    does.  A comparison with zero, by which the kernels drop keys, is
-    answered from the value and becomes a guard line of the replay, which
-    returns None there unless the register compares as it did; any other
-    use of the value stops the recording."""
+    does.  The reciprocal's comparison of its divisor with zero is
+    answered from the value: nonzero, it becomes a guard line of the
+    replay, which stops there if the register is zero; zero, it marks the
+    recording refused, in case the lambdas catch the jets' error.  A
+    comparison with anything else, a truth test, or an operand of a type
+    the replay cannot take, stops the recording."""
 
     __slots__ = ("rec", "name", "value")
 
@@ -791,13 +772,18 @@ class _Register:
     def __eq__(self, other):
         if type(other) not in _NUMBERS or other != 0:
             self.rec.refuse()
-        zero = self.value == 0
+        if self.value == 0:
+            # the jets raise here; lambdas that catch it take a branch the
+            # tape could not leave
+            self.rec.failed = True
+            return True
         # registers hold complex numbers, for which `not r` is `r == 0`
-        self.rec.lines.append(f"if {'' if zero else 'not '}{self.name}: return None")
-        return zero
+        self.rec.lines.append(f"if not {self.name}: raise ZeroDivisionError")
+        return False
 
+    # a truth test or `!=` would bake one branch into the tape
     def __ne__(self, other):
-        return not self == other
+        self.rec.refuse()
 
     def __bool__(self):
         self.rec.refuse()
@@ -816,26 +802,6 @@ class _Product:
         # a product sum's first term, after 0.0 or a constant
         rec = self.x.rec
         return rec.emit(f"{rec.operand(other)} + {self.x.name} * {self.y.name}", other + self.value)
-
-
-class _Tape:
-    """A field's `a` and `b` and a word plan's kernels, recorded by running
-    :meth:`CoefficientField._run` on jets whose coefficients are registers
-    that carry one call's ``(t, u)``, and compiled to one function from the
-    base point ``(t, u_1, ..., u_m)`` to the plan's values, guarded by that
-    call's outcome of every zero test where the test was made (see the
-    module docstring)."""
-
-    __slots__ = ("replay", "constants")
-
-    def __init__(self, replay, constants: tuple):
-        self.replay, self.constants = replay, constants
-
-    def __call__(self, base: tuple) -> list[complex] | None:
-        """The plan's values at the base point `base`, or None if the jets
-        or the kernels would drop a key that the recording kept, or keep one
-        it dropped."""
-        return self.replay(base, self.constants)
 
 
 # word plans in use, by their pairs
@@ -863,7 +829,7 @@ def operator_values(field: CoefficientField,
     jets of common sub-words, each truncated to the order still needed on
     top of it; truncation commutes with every jet operation, so the values
     are those of a full-order evaluation, bit for bit.  Calls with the same
-    pairs share one word plan and its tapes.  Returns
+    pairs share one word plan, and so one tape per field.  Returns
     ``{(target, op_word): values}`` with `op_word` as a tuple.
     """
     pairs = tuple(dict.fromkeys((target, tuple(word)) for target, word in pairs))

@@ -19,12 +19,21 @@ from oscistep.stepping import StepResult
 
 
 class RefJet:
-    """Truncated Taylor series keyed by tuple multi-indices."""
+    """Truncated Taylor series keyed by tuple multi-indices.  A key is kept
+    when an operation formed it, whatever its value; only the constructor's
+    input and a constant drop a zero."""
 
     def __init__(self, base, order, coeffs):
         self.base = tuple(complex(x) for x in base)
         self.order = int(order)
         self.coeffs = {a: complex(c) for a, c in coeffs.items() if c != 0}
+
+    def _formed(self, coeffs, order=None):
+        """A jet on this one's base point of `coeffs` as operations formed
+        them, zeros included."""
+        out = RefJet(self.base, self.order if order is None else order, {})
+        out.coeffs = {a: complex(c) for a, c in coeffs.items()}
+        return out
 
     @classmethod
     def constant(cls, value, base, order):
@@ -37,7 +46,7 @@ class RefJet:
         coeffs = {zero: complex(base[index])}
         if order >= 1:
             coeffs[unit] = 1.0 + 0.0j
-        return cls(base, order, coeffs)
+        return cls(base, order, {})._formed(coeffs)
 
     @property
     def value(self):
@@ -46,8 +55,7 @@ class RefJet:
     def truncate(self, order):
         if order >= self.order:
             return self
-        return RefJet(self.base, order,
-                      {a: c for a, c in self.coeffs.items() if sum(a) <= order})
+        return self._formed({a: c for a, c in self.coeffs.items() if sum(a) <= order}, order)
 
     def partial(self, index):
         out = {}
@@ -58,7 +66,7 @@ class RefJet:
             b[index] -= 1
             if sum(b) <= self.order - 1:
                 out[tuple(b)] = c * a[index]
-        return RefJet(self.base, self.order - 1, out)
+        return self._formed(out, self.order - 1)
 
     def _coerce(self, other):
         if isinstance(other, RefJet):
@@ -70,12 +78,12 @@ class RefJet:
         out = dict(self.coeffs)
         for a, c in other.coeffs.items():
             out[a] = out.get(a, 0.0) + c
-        return RefJet(self.base, self.order, out)
+        return self._formed(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RefJet(self.base, self.order, {a: -c for a, c in self.coeffs.items()})
+        return self._formed({a: -c for a, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -85,8 +93,7 @@ class RefJet:
 
     def __mul__(self, other):
         if not isinstance(other, RefJet):
-            return RefJet(self.base, self.order,
-                          {a: c * other for a, c in self.coeffs.items()})
+            return self._formed({a: c * other for a, c in self.coeffs.items()})
         out = {}
         for a, ca in self.coeffs.items():
             da = sum(a)
@@ -95,7 +102,7 @@ class RefJet:
                     continue
                 key = tuple(x + y for x, y in zip(a, b))
                 out[key] = out.get(key, 0.0) + ca * cb
-        return RefJet(self.base, self.order, out)
+        return self._formed(out)
 
     __rmul__ = __mul__
 
@@ -129,7 +136,10 @@ class RefJet:
 
 
 def _field_values(fn, t, u):
-    return np.array([complex(x) for x in fn(complex(t), list(u))])
+    # numpy's scalars, where a division by zero gives inf or NaN, without
+    # a warning, as the library's plans of order 0 run them
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.array([complex(x) for x in fn(complex(t), list(u))])
 
 
 def _field_jets(fn, m, t, u, order):

@@ -1,11 +1,11 @@
 """The operator tape reproduces the jets and kernels bit for bit.
 
-A field records its lambdas and a word plan's kernels on the values of
-one call, with a guard per zero test, and replays the recording on later
-calls whose zero tests come out the same; any other call records again.
-Every result is compared with ``reference_step``, which runs the lambdas
-on tuple-keyed jets, by the ``repr`` of its Python values; an exception
-must be of the same type.
+A field records its lambdas and a word plan's kernels once, on the values
+of the plan's first call, and replays the recording on every later call;
+its one kind of guard is a reciprocal's test of its divisor.  Every
+result is compared with ``reference_step``, which runs the lambdas on
+tuple-keyed jets, by the ``repr`` of its Python values; an exception must
+be of the same type.
 """
 
 import operator
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import reference_step as ref
 import oscistep.jets as jets
+from test_reference_step import recordings, tapes  # noqa: F401  (a fixture)
 from oscistep import (NumericStepError, TruncationPolicy, build_scheme, builtin_field,
                       make_field, make_oscillator, operator_values, rk4_micro_solve, solve,
                       step, step_phase_averaged)
@@ -86,13 +87,13 @@ def cases(draw):
     policy = (2, 2) if m == 3 else draw(st.sampled_from([(2, 2), (4, 2)]))
     if draw(st.booleans()):
         # a_i = c and b_i = u_i - c t: L0 b_i = -c + c * 1 cancels among
-        # constants, so the recording drops its key
+        # constants to an exact zero, which the recording keeps
         i = draw(st.integers(0, m - 1))
         c = draw(st.one_of(st.sampled_from(CONSTANTS),
                            st.complex_numbers(max_magnitude=4, allow_nan=False,
                                               allow_infinity=False)))
         a[i], b[i] = ("c", c), ("-", ("u", i), ("*", ("c", c), ("t",)))
-    # a second call, whose zero tests may come out otherwise
+    # a second call, where other values may be exact zeros
     again = draw(times), np.array(draw(st.lists(values, min_size=m, max_size=m)), dtype=complex)
     return m, rational, a, b, t, u, policy, again
 
@@ -124,14 +125,13 @@ def test_random_fields_match_reference(case):
         else:
             traj = solve(scheme, field, t, u, t + 3 * h, h)
             assert [exact(x) for _, x in traj[1:]] == want
-        # another call, then the first again: each replays a tape whose
-        # guards hold there, or records one
+        # another call, then the first again, each replaying the tape
         for t2, u2 in (again, (t, u)):
             assert outcome(lambda: step(scheme, field, t2, u2, h)) == \
                    outcome(lambda: ref.step(scheme, field, t2, u2, h))
     if not rational:
         # a polynomial field is always recorded
-        assert field._tapes and None not in [tape for _, tape in field._tapes]
+        assert len(tapes(field)) == 1 and None not in tapes(field).values()
 
 
 def fresh_table(policy=(4, 2)):
@@ -177,42 +177,12 @@ def test_lambdas_a_tape_cannot_follow_run_on_jets(name):
                outcome(lambda: ref.step(scheme, field, t, u, 0.1))
     # a refused plan keeps one entry, and a recording that raised none, so
     # every call records again and raises what the jets raise
-    assert field._tapes == ([] if name in RAISING else [(scheme.entries.plan[0], None)])
+    assert tapes(field) == ({} if name in RAISING else {scheme.entries.plan[0]: None})
 
 
-@pytest.fixture
-def field_misses(monkeypatch):
-    """One entry per tape replay: whether a guard failed, so that the call
-    went on to the field's next tape for the plan or recorded one."""
-    out = []
-    replay = jets._Tape.__call__
-
-    def spying(tape, base):
-        values = replay(tape, base)
-        out.append(values is None)
-        return values
-
-    monkeypatch.setattr(jets._Tape, "__call__", spying)
-    return out
-
-
-def test_a_zero_the_recording_did_not_have_falls_back_once(field_misses):
-    # b = u^2 - t is exactly zero at u = 0.5, t = 0.25: a second tape
-    field = make_field(1, lambda t, u: [0.5 * u[0]], lambda t, u: [u[0] * u[0] - t])
-    scheme = fresh_table()
-    for t, u in ((0.1, 1.2), (0.25, 0.5), (0.2, 0.8 + 0.1j)):
-        u = np.array([u], dtype=complex)
-        assert outcome(lambda: step(scheme, field, t, u, 0.1)) == \
-               outcome(lambda: ref.step(scheme, field, t, u, 0.1))
-    # the last call tries the second tape first, then replays the first
-    assert field_misses == [True, True, False]
-    assert len(field._tapes) == 2
-
-
-def test_a_division_by_zero_in_a_replay_falls_back_once(field_misses):
+def test_a_replay_meeting_a_zero_divisor_raises_and_records_nothing(recordings):
     # 1 / (u - t) divides by zero at u = t; the replay's guard on u - t
-    # stops it before the division, and the recording there raises as the
-    # jets do and keeps no tape
+    # stops it before the division, and the jets on numbers raise
     field = make_field(1, lambda t, u: [1 / (u[0] - t)], lambda t, u: [u[0]])
     scheme = fresh_table()
     for t, u in ((0.25, 49.25), (0.5, 0.5), (0.5, 49.5)):
@@ -221,11 +191,69 @@ def test_a_division_by_zero_in_a_replay_falls_back_once(field_misses):
                outcome(lambda: ref.step(scheme, field, t, u, 0.1))
     assert outcome(lambda: ref.step(scheme, field, 0.5, np.array([0.5 + 0j]), 0.1)) \
         is ZeroDivisionError
-    assert field_misses == [True, False]
-    assert len(field._tapes) == 1
-    # the jets' own error, not the replay's
-    with pytest.raises(ZeroDivisionError, match="jet with zero value has no reciprocal"):
+    [tape] = tapes(field).values()
+    with pytest.raises(ZeroDivisionError, match="^jet with zero value has no reciprocal$") as info:
         step(scheme, field, 0.5, np.array([0.5 + 0j]), 0.1)
+    # raised by the jets' reciprocal alone, with no error of the replay
+    # chained to it; the next call replays the tape again
+    assert info.traceback[-1].name == "reciprocal" and info.value.__context__ is None
+    step(scheme, field, 0.6, np.array([49.5 + 0j]), 0.1)
+    assert len(recordings) == 1 and list(tapes(field).values()) == [tape]
+
+
+def catching(t, u):
+    """`a` that catches the error of dividing by u - t = 0."""
+    try:
+        return [1 / (u[0] - t)]
+    except ZeroDivisionError:
+        return [0.25 * t]
+
+
+@pytest.mark.parametrize("first", ["zero", "nonzero"])
+def test_a_field_that_catches_a_zero_divisor_matches_the_reference(first, recordings):
+    # recorded at the zero divisor, the caught error refuses the plan, which
+    # then runs on numbers; recorded elsewhere, the tape's guard sends the
+    # zero divisor to the numbers, where the lambda catches it again
+    field = make_field(1, catching, lambda t, u: [u[0]])
+    scheme = fresh_table()
+    points = [(0.25, 49.25), (0.5, 0.5), (0.5, 49.5), (0.5, 0.5), (0.75, 1.5)]
+    if first == "zero":
+        points = points[1:] + points[:1]
+    for t, u in points:
+        u = np.array([u], dtype=complex)
+        assert outcome(lambda: step(scheme, field, t, u, 0.1)) == \
+               outcome(lambda: ref.step(scheme, field, t, u, 0.1))
+    [kept] = tapes(field).values()
+    assert len(recordings) == 1 and (kept is None) == (first == "zero")
+
+
+def test_a_recording_meeting_a_zero_divisor_raises_and_keeps_no_tape(recordings):
+    # the first call divides by zero: the jets raise while it is recorded,
+    # and the next call records again
+    field = make_field(1, lambda t, u: [1 / (u[0] - t)], lambda t, u: [u[0]])
+    scheme = fresh_table()
+    with pytest.raises(ZeroDivisionError, match="^jet with zero value has no reciprocal$") as info:
+        step(scheme, field, 0.5, np.array([0.5 + 0j]), 0.1)
+    assert info.traceback[-1].frame.code.raw.co_filename != "<tape>"
+    assert tapes(field) == {}
+    u = np.array([49.5 + 0j])
+    assert outcome(lambda: step(scheme, field, 0.5, u, 0.1)) == \
+           outcome(lambda: ref.step(scheme, field, 0.5, u, 0.1))
+    assert len(recordings) == 2 and len(tapes(field)) == 1
+
+
+def test_a_key_that_cancels_is_kept_while_recording(recordings):
+    # u - u cancels to exact zeros, which stay values: the jets and the
+    # recording both multiply them by 10**400, which raises OverflowError
+    field = make_field(1, lambda t, u: [(u[0] - u[0]) * 10**400 + t],
+                       lambda t, u: [u[0] * 0.5])
+    scheme = fresh_table()
+    for t, u in ((0.2, 0.9), (0.3, 0.8 - 0.1j)):
+        u = np.array([u], dtype=complex)
+        assert outcome(lambda: step(scheme, field, t, u, 0.1)) is OverflowError
+        assert outcome(lambda: ref.step(scheme, field, t, u, 0.1)) is OverflowError
+    # a recording that raised keeps no tape
+    assert len(recordings) == 2 and tapes(field) == {}
 
 
 # fields whose jets divide by a register
@@ -255,19 +283,16 @@ def sources(monkeypatch):
 
 
 def tape_lines(source: str) -> list[tuple[str | None, str | None]]:
-    """Each line of a tape's source as ``(kind, register)``: "zero" for a
-    guard ``if rN: return None`` (the recording found rN zero), "nonzero"
-    for ``if not rN: return None``, "division" for a line that divides by
-    rN, "update" for ``rN += ...``, and ``(None, None)`` for any other."""
+    """Each line of a tape's source as ``(kind, register)``: "guard" for
+    ``if not rN: raise ZeroDivisionError``, "division" for a line that
+    divides by rN, and ``(None, None)`` for any other."""
     out = []
     for line in source.splitlines():
         line = line.strip()
-        if m := re.fullmatch(r"if (not )?(\w+): return None", line):
-            out.append(("nonzero" if m[1] else "zero", m[2]))
+        if m := re.fullmatch(r"if not (\w+): raise ZeroDivisionError", line):
+            out.append(("guard", m[1]))
         elif m := re.fullmatch(r"\w+ = \w+ / (\w+)", line):
             out.append(("division", m[1]))
-        elif m := re.fullmatch(r"(\w+) \+= .*", line):
-            out.append(("update", m[1]))
         else:
             out.append((None, None))
     return out
@@ -286,13 +311,12 @@ def seeded_steps(field, policy, n=8):
 @pytest.mark.parametrize("name", DIVIDING)
 def test_a_replay_checks_each_divisor_before_dividing(name, policy, sources):
     seeded_steps(DIVIDING[name](), policy)
-    assert sources
-    for source in sources:
-        lines = tape_lines(source)
-        divisions = [(i, r) for i, (kind, r) in enumerate(lines) if kind == "division"]
-        assert divisions
-        for i, divisor in divisions:
-            assert ("nonzero", divisor) in lines[:i]
+    [source] = sources
+    lines = tape_lines(source)
+    divisions = [(i, r) for i, (kind, r) in enumerate(lines) if kind == "division"]
+    assert divisions
+    for i, divisor in divisions:
+        assert ("guard", divisor) in lines[:i]
 
 
 @pytest.mark.parametrize("fn", [step, step_phase_averaged], ids=["plain", "averaged"])
@@ -327,21 +351,16 @@ POLYNOMIAL = {
     for name, policy in [*((n, p) for n in POLYNOMIAL for p in ((4, 2), (8, 2))),
                          *((n, (4, 2)) for n in DIVIDING)]])
 def test_a_tape_tests_each_value_for_zero_once(name, policy, sources):
-    # a register is tested where it is formed and again only after a
-    # product sum adds to it; the one exception is a reciprocal's divisor,
-    # tested again right before the division
+    # no value is tested for zero but a reciprocal's divisor, once, right
+    # before the first division by it; seeded steps at other values all
+    # replay one tape
     seeded_steps({**POLYNOMIAL, **DIVIDING}[name](), policy)
-    assert sources
-    for source in sources:
-        lines = tape_lines(source)
-        tested = set()
-        for i, (kind, r) in enumerate(lines):
-            if kind == "update":
-                tested.discard(r)
-            elif kind in ("zero", "nonzero"):
-                assert r not in tested or lines[i + 1] == ("division", r), \
-                    source.splitlines()[i]
-                tested.add(r)
+    [source] = sources
+    lines = tape_lines(source)
+    guards = [(i, r) for i, (kind, r) in enumerate(lines) if kind == "guard"]
+    assert all(lines[i + 1] == ("division", r) for i, r in guards)
+    assert len({r for _, r in guards}) == len(guards)
+    assert bool(guards) == (name in DIVIDING)
 
 
 def test_each_function_gets_its_own_state_list():
@@ -366,7 +385,7 @@ def test_each_function_gets_its_own_state_list():
                outcome(lambda: ref.step(scheme, field, t, u, 0.1))
         assert outcome(lambda: step(scheme, with_mean, t, u, 0.1)) == \
                outcome(lambda: step(scheme, twin, t, u, 0.1))
-    assert len(field._tapes) == 1
+    assert len(tapes(field)) == 1
 
 
 def test_a_mean_field_calls_b_once_per_point(sources):
@@ -381,7 +400,7 @@ def test_a_mean_field_calls_b_once_per_point(sources):
     u = np.array([0.9 + 0.1j])
     step(fresh_table(), field, 0.2, u, 0.1)
     # one recording, so one call on jets, and `b`'s jets recorded once
-    assert len(calls) == 1 and [len(s.splitlines()) for s in sources] == [130]
+    assert len(calls) == 1 and [len(s.splitlines()) for s in sources] == [105]
     step(build_scheme(OSC, TruncationPolicy(1, 1)), field, 0.3, u, 0.1)
     assert len(calls) == 2
     dt = OSC.period / 40
@@ -390,19 +409,12 @@ def test_a_mean_field_calls_b_once_per_point(sources):
 
 
 def test_a_failing_replay_stops_at_its_guard(sources):
-    # power at gamma = 2 takes the reciprocal of u, whose bracket
-    # 1 - u * (1/u) is exactly zero for some u and not for others
-    def bracket(u):
-        return (1 + 0j) + -(u * (1.0 / u))
-
-    rng = np.random.default_rng(3)
-    us = (rng.uniform(0.5, 1.5, 50) + 1j * rng.uniform(-0.3, 0.3, 50)).tolist()
-    zero = next(u for u in us if bracket(u) == 0)
-    nonzero = next(u for u in us if bracket(u) != 0)
+    # power at gamma = 2 takes the reciprocal of u, whose guard tests the
+    # state's register itself
     field = builtin_field("power", gamma=2)
-    step(fresh_table(), field, 0.3, np.array([zero]), 0.1)
+    step(fresh_table(), field, 0.3, np.array([0.9 + 0.1j]), 0.1)
     [source] = sources
-    [(_, tape)] = field._tapes
+    [tape] = tapes(field).values()
     # the replay's line events, with its locals at each
     events = []
 
@@ -414,36 +426,22 @@ def test_a_failing_replay_stops_at_its_guard(sources):
     old = sys.gettrace()
     sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename == "<tape>" else None)
     try:
-        assert tape((0.3 + 0j, nonzero)) is None
+        with pytest.raises(ZeroDivisionError):
+            tape((0.3 + 0j, 0j))
     finally:
         sys.settrace(old)
     numbers = [n for n, _ in events]
     last = numbers[-1]
-    lines = source.splitlines()
-    # straight-line code, run up to the bracket's guard and no further
+    lines = tape_lines(source)
+    # straight-line code, run up to the divisor's guard and no further
     assert numbers == list(range(2, last + 1))
-    guard = re.fullmatch(r"\s*if (r\d+): return None", lines[last - 1])
-    assert guard and events[-1][1][guard[1]] == bracket(nonzero)
-    # operations after the guard did not run
-    assert any(re.match(r"\s*r\d+ \+?= ", line) for line in lines[last:])
+    kind, divisor = lines[last - 1]
+    assert kind == "guard" and events[-1][1][divisor] == 0
+    assert lines[last] == ("division", divisor)
 
 
-def test_a_key_that_cancels_is_dropped_while_recording(field_misses):
-    # u - u cancels, so neither the jets nor the tape multiply a
-    # coefficient by 10**400, which would raise OverflowError
-    field = make_field(1, lambda t, u: [(u[0] - u[0]) * 10**400 + t],
-                       lambda t, u: [u[0] * 0.5])
-    scheme = fresh_table()
-    for t, u in ((0.2, 0.9), (0.3, 0.8 - 0.1j)):
-        u = np.array([u], dtype=complex)
-        assert outcome(lambda: step(scheme, field, t, u, 0.1)) == \
-               outcome(lambda: ref.step(scheme, field, t, u, 0.1))
-    assert field_misses == [False]
-    assert len(field._tapes) == 1
-
-
-def test_a_product_with_zero_is_checked_for_zero(field_misses):
-    # 0.0 * u drops its key, which the jets keep as nan at u = inf
+def test_a_product_with_zero_keeps_its_key(recordings):
+    # 0.0 * u keeps its key, which is nan at u = inf, as in the jets
     field = make_field(1, lambda t, u: [0.0 * u[0] + t], lambda t, u: [u[0] * 0.5])
     scheme = fresh_table()
     pairs = [(e.word.target, e.word.operator_word) for e in scheme.entries]
@@ -452,10 +450,7 @@ def test_a_product_with_zero_is_checked_for_zero(field_misses):
         want = ref.operator_values(field, pairs, 0.3, [u])
         assert list(got) == list(want)
         assert all(exact(got[k]) == exact(want[k]) for k in want)
-    # u = inf records a tape that keeps the nan; u = 0.9 misses it and
-    # replays the first
-    assert field_misses == [True, True, False]
-    assert len(field._tapes) == 2
+    assert len(recordings) == 1
 
 
 def scaled_field(c):
@@ -469,14 +464,13 @@ def test_fields_differing_in_constants_share_the_compiled_replay():
     for field in (*fields, fields[0]):
         assert outcome(lambda: step(scheme, field, 0.2, u, 0.1)) == \
                outcome(lambda: ref.step(scheme, field, 0.2, u, 0.1))
-    first, second = (f._tapes[0][1] for f in fields)
-    assert first is not second and first.constants != second.constants
+    [first], [second] = (tapes(f).values() for f in fields)
+    assert first is not second and first.args != second.args
     # constants are arguments, so the two share one compiled function
-    assert first.replay is second.replay
-    assert [len(f._tapes) for f in fields] == [1, 1]
+    assert first.func is second.func
 
 
-def test_two_plans_on_one_field_get_separate_tapes(field_misses):
+def test_two_plans_on_one_field_get_separate_tapes(recordings):
     field = scaled_field(0.5)
     schemes = [fresh_table((4, 2)), fresh_table((8, 2))]
     u = np.array([0.9 + 0.1j])
@@ -484,9 +478,24 @@ def test_two_plans_on_one_field_get_separate_tapes(field_misses):
     for scheme, t in ((schemes[0], 0.2), (schemes[1], 0.2), (schemes[0], 0.3)):
         assert outcome(lambda: step(scheme, field, t, u, 0.1)) == \
                outcome(lambda: ref.step(scheme, field, t, u, 0.1))
-    # the tape used last comes first
-    assert [plan for plan, _ in field._tapes] == [s.entries.plan[0] for s in schemes]
-    assert field_misses == [False]
+    # the tape used last comes last
+    assert list(tapes(field)) == [s.entries.plan[0] for s in reversed(schemes)]
+    assert len(recordings) == 2
+
+
+def test_the_tape_used_longest_ago_goes(recordings):
+    # one plan more than a field keeps tapes of; the first is used again
+    # before the last is recorded, so the second goes
+    field = scaled_field(0.5)
+    u = np.array([0.9 + 0.1j])
+    plans = [[("a", ("L0",) * k)] for k in range(1, jets.TAPE_CACHE_SIZE + 2)]
+    for pairs in [*plans[:-1], plans[0], plans[-1], plans[0]]:
+        got = operator_values(field, pairs, 0.2, u)
+        want = ref.operator_values(field, pairs, 0.2, u)
+        assert all(exact(got[k]) == exact(want[k]) for k in want)
+    assert len(recordings) == len(plans)
+    # the one used last last
+    assert list(tapes(field)) == [jets._plan(p) for p in [*plans[2:], plans[0]]]
 
 
 def on_the_value_register(use):
@@ -507,6 +516,7 @@ def on_the_value_register(use):
 REGISTER_USES = {
     "operand": lambda r: r * np.float64(0.5),
     "__eq__": lambda r: r == 1.5,
+    "__ne__": lambda r: r != 0,
     "__bool__": lambda r: bool(r),
 }
 
@@ -530,4 +540,4 @@ def test_a_register_used_otherwise_refuses_the_recording(name, monkeypatch):
                outcome(lambda: ref.step(scheme, field, t, u, 0.1))
     # refused once, where the register was used; the plan then runs on numbers
     assert refused_in == [name]
-    assert field._tapes == [(scheme.entries.plan[0], None)]
+    assert tapes(field) == {scheme.entries.plan[0]: None}

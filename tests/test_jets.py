@@ -30,7 +30,8 @@ class TestJetArithmetic:
         base = (0.0,)
         x = var(0, base, 1)
         prod = (1 + x) * (1 - x)
-        assert prod.coeffs == {(0,): 1.0 + 0.0j}
+        # the order-1 key cancels to an exact zero, which stays a value
+        assert repr(prod.coeffs) == repr({(0,): 1.0 + 0.0j, (1,): 0j})
 
     def test_exact_product_order2(self):
         base = (0.0,)
@@ -115,23 +116,24 @@ class TestJetArithmetic:
 
 
 class TestKernels:
-    # the kernels take series with no exact zero and keep none; `repr`
-    # compares every key in order and the sign of every zero
-    def test_a_product_sum_that_cancels_is_dropped(self):
+    # the kernels keep every key an operation formed, exact zeros
+    # included; `repr` compares every key in order and the sign of every
+    # zero
+    def test_a_product_sum_that_cancels_is_kept(self):
         x = {0: 1.0 + 0j, 1: 1.0 + 0j}
         y = {0: 1.0 + 0j, 1: -1.0 + 0j}
-        # (1 + x)(1 - x) = 1 - x^2, and below 2 only the 1 is left
-        assert repr(_mul(x, y, 3)) == repr({0: 1.0 + 0j, 2: -1.0 + 0j})
-        assert repr(_mul(x, y, 2)) == repr({0: 1.0 + 0j})
+        # (1 + x)(1 - x) = 1 + 0 x - x^2, truncated below 3 and below 2
+        assert repr(_mul(x, y, 3)) == repr({0: 1.0 + 0j, 1: 0j, 2: -1.0 + 0j})
+        assert repr(_mul(x, y, 2)) == repr({0: 1.0 + 0j, 1: 0j})
 
-    def test_a_sum_is_made_in_place_without_a_key_that_cancels(self):
+    def test_a_sum_is_made_in_place_with_a_key_that_cancels(self):
         x = {1: 2.0 + 0j, 2: 1.0 + 0j, 3: -0.5 + 0j}
         y = {2: -1.0 + 0j, 4: complex(-0.0, 3.0), 3: 0.25 + 0j}
         out = _add(x, y)
         assert out is x
-        # key 3 keeps its place; the new key 4 is 0.0 + c, whose real
-        # part is +0.0
-        assert repr(out) == repr({1: 2.0 + 0j, 3: -0.25 + 0j, 4: 3j})
+        # keys 2 and 3 keep their places; the new key 4 is 0.0 + c, whose
+        # real part is +0.0
+        assert repr(out) == repr({1: 2.0 + 0j, 2: 0j, 3: -0.25 + 0j, 4: 3j})
 
 
 class TestOperatorWords:

@@ -17,7 +17,7 @@ import reference_step as ref
 import oscistep.jets as jets
 from oscistep import (TruncationPolicy, build_scheme, builtin_field, make_field,
                       make_oscillator, operator_values, step, step_phase_averaged)
-from test_reference_step import FIELDS, assert_same, exact
+from test_reference_step import FIELDS, assert_same, exact, tapes
 
 K = 5
 
@@ -212,7 +212,7 @@ def test_nothing_but_the_caller_holds_a_field(calls):
         else:
             assert_same_values(operator_values(field, pairs, 0.2, u),
                                ref.operator_values(field, pairs, 0.2, u))
-    assert field._tapes and None not in [tape for _, tape in field._tapes]
+    assert tapes(field) and None not in tapes(field).values()
     alive = weakref.ref(field)
     del field
     gc.collect()
@@ -230,7 +230,7 @@ def test_an_untaped_field_runs_once_for_a_phase_group():
     field = make_field(1, a, lambda t, u: [0.5 * u[0] * u[0]])
     schemes = phase_group("exp", (4, 2))
     step(schemes[0], field, 0.1, np.array([1.2 + 0.1j]), 0.1)
-    assert [tape for _, tape in field._tapes] == [None]
+    assert list(tapes(field).values()) == [None]
     before = len(calls)
     step(schemes[0], field, 0.2, np.array([1.1 + 0.1j]), 0.1)
     one_step = len(calls) - before

@@ -127,15 +127,16 @@ def test_empty_table_matches_reference():
 
 @pytest.mark.parametrize("policy", [(4, 2), (8, 2)], ids=["4-2", "8-2"])
 @pytest.mark.parametrize("name", FIELDS)
-def test_solve_matches_reference_step_by_step(name, policy):
-    # a real start at t = 0 gives sparser jets than later steps, all run
-    # through the one plan the table compiled on its first step
+def test_solve_matches_reference_step_by_step(name, policy, recordings):
+    # a real start at t = 0 gives exact zeros that later steps do not have;
+    # the jets keep them as values, so the tape of step 0 serves every step
     field = FIELDS[name]()
     scheme = build_scheme(OSCILLATORS[0], TruncationPolicy.from_order(*policy))
     u = np.full(field.m, 0.9 + 0.0j)
     h = 0.05
     traj = solve(scheme, field, 0.0, u, 5 * h, h)
     assert len(traj) == 6
+    assert len(recordings) == 1
     for i, (t, got) in enumerate(traj[1:]):
         want = ref.step(scheme, field, i * h, u, h)
         assert repr(t) == repr(want.t_next)
@@ -247,7 +248,11 @@ def test_an_order_0_solve_reaching_zero_fails_as_a_non_finite_step():
     u0 = np.array([1.0 + 0.5j])
     want = solve_outcome(lambda: stepped(step, scheme, field, 0.0, u0, 0.125, 4))
     assert want == "NumericStepError: step 1 (t = 0.125): non-finite contribution from term V"
-    assert solve_outcome(lambda: solve(scheme, field, 0.0, u0, 0.5, 0.125)) == want
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve_outcome(lambda: stepped(ref.step, scheme, field, 0.0, u0, 0.125, 4)) \
+            == want
+        assert solve_outcome(lambda: solve(scheme, field, 0.0, u0, 0.5, 0.125)) == want
 
 
 def test_a_sum_of_finite_terms_overflowing_within_a_block_fails_as_its_steps_do():
@@ -310,8 +315,8 @@ def test_sums_split_into_statements_match_reference(monkeypatch):
 
 
 def test_jets_cancelling_to_zero_match_reference():
-    # u*u - u*u leaves exact zeros that the jets drop mid-word, so L1 b
-    # and every word built on it are empty jets
+    # u*u - u*u leaves exact zeros mid-word, which the jets keep as values,
+    # so L1 b and every word built on it are zero
     field = make_field(1, lambda t, u: [u[0] * u[0] * t - t * u[0] * u[0] + 0.5 * u[0]],
                        lambda t, u: [u[0] * u[0] - u[0] * u[0] + 1])
     rng = np.random.default_rng(5)
@@ -377,56 +382,45 @@ def fresh_table(policy=(4, 2)):
     return SchemeTable(built.oscillator, built.policy, list(built.entries))
 
 
-def tapes(field, scheme):
-    """The tapes `field` keeps for the word plan of `scheme`."""
-    plan = scheme.entries.plan[0]
-    return [tape for p, tape in field._tapes if p is plan]
+def tapes(field) -> dict:
+    """The tapes `field` keeps, by word plan, the one used last last; None
+    for a plan whose recording was refused."""
+    return dict(field._tapes)
 
 
 @pytest.fixture
-def tripped(monkeypatch):
-    """One entry per tape replay: whether a zero test came out otherwise
-    than in its recording, so that the step went on to the field's next
-    tape for the plan or recorded one."""
+def recordings(monkeypatch):
+    """The base point of every recording of a tape, in order."""
     out = []
-    replay = jets._Tape.__call__
+    record = jets.CoefficientField._record
 
-    def spying(tape, base):
-        values = replay(tape, base)
-        out.append(values is None)
-        return values
+    def counting(field, plan, base):
+        out.append(base)
+        return record(field, plan, base)
 
-    monkeypatch.setattr(jets._Tape, "__call__", spying)
+    monkeypatch.setattr(jets.CoefficientField, "_record", counting)
     return out
 
 
 ZERO_WORD_FIELDS = {
-    # L0 b = -c + c * 1 cancels to an exact zero, whose key the kernels drop
+    # L0 b = -c + c * 1 cancels to an exact zero among constants
     "cancelling": lambda: make_field(1, lambda t, u: [0.7], lambda t, u: [u[0] - 0.7 * t]),
-    # a * db/du = 1e-200 * 1e-200 underflows to zero, so the kernels leave
-    # L0 b = db/dt = -0.7 - 0j, and a replay that kept the zero would add
-    # it and print -0.7 + 0j
+    # a * db/du = 1e-200 * 1e-200 underflows to zero, and at t = 0, where
+    # b = u * 1e-200, L1 b = b * 1e-200 does too
     "underflowing": lambda: make_field(1, lambda t, u: [1e-200],
                                        lambda t, u: [-t * 0.7 + u[0] * 1e-200]),
 }
 
 
 @pytest.mark.parametrize("name", ZERO_WORD_FIELDS)
-def test_word_zero_on_every_step_runs_the_kernels(name, tripped):
+def test_word_zero_on_every_step_runs_the_kernels(name, recordings):
+    # the zeros are values: the tape recorded at t = 0 serves every step
     field = ZERO_WORD_FIELDS[name]()
     scheme = fresh_table()
     u = np.array([0.9 + 0.0j])
     h = 0.05
     traj = solve(scheme, field, 0.0, u, 5 * h, h)
-    # Operations on constants alone are done while recording: the
-    # cancelling field's L0 b is made of constants and drops its key there.
-    # The underflowing field's a * db/du is constant too, and at t = 0,
-    # where b = u * 1e-200, the recording finds L1 b = b * 1e-200
-    # underflowed to zero.  The tape of t = 0 keeps t's zero as a guard,
-    # which fails at the second step; that step records the tape the rest
-    # replay.
-    assert tripped == [True, False, False, False]
-    assert len(field._tapes) == 2
+    assert len(recordings) == 1 and list(tapes(field)) == [scheme.entries.plan[0]]
     for i, (t, got) in enumerate(traj[1:]):
         want = ref.step(scheme, field, i * h, u, h)
         assert repr(t) == repr(want.t_next)
@@ -436,22 +430,20 @@ def test_word_zero_on_every_step_runs_the_kernels(name, tripped):
     got = operator_values(field, pairs, 0.3, u)
     want = ref.operator_values(field, pairs, 0.3, u)
     assert all(exact(got[k]) == exact(want[k]) for k in want)
+    assert len(recordings) == 1
 
 
-def test_replay_resumes_after_a_zero_state(tripped):
+def test_replay_resumes_after_a_zero_state(recordings):
     # L0 b = -1 + 0.5 * 2u is exactly zero at u = 1 only
     field = make_field(1, lambda t, u: [0.5], lambda t, u: [u[0] * u[0] - t])
     scheme = fresh_table()
     for t, u in ((0.1, 1.2), (0.2, 1.0), (0.3, 0.8 + 0.1j)):
         u = np.array([u], dtype=complex)
         assert_same(step(scheme, field, t, u, 0.1), ref.step(scheme, field, t, u, 0.1))
-    # u = 1 records a second tape; the last step tries it first, then
-    # replays the first
-    assert tripped == [True, True, False]
-    assert len(tapes(field, scheme)) == 2
+    assert len(recordings) == 1
 
 
-def test_fields_of_two_dimensions_get_their_own_tapes(tripped):
+def test_fields_of_two_dimensions_get_their_own_tapes(recordings):
     scheme = fresh_table((8, 2))
     rng = np.random.default_rng(9)
     fields = [FIELDS["nonlinear"](),
@@ -460,11 +452,11 @@ def test_fields_of_two_dimensions_get_their_own_tapes(tripped):
         t, u = start_points(field.m, rng)[0]
         assert_same(step(scheme, field, t, u, 0.1), ref.step(scheme, field, t, u, 0.1))
     # two recordings, then one replay
-    assert tripped == [False]
-    assert [len(tapes(field, scheme)) for field in fields] == [1, 1]
+    assert len(recordings) == 2
+    assert [list(tapes(field)) for field in fields] == [[scheme.entries.plan[0]]] * 2
 
 
-def test_a_field_whose_sums_cancel_among_constants_never_trips(tripped):
+def test_a_field_whose_sums_cancel_among_constants_never_trips(recordings):
     # the coupling constants build two terms of 0.020000000000000004 that
     # cancel in a sum; the recording folds them, so every step replays
     field = FIELDS["m4-coupled"]()
@@ -472,32 +464,40 @@ def test_a_field_whose_sums_cancel_among_constants_never_trips(tripped):
     t, u = start_points(field.m, np.random.default_rng(4))[0]
     h = 0.05
     traj = solve(scheme, field, t, u, t + 5 * h, h)
-    # the first step records, the rest replay
-    assert tripped == [False] * 4
+    assert len(recordings) == 1
     for i, (_, got) in enumerate(traj[1:]):
         want = ref.step(scheme, field, t + i * h, u, h)
         assert exact(got) == exact(want.u_next)
         u = want.u_next
 
 
-def test_tapes_per_field_are_bounded():
+def test_tapes_per_field_are_bounded(recordings):
     field = make_field(1, lambda t, u: [t + u[0]], lambda t, u: [0.5 * u[0] * u[0] + 1.0])
-    # one tape per plan and pattern of zeros in (t, u), which the field's
-    # other tapes for the plan fail to serve
-    calls = [(scheme, t, u) for scheme in (fresh_table(p) for p in [(2, 2), (4, 2), (8, 2)])
-             for t, u in ((0.2, 0.9 + 0.1j), (0.0, 0.9), (0.2, 0.0), (0.0, 0.0))]
+    # one word plan per list of pairs, one more than a field keeps tapes of
+    plans = [[("a", ("L0",) * k), ("b", ("L1",))] for k in range(1, jets.TAPE_CACHE_SIZE + 2)]
+    u = np.array([0.9 + 0.1j])
     # the first again at the end, after its tape was dropped
-    for n, (scheme, t, u) in enumerate([*calls, calls[0]], 1):
-        u = np.array([u], dtype=complex)
-        assert_same(step(scheme, field, t, u, 0.1), ref.step(scheme, field, t, u, 0.1))
-        assert len(field._tapes) == min(n, jets.TAPE_CACHE_SIZE)
+    for n, pairs in enumerate([*plans, plans[0]], 1):
+        got = operator_values(field, pairs, 0.2, u)
+        want = ref.operator_values(field, pairs, 0.2, u)
+        assert all(exact(got[k]) == exact(want[k]) for k in want)
+        assert len(tapes(field)) == min(n, jets.TAPE_CACHE_SIZE)
+    assert len(recordings) == len(plans) + 1
 
 
-@pytest.mark.parametrize("name", ["power", "m2-division"])
-def test_dividing_fields_replay_their_tapes(name, monkeypatch):
+DIVIDING_FIELDS = {
+    "power-2": lambda: builtin_field("power", gamma=2),
+    "power": FIELDS["power"],
+    "m2-division": FIELDS["m2-division"],
+}
+
+
+@pytest.mark.parametrize("name", DIVIDING_FIELDS)
+def test_dividing_fields_replay_their_tapes(name, recordings, monkeypatch):
     # a reciprocal's bracket 1 - f0 * (1/f0) is exactly zero for most f0
-    # but not all, so a dividing field keeps a tape for each outcome; no
-    # step runs the jets on numbers
+    # but not all; the jets keep it as a value either way, so one tape per
+    # table serves all 200 steps at (4,2) and 60 at (8,2), and no step runs
+    # the jets on numbers
     on_numbers = []
     run = jets.CoefficientField._run
 
@@ -506,39 +506,26 @@ def test_dividing_fields_replay_their_tapes(name, monkeypatch):
         return run(field, plan, origin, values)
 
     monkeypatch.setattr(jets.CoefficientField, "_run", counting)
-    field = builtin_field("power", gamma=2) if name == "power" else FIELDS[name]()
-    scheme = fresh_table()
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        t = float(rng.uniform(-0.5, 1.0))
-        u = rng.uniform(0.5, 1.5, field.m) + 1j * rng.uniform(-0.3, 0.3, field.m)
-        assert_same(step(scheme, field, t, u, 0.1), ref.step(scheme, field, t, u, 0.1))
-    # every call of _run was a recording
-    assert on_numbers and not any(on_numbers)
-    assert 2 <= len(field._tapes) <= jets.TAPE_CACHE_SIZE
+    field = DIVIDING_FIELDS[name]()
+    for policy, n in (((4, 2), 200), ((8, 2), 60)):
+        scheme = build_scheme(OSCILLATORS[0], TruncationPolicy.from_order(*policy))
+        rng = np.random.default_rng(11)
+        for _ in range(n):
+            t = float(rng.uniform(-0.5, 1.0))
+            u = rng.uniform(0.5, 1.5, field.m) + 1j * rng.uniform(-0.3, 0.3, field.m)
+            assert_same(step(scheme, field, t, u, 0.1), ref.step(scheme, field, t, u, 0.1))
+    assert len(recordings) == 2 and on_numbers == [False, False]
 
 
-def test_alternating_zero_outcomes_reuse_their_tapes(tripped, monkeypatch):
+def test_alternating_zero_outcomes_reuse_their_tapes(recordings):
     # b = u^2 - t is exactly zero at u = 0.5, t = 0.25 and nowhere else here
-    recorded = []
-    record = jets.CoefficientField._record
-
-    def counting(field, plan, base):
-        recorded.append(base)
-        return record(field, plan, base)
-
-    monkeypatch.setattr(jets.CoefficientField, "_record", counting)
     field = make_field(1, lambda t, u: [0.5 * u[0]], lambda t, u: [u[0] * u[0] - t])
     scheme = fresh_table()
     for i in range(10):
         t, u = (0.25, 0.5) if i % 2 else (0.1 + 0.01 * i, 1.2)
         u = np.array([u], dtype=complex)
         assert_same(step(scheme, field, t, u, 0.1), ref.step(scheme, field, t, u, 0.1))
-    # one recording per outcome: the second call misses the first tape and
-    # records; each later call misses the tape of the other outcome, used
-    # last, and replays its own
-    assert len(recorded) == len(field._tapes) == 2
-    assert tripped == [True] + [True, False] * 8
+    assert len(recordings) == 1
 
 
 def test_averaged_entries_share_the_word_plan():
@@ -551,7 +538,7 @@ def test_averaged_entries_share_the_word_plan():
     words, coefficients = scheme.entries.plan
     assert scheme.entries.averaged.plan[0] is words
     assert scheme.entries.averaged.plan[1] is not coefficients
-    assert len(tapes(field, scheme)) == 1
+    assert list(tapes(field)) == [words]
 
 
 def test_tables_with_the_same_words_share_one_plan_and_tape():
@@ -565,13 +552,14 @@ def test_tables_with_the_same_words_share_one_plan_and_tape():
     # other times, so that the second step does not take the first's values
     for scheme, t in ((cos, 0.2), (exp, 0.3)):
         assert_same(step(scheme, field, t, u, 0.1), ref.step(scheme, field, t, u, 0.1))
-    assert len(field._tapes) == 1
+    assert len(tapes(field)) == 1
 
 
 @pytest.mark.parametrize("order", [0, 2])
 def test_field_jets_match_reference(order):
-    # the field builds its variable jets from packed keys, dropping a zero
-    # value as the constructor does; t = 0, u_j = 0 and b_2 = 0 give such zeros
+    # the field builds its variable jets from packed keys, keeping a zero
+    # value, and a constant from the constructor, dropping a zero; t = 0,
+    # u_j = 0 and b_2 = 0 give such zeros
     field = make_field(2, lambda t, u: [t, u[1]], lambda t, u: [u[0] - 1.0, 0.0])
     for t, u in [(0.0, [0.0, 1.0 - 0.5j]), (0.3, [0.5j, 0.0])]:
         u = np.array(u)

@@ -1,0 +1,80 @@
+"""The seeded outputs of the benchmark's stepping workloads, to compare
+two source trees bit for bit.
+
+    python tools/output_bits.py SRC          # print every output's repr
+    python tools/output_bits.py SRC SRC2     # compare the two trees' outputs
+
+SRC is a tree's ``src`` directory.  The outputs are every ``(t, u)`` row of
+solve-scalar's five kinds at round 0 (3 seeds x 5 kinds x 51 rows = 765)
+and every ``u_next`` of phase-ensemble's rounds 0-2 (3 seeds x 3 rounds x
+18 steps = 162), for seeds 11-13, from the inputs that
+``perfbench/workloads.py`` draws.  Both trees run with this checkout's
+``perfbench``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+
+SEEDS = (11, 12, 13)
+PHASE_ROUNDS = 3
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+
+
+def outputs() -> list[str]:
+    """One line per output: the workload, its seed and inputs, and the
+    ``repr`` of its Python values."""
+    import numpy as np
+    from oscistep import solve
+    from workloads import PhaseEnsemble, SolveScalar
+
+    lines = []
+    for seed in SEEDS:
+        w = SolveScalar(seed)
+        for inp in w.round_inputs(0):
+            traj = solve(w.schemes[inp["problem"], inp["kappa"]], w.plain[inp["problem"]],
+                         0.0, inp["u0"], w.T_END, w.H)
+            lines += [f"solve-scalar {seed} {inp['kind']} {t!r} {np.asarray(u).tolist()!r}"
+                      for t, u in traj]
+        w = PhaseEnsemble(seed)
+        for r in range(PHASE_ROUNDS):
+            for i, inp in enumerate(w.round_inputs(r)):
+                lines.append(f"phase-ensemble {seed} {r} {i} {inp['kind']} "
+                             f"{w.run(inp).tolist()!r}")
+    return lines
+
+
+def run(src: str) -> list[str]:
+    """The output lines of `src`, from a fresh interpreter."""
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), src],
+                         check=True, capture_output=True, text=True).stdout
+    return out.splitlines()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 1:
+        sys.path[:0] = [os.path.abspath(argv[0]), PERFBENCH]
+        print("\n".join(outputs()))
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    first, second = (run(src) for src in argv)
+    for src, lines in zip(argv, (first, second)):
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        counts = {kind: sum(line.startswith(kind + " ") for line in lines)
+                  for kind in ("solve-scalar", "phase-ensemble")}
+        print(f"{src}: {counts} sha256 {digest}")
+    differ = [(a, b) for a, b in zip(first, second) if a != b]
+    for a, b in differ:
+        print(f"- {a}\n+ {b}")
+    same = not differ and len(first) == len(second)
+    print("identical" if same else f"{len(differ)} outputs differ")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
