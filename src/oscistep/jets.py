@@ -408,16 +408,16 @@ class CoefficientField:
     on later calls without calling them.  Recording runs :meth:`_run` on
     registers, and only a plan whose recording was refused runs it on
     numbers.  The field also keeps the values of its last call through
-    :meth:`_values`: a step, `operator_values`, and step 0 of a solve.  A
-    call with the same word plan, the same time, of the same type and sign
-    (-0.0 and 0.0, or 0 and 0.0, differ), and a state of the same bytes
-    gets them without running the tape nor, for a refused plan, the
-    lambdas themselves: the K phases of an ensemble and the phase-averaged
-    step share one plan, so they evaluate once.  A time with no hash or no
+    :meth:`_values`: a step and `operator_values`.  A call with the same
+    word plan, the same time, of the same type and sign (-0.0 and 0.0, or
+    0 and 0.0, differ), and a state of the same bytes gets them without
+    running the tape nor, for a refused plan, the lambdas themselves: the
+    K phases of an ensemble and the phase-averaged step share one plan,
+    so they evaluate once.  A time with no hash or no
     float sign, such as a complex number or a numpy array, and a call that
-    raises leave the memo as it was.  The later steps of a solve, whose
-    time moves on every step, call :meth:`_evaluate` and neither read nor
-    fill the memo.  A caller whose parameters change builds a new field.
+    raises leave the memo as it was.  The steps of a solve, whose time
+    moves on every step, call :meth:`_evaluate` and neither read nor fill
+    the memo.  A caller whose parameters change builds a new field.
     """
 
     def __init__(self, m: int, a: Callable, b: Callable, name: str = "custom"):
@@ -859,7 +859,7 @@ def _power_field(gamma=0):
     if not isinstance(gamma, int):
         raise ValueError("power field requires integer gamma")
     expo = 1 - gamma
-    return make_field(1, lambda t, u: [0.0 * t], lambda t, u: [u[0] ** expo],
+    return make_field(1, lambda t, u: [0.0], lambda t, u: [u[0] ** expo],
                       name="power")
 
 

@@ -259,7 +259,7 @@ class BasisPoly:
         The binding serves this call only: callers such as quadrature pass
         a new `dt` on every call."""
         z = cmath.exp(1j * (osc.omega * t_ref + osc.phi))
-        function, constants = self._plan._bind(osc.omega, osc.nu, dt)
+        function, constants, _ = self._plan._bind(osc.omega, osc.nu, dt)
         return function(constants, z)[0]
 
     @cached_property
@@ -278,15 +278,19 @@ class TermPlan:
 
     Only Z^q changes from one step to the next.  A call therefore uses a
     *binding* for its ``(omega, nu, dt)``, and the plan keeps the last one
-    it built.  A binding is a flat tuple ``K`` of constants and the plan's
-    function for `nu`.  ``K`` holds each term's prefix c * dt^p *
-    e^(ik omega dt), the left part of the same product, and after it the
-    term's omega factor, so multiplying the prefix by Z^q and then by the
-    factor repeats the term's operations one for one.  A term without Z^q
-    is a constant, its omega factor already applied, and the constants
-    that open a polynomial are summed once: that is the running total the
-    sum reaches at that point.  Tables without Z^q terms (the
-    phase-averaged ones) bind to constants.
+    it built.  A binding is a list ``[function, K, layout]``: the plan's
+    function for `nu`, a flat tuple ``K`` of constants, and the batch
+    layout, None until :meth:`_blocks` first needs it.  ``K`` holds each
+    term's prefix c * dt^p * e^(ik omega dt), the left part of the same
+    product, and after it the term's omega factor, so multiplying the
+    prefix by Z^q and then by the factor repeats the term's operations one
+    for one.  A term without Z^q is a constant, its omega factor already
+    applied, and the constants that open a polynomial are summed once:
+    that is the running total the sum reaches at that point.  Tables
+    without Z^q terms (the phase-averaged ones) bind to constants.  One
+    walk over the terms, :meth:`_shape`, decides where each constant goes;
+    the function sums that shape, :meth:`_bind` fills ``K`` by following
+    it, and the batch layout reads it.
 
     The function is straight-line Python, compiled once per plan and `nu`
     and kept on the plan: it computes each Z^q once, then each polynomial
@@ -303,14 +307,14 @@ class TermPlan:
     CPython's compiler recurses once per operator of an expression.
     :meth:`BasisPoly.eval_shifted` binds for its one call and keeps nothing.
 
-    `solve` knows its start times in advance and takes its coefficients
-    from :meth:`_blocks`, which evaluates a block of times in one numpy pass
-    over a batch layout of the binding, built once per binding and kept
-    with it.  The pass forms every operation the compiled function does,
-    in its order, with separate float64 operations (:meth:`_summands` has
-    the rules), so each row equals the function's value bit for bit.  A
-    lone call keeps the compiled function: the pass costs two dozen numpy
-    calls however few times it serves, more than a (4,2) table's call.
+    `solve` knows its start times in advance and takes the coefficients of
+    every step from :meth:`_blocks`, which evaluates a block of times in
+    one numpy pass over the binding's batch layout.  The pass forms every
+    operation the compiled function does, in its order, with separate
+    float64 operations (:meth:`_summands` has the rules), so each row
+    equals the function's value bit for bit.  A lone call keeps the
+    compiled function: the pass costs two dozen numpy calls however few
+    times it serves, more than a (4,2) table's call.
     """
 
     def __init__(self, polys):
@@ -327,58 +331,59 @@ class TermPlan:
                     self._ks.setdefault(k, len(self._ks))
                 if q:
                     self._qs.setdefault(q, len(self._qs))
-        # the compiled function for each nu
-        self._functions: dict[float, Callable] = {}
+        # the compiled function and its shape for each nu
+        self._forms: dict[float, tuple[Callable, list]] = {}
         # the last binding: (omega, type of omega, nu, dt, type of dt, sign
         # of dt, binding)
         self._last: tuple = (None,) * 7
-        # the binding _blocks used last, and its batch layout
-        self._batch: tuple = (None, None)
 
-    def _function(self, nu: float) -> Callable:
+    def _form(self, nu: float) -> tuple[Callable, list]:
         """The function from ``(K, z)`` to every polynomial's value, for
-        bindings at `nu`."""
-        function = self._functions.get(nu)
-        if function is None:
-            function = self._functions[nu] = _compile(self._source(nu))
-        return function
+        bindings at `nu`, and the :meth:`_shape` it sums."""
+        form = self._forms.get(nu)
+        if form is None:
+            shape = self._shape(nu)
+            form = self._forms[nu] = (_compile(self._source(shape)), shape)
+        return form
 
     def _shape(self, nu: float) -> list[list[tuple]]:
         """Each polynomial's summands in order, for bindings at `nu`, as
-        ``(i, z, w)``: the constant ``K[i]``, times ``z ** q`` for the
-        plan's `z`-th q unless `z` is None, then times ``K[w]`` unless `w`
-        is None.  :meth:`_bind` lays ``K`` out in this order."""
+        ``(i, z, w, terms)``: the constant ``K[i]``, times ``z ** q`` for
+        the plan's `z`-th q unless `z` is None, then times ``K[w]`` unless
+        `w` is None.  `terms` holds the ``(p, k, n + m nu, c)`` of the
+        terms that make ``K[i]``.  The first summand, the lead, holds the
+        constants that open the polynomial, all of them if it has no Z^q
+        term, or none; every other summand holds one term: a term with
+        Z^q, whose omega factor, if it has one, is ``K[w]``, or a constant
+        after such a term."""
         shape = []
         i = 0               # the next index into K
         for terms in self._polys:
-            summands = []
-            lead = True
-            for (_, _, q, n, m), _ in terms:
+            lead = (i, None, None, [])
+            summands = [lead]
+            i += 1
+            for (p, k, q, n, m), c in terms:
+                term = (p, k, n + m * nu, c)
                 if q:
-                    if lead:
-                        summands.append((i, None, None))
-                        i += 1
-                        lead = False
-                    w = i + 1 if n + m * nu else None
-                    summands.append((i, self._qs[q], w))
+                    w = i + 1 if term[2] else None
+                    summands.append((i, self._qs[q], w, (term,)))
                     i += 1 if w is None else 2
-                elif not lead:
-                    summands.append((i, None, None))
+                elif len(summands) == 1:
+                    lead[3].append(term)
+                else:
+                    summands.append((i, None, None, (term,)))
                     i += 1
-            if lead:
-                summands.append((i, None, None))
-                i += 1
             shape.append(summands)
         return shape
 
-    def _source(self, nu: float) -> str:
-        """The source of :meth:`_function`, summing :meth:`_shape`."""
+    def _source(self, shape: list[list[tuple]]) -> str:
+        """The source of the function that sums `shape`."""
         lines = [f"z{i} = z ** {q}" for q, i in self._qs.items()]
         items = []          # values not yet in `out`
         started = False     # whether `out` exists
-        for summands in self._shape(nu):
+        for summands in shape:
             parts = [f"K[{i}]" + ("" if z is None else f" * z{z}")
-                     + ("" if w is None else f" * K[{w}]") for i, z, w in summands]
+                     + ("" if w is None else f" * K[{w}]") for i, z, w, _ in summands]
             if len(parts) <= _SUM_TERMS:
                 items.append(" + ".join(parts))
                 continue
@@ -394,57 +399,40 @@ class TermPlan:
             lines.append(f"return [{', '.join(items)}]")
         return "\n".join(["def plan(K, z):", *(f"    {line}" for line in lines)])
 
-    def _bind(self, omega: float, nu: float, dt: float) -> tuple:
-        """Every polynomial at `omega`, `nu` and `dt` as ``(function, K)``:
-        the function for `nu` and the constants it reads.  For each
-        polynomial ``K`` holds the sum of its leading constants, then its
-        other terms in order, each followed by its omega factor if it has
-        Z^q and such a factor."""
-        function = self._function(nu)
+    def _bind(self, omega: float, nu: float, dt: float) -> list:
+        """The binding at `omega`, `nu` and `dt`, its layout not yet built.
+        ``K`` follows the shape for `nu`: each term of a summand is c *
+        dt^p * e^(ik omega dt), times its omega factor unless ``K[w]``
+        holds that, and the lead sums its terms from 0.0 + 0.0j."""
+        function, shape = self._form(nu)
         # every dt^p before any exponential, so that a dt which breaks both
         # raises OverflowError from the power
-        powers = []
-        for p in self._ps:
-            powers.append(dt ** p)
-        waves = []
-        for k in self._ks:
-            waves.append(cmath.exp(1j * k * omega * dt))
+        powers = {p: dt ** p for p in self._ps}
+        waves = {k: cmath.exp(1j * k * omega * dt) for k in self._ks}
         scales: dict[float, float] = {}
         out = []
         append = out.append
-        for terms in self._polys:
-            start = 0.0 + 0.0j
-            lead = True
-            for (p, k, q, n, m), val in terms:
-                if p:
-                    val *= powers[self._ps[p]]
-                if k:
-                    val *= waves[self._ks[k]]
-                w = None
-                expo = n + m * nu
-                if expo:
-                    if expo not in scales:
-                        scales[expo] = omega ** (-expo)
-                    w = scales[expo]
-                if q:
-                    if lead:
-                        append(start)
-                        lead = False
-                    append(val)
-                    if w is not None:
-                        append(w)
-                    continue
+        for summands in shape:
+            for j, (_, _, w, terms) in enumerate(summands):
+                total = 0.0 + 0.0j
+                for p, k, expo, val in terms:
+                    if p:
+                        val *= powers[p]
+                    if k:
+                        val *= waves[k]
+                    if expo:
+                        if expo not in scales:
+                            scales[expo] = omega ** (-expo)
+                        if w is None:
+                            val *= scales[expo]
+                    total = total + val if j == 0 else val
+                append(total)
                 if w is not None:
-                    val *= w
-                if lead:
-                    start += val
-                else:
-                    append(val)
-            if lead:
-                append(start)
-        return function, tuple(out)
+                    # the summand's one term's omega factor
+                    append(scales[expo])
+        return [function, tuple(out), None]
 
-    def _binding(self, omega: float, nu: float, dt: float) -> tuple:
+    def _binding(self, omega: float, nu: float, dt: float) -> list:
         """The binding at `omega`, `nu` and `dt`: the kept one if it was
         built for them, else a new one, kept if its key can be."""
         last_omega, omega_type, last_nu, last_dt, dt_type, sign, binding = self._last
@@ -467,7 +455,7 @@ class TermPlan:
     def __call__(self, osc: OscillatorSpec, dt: float, t_ref: float) -> list[complex]:
         """Every polynomial's value, in order."""
         z = cmath.exp(1j * (osc.omega * t_ref + osc.phi))
-        function, constants = self._binding(osc.omega, osc.nu, dt)
+        function, constants, _ = self._binding(osc.omega, osc.nu, dt)
         return function(constants, z)
 
     def _blocks(self, osc: OscillatorSpec, dt: float, times: Iterable) -> Iterator[np.ndarray]:
@@ -476,15 +464,14 @@ class TermPlan:
         t)``, a block of times at a time, as arrays of (time, polynomial).
 
         Each block is computed in one numpy pass over the batch layout of
-        the binding, built once per binding and kept with it.  A block
+        the binding, built on the binding's first pass.  A block
         holds at most ``_BLOCK_VALUES`` summands, so the pass's transient
         arrays stay within a fixed size whatever the table.
         """
         binding = self._binding(osc.omega, osc.nu, dt)
-        kept, layout = self._batch
-        if kept is not binding:
-            layout = self._layout(osc.nu, binding[1])
-            self._batch = (binding, layout)
+        if binding[2] is None:
+            binding[2] = self._layout(osc.nu, binding[1])
+        layout = binding[2]
         size = max(1, _BLOCK_VALUES // max(1, len(layout[0])))
         times = iter(times)
         while block := list(islice(times, size)):
@@ -510,7 +497,7 @@ class TermPlan:
         the constant summands' real and imaginary parts.  Each array of
         the summands is a column, to broadcast over the times.
         """
-        shape = self._shape(nu)
+        shape = self._form(nu)[1]
         ranking = sorted(range(len(shape)), key=lambda r: -len(shape[r]))
         flat, columns = [], []
         for j in range(len(shape[ranking[0]]) if shape else 0):
@@ -522,12 +509,12 @@ class TermPlan:
         summands = [flat[f] for f in order]
         varying = [s for s in summands if s[1] is not None]
         K = np.array(constants, dtype=complex)
-        prefix = K[[i for i, _, _ in varying]]
-        fixed = K[[i for i, z, _ in summands if z is None]]
+        prefix = K[[i for i, _, _, _ in varying]]
+        fixed = K[[i for i, z, _, _ in summands if z is None]]
         return (np.argsort(order), columns, np.argsort(ranking),
-                np.array([z for _, z, _ in varying], dtype=np.intp),
+                np.array([z for _, z, _, _ in varying], dtype=np.intp),
                 (prefix.real[:, None].copy(), prefix.imag[:, None].copy()),
-                K.real[[w for _, _, w in varying if w is not None]][:, None],
+                K.real[[w for _, _, w, _ in varying if w is not None]][:, None],
                 (fixed.real[:, None].copy(), fixed.imag[:, None].copy()))
 
     def _block(self, osc: OscillatorSpec, layout: tuple, times: list) -> np.ndarray:

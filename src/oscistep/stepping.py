@@ -31,10 +31,9 @@ binds once, and a new step size binds again without compiling.
 
 `solve` knows every start time in advance, and only Z = e^(i(omega t_n +
 phi)) changes from one of its steps to the next, so it takes the
-coefficients of a block of steps at a time from one numpy pass over the
-binding's batch layout (``TermPlan._blocks``), each row equal bit for bit
-to the compiled function's value.  Its step 0 takes the compiled function,
-which binds and fails where a lone step fails.  `step` and
+coefficients of every step, a block of steps at a time, from one numpy
+pass over the binding's batch layout (``TermPlan._blocks``), each row
+equal bit for bit to the compiled function's value.  `step` and
 `step_phase_averaged` keep the compiled function: the pass costs two
 dozen numpy calls however few steps it serves, more than a (4,2) table's
 compiled call.
@@ -48,11 +47,11 @@ straight-line function compiled once per entry count and dimension
 operations, the same under every SIMD dispatch of numpy, whose complex
 product may fuse a multiply and an add.  Only a sum that is not finite
 goes to numpy, which names the first non-finite term or reports an
-overflow as a step always has.  From step 1 on, `solve` keeps its state
-as a list of complex numbers: it replays the field's tape on it directly,
-since t moves on every step and the field's memo of its last call could
-not hit, converts each block of coefficient rows with one ``tolist``,
-and builds the trajectory's array once at the end.
+overflow as a step always has.  `solve` keeps its state as a list of
+complex numbers: it replays the field's tape on it directly, since t
+moves on every step and the field's memo of its last call could not hit,
+converts each block of coefficient rows with one ``tolist``, and builds
+the trajectory's array once at the end.
 """
 
 from __future__ import annotations
@@ -246,8 +245,7 @@ def step_phase_averaged(scheme: SchemeTable, field: CoefficientField, t_n: float
 
 def _step(entries: _Entries, osc: OscillatorSpec, field: CoefficientField, t_n: float,
           u_n, h: float) -> StepResult:
-    """A step over `entries`: `step`, `step_phase_averaged`, and step 0
-    of `solve`."""
+    """A step over `entries`: `step` and `step_phase_averaged`."""
     if not (math.isfinite(t_n) and math.isfinite(h)):
         raise ValueError("t_n and h must be finite")
     if h < 0:
@@ -336,35 +334,25 @@ def solve(scheme: SchemeTable, field: CoefficientField, t0: float, u0,
     n = round(span / h)
     if n < 1 or abs(n * h - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError(f"step {h} does not divide the interval length {span}")
-    entries, osc, m = scheme.entries, scheme.oscillator, field.m
-    operators = entries.plan[0]
+    entries, m = scheme.entries, field.m
+    operators, coefficients = entries.plan
     assemble, evaluate = _assembly(len(entries), m), field._evaluate
-    states = field._state(u0).tolist()
-    i = 0
+    # step 0 starts at t0 itself: t0 + 0 * h would make -0.0 a 0.0
+    times = [t0, *(t0 + i * h for i in range(1, n + 1))]
+    rows = (row for block in coefficients._blocks(scheme.oscillator, h, times[:n])
+            for row in block.tolist())
+    u = field._state(u0).tolist()
+    states = u.copy()
     try:
-        # step 0 is a lone step: it binds the coefficient plan and raises
-        # where a lone step raises
-        u = _step(entries, osc, field, t0, states, h).u_next.tolist()
-        states += u
-        for i, coeffs in enumerate(_coefficient_rows(scheme, t0, h, n), 1):
-            values = evaluate(operators, t0 + i * h, u)
+        for i, t in enumerate(times[:n]):
+            values = evaluate(operators, t, u)
+            coeffs = next(rows)
             u_next = assemble(u, coeffs, values)
             u = u_next if u_next is not None else _non_finite(entries, u, coeffs, values, m)
             states += u
     except NumericStepError as exc:
-        raise NumericStepError(f"step {i} (t = {t0 + i * h}): {exc}") from exc
-    times = [t0, *(t0 + (i + 1) * h for i in range(n))]
+        raise NumericStepError(f"step {i} (t = {t}): {exc}") from exc
     return list(zip(times, np.array(states, dtype=complex).reshape(n + 1, m)))
-
-
-def _coefficient_rows(scheme: SchemeTable, t0: float, h: float, n: int):
-    """The coefficients of steps 1 to n - 1 of size `h` from `t0`, for
-    `solve`, each a list: the plan's batch rows, one block at a time."""
-    if n > 1:
-        plan = scheme.entries.plan[1]
-        times = (t0 + i * h for i in range(1, n))
-        for block in plan._blocks(scheme.oscillator, h, times):
-            yield from block.tolist()
 
 
 def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,

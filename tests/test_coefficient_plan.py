@@ -41,7 +41,7 @@ def exact(values) -> str:
 
 
 def frame_slots(plan: TermPlan, nu: float) -> int:
-    code = plan._function(nu).__code__
+    code = plan._form(nu)[0].__code__
     return code.co_nlocals + code.co_stacksize
 
 
@@ -160,13 +160,14 @@ def test_batch_rows_match_the_compiled_function(name, averaged, monkeypatch):
             monkeypatch.setattr(oscillator, "_BLOCK_VALUES", block * size)
             assert rows(plan, osc, dt, START_TIMES) == want[:len(START_TIMES)]
             monkeypatch.undo()
-    # one layout for the binding the plan keeps, built again only for a new one
-    binding, layout = plan._batch
-    assert binding is plan._last[-1]
+    # the binding the plan keeps carries its layout, built once per binding
+    binding = plan._last[-1]
+    layout = binding[2]
+    assert layout is not None
     list(plan._blocks(osc, STEP_SIZES[-1], START_TIMES[:1]))
-    assert plan._batch[1] is layout
+    assert plan._last[-1] is binding and binding[2] is layout
     list(plan._blocks(osc, 0.03, START_TIMES[:1]))
-    assert plan._batch[1] is not layout
+    assert plan._last[-1] is not binding and plan._last[-1][2] is not None
 
 
 def test_the_batch_never_warns_on_infinite_constants():

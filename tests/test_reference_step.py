@@ -157,7 +157,8 @@ def stepped(fn, scheme, field, t0, u0, h, n):
     u = np.asarray(u0, dtype=complex)
     traj = [(t0, u.copy())]
     for i in range(n):
-        t_n = t0 + i * h
+        # step 0 starts at t0 itself, as solve's does
+        t_n = t0 + i * h if i else t0
         try:
             u = fn(scheme, field, t_n, u, h).u_next
         except NumericStepError as exc:
@@ -195,7 +196,7 @@ def test_long_solves_span_blocks(policy):
     u0 = np.array([0.4 + 0.1j])
     for h in (0.0025, np.float64(0.0025)):
         got = solve_outcome(lambda: solve(scheme, field, 0.0, u0, 1.0, h))
-        assert oscillator._BLOCK_VALUES // len(plan._batch[1][0]) < 399
+        assert oscillator._BLOCK_VALUES // len(plan._last[-1][2][0]) < 399
         assert got == solve_outcome(lambda: stepped(step, scheme, field, 0.0, u0, h, 400))
     # an int step size from an int start: every start time is an int
     got = solve_outcome(lambda: solve(scheme, field, 0, u0, 400, 1))
@@ -215,8 +216,8 @@ def test_a_solve_turning_non_finite_within_a_block_fails_as_its_steps_do():
 
 
 def test_a_binding_with_an_infinite_constant_fails_as_a_step_does():
-    # a term whose prefix c h^p overflows at h = 10: step 0, which binds,
-    # fails as a lone step does, and no warning comes from anywhere
+    # a term whose prefix c h^p overflows at h = 10: step 0, whose batch
+    # row binds, fails as a lone step does, and no warning comes from anywhere
     built = build_scheme(OSCILLATORS[2], TruncationPolicy.from_order(4, 2))
     huge = oscillator.BasisPoly.from_dict({(1, 0, 1, 0, 1): 1e308})
     entries = [replace(e, coeff=e.coeff + huge) if i == 3 else e
@@ -239,10 +240,9 @@ def test_a_binding_with_an_infinite_constant_fails_as_a_step_does():
 
 
 def test_an_order_0_solve_reaching_zero_fails_as_a_non_finite_step():
-    # h a = -u exactly, so step 0 lands on u = 0 and step 1, the first of
-    # solve's own loop, divides by it: numpy's scalars give NaN, which the
-    # step reports, where Python's complex numbers would raise
-    # ZeroDivisionError
+    # h a = -u exactly, so step 0 lands on u = 0 and step 1 divides by it:
+    # numpy's scalars give NaN, which the step reports, where Python's
+    # complex numbers would raise ZeroDivisionError
     field = make_field(1, lambda t, u: [-8.0 * u[0]], lambda t, u: [0.0 / u[0]])
     scheme = build_scheme(OSCILLATORS[0], TruncationPolicy(1, 1))
     u0 = np.array([1.0 + 0.5j])
@@ -291,7 +291,9 @@ def test_a_constant_operator_value_multiplies_as_a_complex_number():
     assert complex(10.0) in values
     assert {type(v) for v in values} == {complex}
     assert {type(c) for c in coefficients(scheme.oscillator, 0.05, 0.4)} == {complex}
-    rows = list(stepping._coefficient_rows(scheme, 0.0, 0.05, 20))
+    times = [0.05 * i for i in range(20)]
+    rows = [row for block in coefficients._blocks(scheme.oscillator, 0.05, times)
+            for row in block.tolist()]
     assert {type(c) for row in rows for c in row} == {complex}
     want = solve_outcome(lambda: stepped(step, scheme, field, 0.0, u0, 0.05, 20))
     assert solve_outcome(lambda: stepped(ref.step, scheme, field, 0.0, u0, 0.05, 20)) == want

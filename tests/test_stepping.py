@@ -340,18 +340,51 @@ class TestSolve:
         with pytest.raises(NumericStepError, match=r"^step 0 \(t = 0\.0\): non-finite"):
             solve(sch, f, 0.0, u1(1e10), 1.0, 0.1)
 
-    def test_one_step_builds_no_batch_layout(self):
-        # a solve of one step takes the scalar call alone
-        f = builtin_field("linear", mu=1.0)
-        built = build_scheme(make_oscillator("cos", 50.0), pol(4, 2))
-        sch = SchemeTable(built.oscillator, built.policy, list(built.entries))
-        solve(sch, f, 0.0, u1(1.0), 0.1, 0.1)
-        assert sch.entries.plan[1]._batch == (None, None)
-        solve(sch, f, 0.0, u1(1.0), 0.2, 0.1)
-        assert sch.entries.plan[1]._batch[0] is sch.entries.plan[1]._last[-1]
+    @pytest.mark.parametrize("t0", [0.3, -0.0, 0], ids=["float", "minus-zero", "int"])
+    def test_one_step_solve_is_a_step_bit_for_bit(self, t0):
+        # a solve of one step takes a batch row, as every step of a solve
+        # does: it gives the step's bits and fails as the step fails
+        sch = build_scheme(make_oscillator("cos", 50.0, 0.3), pol(4, 2))
+        f = make_field(1, lambda t, u: [u[0] * t], lambda t, u: [0.5 * u[0] * u[0]])
+        u0 = u1(complex(0.9, -0.0))
+        (t_a, u_a), (t_b, u_b) = solve(sch, f, t0, u0, t0 + 0.1, 0.1)
+        want = step(sch, f, t0, u0, 0.1)
+        assert repr((t_a, u_a.tolist(), t_b, u_b.tolist())) \
+            == repr((t0, u0.tolist(), want.t_next, want.u_next.tolist()))
+        blowup = make_field(1, lambda t, u: [0.0 * u[0]], lambda t, u: [1e308 * u[0] * u[0]])
+        with pytest.raises(NumericStepError) as lone:
+            step(sch, blowup, t0, u1(1e10), 0.1)
+        with pytest.raises(NumericStepError) as whole:
+            solve(sch, blowup, t0, u1(1e10), t0 + 0.1, 0.1)
+        assert str(whole.value) == f"step 0 (t = {t0!r}): {lone.value}"
+        with pytest.raises(OverflowError) as lone:
+            step(sch, f, t0, u0, 1e100)
+        with pytest.raises(OverflowError) as whole:
+            solve(sch, f, t0, u0, t0 + 1e100, 1e100)
+        assert str(whole.value) == str(lone.value)
+
+    @pytest.mark.parametrize("t0", [-0.0, 0], ids=["minus-zero", "int"])
+    def test_step_zero_starts_at_t0_itself(self, t0):
+        # an order-0 field sees t as a complex number; t0 + 0 * h would
+        # turn -0.0 into 0.0, and the sign of a reaches the trajectory
+        seen = []
+
+        def a(t, u):
+            seen.append(t)
+            return [u[0] * math.copysign(1.0, t.real)]
+
+        f = make_field(1, a, lambda t, u: [0.5 * u[0]])
+        sch = build_scheme(make_oscillator("cos", 50.0), TruncationPolicy(1, 1))
+        traj = solve(sch, f, t0, u1(1.0), t0 + 0.2, 0.1)
+        assert repr(seen[0]) == repr(complex(t0))
+        assert math.copysign(1.0, seen[0].real) == math.copysign(1.0, t0)
+        assert repr(seen[1]) == repr(complex(t0 + 0.1))
+        want = [step(sch, f, t0, u1(1.0), 0.1).u_next]
+        want.append(step(sch, f, t0 + 0.1, want[0], 0.1).u_next)
+        assert repr([u.tolist() for _, u in traj[1:]]) == repr([u.tolist() for u in want])
 
     def test_step_zero_checks_the_state_before_binding(self):
-        # step 0 takes the scalar call after the step's own checks, so a
+        # solve checks its state before its first batch row binds, so a
         # state of the wrong shape is named before an h whose powers overflow
         f = builtin_field("linear", mu=1.0)
         sch = build_scheme(make_oscillator("cos", 50.0), pol(4, 2))

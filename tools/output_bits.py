@@ -8,8 +8,10 @@ SRC is a tree's ``src`` directory.  The outputs are every ``(t, u)`` row of
 solve-scalar's five kinds at round 0 (3 seeds x 5 kinds x 51 rows = 765)
 and every ``u_next`` of phase-ensemble's rounds 0-2 (3 seeds x 3 rounds x
 18 steps = 162), for seeds 11-13, from the inputs that
-``perfbench/workloads.py`` draws.  Both trees run with this checkout's
-``perfbench``.
+``perfbench/workloads.py`` draws.  For the same kinds and states follow
+the rows of a one-step solve from 0.0 (3 x 5 x 2 = 30) and of the whole
+solve from t0 = -0.0 and from the int 0 (765 each), whose step 0 sees t0
+itself.  Both trees run with this checkout's ``perfbench``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import subprocess
 import sys
 
 SEEDS = (11, 12, 13)
+KINDS = ("solve-scalar", "phase-ensemble", "solve-one-step", "solve-minus-zero",
+         "solve-int-zero")
 PHASE_ROUNDS = 3
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
@@ -31,20 +35,24 @@ def outputs() -> list[str]:
     from oscistep import solve
     from workloads import PhaseEnsemble, SolveScalar
 
-    lines = []
+    lines, more = [], []
     for seed in SEEDS:
         w = SolveScalar(seed)
         for inp in w.round_inputs(0):
-            traj = solve(w.schemes[inp["problem"], inp["kappa"]], w.plain[inp["problem"]],
-                         0.0, inp["u0"], w.T_END, w.H)
-            lines += [f"solve-scalar {seed} {inp['kind']} {t!r} {np.asarray(u).tolist()!r}"
-                      for t, u in traj]
+            scheme, field = w.schemes[inp["problem"], inp["kappa"]], w.plain[inp["problem"]]
+            for name, out, t0, t_end in (("solve-scalar", lines, 0.0, w.T_END),
+                                         ("solve-one-step", more, 0.0, w.H),
+                                         ("solve-minus-zero", more, -0.0, w.T_END),
+                                         ("solve-int-zero", more, 0, w.T_END)):
+                traj = solve(scheme, field, t0, inp["u0"], t_end, w.H)
+                out += [f"{name} {seed} {inp['kind']} {t!r} {np.asarray(u).tolist()!r}"
+                        for t, u in traj]
         w = PhaseEnsemble(seed)
         for r in range(PHASE_ROUNDS):
             for i, inp in enumerate(w.round_inputs(r)):
                 lines.append(f"phase-ensemble {seed} {r} {i} {inp['kind']} "
                              f"{w.run(inp).tolist()!r}")
-    return lines
+    return lines + more
 
 
 def run(src: str) -> list[str]:
@@ -66,7 +74,7 @@ def main(argv: list[str]) -> int:
     for src, lines in zip(argv, (first, second)):
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         counts = {kind: sum(line.startswith(kind + " ") for line in lines)
-                  for kind in ("solve-scalar", "phase-ensemble")}
+                  for kind in KINDS}
         print(f"{src}: {counts} sha256 {digest}")
     differ = [(a, b) for a, b in zip(first, second) if a != b]
     for a, b in differ:
