@@ -66,8 +66,8 @@ catch it.  A divisor found zero while recording raises that error too;
 if the lambdas catch it, the recording is refused (see below), since a
 tape follows one branch only.  The recording becomes one
 straight-line Python function from ``(t, u_1, ..., u_m)`` to the plan's
-values, compiled once as ``dataclasses`` builds ``__init__``: registers
-are locals, and it does the recorded operations in order.  An operation
+values, whose registers are locals and which does the recorded
+operations in order.  An operation
 on constants alone is done while recording, as the jets do it.
 Constants that meet a register enter the replay as arguments, never as
 source text (``repr`` loses the sign of -0.0 and is not a literal for
@@ -75,6 +75,16 @@ nan or inf), so fields that differ only in their constants share one
 compiled function.  A field records a plan at its first call and
 replays that tape on every later one; it keeps the tapes of the
 ``TAPE_CACHE_SIZE`` plans it used last.
+
+Every generated function of the package is compiled here, by
+``_function``, from a signature and body lines: the tapes, the
+coefficient plans of ``oscillator.TermPlan`` and the step sums of
+``stepping._assembly``.  It compiles each source text once, as
+``dataclasses`` builds ``__init__``, and keeps the functions by their
+source, so fields that differ only in their constants share one tape
+function.  A long sum is written by ``_summed`` as statements of
+``_SUM_TERMS`` terms, since CPython's compiler recurses once per operator
+of an expression.
 
 A recording follows jet arithmetic only: ``+``, ``-``, ``*``, ``/`` and
 integer powers of jets and of ``int``, ``float`` or ``complex`` numbers.
@@ -105,6 +115,7 @@ caller checks the state's shape once.
 
 from __future__ import annotations
 
+import cmath
 import numbers
 import weakref
 from functools import lru_cache, partial
@@ -142,6 +153,20 @@ def _integral(x) -> bool:
     whole (integral floats included)."""
     return (isinstance(x, numbers.Real) and not isinstance(x, bool)
             and isfinite(x) and x == int(x))
+
+
+def _key(x) -> tuple | None:
+    """`x` in the key of a memo that keeps its last call: ``(type, x,
+    sign)``, or None for an `x` that no memo keeps.  -0.0 and 0.0, or 2
+    and 2.0, are equal numbers whose results differ in sign or type, so
+    their keys differ; the type is compared first, since an `x` of another
+    type may compare elementwise.  An `x` with no hash or no float sign,
+    such as a 0-d array or a complex number, has no key."""
+    try:
+        hash(x)
+        return (type(x), x, copysign(1.0, x))
+    except TypeError:
+        return None
 
 
 def _jet_order(order) -> int:
@@ -373,7 +398,7 @@ class Jet:
         return self.reciprocal() * other
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int):
+        if not isinstance(exponent, numbers.Integral):
             raise TypeError("jet powers must use integer exponents")
         if exponent < 0:
             return self.reciprocal() ** (-exponent)
@@ -432,8 +457,8 @@ class CoefficientField:
         # the tape of each word plan, the one used last last; None for a
         # plan whose recording was refused
         self._tapes: dict[WordPlan, Callable | None] = {}
-        # the last call: (plan, t, type of t, sign of t, state bytes, values)
-        self._last: tuple = (None,) * 6
+        # the last call: ((plan, key of t, state bytes), values)
+        self._last: tuple = (None, None)
 
     def _state(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=complex)
@@ -482,22 +507,14 @@ class CoefficientField:
         """`plan`'s values at ``(t, u)``, one per pair and component, for a
         state `u` that `_state` has checked, in the memo's own list, which
         the caller must not change.  They come from the memo, or else from
-        `_evaluate`."""
-        last_plan, last_t, last_type, sign, state, kept = self._last
-        # -0.0 and 0.0, or 0 and 0.0, are equal times whose jets differ in
-        # sign or type; the type is compared first, since a t of another
-        # type may compare elementwise
-        if (last_plan is plan and type(t) is last_type and t == last_t
-                and copysign(1.0, t) == sign and u.tobytes() == state):
+        `_evaluate`, and are kept unless `t` has no `_key`."""
+        key = (plan, _key(t), u.tobytes())
+        last, kept = self._last
+        if key == last:
             return kept
         values = self._evaluate(plan, t, u.tolist())
-        try:
-            hash(t)
-            self._last = (plan, t, type(t), copysign(1.0, t), u.tobytes(), values)
-        except TypeError:
-            # a t with no hash or no float sign, such as a numpy array or a
-            # complex number, is evaluated for this call only
-            pass
+        if key[1]:
+            self._last = (key, values)
         return values
 
     def _evaluate(self, plan: WordPlan, t, u: list) -> list[complex]:
@@ -642,6 +659,38 @@ class WordPlan:
         return slots
 
 
+# -- generated functions --------------------------------------------------------
+
+# terms per statement of a generated sum, well below the few thousand at
+# which CPython's compiler overflows its recursion limit
+_SUM_TERMS = 200
+
+
+def _summed(name: str, parts: list[str]) -> list[str]:
+    """Statements that set `name` to the sum of the expressions `parts`,
+    added left to right: the first ``_SUM_TERMS`` of them, then `name`
+    plus each next ``_SUM_TERMS``."""
+    return [f"{name} = {f'{name} + ' if i else ''}{' + '.join(parts[i:i + _SUM_TERMS])}"
+            for i in range(0, len(parts), _SUM_TERMS)]
+
+
+def _function(signature: str, lines: list[str]) -> Callable:
+    """The function ``def signature:`` whose body is `lines`, compiled
+    once per source text."""
+    return _compiled("\n".join([f"def {signature}:", *(f"    {line}" for line in lines)]))
+
+
+# every generated function by its source: tapes, coefficient plans and
+# step sums
+@lru_cache(maxsize=192)
+def _compiled(source: str) -> Callable:
+    """The one function that `source` defines, which may call
+    ``isfinite``, the complex one."""
+    namespace = {"isfinite": cmath.isfinite}
+    exec(compile(source, "<generated>", "exec"), namespace)
+    return namespace[source[4:source.index("(")]]
+
+
 # -- tapes ----------------------------------------------------------------------
 
 _NUMBERS = (int, float, complex)
@@ -707,23 +756,12 @@ class _Recorder:
         `inputs` and runs the lines, guards included, then returns `values`;
         bound to this recording's constants, so that it takes `x` alone."""
         result = f"[{', '.join(map(self.operand, values))}]"
-        source = "\n".join([
-            "def replay(K, x):",
-            f"    [{', '.join(r.name for r in inputs)}] = x",
-            f"    [{', '.join(name for name, _ in self.constants.values())}] = K",
-            *(f"    {line}" for line in self.lines),
-            f"    return {result}"])
-        return partial(_function(source), tuple(x for _, x in self.constants.values()))
-
-
-# compiled tapes kept by source; each field holds its own too
-@lru_cache(maxsize=8 * TAPE_CACHE_SIZE)
-def _function(source: str):
-    """The function that `source` defines.  Constants are arguments, so
-    fields that differ only in their constants share one compilation."""
-    namespace: dict = {}
-    exec(compile(source, "<tape>", "exec"), namespace)
-    return namespace["replay"]
+        constants = self.constants.values()
+        return partial(_function("replay(K, x)", [
+            f"[{', '.join(r.name for r in inputs)}] = x",
+            f"[{', '.join(name for name, _ in constants)}] = K",
+            *self.lines,
+            f"return {result}"]), tuple(x for _, x in constants))
 
 
 class _Register:
@@ -856,9 +894,9 @@ def _nonlinear_field(alpha=1.0, mu=1.0):
 
 def _power_field(gamma=0):
     # a = 0, b = u^(1-gamma); integer gamma only (powers are repeated mul/div)
-    if not isinstance(gamma, int):
+    if not isinstance(gamma, numbers.Integral):
         raise ValueError("power field requires integer gamma")
-    expo = 1 - gamma
+    expo = 1 - int(gamma)
     return make_field(1, lambda t, u: [0.0], lambda t, u: [u[0] ** expo],
                       name="power")
 

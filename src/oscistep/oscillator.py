@@ -31,14 +31,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import DegenerateOscillatorError, RegimeError
-from .jets import absorb_mean
+from .jets import _function, _key, _summed, absorb_mean
 
 __all__ = [
     "OscillatorSpec",
@@ -292,20 +292,20 @@ class TermPlan:
     the function sums that shape, :meth:`_bind` fills ``K`` by following
     it, and the batch layout reads it.
 
-    The function is straight-line Python, compiled once per plan and `nu`
-    and kept on the plan: it computes each Z^q once, then each polynomial
-    as ``K[0] + K[1] * z0 * K[2] + K[3] * z1 + ...``, the same operands and
-    operations in the same left-to-right order as the product and the sum
-    above, so its values are those bit for bit.  Its source depends only on
-    which terms carry which power of Z and an omega factor, and so only on
-    the plan's structure and `nu`; a new `dt` or `omega` binds new
-    constants to the same function.  Constants are read as ``K[i]``, never
-    unpacked into locals: a frame's size is its locals plus its stack, and
-    a table of thousands of constants would push a fresh chunk of the
-    interpreter's frame stack on every call.  A polynomial of more than
-    ``_SUM_TERMS`` terms is summed in statements of that many, since
-    CPython's compiler recurses once per operator of an expression.
-    :meth:`BasisPoly.eval_shifted` binds for its one call and keeps nothing.
+    The function is straight-line Python, compiled by ``jets._function``
+    once per plan and `nu` and kept on the plan: it computes each Z^q once,
+    then each polynomial as ``K[0] + K[1] * z0 * K[2] + K[3] * z1 + ...``,
+    the same operands and operations in the same left-to-right order as
+    the product and the sum above, so its values are those bit for bit.
+    A polynomial whose sum ``jets._summed`` splits into statements is
+    summed by them, into `c`.  Its source depends only on which terms
+    carry which power of Z and an omega factor, and so only on the plan's
+    structure and `nu`; a new `dt` or `omega` binds new constants to the
+    same function.  Constants are read as ``K[i]``, never unpacked into
+    locals: a frame's size is its locals plus its stack, and a table of
+    thousands of constants would push a fresh chunk of the interpreter's
+    frame stack on every call.  :meth:`BasisPoly.eval_shifted` binds for
+    its one call and keeps nothing.
 
     `solve` knows its start times in advance and takes the coefficients of
     every step from :meth:`_blocks`, which evaluates a block of times in
@@ -319,23 +319,18 @@ class TermPlan:
 
     def __init__(self, polys):
         self._polys = tuple(poly.terms for poly in polys)
-        # the distinct p, k and q, each with its place among its kind
-        self._ps: dict[int, int] = {}
-        self._ks: dict[int, int] = {}
+        keys = [key for terms in self._polys for key, _ in terms]
+        # the distinct nonzero p and k, and each distinct nonzero q with
+        # its place among them
+        self._ps = tuple(dict.fromkeys(p for p, _, _, _, _ in keys if p))
+        self._ks = tuple(dict.fromkeys(k for _, k, _, _, _ in keys if k))
         self._qs: dict[int, int] = {}
-        for terms in self._polys:
-            for (p, k, q, _, _), _ in terms:
-                if p:
-                    self._ps.setdefault(p, len(self._ps))
-                if k:
-                    self._ks.setdefault(k, len(self._ks))
-                if q:
-                    self._qs.setdefault(q, len(self._qs))
+        for q in dict.fromkeys(q for _, _, q, _, _ in keys if q):
+            self._qs[q] = len(self._qs)
         # the compiled function and its shape for each nu
         self._forms: dict[float, tuple[Callable, list]] = {}
-        # the last binding: (omega, type of omega, nu, dt, type of dt, sign
-        # of dt, binding)
-        self._last: tuple = (None,) * 7
+        # the last binding: ((type of omega, omega, nu, key of dt), binding)
+        self._last: tuple = (None, None)
 
     def _form(self, nu: float) -> tuple[Callable, list]:
         """The function from ``(K, z)`` to every polynomial's value, for
@@ -343,7 +338,7 @@ class TermPlan:
         form = self._forms.get(nu)
         if form is None:
             shape = self._shape(nu)
-            form = self._forms[nu] = (_compile(self._source(shape)), shape)
+            form = self._forms[nu] = (_function("plan(K, z)", self._source(shape)), shape)
         return form
 
     def _shape(self, nu: float) -> list[list[tuple]]:
@@ -376,20 +371,19 @@ class TermPlan:
             shape.append(summands)
         return shape
 
-    def _source(self, shape: list[list[tuple]]) -> str:
-        """The source of the function that sums `shape`."""
+    def _source(self, shape: list[list[tuple]]) -> list[str]:
+        """The body of the function ``plan(K, z)`` that sums `shape`."""
         lines = [f"z{i} = z ** {q}" for q, i in self._qs.items()]
         items = []          # values not yet in `out`
         started = False     # whether `out` exists
         for summands in shape:
             parts = [f"K[{i}]" + ("" if z is None else f" * z{z}")
                      + ("" if w is None else f" * K[{w}]") for i, z, w, _ in summands]
-            if len(parts) <= _SUM_TERMS:
+            statements = _summed("c", parts)
+            if len(statements) == 1:
                 items.append(" + ".join(parts))
                 continue
-            for j in range(0, len(parts), _SUM_TERMS):
-                lines.append(("c = " if j == 0 else "c = c + ")
-                             + " + ".join(parts[j:j + _SUM_TERMS]))
+            lines += statements
             items.append("c")
             lines.append(f"out {'+=' if started else '='} [{', '.join(items)}]")
             items, started = [], True
@@ -397,7 +391,7 @@ class TermPlan:
             lines += [f"out += [{', '.join(items)}]", "return out"]
         else:
             lines.append(f"return [{', '.join(items)}]")
-        return "\n".join(["def plan(K, z):", *(f"    {line}" for line in lines)])
+        return lines
 
     def _bind(self, omega: float, nu: float, dt: float) -> list:
         """The binding at `omega`, `nu` and `dt`, its layout not yet built.
@@ -434,22 +428,15 @@ class TermPlan:
 
     def _binding(self, omega: float, nu: float, dt: float) -> list:
         """The binding at `omega`, `nu` and `dt`: the kept one if it was
-        built for them, else a new one, kept if its key can be."""
-        last_omega, omega_type, last_nu, last_dt, dt_type, sign, binding = self._last
-        # -0.0 and 0.0, or 2 and 2.0, are equal step sizes whose powers
-        # differ in sign or type; the type is compared first, since a dt of
-        # another type may compare elementwise
-        if not (type(omega) is omega_type and omega == last_omega and nu == last_nu
-                and type(dt) is dt_type and dt == last_dt and math.copysign(1.0, dt) == sign):
+        built for an `omega` of the same type and value, the same `nu` and
+        the same ``jets._key`` of `dt`, else a new one, kept unless `dt`
+        has no key."""
+        key = (type(omega), omega, nu, _key(dt))
+        last, binding = self._last
+        if key != last:
             binding = self._bind(omega, nu, dt)
-            try:
-                hash((omega, nu, dt))
-                self._last = (omega, type(omega), nu, dt, type(dt), math.copysign(1.0, dt),
-                              binding)
-            except TypeError:
-                # a key with no hash or a dt with no float sign, such as a
-                # numpy array or a complex number, binds for this call only
-                pass
+            if key[3]:
+                self._last = (key, binding)
         return binding
 
     def __call__(self, osc: OscillatorSpec, dt: float, t_ref: float) -> list[complex]:
@@ -580,22 +567,9 @@ class TermPlan:
         return out
 
 
-# terms per statement of a compiled sum, well below the few thousand at
-# which CPython's compiler overflows its recursion limit
-_SUM_TERMS = 200
-
 # summands per block of TermPlan._blocks; its transient arrays hold at most
 # six floats per summand, 384 KB in all
 _BLOCK_VALUES = 2 ** 13
-
-
-# compiled coefficient plans by source; tape functions have their own cache
-@lru_cache(maxsize=64)
-def _compile(source: str) -> Callable:
-    """The function ``plan`` that `source` defines."""
-    namespace: dict = {}
-    exec(compile(source, "<coefficient plan>", "exec"), namespace)
-    return namespace["plan"]
 
 
 def v_poly(osc: OscillatorSpec) -> BasisPoly:

@@ -56,7 +56,6 @@ the trajectory's array once at the end.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -66,8 +65,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericStepError
-from .jets import CoefficientField, Jet, WordPlan, _jet_order, _plan
-from .oscillator import _SUM_TERMS, BasisPoly, OscillatorSpec, TermPlan, phase_average
+from .jets import CoefficientField, Jet, WordPlan, _function, _jet_order, _plan, _summed
+from .oscillator import BasisPoly, OscillatorSpec, TermPlan, phase_average
 from .terms import RETENTION_TOL, TruncationPolicy, Word, enumerate_words, word_primitive
 
 __all__ = [
@@ -293,26 +292,23 @@ def _non_finite(entries: _Entries, u: list, coeffs: list, values: list, m: int) 
 
 @lru_cache(maxsize=64)
 def _assembly(n: int, m: int) -> Callable:
-    """The sum of a step of `n` entries in `m` dimensions, compiled: a
-    function of the state `u`, the coefficients `c` and the operator values
-    `v`, lists of complex numbers with `v` entry by entry, that gives
-    ``u_next`` as a list, or None if a component is not finite.
+    """The sum of a step of `n` entries in `m` dimensions, compiled by
+    ``jets._function``: a function of the state `u`, the coefficients `c`
+    and the operator values `v`, lists of complex numbers with `v` entry by
+    entry, that gives ``u_next`` as a list, or None if a component is not
+    finite.
 
-    Each component is ``u[j] + c[0] * v[j] + c[1] * v[m + j] + ...``: one
-    complex product per entry, added one at a time in table order, in
-    statements of ``_SUM_TERMS`` terms, as a coefficient plan sums."""
+    Each component ``s<j>`` is ``u[j] + c[0] * v[j] + c[1] * v[m + j] +
+    ...``: one complex product per entry, added one at a time in table
+    order, in the statements of ``jets._summed``."""
     lines = []
     for j in range(m):
-        parts = [f"u[{j}]", *(f"c[{i}] * v[{i * m + j}]" for i in range(n))]
-        for k in range(0, len(parts), _SUM_TERMS):
-            lines.append(f"s{j} = {f's{j} + ' if k else ''}" + " + ".join(parts[k:k + _SUM_TERMS]))
+        lines += _summed(f"s{j}", [f"u[{j}]", *(f"c[{i}] * v[{i * m + j}]" for i in range(n))])
     names = [f"s{j}" for j in range(m)]
-    source = "\n".join(["def assemble(u, c, v):", *(f"    {line}" for line in lines),
-                        f"    if {' and '.join(f'isfinite({s})' for s in names)}:",
-                        f"        return [{', '.join(names)}]"])
-    namespace = {"isfinite": cmath.isfinite}
-    exec(compile(source, "<step assembly>", "exec"), namespace)
-    return namespace["assemble"]
+    return _function("assemble(u, c, v)", [
+        *lines,
+        f"if {' and '.join(f'isfinite({s})' for s in names)}:",
+        f"    return [{', '.join(names)}]"])
 
 
 def solve(scheme: SchemeTable, field: CoefficientField, t0: float, u0,

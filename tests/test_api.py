@@ -35,3 +35,14 @@ def test_only_the_field_calls_its_functions():
     naming = sorted(path.name for path in src.glob("*.py")
                     if re.search(r"\._[ab]\b", path.read_text()))
     assert naming == ["jets.py"]
+
+
+def test_generated_code_has_one_compiler_and_one_split_rule():
+    # every generated function is compiled in jets._compiled, and every
+    # long generated sum is split by jets._summed at the one _SUM_TERMS
+    src = Path(oscistep.__file__).parent
+    texts = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert [name for name, text in texts.items() for _ in re.findall(r"\bexec\(", text)] \
+        == ["jets.py"]
+    assert [name for name, text in texts.items()
+            for _ in re.findall(r"\b_SUM_TERMS\s*=(?!=)", text)] == ["jets.py"]

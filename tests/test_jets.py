@@ -71,6 +71,14 @@ class TestJetArithmetic:
         assert (u ** -2).value == pytest.approx(0.25)
         with pytest.raises(TypeError):
             u ** 0.5
+        with pytest.raises(TypeError):
+            u ** 2.0
+
+    def test_integral_exponents_of_any_type_power_alike(self):
+        # a numpy integer or a bool is as integral an exponent as an int
+        u = var(0, (0.7 - 0.2j,), 3)
+        for n, same in ((np.int64(2), 2), (np.int64(-2), -2), (np.uint8(3), 3), (True, 1)):
+            assert (u ** n)._terms == (u ** same)._terms
 
     def test_multi_indices_are_tuples_at_the_boundary(self):
         base = (0.5, 2.0, -1.0)
@@ -240,6 +248,8 @@ class TestBuiltinFieldDerivatives:
     def test_power_field_requires_integer_gamma(self):
         with pytest.raises(ValueError):
             builtin_field("power", gamma=0.5)
+        with pytest.raises(ValueError):
+            builtin_field("power", gamma=np.float64(2.0))
 
     def test_unknown_field_name(self):
         with pytest.raises(ValueError):

@@ -301,9 +301,13 @@ def test_a_constant_operator_value_multiplies_as_a_complex_number():
 
 
 def test_sums_split_into_statements_match_reference(monkeypatch):
-    # the step's sum is compiled in statements of _SUM_TERMS terms; at 2, a
-    # (4,2) table's u_n and 11 terms take six statements per component
-    monkeypatch.setattr(stepping, "_SUM_TERMS", 2)
+    # every generated sum is split into statements of jets._SUM_TERMS
+    # terms; at 2, a (4,2) table's u_n and 11 terms take six statements per
+    # component, and each coefficient of more than two summands several
+    sources = []
+    compiled = jets._compiled
+    monkeypatch.setattr(jets, "_SUM_TERMS", 2)
+    monkeypatch.setattr(jets, "_compiled", lambda source: sources.append(source) or compiled(source))
     stepping._assembly.cache_clear()
     try:
         field = FIELDS["m4-coupled"]()
@@ -312,8 +316,43 @@ def test_sums_split_into_statements_match_reference(monkeypatch):
         assert_same(step(scheme, field, t, u, 0.05), ref.step(scheme, field, t, u, 0.05))
         want = solve_outcome(lambda: stepped(ref.step, scheme, field, t, u, 0.05, 6))
         assert solve_outcome(lambda: solve(scheme, field, t, u, t + 0.3, 0.05)) == want
+        [assembly] = [s for s in sources if s.startswith("def assemble(")]
+        for j in range(field.m):
+            assert sum(line.startswith(f"    s{j} = ") for line in assembly.splitlines()) == 6
+        osc = OSCILLATORS[0]
+        polys = [e.coeff for e in build_scheme(osc, TruncationPolicy.from_order(4, 2)).entries]
+        sources.clear()
+        plan = oscillator.TermPlan(polys)
+        for dt in (0.05, -0.0):
+            for t in (0.0, 0.3, -0.7):
+                want = [ref.eval_shifted(c, osc, dt, t) for c in polys]
+                assert exact(plan(osc, dt, t)) == exact(want)
+        [source] = sources
+        assert "    c = c + " in source and "    out += " in source
     finally:
         stepping._assembly.cache_clear()
+
+
+INTEGRAL_EXPONENT_FIELDS = [
+    (lambda: make_field(1, lambda t, u: [u[0] ** np.int64(2) * t],
+                        lambda t, u: [u[0] ** np.int64(-2)]),
+     lambda: make_field(1, lambda t, u: [u[0] ** 2 * t], lambda t, u: [u[0] ** -2])),
+    (lambda: builtin_field("power", gamma=np.int64(3)), FIELDS["power"]),
+]
+
+
+@pytest.mark.parametrize("policy", [(4, 2), (8, 2)], ids=["4-2", "8-2"])
+@pytest.mark.parametrize("fields", INTEGRAL_EXPONENT_FIELDS, ids=["u-powers", "power-gamma"])
+def test_numpy_integer_exponents_step_as_ints(fields, policy):
+    # a numpy integer exponent or gamma gives the bits of the int
+    numpy_field, int_field = (make() for make in fields)
+    rng = np.random.default_rng(29)
+    for osc in OSCILLATORS[:2]:
+        scheme = build_scheme(osc, TruncationPolicy.from_order(*policy))
+        for t, u in start_points(1, rng):
+            assert_same(step(scheme, numpy_field, t, u, 0.1), step(scheme, int_field, t, u, 0.1))
+            assert solve_outcome(lambda: solve(scheme, numpy_field, t, u, t + 0.5, 0.1)) == \
+                   solve_outcome(lambda: solve(scheme, int_field, t, u, t + 0.5, 0.1))
 
 
 def test_jets_cancelling_to_zero_match_reference():
@@ -731,7 +770,7 @@ def test_eval_shifted_keeps_no_binding():
         V = oscillator.big_v(osc)
         for dt in (0.01, 0.37, -0.0, 0, np.float64(0.2), 1.5, 0.01):
             assert repr(V.eval_shifted(osc, dt, 0.3)) == repr(ref.eval_shifted(V, osc, dt, 0.3))
-        assert V._plan._last == (None,) * 7
+        assert V._plan._last == (None, None)
 
 
 def test_step_size_rebinds_after_another(bindings):

@@ -576,6 +576,6 @@ def test_overflowing_step_size_binds_nothing():
     for _ in range(2):
         with pytest.raises(OverflowError):
             step(sch, builtin_field("linear", mu=1.0), 0.0, u1(1.0), 1e100)
-        assert plan._last == (None,) * 7
+        assert plan._last == (None, None)
     step(sch, builtin_field("linear", mu=1.0), 0.0, u1(1.0), 0.1)
-    assert plan._last[3] == 0.1 and plan._last[-1] is not None
+    assert plan._last[0][3] == (float, 0.1, 1.0) and plan._last[-1] is not None

@@ -11,7 +11,14 @@ and every ``u_next`` of phase-ensemble's rounds 0-2 (3 seeds x 3 rounds x
 ``perfbench/workloads.py`` draws.  For the same kinds and states follow
 the rows of a one-step solve from 0.0 (3 x 5 x 2 = 30) and of the whole
 solve from t0 = -0.0 and from the int 0 (765 each), whose step 0 sees t0
-itself.  Both trees run with this checkout's ``perfbench``.
+itself.  Last come two (8,2) tables whose generated sums are split into
+statements: solve-scalar's freqdep table (exp, nu = -1/2, 510 entries, so
+a step's sum takes three statements) and a 3-mode Fourier table at
+nu = -1/2 (510 entries, coefficients of up to 841 summands), each with
+the freqdep field: for each seed, the rows of a solve over [0, 1] at
+h = 0.02 from solve-scalar's freqdep u0 (2 x 3 x 51 = 306) and the
+``u_next`` of a `step` from five seeded (t, u) (2 x 3 x 5 = 30).  Both
+trees run with this checkout's ``perfbench``.
 """
 
 from __future__ import annotations
@@ -23,7 +30,9 @@ import sys
 
 SEEDS = (11, 12, 13)
 KINDS = ("solve-scalar", "phase-ensemble", "solve-one-step", "solve-minus-zero",
-         "solve-int-zero")
+         "solve-int-zero", "split-solve", "split-step")
+# the 3-mode Fourier oscillator of the split tables
+FOURIER_MODES = {-2: 0.3 - 0.1j, 1: 0.7, 3: 0.25j}
 PHASE_ROUNDS = 3
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
@@ -32,10 +41,14 @@ def outputs() -> list[str]:
     """One line per output: the workload, its seed and inputs, and the
     ``repr`` of its Python values."""
     import numpy as np
-    from oscistep import solve
+    from oscistep import TruncationPolicy, build_scheme, make_oscillator, solve, step
     from workloads import PhaseEnsemble, SolveScalar
 
-    lines, more = [], []
+    split = {"freqdep": make_oscillator("exp", 100.0, 0.0, -0.5),
+             "fourier3": make_oscillator("fourier", 100.0, 0.3, -0.5, FOURIER_MODES)}
+    split = {name: build_scheme(osc, TruncationPolicy.from_order(8, 2, -0.5))
+             for name, osc in split.items()}
+    lines, more, split_lines = [], [], []
     for seed in SEEDS:
         w = SolveScalar(seed)
         for inp in w.round_inputs(0):
@@ -47,12 +60,22 @@ def outputs() -> list[str]:
                 traj = solve(scheme, field, t0, inp["u0"], t_end, w.H)
                 out += [f"{name} {seed} {inp['kind']} {t!r} {np.asarray(u).tolist()!r}"
                         for t, u in traj]
+        [u0] = [inp["u0"] for inp in w.round_inputs(0) if inp["problem"] == "freqdep"]
+        field, rng = w.plain["freqdep"], np.random.default_rng([seed, 29])
+        starts = [(float(rng.uniform(0.0, 1.0)), u0 * complex(*rng.uniform(0.5, 1.5, 2)))
+                  for _ in range(5)]
+        for table, scheme in split.items():
+            split_lines += [f"split-solve {seed} {table} {t!r} {np.asarray(u).tolist()!r}"
+                            for t, u in solve(scheme, field, 0.0, u0, w.T_END, w.H)]
+            split_lines += [f"split-step {seed} {table} {t!r} "
+                            f"{step(scheme, field, t, u, w.H).u_next.tolist()!r}"
+                            for t, u in starts]
         w = PhaseEnsemble(seed)
         for r in range(PHASE_ROUNDS):
             for i, inp in enumerate(w.round_inputs(r)):
                 lines.append(f"phase-ensemble {seed} {r} {i} {inp['kind']} "
                              f"{w.run(inp).tolist()!r}")
-    return lines + more
+    return lines + more + split_lines
 
 
 def run(src: str) -> list[str]:
