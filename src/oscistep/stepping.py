@@ -17,15 +17,24 @@ integrals instead.
 On its first step a table's entries compile into a step plan: a
 :class:`~oscistep.jets.WordPlan` for the operator values and a
 :class:`~oscistep.oscillator.TermPlan` for the coefficients.  The plan
-lives on the cached entries, so every table rebuilt from the cache (at
-another frequency or phase) steps with the same plan.  The word plan
-depends on the words alone, so every table with the same words in the
-same order shares it, and so the tapes each field records for it: the
-tables of one policy for every oscillator, the phase-averaged entries,
-and a copy given by hand.  A coefficient plan is one straight-line
-function per nu, compiled on the first step and kept on the plan.  It
-binds its step-invariant factors to an (omega, nu, h) as a flat tuple of
-constants, which the function reads by index, and keeps the last
+covers the *live* entries only, those whose coefficient has terms.
+Termwise truncation leaves some coefficients with none (263 of the 510
+entries at exp, nu = -1/2, (8,2), all of them long words), and such an
+entry's contribution is zero whatever its operator value, so a step
+neither evaluates its word, nor its coefficient, nor adds it: its row of
+``StepResult.contributions`` is an exact ``0j``, and a non-finite
+operator value that only it would read is no error.  The table keeps
+every entry.  The plan lives on the cached entries, so every table
+rebuilt from the cache (at another frequency or phase) steps with the
+same plan.  The word plan depends on the live words alone, so every
+table with the same live words in the same order shares it, and so the
+tapes each field records for it: the tables of one policy for every
+oscillator, the phase-averaged entries, which cover the same live
+entries as the table they come from even where averaging empties a
+coefficient, and a copy given by hand.  A coefficient plan is one
+straight-line function per nu, compiled on the first step and kept on the
+plan.  It binds its step-invariant factors to an (omega, nu, h) as a flat
+tuple of constants, which the function reads by index, and keeps the last
 binding, so a run of steps of one size, at any start time or phase,
 binds once, and a new step size binds again without compiling.
 
@@ -39,10 +48,10 @@ dozen numpy calls however few steps it serves, more than a (4,2) table's
 compiled call.
 
 A step's sum is Python's complex arithmetic on Python numbers.  Each
-contribution is one complex product of an entry's coefficient and a
+contribution is one complex product of a live entry's coefficient and a
 component of its operator value, both complex numbers, and the
 contributions are added to u_n one at a time in table order by a
-straight-line function compiled once per entry count and dimension
+straight-line function compiled once per live entry count and dimension
 (``_assembly``).  So a step's bits are those of Python's float
 operations, the same under every SIMD dispatch of numpy, whose complex
 product may fuse a multiply and an add.  Only a sum that is not finite
@@ -99,21 +108,36 @@ class SchemeEntry:
 
 
 class _Entries(tuple):
-    """A table's entries with what stepping them needs, built on first use.
-    Every table rebuilt from the scheme cache holds the same tuple and so
-    shares its plans and its phase-averaged entries."""
+    """A table's entries with what stepping them needs, built on first use:
+    the places of the live entries, whose coefficient has terms, and the
+    step plan, which covers those only.  Every table rebuilt from the
+    scheme cache holds the same tuple and so shares its plans and its
+    phase-averaged entries."""
+
+    @cached_property
+    def live(self) -> tuple[int, ...]:
+        """The places of the entries that the step plan covers, in table
+        order: those whose coefficient has terms.  The others contribute
+        an exact zero, whatever their operator value."""
+        return tuple(i for i, e in enumerate(self) if e.coeff.terms)
 
     @cached_property
     def plan(self) -> tuple[WordPlan, TermPlan]:
-        """The operator values and the coefficients, compiled."""
-        return (_plan([(e.word.target, e.word.operator_word) for e in self]),
-                TermPlan([e.coeff for e in self]))
+        """The operator values and the coefficients of the live entries,
+        compiled."""
+        live = [self[i] for i in self.live]
+        return (_plan([(e.word.target, e.word.operator_word) for e in live]),
+                TermPlan([e.coeff for e in live]))
 
     @cached_property
     def averaged(self) -> "_Entries":
-        """These entries with every coefficient phase-averaged; they have
-        the same words in the same order, so they share the word plan."""
-        return _Entries(replace(e, coeff=phase_average(e.coeff)) for e in self)
+        """These entries with every coefficient phase-averaged.  They have
+        the same words in the same order and cover the same live entries,
+        whether or not an averaged coefficient keeps terms, so they share
+        the word plan."""
+        out = _Entries(replace(e, coeff=phase_average(e.coeff)) for e in self)
+        out.live = self.live
+        return out
 
 
 @dataclass(frozen=True)
@@ -169,7 +193,11 @@ def build_scheme(osc: OscillatorSpec, policy: TruncationPolicy,
 
 class StepResult:
     """A step's end state `u_next` at `t_next`, and `contributions`: each
-    entry's coefficient times its operator value, in table order.  A step
+    entry's coefficient times its operator value, in table order.  An
+    entry whose coefficient has no terms (before any phase averaging) is
+    outside the step plan and contributes an exact zero row (``0j``, not
+    ``0j`` times a value, whose zeros could carry a sign), which the sum
+    does not add.  A step
     forms the contributions from the products its sum added when they are
     first read, so a caller that reads only `u_next` never forms them."""
 
@@ -228,9 +256,10 @@ def step(scheme: SchemeTable, field: CoefficientField, t_n: float, u_n,
     """One macro step from (t_n, u_n) over [t_n, t_n + h].
 
     Each entry contributes its coefficient times its operator value, a
-    complex product; the contributions are added to u_n one at a time in
-    table order, in Python's complex arithmetic.  A non-finite t_n, h or
-    u_n raises ValueError, and a non-finite contribution NumericStepError.
+    complex product, or an exact zero if its coefficient has no terms; the
+    products are added to u_n one at a time in table order, in Python's
+    complex arithmetic.  A non-finite t_n, h or u_n raises ValueError, and
+    a non-finite contribution NumericStepError.
     """
     return _step(scheme.entries, scheme.oscillator, field, t_n, u_n, h)
 
@@ -258,41 +287,44 @@ def _step(entries: _Entries, osc: OscillatorSpec, field: CoefficientField, t_n: 
     if u_next is None:
         u_next = _non_finite(entries, u, coeffs, values, m)
     return StepResult(np.array(u_next, dtype=complex), t_n + h,
-                      _contributions(coeffs, values, m))
+                      _contributions(entries, coeffs, values, m))
 
 
 def _products(coeffs: list, values: list, m: int) -> list[complex]:
-    """Each entry's coefficient times each component of its operator value,
-    in table order: the products that the assembly adds."""
+    """Each live entry's coefficient times each component of its operator
+    value, in table order: the products that the assembly adds."""
     return [coeffs[k // m] * v for k, v in enumerate(values)]
 
 
-def _contributions(coeffs: list, values: list, m: int):
+def _contributions(entries: _Entries, coeffs: list, values: list, m: int):
     """The rows of a step's `StepResult.contributions`, formed when first
-    read."""
-    yield from np.array(_products(coeffs, values, m), dtype=complex).reshape(-1, m)
+    read: the products of the live entries, and an exact zero row for each
+    other entry."""
+    rows = np.zeros((len(entries), m), dtype=complex)
+    rows[list(entries.live)] = np.array(_products(coeffs, values, m), dtype=complex).reshape(-1, m)
+    yield from rows
 
 
 def _non_finite(entries: _Entries, u: list, coeffs: list, values: list, m: int) -> list:
     """A step whose sum is not finite, from its state `u` and its operands:
     ValueError if the state is not finite, NumericStepError naming the
-    first entry whose contribution is not, or else, for finite terms whose
-    sum overflowed, the same sum in numpy, which reports the overflow under
-    the caller's error settings."""
+    first live entry whose contribution is not, or else, for finite terms
+    whose sum overflowed, the same sum in numpy, which reports the overflow
+    under the caller's error settings."""
     rows = np.array(u + _products(coeffs, values, m), dtype=complex).reshape(-1, m)
     # inf and NaN survive addition, so a non-finite sum has a non-finite term
     if not np.isfinite(rows[0]).all():
         raise ValueError("u_n must be finite")
     finite = np.isfinite(rows[1:].view(float)).all(axis=1)
     if not finite.all():
-        bad = entries[int(np.argmin(finite))]
+        bad = entries[entries.live[int(np.argmin(finite))]]
         raise NumericStepError(f"non-finite contribution from term {bad.word}")
     return np.add.accumulate(rows)[-1].tolist()
 
 
 @lru_cache(maxsize=64)
 def _assembly(n: int, m: int) -> Callable:
-    """The sum of a step of `n` entries in `m` dimensions, compiled by
+    """The sum of a step of `n` live entries in `m` dimensions, compiled by
     ``jets._function``: a function of the state `u`, the coefficients `c`
     and the operator values `v`, lists of complex numbers with `v` entry by
     entry, that gives ``u_next`` as a list, or None if a component is not
@@ -332,7 +364,7 @@ def solve(scheme: SchemeTable, field: CoefficientField, t0: float, u0,
         raise ValueError(f"step {h} does not divide the interval length {span}")
     entries, m = scheme.entries, field.m
     operators, coefficients = entries.plan
-    assemble, evaluate = _assembly(len(entries), m), field._evaluate
+    assemble, evaluate = _assembly(len(entries.live), m), field._evaluate
     # step 0 starts at t0 itself: t0 + 0 * h would make -0.0 a 0.0
     times = [t0, *(t0 + i * h for i in range(1, n + 1))]
     rows = (row for block in coefficients._blocks(scheme.oscillator, h, times[:n])

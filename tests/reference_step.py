@@ -216,14 +216,20 @@ def eval_shifted(poly, osc, dt, t_ref):
 
 
 def step(scheme, field, t_n, u_n, h, averaged=False):
-    """One macro step, one entry at a time, accumulated from u_n."""
+    """One macro step, one entry at a time, accumulated from u_n.  An entry
+    whose coefficient has no terms (before any averaging) contributes an
+    exact zero and is neither evaluated nor added."""
     u_n = np.asarray(u_n, dtype=complex)
     osc = scheme.oscillator
+    live = [e for e in scheme.entries if e.coeff.terms]
     values = operator_values(field, [(e.word.target, e.word.operator_word)
-                                     for e in scheme.entries], t_n, u_n)
+                                     for e in live], t_n, u_n)
     contributions = []
     u_next = u_n.copy()
     for e in scheme.entries:
+        if not e.coeff.terms:
+            contributions.append(np.zeros(u_n.shape, dtype=complex))
+            continue
         poly = phase_average(e.coeff) if averaged else e.coeff
         c = complex(eval_shifted(poly, osc, h, t_n))
         # Python's complex product, component by component

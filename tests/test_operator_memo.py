@@ -243,3 +243,23 @@ def test_an_untaped_field_runs_once_for_a_phase_group():
                 ref.step(schemes[0], field, 0.3, u, 0.1, averaged=True))
     # ref.step runs the lambda too, once per step
     assert len(calls) - before == one_step + len(schemes) + 1
+
+
+@pytest.mark.parametrize("averaged_first", [False, True], ids=["plain-first", "averaged-first"])
+def test_a_step_and_its_averaged_twin_share_a_plan_past_empty_coefficients(averaged_first,
+                                                                          evaluations):
+    # at exp (8,2) 26 of 87 coefficients have no terms, and 79 once
+    # averaged; the averaged entries leave out the plain table's 26 only,
+    # so both steps read one word plan and evaluate once
+    field = builtin_field("nonlinear", alpha=0.3, mu=2.0)
+    scheme = build_scheme(make_oscillator("exp", 90.0, 0.4), TruncationPolicy.from_order(8, 2))
+    entries = scheme.entries
+    assert len(entries) - len(entries.live) == 26
+    assert sum(not e.coeff.terms for e in entries.averaged) == 79
+    assert entries.averaged.plan[0] is entries.plan[0]
+    u = np.array([0.9 + 0.1j])
+    runs = [(step, False), (step_phase_averaged, True)]
+    for fn, averaged in (runs[::-1] if averaged_first else runs):
+        assert_same(fn(scheme, field, 0.3, u, 0.1),
+                    ref.step(scheme, field, 0.3, u, 0.1, averaged=averaged))
+    assert evaluations == [0.3]

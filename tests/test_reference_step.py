@@ -467,7 +467,8 @@ def test_word_zero_on_every_step_runs_the_kernels(name, recordings):
         assert repr(t) == repr(want.t_next)
         assert exact(got) == exact(want.u_next)
         u = want.u_next
-    pairs = [(e.word.target, e.word.operator_word) for e in scheme.entries]
+    # the pairs of the step plan, the entries whose coefficient has terms
+    pairs = [(e.word.target, e.word.operator_word) for e in scheme.entries if e.coeff.terms]
     got = operator_values(field, pairs, 0.3, u)
     want = ref.operator_values(field, pairs, 0.3, u)
     assert all(exact(got[k]) == exact(want[k]) for k in want)

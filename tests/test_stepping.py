@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from oscistep import (BoundInputs, NumericStepError, TruncationPolicy, Word,
                       integration_call_count, iterated_integral, make_field,
                       make_oscillator, operator_values, phase_average, solve, step,
                       step_phase_averaged)
-from oscistep.oscillator import absorb_mean
+from oscistep.oscillator import BasisPoly, absorb_mean
 from oscistep.stepping import SchemeTable
 
 
@@ -579,3 +580,84 @@ def test_overflowing_step_size_binds_nothing():
         assert plan._last == (None, None)
     step(sch, builtin_field("linear", mu=1.0), 0.0, u1(1.0), 0.1)
     assert plan._last[0][3] == (float, 0.1, 1.0) and plan._last[-1] is not None
+
+
+# -- entries whose coefficient has no terms ---------------------------------------
+
+def hand_built(sch, empty):
+    """`sch`'s entries as a table given by hand, with the coefficients of
+    the words in `empty` emptied."""
+    entries = [replace(e, coeff=BasisPoly()) if str(e.word) in empty else e for e in sch.entries]
+    return SchemeTable(sch.oscillator, sch.policy, entries)
+
+
+class TestEmptyEntries:
+    """A table keeps every entry, but its step plan covers only those whose
+    coefficient has terms; the others contribute an exact zero."""
+
+    @pytest.mark.parametrize("kind, nu, kappa, empty, entries", [
+        ("cos", 0.0, 4, 1, 11), ("cos", 0.0, 8, 13, 87), ("exp", 0.0, 8, 26, 87),
+        ("exp", -0.5, 4, 5, 30), ("exp", -0.5, 8, 263, 510)])
+    def test_empty_entries_per_table(self, kind, nu, kappa, empty, entries):
+        sch = build_scheme(make_oscillator(kind, 100.0, 0.0, nu), pol(kappa, 2, nu))
+        live = sch.entries.live
+        assert len(sch.entries) == entries and len(live) == entries - empty
+        assert [i for i, e in enumerate(sch.entries) if e.coeff.terms] == list(live)
+        # the averaged entries cover the same places, and every plan as many
+        operators, coefficients = sch.entries.plan
+        assert sch.entries.averaged.live == live
+        assert len(operators.outputs) == len(coefficients._polys) == len(live)
+        assert len(sch.entries.averaged.plan[1]._polys) == len(live)
+
+    @pytest.mark.parametrize("stepper", [step, step_phase_averaged])
+    @pytest.mark.parametrize("field, u0", [
+        (make_field(1, lambda t, u: [-0.3 * u[0] * u[0]], lambda t, u: [0.5 * u[0] * t]),
+         [0.8 - 0.3j]),
+        (make_field(2, lambda t, u: [0.3 * u[0] + u[1], -u[0] * u[1]],
+                    lambda t, u: [u[1] * u[1], 0.5 * u[0] * t]), [-0.8 + 0.3j, -1.1 + 0.3j])],
+        ids=["m1", "m2"])
+    def test_an_empty_entry_contributes_an_exact_zero(self, field, u0, stepper):
+        sch = build_scheme(make_oscillator("cos", 100.0, 0.4), pol(4, 2))
+        res = stepper(sch, field, 0.2, u0, 0.1)
+        [skipped] = [i for i, e in enumerate(sch.entries) if not e.coeff.terms]
+        assert str(sch.entries[skipped].word) == "TVT"
+        assert len(res.contributions) == len(sch.entries)
+        assert repr(res.contributions[skipped].tolist()) == repr([0j] * field.m)
+        # 0j times TVT's operator value would carry a negative zero
+        [value] = operator_values(field, [("a", ("L0", "L1"))], 0.2, u0).values()
+        assert repr([0j * v for v in value.tolist()]) != repr([0j] * field.m)
+
+    @pytest.mark.parametrize("run", [
+        lambda sch, f: step(sch, f, 0.0, u1(1e30), 10.0),
+        lambda sch, f: solve(sch, f, 0.0, u1(1e30), 10.0, 10.0)], ids=["step", "solve"])
+    def test_a_non_finite_term_after_an_empty_entry_is_named(self, run):
+        # T is empty; TT, the second entry the plan covers, is the first
+        # non-finite one, and V's operator value is zero
+        f = make_field(1, lambda t, u: [u[0] * 1e308], lambda t, u: [0.0 * t])
+        sch = hand_built(build_scheme(make_oscillator("cos", 5.0), pol(2, 2)), {"T"})
+        assert [str(sch.entries[i].word) for i in sch.entries.live[:2]] == ["V", "TT"]
+        with pytest.raises(NumericStepError, match="term TT$"):
+            run(sch, f)
+
+    @pytest.mark.parametrize("stepper", [step, step_phase_averaged])
+    def test_a_non_finite_value_read_only_by_an_empty_entry_is_not_an_error(self, stepper):
+        # b is infinite and only V reads it; V has no terms, so it
+        # contributes 0j, where 0j times its value would be NaN
+        f = make_field(1, lambda t, u: [0.5 * u[0]], lambda t, u: [math.inf + 0.0 * u[0]])
+        sch = hand_built(build_scheme(make_oscillator("cos", 50.0), TruncationPolicy(1, 1)), {"V"})
+        res = stepper(sch, f, 0.1, u1(1.2), 0.05)
+        assert np.isfinite(res.u_next).all()
+        assert res.u_next[0] == 1.2 + res.contributions[0][0]
+        assert repr(res.contributions[1].tolist()) == "[0j]"
+        # the same field steps the whole table as the value demands
+        with pytest.raises(NumericStepError, match="term V$"):
+            stepper(build_scheme(make_oscillator("cos", 50.0), TruncationPolicy(1, 1)),
+                    f, 0.1, u1(1.2), 0.05)
+
+    def test_operator_values_gives_every_pair_asked_for(self):
+        f = builtin_field("nonlinear", alpha=0.3, mu=2.0)
+        sch = build_scheme(make_oscillator("cos", 100.0), pol(4, 2))
+        pairs = [(e.word.target, e.word.operator_word) for e in sch.entries]
+        got = operator_values(f, pairs, 0.2, u1(0.9))
+        assert list(got) == pairs and ("a", ("L0", "L1")) in got
+        assert all(v.shape == (1,) and np.isfinite(v).all() for v in got.values())

@@ -17,8 +17,11 @@ a step's sum takes three statements) and a 3-mode Fourier table at
 nu = -1/2 (510 entries, coefficients of up to 841 summands), each with
 the freqdep field: for each seed, the rows of a solve over [0, 1] at
 h = 0.02 from solve-scalar's freqdep u0 (2 x 3 x 51 = 306) and the
-``u_next`` of a `step` from five seeded (t, u) (2 x 3 x 5 = 30).  Both
-trees run with this checkout's ``perfbench``.
+``u_next`` of a `step` from five seeded (t, u) (2 x 3 x 5 = 30).  Last,
+the ``u_next`` of `step_phase_averaged` from five seeded (t, u) on each of
+phase-ensemble's three configurations, at its round-0 phase and state, and
+from the split-step starts on each of the two split tables (3 x 5 x 5 =
+75).  Both trees run with this checkout's ``perfbench``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import sys
 
 SEEDS = (11, 12, 13)
 KINDS = ("solve-scalar", "phase-ensemble", "solve-one-step", "solve-minus-zero",
-         "solve-int-zero", "split-solve", "split-step")
+         "solve-int-zero", "split-solve", "split-step", "averaged-step")
 # the 3-mode Fourier oscillator of the split tables
 FOURIER_MODES = {-2: 0.3 - 0.1j, 1: 0.7, 3: 0.25j}
 PHASE_ROUNDS = 3
@@ -41,14 +44,15 @@ def outputs() -> list[str]:
     """One line per output: the workload, its seed and inputs, and the
     ``repr`` of its Python values."""
     import numpy as np
-    from oscistep import TruncationPolicy, build_scheme, make_oscillator, solve, step
-    from workloads import PhaseEnsemble, SolveScalar
+    from oscistep import (TruncationPolicy, build_scheme, make_oscillator, solve, step,
+                          step_phase_averaged)
+    from workloads import PhaseEnsemble, SolveScalar, _oscillator
 
     split = {"freqdep": make_oscillator("exp", 100.0, 0.0, -0.5),
              "fourier3": make_oscillator("fourier", 100.0, 0.3, -0.5, FOURIER_MODES)}
     split = {name: build_scheme(osc, TruncationPolicy.from_order(8, 2, -0.5))
              for name, osc in split.items()}
-    lines, more, split_lines = [], [], []
+    lines, more, split_lines, averaged = [], [], [], []
     for seed in SEEDS:
         w = SolveScalar(seed)
         for inp in w.round_inputs(0):
@@ -70,12 +74,23 @@ def outputs() -> list[str]:
             split_lines += [f"split-step {seed} {table} {t!r} "
                             f"{step(scheme, field, t, u, w.H).u_next.tolist()!r}"
                             for t, u in starts]
+            averaged += [f"averaged-step {seed} {table} {t!r} "
+                         f"{step_phase_averaged(scheme, field, t, u, w.H).u_next.tolist()!r}"
+                         for t, u in starts]
         w = PhaseEnsemble(seed)
         for r in range(PHASE_ROUNDS):
             for i, inp in enumerate(w.round_inputs(r)):
                 lines.append(f"phase-ensemble {seed} {r} {i} {inp['kind']} "
                              f"{w.run(inp).tolist()!r}")
-    return lines + more + split_lines
+        rng = np.random.default_rng([seed, 31])
+        for inp in (inp for inp in w.round_inputs(0) if inp["averaged"]):
+            osc = _oscillator(inp["problem"], inp["phi"])
+            scheme = build_scheme(osc, TruncationPolicy.from_order(inp["kappa"], 2))
+            for _ in range(5):
+                t, u = float(rng.uniform(0.0, 1.0)), inp["u0"] * complex(*rng.uniform(0.5, 1.5, 2))
+                u_next = step_phase_averaged(scheme, w.plain[inp["problem"]], t, u, w.H).u_next
+                averaged.append(f"averaged-step {seed} {inp['kind']} {t!r} {u_next.tolist()!r}")
+    return lines + more + split_lines + averaged
 
 
 def run(src: str) -> list[str]:
