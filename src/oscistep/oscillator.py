@@ -401,7 +401,7 @@ class TermPlan:
         function, shape = self._form(nu)
         # every dt^p before any exponential, so that a dt which breaks both
         # raises OverflowError from the power
-        powers = {p: dt ** p for p in self._ps}
+        powers = {p: complex(dt ** p) for p in self._ps}
         waves = {k: cmath.exp(1j * k * omega * dt) for k in self._ks}
         scales: dict[float, float] = {}
         out = []
@@ -416,7 +416,7 @@ class TermPlan:
                         val *= waves[k]
                     if expo:
                         if expo not in scales:
-                            scales[expo] = omega ** (-expo)
+                            scales[expo] = complex(omega ** (-expo))
                         if w is None:
                             val *= scales[expo]
                     total = total + val if j == 0 else val

@@ -203,14 +203,14 @@ def eval_shifted(poly, osc, dt, t_ref):
     for (p, k, q, n, m), c in poly.terms:
         val = c
         if p:
-            val *= dt ** p
+            val *= complex(dt ** p)
         if k:
             val *= cmath.exp(1j * k * osc.omega * dt)
         if q:
             val *= z ** q
         expo = n + m * osc.nu
         if expo:
-            val *= osc.omega ** (-expo)
+            val *= complex(osc.omega ** (-expo))
         out += val
     return out
 
