@@ -32,8 +32,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -259,7 +258,7 @@ class BasisPoly:
         The binding serves this call only: callers such as quadrature pass
         a new `dt` on every call."""
         z = cmath.exp(1j * (osc.omega * t_ref + osc.phi))
-        function, constants, _ = self._plan._bind(osc.omega, osc.nu, dt)
+        function, constants = self._plan._bind(osc.omega, osc.nu, dt)
         return function(constants, z)[0]
 
     @cached_property
@@ -271,114 +270,79 @@ class TermPlan:
     """Basis polynomials compiled for evaluation at t = t_ref + dt, the
     phase anchored at t_ref.
 
-    Each term is the product c * dt^p * e^(ik omega dt) * Z^q *
-    omega^-(n + m nu) taken left to right, skipping unit factors, and each
-    polynomial sums its terms in order from 0.0 + 0.0j, so the result does
-    not depend on which polynomials share a plan.
-
-    Only Z^q changes from one step to the next.  A call therefore uses a
+    Only Z = e^(i(omega t_ref + phi)) changes from one step to the next, so
+    each polynomial is a Laurent polynomial sum_q A_q Z^q whose constants
+    A_q depend on ``(omega, nu, dt)`` alone.  A call therefore uses a
     *binding* for its ``(omega, nu, dt)``, and the plan keeps the last one
-    it built.  A binding is a list ``[function, K, layout]``: the plan's
-    function for `nu`, a flat tuple ``K`` of constants, and the batch
-    layout, None until :meth:`_blocks` first needs it.  ``K`` holds each
-    term's prefix c * dt^p * e^(ik omega dt), the left part of the same
-    product, and after it the term's omega factor, so multiplying the
-    prefix by Z^q and then by the factor repeats the term's operations one
-    for one.  A term without Z^q is a constant, its omega factor already
-    applied, and the constants that open a polynomial are summed once:
-    that is the running total the sum reaches at that point.  Tables
-    without Z^q terms (the phase-averaged ones) bind to constants.  One
-    walk over the terms, :meth:`_shape`, decides where each constant goes;
-    the function sums that shape, :meth:`_bind` fills ``K`` by following
-    it, and the batch layout reads it.
+    it built, so a run of steps of one size, at any start time or phase,
+    binds once.  A binding is a pair ``(function, K)``: the plan's
+    function and a flat tuple ``K`` of constants, one per distinct power of
+    Z of each polynomial, q = 0 first, then ascending q; a polynomial
+    without terms has one, 0j.  A constant sums the terms c * dt^p *
+    e^(ik omega dt) * omega^-(n + m nu) that carry its power of Z, in term
+    order from 0j, each product taken left to right, skipping unit factors.
+    Every factor is a complex number, so each product is a complex product
+    whether or not Python widens a float.  :meth:`_shape` lists each
+    constant's terms, and :meth:`_bind` sums them.
 
     The function is straight-line Python, compiled by ``jets._function``
-    once per plan and `nu` and kept on the plan: it computes each Z^q once,
-    then each polynomial as ``K[0] + K[1] * z0 * K[2] + K[3] * z1 + ...``,
-    the same operands and operations in the same left-to-right order as
-    the product and the sum above, so its values are those bit for bit.
-    A polynomial whose sum ``jets._summed`` splits into statements is
-    summed by them, into `c`.  Its source depends only on which terms
-    carry which power of Z and an omega factor, and so only on the plan's
-    structure and `nu`; a new `dt` or `omega` binds new constants to the
-    same function.  Constants are read as ``K[i]``, never unpacked into
-    locals: a frame's size is its locals plus its stack, and a table of
-    thousands of constants would push a fresh chunk of the interpreter's
-    frame stack on every call.  :meth:`BasisPoly.eval_shifted` binds for
-    its one call and keeps nothing.
-
-    `solve` knows its start times in advance and takes the coefficients of
-    every step from :meth:`_blocks`, which evaluates a block of times in
-    one numpy pass over the binding's batch layout.  The pass forms every
-    operation the compiled function does, in its order, with separate
-    float64 operations (:meth:`_summands` has the rules), so each row
-    equals the function's value bit for bit.  A lone call keeps the
-    compiled function: the pass costs two dozen numpy calls however few
-    times it serves, more than a (4,2) table's call.
+    and kept on the plan: it computes each Z^q once, then each polynomial
+    as ``K[0] + K[1] * z0 + ...``, its constants times their powers of Z
+    added left to right in their order.  A polynomial whose sum
+    ``jets._summed`` splits into statements is summed by them, into `c`.
+    Its source depends only on which powers of Z each polynomial has, so a
+    new `dt`, `omega` or `nu` binds new constants to the same function.
+    Constants are read as ``K[i]``, never unpacked into locals: a frame's
+    size is its locals plus its stack, and a table of thousands of
+    constants would push a fresh chunk of the interpreter's frame stack on
+    every call.  :meth:`BasisPoly.eval_shifted` binds for its one call and
+    keeps nothing.
     """
 
     def __init__(self, polys):
         self._polys = tuple(poly.terms for poly in polys)
         keys = [key for terms in self._polys for key, _ in terms]
-        # the distinct nonzero p and k, and each distinct nonzero q with
-        # its place among them
+        # the distinct nonzero p and k
         self._ps = tuple(dict.fromkeys(p for p, _, _, _, _ in keys if p))
         self._ks = tuple(dict.fromkeys(k for _, k, _, _, _ in keys if k))
-        self._qs: dict[int, int] = {}
-        for q in dict.fromkeys(q for _, _, q, _, _ in keys if q):
-            self._qs[q] = len(self._qs)
-        # the compiled function and its shape for each nu
+        # each polynomial's powers of Z in the order of its constants, and
+        # each distinct nonzero q with its place among them
+        self._groups = tuple(sorted({key[2] for key, _ in terms} or {0}, key=lambda q: (q != 0, q))
+                             for terms in self._polys)
+        self._qs = {q: i for i, q in enumerate(sorted({q for _, _, q, _, _ in keys if q}))}
+        # the compiled function and the shape for each nu
         self._forms: dict[float, tuple[Callable, list]] = {}
         # the last binding: ((type of omega, omega, nu, key of dt), binding)
         self._last: tuple = (None, None)
 
     def _form(self, nu: float) -> tuple[Callable, list]:
-        """The function from ``(K, z)`` to every polynomial's value, for
-        bindings at `nu`, and the :meth:`_shape` it sums."""
+        """The function from ``(K, z)`` to every polynomial's value, and the
+        :meth:`_shape` of the constants at `nu`."""
         form = self._forms.get(nu)
         if form is None:
-            shape = self._shape(nu)
-            form = self._forms[nu] = (_function("plan(K, z)", self._source(shape)), shape)
+            form = self._forms[nu] = (_function("plan(K, z)", self._source()), self._shape(nu))
         return form
 
     def _shape(self, nu: float) -> list[list[tuple]]:
-        """Each polynomial's summands in order, for bindings at `nu`, as
-        ``(i, z, w, terms)``: the constant ``K[i]``, times ``z ** q`` for
-        the plan's `z`-th q unless `z` is None, then times ``K[w]`` unless
-        `w` is None.  `terms` holds the ``(p, k, n + m nu, c)`` of the
-        terms that make ``K[i]``.  The first summand, the lead, holds the
-        constants that open the polynomial, all of them if it has no Z^q
-        term, or none; every other summand holds one term: a term with
-        Z^q, whose omega factor, if it has one, is ``K[w]``, or a constant
-        after such a term."""
+        """The terms of each constant of ``K`` in order, as ``(p, k, n + m
+        nu, c)``, for bindings at `nu`."""
         shape = []
-        i = 0               # the next index into K
-        for terms in self._polys:
-            lead = (i, None, None, [])
-            summands = [lead]
-            i += 1
+        for terms, qs in zip(self._polys, self._groups):
+            groups: dict[int, list] = {q: [] for q in qs}
             for (p, k, q, n, m), c in terms:
-                term = (p, k, n + m * nu, c)
-                if q:
-                    w = i + 1 if term[2] else None
-                    summands.append((i, self._qs[q], w, (term,)))
-                    i += 1 if w is None else 2
-                elif len(summands) == 1:
-                    lead[3].append(term)
-                else:
-                    summands.append((i, None, None, (term,)))
-                    i += 1
-            shape.append(summands)
+                groups[q].append((p, k, n + m * nu, c))
+            shape += groups.values()
         return shape
 
-    def _source(self, shape: list[list[tuple]]) -> list[str]:
-        """The body of the function ``plan(K, z)`` that sums `shape`."""
+    def _source(self) -> list[str]:
+        """The body of the function ``plan(K, z)``."""
         lines = [f"z{i} = z ** {q}" for q, i in self._qs.items()]
         items = []          # values not yet in `out`
         started = False     # whether `out` exists
-        for summands in shape:
-            parts = [f"K[{i}]" + ("" if z is None else f" * z{z}")
-                     + ("" if w is None else f" * K[{w}]") for i, z, w, _ in summands]
+        i = 0               # the next index into K
+        for qs in self._groups:
+            parts = [f"K[{i + j}]" + (f" * z{self._qs[q]}" if q else "") for j, q in enumerate(qs)]
+            i += len(qs)
             statements = _summed("c", parts)
             if len(statements) == 1:
                 items.append(" + ".join(parts))
@@ -393,40 +357,31 @@ class TermPlan:
             lines.append(f"return [{', '.join(items)}]")
         return lines
 
-    def _bind(self, omega: float, nu: float, dt: float) -> list:
-        """The binding at `omega`, `nu` and `dt`, its layout not yet built.
-        ``K`` follows the shape for `nu`: each term of a summand is c *
-        dt^p * e^(ik omega dt), times its omega factor unless ``K[w]``
-        holds that, and the lead sums its terms from 0.0 + 0.0j."""
+    def _bind(self, omega: float, nu: float, dt: float) -> tuple[Callable, tuple]:
+        """The binding at `omega`, `nu` and `dt`."""
         function, shape = self._form(nu)
         # every dt^p before any exponential, so that a dt which breaks both
         # raises OverflowError from the power
         powers = {p: complex(dt ** p) for p in self._ps}
         waves = {k: cmath.exp(1j * k * omega * dt) for k in self._ks}
-        scales: dict[float, float] = {}
+        scales: dict[float, complex] = {}
         out = []
-        append = out.append
-        for summands in shape:
-            for j, (_, _, w, terms) in enumerate(summands):
-                total = 0.0 + 0.0j
-                for p, k, expo, val in terms:
-                    if p:
-                        val *= powers[p]
-                    if k:
-                        val *= waves[k]
-                    if expo:
-                        if expo not in scales:
-                            scales[expo] = complex(omega ** (-expo))
-                        if w is None:
-                            val *= scales[expo]
-                    total = total + val if j == 0 else val
-                append(total)
-                if w is not None:
-                    # the summand's one term's omega factor
-                    append(scales[expo])
-        return [function, tuple(out), None]
+        for terms in shape:
+            total = 0j
+            for p, k, expo, val in terms:
+                if p:
+                    val *= powers[p]
+                if k:
+                    val *= waves[k]
+                if expo:
+                    if expo not in scales:
+                        scales[expo] = complex(omega ** (-expo))
+                    val *= scales[expo]
+                total += val
+            out.append(total)
+        return function, tuple(out)
 
-    def _binding(self, omega: float, nu: float, dt: float) -> list:
+    def _binding(self, omega: float, nu: float, dt: float) -> tuple[Callable, tuple]:
         """The binding at `omega`, `nu` and `dt`: the kept one if it was
         built for an `omega` of the same type and value, the same `nu` and
         the same ``jets._key`` of `dt`, else a new one, kept unless `dt`
@@ -442,134 +397,8 @@ class TermPlan:
     def __call__(self, osc: OscillatorSpec, dt: float, t_ref: float) -> list[complex]:
         """Every polynomial's value, in order."""
         z = cmath.exp(1j * (osc.omega * t_ref + osc.phi))
-        function, constants, _ = self._binding(osc.omega, osc.nu, dt)
+        function, constants = self._binding(osc.omega, osc.nu, dt)
         return function(constants, z)
-
-    def _blocks(self, osc: OscillatorSpec, dt: float, times: Iterable) -> Iterator[np.ndarray]:
-        """Every polynomial's value at each start time in `times`, one
-        complex row per time, each equal bit for bit to ``self(osc, dt,
-        t)``, a block of times at a time, as arrays of (time, polynomial).
-
-        Each block is computed in one numpy pass over the batch layout of
-        the binding, built on the binding's first pass.  A block
-        holds at most ``_BLOCK_VALUES`` summands, so the pass's transient
-        arrays stay within a fixed size whatever the table.
-        """
-        binding = self._binding(osc.omega, osc.nu, dt)
-        if binding[2] is None:
-            binding[2] = self._layout(osc.nu, binding[1])
-        layout = binding[2]
-        size = max(1, _BLOCK_VALUES // max(1, len(layout[0])))
-        times = iter(times)
-        while block := list(islice(times, size)):
-            yield self._block(osc, layout, block)
-
-    def _layout(self, nu: float, constants: tuple) -> tuple:
-        """The batch layout of a binding whose constants are `constants`.
-
-        The polynomials are ranked longest first, and their summands are
-        laid out column by column: the first summand of every polynomial,
-        then the second of every polynomial that has one, and so on, so
-        each column's polynomials are a prefix of the ranking.  The pass
-        computes the summands in another order, those with Z^q and an
-        omega factor first, then those with Z^q alone, then the constants,
-        and gathers them into the column order.
-
-        Returns ``(gather, columns, ranks, powers, prefix, omegas,
-        fixed)``: the computed summand in each place of the column order;
-        ``(start, count)`` of each column after the first; each
-        polynomial's place in the ranking; for the summands with Z^q, the
-        index of their power among the plan's, their constant's real and
-        imaginary parts and the omega factors of those that have one; and
-        the constant summands' real and imaginary parts.  Each array of
-        the summands is a column, to broadcast over the times.
-        """
-        shape = self._form(nu)[1]
-        ranking = sorted(range(len(shape)), key=lambda r: -len(shape[r]))
-        flat, columns = [], []
-        for j in range(len(shape[ranking[0]]) if shape else 0):
-            count = sum(len(shape[r]) > j for r in ranking)
-            if j:
-                columns.append((len(flat), count))
-            flat += [shape[r][j] for r in ranking[:count]]
-        order = sorted(range(len(flat)), key=lambda f: (flat[f][1] is None, flat[f][2] is None))
-        summands = [flat[f] for f in order]
-        varying = [s for s in summands if s[1] is not None]
-        K = np.array(constants, dtype=complex)
-        prefix = K[[i for i, _, _, _ in varying]]
-        fixed = K[[i for i, z, _, _ in summands if z is None]]
-        return (np.argsort(order), columns, np.argsort(ranking),
-                np.array([z for _, z, _, _ in varying], dtype=np.intp),
-                (prefix.real[:, None].copy(), prefix.imag[:, None].copy()),
-                K.real[[w for _, _, w, _ in varying if w is not None]][:, None],
-                (fixed.real[:, None].copy(), fixed.imag[:, None].copy()))
-
-    def _block(self, osc: OscillatorSpec, layout: tuple, times: list) -> np.ndarray:
-        """The rows at `times`, as an array of (time, polynomial).  Each
-        polynomial is summed left to right from its lead constant, one
-        column at a time, never by a pairwise reduction."""
-        gather, columns, ranks = layout[:3]
-        sums = self._summands(osc, layout, times).transpose(1, 0, 2)[gather]
-        with np.errstate(all="ignore"):
-            for start, count in columns:
-                sums[:count] += sums[start:start + count]
-        return sums[ranks].transpose(2, 0, 1).copy().view(complex)[:, :, 0]
-
-    def _summands(self, osc: OscillatorSpec, layout: tuple, times: list) -> np.ndarray:
-        """Every summand at `times`, in the layout's computing order, as an
-        array of (real or imaginary part, summand, time).
-
-        Z and its powers are taken per time with the scalar call's
-        expressions.  Each complex product is formed as Python forms it,
-        with separate float64 operations: ``re = ar*br - ai*bi`` and
-        ``im = ar*bi + ai*br``, never numpy's complex product, which may
-        fuse a multiply and an add.  Python widens a float omega factor
-        `w` to ``complex(w, 0.0)``, so ``x * w`` is ``(re*w - im*0.0,
-        re*0.0 + im*w)``: numpy's float times complex array drops those
-        zero products and differs in the sign of a zero where a part of
-        the product is zero or underflows.  Python's arithmetic never
-        warns, and neither does this.
-        """
-        powers, (pr, pi), omegas, (fr, fi) = layout[3:]
-        qs = list(self._qs)
-        zs = []
-        for t in times:
-            z = cmath.exp(1j * (osc.omega * t + osc.phi))
-            zs += [z ** q for q in qs]
-        n, varying, weighted = len(times), len(powers), len(omegas)
-        out = np.empty((2, len(layout[0]), n))
-        re, im = out[0, :varying], out[1, :varying]
-        # numpy runs an operand broadcast from a column through buffers, at
-        # a third of the speed, so the constants are copied out to the times
-        a, b = np.empty((varying, n)), np.empty((varying, n))
-        np.copyto(a, pr)
-        np.copyto(b, pi)
-        with np.errstate(all="ignore"):
-            z = np.array(zs, dtype=complex).reshape(n, len(qs)).T
-            zr, zi = z.real[powers], z.imag[powers]
-            np.multiply(a, zr, out=re)
-            a *= zi
-            zi *= b
-            zr *= b
-            re -= zi
-            np.add(a, zr, out=im)
-            re, im, w, re_0, im_0 = (re[:weighted], im[:weighted], b[:weighted],
-                                     a[:weighted], zr[:weighted])
-            np.copyto(w, omegas)
-            np.multiply(re, 0.0, out=re_0)
-            np.multiply(im, 0.0, out=im_0)
-            re *= w
-            re -= im_0
-            im *= w
-            im += re_0
-        out[0, varying:] = fr
-        out[1, varying:] = fi
-        return out
-
-
-# summands per block of TermPlan._blocks; its transient arrays hold at most
-# six floats per summand, 384 KB in all
-_BLOCK_VALUES = 2 ** 13
 
 
 def v_poly(osc: OscillatorSpec) -> BasisPoly:

@@ -31,21 +31,17 @@ table with the same live words in the same order shares it, and so the
 tapes each field records for it: the tables of one policy for every
 oscillator, the phase-averaged entries, which cover the same live
 entries as the table they come from even where averaging empties a
-coefficient, and a copy given by hand.  A coefficient plan is one
-straight-line function per nu, compiled on the first step and kept on the
-plan.  It binds its step-invariant factors to an (omega, nu, h) as a flat
-tuple of constants, which the function reads by index, and keeps the last
-binding, so a run of steps of one size, at any start time or phase,
-binds once, and a new step size binds again without compiling.
+coefficient, and a copy given by hand.
 
-`solve` knows every start time in advance, and only Z = e^(i(omega t_n +
-phi)) changes from one of its steps to the next, so it takes the
-coefficients of every step, a block of steps at a time, from one numpy
-pass over the binding's batch layout (``TermPlan._blocks``), each row
-equal bit for bit to the compiled function's value.  `step` and
-`step_phase_averaged` keep the compiled function: the pass costs two
-dozen numpy calls however few steps it serves, more than a (4,2) table's
-compiled call.
+Only Z = e^(i(omega t_n + phi)) changes from one step to the next, so each
+coefficient is a short Laurent polynomial sum_q A_q Z^q.  A coefficient
+plan is one straight-line function, compiled on the first step and kept
+on the plan.  It binds to an (omega, nu, h) as a flat tuple of constants,
+one per distinct power of Z of each coefficient, which the function reads
+by index, and keeps the last binding, so a run of steps of one size, at
+any start time or phase, binds once, and a new step size binds again
+without compiling.  `step`, `step_phase_averaged` and every step of
+`solve` call it alike.
 
 A step's sum is Python's complex arithmetic on Python numbers.  Each
 contribution is one complex product of a live entry's coefficient and a
@@ -59,8 +55,7 @@ goes to numpy, which names the first non-finite term or reports an
 overflow as a step always has.  `solve` keeps its state as a list of
 complex numbers: it replays the field's tape on it directly, since t
 moves on every step and the field's memo of its last call could not hit,
-converts each block of coefficient rows with one ``tolist``, and builds
-the trajectory's array once at the end.
+and builds the trajectory's array once at the end.
 """
 
 from __future__ import annotations
@@ -362,19 +357,17 @@ def solve(scheme: SchemeTable, field: CoefficientField, t0: float, u0,
     n = round(span / h)
     if n < 1 or abs(n * h - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError(f"step {h} does not divide the interval length {span}")
-    entries, m = scheme.entries, field.m
+    entries, osc, m = scheme.entries, scheme.oscillator, field.m
     operators, coefficients = entries.plan
     assemble, evaluate = _assembly(len(entries.live), m), field._evaluate
     # step 0 starts at t0 itself: t0 + 0 * h would make -0.0 a 0.0
     times = [t0, *(t0 + i * h for i in range(1, n + 1))]
-    rows = (row for block in coefficients._blocks(scheme.oscillator, h, times[:n])
-            for row in block.tolist())
     u = field._state(u0).tolist()
     states = u.copy()
     try:
         for i, t in enumerate(times[:n]):
             values = evaluate(operators, t, u)
-            coeffs = next(rows)
+            coeffs = coefficients(osc, h, t)
             u_next = assemble(u, coeffs, values)
             u = u_next if u_next is not None else _non_finite(entries, u, coeffs, values, m)
             states += u

@@ -197,22 +197,27 @@ def oscillator_value(osc, t):
 
 
 def eval_shifted(poly, osc, dt, t_ref):
-    """One basis polynomial at t_ref + dt, term by term."""
+    """One basis polynomial at t_ref + dt, one power of Z at a time: the
+    terms of each power q summed in term order from 0j, each a product of
+    complex numbers; then each sum times z ** q, unless q = 0, and those
+    added, q = 0 first, then ascending q.  No terms give 0j."""
     z = cmath.exp(1j * (osc.omega * t_ref + osc.phi))
-    out = 0.0 + 0.0j
+    groups = {}
     for (p, k, q, n, m), c in poly.terms:
         val = c
         if p:
             val *= complex(dt ** p)
         if k:
             val *= cmath.exp(1j * k * osc.omega * dt)
-        if q:
-            val *= z ** q
         expo = n + m * osc.nu
         if expo:
             val *= complex(osc.omega ** (-expo))
-        out += val
-    return out
+        groups[q] = groups.get(q, 0j) + val
+    out = None
+    for q in sorted(groups, key=lambda q: (q != 0, q)):
+        val = groups[q] * z ** q if q else groups[q]
+        out = val if out is None else out + val
+    return 0j if out is None else out
 
 
 def step(scheme, field, t_n, u_n, h, averaged=False):

@@ -3,17 +3,16 @@
 ``TermPlan`` compiles each table's coefficients into one straight-line
 function of the binding's constants and Z.  Every value is compared with
 ``reference_step.eval_shifted``, which evaluates one basis polynomial term
-by term, by its ``repr``, so a changed rounding or sign of zero fails.
+by term, summing the terms of each power of Z first, by its ``repr``, so a
+changed rounding or sign of zero fails.  An mpmath evaluation of the same
+polynomials checks how far the values are from the exact ones.
 """
-
-import cmath
-import warnings
 
 import numpy as np
 import pytest
 
 import reference_step as ref
-from oscistep import TruncationPolicy, build_scheme, make_oscillator, oscillator
+from oscistep import TruncationPolicy, build_scheme, make_oscillator
 from oscistep.oscillator import BasisPoly, TermPlan
 
 TABLES = {
@@ -114,8 +113,6 @@ def test_frame_size_does_not_grow_with_the_table():
         == frame_slots(plans[0], osc.nu)
 
 
-# -- the batch layout that solve uses ------------------------------------------
-
 FOURIER = {-2: 0.3 - 0.1j, 1: 0.7}
 
 # a start time of each sign of zero and of type int, a large one and phases
@@ -125,73 +122,80 @@ START_TIMES = [0.0, -0.0, 0, 1e6, *PHASES[:11]]
 STEP_SIZES = [0.02, 2, np.float64(0.05)]
 
 
-def batch_table(name):
+def any_table(name):
     if name == "fourier-2-mode":
         osc = make_oscillator("fourier", 80.0, 0.2, 0.0, FOURIER)
         return osc, build_scheme(osc, TruncationPolicy.from_order(4, 2))
     return table(name)
 
 
-def summands(plan: TermPlan, nu: float) -> int:
-    return sum(map(len, plan._shape(nu)))
-
-
-def rows(plan, osc, dt, times):
-    out = [row for block in plan._blocks(osc, dt, times) for row in block]
-    assert all(row.dtype == complex and row.shape == (len(plan._polys),) for row in out)
-    return [exact(row) for row in out]
-
-
 @pytest.mark.parametrize("averaged", [False, True], ids=["plain", "averaged"])
 @pytest.mark.parametrize("name", [*TABLES, "fourier-2-mode"])
-def test_batch_rows_match_the_compiled_function(name, averaged, monkeypatch):
-    osc, scheme = batch_table(name)
+def test_plan_matches_term_by_term_evaluation_at_any_start_time(name, averaged):
+    osc, scheme = any_table(name)
     entries = scheme.entries.averaged if averaged else scheme.entries
     plan = entries.plan[1]
     # the plan covers the entries whose plain coefficient has terms
     polys = [entries[i].coeff for i in entries.live]
-    size = summands(plan, osc.nu)
-    full = oscillator._BLOCK_VALUES // size
-    times = (START_TIMES * (full // len(START_TIMES) + 1))[:max(full, len(START_TIMES))]
     for dt in STEP_SIZES:
-        want = [exact(ref.eval_shifted(c, osc, dt, t) for c in polys) for t in times]
-        assert [exact(plan(osc, dt, t)) for t in times] == want
-        # full blocks, then blocks of 1, 2 and 7 times
-        assert rows(plan, osc, dt, times) == want
-        for block in (1, 2, 7):
-            monkeypatch.setattr(oscillator, "_BLOCK_VALUES", block * size)
-            assert rows(plan, osc, dt, START_TIMES) == want[:len(START_TIMES)]
-            monkeypatch.undo()
-    # the binding the plan keeps carries its layout, built once per binding
-    binding = plan._last[-1]
-    layout = binding[2]
-    assert layout is not None
-    list(plan._blocks(osc, STEP_SIZES[-1], START_TIMES[:1]))
-    assert plan._last[-1] is binding and binding[2] is layout
-    list(plan._blocks(osc, 0.03, START_TIMES[:1]))
-    assert plan._last[-1] is not binding and plan._last[-1][2] is not None
+        want = [exact(ref.eval_shifted(c, osc, dt, t) for c in polys) for t in START_TIMES]
+        assert [exact(plan(osc, dt, t)) for t in START_TIMES] == want
+        # one binding serves every start time
+        binding = plan._last[-1]
+        plan(osc, dt, 0.3)
+        assert plan._last[-1] is binding
 
 
-def test_the_batch_never_warns_on_infinite_constants():
-    # prefixes that overflow at this step size, times Z^q and an omega
-    # factor, so that inf and nan meet zeros, and a plain constant too
-    osc = make_oscillator("exp", 57.0, 1.1, -0.5)
-    polys = [BasisPoly.from_dict({(1, 0, 1, 0, 1): 1e308, (0, 1, 2, 1, 0): 1.0 + 1.0j}),
-             BasisPoly.from_dict({(0, 0, 0, 0, 0): 1.0, (2, 0, -1, 2, 0): 1e300j,
-                                  (1, 2, 0, 0, 0): 1e308}),
-             BasisPoly.from_dict({(1, -1, 0, 0, 0): -1e308, (0, 1, 1, 0, 0): 0.5})]
-    plan = TermPlan(polys)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = rows(plan, osc, 10.0, START_TIMES)
-    assert not all(cmath.isfinite(v) for v in plan._last[-1][1])
-    assert got == [exact(plan(osc, 10.0, t)) for t in START_TIMES]
-    assert got == [exact(ref.eval_shifted(c, osc, 10.0, t) for c in polys) for t in START_TIMES]
+# -- the constants and their accuracy -------------------------------------------
+
+# (distinct (live entry, power of Z), terms) of each table's live entries
+CONSTANTS = {
+    "cos-4-2": (17, 33),
+    "cos-4-1": (79, 344),
+    "cos-6-1": (447, 3035),
+    "cos-8-2": (175, 474),
+    "exp-nu-half-8-2": (247, 762),
+}
 
 
-def test_empty_plans_give_empty_rows():
-    osc = make_oscillator("exp", 57.0, 1.1, -0.5)
-    assert rows(TermPlan([]), osc, 0.02, START_TIMES) == ["[]"] * len(START_TIMES)
-    polys = [BasisPoly(), BasisPoly.from_dict({(0, 1, 1, 0, 1): 1.0 + 0j}), BasisPoly()]
-    assert rows(TermPlan(polys), osc, -0.0, START_TIMES) \
-        == [exact(ref.eval_shifted(c, osc, -0.0, t) for c in polys) for t in START_TIMES]
+@pytest.mark.parametrize("name", TABLES)
+def test_a_binding_holds_one_constant_per_power_of_z(name):
+    osc, scheme = table(name)
+    entries = scheme.entries
+    polys = [entries[i].coeff for i in entries.live]
+    constants, terms = CONSTANTS[name]
+    assert sum(len(poly.terms) for poly in polys) == terms
+    assert len({(i, key[2]) for i, poly in enumerate(polys) for key, _ in poly.terms}) \
+        == constants
+    plan, averaged = entries.plan[1], entries.averaged.plan[1]
+    plan(osc, 0.02, 0.3)
+    averaged(osc, 0.02, 0.3)
+    assert len(plan._last[-1][1]) == constants
+    # averaging keeps the q = 0 terms: one constant per live entry, 0j
+    # where it keeps none
+    assert len(averaged._last[-1][1]) == len(entries.live)
+
+
+@pytest.mark.parametrize("name", ["cos-4-2", "cos-8-2", "exp-nu-half-8-2"])
+def test_plan_is_accurate_to_the_size_of_its_constants(name):
+    # against the same polynomials in mpmath at 60 digits, at omega h = 2:
+    # each value is off by at most a small multiple of eps times the sum
+    # of its constants' magnitudes, a bound on the terms it adds (the
+    # largest multiple seen here is about 10)
+    mp = pytest.importorskip("mpmath")
+    osc, scheme = table(name)
+    entries = scheme.entries
+    plan = entries.plan[1]
+    polys = [entries[i].coeff for i in entries.live]
+    h = 0.02
+    with mp.workdps(60):
+        om, nu = mp.mpf(osc.omega), mp.mpf(osc.nu)
+        for t in (0.1, 0.3, 0.77):
+            got = plan(osc, h, t)
+            constants = iter(plan._last[-1][1])
+            z = mp.expj(osc.omega * t + osc.phi)     # the phase as the plan rounds it
+            for value, poly, qs in zip(got, polys, plan._groups):
+                want = sum(mp.mpc(c.real, c.imag) * mp.mpf(h) ** p * mp.expj(k * om * h) * z ** q
+                           * om ** -(n + m * nu) for (p, k, q, n, m), c in poly.terms)
+                size = sum(abs(next(constants)) for _ in qs)
+                assert abs(mp.mpc(value) - want) <= 32 * 2.0 ** -52 * size

@@ -172,9 +172,7 @@ SOLVE_POLICIES = [(1, 1), (4, 2), (8, 2)]
 
 @pytest.mark.parametrize("policy", SOLVE_POLICIES, ids=[f"{k}-{r}" for k, r in SOLVE_POLICIES])
 @pytest.mark.parametrize("name", FIELDS)
-def test_solve_matches_a_loop_of_steps(name, policy, monkeypatch):
-    # solve takes its coefficients a block of steps at a time: one full
-    # block, then blocks of one step each, against steps taken one by one
+def test_solve_matches_a_loop_of_steps(name, policy):
     field = FIELDS[name]()
     rng = np.random.default_rng([len(name), *policy, 24])
     osc = OSCILLATORS[SOLVE_POLICIES.index(policy)]
@@ -183,20 +181,16 @@ def test_solve_matches_a_loop_of_steps(name, policy, monkeypatch):
     want = solve_outcome(lambda: stepped(step, scheme, field, t0, u0, h, n))
     assert want == solve_outcome(lambda: stepped(ref.step, scheme, field, t0, u0, h, n))
     assert solve_outcome(lambda: solve(scheme, field, t0, u0, t0 + n * h, h)) == want
-    monkeypatch.setattr(oscillator, "_BLOCK_VALUES", 1)
-    assert solve_outcome(lambda: solve(scheme, field, t0, u0, t0 + n * h, h)) == want
 
 
 @pytest.mark.parametrize("policy", [(4, 2), (8, 2)], ids=["4-2", "8-2"])
 def test_long_solves_span_blocks(policy):
-    # 400 steps are more than one block of either table, at each type of h
+    # 400 steps, at each type of h
     field = FIELDS["nonlinear"]()
     scheme = build_scheme(OSCILLATORS[1], TruncationPolicy.from_order(*policy))
-    plan = scheme.entries.plan[1]
     u0 = np.array([0.4 + 0.1j])
     for h in (0.0025, np.float64(0.0025)):
         got = solve_outcome(lambda: solve(scheme, field, 0.0, u0, 1.0, h))
-        assert oscillator._BLOCK_VALUES // len(plan._last[-1][2][0]) < 399
         assert got == solve_outcome(lambda: stepped(step, scheme, field, 0.0, u0, h, 400))
     # an int step size from an int start: every start time is an int
     got = solve_outcome(lambda: solve(scheme, field, 0, u0, 400, 1))
@@ -204,7 +198,7 @@ def test_long_solves_span_blocks(policy):
 
 
 def test_a_solve_turning_non_finite_within_a_block_fails_as_its_steps_do():
-    # a = 30 u^2 blows up: step 4 of the first block has a non-finite term
+    # a = 30 u^2 blows up: step 4 has a non-finite term
     field = make_field(1, lambda t, u: [30.0 * u[0] * u[0]], lambda t, u: [u[0]])
     scheme = build_scheme(OSCILLATORS[0], TruncationPolicy.from_order(4, 2))
     u0 = np.array([1.0 + 0.0j])
@@ -216,8 +210,8 @@ def test_a_solve_turning_non_finite_within_a_block_fails_as_its_steps_do():
 
 
 def test_a_binding_with_an_infinite_constant_fails_as_a_step_does():
-    # a term whose prefix c h^p overflows at h = 10: step 0, whose batch
-    # row binds, fails as a lone step does, and no warning comes from anywhere
+    # a term whose constant c h^p overflows at h = 10: step 0, which binds,
+    # fails as a lone step does, and no warning comes from anywhere
     built = build_scheme(OSCILLATORS[2], TruncationPolicy.from_order(4, 2))
     huge = oscillator.BasisPoly.from_dict({(1, 0, 1, 0, 1): 1e308})
     entries = [replace(e, coeff=e.coeff + huge) if i == 3 else e
@@ -230,13 +224,7 @@ def test_a_binding_with_an_infinite_constant_fails_as_a_step_does():
         want = solve_outcome(lambda: stepped(step, scheme, field, 0.0, u0, 10.0, 3))
         assert want.startswith("NumericStepError: step 0 (t = 0.0): non-finite contribution")
         assert solve_outcome(lambda: solve(scheme, field, 0.0, u0, 30.0, 10.0)) == want
-        # the batch's rows of the same binding, which solve never reached
-        plan = scheme.entries.plan[1]
-        assert not all(map(np.isfinite, plan._last[-1][1]))
-        times = [10.0 * i for i in range(1, 3)]
-        blocks = plan._blocks(scheme.oscillator, 10.0, times)
-        assert [exact(row) for block in blocks for row in block] \
-            == [exact(plan(scheme.oscillator, 10.0, t)) for t in times]
+        assert not all(map(np.isfinite, scheme.entries.plan[1]._last[-1][1]))
 
 
 def test_an_order_0_solve_reaching_zero_fails_as_a_non_finite_step():
@@ -256,10 +244,10 @@ def test_an_order_0_solve_reaching_zero_fails_as_a_non_finite_step():
 
 
 def test_a_sum_of_finite_terms_overflowing_within_a_block_fails_as_its_steps_do():
-    # a = u grows by e each step from 1e300: at step 19 of the first block
-    # every term is finite and their sum is not.  numpy reports the overflow
-    # under the caller's settings; left at a warning, the next step rejects
-    # the infinite state
+    # a = u grows by e each step from 1e300: at step 19 every term is
+    # finite and their sum is not.  numpy reports the overflow under the
+    # caller's settings; left at a warning, the next step rejects the
+    # infinite state
     field = make_field(1, lambda t, u: [u[0]], lambda t, u: [0.0 * t])
     scheme = build_scheme(OSCILLATORS[0], TruncationPolicy.from_order(4, 2))
     u0 = np.array([1e300 + 1e299j])
@@ -291,10 +279,6 @@ def test_a_constant_operator_value_multiplies_as_a_complex_number():
     assert complex(10.0) in values
     assert {type(v) for v in values} == {complex}
     assert {type(c) for c in coefficients(scheme.oscillator, 0.05, 0.4)} == {complex}
-    times = [0.05 * i for i in range(20)]
-    rows = [row for block in coefficients._blocks(scheme.oscillator, 0.05, times)
-            for row in block.tolist()]
-    assert {type(c) for row in rows for c in row} == {complex}
     want = solve_outcome(lambda: stepped(step, scheme, field, 0.0, u0, 0.05, 20))
     assert solve_outcome(lambda: stepped(ref.step, scheme, field, 0.0, u0, 0.05, 20)) == want
     assert solve_outcome(lambda: solve(scheme, field, 0.0, u0, 1.0, 0.05)) == want

@@ -1,6 +1,7 @@
 """Scheme tables, stepping, phase averaging and remainder bounds."""
 
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -343,8 +344,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("t0", [0.3, -0.0, 0], ids=["float", "minus-zero", "int"])
     def test_one_step_solve_is_a_step_bit_for_bit(self, t0):
-        # a solve of one step takes a batch row, as every step of a solve
-        # does: it gives the step's bits and fails as the step fails
+        # a solve of one step calls the coefficient plan as every step of a
+        # solve does: it gives the step's bits and fails as the step fails
         sch = build_scheme(make_oscillator("cos", 50.0, 0.3), pol(4, 2))
         f = make_field(1, lambda t, u: [u[0] * t], lambda t, u: [0.5 * u[0] * u[0]])
         u0 = u1(complex(0.9, -0.0))
@@ -385,8 +386,8 @@ class TestSolve:
         assert repr([u.tolist() for _, u in traj[1:]]) == repr([u.tolist() for u in want])
 
     def test_step_zero_checks_the_state_before_binding(self):
-        # solve checks its state before its first batch row binds, so a
-        # state of the wrong shape is named before an h whose powers overflow
+        # solve checks its state before its first step binds, so a state
+        # of the wrong shape is named before an h whose powers overflow
         f = builtin_field("linear", mu=1.0)
         sch = build_scheme(make_oscillator("cos", 50.0), pol(4, 2))
         with pytest.raises(ValueError, match=r"state must have shape \(1,\), got \(2,\)"):
@@ -394,22 +395,28 @@ class TestSolve:
         with pytest.raises(OverflowError):
             solve(sch, f, 0.0, u1(1.0), 3e100, 1e100)
 
-    def test_memory_stays_within_the_block_budget(self):
-        # besides its trajectory, a solve holds one block's transient
-        # arrays at a time: at most 8 192 summands of six floats each, and
-        # slack for the block of rows its step reads and the step's arrays
+    def test_memory_beyond_the_trajectory_does_not_grow_with_the_step_count(self):
+        # until it builds the trajectory's array, a solve holds each state
+        # as m complex numbers in a list, and each start time in a list: m
+        # + 1 list slots per step, over-allocated by at most an eighth.
+        # Beyond that it holds one step's working set at a time: its
+        # coefficients and operator values, a complex number and a list
+        # slot each per live entry, and the tape's frame and registers
         f = builtin_field("linear", mu=1.0)
         sch = build_scheme(make_oscillator("cos", 100.0, 0.3), pol(8, 2))
+        per_step = f.m * (sys.getsizeof(0j) + 9) + 9
+        working_set = 2 * len(sch.entries.live) * f.m * (sys.getsizeof(0j) + 8) + 4096
         h = 0.001
         solve(sch, f, 0.0, u1(0.9 + 0.1j), 20 * h, h)     # records, compiles, binds
-        tracemalloc.start()
-        try:
-            traj = solve(sch, f, 0.0, u1(0.9 + 0.1j), 2000 * h, h)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(traj) == 2001
-        assert peak - held <= 6 * 8 * 8192 + 64 * 1024
+        for n in (100, 400):
+            tracemalloc.start()
+            try:
+                traj = solve(sch, f, 0.0, u1(0.9 + 0.1j), n * h, h)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(traj) == n + 1
+            assert peak - held <= per_step * (n + 1) + working_set
 
     def test_macro_endpoint_against_exact_oracle(self):
         mu, om = 10.0, 100.0
