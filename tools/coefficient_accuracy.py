@@ -69,8 +69,9 @@ def main(src: str) -> None:
         plan = entries.plan[1]
         for omega_h in OMEGA_H:
             h = omega_h / OMEGA
-            sizes = [sum(abs(c) * h ** p * OMEGA ** -(n + m * nu) for (p, _, _, n, m), c in poly.terms)
-                     for poly in polys]
+            # |e^(ik omega h)| = |Z| = 1
+            sizes = [sum(abs(c) * h ** p * OMEGA ** -(n + m * nu)
+                         for (p, _, _, n, m), c in poly.terms) for poly in polys]
             errors, normwise = [], []
             for t in TIMES:
                 phase = osc.omega * t + osc.phi
