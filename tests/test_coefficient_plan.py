@@ -8,6 +8,9 @@ changed rounding or sign of zero fails.  An mpmath evaluation of the same
 polynomials checks how far the values are from the exact ones.
 """
 
+import cmath
+import warnings
+
 import numpy as np
 import pytest
 
@@ -144,6 +147,22 @@ def test_plan_matches_term_by_term_evaluation_at_any_start_time(name, averaged):
         binding = plan._last[-1]
         plan(osc, dt, 0.3)
         assert plan._last[-1] is binding
+
+
+def test_infinite_constants_match_term_by_term_evaluation():
+    # constants that overflow at this step size, times Z^q, so that inf and
+    # nan meet zeros, and a plain constant too
+    osc = make_oscillator("exp", 57.0, 1.1, -0.5)
+    polys = [BasisPoly.from_dict({(1, 0, 1, 0, 1): 1e308, (0, 1, 2, 1, 0): 1.0 + 1.0j}),
+             BasisPoly.from_dict({(0, 0, 0, 0, 0): 1.0, (2, 0, -1, 2, 0): 1e300j,
+                                  (1, 2, 0, 0, 0): 1e308}),
+             BasisPoly.from_dict({(1, -1, 0, 0, 0): -1e308, (0, 1, 1, 0, 0): 0.5})]
+    plan = TermPlan(polys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [exact(plan(osc, 10.0, t)) for t in START_TIMES]
+    assert not all(cmath.isfinite(v) for v in plan._last[-1][1])
+    assert got == [exact(ref.eval_shifted(c, osc, 10.0, t) for c in polys) for t in START_TIMES]
 
 
 # -- the constants and their accuracy -------------------------------------------
