@@ -134,7 +134,10 @@ def any_table(name):
 
 @pytest.mark.parametrize("averaged", [False, True], ids=["plain", "averaged"])
 @pytest.mark.parametrize("name", [*TABLES, "fourier-2-mode"])
-def test_plan_matches_term_by_term_evaluation_at_any_start_time(name, averaged):
+def test_batch_rows_match_the_compiled_function(name, averaged):
+    # a batch of rows, one per start time, as a solve reads them: each row
+    # from the plan's kept binding equals the reference and each
+    # polynomial's own compiled function, bound for its one call
     osc, scheme = any_table(name)
     entries = scheme.entries.averaged if averaged else scheme.entries
     plan = entries.plan[1]
@@ -143,6 +146,7 @@ def test_plan_matches_term_by_term_evaluation_at_any_start_time(name, averaged):
     for dt in STEP_SIZES:
         want = [exact(ref.eval_shifted(c, osc, dt, t) for c in polys) for t in START_TIMES]
         assert [exact(plan(osc, dt, t)) for t in START_TIMES] == want
+        assert [exact(c.eval_shifted(osc, dt, t) for c in polys) for t in START_TIMES] == want
         # one binding serves every start time
         binding = plan._last[-1]
         plan(osc, dt, 0.3)
