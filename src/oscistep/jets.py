@@ -160,12 +160,16 @@ def _key(x) -> tuple | None:
     sign)``, or None for an `x` that no memo keeps.  -0.0 and 0.0, or 2
     and 2.0, are equal numbers whose results differ in sign or type, so
     their keys differ; the type is compared first, since an `x` of another
-    type may compare elementwise.  An `x` with no hash or no float sign,
-    such as a 0-d array or a complex number, has no key."""
+    type may compare elementwise.  A 0-d real array, which has no hash,
+    has the key ``(type, dtype, value, sign)``, so an array changed in
+    place gets a new one.  Any other `x` with no hash or no float sign,
+    such as a complex number, has no key."""
     try:
         hash(x)
         return (type(x), x, copysign(1.0, x))
     except TypeError:
+        if isinstance(x, np.ndarray) and x.shape == () and x.dtype.kind in "iuf":
+            return (type(x), x.dtype, x.item(), copysign(1.0, x))
         return None
 
 
@@ -438,9 +442,11 @@ class CoefficientField:
     0 and 0.0, differ), and a state of the same bytes gets them without
     running the tape nor, for a refused plan, the lambdas themselves: the
     K phases of an ensemble and the phase-averaged step share one plan,
-    so they evaluate once.  A time with no hash or no
-    float sign, such as a complex number or a numpy array, and a call that
-    raises leave the memo as it was.  The steps of a solve, whose time
+    so they evaluate once.  A 0-d real array `t` is kept by its type,
+    dtype, value and sign, so an array changed in place is evaluated
+    again.  A time with no such key, such as a complex number or an array
+    of one or more dimensions, and a call that raises leave the memo as it
+    was.  The steps of a solve, whose time
     moves on every step, call :meth:`_evaluate` and neither read nor fill
     the memo.  A caller whose parameters change builds a new field.
     """

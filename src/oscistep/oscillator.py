@@ -258,8 +258,8 @@ class BasisPoly:
         The binding serves this call only: callers such as quadrature pass
         a new `dt` on every call."""
         z = cmath.exp(1j * (osc.omega * t_ref + osc.phi))
-        function, constants = self._plan._bind(osc.omega, osc.nu, dt)
-        return function(constants, z)[0]
+        plan = self._plan
+        return plan._function(plan._bind(osc.omega, osc.nu, dt), z)[0]
 
     @cached_property
     def _plan(self) -> "TermPlan":
@@ -275,23 +275,24 @@ class TermPlan:
     A_q depend on ``(omega, nu, dt)`` alone.  A call therefore uses a
     *binding* for its ``(omega, nu, dt)``, and the plan keeps the last one
     it built, so a run of steps of one size, at any start time or phase,
-    binds once.  A binding is a pair ``(function, K)``: the plan's
-    function and a flat tuple ``K`` of constants, one per distinct power of
-    Z of each polynomial, q = 0 first, then ascending q; a polynomial
-    without terms has one, 0j.  A constant sums the terms c * dt^p *
-    e^(ik omega dt) * omega^-(n + m nu) that carry its power of Z, in term
-    order from 0j, each product taken left to right, skipping unit factors.
-    Every factor is a complex number, so each product is a complex product
-    whether or not Python widens a float.  :meth:`_shape` lists each
-    constant's terms, and :meth:`_bind` sums them.
+    binds once.  A binding is a flat tuple ``K`` of constants, one per
+    distinct power of Z of each polynomial, q = 0 first, then ascending q;
+    a polynomial without terms has one, 0j.  A constant sums the terms c *
+    dt^p * e^(ik omega dt) * omega^-(n + m nu) that carry its power of Z,
+    in term order from 0j, each product taken left to right, skipping unit
+    factors.  Every factor is a complex number, so each product is a
+    complex product whether or not Python widens a float.  The plan lays
+    out each constant's terms once, when it is made, and :meth:`_bind`
+    sums them.
 
-    The function is straight-line Python, compiled by ``jets._function``
-    and kept on the plan: it computes each Z^q once, then each polynomial
-    as ``K[0] + K[1] * z0 + ...``, its constants times their powers of Z
-    added left to right in their order.  A polynomial whose sum
-    ``jets._summed`` splits into statements is summed by them, into `c`.
-    Its source depends only on which powers of Z each polynomial has, so a
-    new `dt`, `omega` or `nu` binds new constants to the same function.
+    The plan's function ``plan(K, z)`` is straight-line Python, compiled by
+    ``jets._function`` when the plan is made: it computes each Z^q once,
+    then each polynomial as ``K[0] + K[1] * z0 + ...``, its constants times
+    their powers of Z added left to right in their order, and returns the
+    list of their values.  A polynomial whose sum ``jets._summed`` splits
+    into statements is summed by them, into its own local ``c<i>``.  The
+    source depends only on which powers of Z each polynomial has, so every
+    `dt`, `omega` and `nu` binds its constants to the same function.
     Constants are read as ``K[i]``, never unpacked into locals: a frame's
     size is its locals plus its stack, and a table of thousands of
     constants would push a fresh chunk of the interpreter's frame stack on
@@ -300,105 +301,76 @@ class TermPlan:
     """
 
     def __init__(self, polys):
-        self._polys = tuple(poly.terms for poly in polys)
-        keys = [key for terms in self._polys for key, _ in terms]
-        # the distinct nonzero p and k
+        polys = [poly.terms for poly in polys]
+        keys = [key for terms in polys for key, _ in terms]
+        # the distinct nonzero p and k, and the distinct omega exponents (n, m)
         self._ps = tuple(dict.fromkeys(p for p, _, _, _, _ in keys if p))
         self._ks = tuple(dict.fromkeys(k for _, k, _, _, _ in keys if k))
-        # each polynomial's powers of Z in the order of its constants, and
-        # each distinct nonzero q with its place among them
-        self._groups = tuple(sorted({key[2] for key, _ in terms} or {0}, key=lambda q: (q != 0, q))
-                             for terms in self._polys)
-        self._qs = {q: i for i, q in enumerate(sorted({q for _, _, q, _, _ in keys if q}))}
-        # the compiled function and the shape for each nu
-        self._forms: dict[float, tuple[Callable, list]] = {}
-        # the last binding: ((type of omega, omega, nu, key of dt), binding)
-        self._last: tuple = (None, None)
-
-    def _form(self, nu: float) -> tuple[Callable, list]:
-        """The function from ``(K, z)`` to every polynomial's value, and the
-        :meth:`_shape` of the constants at `nu`."""
-        form = self._forms.get(nu)
-        if form is None:
-            form = self._forms[nu] = (_function("plan(K, z)", self._source()), self._shape(nu))
-        return form
-
-    def _shape(self, nu: float) -> list[list[tuple]]:
-        """The terms of each constant of ``K`` in order, as ``(p, k, n + m
-        nu, c)``, for bindings at `nu`."""
-        shape = []
-        for terms, qs in zip(self._polys, self._groups):
+        scales = {nm: j for j, nm in enumerate(dict.fromkeys(key[3:] for key in keys))}
+        self._scales = tuple(scales)
+        # each distinct nonzero q and its power of Z
+        zs = {q: f" * z{i}" for i, q in enumerate(sorted({key[2] for key in keys if key[2]}))}
+        lines = [f"z{i} = z ** {q}" for i, q in enumerate(zs)]
+        # the terms of each constant of K in order, as (p, k, j, c) with j
+        # the index of (n, m) in _scales
+        self._constants: list[list[tuple]] = []
+        values = []
+        for i, terms in enumerate(polys):
+            qs = sorted({key[2] for key, _ in terms} or {0}, key=lambda q: (q != 0, q))
             groups: dict[int, list] = {q: [] for q in qs}
             for (p, k, q, n, m), c in terms:
-                groups[q].append((p, k, n + m * nu, c))
-            shape += groups.values()
-        return shape
+                groups[q].append((p, k, scales[n, m], c))
+            parts = [f"K[{len(self._constants) + j}]{zs.get(q, '')}" for j, q in enumerate(qs)]
+            self._constants += groups.values()
+            statements = _summed(f"c{i}", parts)
+            if len(statements) > 1:
+                lines += statements
+            values.append(f"c{i}" if len(statements) > 1 else " + ".join(parts))
+        lines.append(f"return [{', '.join(values)}]")
+        self._function = _function("plan(K, z)", lines)
+        # the last binding: ((type of omega, omega, nu, key of dt), K)
+        self._last: tuple = (None, None)
 
-    def _source(self) -> list[str]:
-        """The body of the function ``plan(K, z)``."""
-        lines = [f"z{i} = z ** {q}" for q, i in self._qs.items()]
-        items = []          # values not yet in `out`
-        started = False     # whether `out` exists
-        i = 0               # the next index into K
-        for qs in self._groups:
-            parts = [f"K[{i + j}]" + (f" * z{self._qs[q]}" if q else "") for j, q in enumerate(qs)]
-            i += len(qs)
-            statements = _summed("c", parts)
-            if len(statements) == 1:
-                items.append(" + ".join(parts))
-                continue
-            lines += statements
-            items.append("c")
-            lines.append(f"out {'+=' if started else '='} [{', '.join(items)}]")
-            items, started = [], True
-        if started:
-            lines += [f"out += [{', '.join(items)}]", "return out"]
-        else:
-            lines.append(f"return [{', '.join(items)}]")
-        return lines
-
-    def _bind(self, omega: float, nu: float, dt: float) -> tuple[Callable, tuple]:
-        """The binding at `omega`, `nu` and `dt`."""
-        function, shape = self._form(nu)
+    def _bind(self, omega: float, nu: float, dt: float) -> tuple:
+        """The constants ``K`` at `omega`, `nu` and `dt`."""
         # every dt^p before any exponential, so that a dt which breaks both
         # raises OverflowError from the power
         powers = {p: complex(dt ** p) for p in self._ps}
         waves = {k: cmath.exp(1j * k * omega * dt) for k in self._ks}
-        scales: dict[float, complex] = {}
+        # omega^-(n + m nu) of each (n, m), None where the exponent is zero
+        exponents = [n + m * nu for n, m in self._scales]
+        scales = [complex(omega ** (-expo)) if expo else None for expo in exponents]
         out = []
-        for terms in shape:
+        for terms in self._constants:
             total = 0j
-            for p, k, expo, val in terms:
+            for p, k, j, val in terms:
                 if p:
                     val *= powers[p]
                 if k:
                     val *= waves[k]
-                if expo:
-                    if expo not in scales:
-                        scales[expo] = complex(omega ** (-expo))
-                    val *= scales[expo]
+                if scales[j] is not None:
+                    val *= scales[j]
                 total += val
             out.append(total)
-        return function, tuple(out)
+        return tuple(out)
 
-    def _binding(self, omega: float, nu: float, dt: float) -> tuple[Callable, tuple]:
-        """The binding at `omega`, `nu` and `dt`: the kept one if it was
-        built for an `omega` of the same type and value, the same `nu` and
-        the same ``jets._key`` of `dt`, else a new one, kept unless `dt`
+    def _binding(self, omega: float, nu: float, dt: float) -> tuple:
+        """The constants at `omega`, `nu` and `dt`: the kept ones if they
+        were bound for an `omega` of the same type and value, the same `nu`
+        and the same ``jets._key`` of `dt`, else new ones, kept unless `dt`
         has no key."""
         key = (type(omega), omega, nu, _key(dt))
-        last, binding = self._last
+        last, constants = self._last
         if key != last:
-            binding = self._bind(omega, nu, dt)
+            constants = self._bind(omega, nu, dt)
             if key[3]:
-                self._last = (key, binding)
-        return binding
+                self._last = (key, constants)
+        return constants
 
     def __call__(self, osc: OscillatorSpec, dt: float, t_ref: float) -> list[complex]:
         """Every polynomial's value, in order."""
         z = cmath.exp(1j * (osc.omega * t_ref + osc.phi))
-        function, constants = self._binding(osc.omega, osc.nu, dt)
-        return function(constants, z)
+        return self._function(self._binding(osc.omega, osc.nu, dt), z)
 
 
 def v_poly(osc: OscillatorSpec) -> BasisPoly:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import reference_step as ref
+import oscistep.jets as jets
 from oscistep import TruncationPolicy, build_scheme, make_oscillator
 from oscistep.oscillator import BasisPoly, TermPlan
 
@@ -42,9 +43,19 @@ def exact(values) -> str:
     return repr([complex(v) for v in values])
 
 
-def frame_slots(plan: TermPlan, nu: float) -> int:
-    code = plan._form(nu)[0].__code__
+def frame_slots(plan: TermPlan) -> int:
+    code = plan._function.__code__
     return code.co_nlocals + code.co_stacksize
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The source of every function compiled from here on, in order."""
+    sources = []
+    compile_source = jets._compiled
+    monkeypatch.setattr(jets, "_compiled",
+                        lambda source: sources.append(source) or compile_source(source))
+    return sources
 
 
 def large_poly(rng) -> BasisPoly:
@@ -57,22 +68,21 @@ def large_poly(rng) -> BasisPoly:
 
 @pytest.mark.parametrize("averaged", [False, True], ids=["plain", "averaged"])
 @pytest.mark.parametrize("name", TABLES)
-def test_plan_matches_term_by_term_evaluation(name, averaged):
+def test_plan_matches_term_by_term_evaluation(name, averaged, compiled):
     osc, scheme = table(name)
     entries = scheme.entries.averaged if averaged else scheme.entries
     plan = entries.plan[1]
     # the plan covers the entries whose plain coefficient has terms
     polys = [entries[i].coeff for i in entries.live]
-    function = None
+    compiled.clear()
     # a zero step of either sign, then a second step size and back
     for dt, phases in ((0.02, PHASES), (0.0, PHASES), (-0.0, PHASES), (0.05, PHASES[:5]),
                        (0.02, PHASES[:5])):
         for t in phases:
             got = plan(osc, dt, t)
             assert exact(got) == exact(ref.eval_shifted(c, osc, dt, t) for c in polys)
-        # a new step size binds new constants to the same function
-        function = function or plan._last[-1][0]
-        assert plan._last[-1][0] is function
+    # a new step size binds new constants to the same function
+    assert compiled == []
 
 
 def test_empty_plans_match_term_by_term_evaluation():
@@ -84,6 +94,27 @@ def test_empty_plans_match_term_by_term_evaluation():
         want = [ref.eval_shifted(c, osc, dt, 0.3) for c in polys]
         assert exact(TermPlan(polys)(osc, dt, 0.3)) == exact(want)
         assert repr(BasisPoly().eval_shifted(osc, dt, 0.3)) == repr(want[0])
+
+
+def test_one_plan_serves_every_nu(compiled):
+    # the plan compiles once, when it is made; each nu binds its own
+    # constants, so one leaked from an earlier nu would fail a later bind.
+    # Every polynomial has terms with m > 0, and in the last one
+    # n + m nu is zero at nu = -1/2
+    entries = build_scheme(make_oscillator("cos", 100.0, 0.3),
+                           TruncationPolicy.from_order(4, 2)).entries
+    polys = [e.coeff for e in entries if any(key[4] for key, _ in e.coeff.terms)]
+    polys.append(BasisPoly.from_dict({(1, 1, 1, 1, 2): 0.5 - 0.25j, (0, 0, 0, 2, 1): 1.5}))
+    assert len(polys) == 7
+    compiled.clear()
+    plan = TermPlan(polys)
+    assert len(compiled) == 1
+    for nu in (0.0, -0.5, 0.0):
+        osc = make_oscillator("cos", 100.0, 0.3, nu)
+        for t in PHASES[:5]:
+            want = [ref.eval_shifted(c, osc, 0.02, t) for c in polys]
+            assert exact(plan(osc, 0.02, t)) == exact(want)
+    assert len(compiled) == 1
 
 
 def test_a_sum_longer_than_one_expression_compiles():
@@ -110,10 +141,10 @@ def test_frame_size_does_not_grow_with_the_table():
     plans = [scheme.entries.plan[1], scheme.entries.averaged.plan[1],
              TermPlan([large_poly(np.random.default_rng(7))] * 2)]
     for plan in plans:
-        assert frame_slots(plan, osc.nu) <= FRAME_SLOTS
+        assert frame_slots(plan) <= FRAME_SLOTS
     # four times the entries and terms: the same frame
-    assert frame_slots(TermPlan([e.coeff for e in scheme.entries] * 4), osc.nu) \
-        == frame_slots(plans[0], osc.nu)
+    assert frame_slots(TermPlan([e.coeff for e in scheme.entries] * 4)) \
+        == frame_slots(plans[0])
 
 
 FOURIER = {-2: 0.3 - 0.1j, 1: 0.7}
@@ -165,7 +196,7 @@ def test_infinite_constants_match_term_by_term_evaluation():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = [exact(plan(osc, 10.0, t)) for t in START_TIMES]
-    assert not all(cmath.isfinite(v) for v in plan._last[-1][1])
+    assert not all(cmath.isfinite(v) for v in plan._last[-1])
     assert got == [exact(ref.eval_shifted(c, osc, 10.0, t) for c in polys) for t in START_TIMES]
 
 
@@ -193,10 +224,10 @@ def test_a_binding_holds_one_constant_per_power_of_z(name):
     plan, averaged = entries.plan[1], entries.averaged.plan[1]
     plan(osc, 0.02, 0.3)
     averaged(osc, 0.02, 0.3)
-    assert len(plan._last[-1][1]) == constants
+    assert len(plan._last[-1]) == constants
     # averaging keeps the q = 0 terms: one constant per live entry, 0j
     # where it keeps none
-    assert len(averaged._last[-1][1]) == len(entries.live)
+    assert len(averaged._last[-1]) == len(entries.live)
 
 
 @pytest.mark.parametrize("name", ["cos-4-2", "cos-8-2", "exp-nu-half-8-2"])
@@ -215,10 +246,11 @@ def test_plan_is_accurate_to_the_size_of_its_constants(name):
         om, nu = mp.mpf(osc.omega), mp.mpf(osc.nu)
         for t in (0.1, 0.3, 0.77):
             got = plan(osc, h, t)
-            constants = iter(plan._last[-1][1])
+            constants = iter(plan._last[-1])
             z = mp.expj(osc.omega * t + osc.phi)     # the phase as the plan rounds it
-            for value, poly, qs in zip(got, polys, plan._groups):
+            for value, poly in zip(got, polys):
                 want = sum(mp.mpc(c.real, c.imag) * mp.mpf(h) ** p * mp.expj(k * om * h) * z ** q
                            * om ** -(n + m * nu) for (p, k, q, n, m), c in poly.terms)
-                size = sum(abs(next(constants)) for _ in qs)
+                # one constant per distinct power of Z
+                size = sum(abs(next(constants)) for _ in {key[2] for key, _ in poly.terms})
                 assert abs(mp.mpc(value) - want) <= 32 * 2.0 ** -52 * size

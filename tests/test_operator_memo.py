@@ -145,6 +145,26 @@ def test_times_without_a_float_sign_are_evaluated_each_call(evaluations):
     assert len(evaluations) == 6
 
 
+def test_a_0d_time_is_kept_by_value(evaluations):
+    # a 0-d real array is kept by its type, dtype, value and sign: a repeat
+    # is served from the memo, and the array changed in place is not
+    field = FIELDS["m2-division"]()
+    scheme = build_scheme(make_oscillator("cos", 100.0, 0.3), TruncationPolicy.from_order(4, 2))
+    pairs = [(e.word.target, e.word.operator_word) for e in scheme.entries]
+    u = [0.9 + 0.2j, 1.1 - 0.1j]
+    t = np.array(0.3)
+    for value in (0.3, 0.3, -0.0, 0.0, 0.0):
+        t[()] = value
+        assert_same_values(operator_values(field, pairs, t, u),
+                           ref.operator_values(field, pairs, value, u))
+    assert len(evaluations) == 3
+    # the float 0.0 and a float32 array of 0.0 are other keys
+    for other in (0.0, np.array(0.0, dtype=np.float32)):
+        assert_same_values(operator_values(field, pairs, other, u),
+                           ref.operator_values(field, pairs, other, u))
+    assert len(evaluations) == 5
+
+
 def test_a_field_that_raises_raises_on_every_call(evaluations):
     calls = []
 

@@ -224,7 +224,7 @@ def test_a_binding_with_an_infinite_constant_fails_as_a_step_does():
         want = solve_outcome(lambda: stepped(step, scheme, field, 0.0, u0, 10.0, 3))
         assert want.startswith("NumericStepError: step 0 (t = 0.0): non-finite contribution")
         assert solve_outcome(lambda: solve(scheme, field, 0.0, u0, 30.0, 10.0)) == want
-        assert not all(map(np.isfinite, scheme.entries.plan[1]._last[-1][1]))
+        assert not all(map(np.isfinite, scheme.entries.plan[1]._last[-1]))
 
 
 def test_an_order_0_solve_reaching_zero_fails_as_a_non_finite_step():
@@ -311,8 +311,16 @@ def test_sums_split_into_statements_match_reference(monkeypatch):
             for t in (0.0, 0.3, -0.7):
                 want = [ref.eval_shifted(c, osc, dt, t) for c in polys]
                 assert exact(plan(osc, dt, t)) == exact(want)
+        # each coefficient of more than two constants is summed into its
+        # own local, and the function returns every value in one list
         [source] = sources
-        assert "    c = c + " in source and "    out += " in source
+        *_, last = source.splitlines()
+        split = [i for i, c in enumerate(polys) if len({key[2] for key, _ in c.terms}) > 2]
+        assert split and all(f"\n    c{i} = c{i} + " in source for i in split)
+        assert last.startswith("    return [")
+        items = last.removeprefix("    return [").removesuffix("]").split(", ")
+        assert len(items) == len(polys)
+        assert [i for i, item in enumerate(items) if item == f"c{i}"] == split
     finally:
         stepping._assembly.cache_clear()
 
@@ -720,7 +728,7 @@ def bindings(monkeypatch):
 def test_step_sizes_bind_by_value_sign_and_type(bindings):
     # 0.0, -0.0 and 0, or 0.05 and np.float64(0.05), are equal keys whose
     # powers differ in sign or type; the -0.0 components let zero signs
-    # show in u_next.  A 0-d array has no hash and binds for one call.
+    # show in u_next.  A 0-d array binds by its type, dtype, value and sign.
     scheme = fresh_table()
     u = np.array([complex(0.9, -0.0), complex(-0.0, 0.4)])
     field = FIELDS["m2-division"]()
@@ -730,8 +738,26 @@ def test_step_sizes_bind_by_value_sign_and_type(bindings):
             for t in (0.0, 0.3):
                 assert_same(fn(scheme, field, t, u, h),
                             ref.step(scheme, field, t, u, h, averaged=averaged))
-    # one binding per change of step size, and one per call for the 0-d array
-    assert bindings(scheme) == bindings(scheme, averaged=True) == 10
+    # one binding per change of step size
+    assert bindings(scheme) == bindings(scheme, averaged=True) == 9
+
+
+def test_a_solve_at_a_0d_step_size_binds_once(bindings):
+    # every step of the solve shares the step size's binding, and matches
+    # a loop of steps at that step size bit for bit
+    scheme = fresh_table()
+    field = FIELDS["linear"]()
+    u0 = np.array([0.9 + 0.1j])
+    h = np.array(0.02)
+    want = solve_outcome(lambda: stepped(step, scheme, field, 0.0, u0, h, 50))
+    assert bindings(scheme) == 1
+    assert solve_outcome(lambda: solve(scheme, field, 0.0, u0, 1.0, h)) == want
+    assert bindings(scheme) == 1
+    # an array changed in place binds again
+    h[()] = 0.04
+    assert solve_outcome(lambda: solve(scheme, field, 0.0, u0, 1.0, h)) \
+        == solve_outcome(lambda: stepped(ref.step, scheme, field, 0.0, u0, h, 25))
+    assert bindings(scheme) == 2
 
 
 def test_phases_share_one_binding_per_frequency_and_step_size(bindings):

@@ -613,8 +613,9 @@ class TestEmptyEntries:
         # the averaged entries cover the same places, and every plan as many
         operators, coefficients = sch.entries.plan
         assert sch.entries.averaged.live == live
-        assert len(operators.outputs) == len(coefficients._polys) == len(live)
-        assert len(sch.entries.averaged.plan[1]._polys) == len(live)
+        assert len(operators.outputs) == len(coefficients(sch.oscillator, 0.1, 0.0)) \
+            == len(live)
+        assert len(sch.entries.averaged.plan[1](sch.oscillator, 0.1, 0.0)) == len(live)
 
     @pytest.mark.parametrize("stepper", [step, step_phase_averaged])
     @pytest.mark.parametrize("field, u0", [

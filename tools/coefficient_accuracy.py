@@ -8,13 +8,14 @@ SRC is a tree's ``src`` directory.  For each table and each omega*h in
 gives the values of its live entries (those whose coefficient has terms) at
 each start time in ``TIMES``; mpmath evaluates each entry's `BasisPoly`
 term by term from the same inputs.  One line per table and omega*h gives,
-over the entries and times, the worst and the mean relative error
-``|plan - mpmath| / |mpmath|``, and the worst and the mean normwise error
-``|plan - mpmath| / sum|term|`` in units of eps = 2^-52.  A coefficient
-whose terms nearly cancel at some start time has a relative error far
-above eps whatever the order of its sum, and that one sample can set the
-worst and the mean; the normwise error is the one that any summation
-bounds by a small multiple of eps.
+over the entries and times, the worst, the median and the mean relative
+error ``|plan - mpmath| / |mpmath|``, and the worst and the mean normwise
+error ``|plan - mpmath| / sum|term|`` in units of eps = 2^-52.  A
+coefficient whose terms nearly cancel at some start time has a relative
+error far above eps whatever the order of its sum, and that one sample can
+set the worst and the mean, but not the median of the 32 start times; the
+normwise error is the one that any summation bounds by a small multiple
+of eps.
 
 The phase omega*t + phi is rounded to a double as the plan rounds it, and
 mpmath starts from that double, as from the double omega and h: what is
@@ -24,7 +25,9 @@ inputs.  Needs mpmath.
 
 from __future__ import annotations
 
+import math
 import os
+import statistics
 import sys
 
 import mpmath as mp
@@ -38,7 +41,10 @@ TABLES = {
 }
 OMEGA, PHI = 100.0, 0.3
 OMEGA_H = (2.0, 1e-1, 1e-2)
-TIMES = (0.1, 0.3, 0.77, 1.9)
+# 32 start times spread over [0.05, 2] by multiples of the golden ratio,
+# so that their phases omega*t + phi spread too: the step of an even grid,
+# 1.95/31, is within 0.01 of a period 2 pi / omega at omega = 100
+TIMES = tuple(0.05 + 1.95 * (i * (math.sqrt(5.0) - 1.0) / 2.0 % 1.0) for i in range(32))
 DIGITS = 60
 EPS = 2.0 ** -52
 
@@ -60,7 +66,7 @@ def main(src: str) -> None:
     from oscistep import TruncationPolicy, build_scheme, make_oscillator
 
     mp.mp.dps = DIGITS
-    print(f"{'table':<18} {'omega*h':>8} {'worst':>9} {'mean':>9} "
+    print(f"{'table':<18} {'omega*h':>8} {'worst':>9} {'median':>9} {'mean':>9} "
           f"{'normwise worst':>14} {'mean':>6}")
     for name, (kind, nu, order) in TABLES.items():
         osc = make_oscillator(kind, OMEGA, PHI, nu)
@@ -81,6 +87,7 @@ def main(src: str) -> None:
                     errors.append(error / float(abs(want)))
                     normwise.append(error / size / EPS)
             print(f"{name:<18} {omega_h:>8g} {max(errors):>9.2e} "
+                  f"{statistics.median(errors):>9.2e} "
                   f"{sum(errors) / len(errors):>9.2e} {max(normwise):>14.2f} "
                   f"{sum(normwise) / len(normwise):>6.3f}")
 

@@ -21,7 +21,11 @@ h = 0.02 from solve-scalar's freqdep u0 (2 x 3 x 51 = 306) and the
 the ``u_next`` of `step_phase_averaged` from five seeded (t, u) on each of
 phase-ensemble's three configurations, at its round-0 phase and state, and
 from the split-step starts on each of the two split tables (3 x 5 x 5 =
-75).  Both trees run with this checkout's ``perfbench``.
+75).  Last, the ``iterated_integral`` of every word of cos (4,2) and of
+exp nu = -1/2 (8,2) at three seeded ``(t_n, h)``, the last with
+h = -0.0 ((11 + 510) x 3 = 1 563): each evaluates one `BasisPoly` with a
+coefficient plan of its own.  Both trees run with this checkout's
+``perfbench``.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import sys
 
 SEEDS = (11, 12, 13)
 KINDS = ("solve-scalar", "phase-ensemble", "solve-one-step", "solve-minus-zero",
-         "solve-int-zero", "split-solve", "split-step", "averaged-step")
+         "solve-int-zero", "split-solve", "split-step", "averaged-step", "iterated-integral")
 # the 3-mode Fourier oscillator of the split tables
 FOURIER_MODES = {-2: 0.3 - 0.1j, 1: 0.7, 3: 0.25j}
 PHASE_ROUNDS = 3
@@ -44,8 +48,8 @@ def outputs() -> list[str]:
     """One line per output: the workload, its seed and inputs, and the
     ``repr`` of its Python values."""
     import numpy as np
-    from oscistep import (TruncationPolicy, build_scheme, make_oscillator, solve, step,
-                          step_phase_averaged)
+    from oscistep import (TruncationPolicy, build_scheme, enumerate_words, iterated_integral,
+                          make_oscillator, solve, step, step_phase_averaged)
     from workloads import PhaseEnsemble, SolveScalar, _oscillator
 
     split = {"freqdep": make_oscillator("exp", 100.0, 0.0, -0.5),
@@ -90,7 +94,16 @@ def outputs() -> list[str]:
                 t, u = float(rng.uniform(0.0, 1.0)), inp["u0"] * complex(*rng.uniform(0.5, 1.5, 2))
                 u_next = step_phase_averaged(scheme, w.plain[inp["problem"]], t, u, w.H).u_next
                 averaged.append(f"averaged-step {seed} {inp['kind']} {t!r} {u_next.tolist()!r}")
-    return lines + more + split_lines + averaged
+    integrals, rng = [], np.random.default_rng(37)
+    points = [(float(rng.uniform(0.0, 1.0)), float(h))
+              for h in (*rng.uniform(0.005, 0.05, 2), -0.0)]
+    for table, osc, order in (("cos-4-2", make_oscillator("cos", 100.0, 0.3), (4, 2)),
+                              ("exp-nu-half-8-2", make_oscillator("exp", 100.0, 0.3, -0.5),
+                               (8, 2, -0.5))):
+        for word in enumerate_words(TruncationPolicy.from_order(*order)):
+            integrals += [f"iterated-integral {table} {word} {t!r} {h!r} "
+                          f"{iterated_integral(word, osc, t, h)!r}" for t, h in points]
+    return lines + more + split_lines + averaged + integrals
 
 
 def run(src: str) -> list[str]:
