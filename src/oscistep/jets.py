@@ -442,9 +442,10 @@ class CoefficientField:
     0 and 0.0, differ), and a state of the same bytes gets them without
     running the tape nor, for a refused plan, the lambdas themselves: the
     K phases of an ensemble and the phase-averaged step share one plan,
-    so they evaluate once.  A 0-d real array `t` is kept by its type,
-    dtype, value and sign, so an array changed in place is evaluated
-    again.  A time with no such key, such as a complex number or an array
+    the table's, whose coefficient plan also gives the phase averages as
+    the Z^0 prefix of its binding, so they evaluate once.  A 0-d real
+    array `t` is kept by its type, dtype, value and sign, so an array
+    changed in place is evaluated again.  A time with no such key, such as a complex number or an array
     of one or more dimensions, and a call that raises leave the memo as it
     was.  The steps of a solve, whose time
     moves on every step, call :meth:`_evaluate` and neither read nor fill

@@ -249,7 +249,8 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
 
 
 def fit_slope(points) -> float:
-    """Least-squares slope of log(error) against log(h)."""
+    """Least-squares slope of log(error) against log(h), over at least
+    three points and two distinct step sizes."""
     pts = list(points)
     if len(pts) < 3:
         raise ValueError("need at least three points to fit a slope")
@@ -258,6 +259,8 @@ def fit_slope(points) -> float:
     if not (np.isfinite(hs).all() and np.isfinite(errs).all()
             and (hs > 0).all() and (errs > 0).all()):
         raise ValueError("slope fit requires finite positive step sizes and errors")
+    if np.unique(hs).size < 2:
+        raise ValueError("slope fit requires at least two distinct step sizes")
     A = np.vstack([np.log(hs), np.ones_like(hs)]).T
     sol, *_ = np.linalg.lstsq(A, np.log(errs), rcond=None)
     return float(sol[0])

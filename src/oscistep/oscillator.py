@@ -275,24 +275,29 @@ class TermPlan:
     A_q depend on ``(omega, nu, dt)`` alone.  A call therefore uses a
     *binding* for its ``(omega, nu, dt)``, and the plan keeps the last one
     it built, so a run of steps of one size, at any start time or phase,
-    binds once.  A binding is a flat tuple ``K`` of constants, one per
-    distinct power of Z of each polynomial, q = 0 first, then ascending q;
-    a polynomial without terms has one, 0j.  A constant sums the terms c *
-    dt^p * e^(ik omega dt) * omega^-(n + m nu) that carry its power of Z,
-    in term order from 0j, each product taken left to right, skipping unit
-    factors.  Every factor is a complex number, so each product is a
-    complex product whether or not Python widens a float.  The plan lays
-    out each constant's terms once, when it is made, and :meth:`_bind`
-    sums them.
+    binds once.  A binding is a flat tuple ``K`` of constants.  It begins
+    with one constant per polynomial, its Z^0 constant, which is 0j for a
+    polynomial without Z^0 terms; this prefix is each polynomial's average
+    over a uniform phase, which :meth:`averaged` reads from the kept
+    binding.  The constants of each polynomial's nonzero powers of Z
+    follow, polynomial by polynomial, in ascending q.  A constant sums the
+    terms c * dt^p * e^(ik omega dt) * omega^-(n + m nu) that carry its
+    power of Z, in term order from 0j, each product taken left to right,
+    skipping unit factors.  Every factor is a complex number, so each
+    product is a complex product whether or not Python widens a float.
+    The plan lays out each constant's terms once, when it is made, and
+    :meth:`_bind` sums them.
 
     The plan's function ``plan(K, z)`` is straight-line Python, compiled by
     ``jets._function`` when the plan is made: it computes each Z^q once,
-    then each polynomial as ``K[0] + K[1] * z0 + ...``, its constants times
-    their powers of Z added left to right in their order, and returns the
-    list of their values.  A polynomial whose sum ``jets._summed`` splits
-    into statements is summed by them, into its own local ``c<i>``.  The
-    source depends only on which powers of Z each polynomial has, so every
-    `dt`, `omega` and `nu` binds its constants to the same function.
+    then each polynomial as ``K[i] + K[j] * z0 + ...``, its constants times
+    their powers of Z added left to right in ascending q, and returns the
+    list of their values.  ``K[i]``, polynomial i's Z^0 constant, enters
+    its sum only if it has Z^0 terms or no terms at all.  A polynomial
+    whose sum ``jets._summed`` splits into statements is summed by them,
+    into its own local ``c<i>``.  The source depends only on which powers
+    of Z each polynomial has, so every `dt`, `omega` and `nu` binds its
+    constants to the same function.
     Constants are read as ``K[i]``, never unpacked into locals: a frame's
     size is its locals plus its stack, and a table of thousands of
     constants would push a fresh chunk of the interpreter's frame stack on
@@ -302,6 +307,7 @@ class TermPlan:
 
     def __init__(self, polys):
         polys = [poly.terms for poly in polys]
+        self._count = len(polys)
         keys = [key for terms in polys for key, _ in terms]
         # the distinct nonzero p and k, and the distinct omega exponents (n, m)
         self._ps = tuple(dict.fromkeys(p for p, _, _, _, _ in keys if p))
@@ -312,15 +318,17 @@ class TermPlan:
         zs = {q: f" * z{i}" for i, q in enumerate(sorted({key[2] for key in keys if key[2]}))}
         lines = [f"z{i} = z ** {q}" for i, q in enumerate(zs)]
         # the terms of each constant of K in order, as (p, k, j, c) with j
-        # the index of (n, m) in _scales
-        self._constants: list[list[tuple]] = []
+        # the index of (n, m) in _scales: each polynomial's Z^0 constant,
+        # then the nonzero powers of Z of each polynomial
+        self._constants: list[list[tuple]] = [[] for _ in polys]
         values = []
         for i, terms in enumerate(polys):
-            qs = sorted({key[2] for key, _ in terms} or {0}, key=lambda q: (q != 0, q))
-            groups: dict[int, list] = {q: [] for q in qs}
-            for (p, k, q, n, m), c in terms:
-                groups[q].append((p, k, scales[n, m], c))
-            parts = [f"K[{len(self._constants) + j}]{zs.get(q, '')}" for j, q in enumerate(qs)]
+            # a stable sort by q keeps each constant's terms in term order
+            groups = {0: self._constants[i]}
+            for (p, k, q, n, m), c in sorted(terms, key=lambda term: term[0][2]):
+                groups.setdefault(q, []).append((p, k, scales[n, m], c))
+            parts = [f"K[{i}]"] if groups.pop(0) or not terms else []
+            parts += [f"K[{len(self._constants) + j}]{zs[q]}" for j, q in enumerate(groups)]
             self._constants += groups.values()
             statements = _summed(f"c{i}", parts)
             if len(statements) > 1:
@@ -371,6 +379,12 @@ class TermPlan:
         """Every polynomial's value, in order."""
         z = cmath.exp(1j * (osc.omega * t_ref + osc.phi))
         return self._function(self._binding(osc.omega, osc.nu, dt), z)
+
+    def averaged(self, osc: OscillatorSpec, dt: float, t_ref: float) -> tuple[complex, ...]:
+        """Every polynomial's average over a uniform phase, in order: its
+        Z^0 constant, read from the binding's prefix.  `t_ref` enters
+        through Z alone, so it changes nothing."""
+        return self._binding(osc.omega, osc.nu, dt)[:self._count]
 
 
 def v_poly(osc: OscillatorSpec) -> BasisPoly:

@@ -29,19 +29,22 @@ rebuilt from the cache (at another frequency or phase) steps with the
 same plan.  The word plan depends on the live words alone, so every
 table with the same live words in the same order shares it, and so the
 tapes each field records for it: the tables of one policy for every
-oscillator, the phase-averaged entries, which cover the same live
-entries as the table they come from even where averaging empties a
-coefficient, and a copy given by hand.
+oscillator, and a copy given by hand.
 
 Only Z = e^(i(omega t_n + phi)) changes from one step to the next, so each
 coefficient is a short Laurent polynomial sum_q A_q Z^q.  A coefficient
 plan is one straight-line function, compiled on the first step and kept
-on the plan.  It binds to an (omega, nu, h) as a flat tuple of constants,
-one per distinct power of Z of each coefficient, which the function reads
-by index, and keeps the last binding, so a run of steps of one size, at
-any start time or phase, binds once, and a new step size binds again
-without compiling.  `step`, `step_phase_averaged` and every step of
-`solve` call it alike.
+on the plan.  It binds to an (omega, nu, h) as a flat tuple of constants
+``K``, which the function reads by index: first each coefficient's Z^0
+constant, then one per distinct nonzero power of Z of each coefficient.
+It keeps the last binding, so a run of steps of one size, at any start
+time or phase, binds once, and a new step size binds again without
+compiling.  A coefficient's average over a uniform phase is its Z^0
+constant, so `step_phase_averaged` reads ``K``'s Z^0 prefix and computes
+no Z: it steps the same live entries with the same step plan and the
+same binding as `step`, even where averaging empties a coefficient, whose
+constant is then 0j.  `step`, `step_phase_averaged` and every step of
+`solve` bind alike.
 
 A step's sum is Python's complex arithmetic on Python numbers.  Each
 contribution is one complex product of a live entry's coefficient and a
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -70,7 +73,7 @@ import numpy as np
 
 from .errors import NumericStepError
 from .jets import CoefficientField, Jet, WordPlan, _function, _jet_order, _plan, _summed
-from .oscillator import BasisPoly, OscillatorSpec, TermPlan, phase_average
+from .oscillator import BasisPoly, OscillatorSpec, TermPlan
 from .terms import RETENTION_TOL, TruncationPolicy, Word, enumerate_words, word_primitive
 
 __all__ = [
@@ -92,7 +95,8 @@ __all__ = [
 BOUND_T_SAMPLES, BOUND_U_SAMPLES = 9, 12
 
 # scheme tables kept by (Fourier structure, nu, policy, truncation); their
-# step plans and phase-averaged entries go with them
+# step plans go with them, and so the phase averages, which are the Z^0
+# prefix of the coefficient plan's binding
 SCHEME_CACHE_SIZE = 32
 
 
@@ -105,9 +109,10 @@ class SchemeEntry:
 class _Entries(tuple):
     """A table's entries with what stepping them needs, built on first use:
     the places of the live entries, whose coefficient has terms, and the
-    step plan, which covers those only.  Every table rebuilt from the
-    scheme cache holds the same tuple and so shares its plans and its
-    phase-averaged entries."""
+    step plan, which covers those only.  A plain and a phase-averaged step
+    share the plan: the averages are the Z^0 prefix of its coefficient
+    plan's binding.  Every table rebuilt from the scheme cache holds the
+    same tuple and so shares its plans."""
 
     @cached_property
     def live(self) -> tuple[int, ...]:
@@ -123,16 +128,6 @@ class _Entries(tuple):
         live = [self[i] for i in self.live]
         return (_plan([(e.word.target, e.word.operator_word) for e in live]),
                 TermPlan([e.coeff for e in live]))
-
-    @cached_property
-    def averaged(self) -> "_Entries":
-        """These entries with every coefficient phase-averaged.  They have
-        the same words in the same order and cover the same live entries,
-        whether or not an averaged coefficient keeps terms, so they share
-        the word plan."""
-        out = _Entries(replace(e, coeff=phase_average(e.coeff)) for e in self)
-        out.live = self.live
-        return out
 
 
 @dataclass(frozen=True)
@@ -256,19 +251,21 @@ def step(scheme: SchemeTable, field: CoefficientField, t_n: float, u_n,
     complex arithmetic.  A non-finite t_n, h or u_n raises ValueError, and
     a non-finite contribution NumericStepError.
     """
-    return _step(scheme.entries, scheme.oscillator, field, t_n, u_n, h)
+    return _step(scheme.entries, scheme.oscillator, TermPlan.__call__, field, t_n, u_n, h)
 
 
 def step_phase_averaged(scheme: SchemeTable, field: CoefficientField, t_n: float,
                         u_n, h: float) -> StepResult:
     """One macro step with every coefficient averaged over the oscillator
-    phase; terms whose integral carries no phase-free part drop out."""
-    return _step(scheme.entries.averaged, scheme.oscillator, field, t_n, u_n, h)
+    phase: its Z^0 constant, which the coefficient plan's binding holds;
+    terms whose integral carries no phase-free part drop out."""
+    return _step(scheme.entries, scheme.oscillator, TermPlan.averaged, field, t_n, u_n, h)
 
 
-def _step(entries: _Entries, osc: OscillatorSpec, field: CoefficientField, t_n: float,
-          u_n, h: float) -> StepResult:
-    """A step over `entries`: `step` and `step_phase_averaged`."""
+def _step(entries: _Entries, osc: OscillatorSpec, evaluate: Callable, field: CoefficientField,
+          t_n: float, u_n, h: float) -> StepResult:
+    """A step over `entries` whose coefficients `evaluate`, a method of
+    their coefficient plan, gives: `step` and `step_phase_averaged`."""
     if not (math.isfinite(t_n) and math.isfinite(h)):
         raise ValueError("t_n and h must be finite")
     if h < 0:
@@ -276,7 +273,7 @@ def _step(entries: _Entries, osc: OscillatorSpec, field: CoefficientField, t_n: 
     u_n = field._state(u_n)
     operators, coefficients = entries.plan
     values = field._values(operators, t_n, u_n)
-    coeffs = coefficients(osc, h, t_n)
+    coeffs = evaluate(coefficients, osc, h, t_n)
     u, m = u_n.tolist(), field.m
     u_next = _assembly(len(coeffs), m)(u, coeffs, values)
     if u_next is None:
@@ -384,16 +381,16 @@ def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,
     The box is [t_min, t_max] times a polydisc of the given radius about
     u_center; sampling is on a deterministic grid (not rigorous: the
     caller declares the box and accepts the sampling resolution).  A box
-    that is not finite, a centre whose shape is not the field's, or an
-    order that is not an integer >= 0, raises ValueError, and a partial
-    that is not finite at a sample raises NumericStepError.
+    that is not finite, a negative radius, a centre whose shape is not the
+    field's, or an order that is not an integer >= 0, raises ValueError,
+    and a partial that is not finite at a sample raises NumericStepError.
     """
     order = _jet_order(order)
     t_min, t_max = t_range
     u_center = field._state(u_center)
     if not (math.isfinite(t_min) and math.isfinite(t_max) and math.isfinite(u_radius)
-            and np.isfinite(u_center).all()):
-        raise ValueError("the sampling box must be finite")
+            and u_radius >= 0 and np.isfinite(u_center).all()):
+        raise ValueError("the sampling box must be finite, with a radius >= 0")
     m = field.m
     ts = np.linspace(t_min, t_max, BOUND_T_SAMPLES)
     states = [u_center]

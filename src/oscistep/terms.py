@@ -184,10 +184,13 @@ def word_primitive(word: Word, osc: OscillatorSpec) -> BasisPoly:
 
 def iterated_integral(word: Word, osc: OscillatorSpec, t_n: float,
                       h: float) -> complex:
-    """Exact value of the word's nested integral over [t_n, t_n + h]."""
+    """Exact value of the word's nested integral over [t_n, t_n + h]: 0j
+    over an empty interval, h = 0 of either sign."""
     if not (math.isfinite(t_n) and math.isfinite(h) and h >= 0):
         raise ValueError(f"t_n must be finite and h finite and non-negative; got {t_n}, {h}")
-    return word_primitive(word, osc).eval_shifted(osc, h, t_n)
+    # the primitive vanishes at h = 0 only in exact arithmetic: its tau^0
+    # terms cancel against its anchor up to rounding
+    return 0j if h == 0 else word_primitive(word, osc).eval_shifted(osc, h, t_n)
 
 
 _SCHEME_WORDS = {

@@ -162,6 +162,7 @@ class TestErrorBoundary:
         "bounds-h-list-not-finite": (("bounds", *POLICY, "--h-list", "0.1,nan"), None),
         "bounds-box-t-not-finite": (("bounds", *POLICY, "--box-t", "nan"), None),
         "bounds-box-radius-not-finite": (("bounds", *POLICY, "--box-radius", "nan"), None),
+        "bounds-box-radius-negative": (("bounds", *POLICY, "--box-radius", "-0.5"), None),
         "converge-couple-c-not-finite": (("converge", *POLICY, "--h-list", "0.2,0.1,0.05",
                                           "--couple-c", "nan"), None),
         "converge-couple-c-zero": (("converge", *POLICY, "--h-list", "0.2,0.1,0.05",
@@ -170,6 +171,7 @@ class TestErrorBoundary:
                                      "--couple-c", "1"), None),
         "problem-unknown": (("step", *POLICY, "--problem", "bogus"), None),
         "converge-two-h": (("converge", *POLICY, "--h-list", "0.2,0.1"), None),
+        "converge-one-distinct-h": (("converge", *POLICY, "--h-list", "0.1,0.1,0.1"), None),
         "step-h-zero": (("step", *POLICY, "--h", "0"), None),
         "h-list-not-a-number": (("converge", *POLICY, "--h-list", "0.2,abc,0.1"), None),
     }

@@ -17,7 +17,7 @@ import pytest
 import reference_step as ref
 import oscistep.jets as jets
 from oscistep import TruncationPolicy, build_scheme, make_oscillator
-from oscistep.oscillator import BasisPoly, TermPlan
+from oscistep.oscillator import BasisPoly, TermPlan, phase_average
 
 TABLES = {
     "cos-4-2": ("cos", 0.0, (4, 2)),
@@ -66,14 +66,25 @@ def large_poly(rng) -> BasisPoly:
         for n in range(4) for m in range(2)})
 
 
+def live_polys(entries, averaged):
+    """The coefficients the plan covers, those of the entries whose plain
+    coefficient has terms, phase-averaged if `averaged`."""
+    return [phase_average(entries[i].coeff) if averaged else entries[i].coeff
+            for i in entries.live]
+
+
+def evaluate(plan, averaged):
+    """The plan's call, or its phase-averaged values."""
+    return plan.averaged if averaged else plan
+
+
 @pytest.mark.parametrize("averaged", [False, True], ids=["plain", "averaged"])
 @pytest.mark.parametrize("name", TABLES)
 def test_plan_matches_term_by_term_evaluation(name, averaged, compiled):
     osc, scheme = table(name)
-    entries = scheme.entries.averaged if averaged else scheme.entries
-    plan = entries.plan[1]
-    # the plan covers the entries whose plain coefficient has terms
-    polys = [entries[i].coeff for i in entries.live]
+    entries = scheme.entries
+    plan = evaluate(entries.plan[1], averaged)
+    polys = live_polys(entries, averaged)
     compiled.clear()
     # a zero step of either sign, then a second step size and back
     for dt, phases in ((0.02, PHASES), (0.0, PHASES), (-0.0, PHASES), (0.05, PHASES[:5]),
@@ -138,7 +149,10 @@ def test_frame_size_does_not_grow_with_the_table():
     # constants are read from the binding, never unpacked into locals, so
     # a call never needs a fresh chunk of the interpreter's frame stack
     osc, scheme = table("exp-nu-half-8-2")
-    plans = [scheme.entries.plan[1], scheme.entries.averaged.plan[1],
+    # the phase-averaged coefficients of a table, one per live entry, with
+    # only their Z^0 terms
+    averaged = TermPlan(live_polys(scheme.entries, True))
+    plans = [scheme.entries.plan[1], averaged,
              TermPlan([large_poly(np.random.default_rng(7))] * 2)]
     for plan in plans:
         assert frame_slots(plan) <= FRAME_SLOTS
@@ -170,17 +184,16 @@ def test_batch_rows_match_the_compiled_function(name, averaged):
     # from the plan's kept binding equals the reference and each
     # polynomial's own compiled function, bound for its one call
     osc, scheme = any_table(name)
-    entries = scheme.entries.averaged if averaged else scheme.entries
+    entries = scheme.entries
     plan = entries.plan[1]
-    # the plan covers the entries whose plain coefficient has terms
-    polys = [entries[i].coeff for i in entries.live]
+    polys = live_polys(entries, averaged)
     for dt in STEP_SIZES:
         want = [exact(ref.eval_shifted(c, osc, dt, t) for c in polys) for t in START_TIMES]
-        assert [exact(plan(osc, dt, t)) for t in START_TIMES] == want
+        assert [exact(evaluate(plan, averaged)(osc, dt, t)) for t in START_TIMES] == want
         assert [exact(c.eval_shifted(osc, dt, t) for c in polys) for t in START_TIMES] == want
-        # one binding serves every start time
+        # one binding serves every start time, and the other evaluation too
         binding = plan._last[-1]
-        plan(osc, dt, 0.3)
+        evaluate(plan, not averaged)(osc, dt, 0.3)
         assert plan._last[-1] is binding
 
 
@@ -202,13 +215,14 @@ def test_infinite_constants_match_term_by_term_evaluation():
 
 # -- the constants and their accuracy -------------------------------------------
 
-# (distinct (live entry, power of Z), terms) of each table's live entries
+# (distinct (live entry, power of Z), constants of a binding, terms) of
+# each table's live entries
 CONSTANTS = {
-    "cos-4-2": (17, 33),
-    "cos-4-1": (79, 344),
-    "cos-6-1": (447, 3035),
-    "cos-8-2": (175, 474),
-    "exp-nu-half-8-2": (247, 762),
+    "cos-4-2": (17, 22, 33),
+    "cos-4-1": (79, 94, 344),
+    "cos-6-1": (447, 510, 3035),
+    "cos-8-2": (175, 210, 474),
+    "exp-nu-half-8-2": (247, 486, 762),
 }
 
 
@@ -217,17 +231,25 @@ def test_a_binding_holds_one_constant_per_power_of_z(name):
     osc, scheme = table(name)
     entries = scheme.entries
     polys = [entries[i].coeff for i in entries.live]
-    constants, terms = CONSTANTS[name]
+    distinct, constants, terms = CONSTANTS[name]
     assert sum(len(poly.terms) for poly in polys) == terms
     assert len({(i, key[2]) for i, poly in enumerate(polys) for key, _ in poly.terms}) \
-        == constants
-    plan, averaged = entries.plan[1], entries.averaged.plan[1]
+        == distinct
+    # one Z^0 slot per live entry, then one constant per distinct nonzero
+    # power of Z of each
+    assert len(polys) + len({(i, key[2]) for i, poly in enumerate(polys)
+                             for key, _ in poly.terms if key[2]}) == constants
+    plan = entries.plan[1]
     plan(osc, 0.02, 0.3)
-    averaged(osc, 0.02, 0.3)
-    assert len(plan._last[-1]) == constants
-    # averaging keeps the q = 0 terms: one constant per live entry, 0j
-    # where it keeps none
-    assert len(averaged._last[-1]) == len(entries.live)
+    binding = plan._last[-1]
+    assert len(binding) == constants
+    # the slot of an entry without Z^0 terms is 0j
+    assert all(repr(binding[i]) == "0j" for i, poly in enumerate(polys)
+               if not phase_average(poly).terms)
+    # averaging keeps the q = 0 terms: the phase average is the binding's
+    # prefix, one constant per live entry, read from the kept binding
+    averaged = plan.averaged(osc, 0.02, 0.3)
+    assert averaged == binding[:len(entries.live)] and plan._last[-1] is binding
 
 
 @pytest.mark.parametrize("name", ["cos-4-2", "cos-8-2", "exp-nu-half-8-2"])
@@ -246,11 +268,15 @@ def test_plan_is_accurate_to_the_size_of_its_constants(name):
         om, nu = mp.mpf(osc.omega), mp.mpf(osc.nu)
         for t in (0.1, 0.3, 0.77):
             got = plan(osc, h, t)
-            constants = iter(plan._last[-1])
+            binding = plan._last[-1]
+            nonzero = iter(binding[len(polys):])
             z = mp.expj(osc.omega * t + osc.phi)     # the phase as the plan rounds it
-            for value, poly in zip(got, polys):
+            for i, (value, poly) in enumerate(zip(got, polys)):
                 want = sum(mp.mpc(c.real, c.imag) * mp.mpf(h) ** p * mp.expj(k * om * h) * z ** q
                            * om ** -(n + m * nu) for (p, k, q, n, m), c in poly.terms)
-                # one constant per distinct power of Z
-                size = sum(abs(next(constants)) for _ in {key[2] for key, _ in poly.terms})
+                # its Z^0 constant, 0j if it has none, and one constant per
+                # distinct nonzero power of Z
+                size = abs(binding[i]) + sum(abs(next(nonzero))
+                                             for _ in {key[2] for key, _ in poly.terms} - {0})
                 assert abs(mp.mpc(value) - want) <= 32 * 2.0 ** -52 * size
+            assert next(nonzero, None) is None

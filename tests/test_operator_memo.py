@@ -16,7 +16,8 @@ import pytest
 import reference_step as ref
 import oscistep.jets as jets
 from oscistep import (TruncationPolicy, build_scheme, builtin_field, make_field,
-                      make_oscillator, operator_values, step, step_phase_averaged)
+                      make_oscillator, operator_values, phase_average, step,
+                      step_phase_averaged)
 from test_reference_step import FIELDS, assert_same, exact, tapes
 
 K = 5
@@ -269,17 +270,18 @@ def test_an_untaped_field_runs_once_for_a_phase_group():
 def test_a_step_and_its_averaged_twin_share_a_plan_past_empty_coefficients(averaged_first,
                                                                           evaluations):
     # at exp (8,2) 26 of 87 coefficients have no terms, and 79 once
-    # averaged; the averaged entries leave out the plain table's 26 only,
-    # so both steps read one word plan and evaluate once
+    # averaged; the averaged step leaves out the plain table's 26 only, so
+    # both steps read one word plan and evaluate once
     field = builtin_field("nonlinear", alpha=0.3, mu=2.0)
     scheme = build_scheme(make_oscillator("exp", 90.0, 0.4), TruncationPolicy.from_order(8, 2))
     entries = scheme.entries
     assert len(entries) - len(entries.live) == 26
-    assert sum(not e.coeff.terms for e in entries.averaged) == 79
-    assert entries.averaged.plan[0] is entries.plan[0]
+    assert sum(not phase_average(e.coeff).terms for e in entries) == 79
     u = np.array([0.9 + 0.1j])
     runs = [(step, False), (step_phase_averaged, True)]
     for fn, averaged in (runs[::-1] if averaged_first else runs):
         assert_same(fn(scheme, field, 0.3, u, 0.1),
                     ref.step(scheme, field, 0.3, u, 0.1, averaged=averaged))
     assert evaluations == [0.3]
+    # the field recorded one tape, for the table's word plan
+    assert list(tapes(field)) == [entries.plan[0]]

@@ -297,3 +297,10 @@ class TestFitSlope:
     def test_nan_error_rejected(self):
         with pytest.raises(ValueError):
             fit_slope([(0.1, 1.0), (0.2, math.nan), (0.3, 3.0)])
+
+    def test_one_distinct_step_size_rejected(self):
+        # the least-squares fit is rank-deficient there: it returned 2.31
+        with pytest.raises(ValueError, match="two distinct step sizes"):
+            fit_slope([(0.1, 1e-3), (0.1, 2e-3), (0.1, 3e-3)])
+        # two distinct of three determine the slope
+        assert fit_slope([(0.1, 1e-2), (0.1, 1e-2), (0.2, 4e-2)]) == pytest.approx(2.0, abs=1e-12)

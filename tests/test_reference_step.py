@@ -562,17 +562,28 @@ def test_alternating_zero_outcomes_reuse_their_tapes(recordings):
     assert len(recordings) == 1
 
 
-def test_averaged_entries_share_the_word_plan():
-    scheme = fresh_table()
-    field = FIELDS["nonlinear"]()
+def test_averaged_entries_share_the_word_plan(monkeypatch, bindings):
+    # plain and phase-averaged steps, in either order and over two step
+    # sizes, read one word plan and one coefficient plan, which binds once
+    # per change of step size: the averages are its binding's prefix
+    made = []
+    init = oscillator.TermPlan.__init__
+    monkeypatch.setattr(oscillator.TermPlan, "__init__",
+                        lambda plan, polys: made.append(plan) or init(plan, polys))
     u = np.array([1.1 + 0.1j])
-    for fn, averaged in ((step, False), (step_phase_averaged, True)):
-        assert_same(fn(scheme, field, 0.1, u, 0.1),
-                    ref.step(scheme, field, 0.1, u, 0.1, averaged=averaged))
-    words, coefficients = scheme.entries.plan
-    assert scheme.entries.averaged.plan[0] is words
-    assert scheme.entries.averaged.plan[1] is not coefficients
-    assert list(tapes(field)) == [words]
+    runs = [(step, False), (step_phase_averaged, True)]
+    for order in (runs, runs[::-1]):
+        scheme = fresh_table()
+        field = FIELDS["nonlinear"]()
+        made.clear()
+        for h in (0.1, 0.05, 0.1):
+            for fn, averaged in (*order, *order[::-1]):
+                assert_same(fn(scheme, field, 0.1, u, h),
+                            ref.step(scheme, field, 0.1, u, h, averaged=averaged))
+        words, coefficients = scheme.entries.plan
+        assert made == [coefficients]
+        assert bindings(scheme) == 3
+        assert list(tapes(field)) == [words]
 
 
 def test_tables_with_the_same_words_share_one_plan_and_tape():
@@ -706,9 +717,9 @@ def test_rk4_oracle_matches_reference(name, osc):
 
 @pytest.fixture
 def bindings(monkeypatch):
-    """``bindings(scheme, averaged)``: how many bindings the coefficient
-    plan of `scheme`'s entries, or of their phase-averaged form, has built
-    so far."""
+    """``bindings(scheme)``: how many bindings the coefficient plan of
+    `scheme`'s entries has built so far, for plain and phase-averaged
+    steps alike."""
     built = collections.Counter()
     bind = oscillator.TermPlan._bind
 
@@ -718,9 +729,8 @@ def bindings(monkeypatch):
 
     monkeypatch.setattr(oscillator.TermPlan, "_bind", counting)
 
-    def count(scheme, averaged=False):
-        entries = scheme.entries.averaged if averaged else scheme.entries
-        return built[entries.plan[1]]
+    def count(scheme):
+        return built[scheme.entries.plan[1]]
 
     return count
 
@@ -738,8 +748,8 @@ def test_step_sizes_bind_by_value_sign_and_type(bindings):
             for t in (0.0, 0.3):
                 assert_same(fn(scheme, field, t, u, h),
                             ref.step(scheme, field, t, u, h, averaged=averaged))
-    # one binding per change of step size
-    assert bindings(scheme) == bindings(scheme, averaged=True) == 9
+    # one binding per change of step size, shared by both kinds of step
+    assert bindings(scheme) == 9
 
 
 def test_a_solve_at_a_0d_step_size_binds_once(bindings):
@@ -772,7 +782,7 @@ def test_phases_share_one_binding_per_frequency_and_step_size(bindings):
                 for t in (0.0, 0.3):
                     assert_same(fn(scheme, field, t, u, 0.1),
                                 ref.step(scheme, field, t, u, 0.1, averaged=averaged))
-    assert bindings(base) == bindings(base, averaged=True) == 2
+    assert bindings(base) == 2
 
 
 def test_eval_shifted_keeps_no_binding():

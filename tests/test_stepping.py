@@ -12,8 +12,7 @@ from oscistep import (BoundInputs, NumericStepError, TruncationPolicy, Word,
                       bound_R11, bound_R22, build_scheme, builtin_field,
                       estimate_coefficient_bound, big_v, exact_exp_macro,
                       integration_call_count, iterated_integral, make_field,
-                      make_oscillator, operator_values, phase_average, solve, step,
-                      step_phase_averaged)
+                      make_oscillator, operator_values, solve, step, step_phase_averaged)
 from oscistep.oscillator import BasisPoly, absorb_mean
 from oscistep.stepping import SchemeTable
 
@@ -260,26 +259,25 @@ class TestPhaseAveraging:
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_averaged_coefficients_built_once_per_cached_table(self, monkeypatch):
-        import oscistep.stepping as stepping
-        calls = []
-
-        def counting(poly):
-            calls.append(poly)
-            return phase_average(poly)
-
-        monkeypatch.setattr(stepping, "phase_average", counting)
         f = builtin_field("nonlinear", alpha=0.3, mu=2.0)
         # a Fourier structure no other test builds, so its entries start cold
         o = make_oscillator("fourier", 70.0, phi=0.4, coeffs={1: 0.5, -1: 0.5, 3: 0.1j})
         sch = build_scheme(o, pol(4, 2))
+        # phase_average filters a coefficient's terms; a step never does:
+        # the averages are the Z^0 constants of the table's coefficient plan
+        calls = []
+        filtered = BasisPoly.filtered
+        monkeypatch.setattr(BasisPoly, "filtered",
+                            lambda poly, keep: calls.append(poly) or filtered(poly, keep))
         first = step_phase_averaged(sch, f, 0.3, u1(0.9), 0.1)
-        assert len(calls) == len(sch.entries)
         again = step_phase_averaged(sch, f, 0.3, u1(0.9), 0.1)
         # a rebuild at another phase hits the scheme cache and its entries
         rebuilt = build_scheme(make_oscillator("fourier", 70.0, phi=1.3,
                                                coeffs={1: 0.5, -1: 0.5, 3: 0.1j}), pol(4, 2))
         step_phase_averaged(rebuilt, f, 0.3, u1(0.9), 0.1)
-        assert len(calls) == len(sch.entries)
+        step(rebuilt, f, 0.3, u1(0.9), 0.1)
+        assert calls == []
+        assert rebuilt.entries.plan is sch.entries.plan
         assert again.u_next.tolist() == first.u_next.tolist()
 
     def test_monte_carlo_phase_mean(self):
@@ -468,8 +466,8 @@ class TestBounds:
     @pytest.mark.parametrize("t_range,center,radius",
                              [((0.0, math.nan), 1.0, 0.5), ((0.0, 0.2), 1.0, math.nan),
                               ((0.0, 0.2), complex(math.nan, 0.0), 0.5),
-                              ((-math.inf, 0.2), 1.0, 0.5)],
-                             ids=["t", "radius", "center", "t-inf"])
+                              ((-math.inf, 0.2), 1.0, 0.5), ((0.0, 0.2), 1.0, -0.5)],
+                             ids=["t", "radius", "center", "t-inf", "negative-radius"])
     def test_non_finite_box_rejected(self, t_range, center, radius):
         f = builtin_field("nonlinear", alpha=4.0, mu=1.0)
         with pytest.raises(ValueError):
@@ -509,6 +507,9 @@ class TestBounds:
         assert K == pytest.approx(10.0, rel=1e-12)
         K2 = estimate_coefficient_bound(f, (0.0, 0.25), np.array([1.0 + 0j]), 0.3, 2)
         assert K2 == pytest.approx(10.0, rel=1e-12)
+        # a radius of 0 samples the centre alone, and is valid
+        K0 = estimate_coefficient_bound(f, (0.0, 0.25), np.array([1.0 + 0j]), 0.0, 1)
+        assert K0 == pytest.approx(10.0, rel=1e-12)
 
 
 NAN, INF = math.nan, math.inf
@@ -610,12 +611,10 @@ class TestEmptyEntries:
         live = sch.entries.live
         assert len(sch.entries) == entries and len(live) == entries - empty
         assert [i for i, e in enumerate(sch.entries) if e.coeff.terms] == list(live)
-        # the averaged entries cover the same places, and every plan as many
+        # the plan covers those places, and gives as many averages
         operators, coefficients = sch.entries.plan
-        assert sch.entries.averaged.live == live
         assert len(operators.outputs) == len(coefficients(sch.oscillator, 0.1, 0.0)) \
-            == len(live)
-        assert len(sch.entries.averaged.plan[1](sch.oscillator, 0.1, 0.0)) == len(live)
+            == len(coefficients.averaged(sch.oscillator, 0.1, 0.0)) == len(live)
 
     @pytest.mark.parametrize("stepper", [step, step_phase_averaged])
     @pytest.mark.parametrize("field, u0", [

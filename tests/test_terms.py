@@ -174,6 +174,16 @@ class TestIteratedIntegral:
         o = make_oscillator("cos", 10.0)
         assert iterated_integral(Word.of("TV"), o, 0.4, 0.0) == 0
 
+    @pytest.mark.parametrize("kind, nu", [("cos", 0.0), ("exp", -0.5)])
+    def test_every_word_over_an_empty_step_is_exactly_zero(self, kind, nu):
+        # the primitives' tau^0 terms cancel against their anchor only up
+        # to rounding: at (8,2) up to 2.7e-20 where the integral is 0
+        o = make_oscillator(kind, 100.0, 0.3, nu)
+        ws = enumerate_words(TruncationPolicy.from_order(8, 2, nu))
+        assert len(ws) == {"cos": 87, "exp": 510}[kind]
+        for h in (0.0, -0.0):
+            assert {repr(iterated_integral(w, o, 0.319, h)) for w in ws} == {"0j"}
+
 
 class TestSchemeCorrespondence:
     def test_scheme_word_sets(self):

@@ -24,8 +24,13 @@ from the split-step starts on each of the two split tables (3 x 5 x 5 =
 75).  Last, the ``iterated_integral`` of every word of cos (4,2) and of
 exp nu = -1/2 (8,2) at three seeded ``(t_n, h)``, the last with
 h = -0.0 ((11 + 510) x 3 = 1 563): each evaluates one `BasisPoly` with a
-coefficient plan of its own.  Both trees run with this checkout's
-``perfbench``.
+coefficient plan of its own.  Finally, on the same five tables and from
+the same starts as the averaged steps, `step` and `step_phase_averaged`
+alternating, plain first and then averaged first, each start stepped at
+h = 0.02 and then 0.05 (3 x 5 x 2 x 5 x 2 x 2 = 600): plain and averaged
+steps share a table's binding, so one kept for the wrong step size or the
+wrong kind of step shows here.  That is 5 061 outputs in all.  Both trees
+run with this checkout's ``perfbench``.
 """
 
 from __future__ import annotations
@@ -37,7 +42,10 @@ import sys
 
 SEEDS = (11, 12, 13)
 KINDS = ("solve-scalar", "phase-ensemble", "solve-one-step", "solve-minus-zero",
-         "solve-int-zero", "split-solve", "split-step", "averaged-step", "iterated-integral")
+         "solve-int-zero", "split-solve", "split-step", "averaged-step", "iterated-integral",
+         "interleaved-step")
+# the step sizes of the interleaved steps
+INTERLEAVED_H = (0.02, 0.05)
 # the 3-mode Fourier oscillator of the split tables
 FOURIER_MODES = {-2: 0.3 - 0.1j, 1: 0.7, 3: 0.25j}
 PHASE_ROUNDS = 3
@@ -56,7 +64,18 @@ def outputs() -> list[str]:
              "fourier3": make_oscillator("fourier", 100.0, 0.3, -0.5, FOURIER_MODES)}
     split = {name: build_scheme(osc, TruncationPolicy.from_order(8, 2, -0.5))
              for name, osc in split.items()}
-    lines, more, split_lines, averaged = [], [], [], []
+    lines, more, split_lines, averaged, interleaved = [], [], [], [], []
+
+    def interleave(label, scheme, field, starts):
+        """Plain and averaged steps in turn, plain first, then averaged."""
+        for first in (False, True):
+            for t, u in starts:
+                for h in INTERLEAVED_H:
+                    for avg in (first, not first):
+                        res = (step_phase_averaged if avg else step)(scheme, field, t, u, h)
+                        interleaved.append(f"interleaved-step {label} {avg} {h!r} {t!r} "
+                                           f"{res.u_next.tolist()!r}")
+
     for seed in SEEDS:
         w = SolveScalar(seed)
         for inp in w.round_inputs(0):
@@ -81,6 +100,7 @@ def outputs() -> list[str]:
             averaged += [f"averaged-step {seed} {table} {t!r} "
                          f"{step_phase_averaged(scheme, field, t, u, w.H).u_next.tolist()!r}"
                          for t, u in starts]
+            interleave(f"{seed} {table}", scheme, field, starts)
         w = PhaseEnsemble(seed)
         for r in range(PHASE_ROUNDS):
             for i, inp in enumerate(w.round_inputs(r)):
@@ -90,10 +110,12 @@ def outputs() -> list[str]:
         for inp in (inp for inp in w.round_inputs(0) if inp["averaged"]):
             osc = _oscillator(inp["problem"], inp["phi"])
             scheme = build_scheme(osc, TruncationPolicy.from_order(inp["kappa"], 2))
-            for _ in range(5):
-                t, u = float(rng.uniform(0.0, 1.0)), inp["u0"] * complex(*rng.uniform(0.5, 1.5, 2))
+            starts = [(float(rng.uniform(0.0, 1.0)), inp["u0"] * complex(*rng.uniform(0.5, 1.5, 2)))
+                      for _ in range(5)]
+            for t, u in starts:
                 u_next = step_phase_averaged(scheme, w.plain[inp["problem"]], t, u, w.H).u_next
                 averaged.append(f"averaged-step {seed} {inp['kind']} {t!r} {u_next.tolist()!r}")
+            interleave(f"{seed} {inp['kind']}", scheme, w.plain[inp["problem"]], starts)
     integrals, rng = [], np.random.default_rng(37)
     points = [(float(rng.uniform(0.0, 1.0)), float(h))
               for h in (*rng.uniform(0.005, 0.05, 2), -0.0)]
@@ -103,7 +125,7 @@ def outputs() -> list[str]:
         for word in enumerate_words(TruncationPolicy.from_order(*order)):
             integrals += [f"iterated-integral {table} {word} {t!r} {h!r} "
                           f"{iterated_integral(word, osc, t, h)!r}" for t, h in points]
-    return lines + more + split_lines + averaged + integrals
+    return lines + more + split_lines + averaged + integrals + interleaved
 
 
 def run(src: str) -> list[str]:
