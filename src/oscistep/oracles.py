@@ -259,7 +259,7 @@ def fit_slope(points) -> float:
     if not (np.isfinite(hs).all() and np.isfinite(errs).all()
             and (hs > 0).all() and (errs > 0).all()):
         raise ValueError("slope fit requires finite positive step sizes and errors")
-    if np.unique(hs).size < 2:
+    if hs.min() == hs.max():
         raise ValueError("slope fit requires at least two distinct step sizes")
     A = np.vstack([np.log(hs), np.ones_like(hs)]).T
     sol, *_ = np.linalg.lstsq(A, np.log(errs), rcond=None)
