@@ -382,8 +382,8 @@ def _add_converge(p: argparse.ArgumentParser):
 
 
 def _add_termcount(p: argparse.ArgumentParser):
-    p.add_argument("--kappa", type=int, required=True)
-    p.add_argument("--rho", type=int, required=True)
+    p.add_argument("--kappa", required=True)
+    p.add_argument("--rho", required=True)
     p.add_argument("--out")
 
 
@@ -398,8 +398,8 @@ def _add_bounds(p: argparse.ArgumentParser):
 
 
 def _add_stochastic_check(p: argparse.ArgumentParser):
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--rho-prime", type=float, required=True)
+    p.add_argument("--kappa", required=True)
+    p.add_argument("--rho-prime", required=True)
     p.add_argument("--scheme", choices=("euler", "milstein"), required=True)
     p.add_argument("--out")
 
@@ -412,7 +412,9 @@ COMMANDS = {
     "converge": (_add_converge,
                  lambda cfg, ns: cmd_converge(cfg, _float_list(ns.h_list),
                                               _optional_number("couple_c", ns.couple_c))),
-    "termcount": (_add_termcount, lambda cfg, ns: cmd_termcount(ns.kappa, ns.rho)),
+    "termcount": (_add_termcount,
+                  lambda cfg, ns: cmd_termcount(_number("kappa", ns.kappa, int),
+                                                _number("rho", ns.rho, int))),
     "bounds": (_add_bounds,
                lambda cfg, ns: cmd_bounds(cfg, _float_list(ns.h_list),
                                           _float_list(ns.omega_list),
@@ -420,7 +422,8 @@ COMMANDS = {
                                           _optional_number("box_t", ns.box_t),
                                           _number("box_radius", ns.box_radius))),
     "stochastic-check": (_add_stochastic_check,
-                         lambda cfg, ns: cmd_stochastic_check(ns.kappa, ns.rho_prime,
+                         lambda cfg, ns: cmd_stochastic_check(_number("kappa", ns.kappa),
+                                                              _number("rho_prime", ns.rho_prime),
                                                               ns.scheme)),
 }
 

@@ -380,10 +380,16 @@ def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,
 
     The box is [t_min, t_max] times a polydisc of the given radius about
     u_center; sampling is on a deterministic grid (not rigorous: the
-    caller declares the box and accepts the sampling resolution).  A box
-    that is not finite, a negative radius, a centre whose shape is not the
-    field's, or an order that is not an integer >= 0, raises ValueError,
-    and a partial that is not finite at a sample raises NumericStepError.
+    caller declares the box and accepts the sampling resolution).  The
+    grid is `BOUND_T_SAMPLES` times by the centre and, at a radius above
+    0, `BOUND_U_SAMPLES` points on the circle about it in each state
+    component; a radius of 0 samples the centre alone.  A partial's norm
+    over the m components is ``sqrt(sum of squared real parts + sum of
+    squared imaginary parts)``, each sum in Python floats in component
+    order: numpy's norm at m = 1, bit for bit.  A box that is not finite,
+    a negative radius, a centre whose shape is not the field's, or an
+    order that is not an integer >= 0, raises ValueError, and a partial
+    whose norm is not finite at a sample raises NumericStepError.
     """
     order = _jet_order(order)
     t_min, t_max = t_range
@@ -391,28 +397,25 @@ def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,
     if not (math.isfinite(t_min) and math.isfinite(t_max) and math.isfinite(u_radius)
             and u_radius >= 0 and np.isfinite(u_center).all()):
         raise ValueError("the sampling box must be finite, with a radius >= 0")
-    m = field.m
-    ts = np.linspace(t_min, t_max, BOUND_T_SAMPLES)
     states = [u_center]
-    for j in range(m):
+    for j in range(field.m if u_radius > 0 else 0):
         for ang in np.linspace(0.0, 2.0 * math.pi, BOUND_U_SAMPLES, endpoint=False):
             u = u_center.copy()
             u[j] += u_radius * np.exp(1j * ang)
             states.append(u)
     best = 0.0
-    # a norm that overflows is reported below, not as a numpy warning; one
-    # errstate for the whole grid, since entering one costs as much as a norm
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in ts:
-            for u in states:
-                origin = Jet((complex(t), *u.tolist()), order, {})
-                for jets in field._on_jets(origin, origin.base):
-                    # partials absent from every jet are zero and cannot raise the max
-                    for alpha in set().union(*(j.coeffs for j in jets)):
-                        vec = np.array([j.derivative(alpha) for j in jets])
-                        norm = float(np.linalg.norm(vec))
-                        if not math.isfinite(norm):
-                            raise NumericStepError(
-                                f"non-finite coefficient partial at t = {t}, u = {u}")
-                        best = max(best, norm)
+    for t in np.linspace(t_min, t_max, BOUND_T_SAMPLES):
+        for u in states:
+            origin = Jet((complex(t), *u.tolist()), order, {})
+            for jets in field._on_jets(origin, origin.base):
+                # partials absent from every jet are zero and cannot raise the max
+                for alpha in set().union(*(j.coeffs for j in jets)):
+                    d = [j.derivative(alpha) for j in jets]
+                    # Python floats overflow to inf and carry NaN, without a warning
+                    norm = math.sqrt(sum(x.real * x.real for x in d)
+                                     + sum(x.imag * x.imag for x in d))
+                    if not math.isfinite(norm):
+                        raise NumericStepError(
+                            f"non-finite coefficient partial at t = {t}, u = {u}")
+                    best = max(best, norm)
     return best

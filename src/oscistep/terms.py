@@ -148,15 +148,15 @@ def term_count(kappa: int, rho: int) -> int:
 
     Equals 2 (2^kappa - 1) when rho = 1 and always matches the live
     enumeration under the policy (kappa0, kappa1) = (kappa, kappa/rho).
+    There are C(i + j, i) words with Q0 = i and Q1 = j, and by the
+    hockey-stick identity the sum over j <= J of C(i + j, i) is
+    C(i + J + 1, i + 1), so the count is one sum over Q0, less the empty
+    word.
     """
     if not all(_integral(x) and x >= 1 for x in (kappa, rho)):
         raise ValueError("term_count is defined on the integer grid kappa, rho >= 1")
     kappa, rho = int(kappa), int(rho)
-    total = 0
-    for i in range(0, kappa + 1):
-        for j in range(0, (kappa - i) // rho + 1):
-            total += math.comb(i + j, i)
-    return total - 1  # drop the empty word
+    return sum(math.comb(i + (kappa - i) // rho + 1, i + 1) for i in range(kappa + 1)) - 1
 
 
 @lru_cache(maxsize=PRIMITIVE_CACHE_SIZE)

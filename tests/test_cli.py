@@ -143,12 +143,15 @@ class TestErrorBoundary:
         "step-kappa-zero": (("step", "--kappa", "0", "--rho", "2"), None),
         "step-words-too-long": (("step", "--kappa", "30", "--rho", "1"), None),
         "termcount-kappa-zero": (("termcount", "--kappa", "0", "--rho", "1"), None),
+        "termcount-kappa-not-integer": (("termcount", "--kappa", "1.5", "--rho", "2"), None),
         "solve-h-not-dividing": (("solve", *POLICY, "--h", "0.3", "--tend", "1"), None),
         "converge-negative-h": (("converge", *POLICY, "--h-list", "0.1,0.05,-0.02"),
                                 None),
         "bounds-empty-h-list": (("bounds", *POLICY, "--h-list", ""), None),
         "stochastic-rho-prime-zero": (("stochastic-check", "--kappa", "1",
                                        "--rho-prime", "0", "--scheme", "euler"), None),
+        "stochastic-kappa-not-a-number": (("stochastic-check", "--kappa", "abc",
+                                           "--rho-prime", "1", "--scheme", "euler"), None),
         "step-omega-zero": (("step", *POLICY, "--omega", "0"), None),
         "fourier-mean-only": (("step",), {"problem": "custom-fourier", "kappa": 2,
                                           "rho": 1, "fourier": {"0": 1}}),

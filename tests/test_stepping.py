@@ -1,5 +1,6 @@
 """Scheme tables, stepping, phase averaging and remainder bounds."""
 
+import itertools
 import math
 import sys
 import tracemalloc
@@ -13,8 +14,9 @@ from oscistep import (BoundInputs, NumericStepError, TruncationPolicy, Word,
                       estimate_coefficient_bound, big_v, exact_exp_macro,
                       integration_call_count, iterated_integral, make_field,
                       make_oscillator, operator_values, solve, step, step_phase_averaged)
+from oscistep.jets import CoefficientField, Jet
 from oscistep.oscillator import BasisPoly, absorb_mean
-from oscistep.stepping import SchemeTable
+from oscistep.stepping import BOUND_T_SAMPLES, BOUND_U_SAMPLES, SchemeTable
 
 
 def pol(kappa, rho, nu=0.0):
@@ -483,8 +485,9 @@ class TestBounds:
                                      lambda u: u * 1e308 * 10 - u * 1e308 * 10],
                              ids=["inf", "nan"])
     def test_non_finite_sampled_partial_raises(self, big):
+        # the norms are Python floats: numpy neither warns nor raises
         f = make_field(1, lambda t, u: [big(u[0])], lambda t, u: [u[0]])
-        with pytest.raises(NumericStepError):
+        with np.errstate(all="raise"), pytest.raises(NumericStepError):
             estimate_coefficient_bound(f, (0.0, 0.2), np.array([1.0 + 0j]), 0.5, 1)
 
     @pytest.mark.parametrize("order", [-1, 1.5, math.nan, None, True])
@@ -510,6 +513,57 @@ class TestBounds:
         # a radius of 0 samples the centre alone, and is valid
         K0 = estimate_coefficient_bound(f, (0.0, 0.25), np.array([1.0 + 0j]), 0.0, 1)
         assert K0 == pytest.approx(10.0, rel=1e-12)
+
+    def test_zero_radius_samples_each_time_once(self, monkeypatch):
+        calls, on_jets = [], CoefficientField._on_jets
+
+        def counting(field, origin, values):
+            calls.append(origin.base)
+            return on_jets(field, origin, values)
+
+        monkeypatch.setattr(CoefficientField, "_on_jets", counting)
+        f = builtin_field("nonlinear", alpha=4.0, mu=1.0)
+        estimate_coefficient_bound(f, (0.0, 0.2), np.array([1.0 + 0j]), 0.0, 2)
+        assert len(calls) == len(set(calls)) == BOUND_T_SAMPLES
+
+    @pytest.mark.parametrize("field", [
+        lambda: builtin_field("linear", mu=10.0),
+        lambda: builtin_field("nonlinear", alpha=4.0, mu=1.0),
+        lambda: builtin_field("power", gamma=2),
+        lambda: builtin_field("power", gamma=-1),
+        lambda: make_field(1, lambda t, u: [u[0] / (2.0 + t)],
+                           lambda t, u: [1.0 / (1.0 + u[0] * u[0])])],
+        ids=["linear", "nonlinear", "power-2", "power-minus-1", "dividing"])
+    def test_scalar_bound_is_numpy_norm_over_the_grid(self, field):
+        f = field()
+        for center in (1.0 + 0j, 0.7 - 0.4j):
+            for radius in (0.0, 0.3, 0.5):
+                for order in range(4):
+                    K = estimate_coefficient_bound(f, (0.1, 0.3), u1(center), radius, order)
+                    want = _numpy_norm_bound(f, (0.1, 0.3), u1(center), radius, order)
+                    assert repr(K) == repr(want)
+
+
+def _numpy_norm_bound(field, t_range, center, radius, order):
+    """`estimate_coefficient_bound` of an m = 1 field by brute force: the
+    centre and, at a radius above 0, BOUND_U_SAMPLES points on the circle
+    about it, at BOUND_T_SAMPLES times; every partial of total order up
+    to `order`, its norm by `np.linalg.norm`."""
+    states = [center]
+    if radius > 0:
+        states += [center + radius * np.exp(1j * ang)
+                   for ang in np.linspace(0.0, 2.0 * math.pi, BOUND_U_SAMPLES, endpoint=False)]
+    partials = [alpha for alpha in itertools.product(range(order + 1), repeat=2)
+                if sum(alpha) <= order]
+    best = 0.0
+    for t in np.linspace(*t_range, BOUND_T_SAMPLES):
+        for u in states:
+            origin = Jet((complex(t), *u.tolist()), order, {})
+            for jets in field._on_jets(origin, origin.base):
+                for alpha in partials:
+                    vec = np.array([j.derivative(alpha) for j in jets])
+                    best = max(best, float(np.linalg.norm(vec)))
+    return best
 
 
 NAN, INF = math.nan, math.inf

@@ -97,6 +97,14 @@ class TestTermCount:
     def test_integral_floats_are_on_the_grid(self):
         assert term_count(3.0, 2) == term_count(3, 2.0) == term_count(3, 2) == 6
 
+    def test_matches_the_double_sum(self):
+        # C(i + j, i) words with Q0 = i and Q1 = j, over Q0 + rho Q1 <= kappa
+        for kappa in range(1, 31):
+            for rho in range(1, 6):
+                want = sum(math.comb(i + j, i) for i in range(kappa + 1)
+                           for j in range((kappa - i) // rho + 1)) - 1
+                assert term_count(kappa, rho) == want
+
 
 class TestIteratedIntegral:
     def test_all_T_words_are_oscillator_independent(self):

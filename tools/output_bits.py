@@ -29,8 +29,14 @@ the same starts as the averaged steps, `step` and `step_phase_averaged`
 alternating, plain first and then averaged first, each start stepped at
 h = 0.02 and then 0.05 (3 x 5 x 2 x 5 x 2 x 2 = 600): plain and averaged
 steps share a table's binding, so one kept for the wrong step size or the
-wrong kind of step shows here.  That is 5 061 outputs in all.  Both trees
-run with this checkout's ``perfbench``.
+wrong kind of step shows here.  After those, the K of
+`estimate_coefficient_bound` over t in [0, 0.25] at orders 0-3 and radii
+0 and 0.5: on the built-in linear (mu = 10), nonlinear (alpha = 0.5,
+mu = 1) and power (gamma = 2) fields about three centres, one of them
+-0.0 + 0.9j (3 x 3 x 4 x 2 = 72), and on phase-ensemble's coupled m = 4
+field of each seed about two centres, one with a -0.0 component
+(3 x 2 x 4 x 2 = 48).  That is 5 181 outputs in all.  Both trees run
+with this checkout's ``perfbench``.
 """
 
 from __future__ import annotations
@@ -43,9 +49,11 @@ import sys
 SEEDS = (11, 12, 13)
 KINDS = ("solve-scalar", "phase-ensemble", "solve-one-step", "solve-minus-zero",
          "solve-int-zero", "split-solve", "split-step", "averaged-step", "iterated-integral",
-         "interleaved-step")
+         "interleaved-step", "bound")
 # the step sizes of the interleaved steps
 INTERLEAVED_H = (0.02, 0.05)
+# the box of the bound estimates: times, radii and jet orders
+BOUND_T, BOUND_RADII, BOUND_ORDERS = (0.0, 0.25), (0.0, 0.5), range(4)
 # the 3-mode Fourier oscillator of the split tables
 FOURIER_MODES = {-2: 0.3 - 0.1j, 1: 0.7, 3: 0.25j}
 PHASE_ROUNDS = 3
@@ -56,15 +64,30 @@ def outputs() -> list[str]:
     """One line per output: the workload, its seed and inputs, and the
     ``repr`` of its Python values."""
     import numpy as np
-    from oscistep import (TruncationPolicy, build_scheme, enumerate_words, iterated_integral,
-                          make_oscillator, solve, step, step_phase_averaged)
+    from oscistep import (TruncationPolicy, build_scheme, builtin_field, enumerate_words,
+                          estimate_coefficient_bound, iterated_integral, make_oscillator, solve,
+                          step, step_phase_averaged)
     from workloads import PhaseEnsemble, SolveScalar, _oscillator
 
     split = {"freqdep": make_oscillator("exp", 100.0, 0.0, -0.5),
              "fourier3": make_oscillator("fourier", 100.0, 0.3, -0.5, FOURIER_MODES)}
     split = {name: build_scheme(osc, TruncationPolicy.from_order(8, 2, -0.5))
              for name, osc in split.items()}
-    lines, more, split_lines, averaged, interleaved = [], [], [], [], []
+    lines, more, split_lines, averaged, interleaved, bounds = [], [], [], [], [], []
+
+    def bound(label, field, centers):
+        """K on each centre's boxes, at each order."""
+        for u in centers:
+            for radius in BOUND_RADII:
+                for order in BOUND_ORDERS:
+                    K = estimate_coefficient_bound(field, BOUND_T, np.array(u), radius, order)
+                    bounds.append(f"bound {label} {u!r} {radius!r} {order} {K!r}")
+
+    rng = np.random.default_rng(41)
+    scalar = [[1.0 + 0j], [complex(*rng.uniform(0.5, 1.5, 2))], [complex(-0.0, 0.9)]]
+    for name, params in (("linear", {"mu": 10.0}), ("nonlinear", {"alpha": 0.5, "mu": 1.0}),
+                         ("power", {"gamma": 2})):
+        bound(name, builtin_field(name, **params), scalar)
 
     def interleave(label, scheme, field, starts):
         """Plain and averaged steps in turn, plain first, then averaged."""
@@ -116,6 +139,9 @@ def outputs() -> list[str]:
                 u_next = step_phase_averaged(scheme, w.plain[inp["problem"]], t, u, w.H).u_next
                 averaged.append(f"averaged-step {seed} {inp['kind']} {t!r} {u_next.tolist()!r}")
             interleave(f"{seed} {inp['kind']}", scheme, w.plain[inp["problem"]], starts)
+        coupled = [[complex(*rng.uniform(0.5, 1.5, 2)) for _ in range(4)],
+                   [0.9 + 0j, complex(-0.0, 0.4), 1.1 - 0.2j, 0.7 + 0.3j]]
+        bound(f"coupled {seed}", w.plain["coupled"], coupled)
     integrals, rng = [], np.random.default_rng(37)
     points = [(float(rng.uniform(0.0, 1.0)), float(h))
               for h in (*rng.uniform(0.005, 0.05, 2), -0.0)]
@@ -125,7 +151,7 @@ def outputs() -> list[str]:
         for word in enumerate_words(TruncationPolicy.from_order(*order)):
             integrals += [f"iterated-integral {table} {word} {t!r} {h!r} "
                           f"{iterated_integral(word, osc, t, h)!r}" for t, h in points]
-    return lines + more + split_lines + averaged + integrals + interleaved
+    return lines + more + split_lines + averaged + integrals + interleaved + bounds
 
 
 def run(src: str) -> list[str]:
