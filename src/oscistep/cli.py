@@ -104,15 +104,20 @@ def _convert(name: str, value):
 
 def _number(name: str, value, kind=float):
     """`value`, a flag string or a JSON number, as a finite `kind` (float,
-    complex or int); raises ConfigError naming `name` otherwise."""
+    complex or int); raises ConfigError naming `name` otherwise.  An int is
+    read as a float, so it must lie below 2**53 in magnitude, where every
+    float that is an integer is the number typed: a larger one would round
+    onto a float, such as 9007199254740993 onto 2**53."""
     if not isinstance(value, bool):
         try:
             x = parse_complex(value) if kind is complex else float(value)
         except (TypeError, ValueError, OverflowError):
             x = None
-        if x is not None and cmath.isfinite(x) and (kind is not int or x.is_integer()):
+        if x is not None and cmath.isfinite(x) and (
+                kind is not int or (x.is_integer() and abs(x) < 2 ** 53)):
             return kind(x)
-    raise ConfigError(f"{name} must be {kind.__name__}; got {value!r}")
+    what = "int below 2**53 in magnitude" if kind is int else kind.__name__
+    raise ConfigError(f"{name} must be {what}; got {value!r}")
 
 
 def parse_complex(text) -> complex:

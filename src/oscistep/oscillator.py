@@ -24,6 +24,32 @@ Antidifferentiation uses the elementary reductions
 cosine/sine monomials are first rewritten in the exponential basis, which
 collapses the classical cos/sin reduction formulas into the single
 exponential rule.
+
+Inside a :class:`BasisPoly` each term key is one packed integer: five
+fields of ``_BITS`` bits, p highest, then k, q, n and m, with k, q, n and
+m stored plus ``_BIAS``.  Integer order is then tuple order, so a sorted
+term list is sorted by key; a product's key is one addition of two keys
+(less the bias once), an antiderivative moves a key by one precomputed
+offset per level, a tau^0 term is a key below one unit of p, and the
+truncation of a scheme table reads p, n and m off a mask.  The public
+``terms``, ``term_dict``, ``from_dict`` and ``filtered`` still take and
+give tuples.  The range is 0 <= p < 2 * _BIAS and -_BIAS <= k, q, n, m <
+_BIAS.  Each stored field of a key in range has its top bit clear, and
+the sum of two stored fields, or a field moved by an antiderivative,
+stays below 2**_BITS: a key that leaves the range sets the top bit of
+its lowest field out of range, or is negative, and never wraps into the
+next field unnoticed.  ``from_dict`` raises ValueError for a key out of
+range or with a non-integral component, and a product or antiderivative
+that would form such a key raises it too.
+
+The packing changes no arithmetic.  Every operation visits terms in key
+order, starts each sum from 0j and forms each product left to right, as
+the same algebra on tuple keys does (``tests/references.py`` keeps it),
+so coefficients match it bit for bit, signs of zero included.  The
+integration-by-parts factors of each (p, k) (the running 1/(ik)^(j+1),
+p!/(p-j)! and (-1)^j) come from a cache, and each coefficient is still
+``c * fac * perm * sign``, left to right: one folded constant would round
+differently, and multiplying by -1.0 is not negation for signed zeros.
 """
 
 from __future__ import annotations
@@ -31,7 +57,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, reduce
+from itertools import compress
+from operator import or_
 from typing import Callable, Mapping
 
 import numpy as np
@@ -162,71 +190,176 @@ def make_oscillator(kind: str, omega: float, phi: float = 0.0, nu: float = 0.0,
 #   n, m   : omega exponent is -(n + m nu); m counts amplitude factors
 Key = tuple[int, int, int, int, int]
 
+# the packed key (module docstring): p is stored as is and k, q, n, m plus
+# _BIAS, so every field of a key in range lies in [0, 2 * _BIAS)
+_BITS = 24
+_BIAS = 1 << (_BITS - 2)
+_FIELD = (1 << _BITS) - 1
+_P_SHIFT, _K_SHIFT, _Q_SHIFT, _N_SHIFT = 4 * _BITS, 3 * _BITS, 2 * _BITS, _BITS
+_P, _N = 1 << _P_SHIFT, 1 << _N_SHIFT           # one unit of p and of n
+_ZERO = _BIAS * ((1 << _K_SHIFT) + (1 << _Q_SHIFT) + _N + 1)     # (0, 0, 0, 0, 0)
+# the top bit of every field, clear in a key in range
+_GUARDS = sum(2 * _BIAS << shift for shift in (_P_SHIFT, _K_SHIFT, _Q_SHIFT, _N_SHIFT, 0))
+_QNM = (1 << _K_SHIFT) - 1                      # the q, n and m fields
+_NM = (1 << _Q_SHIFT) - 1                       # the n and m fields
+_PNM = ~(_FIELD << _K_SHIFT | _FIELD << _Q_SHIFT)   # all but the k and q fields
 
-@dataclass(frozen=True)
+
+def _pack(key: Key) -> int:
+    """The packed form of a term key: ValueError unless it has five
+    integral components, with 0 <= p < 2 * _BIAS and the others in
+    [-_BIAS, _BIAS)."""
+    try:
+        p, k, q, n, m = ints = tuple(map(int, key))
+        fits = (ints == tuple(key) and 0 <= p < 2 * _BIAS
+                and -_BIAS <= min(k, q, n, m) and max(k, q, n, m) < _BIAS)
+    except (TypeError, ValueError, OverflowError):
+        fits = False
+    if not fits:
+        raise ValueError(f"term key {key!r} is not five integers (p, k, q, n, m) with "
+                         f"0 <= p < {2 * _BIAS} and the others in [{-_BIAS}, {_BIAS})")
+    return (p << _P_SHIFT) + (k << _K_SHIFT) + (q << _Q_SHIFT) + (n << _N_SHIFT) + m + _ZERO
+
+
+def _unpack(key: int) -> Key:
+    return (key >> _P_SHIFT, (key >> _K_SHIFT & _FIELD) - _BIAS,
+            (key >> _Q_SHIFT & _FIELD) - _BIAS, (key >> _N_SHIFT & _FIELD) - _BIAS,
+            (key & _FIELD) - _BIAS)
+
+
+def _checked(out: dict[int, complex]) -> dict[int, complex]:
+    """`out`, whose keys a product or an antiderivative formed; ValueError
+    if one of them left the range."""
+    if reduce(or_, out, 0) & _GUARDS:    # a negative key has them too
+        raise ValueError("a term key left the range of a basis polynomial: "
+                         f"0 <= p < {2 * _BIAS} and k, q, n, m in [{-_BIAS}, {_BIAS})")
+    return out
+
+
+# kept by (p, k): three times the 164 distinct (p, k) of the largest build in
+# use, the 3-mode Fourier nu = -1/2 (8,2) table
+@lru_cache(maxsize=512)
+def _parts(pk: int) -> tuple[tuple[int, complex, int, float], ...]:
+    """The levels j = 0..p of int tau^p e^(ik omega tau), repeated
+    integration by parts, for the p and biased k fields `pk` of a key: the
+    key's offset to tau^(p-j) omega^-(j+1), the running factor 1/(ik)^(j+1),
+    p!/(p-j)! and (-1)^j."""
+    p, k = pk >> _BITS, (pk & _FIELD) - _BIAS
+    out, fac = [], 1.0 + 0.0j
+    for j in range(p + 1):
+        fac *= -1j / k          # one factor 1/(ik) per level
+        out.append(((j + 1) * _N - j * _P, fac, math.perm(p, j), (-1.0) ** j))
+    return tuple(out)
+
+
 class BasisPoly:
-    """Canonical term list; immutable, closed under +, * and int dtau."""
+    """Canonical term list; immutable, closed under +, * and int dtau.
 
-    terms: tuple[tuple[Key, complex], ...] = ()
+    `terms` gives the terms in ascending key order as ``(key, coef)`` with
+    ``key = (p, k, q, n, m)`` and `coef` a nonzero complex number.  Inside,
+    the keys are packed integers in ascending order, beside a tuple of
+    their coefficients (see the module docstring).  A key out of range
+    raises ValueError, in `from_dict` and wherever a product or an
+    antiderivative would form one.
+    """
+
+    def __init__(self, terms=()):
+        poly = BasisPoly.from_dict(dict(terms))
+        self._keys, self._coefs = poly._keys, poly._coefs
+
+    @staticmethod
+    def _of(keys: tuple[int, ...], coefs: tuple[complex, ...]) -> "BasisPoly":
+        """The polynomial of ascending packed keys and nonzero coefficients."""
+        poly = object.__new__(BasisPoly)
+        poly._keys, poly._coefs = keys, coefs
+        return poly
+
+    @staticmethod
+    def _sorted(d: dict[int, complex]) -> "BasisPoly":
+        """The polynomial of packed terms `d`: exact zeros dropped, sorted."""
+        keys = sorted(d)
+        coefs = list(map(d.__getitem__, keys))
+        if 0j in coefs:             # -0.0 parts compare equal too
+            keys = [key for key, c in zip(keys, coefs) if c]
+            coefs = [c for c in coefs if c]
+        return BasisPoly._of(tuple(keys), tuple(coefs))
+
+    def _where(self, mask: list) -> "BasisPoly":
+        """The terms at the true places of `mask`, one flag per term."""
+        return BasisPoly._of(tuple(compress(self._keys, mask)), tuple(compress(self._coefs, mask)))
 
     @staticmethod
     def from_dict(d: Mapping[Key, complex]) -> "BasisPoly":
-        items = [(k, c) for k, c in zip(d, map(complex, d.values())) if c != 0]
-        return BasisPoly(tuple(sorted(items)))
+        return BasisPoly._sorted({_pack(k): c for k, c in zip(d, map(complex, d.values()))})
 
     @staticmethod
     def one() -> "BasisPoly":
-        return BasisPoly.from_dict({(0, 0, 0, 0, 0): 1.0 + 0.0j})
+        return BasisPoly._of((_ZERO,), (1.0 + 0.0j,))
+
+    @property
+    def terms(self) -> tuple[tuple[Key, complex], ...]:
+        return tuple(zip(map(_unpack, self._keys), self._coefs))
 
     @property
     def term_dict(self) -> dict[Key, complex]:
         return dict(self.terms)
 
+    def __eq__(self, other):
+        if type(other) is not BasisPoly:
+            return NotImplemented
+        return self._keys == other._keys and self._coefs == other._coefs
+
+    def __hash__(self):
+        return hash((self._keys, self._coefs))
+
+    def __repr__(self):
+        return f"BasisPoly(terms={self.terms!r})"
+
     def __add__(self, other: "BasisPoly") -> "BasisPoly":
-        out = self.term_dict
-        for key, c in other.terms:
+        out = dict(zip(self._keys, self._coefs))
+        for key, c in zip(other._keys, other._coefs):
             out[key] = out.get(key, 0j) + c
-        return BasisPoly.from_dict(out)
+        return BasisPoly._sorted(out)
 
     def __sub__(self, other: "BasisPoly") -> "BasisPoly":
         return self + (other * -1.0)
 
     def __mul__(self, other):
         if isinstance(other, BasisPoly):
-            out: dict[Key, complex] = {}
-            for (p1, k1, q1, n1, m1), c1 in self.terms:
-                for (p2, k2, q2, n2, m2), c2 in other.terms:
-                    key = (p1 + p2, k1 + k2, q1 + q2, n1 + n2, m1 + m2)
+            out: dict[int, complex] = {}
+            terms = tuple(zip(other._keys, other._coefs))
+            for key1, c1 in zip(self._keys, self._coefs):
+                key1 -= _ZERO
+                for key2, c2 in terms:
+                    key = key1 + key2
                     out[key] = out.get(key, 0j) + c1 * c2
-            return BasisPoly.from_dict(out)
-        return BasisPoly.from_dict({k: c * other for k, c in self.terms})
+            return BasisPoly._sorted(_checked(out))
+        return BasisPoly._sorted({key: complex(c * other)
+                                  for key, c in zip(self._keys, self._coefs)})
 
     __rmul__ = __mul__
 
     def antiderivative(self) -> "BasisPoly":
         """Termwise antiderivative in tau with integration constant zero."""
-        return BasisPoly.from_dict(self._antiderivative_terms())
+        return BasisPoly._sorted(self._antiderivative_terms())
 
-    def _antiderivative_terms(self) -> dict[Key, complex]:
-        """The antiderivative's coefficients, unsorted and zeros kept."""
+    def _antiderivative_terms(self) -> dict[int, complex]:
+        """The antiderivative's coefficients, unsorted and zeros kept.  A
+        level's coefficient is ``c * fac * perm * sign``, left to right, from
+        the factors of ``_parts``."""
         global _INTEGRATION_CALLS
         _INTEGRATION_CALLS += 1
-        out: dict[Key, complex] = {}
-
-        def add(key: Key, c: complex):
-            out[key] = out.get(key, 0j) + c
-
-        for (p, k, q, n, m), c in self.terms:
-            if k == 0:
-                add((p + 1, k, q, n, m), c / (p + 1))
+        out: dict[int, complex] = {}
+        for key, c in zip(self._keys, self._coefs):
+            pk = key >> _K_SHIFT
+            if pk & _FIELD == _BIAS:            # k = 0
+                key += _P
+                out[key] = out.get(key, 0j) + c / ((pk >> _BITS) + 1)
             else:
-                # int tau^p e^(ik omega tau): repeated integration by parts
-                fac = 1.0 + 0.0j
-                for j in range(p + 1):
-                    fac *= -1j / k          # one factor 1/(ik) per level
-                    coef = c * fac * math.perm(p, j) * (-1.0) ** j
-                    add((p - j, k, q, n + j + 1, m), coef)
-        return out
+                for offset, fac, perm, sign in _parts(pk):
+                    level = key + offset
+                    out[level] = out.get(level, 0j) + c * fac * perm * sign
+        return _checked(out)
 
     def definite_from_ref(self) -> "BasisPoly":
         """Antiderivative vanishing at tau = 0.
@@ -240,16 +373,24 @@ class BasisPoly:
         has no k = 0 term at tau^0 for the anchor to meet.
         """
         out = self._antiderivative_terms()
-        anchor: dict[Key, complex] = {}
-        for (_, _, q, n, m), c in sorted(item for item in out.items() if item[0][0] == 0):
-            key = (0, 0, q, n, m)
-            anchor[key] = anchor.get(key, 0j) + c
+        anchor: dict[int, complex] = {}
+        for key in sorted(filter(_P.__gt__, out)):          # the tau^0 keys
+            level = (key & _QNM) + (_BIAS << _K_SHIFT)      # (0, 0, q, n, m)
+            anchor[level] = anchor.get(level, 0j) + out[key]
         for key, c in anchor.items():
             out[key] = out.get(key, 0j) + c * -1.0
-        return BasisPoly.from_dict(out)
+        return BasisPoly._sorted(out)
 
     def filtered(self, keep: Callable[[Key], bool]) -> "BasisPoly":
-        return BasisPoly.from_dict({k: c for k, c in self.terms if keep(k)})
+        return self._where(list(map(keep, map(_unpack, self._keys))))
+
+    def _truncated(self, keep: Callable[[int, int, int], bool]) -> "BasisPoly":
+        """The terms whose p, n and m `keep` accepts, asking it once for
+        each distinct (p, n, m)."""
+        pnms = list(map(_PNM.__and__, self._keys))
+        kept = {pnm: keep(pnm >> _P_SHIFT, (pnm >> _N_SHIFT & _FIELD) - _BIAS,
+                          (pnm & _FIELD) - _BIAS) for pnm in set(pnms)}
+        return self._where(list(map(kept.__getitem__, pnms)))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -306,9 +447,12 @@ class TermPlan:
     """
 
     def __init__(self, polys):
-        polys = [poly.terms for poly in polys]
+        # each distinct packed key unpacked once, in order of first use
+        keys = {key: _unpack(key)
+                for key in dict.fromkeys(key for poly in polys for key in poly._keys)}
+        polys = [tuple(zip(map(keys.__getitem__, poly._keys), poly._coefs)) for poly in polys]
         self._count = len(polys)
-        keys = [key for terms in polys for key, _ in terms]
+        keys = keys.values()
         # the distinct nonzero p and k, and the distinct omega exponents (n, m)
         self._ps = tuple(dict.fromkeys(p for p, _, _, _, _ in keys if p))
         self._ks = tuple(dict.fromkeys(k for _, k, _, _, _ in keys if k))
@@ -450,4 +594,4 @@ def phase_average(f: BasisPoly) -> BasisPoly:
     Exact: a term carrying Z^q integrates to zero over a full phase circle
     unless q = 0.  Idempotent and linear by construction.
     """
-    return f.filtered(lambda key: key[2] == 0)
+    return f._where([key >> _Q_SHIFT & _FIELD == _BIAS for key in f._keys])

@@ -119,7 +119,7 @@ class _Entries(tuple):
         """The places of the entries that the step plan covers, in table
         order: those whose coefficient has terms.  The others contribute
         an exact zero, whatever their operator value."""
-        return tuple(i for i, e in enumerate(self) if e.coeff.terms)
+        return tuple(i for i, e in enumerate(self) if e.coeff._keys)
 
     @cached_property
     def plan(self) -> tuple[WordPlan, TermPlan]:
@@ -159,9 +159,8 @@ def _scheme_entries(coeffs: tuple, nu: float, kappa0: float, kappa1: float,
     for word in enumerate_words(policy):
         prim = word_primitive(word, osc_like)
         if truncate:
-            prim = prim.filtered(
-                lambda key: policy.monomial_weight(key[0], key[3] + key[4] * nu, nu)
-                <= 1.0 + RETENTION_TOL)
+            prim = prim._truncated(
+                lambda p, n, m: policy.monomial_weight(p, n + m * nu, nu) <= 1.0 + RETENTION_TOL)
         out.append(SchemeEntry(word=word, coeff=prim))
     return _Entries(out)
 

@@ -128,7 +128,13 @@ class TruncationPolicy:
 
 def enumerate_words(policy: TruncationPolicy) -> list[Word]:
     """All retained words, ordered by length then lexicographically (T < V)."""
-    longest = math.floor(max(policy.kappa0, policy.kappa1) + RETENTION_TOL)
+    # the longest retained word is all of the letter with the larger kappa:
+    # floor(kappa) letters, or one more where that word's weight is on the
+    # edge 1 + RETENTION_TOL
+    kappa = max(policy.kappa0, policy.kappa1)
+    longest = math.floor(kappa)
+    if longest <= MAX_WORD_LEN and (longest + 1) / kappa <= 1.0 + RETENTION_TOL:
+        longest += 1
     if longest > MAX_WORD_LEN:
         raise ValueError(
             f"policy retains words up to length {longest}; enumeration is "
@@ -136,9 +142,10 @@ def enumerate_words(policy: TruncationPolicy) -> list[Word]:
     out: list[Word] = []
     for length in range(1, longest + 1):
         for letters in product("TV", repeat=length):
-            w = Word(letters)
-            if policy.retains(w):
-                out.append(w)
+            # policy.retains on the letter counts, before a Word is built
+            q0 = letters.count("T")
+            if policy.weight(q0, length - q0) <= 1.0 + RETENTION_TOL:
+                out.append(Word(letters))
     return out
 
 
@@ -167,8 +174,15 @@ def _primitive_cached(letters: tuple[str, ...],
     # extend the cached integral of the prefix by the outermost letter
     poly = _primitive_cached(letters[:-1], coeffs)
     if letters[-1] == "V":
-        poly = poly * v_poly(OscillatorSpec(omega=1.0, coeffs=coeffs))
+        poly = poly * _v_cached(coeffs)
     return poly.definite_from_ref()
+
+
+@lru_cache(maxsize=32)
+def _v_cached(coeffs: tuple[tuple[int, complex], ...]) -> BasisPoly:
+    """The oscillator of Fourier structure `coeffs` as a basis polynomial,
+    made once for every V letter of a build."""
+    return v_poly(OscillatorSpec(omega=1.0, coeffs=coeffs))
 
 
 def word_primitive(word: Word, osc: OscillatorSpec) -> BasisPoly:

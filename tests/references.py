@@ -1,7 +1,8 @@
 """References that only the tests use: the worked examples' closed-form
-step rules, the classical oscillatory monomial integrands, and two
+step rules, the classical oscillatory monomial integrands, two
 operations on basis polynomials (d/dtau and the tau = 0 value) that the
-antiderivative tests compare against.
+antiderivative tests compare against, and the basis polynomial algebra on
+tuple keys, which the packed `BasisPoly` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -122,3 +123,78 @@ def value_at_ref(poly: BasisPoly) -> BasisPoly:
             key = (0, 0, q, n, m)
             out[key] = out.get(key, 0j) + c
     return BasisPoly.from_dict(out)
+
+
+# -- the basis polynomial algebra on tuple keys ---------------------------------
+#
+# `BasisPoly`'s algebra as it was written on plain (p, k, q, n, m) tuple keys,
+# on canonical term tuples ((key, coef), ...): sorted by key, with no exact
+# zero.  Sums start from 0j and visit terms in key order.
+
+def tuple_from_dict(d) -> tuple:
+    items = [(k, c) for k, c in zip(d, map(complex, d.values())) if c != 0]
+    return tuple(sorted(items))
+
+
+def tuple_add(a: tuple, b: tuple) -> tuple:
+    out = dict(a)
+    for key, c in b:
+        out[key] = out.get(key, 0j) + c
+    return tuple_from_dict(out)
+
+
+def tuple_scale(a: tuple, x) -> tuple:
+    return tuple_from_dict({k: c * x for k, c in a})
+
+
+def tuple_sub(a: tuple, b: tuple) -> tuple:
+    return tuple_add(a, tuple_scale(b, -1.0))
+
+
+def tuple_mul(a: tuple, b: tuple) -> tuple:
+    out = {}
+    for (p1, k1, q1, n1, m1), c1 in a:
+        for (p2, k2, q2, n2, m2), c2 in b:
+            key = (p1 + p2, k1 + k2, q1 + q2, n1 + n2, m1 + m2)
+            out[key] = out.get(key, 0j) + c1 * c2
+    return tuple_from_dict(out)
+
+
+def tuple_antiderivative_terms(a: tuple) -> dict:
+    """The antiderivative's coefficients, unsorted and zeros kept."""
+    out = {}
+
+    def add(key, c):
+        out[key] = out.get(key, 0j) + c
+
+    for (p, k, q, n, m), c in a:
+        if k == 0:
+            add((p + 1, k, q, n, m), c / (p + 1))
+        else:
+            # int tau^p e^(ik omega tau): repeated integration by parts
+            fac = 1.0 + 0.0j
+            for j in range(p + 1):
+                fac *= -1j / k          # one factor 1/(ik) per level
+                coef = c * fac * math.perm(p, j) * (-1.0) ** j
+                add((p - j, k, q, n + j + 1, m), coef)
+    return out
+
+
+def tuple_antiderivative(a: tuple) -> tuple:
+    return tuple_from_dict(tuple_antiderivative_terms(a))
+
+
+def tuple_definite_from_ref(a: tuple) -> tuple:
+    """The antiderivative less its tau = 0 value, in one dict."""
+    out = tuple_antiderivative_terms(a)
+    anchor = {}
+    for (_, _, q, n, m), c in sorted(item for item in out.items() if item[0][0] == 0):
+        key = (0, 0, q, n, m)
+        anchor[key] = anchor.get(key, 0j) + c
+    for key, c in anchor.items():
+        out[key] = out.get(key, 0j) + c * -1.0
+    return tuple_from_dict(out)
+
+
+def tuple_phase_average(a: tuple) -> tuple:
+    return tuple_from_dict({k: c for k, c in a if k[2] == 0})

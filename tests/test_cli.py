@@ -144,6 +144,10 @@ class TestErrorBoundary:
         "step-words-too-long": (("step", "--kappa", "30", "--rho", "1"), None),
         "termcount-kappa-zero": (("termcount", "--kappa", "0", "--rho", "1"), None),
         "termcount-kappa-not-integer": (("termcount", "--kappa", "1.5", "--rho", "2"), None),
+        "termcount-rho-past-float-integers": (("termcount", "--kappa", "1", "--rho", "1e300"),
+                                              None),
+        "termcount-rho-rounds-as-float": (("termcount", "--kappa", "1",
+                                           "--rho", "9007199254740993"), None),
         "solve-h-not-dividing": (("solve", *POLICY, "--h", "0.3", "--tend", "1"), None),
         "converge-negative-h": (("converge", *POLICY, "--h-list", "0.1,0.05,-0.02"),
                                 None),

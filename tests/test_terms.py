@@ -10,7 +10,7 @@ from oscistep import (TruncationPolicy, Word, adaptive_quadrature, big_v,
                       enumerate_words, iterated_integral,
                       make_oscillator, policy_matches_scheme,
                       term_count, v_norm)
-from oscistep.terms import stochastic_scheme_words
+from oscistep.terms import RETENTION_TOL, stochastic_scheme_words
 
 
 def words(*texts):
@@ -65,6 +65,53 @@ class TestEnumeration:
         pol = TruncationPolicy.from_order(4, 2, nu=-0.5)
         assert pol.kappa1 == pytest.approx(4.0)
         assert len(enumerate_words(pol)) == 2 + 4 + 8 + 16
+
+
+def _on_boundary(rest: float, q: int, target: float) -> float:
+    """A kappa with ``rest + q / kappa == target`` in floats."""
+    kappa = q / (target - rest)
+    for _ in range(64):
+        weight = rest + q / kappa
+        if weight == target:
+            return kappa
+        kappa = math.nextafter(kappa, math.inf if weight > target else 0.0)
+    raise AssertionError(f"no kappa puts {rest} + {q} / kappa on {target}")
+
+
+class TestEnumerationBruteForce:
+    """`enumerate_words` against every word of each length, filtered by
+    `TruncationPolicy.retains`, compared in order."""
+
+    @staticmethod
+    def brute_force(policy):
+        # a retained word of n letters has weight >= n / max(kappa0, kappa1)
+        longest = math.floor(max(policy.kappa0, policy.kappa1)) + 1
+        return [w for n in range(1, longest + 1)
+                for w in map(Word, itertools.product("TV", repeat=n)) if policy.retains(w)]
+
+    @pytest.mark.parametrize("nu", [0.0, -0.5, -0.25])
+    def test_from_order_policies(self, nu):
+        for kappa in range(1, 9):
+            for rho in range(1, 9):
+                policy = TruncationPolicy.from_order(kappa, rho, nu)
+                assert enumerate_words(policy) == self.brute_force(policy), (kappa, rho)
+
+    def test_weights_on_the_retention_edge(self):
+        # a policy whose weight of (q0, q1) is 1 + RETENTION_TOL, and one
+        # whose weight is the next float up: the first keeps those words and
+        # the second drops them
+        edge = 1.0 + RETENTION_TOL
+        for target in (edge, math.nextafter(edge, math.inf)):
+            for q0, q1, kappa0 in ((3, 0, None), (1, 2, 2.0), (2, 1, 4.0), (0, 4, 3.0)):
+                if kappa0 is None:
+                    policy = TruncationPolicy(_on_boundary(0.0, q0, target), 2.0)
+                else:
+                    policy = TruncationPolicy(kappa0, _on_boundary(q0 / kappa0, q1, target))
+                assert policy.weight(q0, q1) == target
+                got = enumerate_words(policy)
+                assert got == self.brute_force(policy)
+                on_edge = [w for w in got if (w.q0, w.q1) == (q0, q1)]
+                assert bool(on_edge) == (target == edge), (q0, q1, target)
 
 
 class TestTermCount:

@@ -35,8 +35,11 @@ wrong kind of step shows here.  After those, the K of
 mu = 1) and power (gamma = 2) fields about three centres, one of them
 -0.0 + 0.9j (3 x 3 x 4 x 2 = 72), and on phase-ensemble's coupled m = 4
 field of each seed about two centres, one with a -0.0 component
-(3 x 2 x 4 x 2 = 48).  That is 5 181 outputs in all.  Both trees run
-with this checkout's ``perfbench``.
+(3 x 2 x 4 x 2 = 48).  Last, for each seed, every entry of the tables of
+scheme-build's six kinds at round 0, each built truncated and raw: its
+word and the ``repr`` of its coefficient's terms, keys and coefficients
+(36 tables, 2 694 entries).  That is 7 875 outputs in all.  Both trees
+run with this checkout's ``perfbench``.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import sys
 SEEDS = (11, 12, 13)
 KINDS = ("solve-scalar", "phase-ensemble", "solve-one-step", "solve-minus-zero",
          "solve-int-zero", "split-solve", "split-step", "averaged-step", "iterated-integral",
-         "interleaved-step", "bound")
+         "interleaved-step", "bound", "table")
 # the step sizes of the interleaved steps
 INTERLEAVED_H = (0.02, 0.05)
 # the box of the bound estimates: times, radii and jet orders
@@ -67,13 +70,13 @@ def outputs() -> list[str]:
     from oscistep import (TruncationPolicy, build_scheme, builtin_field, enumerate_words,
                           estimate_coefficient_bound, iterated_integral, make_oscillator, solve,
                           step, step_phase_averaged)
-    from workloads import PhaseEnsemble, SolveScalar, _oscillator
+    from workloads import PhaseEnsemble, SchemeBuild, SolveScalar, _oscillator
 
     split = {"freqdep": make_oscillator("exp", 100.0, 0.0, -0.5),
              "fourier3": make_oscillator("fourier", 100.0, 0.3, -0.5, FOURIER_MODES)}
     split = {name: build_scheme(osc, TruncationPolicy.from_order(8, 2, -0.5))
              for name, osc in split.items()}
-    lines, more, split_lines, averaged, interleaved, bounds = [], [], [], [], [], []
+    lines, more, split_lines, averaged, interleaved, bounds, tables = [], [], [], [], [], [], []
 
     def bound(label, field, centers):
         """K on each centre's boxes, at each order."""
@@ -142,6 +145,11 @@ def outputs() -> list[str]:
         coupled = [[complex(*rng.uniform(0.5, 1.5, 2)) for _ in range(4)],
                    [0.9 + 0j, complex(-0.0, 0.4), 1.1 - 0.2j, 0.7 + 0.3j]]
         bound(f"coupled {seed}", w.plain["coupled"], coupled)
+        for inp in SchemeBuild(seed).round_inputs(0):
+            for truncate in (True, False):
+                scheme = build_scheme(inp["osc"], inp["policy"], truncate)
+                tables += [f"table {seed} {inp['kind']} {truncate} {e.word} {e.coeff.terms!r}"
+                           for e in scheme.entries]
     integrals, rng = [], np.random.default_rng(37)
     points = [(float(rng.uniform(0.0, 1.0)), float(h))
               for h in (*rng.uniform(0.005, 0.05, 2), -0.0)]
@@ -151,7 +159,7 @@ def outputs() -> list[str]:
         for word in enumerate_words(TruncationPolicy.from_order(*order)):
             integrals += [f"iterated-integral {table} {word} {t!r} {h!r} "
                           f"{iterated_integral(word, osc, t, h)!r}" for t, h in points]
-    return lines + more + split_lines + averaged + integrals + interleaved + bounds
+    return lines + more + split_lines + averaged + integrals + interleaved + bounds + tables
 
 
 def run(src: str) -> list[str]:
