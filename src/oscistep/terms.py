@@ -181,7 +181,7 @@ def _primitive_cached(letters: tuple[str, ...],
 @lru_cache(maxsize=32)
 def _v_cached(coeffs: tuple[tuple[int, complex], ...]) -> BasisPoly:
     """The oscillator of Fourier structure `coeffs` as a basis polynomial,
-    made once for every V letter of a build."""
+    made once for all the V letters of a build."""
     return v_poly(OscillatorSpec(omega=1.0, coeffs=coeffs))
 
 
