@@ -201,7 +201,6 @@ _ZERO = _BIAS * ((1 << _K_SHIFT) + (1 << _Q_SHIFT) + _N + 1)     # (0, 0, 0, 0, 
 # the top bit of every field, clear in a key in range
 _GUARDS = sum(2 * _BIAS << shift for shift in (_P_SHIFT, _K_SHIFT, _Q_SHIFT, _N_SHIFT, 0))
 _QNM = (1 << _K_SHIFT) - 1                      # the q, n and m fields
-_NM = (1 << _Q_SHIFT) - 1                       # the n and m fields
 _PNM = ~(_FIELD << _K_SHIFT | _FIELD << _Q_SHIFT)   # all but the k and q fields
 
 
