@@ -7,6 +7,10 @@ both are checked by the field's type.  Output is CSV on stdout, or to a
 file with --out; complex values are serialized as "re+imj" with 17
 significant digits so runs are byte-reproducible.  Exit codes: 0 success,
 1 bound check violated, 2 rejected input (any ValueError), 3 numeric failure.
+
+`main` keeps each command's parser once built, for the life of the
+process: that pays only where one process calls `main` more than once,
+as tests and scripts do, since a shell run builds one parser either way.
 """
 
 from __future__ import annotations
@@ -433,19 +437,40 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+# the parser of each command, and of no command (None), with the names
+# and the argument builder it was made from: one each per process
+_PARSERS: dict[str | None, tuple[tuple, argparse.ArgumentParser]] = {}
+
+
+def _parser(chosen: str | None) -> argparse.ArgumentParser:
+    """The parser of every command name with only the arguments of
+    `chosen`, a key of COMMANDS or None, built on the first call for
+    `chosen` and kept while COMMANDS keeps its names and `chosen`'s
+    argument builder."""
+    source = (tuple(COMMANDS), chosen and COMMANDS[chosen][0])
+    kept = _PARSERS.get(chosen)
+    if kept is not None and kept[0] == source:
+        return kept[1]
     parser = argparse.ArgumentParser(
         prog="oscistep",
         description="Macro-step integration of du/dt = a(t,u) + b(t,u) v(t) "
                     "with a rapidly oscillating factor v")
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = {name: sub.add_parser(name) for name in COMMANDS}
+    if chosen is not None:
+        COMMANDS[chosen][0](subparsers[chosen])
+    _PARSERS[chosen] = (source, parser)
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run one command; returns its exit code.  A usage error or --help
+    exits through argparse (SystemExit 2 or 0)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     # the top level takes no options but --help, so the first other word
     # names the command; only that command's arguments are built
     chosen = next((a for a in argv if not a.startswith("-")), None)
-    if chosen in COMMANDS:
-        COMMANDS[chosen][0](subparsers[chosen])
+    parser = _parser(chosen if chosen in COMMANDS else None)
 
     ns = parser.parse_args(argv)
     try:

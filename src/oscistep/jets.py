@@ -78,8 +78,9 @@ replays that tape on every later one; it keeps the tapes of the
 
 Every generated function of the package is compiled here, by
 ``_function``, from a signature and body lines: the tapes, the
-coefficient plans of ``oscillator.TermPlan`` and the step sums of
-``stepping._assembly``.  It compiles each source text once, as
+coefficient plans of ``oscillator.TermPlan``, the step sums of
+``stepping._assembly`` and the RK4 steps of ``oracles._rk4_step``, one
+per state dimension.  It compiles each source text once, as
 ``dataclasses`` builds ``__init__``, and keeps the functions by their
 source, so fields that differ only in their constants share one tape
 function.  A long sum is written by ``_summed`` as statements of
@@ -95,17 +96,20 @@ and its calls run ``_run`` on numbers, which gives what the jets and
 kernels always gave.  Lambdas that raise raise while recorded, and every
 call records them again.
 
-A field calls `a` and `b` in one place, ``CoefficientField._pair``: each
-once per point, on its own list of the state, with its length checked
-right after its call.  An oscillator mean that ``absorb_mean`` folded into
-the field is added there as ``a + mean * b``, from the `b` just computed.
+A field calls `a` and `b` in one place, ``CoefficientField._pair``: `a`
+and then `b`, each once per point, on its own list of the state, with its
+length checked right after its call.  An oscillator mean that
+``absorb_mean`` folded into the field is added there as ``a + mean * b``,
+from the `b` just computed.  Each component is then converted by a
+function the route passes: ``_as_complex`` on numbers, and a jet of the
+point on jets.
 Two routes lead to it.  ``CoefficientField._on_numbers`` gives both on
 plain numbers, a complex `t` and the state's numpy complex128 scalars, so
 the lambdas do numpy's scalar arithmetic, where a division by zero gives
 inf or NaN: plans of order 0, which take no derivatives and run it with
 numpy's warnings off so that the step reports the non-finite value, and
-each stage of ``rk4_micro_solve``, which does the rest of its arithmetic
-on Python numbers.
+each stage of ``rk4_micro_solve``'s generated step, which does the rest of
+its arithmetic on Python numbers.
 ``CoefficientField._on_jets`` gives both on one set of jets of ``(t, u)``:
 ``_run`` for every plan of higher order, and ``estimate_coefficient_bound``
 for the partials it bounds.  Jets of order 0 would differ from the plain
@@ -415,6 +419,12 @@ class Jet:
         return f"Jet(base={self.base}, order={self.order}, terms={len(self._terms)})"
 
 
+def _as_complex(x) -> complex:
+    """A component of `a` or `b` on numbers as a complex number: a jet that
+    the lambdas made of constants gives its value."""
+    return x.value if isinstance(x, Jet) else complex(x)
+
+
 class CoefficientField:
     """The pair of coefficient functions a(t, u), b(t, u) of dimension m.
 
@@ -474,24 +484,25 @@ class CoefficientField:
         return u
 
     def _pair(self, t, u: list, convert) -> tuple[list, list]:
-        """`a` and `b` at ``(t, u)``: each called once, on its own copy of
-        the list `u`, and its length checked, then each absorbed mean added
-        to `a` as ``a + mean * b``, and every component made what `convert`
-        makes of it."""
-        out = []
-        for fn in (self._a, self._b):
-            out.append(list(fn(t, list(u))))
-            if len(out[-1]) != self.m:
-                raise ValueError("coefficient function returned wrong dimension")
+        """`a` and `b` at ``(t, u)``: `a` called once, then `b`, each on its
+        own copy of the list `u` and its length checked right after, then
+        each absorbed mean added to `a` as ``a + mean * b``, and every
+        component made what `convert` makes of it."""
+        a = list(self._a(t, list(u)))
+        if len(a) != self.m:
+            raise ValueError("coefficient function returned wrong dimension")
+        b = list(self._b(t, list(u)))
+        if len(b) != self.m:
+            raise ValueError("coefficient function returned wrong dimension")
         for mean in self._means:
-            out[0] = [ai + mean * bi for ai, bi in zip(*out)]
-        return list(map(convert, out[0])), list(map(convert, out[1]))
+            a = [ai + mean * bi for ai, bi in zip(a, b)]
+        return list(map(convert, a)), list(map(convert, b))
 
     def _on_numbers(self, t, u) -> tuple[list[complex], list[complex]]:
         """`a` and `b` on plain numbers at ``(t, u)``, for a state `u` that
         `_state` has checked; every component made a complex number.  The
         state's numpy scalars are made once, for both functions."""
-        return self._pair(complex(t), [*u], lambda x: x.value if isinstance(x, Jet) else complex(x))
+        return self._pair(complex(t), [*u], _as_complex)
 
     def _on_jets(self, origin: Jet, values) -> tuple[list[Jet], list[Jet]]:
         """`a` and `b` on the jets of ``(t, u)`` on `origin`'s base point and
@@ -687,8 +698,8 @@ def _function(signature: str, lines: list[str]) -> Callable:
     return _compiled("\n".join([f"def {signature}:", *(f"    {line}" for line in lines)]))
 
 
-# every generated function by its source: tapes, coefficient plans and
-# step sums
+# every generated function by its source: tapes, coefficient plans, step
+# sums and RK4 steps
 @lru_cache(maxsize=192)
 def _compiled(source: str) -> Callable:
     """The one function that `source` defines, which may call

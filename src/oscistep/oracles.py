@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericStepError, QuadratureError, ResolutionError
-from .jets import CoefficientField
+from .jets import CoefficientField, _function
 from .oscillator import OscillatorSpec
 
 __all__ = [
@@ -199,7 +199,8 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
     dispatch, where no product is fused, so the bits do not depend on
     numpy's SIMD dispatch.  `a` and `b` see a complex `t` and the stage's
     state as numpy complex128 scalars, as on a plan of order 0, so a
-    division by zero there gives inf or nan rather than an exception.
+    division by zero there gives inf or nan rather than an exception.  A
+    step is one straight-line function per state dimension (`_rk4_step`).
     """
     u = field._state(u0)
     if not (all(math.isfinite(x) for x in (t0, t_end, dt)) and np.isfinite(u).all()):
@@ -219,25 +220,16 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
     # complex factors, so each product is the complex product numpy forms
     # for a number times a complex array
     h, h2, h6, two = complex(dt), complex(dt / 2), complex(dt / 6), complex(2)
-    value, on_numbers, scalar = osc.value, field._on_numbers, np.complex128
-
-    def rhs(t, v, x: list) -> list:
-        a, b = on_numbers(t, map(scalar, x))
-        return [ai + bi * v for ai, bi in zip(a, b)]
-
+    value = osc.value
+    rk4 = _rk4_step(field.m)(field._on_numbers, np.complex128, h, h2, h6, two)
     x = u.tolist()
     times, states = [t0], [x]
     t = t0
     # a non-finite state is reported below, not as a numpy warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i in range(n):
-            k1 = rhs(t, value(t), x)
-            vh = value(t + dt / 2)
-            k2 = rhs(t + dt / 2, vh, [xi + h2 * ki for xi, ki in zip(x, k1)])
-            k3 = rhs(t + dt / 2, vh, [xi + h2 * ki for xi, ki in zip(x, k2)])
-            k4 = rhs(t + dt, value(t + dt), [xi + h * ki for xi, ki in zip(x, k3)])
-            x = [xi + h6 * (k1i + two * k2i + two * k3i + k4i)
-                 for xi, k1i, k2i, k3i, k4i in zip(x, k1, k2, k3, k4)]
+            tm, te = t + dt / 2, t + dt
+            x = rk4(x, t, tm, te, value(t), value(tm), value(te))
             t = t0 + (i + 1) * dt
             times.append(t)
             states.append(x)
@@ -246,6 +238,32 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
     if not finite.all():
         raise NumericStepError(f"RK4 state not finite at t = {times[np.argmin(finite)]}")
     return list(zip(times, states))
+
+
+def _rk4_step(m: int) -> Callable:
+    """The classical RK4 step in `m` dimensions, compiled by
+    ``jets._function``: a function of ``(on_numbers, scalar, h, h2, h6,
+    two)`` that gives ``step(x, t, tm, te, v, vm, ve)``, the state after
+    `x`, a list, from the times ``t``, ``t + dt / 2`` and ``t + dt`` and
+    the oscillator's values there.
+
+    Stage k1 is taken at ``(t, v)``, k2 and k3 at ``(tm, vm)`` and k4 at
+    ``(te, ve)``, each as ``a + b * v`` from one ``on_numbers`` call on
+    the stage state, made `scalar` component by component: ``x + h2 * k``
+    for k2 and k3, ``x + h * k`` for k4.  The update is ``x + h6 * (k1 +
+    two * k2 + two * k3 + k4)``, component by component."""
+    a, b = (f"[{', '.join(f'{c}{j}' for j in range(m))}]" for c in "ab")
+    lines = [f"    [{', '.join(f'x{j}' for j in range(m))}] = x"]
+    for k, (at, v, scale, prev) in enumerate((("t", "v", "", ""), ("tm", "vm", "h2", "k1"),
+                                              ("tm", "vm", "h2", "k2"), ("te", "ve", "h", "k3")), 1):
+        state = ", ".join(f"scalar(x{j} + {scale} * {prev}_{j})" if prev else f"scalar(x{j})"
+                          for j in range(m))
+        lines.append(f"    {a}, {b} = on_numbers({at}, [{state}])")
+        lines += [f"    k{k}_{j} = a{j} + b{j} * {v}" for j in range(m)]
+    update = ", ".join(f"x{j} + h6 * (k1_{j} + two * k2_{j} + two * k3_{j} + k4_{j})"
+                       for j in range(m))
+    return _function("rk4(on_numbers, scalar, h, h2, h6, two)", [
+        "def step(x, t, tm, te, v, vm, ve):", *lines, f"    return [{update}]", "return step"])
 
 
 def fit_slope(points) -> float:

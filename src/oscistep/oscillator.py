@@ -446,33 +446,38 @@ class TermPlan:
     """
 
     def __init__(self, polys):
-        # each distinct packed key unpacked once, in order of first use
-        keys = {key: _unpack(key)
-                for key in dict.fromkeys(key for poly in polys for key in poly._keys)}
-        polys = [tuple(zip(map(keys.__getitem__, poly._keys), poly._coefs)) for poly in polys]
+        # each distinct packed key as (q, p, k, j), in order of first use,
+        # with j the index of its (n, m) in _scales, also in order of first use
+        fields: dict[int, tuple] = {}
+        scales: dict[tuple, int] = {}
+        for poly in polys:
+            for key in poly._keys:
+                if key not in fields:
+                    p, k, q, n, m = _unpack(key)
+                    fields[key] = (q, p, k, scales.setdefault((n, m), len(scales)))
         self._count = len(polys)
-        keys = keys.values()
         # the distinct nonzero p and k, and the distinct omega exponents (n, m)
-        self._ps = tuple(dict.fromkeys(p for p, _, _, _, _ in keys if p))
-        self._ks = tuple(dict.fromkeys(k for _, k, _, _, _ in keys if k))
-        scales = {nm: j for j, nm in enumerate(dict.fromkeys(key[3:] for key in keys))}
+        self._ps = tuple(dict.fromkeys(p for _, p, _, _ in fields.values() if p))
+        self._ks = tuple(dict.fromkeys(k for _, _, k, _ in fields.values() if k))
         self._scales = tuple(scales)
         # each distinct nonzero q and its power of Z
-        zs = {q: f" * z{i}" for i, q in enumerate(sorted({key[2] for key in keys if key[2]}))}
+        zs = {q: f" * z{i}" for i, q in enumerate(sorted({f[0] for f in fields.values() if f[0]}))}
         lines = [f"z{i} = z ** {q}" for i, q in enumerate(zs)]
-        # the terms of each constant of K in order, as (p, k, j, c) with j
-        # the index of (n, m) in _scales: each polynomial's Z^0 constant,
-        # then the nonzero powers of Z of each polynomial
+        # the terms of each constant of K in order, as (p, k, j, c): each
+        # polynomial's Z^0 constant, then the nonzero powers of Z of each
+        # polynomial
         self._constants: list[list[tuple]] = [[] for _ in polys]
         values = []
-        for i, terms in enumerate(polys):
-            # a stable sort by q keeps each constant's terms in term order
+        for i, poly in enumerate(polys):
+            # each constant's terms in term order, the constants in ascending q
             groups = {0: self._constants[i]}
-            for (p, k, q, n, m), c in sorted(terms, key=lambda term: term[0][2]):
-                groups.setdefault(q, []).append((p, k, scales[n, m], c))
-            parts = [f"K[{i}]"] if groups.pop(0) or not terms else []
-            parts += [f"K[{len(self._constants) + j}]{zs[q]}" for j, q in enumerate(groups)]
-            self._constants += groups.values()
+            for key, c in zip(poly._keys, poly._coefs):
+                q, p, k, j = fields[key]
+                groups.setdefault(q, []).append((p, k, j, c))
+            parts = [f"K[{i}]"] if groups.pop(0) or not poly._keys else []
+            qs = sorted(groups)
+            parts += [f"K[{len(self._constants) + j}]{zs[q]}" for j, q in enumerate(qs)]
+            self._constants += [groups[q] for q in qs]
             statements = _summed(f"c{i}", parts)
             if len(statements) > 1:
                 lines += statements

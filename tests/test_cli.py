@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -254,6 +257,9 @@ class TestParser:
         def refuse(parser):
             raise AssertionError("arguments of an unused command were built")
 
+        # a cold build: a termcount parser kept from an earlier call would
+        # build nothing
+        monkeypatch.setattr(cli, "_PARSERS", {})
         for name, (_, runner) in list(cli.COMMANDS.items()):
             if name != "termcount":
                 monkeypatch.setitem(cli.COMMANDS, name, (refuse, runner))
@@ -266,6 +272,59 @@ class TestParser:
                 main(argv)
             assert exc.value.code == 2
         assert "usage: oscistep" in capsys.readouterr().err
+
+    def test_kept_parsers_answer_as_a_fresh_process(self, capsys, monkeypatch):
+        # a usage error, then a valid call of the same command, then the
+        # help of another: each as a child process that calls main once
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+        for argv in (["termcount", "--kappa", "4"], ["termcount", "--kappa", "4", "--rho", "2"],
+                     ["bounds", "--help"]):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            child = subprocess.run(
+                [sys.executable, "-c", "import sys; from oscistep.cli import main; "
+                                       "sys.exit(main(sys.argv[1:]))", *argv],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert (code, out.out, out.err) == (child.returncode, child.stdout, child.stderr)
+
+    def test_a_parser_does_not_outlive_a_patched_command(self, capsys, monkeypatch):
+        import oscistep.cli as cli
+        add, runner = cli.COMMANDS["termcount"]
+        builds = []
+
+        def add_extra(parser):
+            builds.append(parser)
+            add(parser)
+            parser.add_argument("--extra")
+
+        argv = ["termcount", "--kappa", "3", "--rho", "2", "--extra", "x"]
+        with monkeypatch.context() as patch:
+            patch.setitem(cli.COMMANDS, "termcount", (add_extra, runner))
+            patch.setitem(cli.COMMANDS, "echo", (add, runner))
+            for _ in range(2):
+                assert run(capsys, *argv)[0] == 0
+            assert len(builds) == 1
+            with pytest.raises(SystemExit):
+                main(["--help"])
+            assert "stochastic-check,echo}" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --extra x" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "stochastic-check}" in capsys.readouterr().out
+        # one parser per command and one for no command, whatever the words
+        for word in ("no-such-command", "another", "echo"):
+            with pytest.raises(SystemExit):
+                main([word])
+        capsys.readouterr()
+        assert set(cli._PARSERS) <= {*cli.COMMANDS, None}
 
 
 class TestSolveCommand:

@@ -101,16 +101,19 @@ def wrapped_mean(a, b, mean):
 
 def mean_field_twins():
     """Fields with one mean and with two absorbed, each with a twin whose
-    `a` is wrapped to add each mean in turn."""
-    pairs = [(lambda t, u: [0.5 * u[0]], lambda t, u: [1.3 * u[0] * u[0]]),
-             (lambda t, u: [0.7 * u[0]], lambda t, u: [1.3 * u[0] ** -1]),
-             (lambda t, u: [0.0 * t], lambda t, u: [u[0] ** -2])]
-    for a, b in pairs:
+    `a` is wrapped to add each mean in turn; the last pair has m = 2, whose
+    means must meet `b`'s components in order."""
+    pairs = [(1, lambda t, u: [0.5 * u[0]], lambda t, u: [1.3 * u[0] * u[0]]),
+             (1, lambda t, u: [0.7 * u[0]], lambda t, u: [1.3 * u[0] ** -1]),
+             (1, lambda t, u: [0.0 * t], lambda t, u: [u[0] ** -2]),
+             (2, lambda t, u: [0.5 * u[0] - t * u[1], u[0] / (1 + u[1] * u[1])],
+              lambda t, u: [1.3 * u[0] * u[1], u[1] ** -1])]
+    for m, a, b in pairs:
         for means in ((0.3,), (0.5 - 0.2j, -0.7 + 0.1j)):
-            field, wrapped = make_field(1, a, b), a
+            field, wrapped = make_field(m, a, b), a
             for mean in means:
                 field, wrapped = absorb_mean(field, mean), wrapped_mean(wrapped, b, mean)
-            yield field, make_field(1, wrapped, b)
+            yield field, make_field(m, wrapped, b)
 
 
 def exact_outcome(fn):
@@ -169,17 +172,18 @@ class TestAbsorbMean:
                               TruncationPolicy.from_order(*policy))
         rng = np.random.default_rng(22)
         for field, twin in mean_field_twins():
+            m = field.m
             for t in (0.0, -0.0, 0, rng.uniform(-1.0, 1.0)):
-                for u in (rng.uniform(0.5, 1.5, 1) + 0.3j * rng.uniform(-1.0, 1.0, 1),
-                          np.zeros(1)):
+                for u in (rng.uniform(0.5, 1.5, m) + 0.3j * rng.uniform(-1.0, 1.0, m),
+                          np.zeros(m)):
                     for fn in (step, step_phase_averaged):
                         assert exact_outcome(lambda: fn(scheme, field, t, u, 0.1)) == \
                                exact_outcome(lambda: fn(scheme, twin, t, u, 0.1))
 
     def test_oracle_and_bound_bit_for_bit_as_a_wrapped_a(self):
         osc = make_oscillator("cos", 57.0, 0.4)
-        u0 = np.array([0.9 + 0.1j])
         for field, twin in mean_field_twins():
+            u0 = np.array([0.9 + 0.1j, 1.2 - 0.3j][:field.m])
             assert exact_outcome(lambda: rk4_micro_solve(field, osc, 0.1, u0, 0.2,
                                                          osc.period / 40)) == \
                    exact_outcome(lambda: rk4_micro_solve(twin, osc, 0.1, u0, 0.2,

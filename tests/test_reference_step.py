@@ -700,7 +700,7 @@ def reference_rk4(field, osc, t0, u0, t_end, dt):
         ("-exp", make_oscillator("exp", 2.0, 0.3)),
         ("-fourier-nu-half",
          make_oscillator("fourier", 2.0, 0.3, -0.5, coeffs={1: 0.6 - 0.2j, -2: 0.3 + 0.4j})))
-    for name in ("linear", "power", "m2-division")])
+    for name in ("linear", "power", "m2-division", "m4-coupled")])
 def test_rk4_oracle_matches_reference(name, osc):
     # a slow oscillator allows steps long enough that a right-hand side off
     # in its last bit (order-0 jets, for one) shows in the trajectory;

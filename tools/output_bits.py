@@ -38,7 +38,15 @@ field of each seed about two centres, one with a -0.0 component
 (3 x 2 x 4 x 2 = 48).  Last, for each seed, every entry of the tables of
 scheme-build's six kinds at round 0, each built truncated and raw: its
 word and the ``repr`` of its coefficient's terms, keys and coefficients
-(36 tables, 2 694 entries).  That is 7 875 outputs in all.  Both trees
+(36 tables, 2 694 entries).  Then, for each seed, the rows of
+`rk4_micro_solve` over 0.1 at a fortieth of a period, from a seeded start
+time and state: on the built-in linear, nonlinear and power fields and on
+phase-ensemble's coupled m = 4 field, and for seed 11 also on that field
+with the mean 0.3 - 0.1j absorbed, each on cos, exp and the 3-mode Fourier
+oscillator at nu = -1/2, all at omega = 100 and a seeded phase (39
+trajectories of 65 rows, 2 535).  Last, for each seed, the exit code and
+every stdout line of cli-readme's seven commands, run by ``cli.main`` in
+this process (3 x 81 = 243).  That is 10 653 outputs in all.  Both trees
 run with this checkout's ``perfbench``.
 """
 
@@ -52,7 +60,7 @@ import sys
 SEEDS = (11, 12, 13)
 KINDS = ("solve-scalar", "phase-ensemble", "solve-one-step", "solve-minus-zero",
          "solve-int-zero", "split-solve", "split-step", "averaged-step", "iterated-integral",
-         "interleaved-step", "bound", "table")
+         "interleaved-step", "bound", "table", "rk4", "cli")
 # the step sizes of the interleaved steps
 INTERLEAVED_H = (0.02, 0.05)
 # the box of the bound estimates: times, radii and jet orders
@@ -60,23 +68,31 @@ BOUND_T, BOUND_RADII, BOUND_ORDERS = (0.0, 0.25), (0.0, 0.5), range(4)
 # the 3-mode Fourier oscillator of the split tables
 FOURIER_MODES = {-2: 0.3 - 0.1j, 1: 0.7, 3: 0.25j}
 PHASE_ROUNDS = 3
+# the RK4 trajectories: their span, and the micro step as a share of a period
+RK4_SPAN, RK4_STEPS_PER_PERIOD = 0.1, 40
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
 
 def outputs() -> list[str]:
     """One line per output: the workload, its seed and inputs, and the
     ``repr`` of its Python values."""
+    import contextlib
+    import io
+
     import numpy as np
     from oscistep import (TruncationPolicy, build_scheme, builtin_field, enumerate_words,
-                          estimate_coefficient_bound, iterated_integral, make_oscillator, solve,
-                          step, step_phase_averaged)
-    from workloads import PhaseEnsemble, SchemeBuild, SolveScalar, _oscillator
+                          estimate_coefficient_bound, iterated_integral, make_oscillator,
+                          rk4_micro_solve, solve, step, step_phase_averaged)
+    from oscistep.cli import main as cli_main
+    from oscistep.oscillator import absorb_mean
+    from workloads import CliReadme, PhaseEnsemble, SchemeBuild, SolveScalar, _oscillator
 
     split = {"freqdep": make_oscillator("exp", 100.0, 0.0, -0.5),
              "fourier3": make_oscillator("fourier", 100.0, 0.3, -0.5, FOURIER_MODES)}
     split = {name: build_scheme(osc, TruncationPolicy.from_order(8, 2, -0.5))
              for name, osc in split.items()}
     lines, more, split_lines, averaged, interleaved, bounds, tables = [], [], [], [], [], [], []
+    rk4, cli = [], []
 
     def bound(label, field, centers):
         """K on each centre's boxes, at each order."""
@@ -145,6 +161,27 @@ def outputs() -> list[str]:
         coupled = [[complex(*rng.uniform(0.5, 1.5, 2)) for _ in range(4)],
                    [0.9 + 0j, complex(-0.0, 0.4), 1.1 - 0.2j, 0.7 + 0.3j]]
         bound(f"coupled {seed}", w.plain["coupled"], coupled)
+        rng = np.random.default_rng([seed, 43])
+        fields = {name: builtin_field(name, **params) for name, params in (
+            ("linear", {"mu": 10.0}), ("nonlinear", {"alpha": 0.5, "mu": 1.0}),
+            ("power", {"gamma": 2}))}
+        fields["coupled"] = w.plain["coupled"]
+        if seed == SEEDS[0]:
+            fields["coupled+mean"] = absorb_mean(w.plain["coupled"], 0.3 - 0.1j)
+        for name, field in fields.items():
+            for kind, nu in (("cos", 0.0), ("exp", 0.0), ("fourier", -0.5)):
+                osc = make_oscillator(kind, 100.0, float(rng.uniform(0.0, 6.0)), nu,
+                                      FOURIER_MODES if kind == "fourier" else None)
+                t0 = float(rng.uniform(0.0, 1.0))
+                u0 = rng.uniform(0.5, 1.5, field.m) + 1j * rng.uniform(-0.3, 0.3, field.m)
+                traj = rk4_micro_solve(field, osc, t0, u0, t0 + RK4_SPAN,
+                                       osc.period / RK4_STEPS_PER_PERIOD)
+                rk4 += [f"rk4 {seed} {name} {kind} {t!r} {u.tolist()!r}" for t, u in traj]
+        for name, argv in CliReadme(seed).commands.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli_main(argv)
+            cli += [f"cli {seed} {name} {code} {line}" for line in out.getvalue().splitlines()]
         for inp in SchemeBuild(seed).round_inputs(0):
             for truncate in (True, False):
                 scheme = build_scheme(inp["osc"], inp["policy"], truncate)
@@ -159,7 +196,7 @@ def outputs() -> list[str]:
         for word in enumerate_words(TruncationPolicy.from_order(*order)):
             integrals += [f"iterated-integral {table} {word} {t!r} {h!r} "
                           f"{iterated_integral(word, osc, t, h)!r}" for t, h in points]
-    return lines + more + split_lines + averaged + integrals + interleaved + bounds + tables
+    return lines + more + split_lines + averaged + integrals + interleaved + bounds + tables + rk4 + cli
 
 
 def run(src: str) -> list[str]:
