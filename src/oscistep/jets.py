@@ -100,9 +100,9 @@ A field calls `a` and `b` in one place, ``CoefficientField._pair``: `a`
 and then `b`, each once per point, on its own list of the state, with its
 length checked right after its call.  An oscillator mean that
 ``absorb_mean`` folded into the field is added there as ``a + mean * b``,
-from the `b` just computed.  Each component is then converted by a
-function the route passes: ``_as_complex`` on numbers, and a jet of the
-point on jets.
+from the `b` just computed.  Each component is then converted by the
+route's function: ``_as_complex`` on numbers, and on jets a lambda that
+makes a constant a jet of the point.
 Two routes lead to it.  ``CoefficientField._on_numbers`` gives both on
 plain numbers, a complex `t` and the state's numpy complex128 scalars, so
 the lambdas do numpy's scalar arithmetic, where a division by zero gives
