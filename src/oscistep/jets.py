@@ -53,10 +53,11 @@ operator-overloading taping, as in ADOL-C (Griewank & Walther,
 *Evaluating Derivatives*, ch. 6).
 
 A tape runs ``CoefficientField._run``, which is `a` and `b` on jets and
-then the plan's kernels on those jets, with a register for each entry of
-``(t, u)`` as the jets' coefficients.  Each register carries its value
-at the call being recorded, computed by the operation it records, so a
-recording does what ``_run`` does on numbers and raises what it raises.
+then what a plan makes of those jets (a word plan runs its kernels), with
+a register for each entry of ``(t, u)`` as the jets' coefficients.  Each
+register carries its value at the call being recorded, computed by the
+operation it records, so a recording does what ``_run`` does on numbers
+and raises what it raises.
 The one test of a value is ``Jet.reciprocal``'s test of its divisor for
 zero.  A divisor found nonzero becomes the tape's one kind of guard: a
 line right before the division that stops the replay where the divisor
@@ -72,9 +73,13 @@ on constants alone is done while recording, as the jets do it.
 Constants that meet a register enter the replay as arguments, never as
 source text (``repr`` loses the sign of -0.0 and is not a literal for
 nan or inf), so fields that differ only in their constants share one
-compiled function.  A field records a plan at its first call and
+compiled function.  A field records a word plan at its first call and
 replays that tape on every later one; it keeps the tapes of the
-``TAPE_CACHE_SIZE`` plans it used last.
+``TAPE_CACHE_SIZE`` plans it used last.  ``estimate_coefficient_bound``
+records its own plan, ``stepping._Partials``, once per call, at the
+grid's first point, by the same ``_record``, and replays it at every
+point by ``_replay``: its values are every coefficient of every
+component jet of `a` and `b`, times its factorial scale.
 
 Every generated function of the package is compiled here, by
 ``_function``, from a signature and body lines: the tapes, the
@@ -110,11 +115,12 @@ inf or NaN: plans of order 0, which take no derivatives and run it with
 numpy's warnings off so that the step reports the non-finite value, and
 each stage of ``rk4_micro_solve``'s generated step, which does the rest of
 its arithmetic on Python numbers.
-``CoefficientField._on_jets`` gives both on one set of jets of ``(t, u)``:
-``_run`` for every plan of higher order, and ``estimate_coefficient_bound``
-for the partials it bounds.  Jets of order 0 would differ from the plain
-numbers in the last bits (``u ** -2`` of the power field, for one).  Each
-caller checks the state's shape once.
+``CoefficientField._on_jets`` gives both on one set of jets of ``(t, u)``
+for ``_run``: on registers while a tape is recorded, and on numbers where
+no tape serves, for every word plan of higher order and for the
+coefficient bound's partials at every order.  Jets of order 0 would
+differ from the plain numbers in the last bits (``u ** -2`` of the power
+field, for one).  Each caller checks the state's shape once.
 """
 
 from __future__ import annotations
@@ -435,8 +441,8 @@ class CoefficientField:
     They are called in one place, :meth:`_pair`, each once per point, and
     reached two ways: :meth:`_on_numbers` on numbers (numpy scalars of the
     state), for plans of order 0 and each stage of the RK4 oracle, and
-    :meth:`_on_jets` on one set of jets of ``(t, u)``, for :meth:`_run`
-    and the coefficient bound.  Each caller
+    :meth:`_on_jets` on one set of jets of ``(t, u)``, for :meth:`_run`,
+    which the word plans and the coefficient bound run.  Each caller
     checks the state with :meth:`_state` first.  The oscillator means that
     :func:`absorb_mean` folded in are added to `a` there, as
     ``a + mean * b`` in the order they were absorbed.
@@ -498,11 +504,12 @@ class CoefficientField:
             a = [ai + mean * bi for ai, bi in zip(a, b)]
         return list(map(convert, a)), list(map(convert, b))
 
-    def _on_numbers(self, t, u) -> tuple[list[complex], list[complex]]:
+    def _on_numbers(self, t, u: list) -> tuple[list[complex], list[complex]]:
         """`a` and `b` on plain numbers at ``(t, u)``, for a state `u` that
-        `_state` has checked; every component made a complex number.  The
-        state's numpy scalars are made once, for both functions."""
-        return self._pair(complex(t), [*u], _as_complex)
+        `_state` has checked, given as a list of its numpy scalars that the
+        caller built for this call; every component made a complex
+        number."""
+        return self._pair(complex(t), u, _as_complex)
 
     def _on_jets(self, origin: Jet, values) -> tuple[list[Jet], list[Jet]]:
         """`a` and `b` on the jets of ``(t, u)`` on `origin`'s base point and
@@ -511,15 +518,15 @@ class CoefficientField:
         tj, *uj = (origin._variable(i, x) for i, x in enumerate(values))
         return self._pair(tj, uj, lambda v: v if isinstance(v, Jet) else origin._constant(v))
 
-    def _run(self, plan: WordPlan, origin: Jet, values) -> list:
-        """`a`, `b` and then `plan`'s kernels on the jets of ``(t, u)`` on
-        `origin`'s base point and order, whose values are `values`: the
-        plan's values, one per pair and component.  A recording runs this
+    def _run(self, plan, origin: Jet, values) -> list:
+        """`a` and `b` on the jets of ``(t, u)`` on `origin`'s base point and
+        order, whose values are `values`, and then what `plan` makes of
+        them: its ``_apply(m, a, b)`` of their packed-key dicts.  `plan` is
+        a word plan, whose values are one per pair and component, or the
+        coefficient bound's ``stepping._Partials``.  A recording runs this
         on registers, and a plan whose recording was refused on numbers."""
         a, b = self._on_jets(origin, values)
-        slots = plan._jets(self.m, [j._terms for j in a], [j._terms for j in b])
-        # a value missing from a jet is zero
-        return [x.get(0, 0.0 + 0.0j) for i in plan.outputs for x in slots[i]]
+        return plan._apply(self.m, [j._terms for j in a], [j._terms for j in b])
 
     def _values(self, plan: WordPlan, t, u: np.ndarray) -> list[complex]:
         """`plan`'s values at ``(t, u)``, one per pair and component, for a
@@ -546,21 +553,25 @@ class CoefficientField:
             # division by zero gives a non-finite value that the step
             # reports, as the RK4 oracle does, and no numpy warning
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                pair = self._on_numbers(t, map(np.complex128, u))
+                pair = self._on_numbers(t, list(map(np.complex128, u)))
             return [x for i in plan.outputs for x in pair[i]]
         return self._taped(plan, (complex(t), *u))
 
     def _taped(self, plan: WordPlan, base: tuple) -> list:
         """`plan`'s values at the base point `base` from this field's tape
         for `plan`, recorded at the plan's first call; the field keeps the
-        tapes of the `TAPE_CACHE_SIZE` plans it used last.  A plan whose
-        recording was refused, and a replay stopped by a zero divisor, run
-        `_run` on numbers."""
+        tapes of the `TAPE_CACHE_SIZE` plans it used last."""
         tapes = self._tapes
         tape = tapes.pop(plan) if plan in tapes else self._record(plan, base)
         tapes[plan] = tape
         if len(tapes) > TAPE_CACHE_SIZE:
             del tapes[next(iter(tapes))]
+        return self._replay(plan, tape, base)
+
+    def _replay(self, plan, tape, base: tuple) -> list:
+        """`plan`'s values at the base point `base` from `tape`, a recording
+        of `plan` by `_record`.  A refused recording (None), and a replay
+        stopped by a zero divisor, run `_run` on numbers."""
         if tape is not None:
             try:
                 return tape(base)
@@ -571,9 +582,10 @@ class CoefficientField:
         # a refused plan or a zero divisor: what the recording followed, on numbers
         return self._run(plan, Jet(base, plan.order, {}), base)
 
-    def _record(self, plan: WordPlan, base: tuple):
-        """A tape of `plan`, recorded by `_run` on registers that carry the
-        base point `base`, or None if the recording was refused.  Anything
+    def _record(self, plan, base: tuple):
+        """A tape of `plan`, a word plan or the coefficient bound's
+        partials, recorded by `_run` on registers that carry the base point
+        `base`, or None if the recording was refused.  Anything
         else the lambdas or the jets raise propagates: the recording does
         what `_run` does on numbers."""
         rec = _Recorder()
@@ -655,9 +667,10 @@ class WordPlan:
         self.program = tuple(program)
         self.outputs = tuple(slots[pair] for pair in pairs)
 
-    def _jets(self, m: int, a: list[dict], b: list[dict]) -> list[list[dict]]:
-        """Every slot's jets from the base jets `a` and `b`, as packed-key
-        dicts, one per component."""
+    def _apply(self, m: int, a: list[dict], b: list[dict]) -> list:
+        """The plan's values from the base jets `a` and `b`, packed-key
+        dicts, one per component: each output slot's jets' values, found
+        by running the kernels over every slot."""
         units = _units(m + 1)
         top = _BITS * (m + 1)
         caps = [(r + 1) << top for r in range(self.order + 1)]
@@ -674,7 +687,8 @@ class WordPlan:
                     g = term if g is None else _add(g, term)
                 out.append(g)
             slots.append(out)
-        return slots
+        # a value missing from a jet is zero
+        return [x.get(0, 0.0 + 0.0j) for i in self.outputs for x in slots[i]]
 
 
 # -- generated functions --------------------------------------------------------

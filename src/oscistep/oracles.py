@@ -201,6 +201,8 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
     state as numpy complex128 scalars, as on a plan of order 0, so a
     division by zero there gives inf or nan rather than an exception.  A
     step is one straight-line function per state dimension (`_rk4_step`).
+    v is evaluated at each step's three times, except at a start time
+    equal to the last step's end time, where it is that step's v.
     """
     u = field._state(u0)
     if not (all(math.isfinite(x) for x in (t0, t_end, dt)) and np.isfinite(u).all()):
@@ -224,12 +226,16 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
     rk4 = _rk4_step(field.m)(field._on_numbers, np.complex128, h, h2, h6, two)
     x = u.tolist()
     times, states = [t0], [x]
-    t = t0
+    t, te, ve = t0, None, None
     # a non-finite state is reported below, not as a numpy warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i in range(n):
+            # most steps start where the last one ended, in float: v(t)
+            # is then the last step's v(te), from the same input
+            v = ve if t == te else value(t)
             tm, te = t + dt / 2, t + dt
-            x = rk4(x, t, tm, te, value(t), value(tm), value(te))
+            ve = value(te)
+            x = rk4(x, t, tm, te, v, value(tm), ve)
             t = t0 + (i + 1) * dt
             times.append(t)
             states.append(x)

@@ -72,7 +72,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericStepError
-from .jets import CoefficientField, Jet, WordPlan, _function, _jet_order, _plan, _summed
+from .jets import (CoefficientField, WordPlan, _function, _jet_order, _plan, _summed,
+                   _unpack)
 from .oscillator import BasisPoly, OscillatorSpec, TermPlan
 from .terms import RETENTION_TOL, TruncationPolicy, Word, enumerate_words, word_primitive
 
@@ -372,6 +373,28 @@ def solve(scheme: SchemeTable, field: CoefficientField, t0: float, u0,
     return list(zip(times, np.array(states, dtype=complex).reshape(n + 1, m)))
 
 
+class _Partials:
+    """The coefficient bound's plan for ``CoefficientField._run``: jets of
+    `order`, and as values every mixed partial of `a` and then of `b`, in
+    the order of the keys of their component jets, each partial one value
+    per component.  A partial is a coefficient times its int factorial
+    scale, as ``Jet.derivative`` gives it, and a component whose jet has no
+    such key gives ``0j`` times the scale.  Which keys a jet has follows
+    from its inputs' keys alone, so a tape of this plan lays the partials
+    out alike at every point."""
+
+    def __init__(self, order: int):
+        self.order = order
+
+    def _apply(self, m: int, a: list[dict], b: list[dict]) -> list:
+        out = []
+        for jets in (a, b):
+            for key in dict.fromkeys(k for x in jets for k in x):
+                scale = math.prod(map(math.factorial, _unpack(key, m + 1)))
+                out += [x.get(key, 0.0 + 0.0j) * scale for x in jets]
+        return out
+
+
 def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,
                                u_radius: float, order: int) -> float:
     """Sampling estimate of K = sup over a box of the 2-norm of a, b and
@@ -389,6 +412,12 @@ def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,
     a negative radius, a centre whose shape is not the field's, or an
     order that is not an integer >= 0, raises ValueError, and a partial
     whose norm is not finite at a sample raises NumericStepError.
+
+    The partials come from jets of `a` and `b`, recorded once per call on
+    registers at the grid's first point, as a field records a word plan
+    (see ``jets``), and replayed at every point.  A refused recording, and
+    a replay stopped by a zero divisor, run the jets on numbers at that
+    point, which give the same partials or raise what they raise.
     """
     order = _jet_order(order)
     t_min, t_max = t_range
@@ -402,19 +431,18 @@ def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,
             u = u_center.copy()
             u[j] += u_radius * np.exp(1j * ang)
             states.append(u)
+    times, m = np.linspace(t_min, t_max, BOUND_T_SAMPLES), field.m
+    plan = _Partials(order)
+    tape = field._record(plan, (complex(times[0]), *u_center.tolist()))
     best = 0.0
-    for t in np.linspace(t_min, t_max, BOUND_T_SAMPLES):
+    for t in times:
         for u in states:
-            origin = Jet((complex(t), *u.tolist()), order, {})
-            for jets in field._on_jets(origin, origin.base):
-                # partials absent from every jet are zero and cannot raise the max
-                for alpha in set().union(*(j.coeffs for j in jets)):
-                    d = [j.derivative(alpha) for j in jets]
-                    # Python floats overflow to inf and carry NaN, without a warning
-                    norm = math.sqrt(sum(x.real * x.real for x in d)
-                                     + sum(x.imag * x.imag for x in d))
-                    if not math.isfinite(norm):
-                        raise NumericStepError(
-                            f"non-finite coefficient partial at t = {t}, u = {u}")
-                    best = max(best, norm)
+            d = field._replay(plan, tape, (complex(t), *u.tolist()))
+            # Python floats overflow to inf and carry NaN, without a warning
+            re, im = [x.real * x.real for x in d], [x.imag * x.imag for x in d]
+            norms = [math.sqrt(sum(re[i:i + m]) + sum(im[i:i + m]))
+                     for i in range(0, len(d), m)]
+            if not all(map(math.isfinite, norms)):
+                raise NumericStepError(f"non-finite coefficient partial at t = {t}, u = {u}")
+            best = max([best, *norms])
     return best

@@ -1,8 +1,10 @@
 """References that only the tests use: the worked examples' closed-form
 step rules, the classical oscillatory monomial integrands, two
 operations on basis polynomials (d/dtau and the tau = 0 value) that the
-antiderivative tests compare against, and the basis polynomial algebra on
-tuple keys, which the packed `BasisPoly` must match bit for bit.
+antiderivative tests compare against, the basis polynomial algebra on
+tuple keys, which the packed `BasisPoly` must match bit for bit, and the
+coefficient bound as it ran the jets at every sample, which the taped
+bound must match bit for bit.
 """
 
 from __future__ import annotations
@@ -10,7 +12,12 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
+from oscistep.errors import NumericStepError
+from oscistep.jets import Jet
 from oscistep.oscillator import BasisPoly
+from oscistep.stepping import BOUND_T_SAMPLES, BOUND_U_SAMPLES
 
 
 # -- closed-form step rules ---------------------------------------------------
@@ -198,3 +205,34 @@ def tuple_definite_from_ref(a: tuple) -> tuple:
 
 def tuple_phase_average(a: tuple) -> tuple:
     return tuple_from_dict({k: c for k, c in a if k[2] == 0})
+
+
+# -- the coefficient bound, on jets at every sample -----------------------------
+
+def coefficient_bound(field, t_range, u_center, u_radius: float, order: int) -> float:
+    """`estimate_coefficient_bound` for a valid box and order, with `a`
+    and `b` run on jets of numbers at each sample: every partial of the
+    jets' keys, from ``Jet.derivative``, and its norm over the components
+    in Python floats."""
+    t_min, t_max = t_range
+    u_center = field._state(u_center)
+    states = [u_center]
+    for j in range(field.m if u_radius > 0 else 0):
+        for ang in np.linspace(0.0, 2.0 * math.pi, BOUND_U_SAMPLES, endpoint=False):
+            u = u_center.copy()
+            u[j] += u_radius * np.exp(1j * ang)
+            states.append(u)
+    best = 0.0
+    for t in np.linspace(t_min, t_max, BOUND_T_SAMPLES):
+        for u in states:
+            origin = Jet((complex(t), *u.tolist()), order, {})
+            for jets in field._on_jets(origin, origin.base):
+                for alpha in set().union(*(j.coeffs for j in jets)):
+                    d = [j.derivative(alpha) for j in jets]
+                    norm = math.sqrt(sum(x.real * x.real for x in d)
+                                     + sum(x.imag * x.imag for x in d))
+                    if not math.isfinite(norm):
+                        raise NumericStepError(
+                            f"non-finite coefficient partial at t = {t}, u = {u}")
+                    best = max(best, norm)
+    return best

@@ -515,13 +515,15 @@ class TestBounds:
         assert K0 == pytest.approx(10.0, rel=1e-12)
 
     def test_zero_radius_samples_each_time_once(self, monkeypatch):
-        calls, on_jets = [], CoefficientField._on_jets
+        # every sample goes through `_replay`: the tape, or the jets on
+        # numbers where it cannot serve
+        calls, replay = [], CoefficientField._replay
 
-        def counting(field, origin, values):
-            calls.append(origin.base)
-            return on_jets(field, origin, values)
+        def counting(field, plan, tape, base):
+            calls.append(base)
+            return replay(field, plan, tape, base)
 
-        monkeypatch.setattr(CoefficientField, "_on_jets", counting)
+        monkeypatch.setattr(CoefficientField, "_replay", counting)
         f = builtin_field("nonlinear", alpha=4.0, mu=1.0)
         estimate_coefficient_bound(f, (0.0, 0.2), np.array([1.0 + 0j]), 0.0, 2)
         assert len(calls) == len(set(calls)) == BOUND_T_SAMPLES

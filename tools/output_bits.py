@@ -32,21 +32,25 @@ steps share a table's binding, so one kept for the wrong step size or the
 wrong kind of step shows here.  After those, the K of
 `estimate_coefficient_bound` over t in [0, 0.25] at orders 0-3 and radii
 0 and 0.5: on the built-in linear (mu = 10), nonlinear (alpha = 0.5,
-mu = 1) and power (gamma = 2) fields about three centres, one of them
--0.0 + 0.9j (3 x 3 x 4 x 2 = 72), and on phase-ensemble's coupled m = 4
-field of each seed about two centres, one with a -0.0 component
-(3 x 2 x 4 x 2 = 48).  Last, for each seed, every entry of the tables of
-scheme-build's six kinds at round 0, each built truncated and raw: its
-word and the ``repr`` of its coefficient's terms, keys and coefficients
-(36 tables, 2 694 entries).  Then, for each seed, the rows of
-`rk4_micro_solve` over 0.1 at a fortieth of a period, from a seeded start
+mu = 1) and power (gamma = 2) fields, that nonlinear field with the mean
+0.3 - 0.1j absorbed, and a field whose `a` reads a jet's value, so that
+the bound's recording is refused and every sample runs the jets on
+numbers, about three centres, one of them -0.0 + 0.9j
+(5 x 3 x 4 x 2 = 120), and on phase-ensemble's coupled m = 4 field of each
+seed, and for seed 11 also on that field with the mean absorbed, about
+two centres, one with a -0.0 component (4 x 2 x 4 x 2 = 64).  Last, for
+each seed, every entry of the tables of scheme-build's six kinds at
+round 0, each built truncated and raw: its word and the ``repr`` of its
+coefficient's terms, keys and coefficients (36 tables, 2 694 entries).
+Then, for each seed, the rows of `rk4_micro_solve` over 0.1 at a
+fortieth of a period, from a seeded start
 time and state: on the built-in linear, nonlinear and power fields and on
 phase-ensemble's coupled m = 4 field, and for seed 11 also on that field
 with the mean 0.3 - 0.1j absorbed, each on cos, exp and the 3-mode Fourier
 oscillator at nu = -1/2, all at omega = 100 and a seeded phase (39
 trajectories of 65 rows, 2 535).  Last, for each seed, the exit code and
 every stdout line of cli-readme's seven commands, run by ``cli.main`` in
-this process (3 x 81 = 243).  That is 10 653 outputs in all.  Both trees
+this process (3 x 81 = 243).  That is 10 717 outputs in all.  Both trees
 run with this checkout's ``perfbench``.
 """
 
@@ -81,8 +85,8 @@ def outputs() -> list[str]:
 
     import numpy as np
     from oscistep import (TruncationPolicy, build_scheme, builtin_field, enumerate_words,
-                          estimate_coefficient_bound, iterated_integral, make_oscillator,
-                          rk4_micro_solve, solve, step, step_phase_averaged)
+                          estimate_coefficient_bound, iterated_integral, make_field,
+                          make_oscillator, rk4_micro_solve, solve, step, step_phase_averaged)
     from oscistep.cli import main as cli_main
     from oscistep.oscillator import absorb_mean
     from workloads import CliReadme, PhaseEnsemble, SchemeBuild, SolveScalar, _oscillator
@@ -107,6 +111,10 @@ def outputs() -> list[str]:
     for name, params in (("linear", {"mu": 10.0}), ("nonlinear", {"alpha": 0.5, "mu": 1.0}),
                          ("power", {"gamma": 2})):
         bound(name, builtin_field(name, **params), scalar)
+    bound("nonlinear+mean", absorb_mean(builtin_field("nonlinear", alpha=0.5, mu=1.0),
+                                        0.3 - 0.1j), scalar)
+    bound("refused", make_field(1, lambda t, u: [u[0] * u[0].value], lambda t, u: [u[0] * t]),
+          scalar)
 
     def interleave(label, scheme, field, starts):
         """Plain and averaged steps in turn, plain first, then averaged."""
@@ -161,6 +169,8 @@ def outputs() -> list[str]:
         coupled = [[complex(*rng.uniform(0.5, 1.5, 2)) for _ in range(4)],
                    [0.9 + 0j, complex(-0.0, 0.4), 1.1 - 0.2j, 0.7 + 0.3j]]
         bound(f"coupled {seed}", w.plain["coupled"], coupled)
+        if seed == SEEDS[0]:
+            bound(f"coupled+mean {seed}", absorb_mean(w.plain["coupled"], 0.3 - 0.1j), coupled)
         rng = np.random.default_rng([seed, 43])
         fields = {name: builtin_field(name, **params) for name, params in (
             ("linear", {"mu": 10.0}), ("nonlinear", {"alpha": 0.5, "mu": 1.0}),
