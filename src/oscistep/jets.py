@@ -52,12 +52,13 @@ multiply-add, so ``r += x * y`` rounds as ``r = r + (x * y)``).  This is
 operator-overloading taping, as in ADOL-C (Griewank & Walther,
 *Evaluating Derivatives*, ch. 6).
 
-A tape runs ``CoefficientField._run``, which is `a` and `b` on jets and
+A tape of a word plan of order 1 or more, or of the coefficient bound's
+partials, runs ``CoefficientField._run``, which is `a` and `b` on jets and
 then what a plan makes of those jets (a word plan runs its kernels), with
-a register for each entry of ``(t, u)`` as the jets' coefficients.  Each
-register carries its value at the call being recorded, computed by the
-operation it records, so a recording does what ``_run`` does on numbers
-and raises what it raises.
+a `_Register` for each entry of ``(t, u)`` as the jets' coefficients.
+Each register carries its value at the call being recorded, computed by
+the operation it records, so a recording does what ``_run`` does on
+numbers and raises what it raises.
 The one test of a value is ``Jet.reciprocal``'s test of its divisor for
 zero.  A divisor found nonzero becomes the tape's one kind of guard: a
 line right before the division that stops the replay where the divisor
@@ -81,25 +82,45 @@ grid's first point, by the same ``_record``, and replays it at every
 point by ``_replay``: its values are every coefficient of every
 component jet of `a` and `b`, times its factorial scale.
 
-Every generated function of the package is compiled here, by
-``_function``, from a signature and body lines: the tapes, the
-coefficient plans of ``oscillator.TermPlan``, the step sums of
-``stepping._assembly`` and the RK4 steps of ``oracles._rk4_step``, one
-per state dimension.  It compiles each source text once, as
-``dataclasses`` builds ``__init__``, and keeps the functions by their
-source, so fields that differ only in their constants share one tape
-function.  A long sum is written by ``_summed`` as statements of
-``_SUM_TERMS`` terms, since CPython's compiler recurses once per operator
-of an expression.
+A word plan of order 0 takes no derivatives: its values are `a` and `b`
+on plain numbers, a tape of order 0.  It is recorded on `_Number`
+registers handed to the lambdas themselves, with no jets, and the tape
+does exactly the operations the lambdas do, with no jet sums and no
+``0.0 +``.  The registers stand for the values of the numbers route
+(``CoefficientField._on_numbers``): the complex `t` and the state's numpy
+complex128 scalars, and what numpy's scalar arithmetic makes of them.
+The replay does the same operations on Python complex numbers, which give
+the same bits: for ``+``, ``-``, ``*``, unary ``-`` and ``sum``, with int,
+float or complex operands, a numpy complex128 scalar operation is the
+complex operation Python does, signed zeros, inf and NaN included.  That
+holds on Python 3.11; from Python 3.14 on, Python's mixed float and
+complex arithmetic follows C99 Annex G and may not match numpy's
+(unverified: only Python 3.11 has numpy here).  Division is refused,
+since numpy multiplies by the reciprocal of the denominator and Python
+divides.  A table of policy (1,1) evaluates the plan of `a` and then `b`
+themselves, ``_PAIR``, and the RK4 oracle's generated step calls that
+plan's tape at each stage, so the two share one tape per field.
 
-A recording follows jet arithmetic only: ``+``, ``-``, ``*``, ``/`` and
-integer powers of jets and of ``int``, ``float`` or ``complex`` numbers.
-For lambdas that read a jet's value, coefficients or base point, or
-multiply a jet by another kind of number, or catch the error of a zero
+A recording on jets follows jet arithmetic only: ``+``, ``-``, ``*``,
+``/`` and integer powers of jets and of ``int``, ``float`` or ``complex``
+numbers.  For lambdas that read a jet's value, coefficients or base point,
+or multiply a jet by another kind of number, or catch the error of a zero
 divisor, the recording is refused: the field keeps None for that plan,
 and its calls run ``_run`` on numbers, which gives what the jets and
 kernels always gave.  Lambdas that raise raise while recorded, and every
-call records them again.
+call records them again.  A recording on numbers follows ``+``, ``-``,
+``*`` and unary ``-`` of registers and of exact ``int``, ``float`` or
+``complex`` numbers; any other use of a register refuses it: ``/``,
+``**``, comparisons and truth tests, ``complex()``, ``float()``,
+``abs()``, attribute reads, other operands (numpy scalars included), and
+any exception while recording.  A refused register goes on as the plain
+value it stands for, so the recording's call gives the numbers route's
+values, and the field keeps None for the plan: its later calls run
+``_on_numbers``, and no call records it again.  The one use a register
+cannot see is ``type()``: lambdas that test the exact type of `t` or of a
+state component (``type(x) is np.complex128``) take, while recorded, the
+branch of a type that is not numpy's, and the tape keeps it; an
+``isinstance`` test refuses the recording instead.
 
 A field calls `a` and `b` in one place, ``CoefficientField._pair``: `a`
 and then `b`, each once per point, on its own list of the state, with its
@@ -108,13 +129,13 @@ length checked right after its call.  An oscillator mean that
 from the `b` just computed.  Each component is then converted by the
 route's function: ``_as_complex`` on numbers, and on jets a lambda that
 makes a constant a jet of the point.
-Two routes lead to it.  ``CoefficientField._on_numbers`` gives both on
-plain numbers, a complex `t` and the state's numpy complex128 scalars, so
-the lambdas do numpy's scalar arithmetic, where a division by zero gives
-inf or NaN: plans of order 0, which take no derivatives and run it with
-numpy's warnings off so that the step reports the non-finite value, and
-each stage of ``rk4_micro_solve``'s generated step, which does the rest of
-its arithmetic on Python numbers.
+Three routes lead to it.  A recording of order 0 gives both on `_Number`
+registers.  ``CoefficientField._on_numbers`` gives both on plain numbers,
+a complex `t` and the state's numpy complex128 scalars, so the lambdas do
+numpy's scalar arithmetic, where a division by zero gives inf or NaN: it
+is the fallback of a plan of order 0, run with numpy's warnings off so
+that the step reports the non-finite value, and of the RK4 oracle, for
+fields whose recording was refused.
 ``CoefficientField._on_jets`` gives both on one set of jets of ``(t, u)``
 for ``_run``: on registers while a tape is recorded, and on numbers where
 no tape serves, for every word plan of higher order and for the
@@ -127,9 +148,10 @@ from __future__ import annotations
 
 import cmath
 import numbers
+import operator
 import weakref
 from functools import lru_cache, partial
-from math import copysign, factorial, isfinite
+from math import copysign, factorial, isfinite, sqrt
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -439,21 +461,25 @@ class CoefficientField:
     complex numbers and on jets.
 
     They are called in one place, :meth:`_pair`, each once per point, and
-    reached two ways: :meth:`_on_numbers` on numbers (numpy scalars of the
-    state), for plans of order 0 and each stage of the RK4 oracle, and
-    :meth:`_on_jets` on one set of jets of ``(t, u)``, for :meth:`_run`,
-    which the word plans and the coefficient bound run.  Each caller
-    checks the state with :meth:`_state` first.  The oscillator means that
+    reached three ways: on number registers, to record a plan of order 0
+    (which the RK4 oracle's stages evaluate too); :meth:`_on_numbers` on
+    numbers (numpy scalars of the state), the fallback of those plans
+    where their recording was refused; and :meth:`_on_jets` on one set of
+    jets of ``(t, u)``, for :meth:`_run`, which the word plans of higher
+    order and the coefficient bound run.  Each caller checks the state
+    with :meth:`_state` first.  The oscillator means that
     :func:`absorb_mean` folded in are added to `a` there, as
     ``a + mean * b`` in the order they were absorbed.
 
     They must be functions of ``(t, u)`` alone.  The field records them,
     with a word plan's kernels, as one tape per plan (see the module
     docstring), with every constant they capture baked in, and replays it
-    on later calls without calling them.  Recording runs :meth:`_run` on
-    registers, and only a plan whose recording was refused runs it on
-    numbers.  The field also keeps the values of its last call through
-    :meth:`_values`: a step and `operator_values`.  A call with the same
+    on later calls without calling them.  Recording a plan of order 0 runs
+    them on number registers, and any other plan runs :meth:`_run` on
+    register jets; only a plan whose recording was refused runs
+    :meth:`_on_numbers` or :meth:`_run` on numbers.  The field also keeps
+    the values of its last call through :meth:`_values`: a step and
+    `operator_values`.  A call with the same
     word plan, the same time, of the same type and sign (-0.0 and 0.0, or
     0 and 0.0, differ), and a state of the same bytes gets them without
     running the tape nor, for a refused plan, the lambdas themselves: the
@@ -504,12 +530,15 @@ class CoefficientField:
             a = [ai + mean * bi for ai, bi in zip(a, b)]
         return list(map(convert, a)), list(map(convert, b))
 
-    def _on_numbers(self, t, u: list) -> tuple[list[complex], list[complex]]:
-        """`a` and `b` on plain numbers at ``(t, u)``, for a state `u` that
-        `_state` has checked, given as a list of its numpy scalars that the
-        caller built for this call; every component made a complex
-        number."""
-        return self._pair(complex(t), u, _as_complex)
+    def _on_numbers(self, base: tuple) -> list[complex]:
+        """`a` and then `b` on plain numbers at the base point `base`,
+        ``(t, u_1, ..., u_m)`` of complex numbers, in one list of complex
+        numbers.  The lambdas see the complex `t` and the state's numpy
+        complex128 scalars, so they do numpy's scalar arithmetic, where a
+        division by zero gives inf or NaN; the caller sets numpy's error
+        state."""
+        a, b = self._pair(base[0], list(map(np.complex128, base[1:])), _as_complex)
+        return a + b
 
     def _on_jets(self, origin: Jet, values) -> tuple[list[Jet], list[Jet]]:
         """`a` and `b` on the jets of ``(t, u)`` on `origin`'s base point and
@@ -522,9 +551,10 @@ class CoefficientField:
         """`a` and `b` on the jets of ``(t, u)`` on `origin`'s base point and
         order, whose values are `values`, and then what `plan` makes of
         them: its ``_apply(m, a, b)`` of their packed-key dicts.  `plan` is
-        a word plan, whose values are one per pair and component, or the
-        coefficient bound's ``stepping._Partials``.  A recording runs this
-        on registers, and a plan whose recording was refused on numbers."""
+        a word plan of order 1 or more, whose values are one per pair and
+        component, or the coefficient bound's ``stepping._Partials``.  A
+        recording runs this on registers, and a plan whose recording was
+        refused on numbers."""
         a, b = self._on_jets(origin, values)
         return plan._apply(self.m, [j._terms for j in a], [j._terms for j in b])
 
@@ -545,33 +575,34 @@ class CoefficientField:
     def _evaluate(self, plan: WordPlan, t, u: list) -> list[complex]:
         """`plan`'s values at ``(t, u)``, one complex number per pair and
         component, for a state given as a list of complex numbers, with no
-        memo: the plain numbers (order 0), a tape of this field's for
-        `plan`, or else `_run` on numbers for a plan that no tape can
-        follow."""
-        if plan.order == 0:
-            # no derivatives: the field itself, on plain numbers, where a
-            # division by zero gives a non-finite value that the step
-            # reports, as the RK4 oracle does, and no numpy warning
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                pair = self._on_numbers(t, list(map(np.complex128, u)))
-            return [x for i in plan.outputs for x in pair[i]]
-        return self._taped(plan, (complex(t), *u))
+        memo: from this field's tape for `plan`, or from the route that
+        the tape follows where it has none."""
+        base = (complex(t), *u)
+        tape, values = self._tape(plan, base)
+        return self._replay(plan, tape, base) if values is None else values
 
-    def _taped(self, plan: WordPlan, base: tuple) -> list:
-        """`plan`'s values at the base point `base` from this field's tape
-        for `plan`, recorded at the plan's first call; the field keeps the
-        tapes of the `TAPE_CACHE_SIZE` plans it used last."""
+    def _tape(self, plan, base: tuple) -> tuple:
+        """This field's tape for `plan` and None; or, for a plan it has no
+        tape of, the tape that `_record` makes at the base point `base` and
+        the values that recording gave.  The field keeps the tapes of the
+        `TAPE_CACHE_SIZE` plans it used last."""
         tapes = self._tapes
-        tape = tapes.pop(plan) if plan in tapes else self._record(plan, base)
+        if plan in tapes:
+            tape, values = tapes.pop(plan), None
+        else:
+            tape, values = self._record(plan, base)
         tapes[plan] = tape
         if len(tapes) > TAPE_CACHE_SIZE:
             del tapes[next(iter(tapes))]
-        return self._replay(plan, tape, base)
+        return tape, values
 
     def _replay(self, plan, tape, base: tuple) -> list:
         """`plan`'s values at the base point `base` from `tape`, a recording
         of `plan` by `_record`.  A refused recording (None), and a replay
-        stopped by a zero divisor, run `_run` on numbers."""
+        stopped by a zero divisor, run the route the recording followed:
+        `_on_numbers` for a word plan of order 0, under numpy's errstate,
+        so that a division by zero gives a non-finite value and no
+        warning, and `_run` on numbers for any other plan."""
         if tape is not None:
             try:
                 return tape(base)
@@ -579,16 +610,38 @@ class CoefficientField:
                 # a guard found its divisor zero: the jets raise there, or
                 # the lambdas catch it
                 pass
-        # a refused plan or a zero divisor: what the recording followed, on numbers
+        if _on_plain_numbers(plan):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                return plan._pick(self._on_numbers(base), self.m)
         return self._run(plan, Jet(base, plan.order, {}), base)
 
-    def _record(self, plan, base: tuple):
-        """A tape of `plan`, a word plan or the coefficient bound's
-        partials, recorded by `_run` on registers that carry the base point
-        `base`, or None if the recording was refused.  Anything
-        else the lambdas or the jets raise propagates: the recording does
-        what `_run` does on numbers."""
+    def _record(self, plan, base: tuple) -> tuple:
+        """A tape of `plan`, recorded at the base point `base`, or None if
+        the recording was refused, and `plan`'s values at `base` if the
+        recording gave them.
+
+        A word plan of order 0 is recorded on `_Number` registers, which
+        stand for the values of `_on_numbers` and compute them as it does,
+        under the same errstate, so the recording gives that route's
+        values, refused or not: a refused field calls `a` and `b` once per
+        point, as on that route.  If the lambdas raise on the registers,
+        the recording is refused and gives no values.  Any other plan is
+        recorded by `_run` on `_Register` jets, and gives no values; what
+        the lambdas or the jets raise there propagates, as `_run` on
+        numbers would raise it."""
         rec = _Recorder()
+        if _on_plain_numbers(plan):
+            inputs = [_Number(rec, f"x{i}", x)
+                      for i, x in enumerate((base[0], *map(np.complex128, base[1:])))]
+            try:
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    a, b = self._pair(inputs[0], inputs[1:],
+                                      lambda v: v if type(v) is _Number else _as_complex(v))
+            except Exception:
+                return None, None
+            outputs = plan._pick(a + b, self.m)
+            values = [_as_complex(_unwrap(x)) for x in outputs]
+            return (None if rec.failed else rec.compile(inputs, outputs)), values
         origin = Jet((), plan.order, {})
         origin.base, origin.nvars = rec, self.m + 1
         inputs = [_Register(rec, f"x{i}", x) for i, x in enumerate(base)]
@@ -598,8 +651,8 @@ class CoefficientField:
                 # the lambdas caught a refusal or a zero divisor
                 raise _Untraceable("the recording was refused")
         except _Untraceable:
-            return None
-        return rec.compile(inputs, values)
+            return None, None
+        return rec.compile(inputs, values), None
 
 
 def absorb_mean(fld: CoefficientField, meanv: complex) -> CoefficientField:
@@ -690,6 +743,11 @@ class WordPlan:
         # a value missing from a jet is zero
         return [x.get(0, 0.0 + 0.0j) for i in self.outputs for x in slots[i]]
 
+    def _pick(self, ab: list, m: int) -> list:
+        """The values of a plan of order 0, whose every pair is `a` or `b`
+        itself, from the list of `a` and then `b`, `m` components each."""
+        return [x for i in self.outputs for x in ab[i * m:i * m + m]]
+
 
 # -- generated functions --------------------------------------------------------
 
@@ -717,8 +775,8 @@ def _function(signature: str, lines: list[str]) -> Callable:
 @lru_cache(maxsize=192)
 def _compiled(source: str) -> Callable:
     """The one function that `source` defines, which may call
-    ``isfinite``, the complex one."""
-    namespace = {"isfinite": cmath.isfinite}
+    ``isfinite``, the complex one, and ``sqrt``, the real one."""
+    namespace = {"isfinite": cmath.isfinite, "sqrt": sqrt}
     exec(compile(source, "<generated>", "exec"), namespace)
     return namespace[source[4:source.index("(")]]
 
@@ -736,7 +794,8 @@ class _Recorder:
     """Records scalar operations on registers, and the tests of divisors
     for zero, as lines of Python source, and compiles them into one
     straight-line function (see the module docstring).  While a field is
-    recorded it is also its jets' base point, which refuses to be read."""
+    recorded on jets it is also their base point, which refuses to be
+    read."""
 
     def __init__(self):
         self.lines: list[str] = []
@@ -751,19 +810,20 @@ class _Recorder:
 
     __getitem__ = __len__ = lambda self, *_: self.refuse()
 
-    def emit(self, expression: str, value) -> "_Register":
+    def emit(self, expression: str, value, register: type | None = None):
         """A register for `expression`, whose value is `value`: the same
-        operation on the operands' values."""
-        out = _Register(self, f"r{len(self.lines)}", value)
-        self.lines.append(f"{out.name} = {expression}")
+        operation on the operands' values; a `_Register` unless another
+        `register` class is given."""
+        out = (register or _Register)(self, f"r{len(self.lines)}", value)
+        self.lines.append(f"{out._name} = {expression}")
         return out
 
     def operand(self, x) -> str:
         """`x` in a line: a register's name, or the local by which an int,
         float or complex enters the replay (``repr`` loses the sign of
         -0.0 and is not a literal for nan or inf)."""
-        if type(x) is _Register:
-            return x.name
+        if type(x) is _Register or type(x) is _Number:
+            return x._name
         if type(x) not in _NUMBERS:
             self.refuse()
         entry = self.constants.get(id(x))
@@ -779,7 +839,7 @@ class _Recorder:
         out = {}
         for k, c in terms.items():
             v = c * n
-            out[k] = self.emit(f"{c.name} * {n.name}", v.value) if type(v) is _Product else v
+            out[k] = self.emit(f"{c._name} * {n._name}", v.value) if type(v) is _Product else v
         return out
 
     def compile(self, inputs: list, values: list):
@@ -790,73 +850,73 @@ class _Recorder:
         result = f"[{', '.join(map(self.operand, values))}]"
         constants = self.constants.values()
         return partial(_function("replay(K, x)", [
-            f"[{', '.join(r.name for r in inputs)}] = x",
+            f"[{', '.join(r._name for r in inputs)}] = x",
             f"[{', '.join(name for name, _ in constants)}] = K",
             *self.lines,
             f"return {result}"]), tuple(x for _, x in constants))
 
 
 class _Register:
-    """A register while a tape is recorded: jets and the dict kernels
-    compute on these as they do on numbers, and each operation becomes a
-    line of the replay and computes the register's value as that line
-    does.  The reciprocal's comparison of its divisor with zero is
+    """A register while a tape is recorded on jets: jets and the dict
+    kernels compute on these as they do on numbers, and each operation
+    becomes a line of the replay and computes the register's value as that
+    line does.  The reciprocal's comparison of its divisor with zero is
     answered from the value: nonzero, it becomes a guard line of the
     replay, which stops there if the register is zero; zero, it marks the
     recording refused, in case the lambdas catch the jets' error.  A
     comparison with anything else, a truth test, or an operand of a type
     the replay cannot take, stops the recording."""
 
-    __slots__ = ("rec", "name", "value")
+    __slots__ = ("_rec", "_name", "_value")
 
     def __init__(self, rec: _Recorder, name: str, value):
-        self.rec, self.name, self.value = rec, name, value
+        self._rec, self._name, self._value = rec, name, value
 
     def __mul__(self, other):
         if type(other) is _Register:
             return _Product(self, other)
-        return self.rec.emit(f"{self.name} * {self.rec.operand(other)}", self.value * other)
+        return self._rec.emit(f"{self._name} * {self._rec.operand(other)}", self._value * other)
 
     def __rmul__(self, other):
-        return self.rec.emit(f"{self.rec.operand(other)} * {self.name}", other * self.value)
+        return self._rec.emit(f"{self._rec.operand(other)} * {self._name}", other * self._value)
 
     def __add__(self, other):
         if type(other) is _Product:
             # `_mul` adds each product to its own running sum, which
             # nothing else reads, so the sum is updated in place
-            self.rec.lines.append(f"{self.name} += {other.x.name} * {other.y.name}")
-            self.value = self.value + other.value
+            self._rec.lines.append(f"{self._name} += {other.x._name} * {other.y._name}")
+            self._value = self._value + other.value
             return self
-        return self.rec.emit(f"{self.name} + {self.rec.operand(other)}",
-                             self.value + (other.value if type(other) is _Register else other))
+        return self._rec.emit(f"{self._name} + {self._rec.operand(other)}",
+                              self._value + (other._value if type(other) is _Register else other))
 
     def __radd__(self, other):
-        return self.rec.emit(f"{self.rec.operand(other)} + {self.name}", other + self.value)
+        return self._rec.emit(f"{self._rec.operand(other)} + {self._name}", other + self._value)
 
     def __neg__(self):
-        return self.rec.emit(f"-{self.name}", -self.value)
+        return self._rec.emit(f"-{self._name}", -self._value)
 
     def __rtruediv__(self, other):
-        return self.rec.emit(f"{self.rec.operand(other)} / {self.name}", other / self.value)
+        return self._rec.emit(f"{self._rec.operand(other)} / {self._name}", other / self._value)
 
     def __eq__(self, other):
         if type(other) not in _NUMBERS or other != 0:
-            self.rec.refuse()
-        if self.value == 0:
+            self._rec.refuse()
+        if self._value == 0:
             # the jets raise here; lambdas that catch it take a branch the
             # tape could not leave
-            self.rec.failed = True
+            self._rec.failed = True
             return True
         # registers hold complex numbers, for which `not r` is `r == 0`
-        self.rec.lines.append(f"if not {self.name}: raise ZeroDivisionError")
+        self._rec.lines.append(f"if not {self._name}: raise ZeroDivisionError")
         return False
 
     # a truth test or `!=` would bake one branch into the tape
     def __ne__(self, other):
-        self.rec.refuse()
+        self._rec.refuse()
 
     def __bool__(self):
-        self.rec.refuse()
+        self._rec.refuse()
 
 
 class _Product:
@@ -866,12 +926,82 @@ class _Product:
     __slots__ = ("x", "y", "value")
 
     def __init__(self, x: _Register, y: _Register):
-        self.x, self.y, self.value = x, y, x.value * y.value
+        self.x, self.y, self.value = x, y, x._value * y._value
 
     def __radd__(self, other):
         # a product sum's first term, after 0.0 or a constant
-        rec = self.x.rec
-        return rec.emit(f"{rec.operand(other)} + {self.x.name} * {self.y.name}", other + self.value)
+        rec = self.x._rec
+        return rec.emit(f"{rec.operand(other)} + {self.x._name} * {self.y._name}",
+                        other + self.value)
+
+
+def _unwrap(x):
+    """The value that `x` stands for: a `_Number`'s value, or `x` itself."""
+    return x._value if type(x) is _Number else x
+
+
+def _follow(op: Callable, symbol: str | None = None, reflected: bool = False) -> Callable:
+    """A method of `_Number` that gives what `op` gives on the values, the
+    register's own after the others' if `reflected`.  With a `symbol`, and
+    while the recording holds and every other operand is a `_Number` or an
+    exact int, float or complex, the result is a register and the
+    operation a line of the tape; otherwise it refuses the recording and
+    the result is the plain value."""
+    def method(self, *others):
+        rec, operands = self._rec, (*others, self) if reflected else (self, *others)
+        values = [_unwrap(x) for x in operands]
+        if (symbol is None or rec.failed
+                or not all(type(x) is _Number or type(x) in _NUMBERS for x in operands)):
+            # refused before `op` runs, in case it raises and the lambdas
+            # catch that
+            rec.failed = True
+            return op(*values)
+        names = [rec.operand(x) for x in operands]
+        line = f" {symbol} ".join(names) if others else symbol + names[0]
+        return rec.emit(line, op(*values), _Number)
+    return method
+
+
+class _Number:
+    """A register while `a` and `b` are recorded on plain numbers.  It
+    stands for its value, the numbers route's own object: the complex `t`,
+    a numpy complex128 scalar of the state, or what the lambdas made of
+    them, each computed as that route computes it.  ``+``, ``-`` and ``*``
+    with a register or an exact int, float or complex, and unary ``-``,
+    give a register and a line of the tape.  Any other use refuses the
+    recording and gives what the value gives: ``/``, ``**``, comparisons,
+    truth tests, ``complex()``, ``float()``, ``abs()``, hashing, attribute
+    reads (``__getattr__``), ``isinstance`` tests that its own type fails
+    (``__class__``), and operands of any other type, numpy scalars
+    included (numpy hands its operators to this class's reflected ones).
+    After a refusal every operation gives the plain value, so the lambdas'
+    call ends as it would on the numbers route, with the same values.  The
+    operators it lacks (``//``, ``%``, ``@``, bitwise ones) raise
+    TypeError, as they do on numpy's complex scalars."""
+
+    __slots__ = ("_rec", "_name", "_value")
+
+    __array_ufunc__ = None
+
+    def __init__(self, rec: _Recorder, name: str, value):
+        self._rec, self._name, self._value = rec, name, value
+
+    __add__, __sub__, __mul__ = (_follow(op, symbol) for op, symbol in
+                                 ((operator.add, "+"), (operator.sub, "-"), (operator.mul, "*")))
+    __radd__, __rsub__, __rmul__ = (_follow(op, symbol, True) for op, symbol in
+                                    ((operator.add, "+"), (operator.sub, "-"),
+                                     (operator.mul, "*")))
+    __neg__ = _follow(operator.neg, "-")
+    __truediv__, __pow__ = map(_follow, (operator.truediv, pow))
+    __rtruediv__, __rpow__ = (_follow(op, reflected=True) for op in (operator.truediv, pow))
+    __eq__, __ne__, __lt__, __le__, __gt__, __ge__ = map(
+        _follow, (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge))
+    __pos__, __abs__, __bool__, __complex__, __float__, __int__ = map(
+        _follow, (operator.pos, abs, bool, complex, float, int))
+    __hash__, __str__, __repr__, __format__, __getitem__, __getattr__ = map(
+        _follow, (hash, str, repr, format, operator.getitem, getattr))
+    # `isinstance` asks this when the register's own type does not match
+    __class__ = property(_follow(type))
 
 
 # word plans in use, by their pairs
@@ -886,6 +1016,18 @@ def _plan(pairs) -> WordPlan:
     if plan is None:
         plan = _PLANS[pairs] = WordPlan(pairs)
     return plan
+
+
+# the word plan of `a` and then `b` themselves: a table of policy (1,1)
+# evaluates it, and so does the RK4 oracle at each stage
+_PAIR = _plan([("a", ()), ("b", ())])
+
+
+def _on_plain_numbers(plan) -> bool:
+    """Whether `plan` runs `a` and `b` on plain numbers: a word plan of
+    order 0, which takes no derivatives.  The coefficient bound's partials
+    take jets at every order."""
+    return type(plan) is WordPlan and plan.order == 0
 
 
 def operator_values(field: CoefficientField,

@@ -7,6 +7,14 @@ oscillatory integrands), trajectories by a classical fixed-step RK4 on the
 raw right-hand side, and the worked problems' exact solutions by their
 closed forms.  Each is right or loud: a quadrature that does not converge
 or is not finite, and an RK4 trajectory that turns non-finite, raise.
+
+The RK4 oracle evaluates `a` and `b` through the field's tape of order 0,
+the one a (1,1) table replays (see ``jets``), and not by calling them on
+numpy scalars at each stage; the tape gives the same bits as those calls.
+Its independence from the stepper therefore rests on the tests that
+compare it, bit for bit, with a plain RK4 loop that calls `a` and `b` on
+numpy scalars (``reference_rk4`` in ``tests/test_reference_step.py``),
+and with refused recordings, which call them.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericStepError, QuadratureError, ResolutionError
-from .jets import CoefficientField, _function
+from .jets import _PAIR, CoefficientField, _function
 from .oscillator import OscillatorSpec
 
 __all__ = [
@@ -197,12 +205,16 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
     sum and update is Python's scalar arithmetic, with each product a
     complex product: the same operations as numpy's arrays under baseline
     dispatch, where no product is fused, so the bits do not depend on
-    numpy's SIMD dispatch.  `a` and `b` see a complex `t` and the stage's
-    state as numpy complex128 scalars, as on a plan of order 0, so a
-    division by zero there gives inf or nan rather than an exception.  A
-    step is one straight-line function per state dimension (`_rk4_step`).
-    v is evaluated at each step's three times, except at a start time
-    equal to the last step's end time, where it is that step's v.
+    numpy's SIMD dispatch.  `a` and `b` at each stage come from the
+    field's tape of them (``jets._PAIR``, recorded at the first stage if
+    the field has none), whose replay gives what they give on a complex
+    `t` and the stage's state as numpy complex128 scalars, as on a plan of
+    order 0.  Where the recording was refused, each stage calls them so,
+    and a division by zero there gives inf or nan rather than an
+    exception.  A step is one straight-line function per state dimension
+    (`_rk4_step`).  v is evaluated at each step's three times, except at a
+    start time equal to the last step's end time, where it is that step's
+    v.
     """
     u = field._state(u0)
     if not (all(math.isfinite(x) for x in (t0, t_end, dt)) and np.isfinite(u).all()):
@@ -223,8 +235,12 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
     # for a number times a complex array
     h, h2, h6, two = complex(dt), complex(dt / 2), complex(dt / 6), complex(2)
     value = osc.value
-    rk4 = _rk4_step(field.m)(field._on_numbers, np.complex128, h, h2, h6, two)
     x = u.tolist()
+    # the field's tape of `a` and `b`, recorded at the first stage unless it
+    # has one, and that stage's values if it was
+    tape, ab = field._tape(_PAIR, (complex(t0), *x))
+    pair = field._on_numbers if tape is None else tape
+    rk4 = _rk4_step(field.m)(pair, h, h2, h6, two)
     times, states = [t0], [x]
     t, te, ve = t0, None, None
     # a non-finite state is reported below, not as a numpy warning
@@ -235,7 +251,10 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
             v = ve if t == te else value(t)
             tm, te = t + dt / 2, t + dt
             ve = value(te)
-            x = rk4(x, t, tm, te, v, value(tm), ve)
+            # the first stage's `a` and `b`: the recording's on the first
+            # step if it gave them, and from `pair` on every other
+            x = rk4(x, ab or pair((complex(t), *x)), complex(tm), complex(te), v, value(tm), ve)
+            ab = None
             t = t0 + (i + 1) * dt
             times.append(t)
             states.append(x)
@@ -248,28 +267,30 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
 
 def _rk4_step(m: int) -> Callable:
     """The classical RK4 step in `m` dimensions, compiled by
-    ``jets._function``: a function of ``(on_numbers, scalar, h, h2, h6,
-    two)`` that gives ``step(x, t, tm, te, v, vm, ve)``, the state after
-    `x`, a list, from the times ``t``, ``t + dt / 2`` and ``t + dt`` and
-    the oscillator's values there.
+    ``jets._function``: a function of ``(pair, h, h2, h6, two)`` that gives
+    ``step(x, ab, tm, te, v, vm, ve)``, the state after `x`, a list, from
+    `a` and then `b` at its start time ``t`` in one list `ab`, the complex
+    times ``t + dt / 2`` and ``t + dt``, and the oscillator's values at the
+    three times.
 
-    Stage k1 is taken at ``(t, v)``, k2 and k3 at ``(tm, vm)`` and k4 at
-    ``(te, ve)``, each as ``a + b * v`` from one ``on_numbers`` call on
-    the stage state, made `scalar` component by component: ``x + h2 * k``
-    for k2 and k3, ``x + h * k`` for k4.  The update is ``x + h6 * (k1 +
-    two * k2 + two * k3 + k4)``, component by component."""
-    a, b = (f"[{', '.join(f'{c}{j}' for j in range(m))}]" for c in "ab")
-    lines = [f"    [{', '.join(f'x{j}' for j in range(m))}] = x"]
-    for k, (at, v, scale, prev) in enumerate((("t", "v", "", ""), ("tm", "vm", "h2", "k1"),
-                                              ("tm", "vm", "h2", "k2"), ("te", "ve", "h", "k3")), 1):
-        state = ", ".join(f"scalar(x{j} + {scale} * {prev}_{j})" if prev else f"scalar(x{j})"
-                          for j in range(m))
-        lines.append(f"    {a}, {b} = on_numbers({at}, [{state}])")
+    Stage k1 is ``a + b * v`` from `ab`; k2 and k3 are taken at ``(tm,
+    vm)`` and k4 at ``(te, ve)``, each as ``a + b * v`` from one ``pair``
+    call on the stage's base point ``(time, state)``: ``x + h2 * k`` for k2
+    and k3, ``x + h * k`` for k4, component by component.  The update is
+    ``x + h6 * (k1 + two * k2 + two * k3 + k4)``, component by
+    component."""
+    ab = f"[{', '.join(f'{c}{j}' for c in 'ab' for j in range(m))}]"
+    lines = [f"    [{', '.join(f'x{j}' for j in range(m))}] = x", f"    {ab} = ab",
+             *(f"    k1_{j} = a{j} + b{j} * v" for j in range(m))]
+    for k, (at, v, scale) in enumerate((("tm", "vm", "h2"), ("tm", "vm", "h2"),
+                                        ("te", "ve", "h")), 2):
+        state = ", ".join(f"x{j} + {scale} * k{k - 1}_{j}" for j in range(m))
+        lines.append(f"    {ab} = pair(({at}, {state}))")
         lines += [f"    k{k}_{j} = a{j} + b{j} * {v}" for j in range(m)]
     update = ", ".join(f"x{j} + h6 * (k1_{j} + two * k2_{j} + two * k3_{j} + k4_{j})"
                        for j in range(m))
-    return _function("rk4(on_numbers, scalar, h, h2, h6, two)", [
-        "def step(x, t, tm, te, v, vm, ve):", *lines, f"    return [{update}]", "return step"])
+    return _function("rk4(pair, h, h2, h6, two)", [
+        "def step(x, ab, tm, te, v, vm, ve):", *lines, f"    return [{update}]", "return step"])
 
 
 def fit_slope(points) -> float:

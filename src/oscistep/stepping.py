@@ -407,8 +407,9 @@ def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,
     0, `BOUND_U_SAMPLES` points on the circle about it in each state
     component; a radius of 0 samples the centre alone.  A partial's norm
     over the m components is ``sqrt(sum of squared real parts + sum of
-    squared imaginary parts)``, each sum in Python floats in component
-    order: numpy's norm at m = 1, bit for bit.  A box that is not finite,
+    squared imaginary parts)``, each sum added left to right in Python
+    floats in component order (`_largest_norm`, compiled per count of
+    partials): numpy's norm at m = 1, bit for bit.  A box that is not finite,
     a negative radius, a centre whose shape is not the field's, or an
     order that is not an integer >= 0, raises ValueError, and a partial
     whose norm is not finite at a sample raises NumericStepError.
@@ -433,16 +434,35 @@ def estimate_coefficient_bound(field: CoefficientField, t_range, u_center,
             states.append(u)
     times, m = np.linspace(t_min, t_max, BOUND_T_SAMPLES), field.m
     plan = _Partials(order)
-    tape = field._record(plan, (complex(times[0]), *u_center.tolist()))
+    tape, _ = field._record(plan, (complex(times[0]), *u_center.tolist()))
     best = 0.0
     for t in times:
         for u in states:
             d = field._replay(plan, tape, (complex(t), *u.tolist()))
-            # Python floats overflow to inf and carry NaN, without a warning
-            re, im = [x.real * x.real for x in d], [x.imag * x.imag for x in d]
-            norms = [math.sqrt(sum(re[i:i + m]) + sum(im[i:i + m]))
-                     for i in range(0, len(d), m)]
-            if not all(map(math.isfinite, norms)):
+            top = _largest_norm(len(d) // m, m)(d)
+            if top is None:
                 raise NumericStepError(f"non-finite coefficient partial at t = {t}, u = {u}")
-            best = max([best, *norms])
+            best = max(best, top)
     return best
+
+
+@lru_cache(maxsize=64)
+def _largest_norm(n: int, m: int) -> Callable:
+    """The largest norm of `n` partials of `m` components each, compiled by
+    ``jets._function``: a function of their values `d`, a list, partial by
+    partial, that gives the largest ``sqrt(re + im)``, where `re` and `im`
+    are the sums of the squared real and imaginary parts of a partial's
+    components, each added left to right in Python floats (which overflow
+    to inf and carry NaN, without a warning), in the statements of
+    ``jets._summed``; 0.0 for no partial, and None if a norm is not
+    finite."""
+    lines = [f"[{', '.join(f'd{i}' for i in range(n * m))}] = d"] if n else []
+    for p in range(n):
+        for sum_, part in (("r", "real"), ("q", "imag")):
+            lines += _summed(f"{sum_}{p}", [f"d{i}.{part} * d{i}.{part}"
+                                            for i in range(p * m, p * m + m)])
+        lines.append(f"n{p} = sqrt(r{p} + q{p})")
+    norms = [f"n{p}" for p in range(n)]
+    top = f"max({', '.join(norms)})" if n > 1 else norms[0] if n else "0.0"
+    finite = " and ".join(f"isfinite({x})" for x in norms) or "True"
+    return _function("largest_norm(d)", [*lines, f"if {finite}:", f"    return {top}"])

@@ -46,12 +46,18 @@ Then, for each seed, the rows of `rk4_micro_solve` over 0.1 at a
 fortieth of a period, from a seeded start
 time and state: on the built-in linear, nonlinear and power fields and on
 phase-ensemble's coupled m = 4 field, and for seed 11 also on that field
-with the mean 0.3 - 0.1j absorbed, each on cos, exp and the 3-mode Fourier
-oscillator at nu = -1/2, all at omega = 100 and a seeded phase (39
-trajectories of 65 rows, 2 535).  Last, for each seed, the exit code and
-every stdout line of cli-readme's seven commands, run by ``cli.main`` in
-this process (3 x 81 = 243).  That is 10 717 outputs in all.  Both trees
-run with this checkout's ``perfbench``.
+with the mean 0.3 - 0.1j absorbed, and on two fields of the tape of
+order 0: an m = 2 field of ``-``, int constants and ``sum``, which is
+recorded, and one whose recording ``**`` refuses, each on cos, exp and the
+3-mode Fourier oscillator at nu = -1/2, all at omega = 100 and a seeded
+phase (57 trajectories of 65 rows, 3 705).  Then, for each seed, the exit
+code and every stdout line of cli-readme's seven commands, run by
+``cli.main`` in this process (3 x 81 = 243).  Last, for each seed, the
+rows of a policy (1,1) solve over [0, 1] at h = 0.02 on a cos table at a
+seeded phase, from a seeded start, on the built-in linear, nonlinear and
+power fields of the RK4 rows (3 x 3 x 51 = 459): plans of order 0, which
+the power field's ``**`` refuses.  That is 12 346 outputs in all.  Both
+trees run with this checkout's ``perfbench``.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ import sys
 SEEDS = (11, 12, 13)
 KINDS = ("solve-scalar", "phase-ensemble", "solve-one-step", "solve-minus-zero",
          "solve-int-zero", "split-solve", "split-step", "averaged-step", "iterated-integral",
-         "interleaved-step", "bound", "table", "rk4", "cli")
+         "interleaved-step", "bound", "table", "rk4", "cli", "solve-order-0")
 # the step sizes of the interleaved steps
 INTERLEAVED_H = (0.02, 0.05)
 # the box of the bound estimates: times, radii and jet orders
@@ -74,7 +80,20 @@ FOURIER_MODES = {-2: 0.3 - 0.1j, 1: 0.7, 3: 0.25j}
 PHASE_ROUNDS = 3
 # the RK4 trajectories: their span, and the micro step as a share of a period
 RK4_SPAN, RK4_STEPS_PER_PERIOD = 0.1, 40
+# the policy (1,1) solves, on the built-in fields: their end and step size
+ORDER0_T_END, ORDER0_H = 1.0, 0.02
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+
+
+def _rk4_fields() -> dict:
+    """The RK4 trajectories' fields beyond the workloads' own: one of
+    ``-``, int constants and ``sum``, whose tape of order 0 is recorded,
+    and one whose recording is refused by ``**``."""
+    from oscistep import make_field
+    return {"minus-int-sum": make_field(2, lambda t, u: [u[0] - 2 * u[1], sum(u) - t],
+                                        lambda t, u: [3 - u[0] * u[1], 1 - sum(u)]),
+            "refused-power": make_field(1, lambda t, u: [0.5 * u[0]],
+                                        lambda t, u: [u[0] ** 2 - t])}
 
 
 def outputs() -> list[str]:
@@ -96,7 +115,7 @@ def outputs() -> list[str]:
     split = {name: build_scheme(osc, TruncationPolicy.from_order(8, 2, -0.5))
              for name, osc in split.items()}
     lines, more, split_lines, averaged, interleaved, bounds, tables = [], [], [], [], [], [], []
-    rk4, cli = [], []
+    rk4, cli, order0 = [], [], []
 
     def bound(label, field, centers):
         """K on each centre's boxes, at each order."""
@@ -178,6 +197,7 @@ def outputs() -> list[str]:
         fields["coupled"] = w.plain["coupled"]
         if seed == SEEDS[0]:
             fields["coupled+mean"] = absorb_mean(w.plain["coupled"], 0.3 - 0.1j)
+        fields.update(_rk4_fields())
         for name, field in fields.items():
             for kind, nu in (("cos", 0.0), ("exp", 0.0), ("fourier", -0.5)):
                 osc = make_oscillator(kind, 100.0, float(rng.uniform(0.0, 6.0)), nu,
@@ -187,6 +207,13 @@ def outputs() -> list[str]:
                 traj = rk4_micro_solve(field, osc, t0, u0, t0 + RK4_SPAN,
                                        osc.period / RK4_STEPS_PER_PERIOD)
                 rk4 += [f"rk4 {seed} {name} {kind} {t!r} {u.tolist()!r}" for t, u in traj]
+        rng = np.random.default_rng([seed, 47])
+        scheme = build_scheme(make_oscillator("cos", 100.0, float(rng.uniform(0.0, 6.0))),
+                              TruncationPolicy(1, 1))
+        for name, field in list(fields.items())[:3]:
+            u0 = rng.uniform(0.5, 1.5, 1) + 1j * rng.uniform(-0.3, 0.3, 1)
+            order0 += [f"solve-order-0 {seed} {name} {t!r} {u.tolist()!r}"
+                       for t, u in solve(scheme, field, 0.0, u0, ORDER0_T_END, ORDER0_H)]
         for name, argv in CliReadme(seed).commands.items():
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
@@ -206,7 +233,8 @@ def outputs() -> list[str]:
         for word in enumerate_words(TruncationPolicy.from_order(*order)):
             integrals += [f"iterated-integral {table} {word} {t!r} {h!r} "
                           f"{iterated_integral(word, osc, t, h)!r}" for t, h in points]
-    return lines + more + split_lines + averaged + integrals + interleaved + bounds + tables + rk4 + cli
+    return (lines + more + split_lines + averaged + integrals + interleaved + bounds + tables
+            + rk4 + cli + order0)
 
 
 def run(src: str) -> list[str]:
