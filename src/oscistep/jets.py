@@ -52,13 +52,23 @@ multiply-add, so ``r += x * y`` rounds as ``r = r + (x * y)``).  This is
 operator-overloading taping, as in ADOL-C (Griewank & Walther,
 *Evaluating Derivatives*, ch. 6).
 
+One register class, ``_Register``, records every tape.  A register
+carries its value at the call being recorded, computed as the route that
+the tape replaces computes it, so a recording does what that route does
+and gives its values.  ``+``, ``-`` and ``*`` of a register with a
+register or an exact ``int``, ``float`` or ``complex``, and unary ``-``,
+are lines of the tape.  The register operations that only the jets make
+are the recorder's kernels: the product of two series, which adds each
+product of two registers to its running sum in place (``s += x * y``),
+and a reciprocal's test of its divisor and its ``1.0 / f0``.
+
 A tape of a word plan of order 1 or more, or of the coefficient bound's
 partials, runs ``CoefficientField._run``, which is `a` and `b` on jets and
 then what a plan makes of those jets (a word plan runs its kernels), with
-a `_Register` for each entry of ``(t, u)`` as the jets' coefficients.
-Each register carries its value at the call being recorded, computed by
-the operation it records, so a recording does what ``_run`` does on
-numbers and raises what it raises.
+a register for each entry of ``(t, u)`` as the jets' values and as their
+base point; jets on that base point multiply by the recorder's product
+kernel.  What the lambdas or the jets raise while recorded propagates, as
+``_run`` on numbers raises it, and every call records them again.
 The one test of a value is ``Jet.reciprocal``'s test of its divisor for
 zero.  A divisor found nonzero becomes the tape's one kind of guard: a
 line right before the division that stops the replay where the divisor
@@ -83,8 +93,8 @@ point by ``_replay``: its values are every coefficient of every
 component jet of `a` and `b`, times its factorial scale.
 
 A word plan of order 0 takes no derivatives: its values are `a` and `b`
-on plain numbers, a tape of order 0.  It is recorded on `_Number`
-registers handed to the lambdas themselves, with no jets, and the tape
+on plain numbers, a tape of order 0.  It is recorded on registers
+handed to the lambdas themselves, with no jets, and the tape
 does exactly the operations the lambdas do, with no jet sums and no
 ``0.0 +``.  The registers stand for the values of the numbers route
 (``CoefficientField._on_numbers``): the complex `t` and the state's numpy
@@ -101,26 +111,24 @@ divides.  A table of policy (1,1) evaluates the plan of `a` and then `b`
 themselves, ``_PAIR``, and the RK4 oracle's generated step calls that
 plan's tape at each stage, so the two share one tape per field.
 
-A recording on jets follows jet arithmetic only: ``+``, ``-``, ``*``,
-``/`` and integer powers of jets and of ``int``, ``float`` or ``complex``
-numbers.  For lambdas that read a jet's value, coefficients or base point,
-or multiply a jet by another kind of number, or catch the error of a zero
-divisor, the recording is refused: the field keeps None for that plan,
-and its calls run ``_run`` on numbers, which gives what the jets and
-kernels always gave.  Lambdas that raise raise while recorded, and every
-call records them again.  A recording on numbers follows ``+``, ``-``,
-``*`` and unary ``-`` of registers and of exact ``int``, ``float`` or
-``complex`` numbers; any other use of a register refuses it: ``/``,
-``**``, comparisons and truth tests, ``complex()``, ``float()``,
-``abs()``, attribute reads, other operands (numpy scalars included), and
-any exception while recording.  A refused register goes on as the plain
-value it stands for, so the recording's call gives the numbers route's
-values, and the field keeps None for the plan: its later calls run
-``_on_numbers``, and no call records it again.  The one use a register
-cannot see is ``type()``: lambdas that test the exact type of `t` or of a
-state component (``type(x) is np.complex128``) take, while recorded, the
-branch of a type that is not numpy's, and the tape keeps it; an
-``isinstance`` test refuses the recording instead.
+Any other use of a register refuses the recording: ``/`` and ``**``,
+comparisons and truth tests, ``complex()``, ``float()``, ``abs()``,
+attribute reads, operands of another type (numpy scalars included), and
+inside jets a read of a coefficient that is a register (``Jet.value``,
+``coeffs``, ``coefficient``, or the base point).  The jets' own division
+goes through the recorder's kernels.  A refused register goes on as the
+plain value it stands for, and so does every operation after the
+refusal, so the recording's call ends as the route the tape replaces
+would, with its values, calling `a` and `b` once.  The field keeps None
+for the plan: its later calls take that route (``_on_numbers`` for a plan
+of order 0, ``_run`` on numbers for any other), and no call records it
+again.  Lambdas that raise on the registers of a plan of order 0 (numpy's
+ufuncs take none) refuse the recording too, and the call runs
+``_on_numbers``.  The one use a register cannot see is ``type()``:
+lambdas that test the exact type of a register handed to them (``type(x)
+is np.complex128``) take, while recorded, the branch of a type that is
+not numpy's, and the tape keeps it; an ``isinstance`` test refuses the
+recording instead.
 
 A field calls `a` and `b` in one place, ``CoefficientField._pair``: `a`
 and then `b`, each once per point, on its own list of the state, with its
@@ -129,7 +137,7 @@ length checked right after its call.  An oscillator mean that
 from the `b` just computed.  Each component is then converted by the
 route's function: ``_as_complex`` on numbers, and on jets a lambda that
 makes a constant a jet of the point.
-Three routes lead to it.  A recording of order 0 gives both on `_Number`
+Three routes lead to it.  A recording of order 0 gives both on
 registers.  ``CoefficientField._on_numbers`` gives both on plain numbers,
 a complex `t` and the state's numpy complex128 scalars, so the lambdas do
 numpy's scalar arithmetic, where a division by zero gives inf or NaN: it
@@ -329,30 +337,21 @@ class Jet:
             terms[(1 << (_BITS * self.nvars)) | (1 << (_BITS * index))] = 1.0 + 0.0j
         return self._like(terms)
 
-    def _read(self):
-        """Stops a field's recording, which cannot follow code that reads
-        coefficients."""
-        if type(self.base) is _Recorder:
-            self.base.refuse()
-
     @property
     def coeffs(self) -> dict[tuple[int, ...], complex]:
         """The Taylor coefficients keyed by multi-index tuples: every key
         that an operation formed, exact zeros included, so ``(1 + x) *
         (1 - x)`` at order 1 has ``{(0,): 1, (1,): 0j}``.  Only a zero
         number, given to the constructor or as a constant, makes no key."""
-        self._read()
-        return {_unpack(k, self.nvars): c for k, c in self._terms.items()}
+        return {_unpack(k, self.nvars): _read(c) for k, c in self._terms.items()}
 
     @property
     def value(self) -> complex:
-        self._read()
-        return self._terms.get(0, 0.0 + 0.0j)
+        return _read(self._terms.get(0, 0.0 + 0.0j))
 
     def coefficient(self, alpha) -> complex:
-        self._read()
         key = _pack(tuple(alpha), self.nvars)
-        return 0.0 + 0.0j if key is None else self._terms.get(key, 0.0 + 0.0j)
+        return 0.0 + 0.0j if key is None else _read(self._terms.get(key, 0.0 + 0.0j))
 
     def derivative(self, alpha) -> complex:
         """The mixed partial derivative D^alpha f at the base point."""
@@ -402,27 +401,32 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            if type(self.base) is _Recorder:
-                return self._like(self.base.scale(self._terms, other))
-            return self._like({k: complex(c * other) for k, c in self._terms.items()})
+            return self._scale(other)
         self._check(other)
-        return self._like(_mul(self._terms, other._terms,
-                               (self.order + 1) << (_BITS * self.nvars)))
+        return self._like(_product(self.base)(self._terms, other._terms,
+                                              (self.order + 1) << (_BITS * self.nvars)))
 
     __rmul__ = __mul__
 
+    def _scale(self, n) -> "Jet":
+        """This jet times the number `n`; while recorded, a product that
+        is a register stays one."""
+        return self._like({k: v if type(v := c * n) is _Register else complex(v)
+                           for k, c in self._terms.items()})
+
     def reciprocal(self) -> "Jet":
         f0 = self._terms.get(0, 0.0 + 0.0j)
-        if f0 == 0:
+        rec = f0._rec if type(f0) is _Register else None
+        if (rec.guard(f0) if rec else f0 == 0):
             raise ZeroDivisionError("jet with zero value has no reciprocal")
         # 1/f = (1/f0) * sum_k (1 - f/f0)^k; the bracket is nilpotent.
         one = self._like({0: 1.0 + 0.0j})
-        rest = one - self * (1.0 / f0)
+        rest = one - self._scale(rec.inverse(f0) if rec else 1.0 / f0)
         out = power = one
         for _ in range(self.order):
             power = power * rest
             out = out + power
-        return out * (1.0 / f0)
+        return out._scale(rec.inverse(f0) if rec else 1.0 / f0)
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
@@ -461,8 +465,8 @@ class CoefficientField:
     complex numbers and on jets.
 
     They are called in one place, :meth:`_pair`, each once per point, and
-    reached three ways: on number registers, to record a plan of order 0
-    (which the RK4 oracle's stages evaluate too); :meth:`_on_numbers` on
+    reached three ways: on registers, to record a plan of order 0 (which
+    the RK4 oracle's stages evaluate too); :meth:`_on_numbers` on
     numbers (numpy scalars of the state), the fallback of those plans
     where their recording was refused; and :meth:`_on_jets` on one set of
     jets of ``(t, u)``, for :meth:`_run`, which the word plans of higher
@@ -474,10 +478,13 @@ class CoefficientField:
     They must be functions of ``(t, u)`` alone.  The field records them,
     with a word plan's kernels, as one tape per plan (see the module
     docstring), with every constant they capture baked in, and replays it
-    on later calls without calling them.  Recording a plan of order 0 runs
-    them on number registers, and any other plan runs :meth:`_run` on
-    register jets; only a plan whose recording was refused runs
-    :meth:`_on_numbers` or :meth:`_run` on numbers.  The field also keeps
+    on later calls without calling them.  One register class records every
+    plan: a plan of order 0 hands the registers to the lambdas, and any
+    other plan runs :meth:`_run` on jets of registers.  Any use of a
+    register that a tape cannot follow refuses the recording, whose call
+    goes on with plain values; only a plan whose recording was refused
+    runs :meth:`_on_numbers` or :meth:`_run` on numbers on later calls.
+    The field also keeps
     the values of its last call through :meth:`_values`: a step and
     `operator_values`.  A call with the same
     word plan, the same time, of the same type and sign (-0.0 and 0.0, or
@@ -550,13 +557,14 @@ class CoefficientField:
     def _run(self, plan, origin: Jet, values) -> list:
         """`a` and `b` on the jets of ``(t, u)`` on `origin`'s base point and
         order, whose values are `values`, and then what `plan` makes of
-        them: its ``_apply(m, a, b)`` of their packed-key dicts.  `plan` is
-        a word plan of order 1 or more, whose values are one per pair and
-        component, or the coefficient bound's ``stepping._Partials``.  A
-        recording runs this on registers, and a plan whose recording was
-        refused on numbers."""
+        them: its ``_apply(m, a, b, mul)`` of their packed-key dicts, with
+        `mul` the jets' product kernel.  `plan` is a word plan of order 1 or
+        more, whose values are one per pair and component, or the
+        coefficient bound's ``stepping._Partials``.  A recording runs this
+        on registers, and a plan whose recording was refused on numbers."""
         a, b = self._on_jets(origin, values)
-        return plan._apply(self.m, [j._terms for j in a], [j._terms for j in b])
+        return plan._apply(self.m, [j._terms for j in a], [j._terms for j in b],
+                           _product(origin.base))
 
     def _values(self, plan: WordPlan, t, u: np.ndarray) -> list[complex]:
         """`plan`'s values at ``(t, u)``, one per pair and component, for a
@@ -599,10 +607,11 @@ class CoefficientField:
     def _replay(self, plan, tape, base: tuple) -> list:
         """`plan`'s values at the base point `base` from `tape`, a recording
         of `plan` by `_record`.  A refused recording (None), and a replay
-        stopped by a zero divisor, run the route the recording followed:
-        `_on_numbers` for a word plan of order 0, under numpy's errstate,
-        so that a division by zero gives a non-finite value and no
-        warning, and `_run` on numbers for any other plan."""
+        stopped by a zero divisor, run the route that the tape replaces,
+        whose values the registers stood for: `_on_numbers` for a word
+        plan of order 0, under numpy's errstate, so that a division by
+        zero gives a non-finite value and no warning, and `_run` on
+        numbers for any other plan."""
         if tape is not None:
             try:
                 return tape(base)
@@ -617,42 +626,37 @@ class CoefficientField:
 
     def _record(self, plan, base: tuple) -> tuple:
         """A tape of `plan`, recorded at the base point `base`, or None if
-        the recording was refused, and `plan`'s values at `base` if the
-        recording gave them.
+        the recording was refused, and `plan`'s values at `base`.
 
-        A word plan of order 0 is recorded on `_Number` registers, which
-        stand for the values of `_on_numbers` and compute them as it does,
-        under the same errstate, so the recording gives that route's
-        values, refused or not: a refused field calls `a` and `b` once per
-        point, as on that route.  If the lambdas raise on the registers,
-        the recording is refused and gives no values.  Any other plan is
-        recorded by `_run` on `_Register` jets, and gives no values; what
-        the lambdas or the jets raise there propagates, as `_run` on
-        numbers would raise it."""
+        The registers stand for the values of the route that `_replay`
+        takes where there is no tape, and compute them as it does, so the
+        recording gives that route's values, refused or not, and calls `a`
+        and `b` once, as that route does.  A word plan of order 0 is
+        recorded on registers handed to the lambdas, under that route's
+        errstate; if the lambdas raise on them, the recording is refused
+        and gives no values.  Any other plan is recorded by `_run` on jets
+        whose coefficients are registers and whose base point is the input
+        registers, and what the lambdas or the jets raise there
+        propagates, as `_run` on numbers would raise it."""
         rec = _Recorder()
         if _on_plain_numbers(plan):
-            inputs = [_Number(rec, f"x{i}", x)
+            inputs = [_Register(rec, f"x{i}", x)
                       for i, x in enumerate((base[0], *map(np.complex128, base[1:])))]
             try:
                 with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                     a, b = self._pair(inputs[0], inputs[1:],
-                                      lambda v: v if type(v) is _Number else _as_complex(v))
+                                      lambda v: v if type(v) is _Register else _as_complex(v))
             except Exception:
                 return None, None
-            outputs = plan._pick(a + b, self.m)
-            values = [_as_complex(_unwrap(x)) for x in outputs]
-            return (None if rec.failed else rec.compile(inputs, outputs)), values
-        origin = Jet((), plan.order, {})
-        origin.base, origin.nvars = rec, self.m + 1
-        inputs = [_Register(rec, f"x{i}", x) for i, x in enumerate(base)]
-        try:
+            values = plan._pick(a + b, self.m)
+        else:
+            inputs = [_Register(rec, f"x{i}", x) for i, x in enumerate(base)]
+            origin = Jet((), plan.order, {})
+            origin.base, origin.nvars = tuple(inputs), self.m + 1
             values = self._run(plan, origin, inputs)
-            if rec.failed:
-                # the lambdas caught a refusal or a zero divisor
-                raise _Untraceable("the recording was refused")
-        except _Untraceable:
-            return None, None
-        return rec.compile(inputs, values), None
+        tape = None if rec.failed else rec.compile(inputs, values)
+        # a number among the outputs is already complex
+        return tape, [complex(x._value) if type(x) is _Register else x for x in values]
 
 
 def absorb_mean(fld: CoefficientField, meanv: complex) -> CoefficientField:
@@ -720,10 +724,10 @@ class WordPlan:
         self.program = tuple(program)
         self.outputs = tuple(slots[pair] for pair in pairs)
 
-    def _apply(self, m: int, a: list[dict], b: list[dict]) -> list:
+    def _apply(self, m: int, a: list[dict], b: list[dict], mul: Callable) -> list:
         """The plan's values from the base jets `a` and `b`, packed-key
         dicts, one per component: each output slot's jets' values, found
-        by running the kernels over every slot."""
+        by running the kernels over every slot, with `mul` for `_mul`."""
         units = _units(m + 1)
         top = _BITS * (m + 1)
         caps = [(r + 1) << top for r in range(self.order + 1)]
@@ -736,7 +740,7 @@ class WordPlan:
             for f in slots[parent]:
                 g = _partial(f, *units[0], cap) if l0 else None
                 for j, cj in enumerate(bases[base], 1):
-                    term = _mul(cj, _partial(f, *units[j], cap), below)
+                    term = mul(cj, _partial(f, *units[j], cap), below)
                     g = term if g is None else _add(g, term)
                 out.append(g)
             slots.append(out)
@@ -767,7 +771,7 @@ def _summed(name: str, parts: list[str]) -> list[str]:
 def _function(signature: str, lines: list[str]) -> Callable:
     """The function ``def signature:`` whose body is `lines`, compiled
     once per source text."""
-    return _compiled("\n".join([f"def {signature}:", *(f"    {line}" for line in lines)]))
+    return _compiled("\n    ".join([f"def {signature}:", *lines]))
 
 
 # every generated function by its source: tapes, coefficient plans, step
@@ -786,16 +790,14 @@ def _compiled(source: str) -> Callable:
 _NUMBERS = (int, float, complex)
 
 
-class _Untraceable(Exception):
-    """A recording met a use of a jet that a tape cannot repeat."""
-
-
 class _Recorder:
     """Records scalar operations on registers, and the tests of divisors
     for zero, as lines of Python source, and compiles them into one
-    straight-line function (see the module docstring).  While a field is
-    recorded on jets it is also their base point, which refuses to be
-    read."""
+    straight-line function (see the module docstring).  Its kernels are
+    the register operations that only the jets make: the product of two
+    series, and a reciprocal's test of its divisor and ``1.0 / f0``.
+    `failed` marks a refused recording, after which every operation gives
+    a plain value."""
 
     def __init__(self):
         self.lines: list[str] = []
@@ -803,44 +805,67 @@ class _Recorder:
         self.constants: dict[int, tuple[str, object]] = {}
         self.failed = False
 
-    def refuse(self):
-        self.failed = True
-        raise _Untraceable("a tape cannot follow code that reads a jet's "
-                           "coefficients or base point")
-
-    __getitem__ = __len__ = lambda self, *_: self.refuse()
-
-    def emit(self, expression: str, value, register: type | None = None):
+    def emit(self, expression: str, value):
         """A register for `expression`, whose value is `value`: the same
-        operation on the operands' values; a `_Register` unless another
-        `register` class is given."""
-        out = (register or _Register)(self, f"r{len(self.lines)}", value)
-        self.lines.append(f"{out._name} = {expression}")
-        return out
+        operation on the operands' values; or `value` itself once the
+        recording is refused."""
+        if self.failed:
+            return value
+        name = f"r{len(self.lines)}"
+        self.lines.append(f"{name} = {expression}")
+        return _Register(self, name, value)
 
     def operand(self, x) -> str:
         """`x` in a line: a register's name, or the local by which an int,
         float or complex enters the replay (``repr`` loses the sign of
         -0.0 and is not a literal for nan or inf)."""
-        if type(x) is _Register or type(x) is _Number:
+        if type(x) is _Register:
             return x._name
-        if type(x) not in _NUMBERS:
-            self.refuse()
         entry = self.constants.get(id(x))
         if entry is None:
             entry = self.constants[id(x)] = (f"k{len(self.constants)}", x)
         return entry[0]
 
-    def scale(self, terms: dict, n) -> dict:
-        """``Jet * n`` on recorded coefficients, for an int, float or
-        complex `n` or a register (the reciprocal's ``1.0 / f0``)."""
-        if type(n) is not _Register and type(n) not in _NUMBERS:
-            self.refuse()
+    def mul(self, x: dict, y: dict, cap: int) -> dict:
+        """`_mul` on recorded coefficients.  The product of two registers
+        is added to its key's running sum, which nothing else reads, in
+        place, as the line ``s += x * y``, or after a number `c` starts
+        it as ``s = c + x * y``."""
         out = {}
-        for k, c in terms.items():
-            v = c * n
-            out[k] = self.emit(f"{c._name} * {n._name}", v.value) if type(v) is _Product else v
+        get = out.get
+        theirs = y.items()
+        for ka, ca in x.items():
+            room = cap - ka
+            for kb, cb in theirs:
+                if kb < room:
+                    key = ka + kb
+                    s = get(key, 0.0)
+                    if type(ca) is not _Register or type(cb) is not _Register:
+                        out[key] = s + ca * cb
+                    elif type(s) is _Register:
+                        self.lines.append(f"{s._name} += {ca._name} * {cb._name}")
+                        s._value = s._value + ca._value * cb._value
+                    else:
+                        out[key] = self.emit(f"{self.operand(s)} + {ca._name} * {cb._name}",
+                                             s + ca._value * cb._value)
         return out
+
+    def guard(self, r: "_Register") -> bool:
+        """Whether `r`, a reciprocal's divisor, is zero.  Found nonzero,
+        the test becomes a guard line of the replay, which stops there if
+        `r` is zero; found zero, the jets raise, and the recording is
+        refused, in case the lambdas catch that: a tape follows one branch
+        only."""
+        if r._value == 0:
+            self.failed = True
+            return True
+        # registers hold complex numbers, for which `not r` is `r == 0`
+        self.lines.append(f"if not {r._name}: raise ZeroDivisionError")
+        return False
+
+    def inverse(self, r: "_Register"):
+        """``1.0 / r`` for a divisor `r` that `guard` found nonzero."""
+        return self.emit(f"{self.operand(1.0)} / {r._name}", 1.0 / r._value)
 
     def compile(self, inputs: list, values: list):
         """The tape: the recorded lines compiled as ``replay(K, x)``, which
@@ -856,128 +881,55 @@ class _Recorder:
             f"return {result}"]), tuple(x for _, x in constants))
 
 
-class _Register:
-    """A register while a tape is recorded on jets: jets and the dict
-    kernels compute on these as they do on numbers, and each operation
-    becomes a line of the replay and computes the register's value as that
-    line does.  The reciprocal's comparison of its divisor with zero is
-    answered from the value: nonzero, it becomes a guard line of the
-    replay, which stops there if the register is zero; zero, it marks the
-    recording refused, in case the lambdas catch the jets' error.  A
-    comparison with anything else, a truth test, or an operand of a type
-    the replay cannot take, stops the recording."""
-
-    __slots__ = ("_rec", "_name", "_value")
-
-    def __init__(self, rec: _Recorder, name: str, value):
-        self._rec, self._name, self._value = rec, name, value
-
-    def __mul__(self, other):
-        if type(other) is _Register:
-            return _Product(self, other)
-        return self._rec.emit(f"{self._name} * {self._rec.operand(other)}", self._value * other)
-
-    def __rmul__(self, other):
-        return self._rec.emit(f"{self._rec.operand(other)} * {self._name}", other * self._value)
-
-    def __add__(self, other):
-        if type(other) is _Product:
-            # `_mul` adds each product to its own running sum, which
-            # nothing else reads, so the sum is updated in place
-            self._rec.lines.append(f"{self._name} += {other.x._name} * {other.y._name}")
-            self._value = self._value + other.value
-            return self
-        return self._rec.emit(f"{self._name} + {self._rec.operand(other)}",
-                              self._value + (other._value if type(other) is _Register else other))
-
-    def __radd__(self, other):
-        return self._rec.emit(f"{self._rec.operand(other)} + {self._name}", other + self._value)
-
-    def __neg__(self):
-        return self._rec.emit(f"-{self._name}", -self._value)
-
-    def __rtruediv__(self, other):
-        return self._rec.emit(f"{self._rec.operand(other)} / {self._name}", other / self._value)
-
-    def __eq__(self, other):
-        if type(other) not in _NUMBERS or other != 0:
-            self._rec.refuse()
-        if self._value == 0:
-            # the jets raise here; lambdas that catch it take a branch the
-            # tape could not leave
-            self._rec.failed = True
-            return True
-        # registers hold complex numbers, for which `not r` is `r == 0`
-        self._rec.lines.append(f"if not {self._name}: raise ZeroDivisionError")
-        return False
-
-    # a truth test or `!=` would bake one branch into the tape
-    def __ne__(self, other):
-        self._rec.refuse()
-
-    def __bool__(self):
-        self._rec.refuse()
+def _read(x):
+    """A jet's coefficient `x` as the lambdas read it: a number.  A tape
+    cannot follow code that reads a register, so reading one refuses the
+    recording and gives its value."""
+    if type(x) is _Register:
+        x._rec.failed = True
+        return x._value
+    return x
 
 
-class _Product:
-    """``x * y`` of two registers while a tape is recorded, with its value,
-    until a sum takes it."""
-
-    __slots__ = ("x", "y", "value")
-
-    def __init__(self, x: _Register, y: _Register):
-        self.x, self.y, self.value = x, y, x._value * y._value
-
-    def __radd__(self, other):
-        # a product sum's first term, after 0.0 or a constant
-        rec = self.x._rec
-        return rec.emit(f"{rec.operand(other)} + {self.x._name} * {self.y._name}",
-                        other + self.value)
+def _product(base: tuple) -> Callable:
+    """The product kernel of jets on the base point `base`: the recorder's
+    `mul` if `base` is a recording's input registers, else `_mul`."""
+    return base[0]._rec.mul if base and type(base[0]) is _Register else _mul
 
 
-def _unwrap(x):
-    """The value that `x` stands for: a `_Number`'s value, or `x` itself."""
-    return x._value if type(x) is _Number else x
-
-
-def _follow(op: Callable, symbol: str | None = None, reflected: bool = False) -> Callable:
-    """A method of `_Number` that gives what `op` gives on the values, the
-    register's own after the others' if `reflected`.  With a `symbol`, and
-    while the recording holds and every other operand is a `_Number` or an
-    exact int, float or complex, the result is a register and the
-    operation a line of the tape; otherwise it refuses the recording and
-    the result is the plain value."""
+def _refused(op: Callable, reflected: bool = False) -> Callable:
+    """A method of `_Register` that refuses the recording and gives what
+    `op` gives on the plain values, the register's own after the others'
+    if `reflected`.  It refuses before `op` runs, in case `op` raises and
+    the lambdas catch that."""
     def method(self, *others):
-        rec, operands = self._rec, (*others, self) if reflected else (self, *others)
-        values = [_unwrap(x) for x in operands]
-        if (symbol is None or rec.failed
-                or not all(type(x) is _Number or type(x) in _NUMBERS for x in operands)):
-            # refused before `op` runs, in case it raises and the lambdas
-            # catch that
-            rec.failed = True
-            return op(*values)
-        names = [rec.operand(x) for x in operands]
-        line = f" {symbol} ".join(names) if others else symbol + names[0]
-        return rec.emit(line, op(*values), _Number)
+        self._rec.failed = True
+        others = [x._value if type(x) is _Register else x for x in others]
+        return op(*others, self._value) if reflected else op(self._value, *others)
     return method
 
 
-class _Number:
-    """A register while `a` and `b` are recorded on plain numbers.  It
-    stands for its value, the numbers route's own object: the complex `t`,
-    a numpy complex128 scalar of the state, or what the lambdas made of
-    them, each computed as that route computes it.  ``+``, ``-`` and ``*``
-    with a register or an exact int, float or complex, and unary ``-``,
-    give a register and a line of the tape.  Any other use refuses the
-    recording and gives what the value gives: ``/``, ``**``, comparisons,
-    truth tests, ``complex()``, ``float()``, ``abs()``, hashing, attribute
-    reads (``__getattr__``), ``isinstance`` tests that its own type fails
-    (``__class__``), and operands of any other type, numpy scalars
-    included (numpy hands its operators to this class's reflected ones).
-    After a refusal every operation gives the plain value, so the lambdas'
-    call ends as it would on the numbers route, with the same values.  The
-    operators it lacks (``//``, ``%``, ``@``, bitwise ones) raise
-    TypeError, as they do on numpy's complex scalars."""
+class _Register:
+    """A register while a tape is recorded: an entry of ``(t, u_1, ...,
+    u_m)``, or what an operation made of registers, with its value at the
+    call being recorded, computed as the route the tape follows computes
+    it.  Handed to the lambdas of a plan of order 0, a register stands for
+    the numbers route's own object: the complex `t`, a numpy complex128
+    scalar of the state, or what the lambdas made of them.  Inside jets it
+    is a coefficient, a Python complex number.
+
+    ``+``, ``-`` and ``*`` with a register or an exact int, float or
+    complex, and unary ``-``, give a register and a line of the tape.  Any
+    other use refuses the recording and gives what the value gives:
+    ``/``, ``**``, comparisons, truth tests, ``complex()``, ``float()``,
+    ``abs()``, hashing, attribute reads (``__getattr__``), ``isinstance``
+    tests that its own type fails (``__class__``), and operands of any
+    other type, numpy scalars included (numpy hands its operators to this
+    class's reflected ones).  After a refusal every operation gives the
+    plain value, so the call being recorded ends as it would on the route
+    the tape follows, with the same values.  The operators it lacks
+    (``//``, ``%``, ``@``, bitwise ones) raise TypeError, as they do on
+    numpy's complex scalars."""
 
     __slots__ = ("_rec", "_name", "_value")
 
@@ -986,22 +938,71 @@ class _Number:
     def __init__(self, rec: _Recorder, name: str, value):
         self._rec, self._name, self._value = rec, name, value
 
-    __add__, __sub__, __mul__ = (_follow(op, symbol) for op, symbol in
-                                 ((operator.add, "+"), (operator.sub, "-"), (operator.mul, "*")))
-    __radd__, __rsub__, __rmul__ = (_follow(op, symbol, True) for op, symbol in
-                                    ((operator.add, "+"), (operator.sub, "-"),
-                                     (operator.mul, "*")))
-    __neg__ = _follow(operator.neg, "-")
-    __truediv__, __pow__ = map(_follow, (operator.truediv, pow))
-    __rtruediv__, __rpow__ = (_follow(op, reflected=True) for op in (operator.truediv, pow))
+    # the binary methods, each written out for its two operands: a factory
+    # of them, calling the `operator` functions, made the README suite's
+    # recordings about 1 % slower.  Only a non-register reaches a
+    # reflected one.
+    def __add__(self, other):
+        rec = self._rec
+        if type(other) is _Register:
+            return rec.emit(f"{self._name} + {other._name}", self._value + other._value)
+        if type(other) in _NUMBERS:
+            return rec.emit(f"{self._name} + {rec.operand(other)}", self._value + other)
+        rec.failed = True
+        return self._value + other
+
+    def __radd__(self, other):
+        rec = self._rec
+        if type(other) in _NUMBERS:
+            return rec.emit(f"{rec.operand(other)} + {self._name}", other + self._value)
+        rec.failed = True
+        return other + self._value
+
+    def __sub__(self, other):
+        rec = self._rec
+        if type(other) is _Register:
+            return rec.emit(f"{self._name} - {other._name}", self._value - other._value)
+        if type(other) in _NUMBERS:
+            return rec.emit(f"{self._name} - {rec.operand(other)}", self._value - other)
+        rec.failed = True
+        return self._value - other
+
+    def __rsub__(self, other):
+        rec = self._rec
+        if type(other) in _NUMBERS:
+            return rec.emit(f"{rec.operand(other)} - {self._name}", other - self._value)
+        rec.failed = True
+        return other - self._value
+
+    def __mul__(self, other):
+        rec = self._rec
+        if type(other) is _Register:
+            return rec.emit(f"{self._name} * {other._name}", self._value * other._value)
+        if type(other) in _NUMBERS:
+            return rec.emit(f"{self._name} * {rec.operand(other)}", self._value * other)
+        rec.failed = True
+        return self._value * other
+
+    def __rmul__(self, other):
+        rec = self._rec
+        if type(other) in _NUMBERS:
+            return rec.emit(f"{rec.operand(other)} * {self._name}", other * self._value)
+        rec.failed = True
+        return other * self._value
+
+    def __neg__(self):
+        return self._rec.emit(f"-{self._name}", -self._value)
+
+    __truediv__, __pow__ = map(_refused, (operator.truediv, pow))
+    __rtruediv__, __rpow__ = (_refused(op, reflected=True) for op in (operator.truediv, pow))
     __eq__, __ne__, __lt__, __le__, __gt__, __ge__ = map(
-        _follow, (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge))
+        _refused, (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge))
     __pos__, __abs__, __bool__, __complex__, __float__, __int__ = map(
-        _follow, (operator.pos, abs, bool, complex, float, int))
+        _refused, (operator.pos, abs, bool, complex, float, int))
     __hash__, __str__, __repr__, __format__, __getitem__, __getattr__ = map(
-        _follow, (hash, str, repr, format, operator.getitem, getattr))
+        _refused, (hash, str, repr, format, operator.getitem, getattr))
     # `isinstance` asks this when the register's own type does not match
-    __class__ = property(_follow(type))
+    __class__ = property(_refused(type))
 
 
 # word plans in use, by their pairs

@@ -337,7 +337,9 @@ def _assembly(n: int, m: int) -> Callable:
 
 def solve(scheme: SchemeTable, field: CoefficientField, t0: float, u0,
           t_end: float, h: float):
-    """Repeated macro steps from t0 to t_end; h must divide the interval.
+    """Repeated macro steps from t0 to t_end; h must divide the interval,
+    to within a billionth of its length beyond the rounding of t0 and
+    t_end (two ulps of the larger).
 
     Returns the trajectory as a list of (t, u) pairs including both
     endpoints.  Each step is the one `step` takes from the state before
@@ -352,7 +354,9 @@ def solve(scheme: SchemeTable, field: CoefficientField, t0: float, u0,
     if span <= 0:
         raise ValueError("t_end must exceed t0")
     n = round(span / h)
-    if n < 1 or abs(n * h - span) > 1e-9 * max(1.0, abs(span)):
+    # t0 and t_end are each off by up to half an ulp: 1e6 + 1e-3 by a
+    # tenth of a millionth of its span
+    if n < 1 or abs(n * h - span) > 1e-9 * span + 2 * math.ulp(max(abs(t0), abs(t_end))):
         raise ValueError(f"step {h} does not divide the interval length {span}")
     entries, osc, m = scheme.entries, scheme.oscillator, field.m
     operators, coefficients = entries.plan
@@ -386,7 +390,8 @@ class _Partials:
     def __init__(self, order: int):
         self.order = order
 
-    def _apply(self, m: int, a: list[dict], b: list[dict]) -> list:
+    def _apply(self, m: int, a: list[dict], b: list[dict], mul: Callable) -> list:
+        # the partials take no products, so `mul`, the product kernel, is unused
         out = []
         for jets in (a, b):
             for key in dict.fromkeys(k for x in jets for k in x):

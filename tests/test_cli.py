@@ -115,6 +115,14 @@ class TestConfigHandling:
                            "--rho", "2", "--h", "0.1", "--t0", "1.0", "--tend", "0.5")
         assert code == 2
 
+    def test_step_not_dividing_a_short_interval_is_config_error(self, capsys):
+        # 2 steps of 6e-10 overshoot 1e-9 by a fifth of the span
+        code, out, err = run(capsys, "solve", "--problem", "linear", "--kappa", "4",
+                             "--rho", "2", "--omega", "100", "--mu", "10", "--u0", "1",
+                             "--h", "6e-10", "--tend", "1e-9")
+        assert code == 2 and out == ""
+        assert err == "error: step 6e-10 does not divide the interval length 1e-09\n"
+
     def test_custom_fourier_requires_table(self, capsys):
         code, _, err = run(capsys, "step", "--problem", "custom-fourier",
                            "--kappa", "2", "--rho", "1", "--h", "0.1")

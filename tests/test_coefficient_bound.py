@@ -98,7 +98,7 @@ def on_numbers(monkeypatch):
     out, run = [], CoefficientField._run
 
     def counting(field, plan, origin, values):
-        if type(origin.base) is tuple:
+        if type(values[0]) is not jets._Register:
             out.append(origin.base)
         return run(field, plan, origin, values)
 

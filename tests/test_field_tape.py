@@ -500,21 +500,34 @@ def test_the_tape_used_longest_ago_goes(recordings):
     assert list(tapes(field)) == [jets._plan(p) for p in [*plans[2:], plans[0]]]
 
 
-def on_the_value_register(use):
+def on_the_value_register(use, refusals):
     """`a` that applies `use` to the register holding its state's value
     while it is recorded, reached through the jet's private terms, the one
-    way a lambda meets a register; on numbers `use` gets a plain number,
-    and reference jets have no such terms."""
+    way a lambda meets a register inside jets, and notes in `refusals`
+    whether the recording was refused before and after that use; on
+    numbers `use` gets a plain number, and reference jets have no such
+    terms."""
     def a(t, u):
         terms = getattr(u[0], "_terms", None)
         if terms is not None:
-            use(terms[0])
+            noted(use, terms[0], refusals)
         return [0.5 * u[0]]
     return a
 
 
-# uses of a register that jet arithmetic never makes, by the method that
-# refuses each
+def noted(use, x, refusals):
+    """`use` of `x`; for a register, whether its recording was refused
+    before and after it, in `refusals`."""
+    if type(x) is not jets._Register:
+        return use(x)
+    before = x._rec.failed
+    out = use(x)
+    refusals.append((before, x._rec.failed))
+    return out
+
+
+# uses of a register that a tape cannot follow, by the method of
+# `jets._Register` that refuses each (a numpy scalar operand, in `__mul__`)
 REGISTER_USES = {
     "operand": lambda r: r * np.float64(0.5),
     "__eq__": lambda r: r == 1.5,
@@ -524,22 +537,59 @@ REGISTER_USES = {
 
 
 @pytest.mark.parametrize("name", REGISTER_USES)
-def test_a_register_used_otherwise_refuses_the_recording(name, monkeypatch):
-    refused_in = []
-    refuse = jets._Recorder.refuse
-
-    def spying(rec):
-        refused_in.append(sys._getframe(1).f_code.co_name)
-        refuse(rec)
-
-    monkeypatch.setattr(jets._Recorder, "refuse", spying)
-    field = make_field(1, on_the_value_register(REGISTER_USES[name]),
+def test_a_register_used_otherwise_refuses_the_recording(name):
+    refusals = []
+    field = make_field(1, on_the_value_register(REGISTER_USES[name], refusals),
                        lambda t, u: [u[0] * u[0]])
     scheme = fresh_table()
     for t, u in ((0.3, 1.2 + 0.1j), (0.0, 0.9)):
         u = np.array([u], dtype=complex)
         assert outcome(lambda: step(scheme, field, t, u, 0.1)) == \
                outcome(lambda: ref.step(scheme, field, t, u, 0.1))
-    # refused once, where the register was used; the plan then runs on numbers
-    assert refused_in == [name]
+    # recorded once and refused exactly at that use; the plan then runs on
+    # numbers
+    assert refusals == [(False, True)]
     assert tapes(field) == {scheme.entries.plan[0]: None}
+
+
+@pytest.mark.parametrize("name", REGISTER_USES)
+def test_a_register_handed_to_the_lambdas_used_otherwise_refuses_the_recording(name):
+    # a plan of order 0 hands the same registers to the lambdas themselves
+    refusals = []
+
+    def a(t, u):
+        noted(REGISTER_USES[name], u[0], refusals)
+        return [0.5 * u[0]]
+
+    field = make_field(1, a, lambda t, u: [u[0] * u[0]])
+    scheme = build_scheme(OSC, TruncationPolicy(1, 1))
+    for t, u in ((0.3, 1.2 + 0.1j), (0.0, 0.9)):
+        u = np.array([u], dtype=complex)
+        assert outcome(lambda: step(scheme, field, t, u, 0.1)) == \
+               outcome(lambda: ref.step(scheme, field, t, u, 0.1))
+    assert refusals == [(False, True)]
+    assert tapes(field) == {jets._PAIR: None}
+
+
+def test_a_refused_recording_on_jets_calls_a_and_b_once(recordings):
+    # `a` reads a jet's value, which refuses the recording: the recording's
+    # call goes on, on plain numbers, and gives the point's values
+    calls = []
+
+    def a(t, u):
+        calls.append("a")
+        return [u[0] * abs(u[0].value)]
+
+    def b(t, u):
+        calls.append("b")
+        return [u[0] * u[0]]
+
+    field = make_field(1, a, b)
+    scheme = fresh_table((4, 2))
+    for t, u in ((0.3, 1.2 + 0.1j), (0.0, 0.9)):
+        u = np.array([u], dtype=complex)
+        want = outcome(lambda: ref.step(scheme, field, t, u, 0.1))
+        calls.clear()
+        assert outcome(lambda: step(scheme, field, t, u, 0.1)) == want
+        assert calls == ["a", "b"]
+    assert len(recordings) == 1 and tapes(field) == {scheme.entries.plan[0]: None}

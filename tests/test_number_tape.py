@@ -177,6 +177,8 @@ REFUSED = {
     "indexing": lambda t, u: [u[0][()] * t],
     # raised while recorded, not on numbers
     "numpy ufunc": lambda t, u: [np.exp(u[0]) * t],
+    # after the refusal `u * 2` is a numpy scalar, which the ufunc takes
+    "numpy ufunc after a refusal": lambda t, u: [abs(t) * np.exp(u[0] * 2)],
 }
 
 POINTS = [(0.3, [0.9 + 0.1j]), (0.0, [complex(-0.0, 0.4)]), (-0.2, [1.0]), (0.3, [0.9 + 0.1j])]

@@ -323,6 +323,27 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(sch, f, 0.0, u1(1.0), 1.0, 0.3)
 
+    @pytest.mark.parametrize("t0,t_end,h", [(0.0, 1e-9, 6e-10), (0.0, 1e-6, 3e-7),
+                                            (1e6, 1e6 + 1e-3, 1.5e-4)],
+                             ids=["1e-9", "1e-6", "far-from-0"])
+    def test_step_must_divide_a_short_interval(self, t0, t_end, h):
+        # the slack is relative to the span, not to 1
+        f = builtin_field("linear", mu=1.0)
+        sch = build_scheme(make_oscillator("cos", 100.0), pol(2, 2))
+        with pytest.raises(ValueError, match="does not divide the interval length"):
+            solve(sch, f, t0, u1(1.0), t_end, h)
+
+    @pytest.mark.parametrize("t0,t_end,h,n", [(1e6, 1e6 + 1e-3, 1e-4, 10),
+                                              (0.0, 1e-9, 1e-10, 10), (0.5, 0.9, 0.1, 4),
+                                              (0.0, 0.3, 0.1, 3)],
+                             ids=["far-from-0", "1e-9", "0.5-0.9", "0-0.3"])
+    def test_a_dividing_step_is_accepted_despite_rounding(self, t0, t_end, h, n):
+        # 1e6 + 1e-3 is off by up to half an ulp of 1e6, a tenth of a
+        # millionth of the span; 0.3 / 0.1 is 2.9999999999999996
+        f = builtin_field("linear", mu=1.0)
+        sch = build_scheme(make_oscillator("cos", 100.0), pol(2, 2))
+        assert len(solve(sch, f, t0, u1(1.0), t_end, h)) == n + 1
+
     @pytest.mark.parametrize("t0,t_end,h,match", [
         (0.0, 1.0, 0.0, "step size must be positive"),
         (0.0, 1.0, -0.1, "step size must be positive"),

@@ -56,8 +56,18 @@ code and every stdout line of cli-readme's seven commands, run by
 rows of a policy (1,1) solve over [0, 1] at h = 0.02 on a cos table at a
 seeded phase, from a seeded start, on the built-in linear, nonlinear and
 power fields of the RK4 rows (3 x 3 x 51 = 459): plans of order 0, which
-the power field's ``**`` refuses.  That is 12 346 outputs in all.  Both
-trees run with this checkout's ``perfbench``.
+the power field's ``**`` refuses.  Then, for each seed, the ``u_next`` of
+`step` from five seeded (t, u) on a cos (4,2) table and an exp
+nu = -1/2 (8,2) table (omega = 100, phi = 0.3), for four fields whose word plans' tapes test a divisor or
+are refused: the built-in power field (gamma = 2), ``1 / (1 + u^2)``, an
+m = 2 field that divides in `a` and `b`, and a field whose `a` reads a
+jet's value (3 x 4 x 2 x 5 = 120).  That is 12 466 outputs in all.  Last
+come the generated sources: one line per distinct source that
+``jets._compiled`` compiled over all of these runs, in the order first
+compiled, with its sha256, its line count and its first line, so that
+two trees whose tapes, coefficient plans, step sums, bound norms or RK4
+steps differ by a byte differ here.  Both trees run with this checkout's
+``perfbench``.
 """
 
 from __future__ import annotations
@@ -70,7 +80,8 @@ import sys
 SEEDS = (11, 12, 13)
 KINDS = ("solve-scalar", "phase-ensemble", "solve-one-step", "solve-minus-zero",
          "solve-int-zero", "split-solve", "split-step", "averaged-step", "iterated-integral",
-         "interleaved-step", "bound", "table", "rk4", "cli", "solve-order-0")
+         "interleaved-step", "bound", "table", "rk4", "cli", "solve-order-0", "tape-step",
+         "sources")
 # the step sizes of the interleaved steps
 INTERLEAVED_H = (0.02, 0.05)
 # the box of the bound estimates: times, radii and jet orders
@@ -82,6 +93,8 @@ PHASE_ROUNDS = 3
 RK4_SPAN, RK4_STEPS_PER_PERIOD = 0.1, 40
 # the policy (1,1) solves, on the built-in fields: their end and step size
 ORDER0_T_END, ORDER0_H = 1.0, 0.02
+# the tape steps' tables: kappa, rho and nu
+TAPE_TABLES = {"cos-4-2": (4, 2, 0.0), "exp-nu-half-8-2": (8, 2, -0.5)}
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
 
@@ -96,6 +109,19 @@ def _rk4_fields() -> dict:
                                         lambda t, u: [u[0] ** 2 - t])}
 
 
+def _tape_fields() -> dict:
+    """The tape steps' fields: three whose tapes guard a divisor, and one
+    whose recording is refused by a read of a jet's value."""
+    from oscistep import builtin_field, make_field
+    return {"power": builtin_field("power", gamma=2),
+            "inverse-square": make_field(1, lambda t, u: [0.5 * u[0]],
+                                         lambda t, u: [1 / (1 + u[0] * u[0])]),
+            "m2-division": make_field(2, lambda t, u: [u[1] / (1 + u[0] * u[0]), -u[0] * t],
+                                      lambda t, u: [0.5 * u[0] * u[1], 1.0 / u[1]]),
+            "refused-value": make_field(1, lambda t, u: [u[0] * abs(u[0].value)],
+                                        lambda t, u: [u[0] * u[0]])}
+
+
 def outputs() -> list[str]:
     """One line per output: the workload, its seed and inputs, and the
     ``repr`` of its Python values."""
@@ -103,6 +129,11 @@ def outputs() -> list[str]:
     import io
 
     import numpy as np
+    import oscistep.jets as jets
+
+    # every source compiled, in the order first compiled
+    compiled, sources = jets._compiled, {}
+    jets._compiled = lambda source: sources.setdefault(source, compiled(source))
     from oscistep import (TruncationPolicy, build_scheme, builtin_field, enumerate_words,
                           estimate_coefficient_bound, iterated_integral, make_field,
                           make_oscillator, rk4_micro_solve, solve, step, step_phase_averaged)
@@ -115,7 +146,10 @@ def outputs() -> list[str]:
     split = {name: build_scheme(osc, TruncationPolicy.from_order(8, 2, -0.5))
              for name, osc in split.items()}
     lines, more, split_lines, averaged, interleaved, bounds, tables = [], [], [], [], [], [], []
-    rk4, cli, order0 = [], [], []
+    rk4, cli, order0, tape_steps = [], [], [], []
+    tape_tables = {name: build_scheme(make_oscillator("exp" if nu else "cos", 100.0, 0.3, nu),
+                                      TruncationPolicy.from_order(kappa, rho, nu))
+                   for name, (kappa, rho, nu) in TAPE_TABLES.items()}
 
     def bound(label, field, centers):
         """K on each centre's boxes, at each order."""
@@ -214,6 +248,14 @@ def outputs() -> list[str]:
             u0 = rng.uniform(0.5, 1.5, 1) + 1j * rng.uniform(-0.3, 0.3, 1)
             order0 += [f"solve-order-0 {seed} {name} {t!r} {u.tolist()!r}"
                        for t, u in solve(scheme, field, 0.0, u0, ORDER0_T_END, ORDER0_H)]
+        rng = np.random.default_rng([seed, 53])
+        for name, field in _tape_fields().items():
+            for table, scheme in tape_tables.items():
+                for _ in range(5):
+                    t = float(rng.uniform(0.0, 1.0))
+                    u = rng.uniform(0.5, 1.5, field.m) + 1j * rng.uniform(-0.3, 0.3, field.m)
+                    tape_steps.append(f"tape-step {seed} {name} {table} {t!r} "
+                                      f"{step(scheme, field, t, u, 0.05).u_next.tolist()!r}")
         for name, argv in CliReadme(seed).commands.items():
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
@@ -233,8 +275,10 @@ def outputs() -> list[str]:
         for word in enumerate_words(TruncationPolicy.from_order(*order)):
             integrals += [f"iterated-integral {table} {word} {t!r} {h!r} "
                           f"{iterated_integral(word, osc, t, h)!r}" for t, h in points]
+    digests = [f"sources {hashlib.sha256(source.encode()).hexdigest()} "
+               f"{len(source.splitlines())} {source[:source.index(':')]}" for source in sources]
     return (lines + more + split_lines + averaged + integrals + interleaved + bounds + tables
-            + rk4 + cli + order0)
+            + rk4 + cli + order0 + tape_steps + digests)
 
 
 def run(src: str) -> list[str]:
