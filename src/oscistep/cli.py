@@ -11,6 +11,9 @@ significant digits so runs are byte-reproducible.  Exit codes: 0 success,
 `main` keeps each command's parser once built, for the life of the
 process: that pays only where one process calls `main` more than once,
 as tests and scripts do, since a shell run builds one parser either way.
+`build_problem` likewise keeps the built-in fields it made last, so the
+steps of `converge` and `bounds`, and repeated calls of `main`, share a
+field and the tapes it recorded.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, OscistepError
 from .jets import builtin_field, make_field
 from .oscillator import absorb_mean, make_oscillator, v_norm
-from .oracles import (adaptive_quadrature, exact_exp_macro,
+from .oracles import (_exact_exp_values, _oscillatory_integrals,
                       exact_pure_oscillatory, fit_slope, rk4_micro_solve)
 from .stepping import (BoundInputs, bound_R11, bound_R22, build_scheme,
                        estimate_coefficient_bound, solve, step,
@@ -146,31 +149,51 @@ def fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-# a named ODE setup: coefficient field, oscillator, closed form t -> u(t)
+# a named ODE setup: coefficient field, oscillator, and its closed form,
+# which maps increasing times from 0 to u at each
 Problem = namedtuple("Problem", "field osc exact")
+
+# the built-in fields `build_problem` made last, by problem name and the
+# type and repr of each parameter, so -0.0 and 0.0, or 10 and 10.0, get
+# fields of their own: a field records each of its tapes once
+_FIELDS: dict[tuple, object] = {}
+_FIELD_CACHE_SIZE = 8
+
+
+def _builtin_field(name: str, **params):
+    """The built-in field `name` with `params`, kept across calls for the
+    `_FIELD_CACHE_SIZE` parameter sets used last."""
+    key = (name, *((k, type(v), repr(v)) for k, v in sorted(params.items())))
+    field = _FIELDS.pop(key, None)
+    if field is None:
+        field = builtin_field(name, **params)
+    _FIELDS[key] = field
+    if len(_FIELDS) > _FIELD_CACHE_SIZE:
+        del _FIELDS[next(iter(_FIELDS))]
+    return field
 
 
 def build_problem(cfg: RunConfig) -> Problem:
-    om, phi = cfg.omega, cfg.phi
+    om, phi, u0 = cfg.omega, cfg.phi, cfg.u0
     if cfg.problem == "linear":
-        field = builtin_field("linear", mu=cfg.mu)
+        field = _builtin_field("linear", mu=cfg.mu)
         osc = make_oscillator("cos", om, phi, cfg.nu)
-        exact = lambda t: exact_exp_macro(lambda s: s, 1, cfg.mu, osc, t, cfg.u0,
-                                          alpha_antideriv=lambda s: s * s / 2.0)
+        exact = lambda times: _exact_exp_values(lambda s: s, 1, cfg.mu, osc, times, u0,
+                                                alpha_antideriv=lambda s: s * s / 2.0)
     elif cfg.problem in ("nonlinear", "freqdep"):
         # freqdep is the nonlinear pair with an amplitude exponent nu
         # (default -1/2, see _validate)
-        field = builtin_field("nonlinear", alpha=cfg.alpha, mu=cfg.mu)
+        field = _builtin_field("nonlinear", alpha=cfg.alpha, mu=cfg.mu)
         osc = make_oscillator("exp", om, phi, cfg.nu)
-        exact = lambda t: exact_exp_macro(cfg.alpha, -1, cfg.mu, osc, t, cfg.u0)
+        exact = lambda times: _exact_exp_values(cfg.alpha, -1, cfg.mu, osc, times, u0)
     elif cfg.problem == "power":
-        field = builtin_field("power", gamma=cfg.gamma)
+        field = _builtin_field("power", gamma=cfg.gamma)
         osc = make_oscillator("cos", om, phi, cfg.nu)
 
-        def exact(t):
-            dv = adaptive_quadrature(osc.value, 0.0, t, 1e-12,
-                                     half_period=math.pi / om).value
-            return exact_pure_oscillatory(cfg.gamma, cfg.u0, dv)
+        def exact(times):
+            dvs = _oscillatory_integrals(osc.value, osc, times, 1e-12)
+            return [exact_pure_oscillatory(cfg.gamma, u0, q.value) if t else complex(u0)
+                    for t, q in zip(times, dvs)]
     else:  # custom-fourier
         if not cfg.fourier:
             raise ConfigError("problem 'custom-fourier' requires a 'fourier' "
@@ -182,21 +205,22 @@ def build_problem(cfg: RunConfig) -> Problem:
         base = make_field(1, lambda t, u: [alpha * u[0]],
                           lambda t, u: [mu * u[0] ** expo], name="custom-fourier")
         field = absorb_mean(base, osc.removed_mean)
-        exact = lambda t: exact_exp_macro(alpha, gamma, mu, osc, t, cfg.u0,
-                                          v_offset=osc.removed_mean)
+        exact = lambda times: _exact_exp_values(alpha, gamma, mu, osc, times, u0,
+                                                v_offset=osc.removed_mean)
     return Problem(field, osc, exact)
 
 
 def oracle_values(cfg: RunConfig, prob: Problem, times) -> list[complex] | None:
     """The reference solution at each of the increasing `times` (none
-    before t0; t0 itself gives u0), or None without an oracle.  RK4 runs
-    once across the times, each segment starting from the previous value."""
+    before t0; t0 itself gives u0), or None without an oracle.  The closed
+    form's quadrature, or RK4, runs once across the times, each segment
+    starting from the previous value."""
     if cfg.oracle == "none":
         return None
     if cfg.oracle == "exact":
         if cfg.t0 != 0.0:
             raise ConfigError("the exact oracle's closed forms anchor at t0 = 0")
-        return [prob.exact(t) if t > cfg.t0 else complex(cfg.u0) for t in times]
+        return prob.exact(times)
     dt = prob.osc.period / 200.0  # the rk4 oracle
     t, u, out = cfg.t0, np.array([cfg.u0]), []
     for t_next in times:
@@ -272,8 +296,8 @@ def cmd_termcount(kappa: int, rho: int) -> tuple[int, list[str]]:
 def cmd_bounds(cfg: RunConfig, h_list: list[float], omega_list: list[float],
                K: float | None, box_t: float | None,
                box_radius: float) -> tuple[int, list[str]]:
-    # the problem and vnorm depend on omega but not on h; the field, and so
-    # K, only through custom-fourier's absorbed mean
+    # the problem, vnorm and the oracle depend on omega but not on h; the
+    # field, and so K, only through custom-fourier's absorbed mean
     per_omega, per_mean = {}, {}
     t_hi = box_t if box_t is not None else cfg.t0 + max(h_list)
     u0 = np.array([cfg.u0])
@@ -287,13 +311,16 @@ def cmd_bounds(cfg: RunConfig, h_list: list[float], omega_list: list[float],
             K1, K2 = per_mean[mean]
         else:
             K1 = K2 = K
-        per_omega[om] = prob, K1, K2, v_norm(prob.osc)
+        # the oracle at every h's end time, in one pass
+        times = sorted({cfg.t0 + h for h in h_list})
+        refs = dict(zip(times, oracle_values(cfg, prob, times)))
+        per_omega[om] = prob, K1, K2, v_norm(prob.osc), refs
     lines = ["h,omega,error_first,bound_first,error_second,bound_second,satisfied"]
     all_ok = True
     for h in h_list:
         for om in omega_list:
-            prob, K1, K2, vn = per_omega[om]
-            ref = oracle_values(cfg, prob, [cfg.t0 + h])[0]
+            prob, K1, K2, vn, refs = per_omega[om]
+            ref = refs[cfg.t0 + h]
             e1, e2 = (abs(step(build_scheme(prob.osc, TruncationPolicy(k, k)),
                                prob.field, cfg.t0, u0, h).u_next[0] - ref)
                       for k in (1, 2))

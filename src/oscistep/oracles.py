@@ -8,6 +8,15 @@ raw right-hand side, and the worked problems' exact solutions by their
 closed forms.  Each is right or loud: a quadrature that does not converge
 or is not finite, and an RK4 trajectory that turns non-finite, raise.
 
+The quadrature is one loop (`_quadratures`) that runs across an increasing
+list of times, one segment after another, and accumulates the integral,
+so a closed form at all of a command's output times costs one pass from
+0, not one per time; `adaptive_quadrature` and `exact_exp_macro` are its
+one-time case.  Its panel sums are Python sums in node order, and the
+exact closed forms' integrands run on Python floats through
+``OscillatorSpec.value``'s `cmath` path and `cmath.exp`, so their bits do
+not depend on numpy's SIMD dispatch or on BLAS.
+
 The RK4 oracle evaluates `a` and `b` through the field's tape of order 0,
 the one a (1,1) table replays (see ``jets``), and not by calling them on
 numpy scalars at each stage; the tape gives the same bits as those calls.
@@ -40,26 +49,43 @@ __all__ = [
     "fit_slope",
 ]
 
-# 7-point Gauss / 15-point Kronrod nodes and weights on [-1, 1]
-_KRONROD_NODES = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
-    -0.207784955007898, -0.405845151377397, -0.586087235467691,
-    -0.741531185599394, -0.864864423359769, -0.949107912342759,
-    -0.991455371120813])
-_KRONROD_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529])
-_GAUSS_WEIGHTS = np.array([
-    0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0,
-    0.381830050505119, 0.0, 0.417959183673469, 0.0,
-    0.381830050505119, 0.0, 0.279705391489277, 0.0,
-    0.129484966168870, 0.0])
+# 7-point Gauss / 15-point Kronrod nodes and weights on [-1, 1], in node
+# order, as QUADPACK's qk15 gives them (to 33 digits, each read as the
+# nearest double); the Gauss rule uses the odd-numbered nodes
+_KRONROD_NODES = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+    -0.207784955007898467600689403773245, -0.405845151377397166906606412076961,
+    -0.586087235467691130294144845693013, -0.741531185599394439863864773280788,
+    -0.864864423359769072789712788640926, -0.949107912342758524526189684047851,
+    -0.991455371120812639206854697526329)
+_KRONROD_WEIGHTS = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+    0.204432940075298892414161999234649, 0.190350578064785409913256402421014,
+    0.169004726639267902826583426598550, 0.140653259715525918745189590510238,
+    0.104790010322250183839876322541518, 0.063092092629978553290700663189204,
+    0.022935322010529224963732008058970)
+_GAUSS_WEIGHTS = (
+    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
+    0.0, 0.381830050505118944950369775488975, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.129484966168869693270611432679082, 0.0)
+
+
+def _weighted(weights) -> str:
+    return " + ".join(f"({w!r}+0j) * v{i}" for i, w in enumerate(weights) if w)
+
+
+# rules(v0, ..., v14): the Kronrod and the Gauss sum of a panel's 15
+# values, each a complex constant times a value, added left to right in
+# node order
+_rules = _function(f"rules({', '.join(f'v{i}' for i in range(15))})",
+                   [f"return {_weighted(_KRONROD_WEIGHTS)}, {_weighted(_GAUSS_WEIGHTS)}"])
 
 
 @dataclass(frozen=True)
@@ -69,62 +95,106 @@ class QuadratureResult:
     evaluations: int
 
 
-def _panel(f, lo: np.ndarray, hi: np.ndarray):
-    """Vectorized Gauss-Kronrod on a batch of panels; returns (I, err)."""
-    mid = 0.5 * (lo + hi)
-    hw = 0.5 * (hi - lo)
-    pts = mid[:, None] + hw[:, None] * _KRONROD_NODES[None, :]
-    vals = f(pts.ravel()).reshape(pts.shape)
-    ik = hw * (vals @ _KRONROD_WEIGHTS)
-    ig = hw * (vals @ _GAUSS_WEIGHTS)
-    return ik, np.abs(ik - ig)
+def _panels(values, edges: list[float]) -> tuple[list, float]:
+    """Gauss-Kronrod on each panel between consecutive `edges`: heap
+    entries ``(-error, lo, hi, integral)``, and the sum of their errors,
+    added in panel order.  `values` is called once, on every panel's
+    nodes."""
+    panels = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in zip(edges, edges[1:])]
+    vals = values([mid + hw * x for mid, hw in panels for x in _KRONROD_NODES])
+    entries, total = [], 0.0
+    for i, (lo, hi, (_, hw)) in enumerate(zip(edges, edges[1:], panels)):
+        k, g = _rules(*vals[15 * i:15 * i + 15])
+        ik = hw * k
+        err = abs(ik - hw * g)
+        entries.append((-err, lo, hi, ik))
+        total += err
+    return entries, total
+
+
+def _quadratures(values, a: float, times, tol: float, half_period: float | None = None,
+                 max_panels: int = 20000) -> list[QuadratureResult]:
+    """The integral from `a` to each of `times` in one adaptive
+    Gauss-Kronrod pass, as QuadratureResults whose value, error and
+    evaluations accumulate from one time to the next.
+
+    `times` run monotonically away from `a`, and `values(x)` gives the
+    integrand at each node of the list of floats `x`, as a list of complex
+    numbers.  The segments between consecutive times are integrated in
+    turn.  A segment starts with one panel per half period (at least one,
+    at most 8192), and its worst panel is bisected until the error
+    accumulated up to its end t is within ``tol (t - a) / (t_last - a)``:
+    no segment gets less than its share of `tol` by length, and no time's
+    error exceeds `tol`.  A segment that needs more than `max_panels`
+    panels, or whose value or error is not finite, raises
+    QuadratureError.
+    """
+    if not all(map(math.isfinite, (a, tol, *times))):
+        raise ValueError(f"quadrature needs finite a, times and tol; got {a}, {times}, {tol}")
+    span = times[-1] - a
+    back = span < 0
+    out, total, error, evals, start = [], 0j, 0.0, 0, a
+    for t in times:
+        lo, hi = (t, start) if back else (start, t)
+        if hi < lo:
+            raise ValueError(f"times must run monotonically away from {a}; got {start}, {t}")
+        if lo < hi:
+            n = 1
+            if half_period is not None and half_period > 0:
+                n = min(8192, max(1, math.ceil((hi - lo) / half_period)))
+            edges = np.linspace(lo, hi, n + 1).tolist() if n > 1 else [lo, hi]
+            heap, seg_err = _panels(values, edges)
+            evals += 15 * n
+            heapq.heapify(heap)
+            budget = tol * ((t - a) / span)
+            while error + seg_err > budget:
+                if len(heap) >= max_panels:
+                    raise QuadratureError(f"quadrature stalled at {len(heap)} panels, "
+                                          f"error {error + seg_err:.3e}")
+                neg_e, wl, wr, _ = heapq.heappop(heap)
+                m = 0.5 * (wl + wr)
+                halves, errs = _panels(values, [wl, m, wr])
+                evals += 30
+                for entry in halves:
+                    heapq.heappush(heap, entry)
+                seg_err += neg_e + errs  # the worst panel's error for its halves'
+            seg = 0j
+            for entry in heap:
+                seg += entry[3]
+            # a NaN error ends the loop as if converged, and an infinite one
+            # turns NaN once its panel is bisected
+            if not (math.isfinite(seg_err) and cmath.isfinite(seg)):
+                raise QuadratureError(f"non-finite quadrature: value {seg}, error {seg_err}")
+            total = total - seg if back else total + seg
+            error += seg_err
+        out.append(QuadratureResult(total, error, evals))
+        start = t
+    return out
 
 
 def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                         tol: float = 1e-12, half_period: float | None = None,
                         max_panels: int = 20000) -> QuadratureResult:
-    """Integrate a complex-valued vectorized integrand over [a, b].
+    """Integrate a complex-valued vectorized integrand over [a, b]: the
+    one-segment case of the cumulative pass (`_quadratures`).
 
-    When `half_period` is given the initial partition uses one panel per
-    half period so oscillatory integrands start out resolved; panels are
-    then bisected worst-first until the error estimate meets `tol`.  An
+    `f` is called on each batch of panels' nodes as one numpy array.  When
+    `half_period` is given the initial partition uses one panel per half
+    period, so oscillatory integrands start out resolved; panels are then
+    bisected worst-first until the error estimate meets `tol`.  An
     integrand that is not finite on the interval raises QuadratureError.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(tol)):
-        raise ValueError(f"quadrature needs finite a, b and tol; got {a}, {b}, {tol}")
-    if b < a:
-        res = adaptive_quadrature(f, b, a, tol, half_period, max_panels)
-        return QuadratureResult(-res.value, res.error, res.evaluations)
-    if a == b:
-        return QuadratureResult(0j, 0.0, 0)
-    npanels = 8
-    if half_period is not None and half_period > 0:
-        npanels = min(8192, max(8, math.ceil((b - a) / half_period)))
-    edges = np.linspace(a, b, npanels + 1)
-    lo, hi = edges[:-1], edges[1:]
-    ik, err = _panel(f, lo, hi)
-    evals = 15 * npanels
-    heap = [(-float(e), float(l), float(r), v) for e, l, r, v in zip(err, lo, hi, ik)]
-    heapq.heapify(heap)
-    total_err = float(err.sum())
-    while total_err > tol:
-        if len(heap) >= max_panels:
-            raise QuadratureError(
-                f"quadrature stalled at {len(heap)} panels, error {total_err:.3e}")
-        neg_e, wl, wr, _ = heapq.heappop(heap)
-        total_err += neg_e  # remove the worst panel's error
-        m = 0.5 * (wl + wr)
-        iks, errs = _panel(f, np.array([wl, m]), np.array([m, wr]))
-        evals += 30
-        heapq.heappush(heap, (-float(errs[0]), wl, m, iks[0]))
-        heapq.heappush(heap, (-float(errs[1]), m, wr, iks[1]))
-        total_err += float(errs.sum())
-    value = complex(sum(p[3] for p in heap))
-    # a NaN error ends the loop as if converged, and an infinite one turns
-    # NaN once its panel is bisected
-    if not (math.isfinite(total_err) and cmath.isfinite(value)):
-        raise QuadratureError(f"non-finite quadrature: value {value}, error {total_err}")
-    return QuadratureResult(value, total_err, evals)
+    def values(x):
+        return np.asarray(f(np.array(x)), dtype=complex).reshape(len(x)).tolist()
+    return _quadratures(values, a, [b], tol, half_period, max_panels)[0]
+
+
+def _oscillatory_integrals(f: Callable[[float], complex], osc: OscillatorSpec, times,
+                           tol: float) -> list[QuadratureResult]:
+    """The integrals of `f` from 0 to each of `times`, in one pass with one
+    initial panel per half period of `osc`; `f` is called on one Python
+    float at a time."""
+    return _quadratures(lambda x: list(map(f, x)), 0.0, times, tol, math.pi / osc.omega)
 
 
 def exact_pure_oscillatory(gamma: int, u0: complex, dV: complex) -> complex:
@@ -155,11 +225,24 @@ def exact_exp_macro(alpha, gamma: int, mu: complex, osc: OscillatorSpec,
     """Exact solution at time t of du/dt = alpha(t) u + mu u^(1-gamma) v(t).
 
     `alpha` is a constant or a callable; callables must come with their
-    antiderivative, and both must accept numpy arrays.  Inner oscillatory
-    integrals are evaluated by adaptive quadrature to `tol`.  `v_offset`
+    antiderivative, which is called on Python floats.  Inner oscillatory
+    integrals are evaluated by adaptive quadrature to `tol`, on Python
+    floats through ``OscillatorSpec.value`` and ``cmath.exp``.  `v_offset`
     adds a constant to v, for problems whose oscillator mean has been
-    normalized away.
+    normalized away.  This is the one-time case of `_exact_exp_values`.
     """
+    return _exact_exp_values(alpha, gamma, mu, osc, [t], u0, tol, alpha_antideriv,
+                             v_offset)[0]
+
+
+def _exact_exp_values(alpha, gamma: int, mu: complex, osc: OscillatorSpec, times,
+                      u0: complex, tol: float = 1e-10,
+                      alpha_antideriv: Callable[[float], complex] | None = None,
+                      v_offset: complex = 0j) -> list[complex]:
+    """`exact_exp_macro` at each of `times`, which run monotonically away
+    from 0, from one quadrature pass; a time of 0 gives `u0`.  A bracket
+    that vanishes, or whose fractional power is taken while it is negative,
+    raises DomainError at the first time where it does."""
     if callable(alpha):
         if alpha_antideriv is None:
             raise ValueError("callable alpha requires alpha_antideriv")
@@ -167,27 +250,25 @@ def exact_exp_macro(alpha, gamma: int, mu: complex, osc: OscillatorSpec,
     else:
         alpha_c = complex(alpha)
         A = lambda s: alpha_c * s
-    if t == 0:
-        return complex(u0)
-    hp = math.pi / osc.omega
-
-    def v_tot(s: np.ndarray) -> np.ndarray:
-        return osc.value(s) + v_offset
-
+    value = osc.value
     if gamma == 0:
-        iv = adaptive_quadrature(v_tot, 0.0, t, tol, half_period=hp)
-        return u0 * cmath.exp(A(t)) * cmath.exp(mu * iv.value)
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        return v_tot(s) * np.exp(-gamma * np.asarray(A(s), dtype=complex))
-
-    inner = adaptive_quadrature(integrand, 0.0, t, tol, half_period=hp)
-    bracket = gamma * mu * inner.value + u0 ** gamma
-    if bracket == 0:
-        raise DomainError("separatrix reached: bracket vanished")
-    if gamma not in (1, -1) and bracket.imag == 0 and bracket.real < 0:
-        raise DomainError("fractional power of a negative bracket")
-    return cmath.exp(A(t)) * bracket ** (1.0 / gamma)
+        integrand = lambda s: value(s) + v_offset
+    else:
+        integrand = lambda s: (value(s) + v_offset) * cmath.exp(-gamma * A(s))
+    out = []
+    for t, q in zip(times, _oscillatory_integrals(integrand, osc, times, tol)):
+        if t == 0:
+            out.append(complex(u0))
+        elif gamma == 0:
+            out.append(u0 * cmath.exp(A(t)) * cmath.exp(mu * q.value))
+        else:
+            bracket = gamma * mu * q.value + u0 ** gamma
+            if bracket == 0:
+                raise DomainError("separatrix reached: bracket vanished")
+            if gamma not in (1, -1) and bracket.imag == 0 and bracket.real < 0:
+                raise DomainError("fractional power of a negative bracket")
+            out.append(cmath.exp(A(t)) * bracket ** (1.0 / gamma))
+    return out
 
 
 def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,

@@ -335,6 +335,50 @@ class TestParser:
         assert set(cli._PARSERS) <= {*cli.COMMANDS, None}
 
 
+class TestKeptFields:
+    """`build_problem` keeps its built-in fields, and so their tapes,
+    across commands and calls of `main`."""
+
+    CONVERGE = ("converge --problem linear --kappa 4 --rho 2 --mu 10 --u0 1 "
+                "--h-list 0.2,0.14,0.1,0.07,0.05 --couple-c 1.0").split()
+
+    def test_converge_records_each_tape_once(self, capsys, monkeypatch):
+        import oscistep.cli as cli
+        from oscistep import jets
+        monkeypatch.setattr(cli, "_FIELDS", {})
+        record = jets.CoefficientField._record
+        recorded = []
+
+        def counting(field, plan, base):
+            recorded.append((field, plan))
+            return record(field, plan, base)
+
+        monkeypatch.setattr(jets.CoefficientField, "_record", counting)
+        first = run(capsys, *self.CONVERGE)
+        # the five steps share one field, which records each plan once
+        assert recorded and len({id(f) for f, _ in recorded}) == 1
+        assert len({p for _, p in recorded}) == len(recorded)
+        recorded.clear()
+        assert run(capsys, *self.CONVERGE) == first and recorded == []
+
+    def test_fields_are_kept_by_type_and_bits_of_their_parameters(self, monkeypatch):
+        import oscistep.cli as cli
+        from oscistep import builtin_field
+        monkeypatch.setattr(cli, "_FIELDS", {})
+        kept = cli._builtin_field("linear", mu=0.0)
+        assert cli._builtin_field("linear", mu=0.0) is kept
+        for other in (-0.0, 0, 0j):
+            assert cli._builtin_field("linear", mu=other) is not kept
+        assert cli._builtin_field("nonlinear", alpha=10, mu=1.0) is not cli._builtin_field(
+            "nonlinear", alpha=10.0, mu=1.0)
+        for k in range(2 * cli._FIELD_CACHE_SIZE):
+            cli._builtin_field("power", gamma=k)
+        assert len(cli._FIELDS) == cli._FIELD_CACHE_SIZE
+        assert cli._builtin_field("linear", mu=0.0) is not kept
+        # the library's own call stays fresh
+        assert builtin_field("linear", mu=1.0) is not builtin_field("linear", mu=1.0)
+
+
 class TestSolveCommand:
     def test_trajectory_row_count(self, capsys):
         code, out, _ = run(capsys, "solve", "--problem", "linear", "--kappa", "4",

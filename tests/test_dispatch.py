@@ -1,14 +1,15 @@
-"""The macro step's and the RK4 oracle's bits do not depend on numpy's
-SIMD dispatch.
+"""The macro step's and the oracles' bits do not depend on numpy's SIMD
+dispatch.
 
 numpy picks, per CPU, among loops built for several instruction sets, and
 some of them fuse a complex product's multiply and add.  A step adds its
-contributions, and the oracle does all its arithmetic, on Python numbers,
+contributions, the RK4 oracle does all its arithmetic, and the exact
+oracle's quadrature evaluates and sums its integrand, on Python numbers,
 so their trajectories, a step's contributions, and the output of a
-command that measures against the oracle, are the same bytes in a child
-process with every dispatched instruction set this CPU has disabled.  The
-variable that disables them, ``NPY_DISABLE_CPU_FEATURES``, is set for the
-child only.
+command that measures against an oracle, the README's commands included,
+are the same bytes in a child process with every dispatched instruction
+set this CPU has disabled.  The variable that disables them,
+``NPY_DISABLE_CPU_FEATURES``, is set for the child only.
 """
 
 import contextlib
@@ -24,6 +25,7 @@ import pytest
 from oscistep import (TruncationPolicy, build_scheme, builtin_field, make_field,
                       make_oscillator, rk4_micro_solve, solve, step)
 from oscistep.cli import main
+import test_cli
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -83,16 +85,44 @@ def transcript() -> str:
     return "\n".join(lines) + "\n" + out.getvalue()
 
 
-@pytest.mark.skipif(not DISPATCHED, reason="numpy dispatches nothing beyond its baseline here")
-def test_step_and_rk4_bytes_do_not_depend_on_simd_dispatch():
+def readme_transcript() -> str:
+    """The README's commands and their exit codes and stdout, in the
+    golden file's format."""
+    parts = []
+    for command in test_cli.TestReadmeGolden.COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(command.split())
+        parts.append(f"$ oscistep {command}\n# exit {code}\n{out.getvalue()}")
+    return "".join(parts)
+
+
+def undispatched(name: str) -> str:
+    """The stdout of this module's function `name`, called in a child
+    process with every dispatched instruction set disabled, after a first
+    line that lists the dispatched sets the child still has."""
     here = Path(__file__).parent
     path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(DISPATCHED),
                PYTHONPATH=os.pathsep.join(filter(None, path)))
-    # the child prints the dispatched sets it still has, then its transcript
-    code = ("import test_dispatch as d; print(d.DISPATCHED); "
-            "print(d.transcript(), end='')")
+    code = f"import test_dispatch as d; print(d.DISPATCHED); print(d.{name}(), end='')"
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            text=True, timeout=120)
     assert child.returncode == 0, child.stderr
-    assert child.stdout == "[]\n" + transcript()
+    return child.stdout
+
+
+needs_dispatch = pytest.mark.skipif(
+    not DISPATCHED, reason="numpy dispatches nothing beyond its baseline here")
+
+
+@needs_dispatch
+def test_step_and_rk4_bytes_do_not_depend_on_simd_dispatch():
+    assert undispatched("transcript") == "[]\n" + transcript()
+
+
+@needs_dispatch
+def test_readme_commands_print_the_golden_bytes_without_simd_dispatch():
+    # the exact oracle's quadrature summed by numpy moved 22 of its 87 lines
+    golden = test_cli.TestReadmeGolden.GOLDEN.read_text()
+    assert undispatched("readme_transcript") == "[]\n" + golden

@@ -11,6 +11,8 @@ from oscistep import (DomainError, NumericStepError, QuadratureError, Resolution
                       builtin_field, exact_exp_macro, exact_pure_oscillatory,
                       fit_slope, make_field, make_oscillator, rk4_micro_solve,
                       step)
+from oscistep.cli import RunConfig, build_problem
+from oscistep.oracles import QuadratureResult, _exact_exp_values, _oscillatory_integrals
 from references import (cdi_linear_reference, cdi_nonlinear_reference,
                         freqdep_reference, taylor_partial_sum)
 
@@ -117,6 +119,107 @@ class TestExpMacro:
             want = exact_exp_macro(alpha, -1, mu, o, t, 1.0)
             traj = rk4_micro_solve(f, o, 0.0, np.array([1.0 + 0j]), t, o.period / 200)
             assert abs(traj[-1][1][0] - want) / abs(want) < 1e-6
+
+
+# the README solve's output times
+SOLVE_TIMES = [0.0, *(i * 0.02 for i in range(1, 51))]
+
+# closed forms of the command-line problems, as (RunConfig fields; alpha,
+# "t" for alpha(t) = t; gamma; mu), u0 = 1 throughout
+CLOSED_FORMS = {
+    "linear": (dict(problem="linear", mu=10.0), "t", 1, 10.0),
+    "nonlinear": (dict(problem="nonlinear", alpha=2j, mu=10.0), 2j, -1, 10.0),
+    "gamma-0": (dict(problem="custom-fourier", gamma=0, alpha=0.3, mu=0.5 - 0.2j, phi=0.4,
+                     fourier={"1": [0.6, 0.1], "-2": 0.3}), 0.3, 0, 0.5 - 0.2j),
+    # u = u0 (1 + 2 u0^-2 dV)^(1/2) is the gamma = 2 bracket with alpha = 0, mu = 1
+    "power": (dict(problem="power", gamma=2, phi=0.2), 0.0, 2, 1.0),
+    "custom-fourier": (dict(problem="custom-fourier", gamma=2, alpha=0.2 - 0.1j, mu=0.4,
+                            nu=-0.5, fourier={"0": [0.25, -0.1], "1": 0.5, "-1": [0.3, 0.2]}),
+                       0.2 - 0.1j, 2, 0.4),
+}
+
+
+def mp_closed_form(mp, osc, alpha, gamma, mu, times):
+    """u at each of the increasing `times` from u0 = 1, from the same
+    doubles as the oracle, with the inner integral a 40-digit quadrature
+    of each segment between consecutive times."""
+    mpc = lambda z: mp.mpc(complex(z).real, complex(z).imag)
+    om, phi, amp = mp.mpf(osc.omega), mp.mpf(osc.phi), mp.mpf(osc.omega) ** -mp.mpf(osc.nu)
+    coeffs = [(k, mpc(c)) for k, c in osc.coeffs]
+    offset = mpc(osc.removed_mean)
+    A = (lambda s: s * s / 2) if alpha == "t" else (lambda s: mpc(alpha) * s)
+
+    def f(s):
+        v = amp * mp.fsum(c * mp.expj(k * (om * s + phi)) for k, c in coeffs) + offset
+        return v * mp.exp(-gamma * A(s))
+
+    out, inner = [], mp.mpf(0)
+    for t0, t1 in zip([0.0, *times], times):
+        inner += mp.quad(f, [mp.mpf(t0), mp.mpf(t1)], method="gauss-legendre")
+        if t1 == 0:
+            out.append(mp.mpc(1))
+        elif gamma == 0:
+            out.append(mp.exp(A(t1) + mpc(mu) * inner))
+        else:
+            out.append(mp.exp(A(t1)) * mp.power(gamma * mpc(mu) * inner + 1, mp.mpf(1) / gamma))
+    return out
+
+
+class TestCumulativeOracle:
+    """The exact oracle in one pass across a command's times."""
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_matches_mpmath_at_the_readme_solve_times(self, name):
+        mp = pytest.importorskip("mpmath")
+        fields, alpha, gamma, mu = CLOSED_FORMS[name]
+        prob = build_problem(RunConfig(u0=1.0, **fields))
+        got = prob.exact(SOLVE_TIMES)
+        with mp.workdps(40):
+            want = mp_closed_form(mp, prob.osc, alpha, gamma, mu, SOLVE_TIMES)
+            errs = [float(abs(g - w) / abs(w)) for g, w in zip(got, want)]
+        assert got[0] == 1.0
+        assert max(errs) < 1e-14
+
+    def test_every_times_error_estimate_is_within_tol(self):
+        o = make_oscillator("exp", 100.0, 0.3)
+        tol = 1e-10
+        qs = _oscillatory_integrals(lambda s: o.value(s) * cmath.exp(-s * s), o,
+                                    SOLVE_TIMES, tol)
+        assert [q.error for q in qs] == sorted(q.error for q in qs)
+        assert qs[0] == QuadratureResult(0j, 0.0, 0) and all(q.error <= tol for q in qs)
+        # the one-time case meets the same tolerance over the whole span
+        one = _oscillatory_integrals(lambda s: o.value(s) * cmath.exp(-s * s), o, [1.0], tol)
+        assert one[0].error <= tol and abs(one[0].value - qs[-1].value) < 2 * tol
+
+    def test_time_zero_gives_u0(self):
+        o = make_oscillator("cos", 50.0)
+        got = _exact_exp_values(0.7, 2, 1.5, o, [0.0, 0.0, 0.3], 2.0 + 1j)
+        assert got[:2] == [2.0 + 1j, 2.0 + 1j]
+        assert got[2] == pytest.approx(exact_exp_macro(0.7, 2, 1.5, o, 0.3, 2.0 + 1j),
+                                       rel=1e-12)
+
+    @pytest.mark.parametrize("u0,mu,times,k,match", [
+        # mu = 0 leaves the bracket u0^2 = 0 at every time after 0
+        (0.0, 0.0, [0.0, 0.1, 0.2], 1, "bracket vanished"),
+        # 0.01 - 2 sin t, real on the cos oscillator, turns negative past t = 0.005
+        (0.1, -1.0, [0.001, 0.002, 0.004, 0.01, 0.02], 3, "negative bracket")],
+        ids=["separatrix", "negative-bracket"])
+    def test_a_bracket_failing_at_the_kth_time_raises_as_the_one_time_call(
+            self, u0, mu, times, k, match):
+        o = make_oscillator("cos", 1.0)
+        before = _exact_exp_values(0.0, 2, mu, o, times[:k], u0)
+        for t, u in zip(times[:k], before):
+            assert u == pytest.approx(exact_exp_macro(0.0, 2, mu, o, t, u0), rel=1e-12)
+        with pytest.raises(DomainError, match=match) as one:
+            exact_exp_macro(0.0, 2, mu, o, times[k], u0)
+        with pytest.raises(DomainError, match=match) as many:
+            _exact_exp_values(0.0, 2, mu, o, times, u0)
+        assert str(many.value) == str(one.value)
+
+    def test_times_must_run_away_from_zero(self):
+        o = make_oscillator("cos", 50.0)
+        with pytest.raises(ValueError, match="monotonically"):
+            _exact_exp_values(0.7, 1, 1.0, o, [0.2, 0.1], 1.0)
 
 
 class TestRK4:
