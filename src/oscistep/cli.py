@@ -191,7 +191,7 @@ def build_problem(cfg: RunConfig) -> Problem:
         osc = make_oscillator("cos", om, phi, cfg.nu)
 
         def exact(times):
-            dvs = _oscillatory_integrals(osc.value, osc, times, 1e-12)
+            dvs = _oscillatory_integrals(osc._v()[1], osc, times, 1e-12)
             return [exact_pure_oscillatory(cfg.gamma, u0, q.value) if t else complex(u0)
                     for t, q in zip(times, dvs)]
     else:  # custom-fourier

@@ -775,7 +775,7 @@ def _function(signature: str, lines: list[str]) -> Callable:
 
 
 # every generated function by its source: tapes, coefficient plans, step
-# sums and RK4 steps
+# sums, RK4 steps and oscillators
 @lru_cache(maxsize=192)
 def _compiled(source: str) -> Callable:
     """The one function that `source` defines, which may call

@@ -13,9 +13,10 @@ list of times, one segment after another, and accumulates the integral,
 so a closed form at all of a command's output times costs one pass from
 0, not one per time; `adaptive_quadrature` and `exact_exp_macro` are its
 one-time case.  Its panel sums are Python sums in node order, and the
-exact closed forms' integrands run on Python floats through
-``OscillatorSpec.value``'s `cmath` path and `cmath.exp`, so their bits do
-not depend on numpy's SIMD dispatch or on BLAS.
+exact closed forms' integrands run on Python floats, one list per batch of
+nodes, through the oscillator's compiled v (``OscillatorSpec._v``) and
+`cmath.exp`, so their bits do not depend on numpy's SIMD dispatch or on
+BLAS.  The RK4 oracle takes v from the same compiled function.
 
 The RK4 oracle evaluates `a` and `b` through the field's tape of order 0,
 the one a (1,1) table replays (see ``jets``), and not by calling them on
@@ -189,12 +190,19 @@ def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: floa
     return _quadratures(values, a, [b], tol, half_period, max_panels)[0]
 
 
-def _oscillatory_integrals(f: Callable[[float], complex], osc: OscillatorSpec, times,
+def _oscillatory_integrals(values: Callable[[list], list], osc: OscillatorSpec, times,
                            tol: float) -> list[QuadratureResult]:
-    """The integrals of `f` from 0 to each of `times`, in one pass with one
-    initial panel per half period of `osc`; `f` is called on one Python
-    float at a time."""
-    return _quadratures(lambda x: list(map(f, x)), 0.0, times, tol, math.pi / osc.omega)
+    """The integrals from 0 to each of `times`, in one pass with one
+    initial panel per half period of `osc`, of the integrand whose values
+    at a list of Python floats `values` gives as a list.  A ValueError
+    from `values`, which `cmath.exp` raises at a phase that overflows,
+    raises QuadratureError."""
+    def checked(x):
+        try:
+            return values(x)
+        except ValueError as exc:
+            raise QuadratureError(f"integrand not finite on [{x[0]}, {x[-1]}]: {exc}") from exc
+    return _quadratures(checked, 0.0, times, tol, math.pi / osc.omega)
 
 
 def exact_pure_oscillatory(gamma: int, u0: complex, dV: complex) -> complex:
@@ -227,9 +235,11 @@ def exact_exp_macro(alpha, gamma: int, mu: complex, osc: OscillatorSpec,
     `alpha` is a constant or a callable; callables must come with their
     antiderivative, which is called on Python floats.  Inner oscillatory
     integrals are evaluated by adaptive quadrature to `tol`, on Python
-    floats through ``OscillatorSpec.value`` and ``cmath.exp``.  `v_offset`
-    adds a constant to v, for problems whose oscillator mean has been
-    normalized away.  This is the one-time case of `_exact_exp_values`.
+    floats through the oscillator's compiled v (``OscillatorSpec._v``)
+    and ``cmath.exp``; a phase that overflows raises QuadratureError.
+    `v_offset` adds a constant to v, for problems whose oscillator mean
+    has been normalized away.  This is the one-time case of
+    `_exact_exp_values`.
     """
     return _exact_exp_values(alpha, gamma, mu, osc, [t], u0, tol, alpha_antideriv,
                              v_offset)[0]
@@ -250,13 +260,14 @@ def _exact_exp_values(alpha, gamma: int, mu: complex, osc: OscillatorSpec, times
     else:
         alpha_c = complex(alpha)
         A = lambda s: alpha_c * s
-    value = osc.value
+    _, many = osc._v()
     if gamma == 0:
-        integrand = lambda s: value(s) + v_offset
+        values = lambda x: [z + v_offset for z in many(x)]
     else:
-        integrand = lambda s: (value(s) + v_offset) * cmath.exp(-gamma * A(s))
+        values = lambda x: [(z + v_offset) * cmath.exp(-gamma * A(s))
+                            for s, z in zip(x, many(x))]
     out = []
-    for t, q in zip(times, _oscillatory_integrals(integrand, osc, times, tol)):
+    for t, q in zip(times, _oscillatory_integrals(values, osc, times, tol)):
         if t == 0:
             out.append(complex(u0))
         elif gamma == 0:
@@ -293,9 +304,11 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
     order 0.  Where the recording was refused, each stage calls them so,
     and a division by zero there gives inf or nan rather than an
     exception.  A step is one straight-line function per state dimension
-    (`_rk4_step`).  v is evaluated at each step's three times, except at a
-    start time equal to the last step's end time, where it is that step's
-    v.
+    (`_rk4_step`).  v is evaluated by the oscillator's compiled v
+    (``OscillatorSpec._v``) at each step's three times, except at a start
+    time equal to the last step's end time, where it is that step's v.  A
+    phase there that overflows, which `cmath.exp` refuses, makes the state
+    after the step nan, so NumericStepError names that step's end time.
     """
     u = field._state(u0)
     if not (all(math.isfinite(x) for x in (t0, t_end, dt)) and np.isfinite(u).all()):
@@ -315,7 +328,7 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
     # complex factors, so each product is the complex product numpy forms
     # for a number times a complex array
     h, h2, h6, two = complex(dt), complex(dt / 2), complex(dt / 6), complex(2)
-    value = osc.value
+    value, _ = osc._v()
     x = u.tolist()
     # the field's tape of `a` and `b`, recorded at the first stage unless it
     # has one, and that stage's values if it was
@@ -329,12 +342,19 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
         for i in range(n):
             # most steps start where the last one ended, in float: v(t)
             # is then the last step's v(te), from the same input
-            v = ve if t == te else value(t)
-            tm, te = t + dt / 2, t + dt
-            ve = value(te)
+            try:
+                v = ve if t == te else value(t)
+                tm, te = t + dt / 2, t + dt
+                vm, ve = value(tm), value(te)
+            except ValueError:
+                # cmath.exp refuses a phase that overflows: v, and so the
+                # state after this step, is nan
+                times.append(t0 + (i + 1) * dt)
+                states.append([complex(math.nan, math.nan)] * len(x))
+                break
             # the first stage's `a` and `b`: the recording's on the first
             # step if it gave them, and from `pair` on every other
-            x = rk4(x, ab or pair((complex(t), *x)), complex(tm), complex(te), v, value(tm), ve)
+            x = rk4(x, ab or pair((complex(t), *x)), complex(tm), complex(te), v, vm, ve)
             ab = None
             t = t0 + (i + 1) * dt
             times.append(t)

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import compress
@@ -110,35 +111,74 @@ class OscillatorSpec:
         return 2.0 * math.pi / self.omega
 
     def value(self, t):
-        """v(t); accepts scalars or numpy arrays.
+        """v(t) at a number, or at each element of an array.
 
-        A finite `t` of type `float` or `int` is evaluated with `cmath`,
-        in the numpy path's order of operations, and gives the same bits
-        as that path at a tenth of the cost.  Every other `t` (arrays,
-        numpy scalars, bools, non-finite times), and a plain `t` whose
-        value comes out non-finite, takes the numpy path, which warns as
-        it always has.  For complex Fourier coefficients an array result
-        can differ from the scalar result in the last bit, because numpy's
-        array loops may fuse a complex product's multiply and add.
+        A number, a numpy scalar or a 0-d array gives a complex, and an
+        array a complex array of its shape.  Every time is taken as a
+        Python float and evaluated by the oscillator's compiled function
+        (`_v_functions`), so an array's elements have the bits of their
+        times evaluated one at a time.  A result that is not finite at a
+        time that is not nan warns RuntimeWarning, as numpy's formula
+        does: an infinite time, or a phase k (omega t + phi) that
+        overflows, gives nan+nanj, and a value that overflows is infinite.
         """
-        if type(t) in (float, int) and math.isfinite(t):
-            w = self.omega * float(t) + self.phi
-            s = 0j
+        v, many = self._v()
+        if type(t) in (float, int):
+            ts, shape = [float(t)], None
             try:
-                for k, c in self.coeffs:
-                    s += c * cmath.exp(1j * k * w)
-            except ValueError:      # k w overflowed, where numpy gives nan and warns
+                z = v(ts[0])
+                if cmath.isfinite(z):
+                    return z
+            except ValueError:
                 pass
-            else:
-                s *= self.omega ** (-self.nu)
-                if cmath.isfinite(s):
-                    return s
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        for k, c in self.coeffs:
-            out += c * np.exp(1j * k * (self.omega * t + self.phi))
-        out *= self.omega ** (-self.nu)
-        return out if out.shape else complex(out)
+        else:
+            x = np.asarray(t, dtype=float)
+            ts, shape = x.ravel().tolist(), x.shape
+        try:
+            out = many(ts)
+        except ValueError:      # cmath.exp refuses a phase k w that overflowed
+            out = [_or_nan(v, s) for s in ts]
+        if any(not (cmath.isfinite(z) or math.isnan(s)) for s, z in zip(ts, out)):
+            warnings.warn("v(t) is not finite at a time that is not nan", RuntimeWarning,
+                          stacklevel=2)
+        return out[0] if not shape else np.array(out, dtype=complex).reshape(shape)
+
+    def _v(self) -> tuple[Callable, Callable]:
+        """The compiled ``v(t)`` and ``many(ts)`` of this oscillator."""
+        return _v_functions(self.coeffs, self.omega, self.phi, self.nu)
+
+
+def _or_nan(v: Callable, t: float) -> complex:
+    """``v(t)``, or nan+nanj where `cmath.exp` refuses its phase."""
+    try:
+        return v(t)
+    except ValueError:
+        return complex(math.nan, math.nan)
+
+
+# kept by (coeffs, omega, phi, nu): the source depends only on the mode count
+@lru_cache(maxsize=128)
+def _v_functions(coeffs: tuple[tuple[int, complex], ...], omega: float, phi: float,
+                 nu: float) -> tuple[Callable, Callable]:
+    """``v(t)`` at a float `t`, and ``many(ts)``, its values at a list of
+    floats as a list, compiled by ``jets._function``.  Each is
+    ``w = omega * t + phi``, then ``0j + c_k * exp((1j * k) * w)`` added
+    in coefficient order, then that sum times ``omega ** -nu``, where
+    `omega`, `phi`, the c_k, the 1j * k, ``omega ** -nu`` and `cmath.exp`
+    are arguments of the source, so every oscillator with as many modes
+    shares it.  `cmath.exp` raises ValueError at a finite phase k w that
+    overflows."""
+    n = len(coeffs)
+    body = ["w = omega * t + phi",
+            *_summed("s", ["0j", *(f"c{i} * exp(i{i} * w)" for i in range(n))])]
+    make = _function(
+        f"oscillator(omega, phi, scale, exp, {', '.join(f'c{i}, i{i}' for i in range(n))})",
+        ["def v(t):", *(f"    {line}" for line in body), "    return s * scale",
+         "def many(ts):", "    out = []", "    for t in ts:",
+         *(f"        {line}" for line in body), "        out.append(s * scale)",
+         "    return out", "return v, many"])
+    return make(omega, phi, omega ** (-nu), cmath.exp,
+                *(x for k, c in coeffs for x in (c, 1j * k)))
 
 
 def make_oscillator(kind: str, omega: float, phi: float = 0.0, nu: float = 0.0,
@@ -552,30 +592,31 @@ def big_v(osc: OscillatorSpec) -> BasisPoly:
 
 
 def v_norm(osc: OscillatorSpec) -> float:
-    """2 pi times the peak of |v| over one period.
+    """2 pi times the peak of |v| over one period: 2 pi times the peak of
+    |sum_k c_k e^(ik theta)| over the phase circle (`_peak`), which depends
+    on the coefficients alone, times omega^(-nu).  Deterministic."""
+    return 2.0 * math.pi * _peak(osc.coeffs) * osc.omega ** (-osc.nu)
 
-    Found numerically: dense sampling followed by golden-section polish
-    around the best local maxima.  Deterministic.
-    """
+
+@lru_cache(maxsize=32)
+def _peak(coeffs: tuple[tuple[int, complex], ...]) -> float:
+    """The peak of |sum_k c_k e^(ik theta)| over theta, in Python floats:
+    the largest of 4096 equally spaced theta from 0, and of a
+    golden-section polish around each of the 8 largest local maxima on
+    that circular grid."""
+    v, many = _v_functions(coeffs, 1.0, 0.0, 0.0)
+
+    def mag(theta: float) -> float:
+        return abs(v(theta))
+
     n = 4096
-    ts = np.linspace(0.0, osc.period, n, endpoint=False)
-    mags = np.abs(osc.value(ts))
-
-    def mag(t: float) -> float:
-        return abs(osc.value(float(t)))
-
-    # candidate local maxima on the circular grid
-    prev = np.roll(mags, 1)
-    nxt = np.roll(mags, -1)
-    cand = np.where((mags >= prev) & (mags >= nxt))[0]
-    order = cand[np.argsort(mags[cand])[::-1][:8]]
-
-    best = float(mags.max())
+    dtheta = 2.0 * math.pi / n
+    mags = list(map(abs, many([j * dtheta for j in range(n)])))
+    cand = [j for j in range(n) if mags[j] >= mags[j - 1] and mags[j] >= mags[(j + 1) % n]]
+    best = max(mags)
     gr = (math.sqrt(5.0) - 1.0) / 2.0
-    dt = osc.period / n
-    for idx in order:
-        lo, hi = ts[idx] - dt, ts[idx] + dt
-        a, b = lo, hi
+    for j in sorted(cand, key=mags.__getitem__, reverse=True)[:8]:
+        a, b = (j - 1) * dtheta, (j + 1) * dtheta
         c = b - gr * (b - a)
         d = a + gr * (b - a)
         fc, fd = mag(c), mag(d)
@@ -589,7 +630,7 @@ def v_norm(osc: OscillatorSpec) -> float:
                 d = a + gr * (b - a)
                 fd = mag(d)
         best = max(best, fc, fd)
-    return 2.0 * math.pi * best
+    return best
 
 
 def phase_average(f: BasisPoly) -> BasisPoly:

@@ -54,6 +54,12 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             adaptive_quadrature(lambda t: t + 0j, a, b, tol)
 
+    def test_phase_overflow_raises_quadrature_error(self):
+        # 2 omega t overflows past t = 9e306, where cmath.exp refuses the phase
+        o = make_oscillator("fourier", 10.0, coeffs={2: 1.0, -1: 0.5j})
+        with pytest.raises(QuadratureError, match="not finite"):
+            exact_exp_macro(0.0, 0, 1.0, o, 1e307, 1.0)
+
 
 class TestPureOscillatory:
     def test_gamma_zero_is_exponential(self):
@@ -183,12 +189,12 @@ class TestCumulativeOracle:
     def test_every_times_error_estimate_is_within_tol(self):
         o = make_oscillator("exp", 100.0, 0.3)
         tol = 1e-10
-        qs = _oscillatory_integrals(lambda s: o.value(s) * cmath.exp(-s * s), o,
-                                    SOLVE_TIMES, tol)
+        values = lambda x: [o.value(s) * cmath.exp(-s * s) for s in x]
+        qs = _oscillatory_integrals(values, o, SOLVE_TIMES, tol)
         assert [q.error for q in qs] == sorted(q.error for q in qs)
         assert qs[0] == QuadratureResult(0j, 0.0, 0) and all(q.error <= tol for q in qs)
         # the one-time case meets the same tolerance over the whole span
-        one = _oscillatory_integrals(lambda s: o.value(s) * cmath.exp(-s * s), o, [1.0], tol)
+        one = _oscillatory_integrals(values, o, [1.0], tol)
         assert one[0].error <= tol and abs(one[0].value - qs[-1].value) < 2 * tol
 
     def test_time_zero_gives_u0(self):
@@ -288,6 +294,13 @@ class TestRK4:
         o = make_oscillator("cos", 2 * math.pi)
         with pytest.raises(NumericStepError, match=f"not finite at t = {first}$"):
             rk4_micro_solve(field, o, 0.0, np.array([u0], dtype=complex), 1.0, 0.01)
+
+    def test_phase_overflow_raises_numeric_step_error(self):
+        # the first step's phase 2 omega t overflows, so v and the state are nan
+        o = make_oscillator("fourier", 10.0, coeffs={2: 1.0, -1: 0.5j})
+        with pytest.raises(NumericStepError, match="not finite at t = 1e[+]307$"):
+            rk4_micro_solve(builtin_field("linear"), o, 1e307, np.array([1.0 + 0j]),
+                            math.nextafter(1e307, math.inf), o.period / 40)
 
     def test_oscillatory_benchmark_configuration(self):
         # gamma = 0 family: du/dt = t u + mu u cos(omega t)

@@ -1,5 +1,7 @@
 """Oscillator specs, basis-polynomial algebra and phase handling."""
 
+import contextlib
+import io
 import math
 from dataclasses import replace
 
@@ -11,6 +13,8 @@ from oscistep import (DegenerateOscillatorError, OscistepError, RegimeError,
                       builtin_field, enumerate_words, estimate_coefficient_bound,
                       make_field, make_oscillator, operator_values, phase_average,
                       rk4_micro_solve, step, step_phase_averaged, v_norm, word_primitive)
+import oscistep.oscillator as oscillator
+from oscistep.cli import main
 from oscistep.oscillator import BasisPoly, absorb_mean, v_poly
 from references import derivative, oscillating_monomial, value_at_ref
 
@@ -337,6 +341,26 @@ class TestVNorm:
     def test_amplitude_scaling(self):
         o = make_oscillator("cos", 100.0, nu=1.0)
         assert v_norm(o) == pytest.approx(2 * math.pi / 100.0, rel=1e-9)
+
+    @pytest.mark.parametrize("omega", [50.0, 100.0, 200.0])
+    def test_readme_cos_is_exactly_two_pi(self, omega):
+        # the phase grid holds theta = 0, where cos peaks
+        assert v_norm(make_oscillator("cos", omega)) == 2 * math.pi
+
+    def test_complex_three_modes_match_a_dense_sample(self):
+        o = make_oscillator("fourier", 50.0, phi=0.7, nu=-0.5,
+                            coeffs={-1: 0.4 - 0.3j, 1: 0.7, 2: 0.2 + 0.25j})
+        dense = 2 * math.pi * float(np.abs(o.value(np.linspace(0, o.period, 200001))).max())
+        assert v_norm(o) == pytest.approx(dense, rel=1e-9)
+
+    def test_one_peak_search_serves_a_bounds_command(self):
+        # bounds' three omegas share the cos coefficients, so one search
+        oscillator._peak.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main("bounds --problem linear --kappa 4 --rho 2 --mu 10 --u0 1 "
+                        "--box-t 0.2 --box-radius 0.5".split()) == 0
+        info = oscillator._peak.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestPhaseAverage:

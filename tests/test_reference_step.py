@@ -7,6 +7,8 @@ sign of zero fails.
 """
 
 import collections
+import copy
+import pickle
 import warnings
 import weakref
 from dataclasses import replace
@@ -657,6 +659,33 @@ def test_value_not_finite_warns_as_numpy_does(osc, t, want):
     with pytest.warns(RuntimeWarning):
         got = osc.value(t)
     assert repr(got) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(-6, 6).filter(bool),
+                       st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0),
+                       min_size=1, max_size=6),
+       st.sampled_from([0.0, -0.5, 0.3]), st.floats(0.1, 1e4), st.floats(-10.0, 10.0),
+       st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8))
+def test_value_on_an_array_has_each_elements_scalar_bits(coeffs, nu, omega, phi, times):
+    osc = make_oscillator("fourier", omega, phi, nu, coeffs)
+    got = osc.value(np.array(times))
+    assert [repr(complex(z)) for z in got] == [repr(osc.value(t)) for t in times]
+
+
+def test_an_evaluated_spec_pickles_copies_and_hashes_as_a_fresh_one():
+    # nothing that evaluating v builds is kept on the spec
+    make = lambda: make_oscillator("fourier", 100.0, 0.3, -0.5, {-2: 0.3 - 0.1j, 1: 0.7, 3: 0.25j})
+    fresh, used = make(), make()
+    used.value(0.2)
+    used.value(np.array([0.1, 0.4]))
+    oscillator.v_norm(used)
+    rk4_micro_solve(builtin_field("linear"), used, 0.0, np.array([1.0 + 0j]), 0.01,
+                    used.period / 40)
+    assert vars(used) == vars(fresh)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert pickle.loads(pickle.dumps(used)) == fresh
+    assert copy.deepcopy(used) == fresh
 
 
 def reference_rk4(field, osc, t0, u0, t_end, dt):

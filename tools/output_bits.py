@@ -61,8 +61,12 @@ the power field's ``**`` refuses.  Then, for each seed, the ``u_next`` of
 nu = -1/2 (8,2) table (omega = 100, phi = 0.3), for four fields whose word plans' tapes test a divisor or
 are refused: the built-in power field (gamma = 2), ``1 / (1 + u^2)``, an
 m = 2 field that divides in `a` and `b`, and a field whose `a` reads a
-jet's value (3 x 4 x 2 x 5 = 120).  That is 12 466 outputs in all.  Last
-come the generated sources: one line per distinct source that
+jet's value (3 x 4 x 2 x 5 = 120).  Then `OscillatorSpec.value` and
+`v_norm` on cos, exp nu = -1/2 and a six-mode complex Fourier series: for
+each, at each of three omegas and two phases, the ``repr`` of `value` at
+eight seeded times one at a time and of `value` on one seeded array of
+five, and `v_norm` (3 x 3 x 2 x (8 + 1 + 1) = 180).  That is 12 646
+outputs in all.  Last come the generated sources: one line per distinct source that
 ``jets._compiled`` compiled over all of these runs, in the order first
 compiled, with its sha256, its line count and its first line, so that
 two trees whose tapes, coefficient plans, step sums, bound norms or RK4
@@ -81,13 +85,19 @@ SEEDS = (11, 12, 13)
 KINDS = ("solve-scalar", "phase-ensemble", "solve-one-step", "solve-minus-zero",
          "solve-int-zero", "split-solve", "split-step", "averaged-step", "iterated-integral",
          "interleaved-step", "bound", "table", "rk4", "cli", "solve-order-0", "tape-step",
-         "sources")
+         "value", "sources")
 # the step sizes of the interleaved steps
 INTERLEAVED_H = (0.02, 0.05)
 # the box of the bound estimates: times, radii and jet orders
 BOUND_T, BOUND_RADII, BOUND_ORDERS = (0.0, 0.25), (0.0, 0.5), range(4)
 # the 3-mode Fourier oscillator of the split tables
 FOURIER_MODES = {-2: 0.3 - 0.1j, 1: 0.7, 3: 0.25j}
+# the oscillators of the value rows, as make_oscillator's kind, nu and
+# coefficients, and their omegas and phases
+VALUE_OSCILLATORS = {"cos": ("cos", 0.0, None), "exp-nu-half": ("exp", -0.5, None),
+                     "six-modes": ("fourier", 0.0, {-3: 0.2 + 0.1j, -2: 0.3, -1: 0.5j, 1: 0.7,
+                                                    2: -0.25j, 3: 0.1 - 0.4j})}
+VALUE_OMEGAS, VALUE_PHASES = (50.0, 100.0, 1e4), (0.0, 0.7)
 PHASE_ROUNDS = 3
 # the RK4 trajectories: their span, and the micro step as a share of a period
 RK4_SPAN, RK4_STEPS_PER_PERIOD = 0.1, 40
@@ -136,7 +146,8 @@ def outputs() -> list[str]:
     jets._compiled = lambda source: sources.setdefault(source, compiled(source))
     from oscistep import (TruncationPolicy, build_scheme, builtin_field, enumerate_words,
                           estimate_coefficient_bound, iterated_integral, make_field,
-                          make_oscillator, rk4_micro_solve, solve, step, step_phase_averaged)
+                          make_oscillator, rk4_micro_solve, solve, step, step_phase_averaged,
+                          v_norm)
     from oscistep.cli import main as cli_main
     from oscistep.oscillator import absorb_mean
     from workloads import CliReadme, PhaseEnsemble, SchemeBuild, SolveScalar, _oscillator
@@ -275,10 +286,21 @@ def outputs() -> list[str]:
         for word in enumerate_words(TruncationPolicy.from_order(*order)):
             integrals += [f"iterated-integral {table} {word} {t!r} {h!r} "
                           f"{iterated_integral(word, osc, t, h)!r}" for t, h in points]
+    values, rng = [], np.random.default_rng(59)
+    for name, (kind, nu, coeffs) in VALUE_OSCILLATORS.items():
+        for omega in VALUE_OMEGAS:
+            for phi in VALUE_PHASES:
+                osc = make_oscillator(kind, omega, phi, nu, coeffs)
+                label = f"value {name} {omega!r} {phi!r}"
+                values += [f"{label} {t!r} {osc.value(t)!r}"
+                           for t in rng.uniform(-10.0, 10.0, 8).tolist()]
+                ts = rng.uniform(-10.0, 10.0, 5)
+                values.append(f"{label} {ts.tolist()!r} {osc.value(ts).tolist()!r}")
+                values.append(f"{label} v_norm {v_norm(osc)!r}")
     digests = [f"sources {hashlib.sha256(source.encode()).hexdigest()} "
                f"{len(source.splitlines())} {source[:source.index(':')]}" for source in sources]
     return (lines + more + split_lines + averaged + integrals + interleaved + bounds + tables
-            + rk4 + cli + order0 + tape_steps + digests)
+            + rk4 + cli + order0 + tape_steps + values + digests)
 
 
 def run(src: str) -> list[str]:
