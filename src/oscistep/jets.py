@@ -97,38 +97,46 @@ on plain numbers, a tape of order 0.  It is recorded on registers
 handed to the lambdas themselves, with no jets, and the tape
 does exactly the operations the lambdas do, with no jet sums and no
 ``0.0 +``.  The registers stand for the values of the numbers route
-(``CoefficientField._on_numbers``): the complex `t` and the state's numpy
-complex128 scalars, and what numpy's scalar arithmetic makes of them.
-The replay does the same operations on Python complex numbers, which give
-the same bits: for ``+``, ``-``, ``*``, unary ``-`` and ``sum``, with int,
-float or complex operands, a numpy complex128 scalar operation is the
-complex operation Python does, signed zeros, inf and NaN included.  That
-holds on Python 3.11; from Python 3.14 on, Python's mixed float and
-complex arithmetic follows C99 Annex G and may not match numpy's
-(unverified: only Python 3.11 has numpy here).  Division is refused,
-since numpy multiplies by the reciprocal of the denominator and Python
-divides.  A table of policy (1,1) evaluates the plan of `a` and then `b`
-themselves, ``_PAIR``, and the RK4 oracle's generated step calls that
-plan's tape at each stage, so the two share one tape per field.
+(``CoefficientField._on_numbers``): the complex `t` and state, Python
+complex numbers as on jets, and what the lambdas make of them.  The
+replay does the same Python operations on the same Python numbers, so it
+gives that route's values by construction, on any Python version.  A
+table of policy (1,1) evaluates the plan of `a` and then `b` themselves,
+``_PAIR``, and the RK4 oracle's generated step calls that plan's tape at
+each stage, so the two share one tape per field.
+
+`a` and `b` see Python complex numbers on every route, or jets of them,
+and no step reads numpy's error state.  A Python operation that fails
+inside them raises its own ``ArithmeticError`` at every plan order: a
+zero divisor raises ``ZeroDivisionError`` on numbers, as the jets'
+reciprocal does, and an overflowing complex ``**`` raises
+``OverflowError`` on numbers (a jet's ``**`` is repeated products, which
+overflow to a value that is not finite).  A value that is not finite
+makes the step raise ``NumericStepError``.  ``float()`` of a state
+component, and indexing one, raise ``TypeError`` on numbers as on jets.
+``solve`` names the step in each ``ArithmeticError`` and
+``NumericStepError``.
 
 Any other use of a register refuses the recording: ``/`` and ``**``,
 comparisons and truth tests, ``complex()``, ``float()``, ``abs()``,
-attribute reads, operands of another type (numpy scalars included), and
-inside jets a read of a coefficient that is a register (``Jet.value``,
-``coeffs``, ``coefficient``, or the base point).  The jets' own division
-goes through the recorder's kernels.  A refused register goes on as the
-plain value it stands for, and so does every operation after the
-refusal, so the recording's call ends as the route the tape replaces
-would, with its values, calling `a` and `b` once.  The field keeps None
-for the plan: its later calls take that route (``_on_numbers`` for a plan
-of order 0, ``_run`` on numbers for any other), and no call records it
-again.  Lambdas that raise on the registers of a plan of order 0 (numpy's
-ufuncs take none) refuse the recording too, and the call runs
-``_on_numbers``.  The one use a register cannot see is ``type()``:
-lambdas that test the exact type of a register handed to them (``type(x)
-is np.complex128``) take, while recorded, the branch of a type that is
-not numpy's, and the tape keeps it; an ``isinstance`` test refuses the
-recording instead.
+attribute reads, operands of another type (numpy scalars included: a
+captured ``np.float64`` times a complex number is numpy's operation, not
+Python's), and inside jets a read of a coefficient that is a register
+(``Jet.value``, ``coeffs``, ``coefficient``, or the base point).  The
+jets' own division goes through the recorder's kernels.  A refused
+register goes on as the plain value it stands for, and so does every
+operation after the refusal, so the recording's call ends as the route
+the tape replaces would, with its values, calling `a` and `b` once.  The
+field keeps None for the plan: its later calls take that route
+(``_on_numbers`` for a plan of order 0, ``_run`` on numbers for any
+other), and no call records it again.  Lambdas that raise on the
+registers of a plan of order 0 (numpy's ufuncs take none, and a zero
+divisor raises) refuse the recording too, and the call runs
+``_on_numbers``, which raises again or not.  The one use a register
+cannot see is ``type()``: lambdas that test the exact type of a register
+handed to them (``type(x) is complex``) take, while recorded, the branch
+of a type that is not complex, and the tape keeps it; an ``isinstance``
+test refuses the recording instead.
 
 A field calls `a` and `b` in one place, ``CoefficientField._pair``: `a`
 and then `b`, each once per point, on its own list of the state, with its
@@ -139,11 +147,8 @@ route's function: ``_as_complex`` on numbers, and on jets a lambda that
 makes a constant a jet of the point.
 Three routes lead to it.  A recording of order 0 gives both on
 registers.  ``CoefficientField._on_numbers`` gives both on plain numbers,
-a complex `t` and the state's numpy complex128 scalars, so the lambdas do
-numpy's scalar arithmetic, where a division by zero gives inf or NaN: it
-is the fallback of a plan of order 0, run with numpy's warnings off so
-that the step reports the non-finite value, and of the RK4 oracle, for
-fields whose recording was refused.
+the complex `t` and state: it is the fallback of a plan of order 0 and
+of the RK4 oracle, for fields whose recording was refused.
 ``CoefficientField._on_jets`` gives both on one set of jets of ``(t, u)``
 for ``_run``: on registers while a tape is recorded, and on numbers where
 no tape serves, for every word plan of higher order and for the
@@ -467,8 +472,8 @@ class CoefficientField:
     They are called in one place, :meth:`_pair`, each once per point, and
     reached three ways: on registers, to record a plan of order 0 (which
     the RK4 oracle's stages evaluate too); :meth:`_on_numbers` on
-    numbers (numpy scalars of the state), the fallback of those plans
-    where their recording was refused; and :meth:`_on_jets` on one set of
+    complex numbers, the fallback of those plans where their recording
+    was refused; and :meth:`_on_jets` on one set of
     jets of ``(t, u)``, for :meth:`_run`, which the word plans of higher
     order and the coefficient bound run.  Each caller checks the state
     with :meth:`_state` first.  The oscillator means that
@@ -540,11 +545,9 @@ class CoefficientField:
     def _on_numbers(self, base: tuple) -> list[complex]:
         """`a` and then `b` on plain numbers at the base point `base`,
         ``(t, u_1, ..., u_m)`` of complex numbers, in one list of complex
-        numbers.  The lambdas see the complex `t` and the state's numpy
-        complex128 scalars, so they do numpy's scalar arithmetic, where a
-        division by zero gives inf or NaN; the caller sets numpy's error
-        state."""
-        a, b = self._pair(base[0], list(map(np.complex128, base[1:])), _as_complex)
+        numbers.  The lambdas see those complex numbers themselves, and
+        what Python's complex arithmetic raises propagates."""
+        a, b = self._pair(base[0], base[1:], _as_complex)
         return a + b
 
     def _on_jets(self, origin: Jet, values) -> tuple[list[Jet], list[Jet]]:
@@ -609,9 +612,7 @@ class CoefficientField:
         of `plan` by `_record`.  A refused recording (None), and a replay
         stopped by a zero divisor, run the route that the tape replaces,
         whose values the registers stood for: `_on_numbers` for a word
-        plan of order 0, under numpy's errstate, so that a division by
-        zero gives a non-finite value and no warning, and `_run` on
-        numbers for any other plan."""
+        plan of order 0, and `_run` on numbers for any other plan."""
         if tape is not None:
             try:
                 return tape(base)
@@ -620,37 +621,33 @@ class CoefficientField:
                 # the lambdas catch it
                 pass
         if _on_plain_numbers(plan):
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                return plan._pick(self._on_numbers(base), self.m)
+            return plan._pick(self._on_numbers(base), self.m)
         return self._run(plan, Jet(base, plan.order, {}), base)
 
     def _record(self, plan, base: tuple) -> tuple:
         """A tape of `plan`, recorded at the base point `base`, or None if
         the recording was refused, and `plan`'s values at `base`.
 
-        The registers stand for the values of the route that `_replay`
-        takes where there is no tape, and compute them as it does, so the
-        recording gives that route's values, refused or not, and calls `a`
-        and `b` once, as that route does.  A word plan of order 0 is
-        recorded on registers handed to the lambdas, under that route's
-        errstate; if the lambdas raise on them, the recording is refused
+        The registers stand for the entries of `base`, the values of the
+        route that `_replay` takes where there is no tape, and compute
+        them as it does, so the recording gives that route's values,
+        refused or not, and calls `a` and `b` once, as that route does.
+        A word plan of order 0 is recorded on registers handed to the
+        lambdas; if the lambdas raise on them, the recording is refused
         and gives no values.  Any other plan is recorded by `_run` on jets
         whose coefficients are registers and whose base point is the input
         registers, and what the lambdas or the jets raise there
         propagates, as `_run` on numbers would raise it."""
         rec = _Recorder()
+        inputs = [_Register(rec, f"x{i}", x) for i, x in enumerate(base)]
         if _on_plain_numbers(plan):
-            inputs = [_Register(rec, f"x{i}", x)
-                      for i, x in enumerate((base[0], *map(np.complex128, base[1:])))]
             try:
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    a, b = self._pair(inputs[0], inputs[1:],
-                                      lambda v: v if type(v) is _Register else _as_complex(v))
+                a, b = self._pair(inputs[0], inputs[1:],
+                                  lambda v: v if type(v) is _Register else _as_complex(v))
             except Exception:
                 return None, None
             values = plan._pick(a + b, self.m)
         else:
-            inputs = [_Register(rec, f"x{i}", x) for i, x in enumerate(base)]
             origin = Jet((), plan.order, {})
             origin.base, origin.nvars = tuple(inputs), self.m + 1
             values = self._run(plan, origin, inputs)
@@ -914,9 +911,9 @@ class _Register:
     u_m)``, or what an operation made of registers, with its value at the
     call being recorded, computed as the route the tape follows computes
     it.  Handed to the lambdas of a plan of order 0, a register stands for
-    the numbers route's own object: the complex `t`, a numpy complex128
-    scalar of the state, or what the lambdas made of them.  Inside jets it
-    is a coefficient, a Python complex number.
+    the numbers route's own object: the complex `t`, a complex component
+    of the state, or what the lambdas made of them.  Inside jets it is a
+    coefficient, also a Python complex number.
 
     ``+``, ``-`` and ``*`` with a register or an exact int, float or
     complex, and unary ``-``, give a register and a line of the tape.  Any
@@ -924,12 +921,13 @@ class _Register:
     ``/``, ``**``, comparisons, truth tests, ``complex()``, ``float()``,
     ``abs()``, hashing, attribute reads (``__getattr__``), ``isinstance``
     tests that its own type fails (``__class__``), and operands of any
-    other type, numpy scalars included (numpy hands its operators to this
-    class's reflected ones).  After a refusal every operation gives the
-    plain value, so the call being recorded ends as it would on the route
-    the tape follows, with the same values.  The operators it lacks
+    other type, numpy scalars included (``__array_ufunc__ = None`` makes
+    numpy hand its operators to this class's reflected ones).  After a
+    refusal every operation gives the plain value, so the call being
+    recorded ends as it would on the route the tape follows, with the same
+    values.  The operators it lacks
     (``//``, ``%``, ``@``, bitwise ones) raise TypeError, as they do on
-    numpy's complex scalars."""
+    Python's complex numbers."""
 
     __slots__ = ("_rec", "_name", "_value")
 

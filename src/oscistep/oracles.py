@@ -20,10 +20,10 @@ BLAS.  The RK4 oracle takes v from the same compiled function.
 
 The RK4 oracle evaluates `a` and `b` through the field's tape of order 0,
 the one a (1,1) table replays (see ``jets``), and not by calling them on
-numpy scalars at each stage; the tape gives the same bits as those calls.
-Its independence from the stepper therefore rests on the tests that
-compare it, bit for bit, with a plain RK4 loop that calls `a` and `b` on
-numpy scalars (``reference_rk4`` in ``tests/test_reference_step.py``),
+complex numbers at each stage; the tape gives the same bits as those
+calls.  Its independence from the stepper therefore rests on the tests
+that compare it, bit for bit, with a plain RK4 loop that calls `a` and `b`
+on complex numbers (``reference_rk4`` in ``tests/test_reference_step.py``),
 and with refused recordings, which call them.
 """
 
@@ -289,9 +289,9 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
     `dt` must be positive and resolve the oscillation: dt <= period / 20.
     The step is shrunk slightly if needed so an integer number of steps
     spans the interval.  Returns a list of (t, u) pairs, each `u` an array
-    of the state.  A non-finite `u0` raises ValueError, and a trajectory
-    that turns non-finite NumericStepError, which names the first time it
-    is.
+    of the state.  A non-finite `u0`, or a `dt` that does not move `t0`,
+    raises ValueError, and a trajectory that turns non-finite
+    NumericStepError, which names the first time it is.
 
     The state is a list of Python complex numbers, and every stage, stage
     sum and update is Python's scalar arithmetic, with each product a
@@ -299,22 +299,22 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
     dispatch, where no product is fused, so the bits do not depend on
     numpy's SIMD dispatch.  `a` and `b` at each stage come from the
     field's tape of them (``jets._PAIR``, recorded at the first stage if
-    the field has none), whose replay gives what they give on a complex
-    `t` and the stage's state as numpy complex128 scalars, as on a plan of
-    order 0.  Where the recording was refused, each stage calls them so,
-    and a division by zero there gives inf or nan rather than an
-    exception.  A step is one straight-line function per state dimension
-    (`_rk4_step`).  v is evaluated by the oscillator's compiled v
-    (``OscillatorSpec._v``) at each step's three times, except at a start
-    time equal to the last step's end time, where it is that step's v.  A
-    phase there that overflows, which `cmath.exp` refuses, makes the state
-    after the step nan, so NumericStepError names that step's end time.
+    the field has none), whose replay gives what they give on the complex
+    `t` and state of the stage, as on a plan of order 0.  Where the
+    recording was refused, each stage calls them so, and what they raise
+    there, such as ZeroDivisionError, propagates.  A step is one
+    straight-line function per state dimension (`_rk4_step`).  v is
+    evaluated by the oscillator's compiled v (``OscillatorSpec._v``) at
+    each step's three times, except at a start time equal to the last
+    step's end time, where it is that step's v.  A phase there that
+    overflows, which `cmath.exp` refuses, makes the state after the step
+    nan, so NumericStepError names that step's end time.
     """
     u = field._state(u0)
     if not (all(math.isfinite(x) for x in (t0, t_end, dt)) and np.isfinite(u).all()):
         raise ValueError("t0, t_end, dt and u0 must be finite")
-    if dt <= 0:
-        raise ValueError(f"micro step must be positive, got {dt}")
+    if t0 + dt <= t0:
+        raise ValueError(f"micro step must be positive and move t0 = {t0}, got {dt}")
     span = t_end - t0
     if span <= 0:
         raise ValueError("t_end must exceed t0")
@@ -337,28 +337,26 @@ def rk4_micro_solve(field: CoefficientField, osc: OscillatorSpec, t0: float,
     rk4 = _rk4_step(field.m)(pair, h, h2, h6, two)
     times, states = [t0], [x]
     t, te, ve = t0, None, None
-    # a non-finite state is reported below, not as a numpy warning
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i in range(n):
-            # most steps start where the last one ended, in float: v(t)
-            # is then the last step's v(te), from the same input
-            try:
-                v = ve if t == te else value(t)
-                tm, te = t + dt / 2, t + dt
-                vm, ve = value(tm), value(te)
-            except ValueError:
-                # cmath.exp refuses a phase that overflows: v, and so the
-                # state after this step, is nan
-                times.append(t0 + (i + 1) * dt)
-                states.append([complex(math.nan, math.nan)] * len(x))
-                break
-            # the first stage's `a` and `b`: the recording's on the first
-            # step if it gave them, and from `pair` on every other
-            x = rk4(x, ab or pair((complex(t), *x)), complex(tm), complex(te), v, vm, ve)
-            ab = None
-            t = t0 + (i + 1) * dt
-            times.append(t)
-            states.append(x)
+    for i in range(n):
+        # most steps start where the last one ended, in float: v(t)
+        # is then the last step's v(te), from the same input
+        try:
+            v = ve if t == te else value(t)
+            tm, te = t + dt / 2, t + dt
+            vm, ve = value(tm), value(te)
+        except ValueError:
+            # cmath.exp refuses a phase that overflows: v, and so the
+            # state after this step, is nan
+            times.append(t0 + (i + 1) * dt)
+            states.append([complex(math.nan, math.nan)] * len(x))
+            break
+        # the first stage's `a` and `b`: the recording's on the first
+        # step if it gave them, and from `pair` on every other
+        x = rk4(x, ab or pair((complex(t), *x)), complex(tm), complex(te), v, vm, ve)
+        ab = None
+        t = t0 + (i + 1) * dt
+        times.append(t)
+        states.append(x)
     states = np.array(states, dtype=complex)
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():

@@ -53,16 +53,18 @@ contributions are added to u_n one at a time in table order by a
 straight-line function compiled once per live entry count and dimension
 (``_assembly``).  So a step's bits are those of Python's float
 operations, the same under every SIMD dispatch of numpy, whose complex
-product may fuse a multiply and an add.  Only a sum that is not finite
-goes to numpy, which names the first non-finite term or reports an
-overflow as a step always has.  `solve` keeps its state as a list of
-complex numbers: it replays the field's tape on it directly, since t
-moves on every step and the field's memo of its last call could not hit,
-and builds the trajectory's array once at the end.
+product may fuse a multiply and an add.  A step never returns a state
+that is not finite, and its outcome does not depend on numpy's error
+state: a sum that is not finite raises, naming the first non-finite term,
+or the overflow of finite ones (``_non_finite``).  `solve` keeps its
+state as a list of complex numbers: it replays the field's tape on it
+directly, since t moves on every step and the field's memo of its last
+call could not hit, and builds the trajectory's array once at the end.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -249,7 +251,8 @@ def step(scheme: SchemeTable, field: CoefficientField, t_n: float, u_n,
     complex product, or an exact zero if its coefficient has no terms; the
     products are added to u_n one at a time in table order, in Python's
     complex arithmetic.  A non-finite t_n, h or u_n raises ValueError, and
-    a non-finite contribution NumericStepError.
+    a non-finite contribution, or finite ones whose sum overflows,
+    NumericStepError.
     """
     return _step(scheme.entries, scheme.oscillator, TermPlan.__call__, field, t_n, u_n, h)
 
@@ -277,7 +280,7 @@ def _step(entries: _Entries, osc: OscillatorSpec, evaluate: Callable, field: Coe
     u, m = u_n.tolist(), field.m
     u_next = _assembly(len(coeffs), m)(u, coeffs, values)
     if u_next is None:
-        u_next = _non_finite(entries, u, coeffs, values, m)
+        raise _non_finite(entries, u, coeffs, values, m)
     return StepResult(np.array(u_next, dtype=complex), t_n + h,
                       _contributions(entries, coeffs, values, m))
 
@@ -297,21 +300,18 @@ def _contributions(entries: _Entries, coeffs: list, values: list, m: int):
     yield from rows
 
 
-def _non_finite(entries: _Entries, u: list, coeffs: list, values: list, m: int) -> list:
-    """A step whose sum is not finite, from its state `u` and its operands:
-    ValueError if the state is not finite, NumericStepError naming the
-    first live entry whose contribution is not, or else, for finite terms
-    whose sum overflowed, the same sum in numpy, which reports the overflow
-    under the caller's error settings."""
-    rows = np.array(u + _products(coeffs, values, m), dtype=complex).reshape(-1, m)
-    # inf and NaN survive addition, so a non-finite sum has a non-finite term
-    if not np.isfinite(rows[0]).all():
-        raise ValueError("u_n must be finite")
-    finite = np.isfinite(rows[1:].view(float)).all(axis=1)
-    if not finite.all():
-        bad = entries[entries.live[int(np.argmin(finite))]]
-        raise NumericStepError(f"non-finite contribution from term {bad.word}")
-    return np.add.accumulate(rows)[-1].tolist()
+def _non_finite(entries: _Entries, u: list, coeffs: list, values: list, m: int) -> Exception:
+    """The error of a step whose sum is not finite, from its state `u` and
+    its operands: ValueError if the state is not finite, NumericStepError
+    naming the first live entry whose contribution is not, or else
+    NumericStepError for finite terms whose sum overflowed."""
+    if not all(map(cmath.isfinite, u)):
+        return ValueError("u_n must be finite")
+    for k, p in enumerate(_products(coeffs, values, m)):
+        if not cmath.isfinite(p):
+            return NumericStepError(f"non-finite contribution from term "
+                                    f"{entries[entries.live[k // m]].word}")
+    return NumericStepError("the sum of finite contributions overflowed")
 
 
 @lru_cache(maxsize=64)
@@ -343,13 +343,15 @@ def solve(scheme: SchemeTable, field: CoefficientField, t0: float, u0,
 
     Returns the trajectory as a list of (t, u) pairs including both
     endpoints.  Each step is the one `step` takes from the state before
-    it, bit for bit, and fails as that step fails, with its index and
-    start time named in a NumericStepError.
+    it, bit for bit, and fails as that step fails: a NumericStepError or
+    other ArithmeticError is raised again as its own type, with the
+    step's index and start time named.  An h that is not positive or does
+    not move t0 raises ValueError.
     """
     if not all(math.isfinite(x) for x in (t0, t_end, h)):
         raise ValueError("t0, t_end and h must be finite")
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    if t0 + h <= t0:
+        raise ValueError(f"step size must be positive and move t0 = {t0}, got {h}")
     span = t_end - t0
     if span <= 0:
         raise ValueError("t_end must exceed t0")
@@ -370,10 +372,12 @@ def solve(scheme: SchemeTable, field: CoefficientField, t0: float, u0,
             values = evaluate(operators, t, u)
             coeffs = coefficients(osc, h, t)
             u_next = assemble(u, coeffs, values)
-            u = u_next if u_next is not None else _non_finite(entries, u, coeffs, values, m)
+            if u_next is None:
+                raise _non_finite(entries, u, coeffs, values, m)
+            u = u_next
             states += u
-    except NumericStepError as exc:
-        raise NumericStepError(f"step {i} (t = {t}): {exc}") from exc
+    except (NumericStepError, ArithmeticError) as exc:
+        raise type(exc)(f"step {i} (t = {t}): {exc}") from exc
     return list(zip(times, np.array(states, dtype=complex).reshape(n + 1, m)))
 
 

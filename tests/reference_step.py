@@ -136,10 +136,8 @@ class RefJet:
 
 
 def _field_values(fn, t, u):
-    # numpy's scalars, where a division by zero gives inf or NaN, without
-    # a warning, as the library's plans of order 0 run them
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.array([complex(x) for x in fn(complex(t), list(u))])
+    # Python's complex numbers, as the library's plans of order 0 run them
+    return np.array([complex(x) for x in fn(complex(t), [complex(x) for x in u])])
 
 
 def _field_jets(fn, m, t, u, order):

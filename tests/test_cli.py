@@ -212,6 +212,17 @@ class TestErrorBoundary:
         self.assert_one_line_error(*run(capsys, "step", "--problem", "power", "--gamma",
                                         "2", "--u0", "0", *self.POLICY), 3)
 
+    @pytest.mark.parametrize("kappa,rho,message", [
+        ("1", "1", "0.0 to a negative or complex power"),
+        ("4", "2", "jet with zero value has no reciprocal")], ids=["1-1", "4-2"])
+    def test_a_solve_dividing_by_zero_exits_3_naming_its_step(self, capsys, kappa, rho, message):
+        # b = u^-1 at u0 = 0: Python's complex power at order 0 and the jets'
+        # reciprocal above it both raise ZeroDivisionError, at step 0
+        code, out, err = run(capsys, "solve", "--problem", "power", "--gamma", "2", "--u0", "0",
+                             "--oracle", "none", "--kappa", kappa, "--rho", rho)
+        self.assert_one_line_error(code, out, err, 3)
+        assert err == f"numeric error: step 0 (t = 0.0): {message}\n"
+
     def test_overflowing_bound_estimate_exits_3(self, capsys):
         # the norm of the partial t of a = u t overflows at t = 1.25e307
         self.assert_one_line_error(*run(capsys, "bounds", "--problem", "linear", *self.POLICY,

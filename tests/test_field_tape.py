@@ -324,15 +324,17 @@ def test_a_replay_checks_each_divisor_before_dividing(name, policy, sources):
 @pytest.mark.parametrize("name, u", [("power", [0j]), ("m2-division", [0.5, 0j])],
                          ids=["power", "m2-division"])
 def test_an_order_0_plan_dividing_by_zero_fails_as_a_non_finite_step(name, u, fn):
-    # an order-0 plan runs the lambdas on numpy scalars, where a division
-    # by zero gives NaN or inf: the step reports the non-finite term, and
-    # numpy warns of nothing before it.  Plans of higher order raise the
-    # jets' ZeroDivisionError (see above).
-    scheme = build_scheme(make_oscillator("cos", 57.0), TruncationPolicy(1, 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericStepError, match="^non-finite contribution from term V$"):
-            fn(scheme, DIVIDING[name](), 0.1, np.array(u, dtype=complex), 0.1)
+    # an order-0 plan runs the lambdas on Python's complex numbers, whose
+    # zero divisor raises ZeroDivisionError, as the jets' reciprocal does at
+    # order 1 and above; nothing warns before it
+    python = {"power": "0.0 to a negative or complex power",
+              "m2-division": "complex division by zero"}[name]
+    for policy, message in (((1, 1), python), ((4, 2), "jet with zero value has no reciprocal")):
+        scheme = build_scheme(make_oscillator("cos", 57.0), TruncationPolicy(*policy))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroDivisionError, match=f"^{re.escape(message)}$"):
+                fn(scheme, DIVIDING[name](), 0.1, np.array(u, dtype=complex), 0.1)
 
 
 COUPLING = [[0.3, -0.1, 0.2, 0.05], [0.0, 0.4, -0.3, 0.1],

@@ -2,17 +2,17 @@
 
 A field records `a` and `b` on plain-number registers once, for the word
 plans of order 0 and the RK4 oracle, and replays that tape in place of
-calling them on numpy scalars.  Every result is compared by ``repr`` with
-the numbers route itself: the same field with a refusal forced at the
-start of `a`, whose calls all run numpy's scalar arithmetic, or
-``reference_rk4`` and ``reference_step``, which call the lambdas on numpy
-scalars.  A refused recording, and an exception, must give the same
-outcome.
+calling them on Python's complex numbers.  Every result is compared by
+``repr`` with the numbers route itself: the same field with a refusal
+forced at the start of `a`, whose calls all run Python's complex
+arithmetic, or ``reference_rk4`` and ``reference_step``, which call the
+lambdas on complex numbers.  A refused recording, and an exception, must
+give the same outcome.
 """
 
 import math
 import operator
-import warnings
+import re
 
 import numpy as np
 import pytest
@@ -71,14 +71,14 @@ def values(field, t, u):
 
 
 def reference_values(field, t, u):
-    """`values` of the lambdas called on numpy scalars, by ``reference_step``."""
+    """`values` of the lambdas called on complex numbers, by ``reference_step``."""
     want = ref.operator_values(field, PAIRS, t, np.array(u, dtype=complex))
     return repr([(k, exact(v)) for k, v in want.items()])
 
 
 def forced(f):
     """`f` after an ``abs`` of its time, which refuses a recording on
-    numbers before `f` runs; every call then does numpy's scalar
+    numbers before `f` runs; every call then does Python's complex
     arithmetic, as the numbers route does."""
     def g(t, u):
         abs(t)
@@ -183,6 +183,11 @@ REFUSED = {
 
 POINTS = [(0.3, [0.9 + 0.1j]), (0.0, [complex(-0.0, 0.4)]), (-0.2, [1.0]), (0.3, [0.9 + 0.1j])]
 
+# uses that Python's complex numbers, like jets, do not support, by the
+# message of their TypeError at order 0
+UNSUPPORTED = {"float()": "float() argument must be a string or a real number, not 'complex'",
+               "indexing": "'complex' object is not subscriptable"}
+
 
 def drift(t, u):
     return [0.5 * u[0] - t]
@@ -193,14 +198,25 @@ def test_refused_recordings_run_the_lambdas_on_numbers(name, recordings):
     calls = []
     field = make_field(1, drift, counted(REFUSED[name], calls))
     plain = make_field(1, drift, REFUSED[name])
-    with warnings.catch_warnings():
-        # float() of a numpy complex scalar warns that it drops the imaginary part
-        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+    dt = OSC.period / 40
+    if name in UNSUPPORTED:
+        # TypeError at every point and plan order, and from the oracle's
+        # first stage; the recording's call raised, so its point ran `b`
+        # again
         for t, u in POINTS:
-            assert values(field, t, u) == reference_values(plain, t, u)
-        dt = OSC.period / 40
-        want = reference_rk4(plain, OSC, 0.2, [0.9 + 0.1j], 0.25, dt)
-        got = rk4_micro_solve(field, OSC, 0.2, np.array([0.9 + 0.1j]), 0.25, dt)
+            with pytest.raises(TypeError, match=f"^{re.escape(UNSUPPORTED[name])}$"):
+                operator_values(field, PAIRS, t, np.array(u, dtype=complex))
+            with pytest.raises(TypeError, match="'Jet'"):
+                operator_values(plain, [("b", ("L0",))], t, np.array(u, dtype=complex))
+        with pytest.raises(TypeError, match=f"^{re.escape(UNSUPPORTED[name])}$"):
+            rk4_micro_solve(field, OSC, 0.2, np.array([0.9 + 0.1j]), 0.25, dt)
+        assert len(recordings) == 1 + len(POINTS) and tapes(field) == {jets._PAIR: None}
+        assert len(calls) == 1 + len(POINTS) + 1
+        return
+    for t, u in POINTS:
+        assert values(field, t, u) == reference_values(plain, t, u)
+    want = reference_rk4(plain, OSC, 0.2, [0.9 + 0.1j], 0.25, dt)
+    got = rk4_micro_solve(field, OSC, 0.2, np.array([0.9 + 0.1j]), 0.25, dt)
     assert rows(got) == rows(want)
     # recorded once, refused, and never recorded again; `b` ran once per
     # point, the recording's call included, but where the lambdas raised

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -259,8 +260,13 @@ class TestRK4:
         (0.0, math.inf, 1e-3, "finite"),
         (1.0, 1.0, 1e-3, "t_end must exceed t0"),
         (1.0, 0.5, 1e-3, "t_end must exceed t0"),
+        # the span to the next float after 1e300 is about 1.5e284: about
+        # 1.5e287 micro steps of 1e-3, each leaving t0 where it was
+        *((t0, math.nextafter(t0, math.inf), 1e-3,
+           f"^micro step must be positive and move t0 = {re.escape(repr(t0))}, got 0.001$")
+          for t0 in (1e300, -1e300)),
     ], ids=["dt-negative", "dt-zero", "t0-nan", "t_end-nan", "dt-nan", "t_end-inf",
-            "empty", "reversed"])
+            "empty", "reversed", "dt-not-moving-1e300", "dt-not-moving-minus-1e300"])
     def test_bad_times_rejected(self, t0, t_end, dt, match):
         # a negative dt would pass the resolution check and step backwards
         f = builtin_field("linear", mu=1.0)
@@ -282,25 +288,27 @@ class TestRK4:
         with pytest.raises(ValueError, match="u0 must be finite"):
             rk4_micro_solve(f, o, 0.0, np.array([u0], dtype=complex), 0.1, o.period / 200)
 
-    @pytest.mark.parametrize("field,u0,first", [
-        # b = 1/u divides by zero at once
-        (builtin_field("power", gamma=2), 0.0, "0.01"),
+    @pytest.mark.parametrize("field,u0,error,match", [
+        # b = 1/u divides by zero at once, on Python's complex numbers
+        (builtin_field("power", gamma=2), 0.0, ZeroDivisionError,
+         "^0.0 to a negative or complex power$"),
         # b = u^2 overflows at once
-        (builtin_field("nonlinear"), 1e200, "0.01"),
+        (builtin_field("nonlinear"), 1e200, NumericStepError, "not finite at t = 0.01$"),
         # a = 5000 u t grows past the largest float before t = 1
-        (make_field(1, lambda t, u: [u[0] * 5e3 * t], lambda t, u: [0.0 * t]), 1.0, "0.85")],
+        (make_field(1, lambda t, u: [u[0] * 5e3 * t], lambda t, u: [0.0 * t]), 1.0,
+         NumericStepError, "not finite at t = 0.85$")],
         ids=["power-from-zero", "nonlinear-from-1e200", "linear-blow-up"])
-    def test_non_finite_trajectory_raises(self, field, u0, first):
+    def test_non_finite_trajectory_raises(self, field, u0, error, match):
         o = make_oscillator("cos", 2 * math.pi)
-        with pytest.raises(NumericStepError, match=f"not finite at t = {first}$"):
+        with pytest.raises(error, match=match):
             rk4_micro_solve(field, o, 0.0, np.array([u0], dtype=complex), 1.0, 0.01)
 
     def test_phase_overflow_raises_numeric_step_error(self):
-        # the first step's phase 2 omega t overflows, so v and the state are nan
-        o = make_oscillator("fourier", 10.0, coeffs={2: 1.0, -1: 0.5j})
-        with pytest.raises(NumericStepError, match="not finite at t = 1e[+]307$"):
-            rk4_micro_solve(builtin_field("linear"), o, 1e307, np.array([1.0 + 0j]),
-                            math.nextafter(1e307, math.inf), o.period / 40)
+        # the phase 2 (omega t + phi) overflows at every time, so v and the
+        # state after the first step are nan
+        o = make_oscillator("fourier", 10.0, 1e308, coeffs={2: 1.0, -1: 0.5j})
+        with pytest.raises(NumericStepError, match="not finite at t = 0.01$"):
+            rk4_micro_solve(builtin_field("linear"), o, 0.0, np.array([1.0 + 0j]), 0.1, 0.01)
 
     def test_oscillatory_benchmark_configuration(self):
         # gamma = 0 family: du/dt = t u + mu u cos(omega t)

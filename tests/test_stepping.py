@@ -2,8 +2,10 @@
 
 import itertools
 import math
+import re
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -208,14 +210,17 @@ class TestStep:
                 step(sch, field, 0.0, u1(1.0), 0.1)
             assert str(err.value) == "coefficient function returned wrong dimension"
 
-    def test_overflowing_sum_of_finite_contributions_returns_inf(self):
-        # only a non-finite term or state is an error; the sum may overflow
+    def test_overflowing_sum_of_finite_contributions_raises(self):
+        # every term is finite and their sum is not: a step returns no
+        # non-finite state, whatever numpy's error state, and warns of nothing
         f = make_field(1, lambda t, u: [1e308 + 0.0 * u[0]], lambda t, u: [0.0 * t])
         sch = build_scheme(make_oscillator("cos", 5.0), TruncationPolicy(1, 1))
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            res = step(sch, f, 0.0, u1(1e308), 1.0)
-        assert res.u_next[0] == complex(math.inf, 0.0)
-        assert all(np.isfinite(c).all() for c in res.contributions)
+        for state in ("ignore", "warn", "raise"):
+            with np.errstate(all=state), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericStepError,
+                                   match="^the sum of finite contributions overflowed$"):
+                    step(sch, f, 0.0, u1(1e308), 1.0)
 
     def test_non_finite_contribution_identifies_term(self):
         f = make_field(1, lambda t, u: [u[0] * 1e308], lambda t, u: [0.0 * t])
@@ -349,7 +354,13 @@ class TestSolve:
         (0.0, 1.0, -0.1, "step size must be positive"),
         (0.5, 0.5, 0.1, "t_end must exceed t0"),
         (0.5, 0.2, 0.1, "t_end must exceed t0"),
-    ], ids=["h-zero", "h-negative", "empty", "reversed"])
+        # the span to the next float after 1e300 is about 1.5e284, which
+        # about 1.5e287 steps of 1e-3 divide, each leaving t0 where it was
+        *((t0, math.nextafter(t0, math.inf), 1e-3,
+           f"^step size must be positive and move t0 = {re.escape(repr(t0))}, got 0.001$")
+          for t0 in (1e300, -1e300)),
+    ], ids=["h-zero", "h-negative", "empty", "reversed", "h-not-moving-1e300",
+            "h-not-moving-minus-1e300"])
     def test_empty_steps_and_intervals_rejected(self, t0, t_end, h, match):
         f = builtin_field("linear", mu=1.0)
         sch = build_scheme(make_oscillator("cos", 100.0), pol(2, 2))
@@ -384,7 +395,7 @@ class TestSolve:
             step(sch, f, t0, u0, 1e100)
         with pytest.raises(OverflowError) as whole:
             solve(sch, f, t0, u0, t0 + 1e100, 1e100)
-        assert str(whole.value) == str(lone.value)
+        assert str(whole.value) == f"step 0 (t = {t0!r}): {lone.value}"
 
     @pytest.mark.parametrize("t0", [-0.0, 0], ids=["minus-zero", "int"])
     def test_step_zero_starts_at_t0_itself(self, t0):
